@@ -1,16 +1,11 @@
 //! Batched-serving benchmark: the structure-of-arrays lane-parallel
-//! inference path vs the scalar serving path, swept over lane widths
-//! (1/4/8/16) and error rates.
+//! inference path swept over lane widths (1/4/8/16) and error rates.
 //!
 //! Writes `BENCH_6.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any width's verdict
-//! stream diverges from the scalar (`lanes = 1`) deployment, if any width
-//! is not thread-invariant, if any shard degraded, or if the best
-//! single-thread batched speedup at the paper's er = 0.1 operating point
-//! falls below the regression floor (`--speedup-floor`, default 1.5).
-//! Unlike thread scaling, the lane speedup is a single-thread comparison,
-//! so the floor applies unclamped even in a 1-core container — that mode
-//! is what CI runs (with `--fast`) as a batching smoke test.
+//! stream diverges from the `lanes = 1` deployment, if any width is not
+//! thread-invariant, or if any shard degraded. The single-thread width
+//! ratio against one lane is reported, not gated.
 
 use hmd_bench::cli::Scale;
 use hmd_bench::{batch, setup, table, Args};
@@ -28,7 +23,6 @@ const WIDE_HIDDEN: usize = 32;
 fn main() {
     let mut check = false;
     let mut out_path = String::from("BENCH_6.json");
-    let mut speedup_floor = 1.5_f64;
     let mut rest: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -41,13 +35,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--speedup-floor" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v > 0.0 => speedup_floor = v,
-                _ => {
-                    eprintln!("error: --speedup-floor needs a positive number");
-                    std::process::exit(2);
-                }
-            },
             _ => rest.push(flag),
         }
     }
@@ -55,10 +42,7 @@ fn main() {
         Ok(args) => args,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!(
-                "flags: --seed N  --threads N  --paper  --fast  --check  \
-                 --speedup-floor X  --out PATH"
-            );
+            eprintln!("flags: --seed N  --threads N  --paper  --fast  --check  --out PATH");
             std::process::exit(2);
         }
     };
@@ -103,9 +87,9 @@ fn main() {
         "network",
         "er",
         "lanes",
-        "scalar (q/s)",
-        "batched (q/s)",
-        "speedup",
+        "1 lane (q/s)",
+        "N lanes (q/s)",
+        "vs 1 lane",
         "threaded (q/s)",
         "identical",
     ]);
@@ -114,11 +98,11 @@ fn main() {
             p.network.clone(),
             format!("{}", p.error_rate),
             format!("{}", p.lanes),
-            format!("{:.0}", p.scalar_qps),
+            format!("{:.0}", p.one_lane_qps),
             format!("{:.0}", p.batched_qps),
-            format!("{:.2}x", p.speedup()),
+            format!("{:.2}x", p.vs_one_lane()),
             format!("{:.0}", p.threaded_qps),
-            if p.matches_scalar && p.thread_invariant {
+            if p.matches_one_lane && p.thread_invariant {
                 "yes"
             } else {
                 "NO"
@@ -130,6 +114,16 @@ fn main() {
         "(same stream, same seeds; only the lane width — and, for the threaded \
          column, the worker pool — differs between replays)"
     );
+    for p in points
+        .iter()
+        .filter(|p| p.error_rate == 0.1 && p.lanes == 8)
+    {
+        println!(
+            "{}: 8 lanes run at {:.2}x the one-lane throughput at er = 0.1 (reported, not gated)",
+            p.network,
+            p.vs_one_lane()
+        );
+    }
 
     let doc = batch::render_json(&points, args.seed, scale_name, exec.thread_count());
     if let Err(e) = std::fs::write(&out_path, &doc) {
@@ -141,9 +135,9 @@ fn main() {
     if check {
         let mut failed = false;
         for p in &points {
-            if !p.matches_scalar {
+            if !p.matches_one_lane {
                 eprintln!(
-                    "FAIL: er {} lanes {}: batched replay diverged from scalar",
+                    "FAIL: er {} lanes {}: replay diverged from the one-lane deployment",
                     p.error_rate, p.lanes
                 );
                 failed = true;
@@ -163,27 +157,12 @@ fn main() {
                 failed = true;
             }
         }
-        // Perf-regression gate: the best wide-lane speedup at the paper's
-        // operating point must clear the floor. Single-thread numbers, so
-        // no hardware clamp applies.
-        let best = points
-            .iter()
-            .filter(|p| p.error_rate == 0.1 && p.lanes >= 8)
-            .map(|p| p.speedup())
-            .fold(f64::NEG_INFINITY, f64::max);
-        if best < speedup_floor {
-            eprintln!(
-                "FAIL: best batched speedup {best:.2}x at er = 0.1 (lanes >= 8) \
-                 below floor {speedup_floor:.2}x"
-            );
-            failed = true;
-        }
         if failed {
             std::process::exit(1);
         }
         println!(
-            "check passed: every width bit-identical to scalar and thread-invariant, \
-             no degradation, best er = 0.1 speedup {best:.2}x above {speedup_floor:.2}x"
+            "check passed: every width bit-identical to one lane and thread-invariant, \
+             no degradation"
         );
     }
 }

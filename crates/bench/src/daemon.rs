@@ -25,11 +25,11 @@
 
 use crate::chaos;
 use shmd_workload::dataset::Dataset;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use stochastic_hmd::{
     decode_frame, encode_frame, AdmissionConfig, AdmissionStats, BaselineHmd, Daemon, ExecConfig,
-    Frame, MonitoringService, RejectCode, ServeConfig, StateJournal, HANDOFF_FRAME_CAP,
+    Frame, MonitoringService, RejectCode, ServeConfig, StateJournal, TempJournal,
+    HANDOFF_FRAME_CAP,
 };
 
 /// Shards behind the daemon at every measurement point.
@@ -38,16 +38,6 @@ pub const DAEMON_SHARDS: usize = 4;
 /// Batches the old instance keeps queued when the drain begins — the
 /// in-flight work a zero-downtime upgrade must finish, not drop.
 pub const DRAIN_QUEUE_AHEAD: usize = 3;
-
-static JOURNAL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_journal_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-daemon-bench-{}-{}.journal",
-        std::process::id(),
-        JOURNAL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 fn serve_config(seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
     ServeConfig::new(DAEMON_SHARDS)
@@ -63,14 +53,14 @@ fn deploy_daemon(
     batch_size: usize,
     exec: ExecConfig,
     config: AdmissionConfig,
-) -> (Daemon, std::path::PathBuf) {
+) -> (Daemon, TempJournal) {
     let service = MonitoringService::supervised(
         baseline,
         chaos::supervision(seed, DAEMON_SHARDS),
         serve_config(seed, batch_size, exec),
     )
     .expect("the reference device calibrates at er = 0.2");
-    let path = scratch_journal_path();
+    let path = TempJournal::new("daemon-bench");
     let journal = StateJournal::create(&path).expect("journal creates");
     let daemon = Daemon::new(service, journal, config).expect("initial checkpoint appends");
     (daemon, path)
@@ -100,7 +90,7 @@ pub fn reference_run(
     exec: ExecConfig,
 ) -> ReferenceRun {
     let batch_size = features.first().map_or(1, Vec::len);
-    let (mut daemon, path) =
+    let (mut daemon, _journal) =
         deploy_daemon(baseline, seed, batch_size, exec, AdmissionConfig::default());
     for batch in features {
         let ack = daemon
@@ -112,12 +102,10 @@ pub fn reference_run(
         assert_eq!(reply(&ack), Frame::Ack, "reference submission rejected");
         daemon.pump_all().expect("journal lives");
     }
-    let out = ReferenceRun {
+    ReferenceRun {
         checksum: daemon.verdict_checksum(),
         served: daemon.service().served(),
-    };
-    let _ = std::fs::remove_file(&path);
-    out
+    }
 }
 
 /// One rolling upgrade, measured.
@@ -156,7 +144,7 @@ pub fn upgraded_run(
     reference: &ReferenceRun,
 ) -> UpgradePoint {
     let batch_size = features.first().map_or(1, Vec::len);
-    let (mut old, old_path) = deploy_daemon(
+    let (mut old, _old_journal) = deploy_daemon(
         baseline,
         seed,
         batch_size,
@@ -235,7 +223,7 @@ pub fn upgraded_run(
         matches!(reply(&handoff), Frame::HandoffState { .. }),
         "drained daemon must hand off"
     );
-    let new_path = scratch_journal_path();
+    let new_path = TempJournal::new("daemon-bench");
     let journal = StateJournal::create(&new_path).expect("journal creates");
     let mut new = Daemon::resume_from_handoff(
         &handoff,
@@ -258,7 +246,7 @@ pub fn upgraded_run(
         next += 1;
     }
 
-    let point = UpgradePoint {
+    UpgradePoint {
         upgrade_batch: upgrade_batch as u64,
         drained_batches: queued_ahead as u64,
         drain_rejects,
@@ -267,10 +255,7 @@ pub fn upgraded_run(
         served: new.service().served(),
         identical: new.verdict_checksum() == reference.checksum
             && new.service().served() == reference.served,
-    };
-    let _ = std::fs::remove_file(&old_path);
-    let _ = std::fs::remove_file(&new_path);
-    point
+    }
 }
 
 /// Overload measurement: predicted vs observed admission counters.
@@ -294,7 +279,7 @@ pub fn overload_run(baseline: &BaselineHmd, seed: u64, batch: &[Vec<f32>]) -> Ov
         .with_max_queued_queries(batch.len() * 4)
         .with_tenant_quota(batch.len() * 2)
         .with_max_frame_bytes(1 << 16);
-    let (mut daemon, path) =
+    let (mut daemon, _journal) =
         deploy_daemon(baseline, seed, batch.len(), ExecConfig::serial(), config);
     let submit = |tenant: u32| {
         encode_frame(&Frame::SubmitBatch {
@@ -357,7 +342,6 @@ pub fn overload_run(baseline: &BaselineHmd, seed: u64, batch: &[Vec<f32>]) -> Ov
         control_frames: 0,
         deadline_degrades: 0,
     };
-    let _ = std::fs::remove_file(&path);
     OverloadPoint {
         stats,
         conserved: stats.is_conserved(),
@@ -468,7 +452,7 @@ pub fn throughput_run(
     exec: ExecConfig,
 ) -> ThroughputPoint {
     let batch_size = features.first().map_or(1, Vec::len);
-    let (mut daemon, path) =
+    let (mut daemon, _journal) =
         deploy_daemon(baseline, seed, batch_size, exec, AdmissionConfig::default());
     let frames: Vec<Vec<u8>> = features
         .iter()
@@ -491,7 +475,6 @@ pub fn throughput_run(
         }
     }
     let elapsed = start.elapsed();
-    let _ = std::fs::remove_file(&path);
     let secs = elapsed.as_secs_f64().max(1e-9);
     ThroughputPoint {
         queries: verdicts,

@@ -24,8 +24,7 @@
 
 use crate::chaos::{self, CHAOS_HORIZON, CHAOS_TAIL};
 use shmd_workload::dataset::Dataset;
-use std::sync::atomic::{AtomicU64, Ordering};
-use stochastic_hmd::checkpoint::StateJournal;
+use stochastic_hmd::checkpoint::{StateJournal, TempJournal};
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, Verdict};
 use stochastic_hmd::telemetry::TelemetrySnapshot;
@@ -87,16 +86,6 @@ pub struct DurabilityPoint {
     pub threaded_identical: bool,
 }
 
-static JOURNAL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_journal_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-crash-restore-{}-{}.journal",
-        std::process::id(),
-        JOURNAL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 fn serve_config(shards: usize, seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
     ServeConfig::new(shards)
         .with_seed(seed)
@@ -142,7 +131,7 @@ pub fn reference_run(
 
 /// The victim run: journaled serving up to and including `kill_batch`,
 /// then the simulated kill -9 (drop the service; optionally tear the
-/// journal's final record). Returns the journal path.
+/// journal's final record). Returns the journal, deleted on drop.
 fn victim_run(
     baseline: &BaselineHmd,
     features: &[Vec<Vec<f32>>],
@@ -151,10 +140,10 @@ fn victim_run(
     cadence: u64,
     kill_batch: u64,
     torn_tail: bool,
-) -> std::path::PathBuf {
+) -> TempJournal {
     let batch_size = features.first().map_or(1, Vec::len);
     let mut service = deploy(baseline, shards, seed, batch_size, ExecConfig::serial());
-    let path = scratch_journal_path();
+    let path = TempJournal::new("crash-restore-bench");
     let mut journal = StateJournal::create(&path).expect("journal creates");
     for (b, batch) in features.iter().enumerate().take(kill_batch as usize + 1) {
         if (b as u64).is_multiple_of(cadence.max(1)) {
@@ -262,7 +251,6 @@ pub fn measure_point(
         );
     let (threaded_commits, threaded_identical, ..) =
         restore_and_replay(baseline, features, shards, seed, &path, reference, *exec);
-    let _ = std::fs::remove_file(&path);
     DurabilityPoint {
         kill_batch,
         torn_tail,

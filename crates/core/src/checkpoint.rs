@@ -61,7 +61,9 @@ use shmd_volt::voltage::Millivolts;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// First bytes of every encoded [`ServiceCheckpoint`].
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SHCK";
@@ -729,6 +731,53 @@ impl JournalRecovery {
     }
 }
 
+/// A scratch journal path unique to this process and call, with the file
+/// deleted on drop.
+///
+/// The path is `shmd-<tag>-<pid>-<n>.journal` under the system temp
+/// directory, where `n` counts calls in this process, so tests, examples
+/// and benchmarks running concurrently never share a journal file, and a
+/// caller that panics does not leak one. Nothing is created until a
+/// journal is opened on the path; it derefs to [`Path`] for
+/// [`StateJournal::create`] and friends.
+#[derive(Debug)]
+pub struct TempJournal {
+    path: PathBuf,
+}
+
+impl TempJournal {
+    /// A fresh scratch path labelled `tag`.
+    pub fn new(tag: &str) -> TempJournal {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("shmd-{tag}-{}-{n}.journal", std::process::id());
+        TempJournal {
+            path: std::env::temp_dir().join(name),
+        }
+    }
+}
+
+impl Deref for TempJournal {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for TempJournal {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempJournal {
+    fn drop(&mut self) {
+        // The file may never have been created, or its owner removed it.
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 /// An append-only write-ahead log of [`ServiceCheckpoint`]s and
 /// [`BatchCommit`]s.
 ///
@@ -1064,11 +1113,7 @@ mod tests {
 
     #[test]
     fn journal_recovers_checkpoint_and_commits_and_discards_torn_tail() {
-        let path = std::env::temp_dir().join(format!(
-            "shmd-journal-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
+        let path = TempJournal::new("journal-test");
         let checkpoint = sample_checkpoint();
         {
             let mut journal = StateJournal::create(&path).expect("create");
@@ -1138,7 +1183,7 @@ mod tests {
         assert_eq!(resumed.last_committed_batch(), Some(43));
 
         // A missing file is an empty journal, not an error.
-        std::fs::remove_file(&path).expect("cleanup");
+        std::fs::remove_file(&path).expect("remove");
         let empty = StateJournal::recover(&path).expect("recover missing");
         assert_eq!(empty.checkpoint, None);
         assert!(empty.commits.is_empty());

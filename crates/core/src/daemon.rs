@@ -633,22 +633,12 @@ impl Daemon {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::checkpoint::TempJournal;
     use crate::serve::ServeConfig;
     use crate::train::{train_baseline, HmdTrainConfig};
     use shmd_volt::calibration::{Calibrator, DeviceProfile};
     use shmd_workload::dataset::{Dataset, DatasetConfig};
     use shmd_workload::features::FeatureSpec;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn scratch_journal() -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "shmd-daemon-test-{}-{n}.journal",
-            std::process::id()
-        ))
-    }
 
     fn setup() -> (Dataset, BaselineHmd, MonitoringService) {
         let dataset = Dataset::generate(&DatasetConfig::small(80), 31);
@@ -683,7 +673,8 @@ mod tests {
         let config = AdmissionConfig::default()
             .with_max_queued_queries(10)
             .with_tenant_quota(8);
-        let journal = StateJournal::create(scratch_journal()).expect("journal");
+        let path = TempJournal::new("daemon-test");
+        let journal = StateJournal::create(&path).expect("journal");
         let mut daemon = Daemon::new(service, journal, config).expect("daemon");
 
         // Tenant 1 admits twice (8 queries), then hits its quota.
@@ -764,14 +755,17 @@ mod tests {
         assert_eq!(daemon.queued_queries(), 0);
         daemon.config.max_frame_bytes = crate::wire::DEFAULT_MAX_FRAME_BYTES;
         assert!(daemon.try_submit(1, batch).is_ok());
-        let _ = std::fs::remove_file(daemon.journal.path());
     }
 
     #[test]
     fn drain_handoff_resume_preserves_the_verdict_stream() {
         let (dataset, baseline, service) = setup();
         let batch = feature_batch(&dataset, &baseline, 6);
-        let journal_a = StateJournal::create(scratch_journal()).expect("journal");
+        let (path_a, path_b) = (
+            TempJournal::new("daemon-test"),
+            TempJournal::new("daemon-test"),
+        );
+        let journal_a = StateJournal::create(&path_a).expect("journal");
         let mut old = Daemon::new(service, journal_a, AdmissionConfig::default()).expect("daemon");
 
         // Reference: the same stream on a never-upgraded service.
@@ -813,7 +807,7 @@ mod tests {
         assert!(matches!(frame, Frame::HandoffState { .. }));
         assert_eq!(old.phase(), DaemonPhase::HandedOff);
 
-        let journal_b = StateJournal::create(scratch_journal()).expect("journal");
+        let journal_b = StateJournal::create(&path_b).expect("journal");
         let mut new = Daemon::resume_from_handoff(
             &handoff,
             &baseline,
@@ -832,25 +826,22 @@ mod tests {
         new.pump_all().expect("pumps");
         assert_eq!(new.verdict_checksum(), reference.verdict_checksum());
         assert_eq!(new.service().served(), reference.served());
-        let _ = std::fs::remove_file(new.journal.path());
     }
 
     #[test]
     fn hostile_handoff_bytes_never_produce_a_serving_daemon() {
         let (_, baseline, _) = setup();
         let resume = |bytes: &[u8]| {
-            let journal = StateJournal::create(scratch_journal()).expect("journal");
-            let path = journal.path().to_path_buf();
-            let out = Daemon::resume_from_handoff(
+            let path = TempJournal::new("daemon-test");
+            let journal = StateJournal::create(&path).expect("journal");
+            Daemon::resume_from_handoff(
                 bytes,
                 &baseline,
                 None,
                 ExecConfig::serial(),
                 journal,
                 AdmissionConfig::default(),
-            );
-            let _ = std::fs::remove_file(path);
-            out
+            )
         };
         assert!(matches!(
             resume(b"not a frame"),

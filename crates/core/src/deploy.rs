@@ -43,6 +43,33 @@ impl DetectionPolicy {
         }
     }
 
+    /// The policy-consistent statistic of `draws`, one score per
+    /// detection: the statistic whose comparison against the threshold
+    /// matches the policy verdict. That is the single score for
+    /// [`DetectionPolicy::Single`], the maximum for
+    /// [`DetectionPolicy::AnyOf`] (any draw over threshold ⇔ max over
+    /// threshold), and the (⌊k/2⌋+1)-th largest for
+    /// [`DetectionPolicy::MajorityOf`] (a strict majority over threshold ⇔
+    /// that order statistic over threshold). For even k that is
+    /// `draws[k/2 - 1]`, not the upper median `draws[k/2]`: with exactly
+    /// k/2 positives the verdict is benign, and the upper median (a
+    /// positive draw) would clear the threshold anyway.
+    ///
+    /// Sorts `draws` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `draws` is empty.
+    pub fn order_statistic(self, draws: &mut [f64]) -> f64 {
+        draws.sort_by(f64::total_cmp);
+        let k = draws.len();
+        match self {
+            DetectionPolicy::Single => draws[0],
+            DetectionPolicy::AnyOf(_) => draws[k - 1],
+            DetectionPolicy::MajorityOf(_) => draws[k.div_ceil(2) - 1],
+        }
+    }
+
     /// Applies the policy given an oracle for one detection.
     pub fn decide(self, mut detect_once: impl FnMut() -> Label) -> Label {
         match self {
@@ -91,14 +118,10 @@ impl fmt::Display for DetectionPolicy {
 /// Wraps a detector with an aggregation policy.
 ///
 /// The wrapper is itself a [`Detector`], and `score` is
-/// *policy-consistent*: it returns the statistic whose comparison against
-/// the threshold matches the policy verdict — the single score for
-/// [`DetectionPolicy::Single`], the maximum of k draws for
-/// [`DetectionPolicy::AnyOf`] (any draw over threshold ⇔ max over
-/// threshold), and the (⌊k/2⌋+1)-th largest of k draws for
-/// [`DetectionPolicy::MajorityOf`] (a strict majority over threshold ⇔
-/// that order statistic over threshold). ROC curves and threshold tuning
-/// built on `score` therefore describe the deployed `classify`.
+/// *policy-consistent*: it returns [`DetectionPolicy::order_statistic`]
+/// over k draws, the statistic whose comparison against the threshold
+/// matches the policy verdict. ROC curves and threshold tuning built on
+/// `score` therefore describe the deployed `classify`.
 #[derive(Clone, Debug)]
 pub struct PolicyDetector<D> {
     inner: D,
@@ -141,18 +164,7 @@ impl<D: Detector> Detector for PolicyDetector<D> {
     fn score(&mut self, trace: &Trace) -> f64 {
         let k = self.policy.detections();
         let mut draws: Vec<f64> = (0..k).map(|_| self.inner.score(trace)).collect();
-        draws.sort_by(f64::total_cmp);
-        match self.policy {
-            DetectionPolicy::Single => draws[0],
-            // max ≥ t  ⇔  any draw ≥ t
-            DetectionPolicy::AnyOf(_) => *draws.last().expect("k >= 1"),
-            // (⌊k/2⌋+1)-th largest ≥ t  ⇔  more than half the draws ≥ t.
-            // For even k that is draws[k/2 - 1], not the upper median
-            // draws[k/2]: with exactly k/2 positives the verdict is benign,
-            // and the upper median (a positive draw) would clear the
-            // threshold anyway.
-            DetectionPolicy::MajorityOf(_) => draws[k.div_ceil(2) - 1],
-        }
+        self.policy.order_statistic(&mut draws)
     }
 
     fn classify(&mut self, trace: &Trace) -> Label {

@@ -97,6 +97,7 @@ pub use arena::ArenaOracle;
 pub use baseline::BaselineHmd;
 pub use checkpoint::{
     BatchCommit, CheckpointError, JournalRecovery, RestoreError, ServiceCheckpoint, StateJournal,
+    TempJournal,
 };
 pub use daemon::{
     AdmissionConfig, AdmissionStats, Daemon, DaemonPhase, HandoffError, HANDOFF_FRAME_CAP,

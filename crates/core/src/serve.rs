@@ -84,14 +84,14 @@ use crate::supervisor::{
     retry_backoff, ShardHealth, SupervisionRecord, Supervisor, SupervisorConfig,
 };
 use crate::telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
-use shmd_ann::network::{BatchScratch, InferenceScratch};
+use shmd_ann::network::BatchScratch;
 use shmd_ml::anomaly::AnomalyScorer;
 use shmd_power::cmos::CmosPowerModel;
 use shmd_power::latency::LatencyModel;
 use shmd_volt::calibration::{CalibrationCurve, CalibrationError};
 use shmd_volt::controller::{ControllerAction, ControllerState};
 use shmd_volt::environment::{deepest_safe_offset, delivered_error_rate_at};
-use shmd_volt::fault::{BatchFaultStream, FaultStream};
+use shmd_volt::fault::BatchFaultStream;
 use shmd_volt::multiplier::FREEZE_ERROR_RATE;
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::features::FeatureSpec;
@@ -158,7 +158,7 @@ pub const MAX_REQUERY_REPLICAS: usize = 250;
 ///
 /// The re-query stream is seeded from `(shard seed, `[`REQUERY_TAG`]`,
 /// stream position)`, so the whole mechanism stays a pure function of
-/// seeds: serial and N-thread runs, scalar and lane-batched paths, and
+/// seeds: serial and N-thread runs, every lane width, and
 /// checkpoint/restore all produce bit-identical re-queried verdicts.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RequeryConfig {
@@ -204,10 +204,9 @@ pub struct ServeConfig {
     pub exec: ExecConfig,
     /// Lane width of the batched structure-of-arrays inference path: how
     /// many same-shard queries one worker scores simultaneously. Clamped
-    /// to `1..=`[`MAX_LANES`] at deployment; width 1 selects the scalar
-    /// path. Like [`ServeConfig::exec`], this affects wall-clock only,
-    /// never results — every lane's fault stream is seeded per query
-    /// exactly as the scalar path seeds it.
+    /// to `1..=`[`MAX_LANES`] at deployment. Like [`ServeConfig::exec`],
+    /// this affects wall-clock only, never results — every lane's fault
+    /// stream is seeded from its query's stream position alone.
     pub lanes: usize,
     /// Uncertainty-aware re-query policy. `None` (the default) answers
     /// every query from its primary draws alone; `Some` re-scores
@@ -271,7 +270,7 @@ impl ServeConfig {
     }
 
     /// Sets the batched-inference lane width (clamped to
-    /// `1..=`[`MAX_LANES`] at deployment; 1 selects the scalar path).
+    /// `1..=`[`MAX_LANES`] at deployment).
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> ServeConfig {
         self.lanes = lanes;
@@ -424,6 +423,19 @@ pub struct Verdict {
 }
 
 impl Verdict {
+    /// A served verdict from a shard's `(score, label, confidence)`.
+    fn served(query: u64, shard: usize, answer: (f64, Label, VerdictConfidence)) -> Verdict {
+        let (score, label, confidence) = answer;
+        Verdict {
+            query,
+            shard,
+            score,
+            label,
+            disposition: QueryDisposition::Served,
+            confidence,
+        }
+    }
+
     /// Whether ingestion validation rejected this query.
     pub fn is_rejected(&self) -> bool {
         matches!(self.disposition, QueryDisposition::Rejected(_))
@@ -477,11 +489,11 @@ impl ShardView<'_> {
     /// final label: a confident thresholding outside the band, or a
     /// strict-majority vote over the re-query ensemble inside it.
     ///
-    /// The ensemble draws `replicas` fresh scores from a fault stream
-    /// seeded by `(shard seed, REQUERY_TAG, position)` — disjoint from
-    /// the primary QUERY_TAG stream, but equally a pure function of the
-    /// stream position — and adds the anomaly scorer's vote when one is
-    /// installed. Ties resolve benign (strict majority), matching the
+    /// The ensemble draws `replicas` fresh scores from a one-lane fault
+    /// stream seeded by `(shard seed, REQUERY_TAG, position)` — disjoint
+    /// from the primary QUERY_TAG stream, but equally a pure function of
+    /// the stream position — and adds the anomaly scorer's vote when one
+    /// is installed. Ties resolve benign (strict majority), matching the
     /// service's bias toward false negatives over alert floods at the
     /// boundary.
     #[allow(clippy::too_many_arguments)]
@@ -492,7 +504,7 @@ impl ShardView<'_> {
         features: &[f32],
         score: f64,
         threshold: f64,
-        scratch: &mut InferenceScratch,
+        scratch: &mut BatchScratch<1>,
         delta: &mut ShardDelta,
     ) -> (Label, VerdictConfidence) {
         let primary = score >= threshold;
@@ -508,15 +520,15 @@ impl ShardView<'_> {
         delta.band_hits += 1;
         delta.requeries += replicas as u64;
         let seed = derive_seed(self.seed, &[REQUERY_TAG, position]);
-        let mut stream = FaultStream::new(hmd.fault_model(), seed);
+        let mut stream = BatchFaultStream::new(hmd.fault_model(), [seed]);
         let mut votes: u8 = 1;
         let mut positives = u8::from(primary);
         for _ in 0..replicas {
-            let replica = hmd.score_features_with(features, &mut stream, scratch);
+            let [replica] = hmd.score_features_batch_with(&[features], &mut stream, scratch);
             votes += 1;
             positives += u8::from(replica >= threshold);
         }
-        delta.faults.fold(&stream.stats());
+        delta.faults.fold_tally(&stream.tally(0));
         if let Some(anomaly) = self.anomaly {
             votes += 1;
             positives += u8::from(anomaly.is_anomalous(features));
@@ -524,80 +536,23 @@ impl ShardView<'_> {
         let label = Label::from_bool(2 * u16::from(positives) > u16::from(votes));
         (label, VerdictConfidence::Requeried { votes, positives })
     }
-    /// Scores one query under the policy, accumulating telemetry into the
-    /// worker-local `delta`.
-    ///
-    /// The query's fault stream is seeded from the shard seed and the
-    /// query's lifetime stream position, shared across all `k` policy
-    /// draws — so the verdict depends only on (shard state, position),
-    /// never on which worker claimed the range or what was scored before.
-    /// All `k` detections are always performed so the score is the full
-    /// order statistic; the verdict is its thresholding, which by
-    /// policy-consistency equals the sequential `decide` outcome.
-    fn answer(
-        &self,
-        policy: DetectionPolicy,
-        position: u64,
-        features: &[f32],
-        scratch: &mut InferenceScratch,
-        draws: &mut Vec<f64>,
-        delta: &mut ShardDelta,
-    ) -> (f64, Label, VerdictConfidence) {
-        let k = policy.detections();
-        let (score, label, confidence) = match self.backend {
-            BackendView::Stochastic(hmd) => {
-                let seed = derive_seed(self.seed, &[QUERY_TAG, position]);
-                let mut stream = FaultStream::new(hmd.fault_model(), seed);
-                draws.clear();
-                for _ in 0..k {
-                    draws.push(hmd.score_features_with(features, &mut stream, scratch));
-                }
-                delta.faults.fold(&stream.stats());
-                draws.sort_by(f64::total_cmp);
-                let score = match policy {
-                    DetectionPolicy::Single => draws[0],
-                    DetectionPolicy::AnyOf(_) => draws[k - 1],
-                    DetectionPolicy::MajorityOf(_) => draws[k.div_ceil(2) - 1],
-                };
-                let threshold = Detector::threshold(hmd);
-                let (label, confidence) =
-                    self.resolve(hmd, position, features, score, threshold, scratch, delta);
-                (score, label, confidence)
-            }
-            // The baseline is deterministic: all k draws are one value, so
-            // every policy order statistic equals the single score — and
-            // re-querying it would only re-produce that value, so the
-            // baseline never enters the ensemble.
-            BackendView::Baseline(hmd) => {
-                let score = hmd.score_features(features);
-                let label = Label::from_bool(score >= Detector::threshold(hmd));
-                (score, label, VerdictConfidence::Confident)
-            }
-            BackendView::Down => unreachable!("crashed shard received a query"),
-        };
-        delta.queries += 1;
-        if label.is_malware() {
-            delta.flags += 1;
-        }
-        delta.histogram.record(score);
-        (score, label, confidence)
-    }
 
     /// Scores `LANES` same-shard stochastic queries simultaneously: one
     /// structure-of-arrays forward pass per policy draw, telemetry
     /// accumulated into `delta`.
     ///
-    /// Lane `l`'s fault stream uses exactly the scalar per-query seed
-    /// derivation (`derive_seed(shard_seed, [QUERY_TAG, position])`), one
-    /// [`BatchFaultStream`] is shared across all `k` policy draws exactly
-    /// as the scalar path shares one [`FaultStream`], and the batched
-    /// datapath advances each lane in the same per-multiplication order
-    /// as a scalar inference — so every lane's score, label, and fault
-    /// stats are bit-identical to [`ShardView::answer`] at the same
-    /// position. Batching rearranges wall-clock, never semantics — a lane
-    /// whose score lands in the confidence band re-queries through the
-    /// same scalar [`ShardView::resolve`] path (`requery_scratch`), on a
-    /// stream seeded by its own position.
+    /// Lane `l`'s fault stream is seeded from the shard seed and the
+    /// query's lifetime stream position (`derive_seed(shard_seed,
+    /// [QUERY_TAG, position])`) and shared across all `k` policy draws,
+    /// and the batched datapath advances each lane in the same
+    /// per-multiplication order whatever its neighbours do — so a verdict
+    /// depends only on (shard state, position), never on which worker
+    /// claimed the range, which queries share its block, or the lane
+    /// width. All `k` detections are always performed so the score is the
+    /// full order statistic; the verdict is its thresholding, which by
+    /// policy-consistency equals the sequential `decide` outcome, unless
+    /// the score lands in the confidence band and [`ShardView::resolve`]
+    /// re-queries it on a stream seeded by its own position.
     #[allow(clippy::too_many_arguments)]
     fn answer_block<const LANES: usize>(
         &self,
@@ -605,7 +560,7 @@ impl ShardView<'_> {
         positions: &[u64; LANES],
         features: &[&[f32]; LANES],
         scratch: &mut BatchScratch<LANES>,
-        requery_scratch: &mut InferenceScratch,
+        requery_scratch: &mut BatchScratch<1>,
         lane_draws: &mut Vec<f64>,
         delta: &mut ShardDelta,
     ) -> [(f64, Label, VerdictConfidence); LANES] {
@@ -629,13 +584,7 @@ impl ShardView<'_> {
         }
         let threshold = Detector::threshold(hmd);
         std::array::from_fn(|l| {
-            let draws = &mut lane_draws[l * k..(l + 1) * k];
-            draws.sort_by(f64::total_cmp);
-            let score = match policy {
-                DetectionPolicy::Single => draws[0],
-                DetectionPolicy::AnyOf(_) => draws[k - 1],
-                DetectionPolicy::MajorityOf(_) => draws[k.div_ceil(2) - 1],
-            };
+            let score = policy.order_statistic(&mut lane_draws[l * k..(l + 1) * k]);
             let (label, confidence) = self.resolve(
                 hmd,
                 positions[l],
@@ -645,11 +594,7 @@ impl ShardView<'_> {
                 requery_scratch,
                 delta,
             );
-            delta.queries += 1;
-            if label.is_malware() {
-                delta.flags += 1;
-            }
-            delta.histogram.record(score);
+            delta.record(score, label);
             (score, label, confidence)
         })
     }
@@ -673,6 +618,13 @@ struct ShardDelta {
 impl ShardDelta {
     fn is_empty(&self) -> bool {
         self.queries == 0
+    }
+
+    /// Counts one served verdict.
+    fn record(&mut self, score: f64, label: Label) {
+        self.queries += 1;
+        self.flags += u64::from(label.is_malware());
+        self.histogram.record(score);
     }
 }
 
@@ -833,25 +785,26 @@ struct BatchCtx<'a> {
 
 /// One worker's claim loop at compile-time lane width `LANES`.
 ///
-/// Width 1 degenerates to the original scalar worker: nothing is grouped
-/// and every query is answered in stream order. At wider widths each
-/// claimed range is answered in three stages — rejects and
-/// baseline/degraded queries scalar in place, stochastic queries grouped
-/// by target shard and scored in lane blocks of `LANES` via
-/// [`ShardView::answer_block`], and per-shard remainders scalar. Results
-/// are written into slot-indexed positions of the range, so the verdict
-/// vector (and therefore stitching and the running checksum) is oblivious
-/// to the regrouping; and because per-query fault streams are seeded by
-/// stream position, the verdicts themselves are bit-identical at every
-/// width.
+/// Each claimed range is answered in two stages. First, in stream order,
+/// rejects and baseline/degraded queries are answered in place and
+/// stochastic queries are grouped by target shard. Then each shard's
+/// group is scored in lane blocks of `LANES` via
+/// [`ShardView::answer_block`], and its remainder one query at a time
+/// through `answer_block::<1>`. Remainders run at width 1 rather than
+/// padded into masked lanes, because an 8-lane block with one live lane
+/// costs several times a 1-lane block. Results are written into
+/// slot-indexed positions of the range, so the verdict vector (and
+/// therefore stitching and the running checksum) is oblivious to the
+/// regrouping; and because per-query fault streams are seeded by stream
+/// position, the verdicts themselves are bit-identical at every width.
 fn batch_worker<const LANES: usize>(
     ctx: &BatchCtx<'_>,
 ) -> (Vec<(usize, Vec<Verdict>)>, Vec<ShardDelta>) {
     let mut ranges: Vec<(usize, Vec<Verdict>)> = Vec::new();
     let mut deltas: Vec<ShardDelta> = vec![ShardDelta::default(); ctx.n_shards];
-    let mut scratch = InferenceScratch::new();
-    let mut draws: Vec<f64> = Vec::new();
-    let mut batch_scratch = BatchScratch::<LANES>::new();
+    let mut block_scratch = BatchScratch::<LANES>::new();
+    let mut single_scratch = BatchScratch::<1>::new();
+    let mut requery_scratch = BatchScratch::<1>::new();
     let mut lane_draws: Vec<f64> = Vec::new();
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ctx.n_shards];
     loop {
@@ -874,93 +827,76 @@ fn batch_worker<const LANES: usize>(
                 // a function of the stream position only.
                 ctx.serving[(position % ctx.serving.len() as u64) as usize]
             };
-            match validate_features(query, ctx.input_dim) {
-                Ok(()) => {
-                    if LANES > 1 && matches!(ctx.views[target].backend, BackendView::Stochastic(_))
-                    {
+            out[i] = match validate_features(query, ctx.input_dim) {
+                Err(reason) => Some(Verdict {
+                    query: position,
+                    shard: target,
+                    score: 0.0,
+                    label: Label::from_bool(false),
+                    disposition: QueryDisposition::Rejected(reason),
+                    confidence: VerdictConfidence::Confident,
+                }),
+                Ok(()) => match ctx.views[target].backend {
+                    BackendView::Stochastic(_) => {
                         groups[target].push(i);
-                    } else {
-                        let (score, label, confidence) = ctx.views[target].answer(
-                            ctx.policy,
-                            position,
-                            query,
-                            &mut scratch,
-                            &mut draws,
-                            &mut deltas[target],
-                        );
-                        out[i] = Some(Verdict {
-                            query: position,
-                            shard: target,
-                            score,
-                            label,
-                            disposition: QueryDisposition::Served,
-                            confidence,
-                        });
+                        None
                     }
-                }
-                Err(reason) => {
-                    out[i] = Some(Verdict {
-                        query: position,
-                        shard: target,
-                        score: 0.0,
-                        label: Label::from_bool(false),
-                        disposition: QueryDisposition::Rejected(reason),
-                        confidence: VerdictConfidence::Confident,
-                    });
-                }
-            }
+                    // The baseline is deterministic: all k draws are one
+                    // value, so every policy order statistic equals the
+                    // single score — and re-querying it would only
+                    // re-produce that value, so the baseline never enters
+                    // the ensemble.
+                    BackendView::Baseline(hmd) => {
+                        let score = hmd.score_features(query);
+                        let label = Label::from_bool(score >= Detector::threshold(hmd));
+                        deltas[target].record(score, label);
+                        let answer = (score, label, VerdictConfidence::Confident);
+                        Some(Verdict::served(position, target, answer))
+                    }
+                    BackendView::Down => unreachable!("crashed shard received a query"),
+                },
+            };
         }
         for (target, group) in groups.iter().enumerate() {
+            let view = &ctx.views[target];
+            let delta = &mut deltas[target];
             let mut blocks = group.chunks_exact(LANES);
             for block in blocks.by_ref() {
                 let positions: [u64; LANES] =
                     std::array::from_fn(|l| ctx.base + (lo + block[l]) as u64);
                 let lane_features: [&[f32]; LANES] =
                     std::array::from_fn(|l| ctx.features[lo + block[l]].as_slice());
-                let answers = ctx.views[target].answer_block::<LANES>(
+                let answers = view.answer_block(
                     ctx.policy,
                     &positions,
                     &lane_features,
-                    &mut batch_scratch,
-                    &mut scratch,
+                    &mut block_scratch,
+                    &mut requery_scratch,
                     &mut lane_draws,
-                    &mut deltas[target],
+                    delta,
                 );
-                for (l, (score, label, confidence)) in answers.into_iter().enumerate() {
-                    out[block[l]] = Some(Verdict {
-                        query: positions[l],
-                        shard: target,
-                        score,
-                        label,
-                        disposition: QueryDisposition::Served,
-                        confidence,
-                    });
+                for (l, answer) in answers.into_iter().enumerate() {
+                    out[block[l]] = Some(Verdict::served(positions[l], target, answer));
                 }
             }
             for &i in blocks.remainder() {
                 let position = ctx.base + (lo + i) as u64;
-                let (score, label, confidence) = ctx.views[target].answer(
+                let [answer] = view.answer_block(
                     ctx.policy,
-                    position,
-                    &ctx.features[lo + i],
-                    &mut scratch,
-                    &mut draws,
-                    &mut deltas[target],
+                    &[position],
+                    &[ctx.features[lo + i].as_slice()],
+                    &mut single_scratch,
+                    &mut requery_scratch,
+                    &mut lane_draws,
+                    delta,
                 );
-                out[i] = Some(Verdict {
-                    query: position,
-                    shard: target,
-                    score,
-                    label,
-                    disposition: QueryDisposition::Served,
-                    confidence,
-                });
+                out[i] = Some(Verdict::served(position, target, answer));
             }
         }
-        // Both ingestion arms fill their slot and the lane pass covers
-        // every grouped index (chunks + remainder), so no slot is None;
-        // flatten keeps the path panic-free and the debug assert keeps
-        // the invariant honest under test.
+        // Ingestion fills every reject and baseline slot and the lane pass
+        // covers every grouped index (chunks + remainder), so no slot is
+        // None; flatten keeps the path panic-free and the debug assert
+        // keeps the invariant honest under test.
         let answered: Vec<Verdict> = out.into_iter().flatten().collect();
         debug_assert_eq!(answered.len(), hi - lo, "unanswered query in claimed range");
         ranges.push((lo, answered));
@@ -1009,7 +945,7 @@ pub struct MonitoringService {
     seed: u64,
     batch_size: usize,
     exec: ExecConfig,
-    /// Batched-inference lane width (1 = scalar), clamped into
+    /// Batched-inference lane width, clamped into
     /// `1..=`[`MAX_LANES`]. A wall-clock knob like `exec`: verdicts,
     /// checksums, and telemetry are bit-identical at every width, so it
     /// is never checkpointed and [`MonitoringService::restore`] gives it
@@ -1278,7 +1214,7 @@ impl MonitoringService {
         self.policy
     }
 
-    /// The batched-inference lane width in effect (1 = scalar path).
+    /// The batched-inference lane width in effect.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -1487,9 +1423,8 @@ impl MonitoringService {
         // and telemetry deltas. Verdicts are a pure function of stream
         // position, so which worker claims which range affects wall-clock
         // only, never output. The lane width is dispatched once per
-        // worker invocation to a monomorphized claim loop; width 1 *is*
-        // the scalar path, wider widths regroup each range into
-        // same-shard lane blocks (see `batch_worker`).
+        // worker invocation to a monomorphized claim loop that regroups
+        // each range into same-shard lane blocks (see `batch_worker`).
         let workers = self.exec.thread_count().min((n / MIN_CLAIM).max(1));
         let chunk = (n / (workers * 4).max(1)).clamp(MIN_CLAIM, 8192);
         let lanes = self.lanes;
@@ -2493,7 +2428,7 @@ mod tests {
     }
 
     #[test]
-    fn every_lane_width_is_bit_identical_to_the_scalar_path() {
+    fn every_lane_width_is_bit_identical_to_width_one() {
         let (dataset, baseline, curve) = setup();
         let dim = baseline.quantized().input_dim();
         // A stream that exercises the regrouping: well-formed queries
@@ -2529,22 +2464,181 @@ mod tests {
                 }
                 (verdicts, service.snapshot().without_timing())
             };
-            let (scalar_verdicts, scalar_snapshot) = run(1, ExecConfig::serial());
+            let (narrow_verdicts, narrow_snapshot) = run(1, ExecConfig::serial());
             for lanes in [2, 3, 4, 8, 16] {
                 let (verdicts, snapshot) = run(lanes, ExecConfig::serial());
                 assert_eq!(
-                    verdicts, scalar_verdicts,
+                    verdicts, narrow_verdicts,
                     "verdict stream differs at {lanes} lanes under {policy:?}"
                 );
                 assert_eq!(
-                    snapshot, scalar_snapshot,
+                    snapshot, narrow_snapshot,
                     "telemetry differs at {lanes} lanes under {policy:?}"
                 );
             }
             // Lanes and threads compose without perturbing results.
             let (verdicts, snapshot) = run(8, ExecConfig::threads(4));
-            assert_eq!(verdicts, scalar_verdicts, "8 lanes × 4 threads differs");
-            assert_eq!(snapshot, scalar_snapshot, "8×4 telemetry differs");
+            assert_eq!(verdicts, narrow_verdicts, "8 lanes × 4 threads differs");
+            assert_eq!(snapshot, narrow_snapshot, "8×4 telemetry differs");
+        }
+    }
+
+    /// Rebuilds every verdict of a deployment outside the service, from
+    /// the documented seed contract alone: the generation-0 shard seed
+    /// `derive_seed(master, [SERVE_TAG, shard, 0])`, one scalar
+    /// [`shmd_volt::fault::FaultStream`] per query seeded by `[QUERY_TAG,
+    /// position]` and shared across the policy draws, a second one seeded
+    /// by `[REQUERY_TAG, position]` for in-band re-queries, and the
+    /// strict-majority vote. The service scores on the lane-block engine
+    /// at every width, so this scalar reconstruction is the independent
+    /// oracle the width-invariance tests no longer provide.
+    #[test]
+    fn every_verdict_matches_a_scalar_reconstruction_outside_the_service() {
+        use shmd_ann::network::InferenceScratch;
+        use shmd_ml::anomaly::AnomalyConfig;
+        use shmd_volt::fault::FaultStream;
+
+        let (dataset, baseline, curve) = setup();
+        let dim = baseline.quantized().input_dim();
+        let spec = baseline.spec();
+        let benign: Vec<Vec<f32>> = (0..dataset.len())
+            .filter(|&i| !dataset.program(i).is_malware())
+            .map(|i| spec.extract(dataset.trace(i)))
+            .collect();
+        let anomaly = AnomalyScorer::fit(&benign, &AnomalyConfig::default()).expect("fits");
+        let malware: Vec<Vec<f32>> = (0..dataset.len())
+            .filter(|&i| dataset.program(i).is_malware())
+            .map(|i| spec.extract(dataset.trace(i)))
+            .collect();
+        // Blends of a benign and a malware program sweep the score across
+        // the decision boundary, so the confidence band sees traffic.
+        let mut features: Vec<Vec<f32>> = Vec::new();
+        for i in 0..150 {
+            if i % 29 == 3 {
+                features.push(vec![0.5; dim + 2]);
+                continue;
+            }
+            let t = 0.3 + (i % 41) as f32 / 100.0;
+            let (b, m) = (&benign[i % benign.len()], &malware[i % malware.len()]);
+            features.push(
+                b.iter()
+                    .zip(m)
+                    .map(|(b, m)| (1.0 - t) * b + t * m)
+                    .collect(),
+            );
+        }
+        let (shards, seed, er, degraded) = (3usize, 31u64, 0.3, 1usize);
+        let policy = DetectionPolicy::MajorityOf(3);
+        let requery = RequeryConfig::new(0.45, 4);
+        // Batches of 13 over 3 shards leave per-shard remainders at every
+        // width above 1.
+        let batch_size = 13;
+
+        let offset = curve.offset_for_error_rate(er).expect("reachable");
+        let threshold = Detector::threshold(&baseline);
+        let mut scratch = InferenceScratch::new();
+        let mut expected: Vec<Verdict> = Vec::new();
+        let mut expected_faults = vec![FaultCounters::default(); shards];
+        let mut band_hits = 0;
+        for (i, query) in features.iter().enumerate() {
+            let position = i as u64;
+            let shard = i % shards;
+            let mut verdict = Verdict {
+                query: position,
+                shard,
+                score: 0.0,
+                label: Label::Benign,
+                disposition: QueryDisposition::Served,
+                confidence: VerdictConfidence::Confident,
+            };
+            if let Err(reason) = validate_features(query, dim) {
+                verdict.disposition = QueryDisposition::Rejected(reason);
+            } else if shard == degraded {
+                verdict.score = baseline.score_features(query);
+                verdict.label = Label::from_bool(verdict.score >= threshold);
+            } else {
+                let shard_seed = derive_seed(seed, &[SERVE_TAG, shard as u64, 0]);
+                let hmd = StochasticHmd::at_offset(&baseline, &curve, offset, shard_seed)
+                    .expect("builds");
+                let mut stream = FaultStream::new(
+                    hmd.fault_model(),
+                    derive_seed(shard_seed, &[QUERY_TAG, position]),
+                );
+                let mut draws: Vec<f64> = (0..3)
+                    .map(|_| hmd.score_features_with(query, &mut stream, &mut scratch))
+                    .collect();
+                expected_faults[shard].fold(&stream.stats());
+                draws.sort_by(f64::total_cmp);
+                // Majority of 3: the median clears the threshold iff at
+                // least two draws do.
+                verdict.score = draws[1];
+                let primary = verdict.score >= threshold;
+                verdict.label = Label::from_bool(primary);
+                if (verdict.score - threshold).abs() <= requery.band {
+                    band_hits += 1;
+                    let mut stream = FaultStream::new(
+                        hmd.fault_model(),
+                        derive_seed(shard_seed, &[REQUERY_TAG, position]),
+                    );
+                    let mut positives = u8::from(primary);
+                    for _ in 0..requery.replicas {
+                        let replica = hmd.score_features_with(query, &mut stream, &mut scratch);
+                        positives += u8::from(replica >= threshold);
+                    }
+                    expected_faults[shard].fold(&stream.stats());
+                    positives += u8::from(anomaly.is_anomalous(query));
+                    let votes = 1 + requery.replicas as u8 + 1;
+                    verdict.label = Label::from_bool(2 * positives > votes);
+                    verdict.confidence = VerdictConfidence::Requeried { votes, positives };
+                }
+            }
+            expected.push(verdict);
+        }
+        assert!(band_hits >= 10, "only {band_hits} verdicts re-queried");
+        assert!(
+            expected
+                .iter()
+                .any(|v| v.is_requeried() && v.label.is_malware() != (v.score >= threshold)),
+            "no re-query flipped a verdict"
+        );
+
+        for (lanes, exec) in [
+            (1, ExecConfig::serial()),
+            (4, ExecConfig::serial()),
+            (8, ExecConfig::threads(2)),
+        ] {
+            let config = ServeConfig::new(shards)
+                .with_seed(seed)
+                .with_target_error_rate(er)
+                .with_policy(policy)
+                .with_requery(requery)
+                .with_batch_size(batch_size)
+                .with_exec(exec)
+                .with_lanes(lanes);
+            let mut service =
+                MonitoringService::deploy(&baseline, &curve, config).expect("valid config");
+            service
+                .install_anomaly_scorer(anomaly.clone())
+                .expect("matching width");
+            // Degrade one shard in place, as a failed calibration would.
+            service.shards[degraded].backend = ShardBackend::Baseline(baseline.clone());
+            let mut verdicts = Vec::new();
+            for chunk in features.chunks(batch_size) {
+                verdicts.extend(service.process_feature_batch(chunk));
+            }
+            assert_eq!(verdicts, expected, "verdicts differ at {lanes} lanes");
+            let snapshot = service.snapshot();
+            for (report, faults) in snapshot.shards.iter().zip(&expected_faults) {
+                assert_eq!(
+                    report.faults, *faults,
+                    "shard {} faults at {lanes} lanes",
+                    report.shard
+                );
+            }
+            assert_eq!(
+                snapshot.shards.iter().map(|s| s.band_hits).sum::<u64>(),
+                band_hits
+            );
         }
     }
 

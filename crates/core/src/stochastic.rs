@@ -281,9 +281,11 @@ impl StochasticHmd {
     /// Scores a feature vector through an *external* corruption stream,
     /// leaving the detector untouched (`&self`): the caller owns the fault
     /// stream and the scratch space, so many workers can score against one
-    /// shared detector concurrently. Pair with a
+    /// shared detector concurrently. Paired with a
     /// [`shmd_volt::fault::FaultStream`] borrowed from
-    /// [`StochasticHmd::fault_model`] for the lock-free serving path.
+    /// [`StochasticHmd::fault_model`], this is the scalar reference the
+    /// serving layer's lane-block engine
+    /// ([`StochasticHmd::score_features_batch_with`]) is tested against.
     ///
     /// # Panics
     ///

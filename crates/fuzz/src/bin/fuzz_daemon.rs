@@ -9,15 +9,14 @@ use proptest::Strategy;
 use rand::Rng;
 use shmd_fuzz::{corpus, mutate, FuzzArgs, Tally};
 use stochastic_hmd::{
-    encode_frame, AdmissionConfig, Daemon, Frame, MonitoringService, StateJournal,
+    encode_frame, AdmissionConfig, Daemon, Frame, MonitoringService, StateJournal, TempJournal,
 };
 
 fn main() {
     let args = FuzzArgs::parse("fuzz_daemon");
     let mut rng = args.rng();
     let corpus = corpus();
-    let journal_path =
-        std::env::temp_dir().join(format!("shmd-fuzz-daemon-{}.journal", std::process::id()));
+    let journal_path = TempJournal::new("fuzz-daemon");
     let service = MonitoringService::restore(
         &corpus.baseline,
         None,
@@ -68,7 +67,6 @@ fn main() {
     }
     let stats = daemon.stats();
     assert!(stats.is_conserved(), "final accounting broken: {stats:?}");
-    let _ = std::fs::remove_file(&journal_path);
     println!("{}", tally.summary("daemon"));
     println!(
         "daemon accounting: offered {} admitted {} oversized {} malformed {} conserved true",

@@ -9,7 +9,9 @@
 use rand::Rng;
 use shmd_fuzz::{corpus, mutate, FuzzArgs, Tally};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
-use stochastic_hmd::{BatchCommit, ExecConfig, MonitoringService, ServeConfig, StateJournal};
+use stochastic_hmd::{
+    BatchCommit, ExecConfig, MonitoringService, ServeConfig, StateJournal, TempJournal,
+};
 
 /// Batches journaled before the checkpoint record.
 const HEAD_BATCHES: u64 = 3;
@@ -79,11 +81,9 @@ fn main() {
     let args = FuzzArgs::parse("fuzz_journal");
     let mut rng = args.rng();
     let corpus = corpus();
-    let dir = std::env::temp_dir();
-    let tag = std::process::id();
-    let journal_path = dir.join(format!("shmd-fuzz-journal-{tag}-a.wal"));
-    let other_path = dir.join(format!("shmd-fuzz-journal-{tag}-b.wal"));
-    let mutant_path = dir.join(format!("shmd-fuzz-journal-{tag}-mutant.wal"));
+    let journal_path = TempJournal::new("fuzz-journal");
+    let other_path = TempJournal::new("fuzz-journal");
+    let mutant_path = TempJournal::new("fuzz-journal-mutant");
 
     let (bytes, commits) = build_journal(&corpus, &journal_path, 21);
     // A second, differently-seeded journal supplies the foreign bytes for
@@ -154,8 +154,5 @@ fn main() {
             tally.record(!salvaged_all);
         }
     }
-    let _ = std::fs::remove_file(&journal_path);
-    let _ = std::fs::remove_file(&other_path);
-    let _ = std::fs::remove_file(&mutant_path);
     println!("{}", tally.summary("journal"));
 }

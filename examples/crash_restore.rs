@@ -17,7 +17,7 @@ use shmd_volt::environment::EnvironmentConfig;
 use shmd_volt::DeviceProfile;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
-use stochastic_hmd::checkpoint::StateJournal;
+use stochastic_hmd::checkpoint::{StateJournal, TempJournal};
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, Verdict};
 use stochastic_hmd::supervisor::{ChaosPlan, SupervisorConfig};
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The victim: same deployment, but journaled — a checkpoint every
     // CADENCE batches, a commit record fsynced after every batch.
-    let path = std::env::temp_dir().join(format!("crash-restore-{}.journal", std::process::id()));
+    let path = TempJournal::new("crash-restore");
     let mut service = MonitoringService::supervised(&baseline, supervision(&device), config())?;
     let mut journal = StateJournal::create(&path)?;
     for b in 0..=KILL_BATCH {
@@ -113,7 +113,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("batch {b:>2}: replayed");
         }
     }
-    std::fs::remove_file(&path)?;
 
     let snapshot = service.snapshot();
     println!(

@@ -17,7 +17,7 @@ use shmd_volt::environment::EnvironmentConfig;
 use shmd_volt::DeviceProfile;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
-use stochastic_hmd::checkpoint::StateJournal;
+use stochastic_hmd::checkpoint::{StateJournal, TempJournal};
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::supervisor::{ChaosPlan, SupervisorConfig};
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
@@ -52,13 +52,6 @@ fn deploy(
     )?)
 }
 
-fn journal_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "rolling-upgrade-{}-{tag}.journal",
-        std::process::id()
-    ))
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = Dataset::generate(&DatasetConfig::small(200), 42);
     let split = dataset.three_fold_split(0);
@@ -83,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // The never-upgraded reference, for the final comparison.
-    let ref_path = journal_path("reference");
+    let ref_path = TempJournal::new("rolling-upgrade-reference");
     let mut reference = Daemon::new(
         deploy(&baseline, &device)?,
         StateJournal::create(&ref_path)?,
@@ -100,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The old instance serves the first half of the stream.
-    let old_path = journal_path("old");
+    let old_path = TempJournal::new("rolling-upgrade-old");
     let mut old = Daemon::new(
         deploy(&baseline, &device)?,
         StateJournal::create(&old_path)?,
@@ -140,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The successor restores from the hand-off frame and asserts the
     // verdict-checksum identity before it will take any traffic.
-    let new_path = journal_path("new");
+    let new_path = TempJournal::new("rolling-upgrade-new");
     let mut new = Daemon::resume_from_handoff(
         &handoff,
         &baseline,
@@ -176,9 +169,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          hand-off carries checkpoint + checksum identity, and the successor refuses to\n\
          serve until it reproduces that identity from its own restore"
     );
-    for path in [ref_path, old_path, new_path] {
-        std::fs::remove_file(&path)?;
-    }
     if got != want {
         return Err("upgraded stream diverged".into());
     }

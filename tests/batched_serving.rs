@@ -1,10 +1,13 @@
 //! End-to-end contract of the batched (structure-of-arrays) serving path:
 //! widening the per-shard lane count is a pure wall-clock optimization.
 //! Verdict streams, telemetry snapshots, and the order-sensitive verdict
-//! checksum must be bit-identical to the scalar (`lanes = 1`) deployment
-//! for any lane width, any detection policy, any thread count, and any
-//! interleaving of well-formed and poison queries — including workloads a
-//! property test skews adversarially.
+//! checksum must be bit-identical to the one-lane (`lanes = 1`)
+//! deployment for any lane width, any detection policy, any thread count,
+//! and any interleaving of well-formed and poison queries — including
+//! workloads a property test skews adversarially. Every width runs the
+//! same lane-block engine, so these tests compare widths with each other;
+//! the independent scalar oracle for the verdicts themselves is a unit
+//! test in `core::serve`.
 //!
 //! These tests drive the public `MonitoringService` API only, the same
 //! surface `batch_bench` measures, so the BENCH_6 identity claims are
@@ -76,7 +79,7 @@ fn well_formed(i: usize) -> Vec<f32> {
 #[test]
 fn lane_width_never_changes_the_verdict_stream_or_checksum() {
     let features: Vec<Vec<f32>> = (0..96).map(well_formed).collect();
-    let (scalar, scalar_snapshot) = replay(
+    let (one_lane, one_lane_snapshot) = replay(
         &features,
         1,
         DetectionPolicy::Single,
@@ -91,13 +94,13 @@ fn lane_width_never_changes_the_verdict_stream_or_checksum() {
             ExecConfig::serial(),
             32,
         );
-        assert_eq!(wide, scalar, "verdicts differ at {lanes} lanes");
+        assert_eq!(wide, one_lane, "verdicts differ at {lanes} lanes");
         assert_eq!(
-            snapshot, scalar_snapshot,
+            snapshot, one_lane_snapshot,
             "telemetry differs at {lanes} lanes"
         );
         assert_eq!(
-            snapshot.verdict_checksum, scalar_snapshot.verdict_checksum,
+            snapshot.verdict_checksum, one_lane_snapshot.verdict_checksum,
             "checksum differs at {lanes} lanes"
         );
     }
@@ -114,7 +117,7 @@ fn poison_queries_mid_lane_are_contained_at_every_width() {
     features[5] = vec![0.25; dim + 2];
     features[11][0] = f32::NAN;
     features[37] = vec![0.5; dim.saturating_sub(1)];
-    let (scalar, scalar_snapshot) = replay(
+    let (one_lane, one_lane_snapshot) = replay(
         &features,
         1,
         DetectionPolicy::Single,
@@ -122,7 +125,7 @@ fn poison_queries_mid_lane_are_contained_at_every_width() {
         16,
     );
     assert_eq!(
-        scalar.iter().filter(|v| v.is_rejected()).count(),
+        one_lane.iter().filter(|v| v.is_rejected()).count(),
         3,
         "all three poison queries must be rejected"
     );
@@ -134,8 +137,8 @@ fn poison_queries_mid_lane_are_contained_at_every_width() {
             ExecConfig::serial(),
             16,
         );
-        assert_eq!(wide, scalar, "poison stream differs at {lanes} lanes");
-        assert_eq!(snapshot, scalar_snapshot);
+        assert_eq!(wide, one_lane, "poison stream differs at {lanes} lanes");
+        assert_eq!(snapshot, one_lane_snapshot);
     }
 }
 
@@ -147,15 +150,15 @@ fn majority_policies_are_lane_and_thread_invariant() {
         DetectionPolicy::MajorityOf(5),
         DetectionPolicy::AnyOf(3),
     ] {
-        let (scalar, scalar_snapshot) = replay(&features, 1, policy, ExecConfig::serial(), 20);
+        let (one_lane, one_lane_snapshot) = replay(&features, 1, policy, ExecConfig::serial(), 20);
         for (lanes, exec) in [
             (8, ExecConfig::serial()),
             (16, ExecConfig::serial()),
             (8, ExecConfig::threads(4)),
         ] {
             let (wide, snapshot) = replay(&features, lanes, policy, exec, 20);
-            assert_eq!(wide, scalar, "{policy:?} differs at {lanes} lanes");
-            assert_eq!(snapshot, scalar_snapshot, "{policy:?} telemetry differs");
+            assert_eq!(wide, one_lane, "{policy:?} differs at {lanes} lanes");
+            assert_eq!(snapshot, one_lane_snapshot, "{policy:?} telemetry differs");
         }
     }
 }
@@ -164,7 +167,7 @@ proptest::proptest! {
     /// Skewed adversarial workloads: random lengths, random poison
     /// placement (width mismatches and NaNs anywhere, including runs),
     /// random lane width and batch size — the batched replay must stay
-    /// bit-identical to the scalar one.
+    /// bit-identical to the one-lane one.
     #[test]
     fn skewed_workloads_stay_bit_identical(
         len in 1usize..80,
@@ -185,13 +188,13 @@ proptest::proptest! {
                 _ => well_formed(i),
             })
             .collect();
-        let (scalar, scalar_snapshot) = replay(
+        let (one_lane, one_lane_snapshot) = replay(
             &features, 1, DetectionPolicy::MajorityOf(3), ExecConfig::serial(), batch_size,
         );
         let (wide, snapshot) = replay(
             &features, lanes, DetectionPolicy::MajorityOf(3), ExecConfig::serial(), batch_size,
         );
-        proptest::prop_assert_eq!(wide, scalar);
-        proptest::prop_assert_eq!(snapshot, scalar_snapshot);
+        proptest::prop_assert_eq!(wide, one_lane);
+        proptest::prop_assert_eq!(snapshot, one_lane_snapshot);
     }
 }

@@ -11,7 +11,7 @@ use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
 use stochastic_hmd::checkpoint::{
-    BatchCommit, CheckpointError, RestoreError, ServiceCheckpoint, StateJournal,
+    BatchCommit, CheckpointError, RestoreError, ServiceCheckpoint, StateJournal, TempJournal,
 };
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, Verdict};
@@ -67,13 +67,6 @@ fn feature_stream(baseline: &BaselineHmd, dataset: &Dataset) -> Vec<Vec<Vec<f32>
                 .collect()
         })
         .collect()
-}
-
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-crash-restore-test-{}-{tag}.journal",
-        std::process::id()
-    ))
 }
 
 /// Journaled run up to and including `kill_batch`, then the simulated
@@ -151,7 +144,7 @@ fn kill_at_any_tested_batch_restores_bit_identically_serial_and_threaded() {
     let kills = [0usize, 3, 4, 9, BATCHES - 1];
     for (i, &kill) in kills.iter().enumerate() {
         let tear = if i % 2 == 1 { 7 } else { 0 };
-        let path = scratch_path(&format!("kill{kill}"));
+        let path = TempJournal::new("crash-restore-test");
         victim_run(&baseline, &features, kill, tear, &path);
         for exec in [ExecConfig::serial(), ExecConfig::threads(8)] {
             let (verdicts, snapshot, resume) =
@@ -166,7 +159,6 @@ fn kill_at_any_tested_batch_restores_bit_identically_serial_and_threaded() {
                 "kill at {kill} (tear {tear}): resumed telemetry diverged"
             );
         }
-        std::fs::remove_file(&path).expect("cleanup");
     }
 }
 
@@ -175,7 +167,7 @@ fn torn_tail_discards_exactly_the_uncommitted_batch() {
     let (dataset, baseline) = setup();
     let features = feature_stream(&baseline, &dataset);
     let kill = CADENCE as usize + 2;
-    let path = scratch_path("torn");
+    let path = TempJournal::new("crash-restore-test");
     victim_run(&baseline, &features, kill, 0, &path);
     let intact = StateJournal::recover(&path).expect("recovers");
     assert_eq!(intact.commits.last().map(|c| c.batch), Some(kill as u64));
@@ -198,7 +190,6 @@ fn torn_tail_discards_exactly_the_uncommitted_batch() {
             Some(CADENCE)
         );
     }
-    std::fs::remove_file(&path).expect("cleanup");
 }
 
 #[test]
@@ -243,7 +234,7 @@ fn checkpoint_codec_round_trips_and_rejects_corruption() {
 
 #[test]
 fn journal_append_then_recover_round_trips_commits() {
-    let path = scratch_path("commits");
+    let path = TempJournal::new("crash-restore-test");
     let mut journal = StateJournal::create(&path).expect("creates");
     let commits: Vec<BatchCommit> = (0..5u64)
         .map(|batch| BatchCommit {
@@ -259,7 +250,6 @@ fn journal_append_then_recover_round_trips_commits() {
     let recovery = StateJournal::recover(&path).expect("recovers");
     assert_eq!(recovery.commits, commits);
     assert_eq!(recovery.checkpoint, None);
-    std::fs::remove_file(&path).expect("cleanup");
 }
 
 proptest::proptest! {

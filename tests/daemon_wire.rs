@@ -16,7 +16,7 @@ use stochastic_hmd::telemetry::TelemetrySnapshot;
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
 use stochastic_hmd::{
     decode_frame, encode_frame, AdmissionConfig, BaselineHmd, Daemon, DaemonPhase, Frame,
-    RejectCode, ServiceCheckpoint, StateJournal, WireError, FRAME_OVERHEAD,
+    RejectCode, ServiceCheckpoint, StateJournal, TempJournal, WireError, FRAME_OVERHEAD,
 };
 
 const SHARDS: usize = 4;
@@ -52,17 +52,16 @@ fn deploy(baseline: &BaselineHmd, chaos: ChaosPlan, exec: ExecConfig) -> Monitor
     MonitoringService::supervised(baseline, supervision(chaos), config).expect("deploys")
 }
 
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-daemon-wire-test-{}-{tag}.journal",
-        std::process::id()
-    ))
-}
-
-fn daemon(baseline: &BaselineHmd, config: AdmissionConfig, tag: &str) -> Daemon {
+/// A daemon over a fresh scratch journal; keep the returned
+/// [`TempJournal`] alive as long as the daemon.
+fn daemon(baseline: &BaselineHmd, config: AdmissionConfig) -> (Daemon, TempJournal) {
     let service = deploy(baseline, ChaosPlan::none(), ExecConfig::serial());
-    let journal = StateJournal::create(scratch_path(tag)).expect("creates");
-    Daemon::new(service, journal, config).expect("deploys")
+    let path = TempJournal::new("daemon-wire-test");
+    let journal = StateJournal::create(&path).expect("creates");
+    (
+        Daemon::new(service, journal, config).expect("deploys"),
+        path,
+    )
 }
 
 fn features(baseline: &BaselineHmd, dataset: &Dataset, n: usize) -> Vec<Vec<f32>> {
@@ -81,7 +80,7 @@ fn decoded(reply: &[u8]) -> Frame {
 #[test]
 fn one_frame_mixing_good_poison_and_wrong_dim_gets_per_query_dispositions() {
     let (dataset, baseline) = setup();
-    let mut daemon = daemon(&baseline, AdmissionConfig::default(), "mixed");
+    let (mut daemon, _journal) = daemon(&baseline, AdmissionConfig::default());
 
     // One frame: good, NaN-poisoned, too-wide, good, empty.
     let good = features(&baseline, &dataset, 4);
@@ -141,7 +140,7 @@ fn one_frame_mixing_good_poison_and_wrong_dim_gets_per_query_dispositions() {
 #[test]
 fn control_frames_round_trip_over_the_wire() {
     let (dataset, baseline) = setup();
-    let mut daemon = daemon(&baseline, AdmissionConfig::default(), "control");
+    let (mut daemon, _journal) = daemon(&baseline, AdmissionConfig::default());
     daemon
         .handle_frame(&encode_frame(&Frame::SubmitBatch {
             tenant: 0,
@@ -200,10 +199,9 @@ fn control_frames_round_trip_over_the_wire() {
 #[test]
 fn hostile_bytes_are_typed_and_oversized_is_rejected_before_allocation() {
     let (_, baseline) = setup();
-    let mut daemon = daemon(
+    let (mut daemon, _journal) = daemon(
         &baseline,
         AdmissionConfig::default().with_max_frame_bytes(1 << 12),
-        "hostile",
     );
     let valid = encode_frame(&Frame::Snapshot);
     let cap = 1 << 12;
@@ -263,7 +261,7 @@ fn overload_rejections_carry_codes_and_exact_accounting() {
     let config = AdmissionConfig::default()
         .with_max_queued_queries(2 * BATCH_SIZE)
         .with_tenant_quota(BATCH_SIZE);
-    let mut daemon = daemon(&baseline, config, "overload");
+    let (mut daemon, _journal) = daemon(&baseline, config);
     let batch = features(&baseline, &dataset, BATCH_SIZE);
     let submit = |tenant: u32| {
         encode_frame(&Frame::SubmitBatch {
@@ -334,7 +332,8 @@ fn hang_deadline_degrades_the_wedged_shard_at_any_thread_count() {
                 .with_retry_policy(3, 64);
             MonitoringService::supervised(&baseline, sup, config).expect("deploys")
         };
-        let journal = StateJournal::create(scratch_path("hang")).expect("creates");
+        let path = TempJournal::new("daemon-wire-test");
+        let journal = StateJournal::create(&path).expect("creates");
         let config = AdmissionConfig::default().with_hang_deadline(2);
         let mut daemon = Daemon::new(service, journal, config).expect("deploys");
 

@@ -15,7 +15,9 @@ use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::supervisor::{ChaosPlan, SupervisorConfig};
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
-use stochastic_hmd::{AdmissionConfig, BaselineHmd, Daemon, DaemonPhase, StateJournal};
+use stochastic_hmd::{
+    AdmissionConfig, BaselineHmd, Daemon, DaemonPhase, StateJournal, TempJournal,
+};
 
 const SHARDS: usize = 4;
 const BATCHES: usize = 16;
@@ -80,13 +82,6 @@ fn feature_stream(baseline: &BaselineHmd, dataset: &Dataset) -> Vec<Vec<Vec<f32>
         .collect()
 }
 
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-rolling-upgrade-test-{}-{tag}.journal",
-        std::process::id()
-    ))
-}
-
 fn admission() -> AdmissionConfig {
     AdmissionConfig::default().with_checkpoint_cadence(CADENCE)
 }
@@ -94,7 +89,7 @@ fn admission() -> AdmissionConfig {
 /// The never-upgraded reference: the same stream through a plain daemon,
 /// no drain, no hand-off.
 fn reference_run(baseline: &BaselineHmd, features: &[Vec<Vec<f32>>]) -> (u64, u64) {
-    let path = scratch_path("reference");
+    let path = TempJournal::new("rolling-upgrade-test");
     let journal = StateJournal::create(&path).expect("creates");
     let mut daemon =
         Daemon::new(deploy(baseline, ExecConfig::serial()), journal, admission()).expect("deploys");
@@ -102,10 +97,7 @@ fn reference_run(baseline: &BaselineHmd, features: &[Vec<Vec<f32>>]) -> (u64, u6
         daemon.try_submit(0, batch.clone()).expect("admits");
         daemon.pump_all().expect("pumps");
     }
-    let out = (daemon.verdict_checksum(), daemon.service().served());
-    drop(daemon);
-    std::fs::remove_file(&path).expect("cleanup");
-    out
+    (daemon.verdict_checksum(), daemon.service().served())
 }
 
 /// Runs the old instance up to `UPGRADE_AT`, starts the upgrade, and
@@ -197,7 +189,7 @@ fn kill_at_every_upgrade_phase_boundary_recovers_to_the_reference() {
         KillPoint::PostCheckpointPreHandoff,
         KillPoint::PostHandoffPreAck,
     ] {
-        let path = scratch_path(&format!("{kill:?}"));
+        let path = TempJournal::new("rolling-upgrade-test");
         let handoff = victim_run(&baseline, &features, kill, &path);
         for exec in [ExecConfig::serial(), ExecConfig::threads(8)] {
             let threads = exec.thread_count();
@@ -212,7 +204,7 @@ fn kill_at_every_upgrade_phase_boundary_recovers_to_the_reference() {
         if let Some(handoff) = handoff {
             for exec in [ExecConfig::serial(), ExecConfig::threads(8)] {
                 let threads = exec.thread_count();
-                let successor_path = scratch_path(&format!("{kill:?}-successor-{threads}"));
+                let successor_path = TempJournal::new("rolling-upgrade-test");
                 let journal = StateJournal::create(&successor_path).expect("creates");
                 let mut successor = Daemon::resume_from_handoff(
                     &handoff,
@@ -232,11 +224,8 @@ fn kill_at_every_upgrade_phase_boundary_recovers_to_the_reference() {
                     reference,
                     "kill at {kill:?} ({threads} threads): successor diverged"
                 );
-                drop(successor);
-                std::fs::remove_file(&successor_path).expect("cleanup");
             }
         }
-        std::fs::remove_file(&path).expect("cleanup");
     }
 }
 
@@ -246,8 +235,8 @@ fn clean_upgrade_loses_zero_committed_queries() {
     let features = feature_stream(&baseline, &dataset);
     let reference = reference_run(&baseline, &features);
 
-    let old_path = scratch_path("clean-old");
-    let new_path = scratch_path("clean-new");
+    let old_path = TempJournal::new("rolling-upgrade-test");
+    let new_path = TempJournal::new("rolling-upgrade-test");
     let journal = StateJournal::create(&old_path).expect("creates");
     let mut old = Daemon::new(
         deploy(&baseline, ExecConfig::serial()),
@@ -295,7 +284,4 @@ fn clean_upgrade_loses_zero_committed_queries() {
         reference,
         "upgraded stream diverged from the never-upgraded reference"
     );
-    drop(new);
-    std::fs::remove_file(&old_path).expect("cleanup");
-    std::fs::remove_file(&new_path).expect("cleanup");
 }
