@@ -39,6 +39,7 @@ use std::time::Instant;
 use stochastic_hmd::arena::ArenaOracle;
 use stochastic_hmd::detector::{Detector, Label};
 use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::json::Num;
 use stochastic_hmd::serve::{MonitoringService, RequeryConfig, ServeConfig};
 use stochastic_hmd::supervisor::SupervisorConfig;
 use stochastic_hmd::BaselineHmd;
@@ -930,10 +931,14 @@ fn proxy_name(kind: ProxyKind) -> &'static str {
     }
 }
 
+/// `BENCH_9.json` has no wall-clock fields outside `timing` (see
+/// [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[];
+
 /// Renders the matrix as the hand-built JSON written to `BENCH_9.json`
-/// (the vendored `serde` is a no-op shim; checksums are decimal strings
-/// because they exceed 2^53). Timing lives only under `"timing"` so CI
-/// can strip it and diff serial vs threaded runs byte-for-byte.
+/// (the vendored `serde` is a no-op shim; floats go through [`Num`], and
+/// checksums are decimal strings because they exceed 2^53). Timing lives
+/// only under `"timing"`, which the serial-rerun comparison skips.
 pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -943,11 +948,11 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!(
         "  \"timing\": {{\"elapsed_s\": {:.3}}},\n",
-        matrix.elapsed_s
+        Num(matrix.elapsed_s)
     ));
     out.push_str(&format!(
         "  \"denoise_target_agreement\": {:.4},\n",
-        matrix.denoise_target
+        Num(matrix.denoise_target)
     ));
     out.push_str("  \"denoise_curve\": [\n");
     for (i, cell) in matrix.denoise.iter().enumerate() {
@@ -962,14 +967,16 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
             .map(|p| {
                 format!(
                     "{{\"queries_per_sample\": {}, \"query_cost\": {}, \"agreement\": {:.4}}}",
-                    p.queries_per_sample, p.query_cost, p.agreement
+                    p.queries_per_sample,
+                    p.query_cost,
+                    Num(p.agreement)
                 )
             })
             .collect();
         out.push_str(&format!(
             "    {{\"error_rate\": {:.2}, \"required_queries_per_sample\": {}, \
              \"total_query_cost\": {}, \"oracle_queries\": {}, \"points\": [{}]}}{}\n",
-            cell.error_rate,
+            Num(cell.error_rate),
             required,
             cell.curve.total_query_cost(),
             cell.oracle_queries,
@@ -989,12 +996,12 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
              \"attempted\": {}, \"evaded_proxy\": {}, \"evaded_victim\": {}, \
              \"success\": {:.4}, \"query_cost\": {}}}{}\n",
             c.victim,
-            c.error_rate,
+            Num(c.error_rate),
             proxy_name(c.attacker),
             c.attempted,
             c.evaded_proxy,
             c.evaded_victim,
-            c.success,
+            Num(c.success),
             c.query_cost,
             if i + 1 == matrix.transfer.len() {
                 ""
@@ -1010,9 +1017,9 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
             "    {{\"victim\": \"{}\", \"error_rate\": {:.2}, \"accuracy\": {:.4}, \
              \"delta\": {:.4}}}{}\n",
             c.victim,
-            c.error_rate,
-            c.accuracy,
-            c.delta,
+            Num(c.error_rate),
+            Num(c.accuracy),
+            Num(c.delta),
             if i + 1 == matrix.accuracy.len() {
                 ""
             } else {
@@ -1027,17 +1034,17 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
          \"acc_clean\": {:.4}, \"acc_noisy\": {:.4}, \"acc_requery\": {:.4}, \
          \"recovered\": {:.4}, \"band_hits\": {}, \"requeries\": {}, \"served\": {}, \
          \"requery_rate\": {:.4}}},\n",
-        rq.error_rate,
-        rq.band,
+        Num(rq.error_rate),
+        Num(rq.band),
         rq.replicas,
-        rq.acc_clean,
-        rq.acc_noisy,
-        rq.acc_requery,
-        rq.recovered,
+        Num(rq.acc_clean),
+        Num(rq.acc_noisy),
+        Num(rq.acc_requery),
+        Num(rq.recovered),
         rq.band_hits,
         rq.requeries,
         rq.served,
-        rq.requery_rate(),
+        Num(rq.requery_rate()),
     ));
     let d = &matrix.drift;
     out.push_str(&format!(
@@ -1169,6 +1176,7 @@ mod tests {
         assert!(doc.contains("\"restore_identical\": true"));
         assert!(doc.contains("\"drift_events\": 0"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(stochastic_hmd::json::parse(&doc).is_ok());
         // Timing is confined to the strippable key.
         assert!(doc.contains("\"timing\": {\"elapsed_s\""));
     }

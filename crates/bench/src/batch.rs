@@ -48,6 +48,7 @@ use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
 use std::time::{Duration, Instant};
 use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::json::Num;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::BaselineHmd;
 
@@ -229,11 +230,19 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The wall-clock paths of `BENCH_6.json` (see [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[
+    ".results[].one_lane_qps",
+    ".results[].batched_qps",
+    ".results[].vs_one_lane",
+    ".results[].threaded_qps",
+];
+
 /// Renders the sweep as the hand-built JSON written to `BENCH_6.json`.
 ///
 /// The vendored `serde` is a no-op shim, so the document is formatted
-/// here; checksums are decimal strings to stay integer-exact in any
-/// reader (they exceed 2^53).
+/// here; floats go through [`Num`], and checksums are decimal strings to
+/// stay integer-exact in any reader (they exceed 2^53).
 pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -265,13 +274,13 @@ pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize
              \"threaded_qps\": {:.1}, \"checksum\": \"{}\", \"matches_one_lane\": {}, \
              \"thread_invariant\": {}, \"degraded_shards\": {}}}{}\n",
             p.network,
-            p.error_rate,
+            Num(p.error_rate),
             p.lanes,
             p.queries,
-            p.one_lane_qps,
-            p.batched_qps,
-            p.vs_one_lane(),
-            p.threaded_qps,
+            Num(p.one_lane_qps),
+            Num(p.batched_qps),
+            Num(p.vs_one_lane()),
+            Num(p.threaded_qps),
             p.checksum,
             p.matches_one_lane,
             p.thread_invariant,
@@ -377,5 +386,6 @@ mod tests {
         assert!(doc.contains("\"checksum\": \"42\""));
         assert!(doc.contains("\"lanes\": 8"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }
 }

@@ -15,51 +15,29 @@
 //!    the mid-arena checkpoint/restore diverges, or pure workload drift
 //!    fires the delivered-rate watchdog.
 //!
-//! CI runs `--fast --threads 8 --check` as the arena smoke test and
-//! diffs the timing-stripped JSON of a serial rerun against it.
+//! Under `--check` with several threads the arena is also re-run serially,
+//! and its document must match outside `threads` and `timing`. CI runs
+//! `--fast --threads 8 --check` as the arena smoke test.
 
 use hmd_bench::arena::{self, ArenaPlan};
-use hmd_bench::cli::Scale;
-use hmd_bench::{setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::{setup, table};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_9.json");
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("flags: --seed N  --threads N  --paper  --fast  --check  --out PATH");
-            std::process::exit(2);
-        }
-    };
-
-    let scale_name = match args.scale {
-        Scale::Fast => "fast",
-        Scale::Medium => "medium",
-        Scale::Paper => "paper",
-    };
+    let mut run = BenchRun::from_env("BENCH_9.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
     let plan = ArenaPlan::for_scale(args.scale);
 
-    let matrix = arena::run_arena(&baseline, &dataset, &plan, args.seed, &exec);
+    let measure = |exec: &ExecConfig| arena::run_arena(&baseline, &dataset, &plan, args.seed, exec);
+    let render = |matrix: &arena::ArenaMatrix, threads: usize| {
+        arena::render_json(matrix, args.seed, scale_name, threads)
+    };
+    let matrix = measure(&exec);
 
     table::title(&format!(
         "Denoising cost curve, target agreement {:.2} ({scale_name})",
@@ -161,79 +139,64 @@ fn main() {
         format!("{}", d.drift_events),
         format!("{}", d.crashes),
         format!("{}", d.retries),
-        if d.thread_invariant { "yes" } else { "NO" }.into(),
+        table::verdict(d.thread_invariant, "yes", "NO"),
     ]);
 
-    let doc = arena::render_json(&matrix, args.seed, scale_name, exec.thread_count());
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let doc = render(&matrix, exec.thread_count());
+    run.write(&doc);
+    if !matrix.denoise_monotone() {
+        run.fail(format!(
+            "denoising cost curve not monotone in error rate: {:?}",
+            matrix
+                .denoise
+                .iter()
+                .map(|c| (c.error_rate, c.curve.required))
+                .collect::<Vec<_>>()
+        ));
     }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        if !matrix.denoise_monotone() {
-            eprintln!(
-                "FAIL: denoising cost curve not monotone in error rate: {:?}",
-                matrix
-                    .denoise
-                    .iter()
-                    .map(|c| (c.error_rate, c.curve.required))
-                    .collect::<Vec<_>>()
-            );
-            failed = true;
-        }
-        let base_success = matrix.service_success_at(0.0);
-        let undervolted = matrix.pooled_service_success(0.1);
-        if undervolted > base_success + 1e-9 {
-            eprintln!(
-                "FAIL: pooled transfer success {undervolted:.3} against undervolted \
-                 victims (er >= 0.1) exceeds the fault-free baseline {base_success:.3}"
-            );
-            failed = true;
-        }
-        if !rq.recovers_half() {
-            eprintln!(
-                "FAIL: re-query recovered only {:.0}% of the {:.3} accuracy lost \
-                 (clean {:.3}, noisy {:.3}, requery {:.3})",
-                rq.recovered * 100.0,
-                rq.lost(),
-                rq.acc_clean,
-                rq.acc_noisy,
-                rq.acc_requery
-            );
-            failed = true;
-        }
-        if !rq.thread_invariant {
-            eprintln!(
-                "FAIL: re-query replay diverged between serial and {} threads",
-                exec.thread_count()
-            );
-            failed = true;
-        }
-        if !rq.restore_identical {
-            eprintln!("FAIL: mid-arena checkpoint/restore diverged from the original run");
-            failed = true;
-        }
-        if d.drift_events != 0 {
-            eprintln!(
-                "FAIL: pure workload drift fired the delivered-rate watchdog {} times",
-                d.drift_events
-            );
-            failed = true;
-        }
-        if !d.thread_invariant {
-            eprintln!("FAIL: drift replay diverged between serial and threaded");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: denoising cost monotone, undervolting does not help the \
-             transfer attacker, re-query recovers the band-edge loss, drift watchdog \
-             quiet, every replay thread-invariant and restore-identical"
-        );
+    let base_success = matrix.service_success_at(0.0);
+    let undervolted = matrix.pooled_service_success(0.1);
+    if undervolted > base_success + 1e-9 {
+        run.fail(format!(
+            "pooled transfer success {undervolted:.3} against undervolted \
+             victims (er >= 0.1) exceeds the fault-free baseline {base_success:.3}"
+        ));
     }
+    if !rq.recovers_half() {
+        run.fail(format!(
+            "re-query recovered only {:.0}% of the {:.3} accuracy lost \
+             (clean {:.3}, noisy {:.3}, requery {:.3})",
+            rq.recovered * 100.0,
+            rq.lost(),
+            rq.acc_clean,
+            rq.acc_noisy,
+            rq.acc_requery
+        ));
+    }
+    if !rq.thread_invariant {
+        run.fail(format!(
+            "re-query replay diverged between serial and {} threads",
+            exec.thread_count()
+        ));
+    }
+    if !rq.restore_identical {
+        run.fail("mid-arena checkpoint/restore diverged from the original run");
+    }
+    if d.drift_events != 0 {
+        run.fail(format!(
+            "pure workload drift fired the delivered-rate watchdog {} times",
+            d.drift_events
+        ));
+    }
+    if !d.thread_invariant {
+        run.fail("drift replay diverged between serial and threaded");
+    }
+    run.compare_serial(&doc, arena::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish(
+        "denoising cost monotone, undervolting does not help the \
+         transfer attacker, re-query recovers the band-edge loss, drift watchdog \
+         quiet, every replay thread-invariant and restore-identical",
+    );
 }

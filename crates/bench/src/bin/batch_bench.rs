@@ -4,12 +4,14 @@
 //! Writes `BENCH_6.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any width's verdict
 //! stream diverges from the `lanes = 1` deployment, if any width is not
-//! thread-invariant, or if any shard degraded. The single-thread width
-//! ratio against one lane is reported, not gated.
+//! thread-invariant, if any shard degraded, or if a serial rerun of the
+//! sweep renders a different document outside its wall-clock fields. The
+//! single-thread width ratio against one lane is reported, not gated.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{batch, setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::{batch, setup, table};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
+use stochastic_hmd::ExecConfig;
 
 /// Hidden width of the second, wider deployment the sweep measures. The
 /// scale fixture (hidden 8/12) is event-bound at er = 0.1 — roughly one
@@ -21,37 +23,10 @@ use shmd_volt::calibration::{Calibrator, DeviceProfile};
 const WIDE_HIDDEN: usize = 32;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_6.json");
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("flags: --seed N  --threads N  --paper  --fast  --check  --out PATH");
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, queries) = match args.scale {
-        Scale::Fast => ("fast", 2_000),
-        Scale::Medium => ("medium", 20_000),
-        Scale::Paper => ("paper", 100_000),
-    };
+    let mut run = BenchRun::from_env("BENCH_6.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let queries = args.scale.pick(2_000, 20_000, 100_000);
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let hidden = setup::train_config(&args).hidden;
@@ -61,24 +36,31 @@ fn main() {
     let curve = Calibrator::new().calibrate(&DeviceProfile::reference());
     let exec = args.exec();
 
-    let mut points = batch::measure_sweep(
-        &baseline,
-        &fixture_label,
-        &curve,
-        &dataset,
-        args.seed,
-        queries,
-        &exec,
-    );
-    points.extend(batch::measure_sweep(
-        &wide,
-        &wide_label,
-        &curve,
-        &dataset,
-        args.seed,
-        queries,
-        &exec,
-    ));
+    let measure = |exec: &ExecConfig| {
+        let mut points = batch::measure_sweep(
+            &baseline,
+            &fixture_label,
+            &curve,
+            &dataset,
+            args.seed,
+            queries,
+            exec,
+        );
+        points.extend(batch::measure_sweep(
+            &wide,
+            &wide_label,
+            &curve,
+            &dataset,
+            args.seed,
+            queries,
+            exec,
+        ));
+        points
+    };
+    let render = |points: &[batch::BatchPoint], threads: usize| {
+        batch::render_json(points, args.seed, scale_name, threads)
+    };
+    let points = measure(&exec);
 
     table::title(&format!(
         "Batched serving throughput, {queries} queries/deployment ({scale_name})"
@@ -102,12 +84,7 @@ fn main() {
             format!("{:.0}", p.batched_qps),
             format!("{:.2}x", p.vs_one_lane()),
             format!("{:.0}", p.threaded_qps),
-            if p.matches_one_lane && p.thread_invariant {
-                "yes"
-            } else {
-                "NO"
-            }
-            .into(),
+            table::verdict(p.matches_one_lane && p.thread_invariant, "yes", "NO"),
         ]);
     }
     println!(
@@ -125,44 +102,30 @@ fn main() {
         );
     }
 
-    let doc = batch::render_json(&points, args.seed, scale_name, exec.thread_count());
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        for p in &points {
-            if !p.matches_one_lane {
-                eprintln!(
-                    "FAIL: er {} lanes {}: replay diverged from the one-lane deployment",
-                    p.error_rate, p.lanes
-                );
-                failed = true;
-            }
-            if !p.thread_invariant {
-                eprintln!(
-                    "FAIL: er {} lanes {}: threaded replay diverged from serial",
-                    p.error_rate, p.lanes
-                );
-                failed = true;
-            }
-            if p.degraded_shards != 0 {
-                eprintln!(
-                    "FAIL: er {} lanes {}: {} shards degraded at a reachable target",
-                    p.error_rate, p.lanes, p.degraded_shards
-                );
-                failed = true;
-            }
+    let doc = render(&points, exec.thread_count());
+    run.write(&doc);
+    for p in &points {
+        if !p.matches_one_lane {
+            run.fail(format!(
+                "er {} lanes {}: replay diverged from the one-lane deployment",
+                p.error_rate, p.lanes
+            ));
         }
-        if failed {
-            std::process::exit(1);
+        if !p.thread_invariant {
+            run.fail(format!(
+                "er {} lanes {}: threaded replay diverged from serial",
+                p.error_rate, p.lanes
+            ));
         }
-        println!(
-            "check passed: every width bit-identical to one lane and thread-invariant, \
-             no degradation"
-        );
+        if p.degraded_shards != 0 {
+            run.fail(format!(
+                "er {} lanes {}: {} shards degraded at a reachable target",
+                p.error_rate, p.lanes, p.degraded_shards
+            ));
+        }
     }
+    run.compare_serial(&doc, batch::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish("every width bit-identical to one lane and thread-invariant, no degradation");
 }

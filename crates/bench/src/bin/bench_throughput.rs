@@ -6,48 +6,26 @@
 //! than the legacy path anywhere or if the fan-out breaks determinism —
 //! that mode is what CI runs (with `--fast`) as a performance smoke test.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{perf, setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::{perf, setup, table};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_2.json");
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("flags: --seed N  --threads N  --paper  --fast  --check  --out PATH");
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, queries) = match args.scale {
-        Scale::Fast => ("fast", 2_000),
-        Scale::Medium => ("medium", 20_000),
-        Scale::Paper => ("paper", 100_000),
-    };
+    let mut run = BenchRun::from_env("BENCH_2.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let queries = args.scale.pick(2_000, 20_000, 100_000);
     let dataset = setup::dataset(&args);
     let victim = setup::victim(&dataset, 0, &args);
     let q = victim.quantized();
     let features = victim.spec().extract(dataset.trace(0));
     let exec = args.exec();
 
-    let points = perf::measure_sweep(q, &features, args.seed, queries, &exec);
+    let measure = |exec: &ExecConfig| perf::measure_sweep(q, &features, args.seed, queries, exec);
+    let render = |points: &[perf::ThroughputPoint], threads: usize| {
+        perf::render_json(points, args.seed, scale_name, threads, q.mac_count())
+    };
+    let points = measure(&exec);
 
     table::title(&format!(
         "Detector throughput, {} MACs/inference, {queries} queries/path ({scale_name})",
@@ -68,48 +46,30 @@ fn main() {
             format!("{:.0}", p.after_qps),
             format!("{:.2}x", p.speedup()),
             format!("{:.0}", p.threaded_qps),
-            if p.thread_invariant { "yes" } else { "NO" }.into(),
+            table::verdict(p.thread_invariant, "yes", "NO"),
         ]);
     }
     println!("(before: per-draw Bernoulli + dyn + allocation; after: geometric gap + scratch)");
 
-    let doc = perf::render_json(
-        &points,
-        args.seed,
-        scale_name,
-        exec.thread_count(),
-        q.mac_count(),
-    );
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        for p in &points {
-            if !p.thread_invariant {
-                eprintln!(
-                    "FAIL: er={} fan-out changed the output stream",
-                    p.error_rate
-                );
-                failed = true;
-            }
-            // Timing on shared CI runners is noisy; the guard only catches
-            // a real regression (geometric path materially slower than the
-            // per-draw path it replaced).
-            if p.speedup() < 0.9 {
-                eprintln!(
-                    "FAIL: er={} hot path slower than legacy ({:.0} vs {:.0} q/s)",
-                    p.error_rate, p.after_qps, p.before_qps
-                );
-                failed = true;
-            }
+    let doc = render(&points, exec.thread_count());
+    run.write(&doc);
+    for p in &points {
+        if !p.thread_invariant {
+            run.fail(format!(
+                "er={} fan-out changed the output stream",
+                p.error_rate
+            ));
         }
-        if failed {
-            std::process::exit(1);
+        // Timing on shared CI runners is noisy; the guard only catches
+        // a real regression (geometric path materially slower than the
+        // per-draw path it replaced).
+        if p.speedup() < 0.9 {
+            run.fail(format!(
+                "er={} hot path slower than legacy ({:.0} vs {:.0} q/s)",
+                p.error_rate, p.after_qps, p.before_qps
+            ));
         }
-        println!("check passed: hot path >= legacy at every error rate, outputs thread-invariant");
     }
+    run.compare_serial(&doc, perf::WALL_CLOCK, |serial| render(&measure(serial), 1));
+    run.finish("hot path >= legacy at every error rate, outputs thread-invariant");
 }

@@ -7,63 +7,34 @@
 //! threaded chaos replay is not bit-identical to the serial one (verdicts,
 //! per-batch health transitions, and timing-stripped telemetry), if the
 //! scripted chaos failed to crash anything, if any query was dropped, if
-//! the pool did not end the run serving, or if the largest pool's
+//! the pool did not end the run serving, if the largest pool's
 //! threaded-vs-serial scaling falls below the regression floor
-//! (`--scaling-floor`, default 1.5, clamped to what the host's core count
-//! can physically deliver) — that mode is what CI runs (with `--fast`) as
-//! the chaos smoke test.
+//! (`serve::CHAOS_SCALING_FLOOR`, 1.5, clamped to what the host's core
+//! count can physically deliver), or if a serial rerun of the sweep renders
+//! a different document outside its wall-clock fields — that mode is what
+//! CI runs (with `--fast`) as the chaos smoke test.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{chaos, serve, setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::serve::CHAOS_SCALING_FLOOR;
+use hmd_bench::{chaos, serve, setup, table};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_4.json");
-    let mut configured_floor = 1.5_f64;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--scaling-floor" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v > 0.0 => configured_floor = v,
-                _ => {
-                    eprintln!("error: --scaling-floor needs a positive number");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "flags: --seed N  --threads N  --paper  --fast  --check  \
-                 --scaling-floor X  --out PATH"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, batch_size) = match args.scale {
-        Scale::Fast => ("fast", 1024),
-        Scale::Medium => ("medium", 2048),
-        Scale::Paper => ("paper", 4096),
-    };
+    let mut run = BenchRun::from_env("BENCH_4.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let batch_size = args.scale.pick(1024, 2048, 4096);
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
 
-    let points = chaos::measure_sweep(&baseline, &dataset, args.seed, batch_size, &exec);
+    let floor = serve::effective_scaling_floor(CHAOS_SCALING_FLOOR, exec.thread_count());
+    let measure =
+        |exec: &ExecConfig| chaos::measure_sweep(&baseline, &dataset, args.seed, batch_size, exec);
+    let render = |points: &[chaos::ChaosPoint], threads: usize| {
+        chaos::render_json(points, args.seed, scale_name, threads, floor)
+    };
+    let points = measure(&exec);
     let total_batches = chaos::CHAOS_HORIZON + chaos::CHAOS_TAIL;
 
     table::title(&format!(
@@ -88,75 +59,63 @@ fn main() {
             format!("{}", p.rejected),
             format!("{}/{}", p.healthy_at_end, p.shards),
             format!("{:.2}x", p.scaling()),
-            if p.thread_invariant { "yes" } else { "NO" }.into(),
+            table::verdict(p.thread_invariant, "yes", "NO"),
         ]);
     }
     println!("(same seeds, same chaos schedule; only the worker pool differs between replays)");
 
-    let floor = serve::effective_scaling_floor(configured_floor, exec.thread_count());
-    let doc = chaos::render_json(&points, args.seed, scale_name, exec.thread_count(), floor);
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let doc = render(&points, exec.thread_count());
+    run.write(&doc);
+    let expected_queries = (total_batches as usize) * batch_size;
+    for p in &points {
+        if !p.thread_invariant {
+            run.fail(format!(
+                "{} shards: threaded chaos replay diverged from serial",
+                p.shards
+            ));
+        }
+        if p.crashes == 0 {
+            run.fail(format!(
+                "{} shards: scripted chaos crashed nothing",
+                p.shards
+            ));
+        }
+        if p.queries != expected_queries {
+            run.fail(format!(
+                "{} shards: {} of {expected_queries} queries processed",
+                p.shards, p.queries
+            ));
+        }
+        if p.rejected != total_batches {
+            run.fail(format!(
+                "{} shards: {} of {total_batches} poison queries rejected",
+                p.shards, p.rejected
+            ));
+        }
+        if p.healthy_at_end + p.degraded_at_end == 0 {
+            run.fail(format!("{} shards: pool ended the run dark", p.shards));
+        }
     }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        let expected_queries = (total_batches as usize) * batch_size;
-        for p in &points {
-            if !p.thread_invariant {
-                eprintln!(
-                    "FAIL: {} shards: threaded chaos replay diverged from serial",
-                    p.shards
-                );
-                failed = true;
-            }
-            if p.crashes == 0 {
-                eprintln!("FAIL: {} shards: scripted chaos crashed nothing", p.shards);
-                failed = true;
-            }
-            if p.queries != expected_queries {
-                eprintln!(
-                    "FAIL: {} shards: {} of {expected_queries} queries processed",
-                    p.shards, p.queries
-                );
-                failed = true;
-            }
-            if p.rejected != total_batches {
-                eprintln!(
-                    "FAIL: {} shards: {} of {total_batches} poison queries rejected",
-                    p.shards, p.rejected
-                );
-                failed = true;
-            }
-            if p.healthy_at_end + p.degraded_at_end == 0 {
-                eprintln!("FAIL: {} shards: pool ended the run dark", p.shards);
-                failed = true;
-            }
+    // Scaling-regression gate on the largest pool, hardware-clamped like
+    // serve_bench's.
+    if let Some(p) = points.last() {
+        if exec.thread_count() > 1 && p.scaling() < floor {
+            run.fail(format!(
+                "{} shards: scaling {:.2}x below floor {:.2}x \
+                 (configured {:.2}x, {} hardware threads)",
+                p.shards,
+                p.scaling(),
+                floor,
+                CHAOS_SCALING_FLOOR,
+                serve::hardware_threads(),
+            ));
         }
-        // Scaling-regression gate on the largest pool, hardware-clamped
-        // like serve_bench's.
-        if let Some(p) = points.last() {
-            if exec.thread_count() > 1 && p.scaling() < floor {
-                eprintln!(
-                    "FAIL: {} shards: scaling {:.2}x below floor {:.2}x \
-                     (configured {:.2}x, {} hardware threads)",
-                    p.shards,
-                    p.scaling(),
-                    floor,
-                    configured_floor,
-                    serve::hardware_threads(),
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: chaos replay thread-invariant at every pool size, \
-             poison contained, pool serving at end, scaling above {floor:.2}x"
-        );
     }
+    run.compare_serial(&doc, chaos::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish(&format!(
+        "chaos replay thread-invariant at every pool size, poison contained, \
+         pool serving at end, scaling above {floor:.2}x"
+    ));
 }

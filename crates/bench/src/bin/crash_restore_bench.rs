@@ -5,65 +5,44 @@
 //! serially and onto a worker pool.
 //!
 //! Writes `BENCH_5.json` (override with `--out PATH`) and prints the same
-//! numbers as a table. `--cadence N` sets the checkpoint cadence in
-//! batches (default 8). `--check` exits non-zero if any kill point's
-//! restore diverges from the reference or from its journaled commits —
-//! that mode is what CI runs (with `--fast`) as the durability smoke test.
+//! numbers as a table; the journal checkpoints every
+//! `durability::DEFAULT_CADENCE` batches. `--check` exits non-zero if any
+//! kill point's restore diverges from the reference or from its journaled
+//! commits, or if a serial rerun of the sweep renders a different
+//! document — that mode is what CI runs (with `--fast`) as the durability
+//! smoke test.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{durability, setup, table, Args};
+use hmd_bench::durability::{self, DEFAULT_CADENCE};
+use hmd_bench::report::BenchRun;
+use hmd_bench::{setup, table};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_5.json");
-    let mut cadence = durability::DEFAULT_CADENCE;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--cadence" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) if v >= 1 => cadence = v,
-                _ => {
-                    eprintln!("error: --cadence needs a positive batch count");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "flags: --seed N  --threads N  --paper  --fast  --cadence N  --check  --out PATH"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, batch_size) = match args.scale {
-        Scale::Fast => ("fast", 8),
-        Scale::Medium => ("medium", 32),
-        Scale::Paper => ("paper", 128),
-    };
+    let mut run = BenchRun::from_env("BENCH_5.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let batch_size = args.scale.pick(8, 32, 128);
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
 
-    let points =
-        durability::measure_sweep(&baseline, &dataset, args.seed, batch_size, cadence, &exec);
+    let measure = |exec: &ExecConfig| {
+        durability::measure_sweep(
+            &baseline,
+            &dataset,
+            args.seed,
+            batch_size,
+            DEFAULT_CADENCE,
+            exec,
+        )
+    };
+    let render = |points: &[durability::DurabilityPoint], threads: usize| {
+        durability::render_json(points, args.seed, scale_name, threads)
+    };
+    let points = measure(&exec);
 
     table::title(&format!(
-        "Crash/restore durability, {} shards, checkpoint every {cadence} batches ({scale_name})",
+        "Crash/restore durability, {} shards, checkpoint every {DEFAULT_CADENCE} batches ({scale_name})",
         durability::DURABILITY_SHARDS
     ));
     table::header(&[
@@ -79,69 +58,46 @@ fn main() {
     for p in &points {
         table::row(&[
             format!("{}", p.kill_batch),
-            if p.torn_tail { "yes" } else { "no" }.into(),
+            table::verdict(p.torn_tail, "yes", "no"),
             format!("{}", p.resume_batch),
             format!("{}", p.commits_recovered),
             format!("{}", p.replayed_batches),
-            if p.commits_match { "yes" } else { "NO" }.into(),
-            if p.serial_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-            .into(),
-            if p.threaded_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-            .into(),
+            table::verdict(p.commits_match, "yes", "NO"),
+            table::verdict(p.serial_identical, "identical", "DIVERGED"),
+            table::verdict(p.threaded_identical, "identical", "DIVERGED"),
         ]);
     }
     println!("(same seed, same chaos schedule; the only difference is dying and coming back)");
 
-    let doc = durability::render_json(&points, args.seed, scale_name, exec.thread_count());
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let doc = render(&points, exec.thread_count());
+    run.write(&doc);
+    for p in &points {
+        if !p.commits_match {
+            run.fail(format!(
+                "kill at {}: replay disagreed with journaled commits",
+                p.kill_batch
+            ));
+        }
+        if !p.serial_identical {
+            run.fail(format!(
+                "kill at {}: serial restore diverged from the reference",
+                p.kill_batch
+            ));
+        }
+        if !p.threaded_identical {
+            run.fail(format!(
+                "kill at {}: threaded restore diverged from the reference",
+                p.kill_batch
+            ));
+        }
     }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        for p in &points {
-            if !p.commits_match {
-                eprintln!(
-                    "FAIL: kill at {}: replay disagreed with journaled commits",
-                    p.kill_batch
-                );
-                failed = true;
-            }
-            if !p.serial_identical {
-                eprintln!(
-                    "FAIL: kill at {}: serial restore diverged from the reference",
-                    p.kill_batch
-                );
-                failed = true;
-            }
-            if !p.threaded_identical {
-                eprintln!(
-                    "FAIL: kill at {}: threaded restore diverged from the reference",
-                    p.kill_batch
-                );
-                failed = true;
-            }
-        }
-        if !points.iter().any(|p| p.torn_tail && p.torn_bytes > 0) {
-            eprintln!("FAIL: no kill point exercised a torn journal tail");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: every kill point restored bit-identically, serial and threaded, \
-             torn tails discarded"
-        );
+    if !points.iter().any(|p| p.torn_tail && p.torn_bytes > 0) {
+        run.fail("no kill point exercised a torn journal tail");
     }
+    run.compare_serial(&doc, durability::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish(
+        "every kill point restored bit-identically, serial and threaded, torn tails discarded",
+    );
 }

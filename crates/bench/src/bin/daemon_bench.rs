@@ -7,50 +7,29 @@
 //!
 //! Writes `BENCH_8.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any invariant fails —
-//! that mode is what CI runs (with `--fast`) as the daemon smoke test;
-//! CI also diffs serial vs 8-thread JSON with `threads`/`timing`
-//! stripped, so everything else in the document must be bit-identical.
+//! that mode is what CI runs (with `--fast`) as the daemon smoke test. It
+//! also re-runs the measurement serially and compares the documents with
+//! `threads`/`timing` skipped, so everything else must be bit-identical.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{daemon, setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::{daemon, setup, table};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_8.json");
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("flags: --seed N  --threads N  --paper  --fast  --check  --out PATH");
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, batch_size) = match args.scale {
-        Scale::Fast => ("fast", 8),
-        Scale::Medium => ("medium", 32),
-        Scale::Paper => ("paper", 128),
-    };
+    let mut run = BenchRun::from_env("BENCH_8.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let batch_size = args.scale.pick(8, 32, 128);
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
 
-    let report = daemon::measure(&baseline, &dataset, args.seed, batch_size, &exec);
+    let measure =
+        |exec: &ExecConfig| daemon::measure(&baseline, &dataset, args.seed, batch_size, exec);
+    let render = |report: &daemon::DaemonBenchReport, threads: usize| {
+        daemon::render_json(report, args.seed, scale_name, threads)
+    };
+    let report = measure(&exec);
 
     table::title(&format!(
         "Monitoring daemon, {} shards, rolling upgrade mid-stream ({scale_name})",
@@ -68,11 +47,11 @@ fn main() {
             "{} offered / {} admitted",
             report.overload.stats.offered_frames, report.overload.stats.admitted_frames
         ),
-        if report.overload.conserved && report.overload.predicted {
-            "exact".into()
-        } else {
-            "DIVERGED".into()
-        },
+        table::verdict(
+            report.overload.conserved && report.overload.predicted,
+            "exact",
+            "DIVERGED",
+        ),
     ]);
     for (name, p) in [
         ("upgrade (serial)", &report.upgrade_serial),
@@ -84,11 +63,7 @@ fn main() {
                 "drain {} batches, gap {} rejects, handoff {} B",
                 p.drained_batches, p.drain_rejects, p.handoff_bytes
             ),
-            if p.identical {
-                "identical".into()
-            } else {
-                "DIVERGED".into()
-            },
+            table::verdict(p.identical, "identical", "DIVERGED"),
         ]);
     }
     table::row(&[
@@ -101,48 +76,34 @@ fn main() {
     ]);
     println!("(the upgrade drains, checkpoints, hands off, and the successor proves checksum identity before serving)");
 
-    let doc = daemon::render_json(&report, args.seed, scale_name, exec.thread_count());
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let doc = render(&report, exec.thread_count());
+    run.write(&doc);
+    if !report.overload.conserved {
+        run.fail("admission accounting broke conservation");
     }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        if !report.overload.conserved {
-            eprintln!("FAIL: admission accounting broke conservation");
-            failed = true;
-        }
-        if !report.overload.predicted {
-            eprintln!("FAIL: admission counters diverged from their predicted values");
-            failed = true;
-        }
-        if !report.upgrade_serial.identical {
-            eprintln!("FAIL: serial upgrade lost queries or diverged from the reference");
-            failed = true;
-        }
-        if !report.upgrade_threaded.identical {
-            eprintln!("FAIL: worker-pool upgrade lost queries or diverged from the reference");
-            failed = true;
-        }
-        if report.upgrade_serial.checksum != report.upgrade_threaded.checksum {
-            eprintln!("FAIL: serial and pooled upgrades disagree");
-            failed = true;
-        }
-        if report.hostile.survivors != 0 {
-            eprintln!(
-                "FAIL: {} hostile inputs decoded as valid frames",
-                report.hostile.survivors
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: accounting exact, upgrade lossless and bit-identical at every \
-             thread count, hostile corpus fully rejected"
-        );
+    if !report.overload.predicted {
+        run.fail("admission counters diverged from their predicted values");
     }
+    if !report.upgrade_serial.identical {
+        run.fail("serial upgrade lost queries or diverged from the reference");
+    }
+    if !report.upgrade_threaded.identical {
+        run.fail("worker-pool upgrade lost queries or diverged from the reference");
+    }
+    if report.upgrade_serial.checksum != report.upgrade_threaded.checksum {
+        run.fail("serial and pooled upgrades disagree");
+    }
+    if report.hostile.survivors != 0 {
+        run.fail(format!(
+            "{} hostile inputs decoded as valid frames",
+            report.hostile.survivors
+        ));
+    }
+    run.compare_serial(&doc, daemon::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish(
+        "accounting exact, upgrade lossless and bit-identical at every \
+         thread count, hostile corpus fully rejected",
+    );
 }

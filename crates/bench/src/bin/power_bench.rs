@@ -9,45 +9,20 @@
 //! against RHMD, if the Figure 7 voltage-axis endpoint drops to 75% or
 //! below, if the scheduled pool exceeds its measured budget, freezes a
 //! shard, diverges across thread counts, or loses budget state through
-//! a mid-stream checkpoint/restore — that mode is what CI runs (with
+//! a mid-stream checkpoint/restore, or if a serial rerun of the pool
+//! renders a different document — that mode is what CI runs (with
 //! `--fast`) as the power smoke test.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{power, setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::{power, setup, table};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_7.json");
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("flags: --seed N  --threads N  --paper  --fast  --check  --out PATH");
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, batch_size) = match args.scale {
-        Scale::Fast => ("fast", 64),
-        Scale::Medium => ("medium", 256),
-        Scale::Paper => ("paper", 1024),
-    };
+    let mut run = BenchRun::from_env("BENCH_7.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let batch_size = args.scale.pick(64, 256, 1024);
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let device = DeviceProfile::reference();
@@ -98,7 +73,15 @@ fn main() {
         limit.vdd
     );
 
-    let service = power::measure_service(&baseline, &dataset, args.seed, batch_size, &exec);
+    // The Pareto sweep takes no worker pool; only the budgeted pool is
+    // measured again serially.
+    let measure = |exec: &ExecConfig| {
+        power::measure_service(&baseline, &dataset, args.seed, batch_size, exec)
+    };
+    let render = |service: &power::ServiceRun, threads: usize| {
+        power::render_json(&points, limit, service, args.seed, scale_name, threads)
+    };
+    let service = measure(&exec);
     table::title(&format!(
         "Budgeted pool, {} shards x {} batches x {batch_size} queries",
         service.shards, service.batches
@@ -122,104 +105,71 @@ fn main() {
         format!("{:.3}", service.total_energy_uj / 1000.0),
         format!("{:.2}", service.max_target_er),
         format!("{}", service.crashes),
-        if service.thread_invariant {
-            "yes"
-        } else {
-            "NO"
-        }
-        .into(),
-        if service.restore_invariant {
-            "yes"
-        } else {
-            "NO"
-        }
-        .into(),
+        table::verdict(service.thread_invariant, "yes", "NO"),
+        table::verdict(service.restore_invariant, "yes", "NO"),
     ]);
     println!("(budget measured mid-window between the pool's unpressured draw and its band cap)");
 
-    let doc = power::render_json(
-        &points,
-        limit,
-        &service,
-        args.seed,
-        scale_name,
-        exec.thread_count(),
+    let doc = render(&service, exec.thread_count());
+    run.write(&doc);
+    let selected: Vec<&power::OperatingPoint> = points
+        .iter()
+        .filter(|p| p.target_er == hmd_bench::setup::OPERATING_ERROR_RATE)
+        .collect();
+    for p in &selected {
+        if !(0.10..=0.22).contains(&p.package_saving_vs_baseline) {
+            run.fail(format!(
+                "selected operating point saves {:.1}% package power, \
+                 outside the paper's ~15% band (10–22%)",
+                100.0 * p.package_saving_vs_baseline
+            ));
+            break;
+        }
+    }
+    if selected.is_empty() {
+        run.fail("sweep omitted the selected operating point");
+    }
+    // Deepening the undervolt must never cost core power vs RHMD:
+    // the curve rows are ordered shallow-to-deep per temperature.
+    let rhmd_savings: Vec<f64> = points
+        .iter()
+        .filter(|p| (p.temp_c - DeviceProfile::reference().temp_c).abs() < f64::EPSILON)
+        .map(|p| p.core_saving_vs_rhmd)
+        .collect();
+    let sorted = rhmd_savings.windows(2).all(|w| w[1] >= w[0] - 1e-12);
+    if !sorted {
+        run.fail("core saving vs RHMD is not monotone in undervolt depth");
+    }
+    if limit.core_saving_vs_rhmd <= 0.75 {
+        run.fail(format!(
+            "Fig. 7 endpoint saves {:.1}% over RHMD, claim needs >75%",
+            100.0 * limit.core_saving_vs_rhmd
+        ));
+    }
+    if service.projected_w > service.budget_w + 1e-9 {
+        run.fail(format!(
+            "pool projects {:.3} W over its {:.3} W budget",
+            service.projected_w, service.budget_w
+        ));
+    }
+    if service.crashes != 0 {
+        run.fail(format!(
+            "{} shard crashes — the floor clamp let the scheduler freeze a die",
+            service.crashes
+        ));
+    }
+    if !service.thread_invariant {
+        run.fail("budgeted replay diverged between serial and threaded runs");
+    }
+    if !service.restore_invariant {
+        run.fail("budget state did not survive checkpoint/restore bit-identically");
+    }
+    run.compare_serial(&doc, power::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish(
+        "~15% package saving at the operating point, >75% over RHMD \
+         at the Fig. 7 limit, budget held with zero freezes, replay thread-invariant, \
+         restore bit-identical",
     );
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        let selected: Vec<&power::OperatingPoint> = points
-            .iter()
-            .filter(|p| p.target_er == hmd_bench::setup::OPERATING_ERROR_RATE)
-            .collect();
-        for p in &selected {
-            if !(0.10..=0.22).contains(&p.package_saving_vs_baseline) {
-                eprintln!(
-                    "FAIL: selected operating point saves {:.1}% package power, \
-                     outside the paper's ~15% band (10–22%)",
-                    100.0 * p.package_saving_vs_baseline
-                );
-                failed = true;
-                break;
-            }
-        }
-        if selected.is_empty() {
-            eprintln!("FAIL: sweep omitted the selected operating point");
-            failed = true;
-        }
-        // Deepening the undervolt must never cost core power vs RHMD:
-        // the curve rows are ordered shallow-to-deep per temperature.
-        let rhmd_savings: Vec<f64> = points
-            .iter()
-            .filter(|p| (p.temp_c - DeviceProfile::reference().temp_c).abs() < f64::EPSILON)
-            .map(|p| p.core_saving_vs_rhmd)
-            .collect();
-        let sorted = rhmd_savings.windows(2).all(|w| w[1] >= w[0] - 1e-12);
-        if !sorted {
-            eprintln!("FAIL: core saving vs RHMD is not monotone in undervolt depth");
-            failed = true;
-        }
-        if limit.core_saving_vs_rhmd <= 0.75 {
-            eprintln!(
-                "FAIL: Fig. 7 endpoint saves {:.1}% over RHMD, claim needs >75%",
-                100.0 * limit.core_saving_vs_rhmd
-            );
-            failed = true;
-        }
-        if service.projected_w > service.budget_w + 1e-9 {
-            eprintln!(
-                "FAIL: pool projects {:.3} W over its {:.3} W budget",
-                service.projected_w, service.budget_w
-            );
-            failed = true;
-        }
-        if service.crashes != 0 {
-            eprintln!(
-                "FAIL: {} shard crashes — the floor clamp let the scheduler freeze a die",
-                service.crashes
-            );
-            failed = true;
-        }
-        if !service.thread_invariant {
-            eprintln!("FAIL: budgeted replay diverged between serial and threaded runs");
-            failed = true;
-        }
-        if !service.restore_invariant {
-            eprintln!("FAIL: budget state did not survive checkpoint/restore bit-identically");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: ~15% package saving at the operating point, >75% over RHMD \
-             at the Fig. 7 limit, budget held with zero freezes, replay thread-invariant, \
-             restore bit-identical"
-        );
-    }
 }

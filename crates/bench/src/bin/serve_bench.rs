@@ -6,66 +6,39 @@
 //! numbers as a table. `--check` exits non-zero if any pool size's
 //! threaded replay is not bit-identical to the serial one (verdict
 //! checksum *and* timing-stripped telemetry), if any shard degraded at
-//! the paper's er = 0.1 operating point, or if the largest pool's
+//! the paper's er = 0.1 operating point, if the largest pool's
 //! threaded-vs-serial scaling falls below the regression floor
-//! (`--scaling-floor`, default 2.0, clamped to what the host's core count
-//! can physically deliver — see `serve::effective_scaling_floor`) — that
-//! mode is what CI runs (with `--fast`) as a serving smoke test, so a
-//! relapse of the inverted-scaling bug fails the build.
+//! (`serve::SERVE_SCALING_FLOOR`, 2.0, clamped to what the host's core
+//! count can physically deliver — see `serve::effective_scaling_floor`),
+//! or if a serial rerun of the sweep renders a different document outside
+//! its wall-clock fields — that mode is what CI runs (with `--fast`) as a
+//! serving smoke test, so a relapse of the inverted-scaling bug fails the
+//! build.
 
-use hmd_bench::cli::Scale;
-use hmd_bench::{serve, setup, table, Args};
+use hmd_bench::report::BenchRun;
+use hmd_bench::serve::SERVE_SCALING_FLOOR;
+use hmd_bench::{serve, setup, table};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
+use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("BENCH_3.json");
-    let mut configured_floor = 2.0_f64;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = v,
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--scaling-floor" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v > 0.0 => configured_floor = v,
-                _ => {
-                    eprintln!("error: --scaling-floor needs a positive number");
-                    std::process::exit(2);
-                }
-            },
-            _ => rest.push(flag),
-        }
-    }
-    let args = match Args::try_from_iter(rest) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "flags: --seed N  --threads N  --paper  --fast  --check  \
-                 --scaling-floor X  --out PATH"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    let (scale_name, queries) = match args.scale {
-        Scale::Fast => ("fast", 2_000),
-        Scale::Medium => ("medium", 20_000),
-        Scale::Paper => ("paper", 100_000),
-    };
+    let mut run = BenchRun::from_env("BENCH_3.json");
+    let args = run.args;
+    let scale_name = args.scale.name();
+    let queries = args.scale.pick(2_000, 20_000, 100_000);
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let curve = Calibrator::new().calibrate(&DeviceProfile::reference());
     let exec = args.exec();
 
-    let points = serve::measure_sweep(&baseline, &curve, &dataset, args.seed, queries, &exec);
+    let floor = serve::effective_scaling_floor(SERVE_SCALING_FLOOR, exec.thread_count());
+    let measure = |exec: &ExecConfig| {
+        serve::measure_sweep(&baseline, &curve, &dataset, args.seed, queries, exec)
+    };
+    let render = |points: &[serve::ServePoint], threads: usize| {
+        serve::render_json(points, args.seed, scale_name, threads, floor)
+    };
+    let points = measure(&exec);
 
     table::title(&format!(
         "Monitoring service throughput, {queries} queries/pool ({scale_name})"
@@ -85,59 +58,46 @@ fn main() {
             format!("{:.0}", p.threaded_qps),
             format!("{:.2}x", p.scaling()),
             format!("{}", p.degraded_shards),
-            if p.thread_invariant { "yes" } else { "NO" }.into(),
+            table::verdict(p.thread_invariant, "yes", "NO"),
         ]);
     }
     println!("(same stream, same seeds; only the worker pool differs between the two replays)");
 
-    let floor = serve::effective_scaling_floor(configured_floor, exec.thread_count());
-    let doc = serve::render_json(&points, args.seed, scale_name, exec.thread_count(), floor);
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
+    let doc = render(&points, exec.thread_count());
+    run.write(&doc);
+    for p in &points {
+        if !p.thread_invariant {
+            run.fail(format!(
+                "{} shards: threaded replay diverged from serial",
+                p.shards
+            ));
+        }
+        if p.degraded_shards != 0 {
+            run.fail(format!(
+                "{} shards: {} degraded at the reachable er = 0.1 target",
+                p.shards, p.degraded_shards
+            ));
+        }
     }
-    println!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        for p in &points {
-            if !p.thread_invariant {
-                eprintln!(
-                    "FAIL: {} shards: threaded replay diverged from serial",
-                    p.shards
-                );
-                failed = true;
-            }
-            if p.degraded_shards != 0 {
-                eprintln!(
-                    "FAIL: {} shards: {} degraded at the reachable er = 0.1 target",
-                    p.shards, p.degraded_shards
-                );
-                failed = true;
-            }
+    // Scaling-regression gate on the largest pool: the configured floor,
+    // clamped to what this host's core count can deliver.
+    if let Some(p) = points.last() {
+        if exec.thread_count() > 1 && p.scaling() < floor {
+            run.fail(format!(
+                "{} shards: scaling {:.2}x below floor {:.2}x \
+                 (configured {:.2}x, {} hardware threads)",
+                p.shards,
+                p.scaling(),
+                floor,
+                SERVE_SCALING_FLOOR,
+                serve::hardware_threads(),
+            ));
         }
-        // Scaling-regression gate on the largest pool: the configured
-        // floor, clamped to what this host's core count can deliver.
-        if let Some(p) = points.last() {
-            if exec.thread_count() > 1 && p.scaling() < floor {
-                eprintln!(
-                    "FAIL: {} shards: scaling {:.2}x below floor {:.2}x \
-                     (configured {:.2}x, {} hardware threads)",
-                    p.shards,
-                    p.scaling(),
-                    floor,
-                    configured_floor,
-                    serve::hardware_threads(),
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "check passed: thread-invariant at every pool size, no degradation, \
-             scaling above {floor:.2}x"
-        );
     }
+    run.compare_serial(&doc, serve::WALL_CLOCK, |serial| {
+        render(&measure(serial), 1)
+    });
+    run.finish(&format!(
+        "thread-invariant at every pool size, no degradation, scaling above {floor:.2}x"
+    ));
 }

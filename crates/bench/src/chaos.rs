@@ -19,6 +19,7 @@ use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::Dataset;
 use std::time::Instant;
 use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::json::Num;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::supervisor::{ChaosPlan, ShardHealth, SupervisorConfig};
 use stochastic_hmd::telemetry::TelemetrySnapshot;
@@ -200,9 +201,16 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The wall-clock paths of `BENCH_4.json` (see [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[
+    ".results[].serial_qps",
+    ".results[].threaded_qps",
+    ".results[].scaling",
+];
+
 /// Renders the sweep as the hand-built JSON written to `BENCH_4.json`
-/// (the vendored `serde` is a no-op shim; checksums are decimal strings
-/// because they exceed 2^53).
+/// (the vendored `serde` is a no-op shim; floats go through [`Num`], and
+/// checksums are decimal strings because they exceed 2^53).
 pub fn render_json(
     points: &[ChaosPoint],
     seed: u64,
@@ -221,7 +229,10 @@ pub fn render_json(
         "  \"hardware_threads\": {},\n",
         crate::serve::hardware_threads()
     ));
-    out.push_str(&format!("  \"scaling_floor\": {scaling_floor:.3},\n"));
+    out.push_str(&format!(
+        "  \"scaling_floor\": {:.3},\n",
+        Num(scaling_floor)
+    ));
     out.push_str(&format!(
         "  \"schedule\": \"{} chaos batches + {} clean, seeded crashes and a cold spike, \
          one poison query per batch, supervision every {} batches\",\n",
@@ -237,9 +248,9 @@ pub fn render_json(
              \"healthy_at_end\": {}, \"degraded_at_end\": {}}}{}\n",
             p.shards,
             p.queries,
-            p.serial_qps,
-            p.threaded_qps,
-            p.scaling(),
+            Num(p.serial_qps),
+            Num(p.threaded_qps),
+            Num(p.scaling()),
             p.checksum,
             p.thread_invariant,
             p.crashes,
@@ -326,5 +337,6 @@ mod tests {
         assert!(doc.contains("\"scaling_floor\": 1.500"));
         assert!(doc.contains("\"hardware_threads\": "));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }
 }

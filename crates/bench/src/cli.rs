@@ -2,7 +2,7 @@
 
 use stochastic_hmd::exec::ExecConfig;
 
-const USAGE: &str = "flags: --seed N  --reps N  --threads N  --paper  --fast";
+pub(crate) const USAGE: &str = "flags: --seed N  --reps N  --threads N  --paper  --fast";
 
 /// Dataset scale selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -13,6 +13,22 @@ pub enum Scale {
     Medium,
     /// The paper's full 3 000 + 600 dataset.
     Paper,
+}
+
+impl Scale {
+    /// The scale's name as bench documents record it.
+    pub fn name(self) -> &'static str {
+        self.pick("fast", "medium", "paper")
+    }
+
+    /// The value of `fast`, `medium` or `paper` for this scale.
+    pub fn pick<T>(self, fast: T, medium: T, paper: T) -> T {
+        match self {
+            Scale::Fast => fast,
+            Scale::Medium => medium,
+            Scale::Paper => paper,
+        }
+    }
 }
 
 /// Parsed command-line arguments.
@@ -150,6 +166,13 @@ mod tests {
         let a = parse(&[]);
         assert_eq!(a.threads, None);
         assert!(a.exec().thread_count() >= 1);
+    }
+
+    #[test]
+    fn scale_names_and_picks() {
+        assert_eq!(Scale::Fast.name(), "fast");
+        assert_eq!(Scale::Medium.name(), "medium");
+        assert_eq!(Scale::Paper.pick(1, 2, 3), 3);
     }
 
     #[test]

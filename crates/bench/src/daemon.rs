@@ -26,6 +26,7 @@
 use crate::chaos;
 use shmd_workload::dataset::Dataset;
 use std::time::Instant;
+use stochastic_hmd::json::Num;
 use stochastic_hmd::{
     decode_frame, encode_frame, AdmissionConfig, AdmissionStats, BaselineHmd, Daemon, ExecConfig,
     Frame, MonitoringService, RejectCode, ServeConfig, StateJournal, TempJournal,
@@ -547,10 +548,14 @@ fn upgrade_json(p: &UpgradePoint) -> String {
     )
 }
 
+/// `BENCH_8.json` has no wall-clock fields outside `timing` (see
+/// [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[];
+
 /// Renders the report as the hand-built JSON written to `BENCH_8.json`
 /// (checksums as decimal strings: they exceed 2^53). Everything outside
-/// `threads` and `timing` is deterministic at any thread count — CI
-/// diffs two runs with those keys stripped.
+/// `threads` and `timing` is deterministic at any thread count, which
+/// `daemon_bench --check` verifies against a serial rerun.
 pub fn render_json(r: &DaemonBenchReport, seed: u64, scale: &str, threads: usize) -> String {
     let s = &r.overload.stats;
     let mut out = String::new();
@@ -594,7 +599,9 @@ pub fn render_json(r: &DaemonBenchReport, seed: u64, scale: &str, threads: usize
     ));
     out.push_str(&format!(
         "  \"timing\": {{\"queries\": {}, \"elapsed_ms\": {:.3}, \"qps\": {:.1}}}\n",
-        r.throughput.queries, r.throughput.elapsed_ms, r.throughput.qps
+        r.throughput.queries,
+        Num(r.throughput.elapsed_ms),
+        Num(r.throughput.qps)
     ));
     out.push_str("}\n");
     out
@@ -664,5 +671,6 @@ mod tests {
         assert!(doc.contains("\"survivors\": 0"));
         assert!(doc.contains("\"predicted\": true"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }
 }

@@ -35,7 +35,7 @@ use stochastic_hmd::BaselineHmd;
 /// already sweeps pool sizes.
 pub const DURABILITY_SHARDS: usize = 4;
 
-/// Default checkpoint cadence, in batches.
+/// Checkpoint cadence of the durability sweep, in batches.
 pub const DEFAULT_CADENCE: u64 = 8;
 
 /// Bytes sliced off the journal tail to simulate a kill mid-append: small
@@ -308,6 +308,9 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// `BENCH_5.json` has no wall-clock fields (see [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[];
+
 /// Renders the sweep as the hand-built JSON written to `BENCH_5.json`
 /// (checksums as decimal strings: they exceed 2^53).
 pub fn render_json(points: &[DurabilityPoint], seed: u64, scale: &str, threads: usize) -> String {
@@ -446,5 +449,6 @@ mod tests {
         assert!(doc.contains("\"checksum\": \"18446744073709551615\""));
         assert!(doc.contains("\"serial_identical\": true"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }
 }

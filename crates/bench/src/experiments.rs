@@ -15,7 +15,6 @@ use shmd_volt::fault::{FaultInjector, FaultModel, FaultStats};
 use shmd_volt::multiplier::MultiplierTimingModel;
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::dataset::Dataset;
-use shmd_workload::features::FeatureSpec;
 use stochastic_hmd::exec::{derive_seed, parallel_map_n};
 use stochastic_hmd::rhmd::{Rhmd, RhmdConstruction};
 use stochastic_hmd::stochastic::StochasticHmd;
@@ -322,11 +321,6 @@ pub fn tradeoff_sweep(dataset: &Dataset, args: &Args, er_grid: &[f64]) -> Vec<Tr
 
 /// The er values Figure 2(b) plots confidence distributions for.
 pub const FIG2B_ERROR_RATES: [f64; 3] = [0.1, 0.5, 1.0];
-
-/// The frequency feature spec used throughout the figures.
-pub fn primary_spec() -> FeatureSpec {
-    FeatureSpec::frequency()
-}
 
 #[cfg(test)]
 mod tests {

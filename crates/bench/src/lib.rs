@@ -13,6 +13,8 @@
 //! --paper       full paper-scale dataset (3000 malware + 600 benign)
 //! --fast        tiny dataset for smoke runs
 //! ```
+//!
+//! The `*_bench` binaries add `--check` and `--out PATH` ([`report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ pub mod durability;
 pub mod experiments;
 pub mod perf;
 pub mod power;
+pub mod report;
 pub mod serve;
 pub mod setup;
 pub mod table;

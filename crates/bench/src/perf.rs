@@ -20,6 +20,7 @@ use shmd_ann::network::{InferenceScratch, QuantizedNetwork};
 use shmd_volt::fault::{FaultInjector, FaultModel, PerDrawInjector};
 use std::time::Instant;
 use stochastic_hmd::exec::{derive_seed, parallel_map_n, ExecConfig};
+use stochastic_hmd::json::Num;
 
 /// Error rates the throughput benchmark sweeps: the exact datapath, two
 /// practical operating points around the paper's selected er = 0.1, and a
@@ -178,11 +179,19 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The wall-clock paths of `BENCH_2.json` (see [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[
+    ".results[].before_qps",
+    ".results[].after_qps",
+    ".results[].speedup",
+    ".results[].threaded_qps",
+];
+
 /// Renders the sweep as the hand-built JSON written to `BENCH_2.json`.
 ///
 /// The vendored `serde` is a no-op shim, so the document is formatted
-/// here; all fields are plain numbers/booleans and the checksums are
-/// decimal strings to stay integer-exact in any reader.
+/// here; floats go through [`Num`] and the checksums are decimal
+/// strings to stay integer-exact in any reader.
 pub fn render_json(
     points: &[ThroughputPoint],
     seed: u64,
@@ -206,12 +215,12 @@ pub fn render_json(
             "    {{\"error_rate\": {}, \"queries\": {}, \"before_qps\": {:.1}, \
              \"after_qps\": {:.1}, \"speedup\": {:.3}, \"threaded_qps\": {:.1}, \
              \"checksum\": \"{}\", \"thread_invariant\": {}}}{}\n",
-            p.error_rate,
+            Num(p.error_rate),
             p.queries,
-            p.before_qps,
-            p.after_qps,
-            p.speedup(),
-            p.threaded_qps,
+            Num(p.before_qps),
+            Num(p.after_qps),
+            Num(p.speedup()),
+            Num(p.threaded_qps),
             p.checksum,
             p.thread_invariant,
             if i + 1 == points.len() { "" } else { "," },
@@ -226,6 +235,7 @@ mod tests {
     use super::*;
     use shmd_workload::dataset::{Dataset, DatasetConfig};
     use shmd_workload::features::FeatureSpec;
+    use stochastic_hmd::json;
     use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
 
     fn fixture() -> (QuantizedNetwork, Vec<f32>) {
@@ -276,5 +286,23 @@ mod tests {
         assert!(doc.contains("\"speedup\": 2.500"));
         assert!(doc.contains("\"thread_invariant\": true"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn unmeasurable_rates_render_as_null() {
+        let p = ThroughputPoint {
+            error_rate: 0.1,
+            queries: 100,
+            before_qps: 0.0,
+            after_qps: 2500.0,
+            checksum: 42,
+            threaded_qps: f64::NAN,
+            thread_invariant: true,
+        };
+        let doc = render_json(&[p], 42, "fast", 1, 66);
+        assert!(doc.contains("\"speedup\": null"));
+        assert!(doc.contains("\"threaded_qps\": null"));
+        assert!(json::parse(&doc).is_ok(), "{doc}");
     }
 }

@@ -41,6 +41,7 @@ use shmd_volt::voltage::{Volts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::dataset::Dataset;
 use stochastic_hmd::checkpoint::ServiceCheckpoint;
 use stochastic_hmd::exec::{derive_seed, ExecConfig};
+use stochastic_hmd::json::Num;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::stochastic::StochasticHmd;
 use stochastic_hmd::supervisor::{PowerBudgetPolicy, SupervisorConfig};
@@ -373,8 +374,12 @@ pub fn measure_service(
     }
 }
 
+/// `BENCH_7.json` has no wall-clock fields (see [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[];
+
 /// Renders both halves as the hand-built JSON written to `BENCH_7.json`
-/// (checksums as decimal strings because they exceed 2^53).
+/// (floats through [`Num`], checksums as decimal strings because they
+/// exceed 2^53).
 pub fn render_json(
     points: &[OperatingPoint],
     limit: Fig7Limit,
@@ -383,7 +388,7 @@ pub fn render_json(
     scale: &str,
     threads: usize,
 ) -> String {
-    let opt = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{v:.4}"));
+    let opt = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{:.4}", Num(v)));
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"power_pareto\",\n");
@@ -392,7 +397,8 @@ pub fn render_json(
     out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!(
-        "  \"selected_operating_point\": {OPERATING_ERROR_RATE},\n"
+        "  \"selected_operating_point\": {},\n",
+        Num(OPERATING_ERROR_RATE)
     ));
     out.push_str("  \"operating_points\": [\n");
     for (i, p) in points.iter().enumerate() {
@@ -403,17 +409,17 @@ pub fn render_json(
              \"core_saving_vs_baseline\": {:.4}, \"package_saving_vs_baseline\": {:.4}, \
              \"core_saving_vs_rhmd\": {:.4}, \"accuracy\": {}, \
              \"evasion_detection\": {}}}{}\n",
-            p.target_er,
-            p.temp_c,
+            Num(p.target_er),
+            Num(p.temp_c),
             p.offset_mv,
-            p.vdd,
-            p.delivered_er,
+            Num(p.vdd),
+            Num(p.delivered_er),
             p.freezes,
-            p.core_power_w,
-            p.package_power_w,
-            p.core_saving_vs_baseline,
-            p.package_saving_vs_baseline,
-            p.core_saving_vs_rhmd,
+            Num(p.core_power_w),
+            Num(p.package_power_w),
+            Num(p.core_saving_vs_baseline),
+            Num(p.package_saving_vs_baseline),
+            Num(p.core_saving_vs_rhmd),
             opt(p.accuracy),
             opt(p.evasion_detection),
             if i + 1 == points.len() { "" } else { "," },
@@ -423,7 +429,8 @@ pub fn render_json(
     out.push_str(&format!(
         "  \"fig7_limit\": {{\"vdd\": {:.2}, \"core_saving_vs_rhmd\": {:.4}, \
          \"note\": \"voltage-axis endpoint; deeper than the calibrated device's freeze offset\"}},\n",
-        limit.vdd, limit.core_saving_vs_rhmd
+        Num(limit.vdd),
+        Num(limit.core_saving_vs_rhmd)
     ));
     out.push_str(&format!(
         "  \"service\": {{\"shards\": {}, \"batches\": {}, \"queries\": {}, \
@@ -434,12 +441,12 @@ pub fn render_json(
         service.shards,
         service.batches,
         service.queries,
-        service.unpressured_w,
-        service.floor_w,
-        service.budget_w,
-        service.projected_w,
-        service.total_energy_uj,
-        service.max_target_er,
+        Num(service.unpressured_w),
+        Num(service.floor_w),
+        Num(service.budget_w),
+        Num(service.projected_w),
+        Num(service.total_energy_uj),
+        Num(service.max_target_er),
         service.crashes,
         service.checksum,
         service.thread_invariant,
@@ -530,5 +537,6 @@ mod tests {
         assert!(doc.contains("\"checksum\": \"18446744073709551615\""));
         assert!(doc.contains("\"restore_invariant\": true"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }
 }

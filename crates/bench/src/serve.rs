@@ -21,6 +21,7 @@ use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
 use std::time::Instant;
 use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::json::Num;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::BaselineHmd;
 
@@ -58,8 +59,14 @@ impl ServePoint {
     }
 }
 
-/// The scaling floor a `--check` run actually enforces, given the floor
-/// the operator configured and the machine it runs on.
+/// `serve_bench --check`'s scaling floor, before [`effective_scaling_floor`].
+pub const SERVE_SCALING_FLOOR: f64 = 2.0;
+
+/// `chaos_bench --check`'s scaling floor, before [`effective_scaling_floor`].
+pub const CHAOS_SCALING_FLOOR: f64 = 1.5;
+
+/// The scaling floor a `--check` run actually enforces, given the
+/// configured floor and the machine it runs on.
 ///
 /// A configured floor of, say, 2× assumes at least a few real cores. On a
 /// box with fewer hardware threads than the benchmark asks for, wall-clock
@@ -71,8 +78,7 @@ impl ServePoint {
 /// engine must not fall off the historical 0.35× cliff the per-shard-mutex
 /// design produced.
 pub fn effective_scaling_floor(configured: f64, threads: usize) -> f64 {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let usable = hw.min(threads.max(1)) as f64;
+    let usable = hardware_threads().min(threads.max(1)) as f64;
     configured.min(0.75 * usable).max(0.75)
 }
 
@@ -150,11 +156,18 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The wall-clock paths of `BENCH_3.json` (see [`crate::report`]).
+pub const WALL_CLOCK: &[&str] = &[
+    ".results[].serial_qps",
+    ".results[].threaded_qps",
+    ".results[].scaling",
+];
+
 /// Renders the sweep as the hand-built JSON written to `BENCH_3.json`.
 ///
 /// The vendored `serde` is a no-op shim, so the document is formatted
-/// here; checksums are decimal strings to stay integer-exact in any
-/// reader (they exceed 2^53).
+/// here; floats go through [`Num`], and checksums are decimal strings to
+/// stay integer-exact in any reader (they exceed 2^53).
 pub fn render_json(
     points: &[ServePoint],
     seed: u64,
@@ -173,7 +186,10 @@ pub fn render_json(
         "  \"hardware_threads\": {},\n",
         hardware_threads()
     ));
-    out.push_str(&format!("  \"scaling_floor\": {scaling_floor:.3},\n"));
+    out.push_str(&format!(
+        "  \"scaling_floor\": {:.3},\n",
+        Num(scaling_floor)
+    ));
     out.push_str(
         "  \"engine\": \"lock-free query-range claiming over a shared shard pool, \
          per-query derived fault streams, per-worker telemetry fold\",\n",
@@ -186,9 +202,9 @@ pub fn render_json(
              \"thread_invariant\": {}, \"degraded_shards\": {}, \"flags\": {}}}{}\n",
             p.shards,
             p.queries,
-            p.serial_qps,
-            p.threaded_qps,
-            p.scaling(),
+            Num(p.serial_qps),
+            Num(p.threaded_qps),
+            Num(p.scaling()),
             p.checksum,
             p.thread_invariant,
             p.degraded_shards,
@@ -206,6 +222,7 @@ mod tests {
     use crate::setup;
     use crate::Args;
     use shmd_volt::calibration::{Calibrator, DeviceProfile};
+    use stochastic_hmd::json;
 
     fn fixture() -> (Dataset, BaselineHmd, CalibrationCurve) {
         let args = Args::parse_from(["--fast".to_string()]);
@@ -261,6 +278,25 @@ mod tests {
         assert!(doc.contains("\"scaling_floor\": 2.000"));
         assert!(doc.contains("\"hardware_threads\": "));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert!(json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn zero_serial_rate_renders_null_scaling() {
+        let p = ServePoint {
+            shards: 4,
+            queries: 100,
+            serial_qps: 0.0,
+            threaded_qps: 3000.0,
+            checksum: 42,
+            thread_invariant: true,
+            degraded_shards: 0,
+            flags: 17,
+        };
+        let doc = render_json(&[p], 42, "fast", 8, 2.0);
+        assert!(doc.contains("\"serial_qps\": 0.0"), "{doc}");
+        assert!(doc.contains("\"scaling\": null"), "{doc}");
+        assert!(json::parse(&doc).is_ok(), "{doc}");
     }
 
     #[test]

@@ -18,6 +18,11 @@ pub fn row(cells: &[String]) {
     println!("{}", row.join(" "));
 }
 
+/// A verdict cell: `pass` when `ok`, else `fail`.
+pub fn verdict(ok: bool, pass: &str, fail: &str) -> String {
+    if ok { pass } else { fail }.to_string()
+}
+
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)

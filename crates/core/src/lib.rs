@@ -30,6 +30,8 @@
 //! - [`telemetry`] — the serving layer's export surface: per-shard
 //!   counters, score histograms, fault statistics, and a JSON-round-trip
 //!   snapshot;
+//! - [`json`] — the JSON reader and float/string writing rules shared by
+//!   the telemetry snapshot and the bench documents;
 //! - [`checkpoint`] — crash consistency: versioned binary service
 //!   checkpoints plus a write-ahead state journal, so a killed monitor
 //!   restores and resumes its verdict stream bit-identically;
@@ -82,6 +84,7 @@ pub mod detector;
 pub mod enclave;
 pub mod exec;
 pub mod explore;
+pub mod json;
 pub mod monitor;
 pub mod rhmd;
 pub mod roc;
