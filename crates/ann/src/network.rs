@@ -427,7 +427,7 @@ fn forward_batch_loop<'s, const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
 ///
 /// With [`shmd_volt::fault::ExactDatapath`] this reproduces the float
 /// network up to quantisation error; with a
-/// [`shmd_volt::fault::FaultInjector`] it becomes the undervolted detector.
+/// [`shmd_volt::fault::FaultStream`] it becomes the undervolted detector.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedNetwork {
     layers: Vec<QuantizedLayer>,
@@ -621,7 +621,7 @@ mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
     use proptest::prelude::*;
-    use shmd_volt::fault::{ExactDatapath, FaultInjector, FaultModel};
+    use shmd_volt::fault::{ExactDatapath, FaultModel, FaultStream};
 
     fn small_net(seed: u64) -> Network {
         NetworkBuilder::new(4)
@@ -673,7 +673,7 @@ mod tests {
         let q = net.quantized();
         let input = [0.3, 0.3, 0.3, 0.3];
         let exact = q.infer(&input, &mut ExactDatapath)[0];
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(1.0).unwrap(), 9);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(1.0).unwrap(), 9);
         let mut any_different = false;
         for _ in 0..50 {
             if (q.infer(&input, &mut inj)[0] - exact).abs() > 1e-4 {
@@ -690,7 +690,7 @@ mod tests {
         let net = small_net(5);
         let q = net.quantized();
         let input = [0.2, 0.4, 0.6, 0.8];
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.3).unwrap(), 10);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.3).unwrap(), 10);
         let scores: Vec<f32> = (0..100).map(|_| q.infer(&input, &mut inj)[0]).collect();
         let distinct = scores
             .iter()
@@ -706,7 +706,7 @@ mod tests {
         let q = net.quantized();
         let input = [0.5, 0.1, -0.3, 0.9];
         let exact = q.infer(&input, &mut ExactDatapath)[0];
-        let mut inj = FaultInjector::new(FaultModel::exact(), 11);
+        let mut inj = FaultStream::new(FaultModel::exact(), 11);
         assert_eq!(q.infer(&input, &mut inj)[0], exact);
     }
 
@@ -723,9 +723,9 @@ mod tests {
                 .map(|i| ((trial * 4 + i) as f32 * 0.13).sin())
                 .collect();
             // Same-seeded injectors: identical RNG streams per path.
-            let mut a = FaultInjector::new(model.clone(), trial as u64);
-            let mut b = FaultInjector::new(model.clone(), trial as u64);
-            let mut c = FaultInjector::new(model.clone(), trial as u64);
+            let mut a = FaultStream::new(model.clone(), trial as u64);
+            let mut b = FaultStream::new(model.clone(), trial as u64);
+            let mut c = FaultStream::new(model.clone(), trial as u64);
             let via_dyn = q.infer(&input, &mut a);
             let via_generic = q.infer_with(&input, &mut b);
             let via_scratch: Vec<f32> = q
@@ -777,7 +777,7 @@ mod tests {
         // immune LSBs of the raw product never flip.
         use shmd_volt::multiplier::{IMMUNE_LSBS, SIGN_BIT};
         let q = small_net(13).quantized();
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.9).unwrap(), 14);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.9).unwrap(), 14);
         let mut scratch = InferenceScratch::new();
         for trial in 0..200i64 {
             let input: Vec<f32> = (0..4)
@@ -942,7 +942,7 @@ mod tests {
             input in proptest::collection::vec(-1.0f32..1.0, 4)
         ) {
             let q = small_net(12).quantized();
-            let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.8).unwrap(), seed);
+            let mut inj = FaultStream::new(FaultModel::from_error_rate(0.8).unwrap(), seed);
             let out = q.infer(&input, &mut inj)[0];
             prop_assert!((0.0..=1.0).contains(&out), "sigmoid output {out} out of range");
         }

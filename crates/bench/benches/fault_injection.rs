@@ -9,7 +9,7 @@
 //! baseline (and as the statistical oracle in the test suite).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use shmd_volt::fault::{FaultInjector, FaultModel, PerDrawInjector};
+use shmd_volt::fault::{FaultModel, FaultStream, PerDrawInjector};
 use std::hint::black_box;
 
 const ERROR_RATES: [f64; 5] = [0.0, 0.01, 0.1, 0.5, 0.9];
@@ -18,7 +18,7 @@ fn bench_geometric(c: &mut Criterion) {
     let mut group = c.benchmark_group("corrupt_product");
     for er in ERROR_RATES {
         group.bench_with_input(BenchmarkId::from_parameter(er), &er, |b, &er| {
-            let mut injector = FaultInjector::new(FaultModel::from_error_rate(er).unwrap(), 11);
+            let mut injector = FaultStream::new(FaultModel::from_error_rate(er).unwrap(), 11);
             let mut x = 0x0123_4567_89ab_cdefi64;
             b.iter(|| {
                 x = x.rotate_left(1);

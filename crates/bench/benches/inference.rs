@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shmd_ann::network::InferenceScratch;
-use shmd_volt::fault::{ExactDatapath, FaultInjector, FaultModel};
+use shmd_volt::fault::{ExactDatapath, FaultModel, FaultStream};
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
 use std::hint::black_box;
@@ -37,11 +37,11 @@ fn bench_inference(c: &mut Criterion) {
         b.iter(|| black_box(q.infer(black_box(&features), &mut mac)))
     });
     group.bench_function("quantized_er_0_1", |b| {
-        let mut mac = FaultInjector::new(FaultModel::from_error_rate(0.1).unwrap(), 3);
+        let mut mac = FaultStream::new(FaultModel::from_error_rate(0.1).unwrap(), 3);
         b.iter(|| black_box(q.infer(black_box(&features), &mut mac)))
     });
     group.bench_function("quantized_er_0_9", |b| {
-        let mut mac = FaultInjector::new(FaultModel::from_error_rate(0.9).unwrap(), 3);
+        let mut mac = FaultStream::new(FaultModel::from_error_rate(0.9).unwrap(), 3);
         b.iter(|| black_box(q.infer(black_box(&features), &mut mac)))
     });
     // The deployed hot path: monomorphised corruptor + reusable scratch,
@@ -54,7 +54,7 @@ fn bench_inference(c: &mut Criterion) {
         })
     });
     group.bench_function("quantized_er_0_1_scratch", |b| {
-        let mut mac = FaultInjector::new(FaultModel::from_error_rate(0.1).unwrap(), 3);
+        let mut mac = FaultStream::new(FaultModel::from_error_rate(0.1).unwrap(), 3);
         let mut scratch = InferenceScratch::new();
         b.iter(|| {
             black_box(q.infer_into(black_box(&features), &mut mac, &mut scratch));

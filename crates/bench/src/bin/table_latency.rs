@@ -5,7 +5,7 @@
 use hmd_bench::{setup, table, Args};
 use shmd_ann::network::InferenceScratch;
 use shmd_power::latency::LatencyModel;
-use shmd_volt::fault::{ExactDatapath, FaultInjector, FaultModel};
+use shmd_volt::fault::{ExactDatapath, FaultModel, FaultStream};
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use std::time::Instant;
 
@@ -52,7 +52,7 @@ fn main() {
     let exact_ns = start.elapsed().as_nanos() as f64 / f64::from(n);
 
     let mut injector =
-        FaultInjector::new(FaultModel::from_error_rate(0.1).expect("valid"), args.seed);
+        FaultStream::new(FaultModel::from_error_rate(0.1).expect("valid"), args.seed);
     let start = Instant::now();
     for _ in 0..n {
         std::hint::black_box(q.infer_into(&features, &mut injector, &mut scratch));

@@ -11,7 +11,7 @@ use shmd_attack::campaign::{AttackCampaign, AttackTrainingSet};
 use shmd_attack::reverse::ReverseConfig;
 use shmd_attack::ProxyKind;
 use shmd_volt::entropy::approximate_entropy;
-use shmd_volt::fault::{FaultInjector, FaultModel, FaultStats};
+use shmd_volt::fault::{FaultModel, FaultStats, FaultStream};
 use shmd_volt::multiplier::MultiplierTimingModel;
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::dataset::Dataset;
@@ -62,7 +62,7 @@ pub fn characterize_fig1(
         let b: u64 = rng.gen();
         let model = FaultModel::at_voltage_for_operands(&timing, vdd, a, b)
             .expect("timing probabilities are valid");
-        let mut injector = FaultInjector::new(model, rng.gen());
+        let mut injector = FaultStream::new(model, rng.gen());
         let product = a.wrapping_mul(b);
         let mut locations: Vec<u8> = Vec::new();
         for _ in 0..reps_per_set {

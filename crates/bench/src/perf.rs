@@ -17,7 +17,7 @@
 //! benchmark doubles as an end-to-end determinism check.
 
 use shmd_ann::network::{InferenceScratch, QuantizedNetwork};
-use shmd_volt::fault::{FaultInjector, FaultModel, PerDrawInjector};
+use shmd_volt::fault::{FaultModel, FaultStream, PerDrawInjector};
 use std::time::Instant;
 use stochastic_hmd::exec::{derive_seed, parallel_map_n, ExecConfig};
 use stochastic_hmd::json::Num;
@@ -85,13 +85,13 @@ fn time_after(
     queries: usize,
 ) -> (f64, u64) {
     let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
-    let mut injector = FaultInjector::new(model, seed);
+    let mut injector = FaultStream::new(model, seed);
     let mut scratch = InferenceScratch::new();
     for _ in 0..queries.min(64) {
         std::hint::black_box(q.infer_into(features, &mut injector, &mut scratch));
     }
     // Re-seed so the checksum covers a known stream, independent of warmup.
-    injector = FaultInjector::new(
+    injector = FaultStream::new(
         FaultModel::from_error_rate(er).expect("valid benchmark error rate"),
         seed,
     );
@@ -124,7 +124,7 @@ fn time_threaded(
     let start = Instant::now();
     let sums = parallel_map_n(exec, tasks, |task| {
         let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
-        let mut injector = FaultInjector::new(model, derive_seed(seed, &[task as u64]));
+        let mut injector = FaultStream::new(model, derive_seed(seed, &[task as u64]));
         let mut scratch = InferenceScratch::new();
         let mut checksum = 0u64;
         for _ in 0..per_task {

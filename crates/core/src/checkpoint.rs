@@ -2,9 +2,9 @@
 //!
 //! A continuous monitor runs for months; the host it runs on does not. This
 //! module makes a [`crate::serve::MonitoringService`] *durable*: the full
-//! mutable state of the service — per-shard RNG streams and calibration
-//! generations, the fault injector's in-flight geometric gap and folded
-//! statistics, supervision records and retry schedules, the voltage
+//! mutable state of the service — per-shard seeds, calibration
+//! generations and fault laws, folded fault statistics, supervision
+//! records and retry schedules, the voltage
 //! controller's calibration point, telemetry counters, and the global
 //! stream position — folds into a versioned, self-validating binary
 //! [`ServiceCheckpoint`]. Restoring it rebuilds a service that continues
@@ -18,9 +18,9 @@
 //!   the checkpoint stores only those parameters and rebuilds the tables on
 //!   restore — snapshots stay small and version drift in table layout
 //!   cannot corrupt a resume;
-//! - everything stochastic runs on counter-derived seeds and snapshottable
-//!   xoshiro256++ state, so the resumed RNG streams pick up mid-gap on the
-//!   exact next draw.
+//! - every fault stream is seeded from the shard seed and the query's
+//!   stream position, so a resumed service derives exactly the streams the
+//!   dead one would have drawn next, and no RNG state is captured.
 //!
 //! The only state deliberately *not* captured is the wall-clock batch
 //! latency window — timing is not replayable by definition, and all
@@ -56,7 +56,7 @@ use crate::codec::{fnv1a, fnv1a_tagged, CodecError, Reader, Writer};
 use crate::deploy::DetectionPolicy;
 use crate::supervisor::ShardHealth;
 use crate::telemetry::{FaultCounters, HISTOGRAM_BINS};
-use shmd_volt::fault::{FaultModelState, FaultStats, InjectorState};
+use shmd_volt::fault::FaultModelState;
 use shmd_volt::voltage::Millivolts;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -74,8 +74,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SHCK";
 /// fields (per-shard accrued energy, last busy power, scheduler target and
 /// load-window base; service-wide projected power). Version 3 added the
 /// uncertainty-aware re-query fields (per-shard band hits and re-query
-/// draws; service-wide re-query band and replica count).
-pub const CHECKPOINT_VERSION: u16 = 3;
+/// draws; service-wide re-query band and replica count). Version 4 dropped
+/// the stochastic shard's injector snapshot (RNG words, in-flight gap,
+/// statistics and per-bit histogram), which no serving path read: a
+/// stochastic backend now stores only its operating point and fault law.
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Journal record kind: a full service checkpoint.
 const RECORD_CHECKPOINT: u8 = 1;
@@ -150,7 +153,7 @@ pub enum RestoreError {
     /// the saved operating point cannot exist on).
     Calibration(shmd_volt::calibration::CalibrationError),
     /// The checkpoint decodes but describes a state no live service can
-    /// hold (invalid injector snapshot, controller offset that disagrees
+    /// hold (invalid fault model, controller offset that disagrees
     /// with the recalibrated curve, out-of-range target).
     InvalidState(String),
 }
@@ -239,8 +242,8 @@ pub struct ShardCheckpoint {
     pub queries: u64,
     /// Malware verdicts raised.
     pub flags: u64,
-    /// Fault counters folded from retired injector generations.
-    pub retired_faults: FaultCounters,
+    /// Fault counters folded from the shard's per-query fault streams.
+    pub faults: FaultCounters,
     /// Score histogram bin counts.
     pub histogram: [u64; HISTOGRAM_BINS],
     /// Cumulative detection energy, microjoules.
@@ -520,7 +523,7 @@ fn encode_shard(w: &mut Writer, shard: &ShardCheckpoint) {
                 }
             }
             w.f64(state.threshold);
-            encode_injector(w, &state.injector);
+            encode_fault_model(w, &state.model);
         }
         BackendCheckpoint::Baseline => w.u8(1),
         BackendCheckpoint::Down => w.u8(2),
@@ -544,7 +547,7 @@ fn encode_shard(w: &mut Writer, shard: &ShardCheckpoint) {
     w.u64(shard.degradation_events);
     w.u64(shard.queries);
     w.u64(shard.flags);
-    encode_counters(w, &shard.retired_faults);
+    encode_counters(w, &shard.faults);
     for bin in shard.histogram {
         w.u64(bin);
     }
@@ -575,7 +578,7 @@ fn decode_shard(r: &mut Reader<'_>) -> Result<ShardCheckpoint, CheckpointError> 
                     }
                 },
                 threshold: r.f64()?,
-                injector: decode_injector(r)?,
+                model: decode_fault_model(r)?,
             }),
             1 => BackendCheckpoint::Baseline,
             2 => BackendCheckpoint::Down,
@@ -606,7 +609,7 @@ fn decode_shard(r: &mut Reader<'_>) -> Result<ShardCheckpoint, CheckpointError> 
         degradation_events: r.u64()?,
         queries: r.u64()?,
         flags: r.u64()?,
-        retired_faults: decode_counters(r)?,
+        faults: decode_counters(r)?,
         histogram: {
             let mut bins = [0u64; HISTOGRAM_BINS];
             for bin in &mut bins {
@@ -620,24 +623,6 @@ fn decode_shard(r: &mut Reader<'_>) -> Result<ShardCheckpoint, CheckpointError> 
         power_window_queries: r.u64()?,
         band_hits: r.u64()?,
         requeries: r.u64()?,
-    })
-}
-
-fn encode_injector(w: &mut Writer, injector: &InjectorState) {
-    encode_fault_model(w, &injector.model);
-    for word in injector.rng {
-        w.u64(word);
-    }
-    encode_fault_stats(w, &injector.stats);
-    w.u64(injector.skip);
-}
-
-fn decode_injector(r: &mut Reader<'_>) -> Result<InjectorState, CheckpointError> {
-    Ok(InjectorState {
-        model: decode_fault_model(r)?,
-        rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-        stats: decode_fault_stats(r)?,
-        skip: r.u64()?,
     })
 }
 
@@ -670,33 +655,6 @@ fn decode_fault_model(r: &mut Reader<'_>) -> Result<FaultModelState, CheckpointE
         ripple_fraction: r.f64()?,
         ripple_span: r.u32()?,
         near_zero_width: r.u32()?,
-    })
-}
-
-fn encode_fault_stats(w: &mut Writer, stats: &FaultStats) {
-    w.u64(stats.multiplies);
-    w.u64(stats.faulty);
-    w.u32(stats.bit_flips.len() as u32);
-    for &count in &stats.bit_flips {
-        w.u64(count);
-    }
-}
-
-fn decode_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, CheckpointError> {
-    Ok(FaultStats {
-        multiplies: r.u64()?,
-        faulty: r.u64()?,
-        bit_flips: {
-            let count = r.u32()? as usize;
-            if count.saturating_mul(8) > r.remaining() {
-                return Err(CheckpointError::Truncated);
-            }
-            let mut flips = Vec::with_capacity(count);
-            for _ in 0..count {
-                flips.push(r.u64()?);
-            }
-            flips
-        },
     })
 }
 
@@ -870,7 +828,11 @@ impl StateJournal {
     /// # Errors
     ///
     /// Any [`io::Error`] from reading the file (other than it not
-    /// existing).
+    /// existing), and [`io::ErrorKind::InvalidData`] for an intact
+    /// checkpoint record (its frame checksum holds) written in a format
+    /// version this build cannot read: that is a journal from another
+    /// build, not a torn tail, and discarding it would silently lose the
+    /// service state.
     pub fn recover(path: impl AsRef<Path>) -> io::Result<JournalRecovery> {
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
@@ -914,6 +876,15 @@ impl StateJournal {
                     Ok(cp) => {
                         checkpoint = Some(cp);
                         commits.clear();
+                    }
+                    Err(CheckpointError::UnsupportedVersion(version)) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "journal checkpoint has format version {version}, \
+                                 this build reads version {CHECKPOINT_VERSION}"
+                            ),
+                        ));
                     }
                     Err(_) => break,
                 },
@@ -977,21 +948,12 @@ mod tests {
                         error_rate: 0.2,
                         offset: Some(Millivolts::new(-231)),
                         threshold: 0.5,
-                        injector: InjectorState {
-                            model: FaultModelState {
-                                error_rate: 0.2,
-                                flips: vec![(3, 0.125), (17, 0.5)],
-                                ripple_fraction: 0.05,
-                                ripple_span: 8,
-                                near_zero_width: 20,
-                            },
-                            rng: [1, 2, 3, 4],
-                            stats: FaultStats {
-                                multiplies: 1000,
-                                faulty: 180,
-                                bit_flips: vec![5; 64],
-                            },
-                            skip: 11,
+                        model: FaultModelState {
+                            error_rate: 0.2,
+                            flips: vec![(3, 0.125), (17, 0.5)],
+                            ripple_fraction: 0.05,
+                            ripple_span: 8,
+                            near_zero_width: 20,
                         },
                     }),
                     health: ShardHealth::Healthy,
@@ -1011,7 +973,11 @@ mod tests {
                     degradation_events: 0,
                     queries: 320,
                     flags: 100,
-                    retired_faults: FaultCounters::default(),
+                    faults: FaultCounters {
+                        multiplies: 1000,
+                        faulty: 180,
+                        bit_flips: 320,
+                    },
                     histogram: [2; HISTOGRAM_BINS],
                     energy_uj: 987.5,
                     last_power_w: Some(6.5),
@@ -1038,7 +1004,7 @@ mod tests {
                     degradation_events: 0,
                     queries: 310,
                     flags: 90,
-                    retired_faults: FaultCounters {
+                    faults: FaultCounters {
                         multiplies: 800,
                         faulty: 140,
                         bit_flips: 250,
@@ -1063,9 +1029,20 @@ mod tests {
         assert_eq!(back, checkpoint);
     }
 
+    /// The sample checkpoint encoded under another format version, with
+    /// its trailing checksum recomputed so only the version check can
+    /// reject it.
+    fn encoded_with_version(version: u16) -> Vec<u8> {
+        let mut bytes = sample_checkpoint().encode();
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn foreign_and_versioned_bytes_are_rejected_with_typed_errors() {
-        let bytes = sample_checkpoint().encode();
         assert_eq!(
             ServiceCheckpoint::decode(b"JSON{not a checkpoint}"),
             Err(CheckpointError::BadMagic)
@@ -1076,16 +1053,41 @@ mod tests {
             ServiceCheckpoint::decode(b""),
             Err(CheckpointError::Truncated)
         );
-        // Bump the version field (and nothing else): the checksum guard is
-        // recomputed so the version check itself is exercised.
-        let mut versioned = bytes.clone();
-        versioned[4] = 0x2a;
-        let body_len = versioned.len() - 8;
-        let sum = fnv1a(&versioned[..body_len]);
-        versioned[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            ServiceCheckpoint::decode(&versioned),
-            Err(CheckpointError::UnsupportedVersion(0x2a))
+        // A future format and the previous one (version 3 still carried
+        // the injector snapshot) are both rejected by version, typed.
+        for version in [0x2a, 3] {
+            assert_eq!(
+                ServiceCheckpoint::decode(&encoded_with_version(version)),
+                Err(CheckpointError::UnsupportedVersion(version))
+            );
+        }
+    }
+
+    #[test]
+    fn journal_with_an_unreadable_checkpoint_version_fails_recovery() {
+        let path = TempJournal::new("journal-version");
+        {
+            let mut journal = StateJournal::create(&path).expect("create");
+            let old = encoded_with_version(CHECKPOINT_VERSION - 1);
+            journal
+                .append_record(RECORD_CHECKPOINT, &old)
+                .expect("checkpoint");
+            journal
+                .append_commit(BatchCommit {
+                    batch: 40,
+                    stream_pos: 656,
+                    checksum: 7,
+                })
+                .expect("commit");
+        }
+        // The frame is intact, so this is not a torn tail: recovery must
+        // refuse the journal rather than report it as empty.
+        let err = StateJournal::recover(&path).expect_err("old version rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains(&format!("format version {}", CHECKPOINT_VERSION - 1)),
+            "{err}"
         );
     }
 

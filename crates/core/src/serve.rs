@@ -652,9 +652,8 @@ struct Shard {
     /// equals `requeries`.
     requeries_accounted: u64,
     /// Fault counters folded at every batch boundary from the per-query
-    /// fault streams (and, historically, from injector generations retired
-    /// by recalibration — the name survives for checkpoint compatibility).
-    retired_faults: FaultCounters,
+    /// fault streams.
+    faults: FaultCounters,
     histogram: ScoreHistogram,
     /// Cumulative detection energy, microjoules — accrued on the main
     /// thread at every batch boundary from the query-count delta, the
@@ -703,28 +702,8 @@ impl Shard {
         self.flags += delta.flags;
         self.band_hits += delta.band_hits;
         self.requeries += delta.requeries;
-        self.retired_faults.merge(&delta.faults);
+        self.faults.merge(&delta.faults);
         self.histogram.merge(&delta.histogram);
-    }
-
-    /// Current fault counters: every batch boundary folds the per-query
-    /// streams into `retired_faults`, and the shard-level injector (kept
-    /// for checkpoint compatibility; it never corrupts a product itself)
-    /// contributes its statistics — zero in steady state.
-    fn fault_counters(&self) -> FaultCounters {
-        let mut counters = self.retired_faults;
-        if let ShardBackend::Stochastic(hmd) = &self.backend {
-            counters.fold(&hmd.fault_stats());
-        }
-        counters
-    }
-
-    /// Folds the live injector's stats into the retired counters (called
-    /// before the backend is replaced).
-    fn retire_backend(&mut self) {
-        if let ShardBackend::Stochastic(hmd) = &self.backend {
-            self.retired_faults.fold(&hmd.fault_stats());
-        }
     }
 
     fn report(&self) -> ShardReport {
@@ -742,7 +721,7 @@ impl Shard {
             flags: self.flags,
             band_hits: self.band_hits,
             requeries: self.requeries,
-            faults: self.fault_counters(),
+            faults: self.faults,
             histogram: self.histogram.clone(),
             energy_uj: self.energy_uj,
             power_w: self.last_power_w,
@@ -918,7 +897,6 @@ fn restart_shard(
     let seed = derive_seed(master_seed, &[SERVE_TAG, shard.id as u64, generation]);
     match StochasticHmd::at_offset(baseline, curve, offset, seed) {
         Ok(hmd) => {
-            shard.retire_backend();
             shard.generation = generation;
             shard.seed = seed;
             shard.backend = ShardBackend::Stochastic(Box::new(hmd));
@@ -1076,7 +1054,7 @@ impl MonitoringService {
                 band_hits: 0,
                 requeries: 0,
                 requeries_accounted: 0,
-                retired_faults: FaultCounters::default(),
+                faults: FaultCounters::default(),
                 histogram: ScoreHistogram::new(),
                 energy_uj: 0.0,
                 energy_accounted: 0,
@@ -1156,7 +1134,7 @@ impl MonitoringService {
             band_hits: 0,
             requeries: 0,
             requeries_accounted: 0,
-            retired_faults: FaultCounters::default(),
+            faults: FaultCounters::default(),
             histogram: ScoreHistogram::new(),
             energy_uj: 0.0,
             energy_accounted: 0,
@@ -1316,15 +1294,13 @@ impl MonitoringService {
         if shard.supervision.health().is_serving() {
             return false;
         }
-        shard.retire_backend();
         shard.backend = ShardBackend::Baseline(baseline);
         shard.supervision.transition(ShardHealth::Degraded);
         shard.supervision.attempt = 0;
         shard.supervision.next_retry_batch = None;
         shard.degraded_reason = Some(reason.to_string());
         shard.degradation_events += 1;
-        let mark = shard.fault_counters();
-        shard.supervision.reset_watchdog(mark);
+        shard.supervision.reset_watchdog(shard.faults);
         true
     }
 
@@ -1339,7 +1315,6 @@ impl MonitoringService {
     pub fn recalibrate(&mut self, baseline: &BaselineHmd, curve: &CalibrationCurve) -> usize {
         let mut degraded = 0;
         for shard in &mut self.shards {
-            shard.retire_backend();
             shard.generation += 1;
             shard.seed = derive_seed(self.seed, &[SERVE_TAG, shard.id as u64, shard.generation]);
             match Self::protected_backend(baseline, curve, self.target_error_rate, shard.seed) {
@@ -1356,8 +1331,7 @@ impl MonitoringService {
                     degraded += 1;
                 }
             }
-            let mark = shard.fault_counters();
-            shard.supervision.reset_watchdog(mark);
+            shard.supervision.reset_watchdog(shard.faults);
         }
         degraded
     }
@@ -1598,7 +1572,7 @@ impl MonitoringService {
 
         // Physics: what the die actually delivers at this temperature. A
         // frozen operating point crashes the shard; a drifted one retunes
-        // the live injector so the fault stream follows the die rather
+        // the live fault model so the fault streams follow the die rather
         // than the stale calibration.
         for id in 0..self.shards.len() {
             let (offset, current_er) = {
@@ -1675,8 +1649,7 @@ impl MonitoringService {
                 shard.supervision.transition(ShardHealth::Recovering);
                 shard.supervision.attempt = 0;
                 shard.supervision.next_retry_batch = None;
-                let mark = shard.fault_counters();
-                shard.supervision.reset_watchdog(mark);
+                shard.supervision.reset_watchdog(shard.faults);
             } else {
                 shard.supervision.attempt += 1;
                 if shard.supervision.attempt >= sup.config().max_retries.max(1) {
@@ -1688,8 +1661,7 @@ impl MonitoringService {
                         shard.supervision.retries()
                     ));
                     shard.degradation_events += 1;
-                    let mark = shard.fault_counters();
-                    shard.supervision.reset_watchdog(mark);
+                    shard.supervision.reset_watchdog(shard.faults);
                 } else {
                     shard.supervision.next_retry_batch = Some(
                         batch
@@ -1715,7 +1687,7 @@ impl MonitoringService {
                 if !matches!(shard.backend, ShardBackend::Stochastic(_)) {
                     continue;
                 }
-                let now = shard.fault_counters();
+                let now = shard.faults;
                 let window = now.multiplies - shard.supervision.window_mark.multiplies;
                 if window < sup.config().watchdog_window {
                     continue;
@@ -1768,8 +1740,7 @@ impl MonitoringService {
                     Some("drift recalibration failed; serving baseline".to_string());
                 shard.degradation_events += 1;
             }
-            let mark = shard.fault_counters();
-            shard.supervision.reset_watchdog(mark);
+            shard.supervision.reset_watchdog(shard.faults);
         }
 
         // Power scheduling last, so this tick's drift flags and recovery
@@ -1929,8 +1900,7 @@ impl MonitoringService {
                 // is never worth crashing a shard over.
                 continue;
             }
-            let mark = shard.fault_counters();
-            shard.supervision.reset_watchdog(mark);
+            shard.supervision.reset_watchdog(shard.faults);
         }
         // Close the load window and publish the projection.
         for shard in &mut self.shards {
@@ -1953,7 +1923,6 @@ impl MonitoringService {
         if !shard.supervision.health().is_serving() {
             return;
         }
-        shard.retire_backend();
         shard.supervision.transition(ShardHealth::Crashed);
         shard.supervision.crashes += 1;
         if serving <= 1 {
@@ -1963,8 +1932,7 @@ impl MonitoringService {
             shard.degraded_reason = Some(format!(
                 "{cause}; last serving shard failed over to baseline"
             ));
-            let mark = shard.fault_counters();
-            shard.supervision.reset_watchdog(mark);
+            shard.supervision.reset_watchdog(shard.faults);
         } else {
             shard.backend = ShardBackend::Down;
             shard.supervision.transition(ShardHealth::Quarantined);
@@ -1988,9 +1956,9 @@ impl MonitoringService {
     /// [`ServiceCheckpoint`].
     ///
     /// The checkpoint holds everything needed to continue the verdict
-    /// stream bit-identically from this exact point: per-shard detector
-    /// snapshots (RNG state, in-flight fault gap, folded statistics),
-    /// supervision records and retry schedules, the voltage controller's
+    /// stream bit-identically from this exact point: per-shard seeds and
+    /// detector operating points (offset, error rate, fault law), folded
+    /// fault statistics, supervision records and retry schedules, the voltage controller's
     /// calibration point, telemetry counters, and the global stream
     /// position. The wall-clock batch latency window is deliberately
     /// excluded — timing is not replayable; compare resumed services with
@@ -2030,7 +1998,7 @@ impl MonitoringService {
                 degradation_events: shard.degradation_events,
                 queries: shard.queries,
                 flags: shard.flags,
-                retired_faults: shard.retired_faults,
+                faults: shard.faults,
                 histogram: *shard.histogram.counts(),
                 energy_uj: shard.energy_uj,
                 last_power_w: shard.last_power_w,
@@ -2084,8 +2052,8 @@ impl MonitoringService {
     /// - [`RestoreError::Calibration`] when the controller cannot
     ///   recalibrate at the checkpointed temperature;
     /// - [`RestoreError::InvalidState`] when the checkpoint decodes but
-    ///   describes a state no live service can hold (corrupt injector
-    ///   snapshot, a supervisor config whose recalibration disagrees with
+    ///   describes a state no live service can hold (corrupt fault
+    ///   model, a supervisor config whose recalibration disagrees with
     ///   the checkpointed offset, a serving shard with no backend).
     pub fn restore(
         baseline: &BaselineHmd,
@@ -2136,7 +2104,7 @@ impl MonitoringService {
         for s in &checkpoint.shards {
             let backend = match &s.backend {
                 BackendCheckpoint::Stochastic(state) => {
-                    let hmd = StochasticHmd::from_state(baseline, state.clone())
+                    let hmd = StochasticHmd::from_state(baseline, state.clone(), s.seed)
                         .map_err(|e| RestoreError::InvalidState(format!("shard {}: {e}", s.id)))?;
                     ShardBackend::Stochastic(Box::new(hmd))
                 }
@@ -2178,7 +2146,7 @@ impl MonitoringService {
                 // Checkpoints are taken at batch boundaries, where
                 // re-query energy is always fully accrued.
                 requeries_accounted: s.requeries,
-                retired_faults: s.retired_faults,
+                faults: s.faults,
                 histogram: ScoreHistogram::from_counts(s.histogram),
                 energy_uj: s.energy_uj,
                 // Checkpoints are taken at batch boundaries, where energy
@@ -2799,7 +2767,7 @@ mod tests {
         assert_eq!(snapshot.shards_in(ShardHealth::Healthy), 4);
         assert!(
             snapshot.total_faults().multiplies > 0,
-            "telemetry must fold injector stats"
+            "telemetry must fold the per-query fault streams"
         );
     }
 
@@ -2851,7 +2819,7 @@ mod tests {
         assert_eq!(
             snapshot.total_faults(),
             faults_before,
-            "retired injector stats must survive degradation"
+            "folded fault counters must survive degradation"
         );
 
         // Back to a reachable target: the shards recover.
@@ -3008,6 +2976,18 @@ mod tests {
         assert!(matches!(
             MonitoringService::restore(&baseline, None, &foreign, ExecConfig::serial()),
             Err(RestoreError::InputDimMismatch { .. })
+        ));
+
+        // A stochastic shard whose fault law fails validation (a flip bit
+        // past the 64-bit product) is typed as invalid state.
+        let mut corrupt = unsupervised;
+        let BackendCheckpoint::Stochastic(state) = &mut corrupt.shards[1].backend else {
+            panic!("shard 1 deploys stochastic");
+        };
+        state.model.flips.push((64, 0.5));
+        assert!(matches!(
+            MonitoringService::restore(&baseline, None, &corrupt, ExecConfig::serial()),
+            Err(RestoreError::InvalidState(reason)) if reason.starts_with("shard 1:")
         ));
     }
 

@@ -5,7 +5,7 @@ use crate::detector::Detector;
 use shmd_ann::network::{BatchScratch, InferenceScratch, QuantizedNetwork};
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_volt::fault::{
-    FaultInjector, FaultModel, FaultModelError, InjectorState, LaneCorruptor, ProductCorruptor,
+    FaultModel, FaultModelError, FaultModelState, FaultStream, LaneCorruptor, ProductCorruptor,
 };
 use shmd_volt::voltage::Millivolts;
 use shmd_workload::features::FeatureSpec;
@@ -23,7 +23,10 @@ pub struct StochasticHmd {
     name: String,
     spec: FeatureSpec,
     quantized: QuantizedNetwork,
-    injector: FaultInjector,
+    /// The detector's own fault stream, driven by
+    /// [`StochasticHmd::score_features`]. It owns the live fault model that
+    /// [`StochasticHmd::fault_model`] lends to external streams.
+    stream: FaultStream<FaultModel>,
     error_rate: f64,
     offset: Option<Millivolts>,
     threshold: f64,
@@ -34,7 +37,7 @@ pub struct StochasticHmd {
 
 /// Near-zero immunity width for the Q16.16 inference datapath.
 ///
-/// The injector sees raw Q32.32 products, but the datapath only latches the
+/// The fault stream sees raw Q32.32 products, but the datapath only latches the
 /// upper 32-bit Q16.16 word: faults below [`shmd_fixed::FRAC_BITS`] are
 /// discarded by the normalising shift, and the immune-LSB zone of the §II
 /// characterisation (the bottom 8 of 64 output columns, whose carry chains
@@ -53,11 +56,13 @@ fn for_datapath(model: FaultModel) -> FaultModel {
     model.with_near_zero_width(width)
 }
 
-/// The dynamic state of a [`StochasticHmd`], for checkpointing. Everything
-/// the detector holds beyond its (immutable, re-derivable) baseline model:
-/// the injector snapshot carries the fault law, RNG stream, statistics and
-/// in-flight gap, so [`StochasticHmd::from_state`] resumes scoring
-/// bit-identically against the same baseline.
+/// The operating point of a [`StochasticHmd`], for checkpointing: what the
+/// detector holds beyond its (immutable, re-derivable) baseline model. The
+/// fault law is stored as its free parameters, so
+/// [`StochasticHmd::from_state`] rebuilds a detector whose
+/// [`StochasticHmd::fault_model`] equals the original's, and any stream
+/// seeded alike scores bit-identically against either. The detector's own
+/// stream is not captured: a restore starts it afresh from a seed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StochasticHmdState {
     /// Display name (encodes how the detector was constructed).
@@ -68,8 +73,9 @@ pub struct StochasticHmdState {
     pub offset: Option<Millivolts>,
     /// Decision threshold.
     pub threshold: f64,
-    /// Complete injector snapshot.
-    pub injector: InjectorState,
+    /// The live fault law's free parameters (already adapted to the
+    /// datapath's near-zero width).
+    pub model: FaultModelState,
 }
 
 impl StochasticHmd {
@@ -91,7 +97,7 @@ impl StochasticHmd {
             name: format!("stochastic({}, er={er})", Detector::name(base)),
             spec: base.spec(),
             quantized: base.quantized().clone(),
-            injector: FaultInjector::new(model, seed),
+            stream: FaultStream::new(model, seed),
             error_rate: er,
             offset: None,
             threshold: Detector::threshold(base),
@@ -108,7 +114,7 @@ impl StochasticHmd {
             name: format!("stochastic({}, custom er={er})", Detector::name(base)),
             spec: base.spec(),
             quantized: base.quantized().clone(),
-            injector: FaultInjector::new(model, seed),
+            stream: FaultStream::new(model, seed),
             error_rate: er,
             offset: None,
             threshold: Detector::threshold(base),
@@ -139,7 +145,7 @@ impl StochasticHmd {
             ),
             spec: base.spec(),
             quantized: base.quantized().clone(),
-            injector: FaultInjector::new(model, seed),
+            stream: FaultStream::new(model, seed),
             error_rate: er,
             offset: Some(offset),
             threshold: Detector::threshold(base),
@@ -163,9 +169,10 @@ impl StochasticHmd {
         self.spec
     }
 
-    /// Accumulated fault statistics of the injector.
+    /// Accumulated fault statistics of the detector's own stream (the one
+    /// [`StochasticHmd::score_features`] drives).
     pub fn fault_stats(&self) -> shmd_volt::fault::FaultStats {
-        self.injector.stats()
+        self.stream.stats()
     }
 
     /// The live fault model — the law an external corruption stream (e.g.
@@ -174,14 +181,16 @@ impl StochasticHmd {
     /// [`StochasticHmd::retune`]: after a retune, newly constructed
     /// streams sample under the new error rate.
     pub fn fault_model(&self) -> &FaultModel {
-        self.injector.model()
+        self.stream.model()
     }
 
     /// Retunes the live fault model to a new delivered error rate — the
     /// software twin of the physical world moving while the applied offset
     /// stays put (die temperature drifted, so the same undervolt now
-    /// delivers a different fault rate). The injector keeps its RNG stream
-    /// and accumulated statistics; only the fault law changes.
+    /// delivers a different fault rate). The detector's own stream keeps
+    /// its RNG and accumulated statistics; only the fault law changes, for
+    /// it and for every stream built afterwards from
+    /// [`StochasticHmd::fault_model`].
     ///
     /// # Errors
     ///
@@ -189,7 +198,7 @@ impl StochasticHmd {
     /// `[0, 1]`.
     pub fn retune(&mut self, er: f64) -> Result<(), FaultModelError> {
         let model = for_datapath(FaultModel::from_error_rate(er)?);
-        self.injector.set_model(model);
+        self.stream.set_model(model);
         self.error_rate = er;
         Ok(())
     }
@@ -197,8 +206,8 @@ impl StochasticHmd {
     /// Moves the detector to a new physical operating point in place — the
     /// software twin of writing a fresh undervolt offset to MSR `0x150`
     /// under a live detector (the budget scheduler's retarget path). Like
-    /// [`StochasticHmd::retune`], the injector keeps its RNG stream and
-    /// accumulated statistics; the fault law and the recorded offset
+    /// [`StochasticHmd::retune`], the detector's own stream keeps its RNG
+    /// and accumulated statistics; the fault law and the recorded offset
     /// change together so subsequent physics sweeps reason from the new
     /// operating point.
     ///
@@ -212,46 +221,50 @@ impl StochasticHmd {
         delivered_er: f64,
     ) -> Result<(), FaultModelError> {
         let model = for_datapath(FaultModel::from_error_rate(delivered_er)?);
-        self.injector.set_model(model);
+        self.stream.set_model(model);
         self.error_rate = delivered_er;
         self.offset = Some(offset);
         Ok(())
     }
 
-    /// Snapshots the detector's dynamic state for checkpointing. The
-    /// baseline model itself (weights, feature spec) is not captured — a
-    /// restore rebuilds those from the baseline the service redeploys with.
+    /// Snapshots the detector's operating point for checkpointing: name,
+    /// error rate, offset, threshold and fault law. The baseline model
+    /// itself (weights, feature spec) is not captured — a restore rebuilds
+    /// those from the baseline the service redeploys with — and neither is
+    /// the detector's own stream.
     pub fn export_state(&self) -> StochasticHmdState {
         StochasticHmdState {
             name: self.name.clone(),
             error_rate: self.error_rate,
             offset: self.offset,
             threshold: self.threshold,
-            injector: self.injector.export_state(),
+            model: self.fault_model().export_state(),
         }
     }
 
     /// Rebuilds a detector from an [`StochasticHmd::export_state`] snapshot
-    /// against the baseline it was originally protecting. The injector —
-    /// fault law, RNG position, statistics, in-flight gap — is restored
-    /// verbatim (the snapshot's model already carries the datapath's
-    /// near-zero width; it is *not* re-derived), so the resumed score
-    /// stream is bit-identical to the original's.
+    /// against the baseline it was originally protecting. The fault law is
+    /// restored verbatim (the snapshot's model already carries the
+    /// datapath's near-zero width; it is *not* re-derived), so streams
+    /// built from [`StochasticHmd::fault_model`] score bit-identically to
+    /// the original's. The detector's own stream starts afresh from
+    /// `seed`, with empty statistics.
     ///
     /// # Errors
     ///
-    /// Propagates [`FaultModelError::InvalidState`] when the snapshot fails
-    /// validation (see [`FaultInjector::from_state`]).
+    /// Propagates [`FaultModelError::InvalidState`] when the snapshot's
+    /// model fails validation (see [`FaultModel::from_state`]).
     pub fn from_state(
         base: &BaselineHmd,
         state: StochasticHmdState,
+        seed: u64,
     ) -> Result<StochasticHmd, FaultModelError> {
-        let injector = FaultInjector::from_state(state.injector)?;
+        let model = FaultModel::from_state(state.model)?;
         Ok(StochasticHmd {
             name: state.name,
             spec: base.spec(),
             quantized: base.quantized().clone(),
-            injector,
+            stream: FaultStream::new(model, seed),
             error_rate: state.error_rate,
             offset: state.offset,
             threshold: state.threshold,
@@ -262,11 +275,11 @@ impl StochasticHmd {
     /// Scores an already-extracted feature vector (one stochastic
     /// detection).
     ///
-    /// This is the deployment hot path: the injector is statically
-    /// dispatched into the MAC loop and the activations live in the
-    /// detector's [`InferenceScratch`], so a steady stream of queries
+    /// This is the deployment hot path: the detector's own stream is
+    /// statically dispatched into the MAC loop and the activations live in
+    /// the detector's [`InferenceScratch`], so a steady stream of queries
     /// performs no heap allocation and no per-MAC RNG draws (geometric gap
-    /// sampling inside [`FaultInjector`]).
+    /// sampling inside [`FaultStream`]).
     ///
     /// # Panics
     ///
@@ -274,7 +287,7 @@ impl StochasticHmd {
     pub fn score_features(&mut self, features: &[f32]) -> f64 {
         let out = self
             .quantized
-            .infer_into(features, &mut self.injector, &mut self.scratch);
+            .infer_into(features, &mut self.stream, &mut self.scratch);
         f64::from(out[0].to_f32())
     }
 
@@ -429,21 +442,21 @@ mod tests {
         hmd.apply_offset(deeper, 0.3).expect("valid rate");
         assert_eq!(hmd.offset(), Some(deeper));
         assert_eq!(hmd.error_rate(), 0.3);
-        // Like retune, the move keeps the injector's RNG stream and its
+        // Like retune, the move keeps the detector stream's RNG and its
         // accumulated statistics.
         assert_eq!(hmd.fault_stats().multiplies, stats_before.multiplies);
         assert!(hmd.apply_offset(deeper, 1.5).is_err());
     }
 
     #[test]
-    fn borrowed_stream_scoring_matches_the_owned_injector() {
+    fn borrowed_stream_scoring_matches_the_owned_stream() {
         use shmd_volt::fault::FaultStream;
         let (dataset, base) = setup();
         let mut owned = StochasticHmd::from_baseline(&base, 0.3, 17).expect("valid");
         let shared = StochasticHmd::from_baseline(&base, 0.3, 17).expect("valid");
         let mut scratch = InferenceScratch::new();
         // A fresh FaultStream re-seeded from the detector seed walks the
-        // same RNG stream as the just-constructed owned injector, so the
+        // same RNG stream as the just-constructed owned stream, so the
         // first query must score bit-identically; later queries continue
         // the owned stream while each borrowed stream restarts, so only
         // the first is comparable.
@@ -513,7 +526,7 @@ mod tests {
             protected.score(t);
         }
         let after = protected.fault_stats();
-        assert!(after.faulty > 0, "retuned injector must fault");
+        assert!(after.faulty > 0, "retuned stream must fault");
         assert_eq!(
             after.multiplies as usize,
             6 * base.quantized().mac_count(),
@@ -523,32 +536,46 @@ mod tests {
     }
 
     #[test]
-    fn exported_state_resumes_scoring_bit_identically() {
+    fn exported_state_restores_the_operating_point_and_fault_law() {
+        use shmd_volt::fault::FaultStream;
         let (dataset, base) = setup();
-        let mut original = StochasticHmd::from_baseline(&base, 0.3, 17).expect("valid");
-        // Burn partway into the stream, including a retune, so the snapshot
-        // captures a non-trivial RNG position and a non-default fault law.
-        for i in 0..30 {
-            original.score(dataset.trace(i % dataset.len()));
-        }
-        original.retune(0.45).expect("valid rate");
+        let curve = Calibrator::new()
+            .with_step(2)
+            .calibrate(&DeviceProfile::reference());
+        let offset = curve.offset_for_error_rate(0.1).expect("reachable");
+        let mut original = StochasticHmd::at_offset(&base, &curve, offset, 17).expect("valid");
+        // A retune after some scoring gives a non-default fault law.
         for i in 0..7 {
             original.score(dataset.trace(i));
         }
-        let mut resumed =
-            StochasticHmd::from_state(&base, original.export_state()).expect("valid state");
-        assert_eq!(Detector::name(&resumed), Detector::name(&original));
-        assert_eq!(resumed.error_rate(), original.error_rate());
-        assert_eq!(resumed.fault_stats(), original.fault_stats());
-        for i in 0..60 {
-            let t = dataset.trace(i % dataset.len());
+        original.retune(0.45).expect("valid rate");
+        let restored =
+            StochasticHmd::from_state(&base, original.export_state(), 17).expect("valid state");
+        assert_eq!(Detector::name(&restored), Detector::name(&original));
+        assert_eq!(restored.error_rate(), original.error_rate());
+        assert_eq!(restored.offset(), Some(offset));
+        assert_eq!(
+            Detector::threshold(&restored),
+            Detector::threshold(&original)
+        );
+        assert_eq!(restored.fault_model(), original.fault_model());
+        let mut scratch = InferenceScratch::new();
+        for i in 0..40 {
+            let features = base.spec().extract(dataset.trace(i % dataset.len()));
+            let seed = 1000 + i as u64;
+            let mut a = FaultStream::new(original.fault_model(), seed);
+            let mut b = FaultStream::new(restored.fault_model(), seed);
             assert_eq!(
-                original.score(t).to_bits(),
-                resumed.score(t).to_bits(),
-                "score streams diverged at query {i}"
+                original
+                    .score_features_with(&features, &mut a, &mut scratch)
+                    .to_bits(),
+                restored
+                    .score_features_with(&features, &mut b, &mut scratch)
+                    .to_bits(),
+                "scores diverged at query {i}"
             );
+            assert_eq!(a.stats(), b.stats());
         }
-        assert_eq!(resumed.fault_stats(), original.fault_stats());
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!    batch index; the retry backoff is derived from the shard seed via
 //!    [`derive_seed`], never from wall-clock time.
 //! 2. **The watchdog trusts the fault stream, not a sensor.** The
-//!    delivered error rate is estimated online from
-//!    `FaultInjector::stats()` windows and compared against a reference
+//!    delivered error rate is estimated online from windows of the
+//!    shard's fault counters, folded at every batch boundary from its
+//!    per-query fault streams, and compared against a reference
 //!    window captured right after (re)calibration — the calibration target
 //!    *as observed through this workload* — with a binomial confidence
 //!    band. (Near-zero products absorb faults, so the observed rate sits
@@ -479,7 +480,7 @@ pub struct SupervisorConfig {
     /// operator demands the full target rate: clamped retries fail and
     /// consume retry budget.
     pub allow_clamped_recovery: bool,
-    /// Retune a live injector when the physically delivered rate moves
+    /// Retune a live fault model when the physically delivered rate moves
     /// further than this from the model rate.
     pub physics_epsilon: f64,
     /// Batches between supervision points. The default of 1 supervises

@@ -10,7 +10,8 @@
 //! - [`ScoreHistogram`] — the score distribution per shard, the §VI
 //!   confidence-distribution view taken continuously instead of offline;
 //! - [`ShardReport`] — one replica's counters: queries, flags, fault
-//!   counts folded from its injector, and its degradation state;
+//!   counts folded from its per-query fault streams, and its degradation
+//!   state;
 //! - [`TelemetrySnapshot`] — the service-wide report, serialisable to
 //!   JSON and parseable back ([`TelemetrySnapshot::to_json`] /
 //!   [`TelemetrySnapshot::from_json`]).
@@ -104,7 +105,7 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Adds an injector's accumulated statistics into these counters.
+    /// Adds a fault stream's accumulated statistics into these counters.
     pub fn fold(&mut self, stats: &FaultStats) {
         self.multiplies += stats.multiplies;
         self.faulty += stats.faulty;
@@ -170,8 +171,8 @@ pub struct ShardReport {
     pub band_hits: u64,
     /// Ensemble replica draws this shard spent on re-queries.
     pub requeries: u64,
-    /// Fault-injection counters folded from the shard's injector(s),
-    /// including generations replaced by recalibration.
+    /// Fault-injection counters folded from the shard's per-query fault
+    /// streams, across every backend generation.
     pub faults: FaultCounters,
     /// Distribution of the shard's policy-aggregated scores.
     pub histogram: ScoreHistogram,

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shmd_volt::fault::{FaultInjector, FaultModel, PerDrawInjector};
+use shmd_volt::fault::{FaultModel, FaultStream, PerDrawInjector};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -42,7 +42,7 @@ fn main() {
     let n = 20_000_000u64;
     for er in [0.0, 0.05, 0.1, 0.3] {
         let model = FaultModel::from_error_rate(er).unwrap();
-        let mut geo = FaultInjector::new(model.clone(), 1);
+        let mut geo = FaultStream::new(model.clone(), 1);
         let mut per = PerDrawInjector::new(model, 1);
         let mut x = 0x0123_4567_89ab_cdefi64;
         let g = time(n, || {
@@ -62,7 +62,7 @@ fn main() {
     {
         let er = 0.1;
         let model = FaultModel::from_error_rate(er).unwrap();
-        let mut geo = FaultInjector::new(model, 1);
+        let mut geo = FaultStream::new(model, 1);
         let a = time(n, || geo.corrupt_product(black_box(1)) as u64);
         println!("er={er}: geometric near-zero {a:.2} ns/call");
     }

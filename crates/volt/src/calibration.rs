@@ -9,7 +9,7 @@
 //! *what offset achieves this error rate?*
 
 use crate::delay::DelayModel;
-use crate::fault::{FaultInjector, FaultModel};
+use crate::fault::{FaultModel, FaultStream};
 use crate::multiplier::{MultiplierTimingModel, FREEZE_ERROR_RATE, OBSERVABLE_P};
 use crate::voltage::{Millivolts, Volts, NOMINAL_CORE_VOLTAGE};
 use rand::rngs::StdRng;
@@ -297,7 +297,7 @@ impl Calibrator {
             let b: u64 = rng.gen();
             let model = FaultModel::at_voltage_for_operands(&timing, vdd, a, b)
                 .expect("timing rates are probabilities");
-            let mut injector = FaultInjector::new(model, rng.gen());
+            let mut injector = FaultStream::new(model, rng.gen());
             let product = a.wrapping_mul(b);
             if injector.corrupt_unsigned(product) != product {
                 faulty += 1;

@@ -6,7 +6,7 @@
 //! occurred", for multiplications and then for additions, subtractions,
 //! and bit-wise operations (which never faulted).
 
-use crate::fault::{FaultInjector, FaultModel, FaultStats};
+use crate::fault::{FaultModel, FaultStats, FaultStream};
 use crate::multiplier::{AluTimingModel, MultiplierTimingModel, FREEZE_ERROR_RATE};
 use crate::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use rand::rngs::StdRng;
@@ -130,7 +130,7 @@ pub fn sweep_instruction(kind: InstructionKind, config: &SweepConfig) -> SweepRe
             InstructionKind::Multiply => {
                 let model = FaultModel::at_voltage_for_operands(&timing, vdd, a, b)
                     .expect("valid probabilities");
-                let mut injector = FaultInjector::new(model, rng.gen());
+                let mut injector = FaultStream::new(model, rng.gen());
                 let product = a.wrapping_mul(b);
                 let mut faulted = false;
                 for _ in 0..config.reps_per_step {

@@ -117,8 +117,8 @@ mod tests {
     fn fault_injector_output_is_stochastic_by_apen() {
         // End-to-end §II validation: the fault-location series of an
         // undervolted multiplier has high approximate entropy.
-        use crate::fault::{FaultInjector, FaultModel};
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(1.0).unwrap(), 23);
+        use crate::fault::{FaultModel, FaultStream};
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(1.0).unwrap(), 23);
         let product = 0x0aaa_5555_aaaa_5555i64;
         let series: Vec<u8> = (0..400)
             .map(|_| {

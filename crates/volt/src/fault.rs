@@ -7,7 +7,7 @@
 //! A [`FaultModel`] holds per-bit flip probabilities for the 64-bit product,
 //! constructed either from the abstract error-rate knob `er` (the quantity
 //! swept by the paper's space exploration, Figs. 2 & 8) or from a physical
-//! supply voltage through [`MultiplierTimingModel`]. A [`FaultInjector`]
+//! supply voltage through [`MultiplierTimingModel`]. A [`FaultStream`]
 //! samples from the model with a seeded RNG and keeps [`FaultStats`] that
 //! regenerate Figure 1.
 
@@ -16,6 +16,7 @@ use crate::voltage::Volts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Default fraction of faults that land in the carry-ripple zone *above*
@@ -45,8 +46,7 @@ const MAX_EFFECTIVE_RATE: f64 = 0.9999;
 pub enum FaultModelError {
     /// The requested error rate is outside `[0, 1]` or not finite.
     InvalidErrorRate(f64),
-    /// A state snapshot failed validation (see [`FaultModel::from_state`]
-    /// and [`FaultInjector::from_state`]).
+    /// A state snapshot failed validation (see [`FaultModel::from_state`]).
     InvalidState(&'static str),
 }
 
@@ -87,7 +87,7 @@ pub struct FaultModel {
     near_zero_width: u32,
     /// Precomputed geometric CDF of the gap to the next fault event:
     /// `gap_cdf[k] = P(gap ≤ k) = 1 − (1 − er)^{k+1}`, truncated once it
-    /// covers ~99.9% of the mass (see [`FaultInjector::corrupt_product`]).
+    /// covers ~99.9% of the mass (see [`FaultStream::corrupt_product`]).
     gap_cdf: Vec<f64>,
     /// Suffix no-flip probabilities over `flips`:
     /// `tail_none[j] = ∏_{i ≥ j} (1 − pᵢ)`, with `tail_none[len] = 1`.
@@ -504,24 +504,7 @@ pub struct FaultModelState {
     pub near_zero_width: u32,
 }
 
-/// A complete [`FaultInjector`] snapshot: the model's free parameters,
-/// the raw RNG state, the accumulated statistics, and the in-flight
-/// geometric gap. Restoring it continues the corruption stream — and the
-/// statistics — bit-identically from the captured multiplication.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct InjectorState {
-    /// The fault model's free parameters.
-    pub model: FaultModelState,
-    /// Raw xoshiro256++ state of the injector's RNG.
-    pub rng: [u64; 4],
-    /// Statistics settled as of the snapshot (in-flight gap folded in,
-    /// exactly as [`FaultInjector::stats`] reports them).
-    pub stats: FaultStats,
-    /// Fault-free multiplications remaining before the next fault event.
-    pub skip: u64,
-}
-
-/// Statistics accumulated by a [`FaultInjector`], sufficient to regenerate
+/// Statistics accumulated by a [`FaultStream`], sufficient to regenerate
 /// the paper's Figure 1.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
@@ -775,7 +758,7 @@ fn sample_gap(rng: &mut StdRng, model: &FaultModel) -> u64 {
 
 /// Applies one fault *event* to `product` (the event itself has already been
 /// decided), updating `stats`. Shared between the geometric-skip
-/// [`FaultInjector`] and the per-draw [`PerDrawInjector`] oracle so the two
+/// [`FaultStream`] and the per-draw [`PerDrawInjector`] oracle so the two
 /// samplers differ only in *when* a fault happens and how the independent
 /// tail is walked.
 ///
@@ -907,42 +890,44 @@ fn apply_fault_event<S: FaultSink>(
     product ^ (mask as i64)
 }
 
-/// One geometric-skip corruption step: drain the fault-free gap, or settle
-/// the multiply count, re-arm the gap, and apply the fault event. Shared by
-/// the owning [`FaultInjector`] and the borrowing [`FaultStream`] so both
-/// walk the identical fault law bit-for-bit from the same seed.
+/// Arms a fault-free gap under `model`: a `Geom(er)` draw, or a gap that
+/// never drains (`u64::MAX`) for an exact model, so the hot path needs no
+/// separate exactness branch.
 #[inline]
-fn corrupt_step(
-    model: &FaultModel,
-    rng: &mut StdRng,
-    stats: &mut FaultStats,
-    skip: &mut u64,
-    gap_len: &mut u64,
-    product: i64,
-) -> i64 {
-    if *skip > 0 {
-        *skip -= 1;
-        return product;
+fn arm_gap(rng: &mut StdRng, model: &FaultModel) -> u64 {
+    if model.is_exact() {
+        u64::MAX
+    } else {
+        sample_gap(rng, model)
     }
-    // Fault event: settle the multiply count for the drained gap plus
-    // this call, then arm the next gap.
-    stats.multiplies += *gap_len + 1;
-    *skip = sample_gap(rng, model);
-    *gap_len = *skip;
-    apply_fault_event(model, rng, stats, product, true)
 }
 
-/// A seeded stochastic fault injector.
+/// A seeded geometric-skip fault stream: the scalar fault injector.
+///
+/// `M` is how the stream holds its [`FaultModel`]. A stream that owns its
+/// model (`FaultStream::new(model, seed)`, a `FaultStream<FaultModel>`)
+/// suits a long-lived detector or a characterisation sweep. A stream that
+/// borrows it (`FaultStream::new(&model, seed)`) suits a serving worker
+/// that needs a fresh deterministic stream *per query*: the model holds
+/// heap-allocated CDF and guide tables, so cloning it per query would
+/// dominate the score itself, while a borrowing construction is one RNG
+/// seed plus a single gap draw. Both walk the identical fault law
+/// bit-for-bit from the same model and seed.
+///
+/// Restarting a fresh stream per query is statistically sound because the
+/// geometric inter-fault gap is *memoryless*: a fresh `Geom(er)` draw at
+/// every query boundary preserves the exact one-Bernoulli(er)-per-
+/// multiplication fault law of a single long-lived stream.
 ///
 /// # Example
 ///
 /// ```
-/// use shmd_volt::fault::{FaultInjector, FaultModel, ProductCorruptor};
+/// use shmd_volt::fault::{FaultModel, FaultStream, ProductCorruptor};
 ///
-/// let mut injector = FaultInjector::new(FaultModel::from_error_rate(0.5)?, 7);
+/// let mut stream = FaultStream::new(FaultModel::from_error_rate(0.5)?, 7);
 /// let mut corrupted = 0;
 /// for _ in 0..1000 {
-///     if injector.corrupt(1 << 40) != 1 << 40 {
+///     if stream.corrupt(1 << 40) != 1 << 40 {
 ///         corrupted += 1;
 ///     }
 /// }
@@ -950,32 +935,28 @@ fn corrupt_step(
 /// # Ok::<(), shmd_volt::fault::FaultModelError>(())
 /// ```
 #[derive(Clone, Debug)]
-pub struct FaultInjector {
-    model: FaultModel,
+pub struct FaultStream<M> {
+    model: M,
     rng: StdRng,
     stats: FaultStats,
     /// Fault-free multiplications remaining before the next fault event
-    /// (geometric gap sampling — see [`sample_gap`]). An exact model is
-    /// represented as a gap that never drains (`u64::MAX`), so the hot
-    /// path needs no separate exactness branch.
+    /// (geometric gap sampling — see [`sample_gap`]; [`arm_gap`] parks an
+    /// exact model at `u64::MAX`).
     skip: u64,
     /// The value `skip` was last (re)sampled to. `gap_len - skip` is the
     /// number of fault-free multiplications since the last event, which
-    /// [`FaultInjector::stats`] folds into the multiply count on demand —
+    /// [`FaultStream::stats`] folds into the multiply count on demand —
     /// the fault-free path never touches memory for bookkeeping.
     gap_len: u64,
 }
 
-impl FaultInjector {
-    /// Creates an injector with a deterministic seed.
-    pub fn new(model: FaultModel, seed: u64) -> FaultInjector {
+impl<M: Borrow<FaultModel>> FaultStream<M> {
+    /// Creates a stream over `model` (owned or borrowed) with a
+    /// deterministic seed.
+    pub fn new(model: M, seed: u64) -> FaultStream<M> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let skip = if model.is_exact() {
-            u64::MAX
-        } else {
-            sample_gap(&mut rng, &model)
-        };
-        FaultInjector {
+        let skip = arm_gap(&mut rng, model.borrow());
+        FaultStream {
             model,
             rng,
             stats: FaultStats::new(),
@@ -986,21 +967,17 @@ impl FaultInjector {
 
     /// The fault model in use.
     pub fn model(&self) -> &FaultModel {
-        &self.model
+        self.model.borrow()
     }
 
     /// Replaces the fault model (e.g. when re-calibrating for temperature).
     ///
     /// The gap to the next fault is resampled under the new error rate.
-    pub fn set_model(&mut self, model: FaultModel) {
+    pub fn set_model(&mut self, model: M) {
         // Multiplications run under the outgoing model still count.
         self.stats.multiplies += self.gap_len - self.skip;
         self.model = model;
-        self.skip = if self.model.is_exact() {
-            u64::MAX
-        } else {
-            sample_gap(&mut self.rng, &self.model)
-        };
+        self.skip = arm_gap(&mut self.rng, self.model.borrow());
         self.gap_len = self.skip;
     }
 
@@ -1013,12 +990,6 @@ impl FaultInjector {
         let mut stats = self.stats.clone();
         stats.multiplies += self.gap_len - self.skip;
         stats
-    }
-
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = FaultStats::new();
-        self.gap_len = self.skip;
     }
 
     /// Corrupts a raw 64-bit product, updating statistics.
@@ -1044,148 +1015,26 @@ impl FaultInjector {
     /// still reflects only products wide enough to fault.
     #[inline]
     pub fn corrupt_product(&mut self, product: i64) -> i64 {
-        corrupt_step(
-            &self.model,
-            &mut self.rng,
-            &mut self.stats,
-            &mut self.skip,
-            &mut self.gap_len,
-            product,
-        )
+        if self.skip > 0 {
+            self.skip -= 1;
+            return product;
+        }
+        // Fault event: settle the multiply count for the drained gap plus
+        // this call, then arm the next gap.
+        let model = self.model.borrow();
+        self.stats.multiplies += self.gap_len + 1;
+        self.skip = sample_gap(&mut self.rng, model);
+        self.gap_len = self.skip;
+        apply_fault_event(model, &mut self.rng, &mut self.stats, product, true)
     }
 
     /// Corrupts an unsigned product (convenience for characterisation code).
     pub fn corrupt_unsigned(&mut self, product: u64) -> u64 {
         self.corrupt_product(product as i64) as u64
     }
-
-    /// Snapshots the injector for checkpointing: model parameters, raw RNG
-    /// state, folded statistics, and the remaining in-flight gap.
-    pub fn export_state(&self) -> InjectorState {
-        InjectorState {
-            model: self.model.export_state(),
-            rng: self.rng.state(),
-            stats: self.stats(),
-            skip: self.skip,
-        }
-    }
-
-    /// Rebuilds an injector from an [`FaultInjector::export_state`]
-    /// snapshot. The restored injector continues the corruption stream —
-    /// RNG draws, fault timing, statistics — bit-identically from the
-    /// multiplication the snapshot was taken at.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultModelError::InvalidState`] when the snapshot fails
-    /// validation: a bad model (see [`FaultModel::from_state`]), the
-    /// degenerate all-zero RNG state (the xoshiro fixed point, which a
-    /// seeded generator can never reach), or a statistics record whose
-    /// per-bit table does not cover the 64 product bits (the fault path
-    /// indexes it unchecked).
-    pub fn from_state(state: InjectorState) -> Result<FaultInjector, FaultModelError> {
-        let model = FaultModel::from_state(state.model)?;
-        if state.rng == [0u64; 4] {
-            return Err(FaultModelError::InvalidState("all-zero rng state"));
-        }
-        if state.stats.bit_flips.len() != OUTPUT_BITS {
-            return Err(FaultModelError::InvalidState("bit-flip table length"));
-        }
-        if state.stats.faulty > state.stats.multiplies {
-            return Err(FaultModelError::InvalidState("faulty exceeds multiplies"));
-        }
-        // The exported stats were folded, so the restored gap restarts at
-        // `skip`: future folds count only multiplications made after the
-        // snapshot, exactly matching the original's running totals.
-        Ok(FaultInjector {
-            model,
-            rng: StdRng::from_state(state.rng),
-            stats: state.stats,
-            skip: state.skip,
-            gap_len: state.skip,
-        })
-    }
 }
 
-impl ProductCorruptor for FaultInjector {
-    #[inline]
-    fn corrupt(&mut self, product: i64) -> i64 {
-        self.corrupt_product(product)
-    }
-}
-
-/// A borrowing fault injector for short-lived corruption streams.
-///
-/// [`FaultInjector::new`] takes the [`FaultModel`] by value — the right
-/// ownership for a long-lived per-shard injector, but prohibitive when a
-/// serving worker needs a fresh deterministic stream *per query*: the model
-/// holds heap-allocated CDF and guide tables, so cloning it per query would
-/// dominate the score itself. `FaultStream` borrows the model instead;
-/// construction is one RNG seed plus a single gap draw, and the corruption
-/// sequence from a given seed is bit-identical to a [`FaultInjector`] built
-/// from the same model and seed (both delegate to the same step function).
-///
-/// Restarting a fresh stream per query is statistically sound because the
-/// geometric inter-fault gap is *memoryless*: a fresh `Geom(er)` draw at
-/// every query boundary preserves the exact one-Bernoulli(er)-per-
-/// multiplication fault law of a single long-lived injector.
-#[derive(Clone, Debug)]
-pub struct FaultStream<'a> {
-    model: &'a FaultModel,
-    rng: StdRng,
-    stats: FaultStats,
-    skip: u64,
-    gap_len: u64,
-}
-
-impl<'a> FaultStream<'a> {
-    /// Creates a stream over a borrowed model with a deterministic seed.
-    pub fn new(model: &'a FaultModel, seed: u64) -> FaultStream<'a> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let skip = if model.is_exact() {
-            u64::MAX
-        } else {
-            sample_gap(&mut rng, model)
-        };
-        FaultStream {
-            model,
-            rng,
-            stats: FaultStats::new(),
-            skip,
-            gap_len: skip,
-        }
-    }
-
-    /// The borrowed fault model.
-    pub fn model(&self) -> &FaultModel {
-        self.model
-    }
-
-    /// Accumulated statistics, with the in-flight fault-free gap folded
-    /// into the multiply count (same on-demand fold as
-    /// [`FaultInjector::stats`]).
-    pub fn stats(&self) -> FaultStats {
-        let mut stats = self.stats.clone();
-        stats.multiplies += self.gap_len - self.skip;
-        stats
-    }
-
-    /// Corrupts a raw 64-bit product, updating statistics. Bit-identical
-    /// to [`FaultInjector::corrupt_product`] for the same model and seed.
-    #[inline]
-    pub fn corrupt_product(&mut self, product: i64) -> i64 {
-        corrupt_step(
-            self.model,
-            &mut self.rng,
-            &mut self.stats,
-            &mut self.skip,
-            &mut self.gap_len,
-            product,
-        )
-    }
-}
-
-impl ProductCorruptor for FaultStream<'_> {
+impl<M: Borrow<FaultModel>> ProductCorruptor for FaultStream<M> {
     #[inline]
     fn corrupt(&mut self, product: i64) -> i64 {
         self.corrupt_product(product)
@@ -1295,15 +1144,10 @@ impl<'a, const LANES: usize> BatchFaultStream<'a, LANES> {
             (1..=64).contains(&LANES),
             "lane mask is a u64: 1..=64 lanes"
         );
-        let exact = model.is_exact();
         let mut skip = [0u64; LANES];
         let rngs = std::array::from_fn(|l| {
             let mut rng = StdRng::seed_from_u64(seeds[l]);
-            skip[l] = if exact {
-                u64::MAX
-            } else {
-                sample_gap(&mut rng, model)
-            };
+            skip[l] = arm_gap(&mut rng, model);
             rng
         });
         BatchFaultStream {
@@ -1353,9 +1197,9 @@ impl<const LANES: usize> LaneCorruptor<LANES> for BatchFaultStream<'_, LANES> {
     /// the lane crosses its next fault event inside the span — no RNG, no
     /// per-product work, no cross-lane synchronization. A due lane's
     /// counter parks at zero until [`BatchFaultStream::fault`] re-arms it,
-    /// which replicates the scalar `corrupt_step` exactly (the scalar path
-    /// also reaches `skip == 0` on the event multiplication and resamples
-    /// inside the event).
+    /// which replicates [`FaultStream::corrupt_product`] exactly (the
+    /// scalar path also reaches `skip == 0` on the event multiplication and
+    /// resamples inside the event).
     #[inline]
     fn lane_run(&mut self, lane: usize, max: u64) -> Option<u64> {
         let s = self.skip[lane];
@@ -1386,13 +1230,13 @@ impl<const LANES: usize> LaneCorruptor<LANES> for BatchFaultStream<'_, LANES> {
 /// The pre-geometric reference sampler: one uniform Bernoulli draw per
 /// multiplication, one uniform per weighted bit inside each fault event.
 ///
-/// Statistically interchangeable with [`FaultInjector`] — the same
+/// Statistically interchangeable with [`FaultStream`] — the same
 /// per-multiplication fault law and the same per-bit flip law — but
 /// implemented the straightforward way the seed revision did, without
 /// geometric gap sampling or tail thinning. Retained as the statistical
 /// oracle for the sampling property tests (two independent implementations
 /// of one law must agree) and as the honest "before" baseline in the
-/// throughput benchmarks; deployment code should use [`FaultInjector`].
+/// throughput benchmarks; deployment code should use [`FaultStream`].
 #[derive(Clone, Debug)]
 pub struct PerDrawInjector {
     model: FaultModel,
@@ -1454,34 +1298,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn exact_model_is_identity() {
-        let mut inj = FaultInjector::new(FaultModel::exact(), 1);
-        for p in [0i64, -1, i64::MAX, i64::MIN, 12345] {
-            assert_eq!(inj.corrupt_product(p), p);
-        }
-        assert_eq!(inj.stats().faulty, 0);
-        assert_eq!(inj.stats().multiplies, 5);
-    }
-
-    #[test]
-    fn fault_stream_matches_injector_bit_for_bit() {
-        let model = FaultModel::from_error_rate(0.3).expect("valid");
-        let mut injector = FaultInjector::new(model.clone(), 99);
-        let mut stream = FaultStream::new(&model, 99);
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for _ in 0..5000 {
-            // Cheap xorshift so the product mix covers widths and signs.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let p = x as i64;
-            assert_eq!(stream.corrupt_product(p), injector.corrupt_product(p));
-        }
-        assert_eq!(stream.stats(), injector.stats());
-        assert!(stream.stats().faulty > 0, "0.3 must fault within 5000");
-    }
-
-    #[test]
     fn fault_stream_folds_the_inflight_gap_into_stats() {
         let model = FaultModel::from_error_rate(0.01).expect("valid");
         let mut stream = FaultStream::new(&model, 7);
@@ -1513,7 +1329,7 @@ mod tests {
     fn rate_one_is_clamped_but_always_faulty() {
         let m = FaultModel::from_error_rate(1.0).expect("valid");
         assert!((m.error_rate() - MAX_EFFECTIVE_RATE).abs() < 1e-12);
-        let mut inj = FaultInjector::new(m, 3);
+        let mut inj = FaultStream::new(m, 3);
         // Full-width product: fault positions map one-to-one.
         let product = 3i64 << 60;
         let mut faulty = 0;
@@ -1528,7 +1344,7 @@ mod tests {
     #[test]
     fn observed_rate_matches_requested_rate() {
         for &er in &[0.01, 0.1, 0.5, 0.9] {
-            let mut inj = FaultInjector::new(FaultModel::from_error_rate(er).expect("valid"), 99);
+            let mut inj = FaultStream::new(FaultModel::from_error_rate(er).expect("valid"), 99);
             for _ in 0..20_000 {
                 // Full-width product: observed rate matches the knob exactly.
                 inj.corrupt_product(0x7123_4567_89ab_cdef);
@@ -1543,7 +1359,7 @@ mod tests {
 
     #[test]
     fn sign_bit_never_flips() {
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.9).expect("valid"), 5);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.9).expect("valid"), 5);
         for i in 0..20_000i64 {
             let p = i * 31_415_926;
             let c = inj.corrupt_product(p);
@@ -1554,7 +1370,7 @@ mod tests {
 
     #[test]
     fn immune_lsbs_never_flip() {
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.9).expect("valid"), 6);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.9).expect("valid"), 6);
         for i in 0..20_000i64 {
             let p = i * 2_718_281;
             let c = inj.corrupt_product(p);
@@ -1569,7 +1385,7 @@ mod tests {
     fn fault_locations_are_stochastic() {
         // The same operands must not always fault in the same place —
         // the paper's core §II observation.
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(1.0).expect("valid"), 8);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(1.0).expect("valid"), 8);
         let product = 0x00ff_00ff_00ff_00ffi64;
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..200 {
@@ -1585,8 +1401,8 @@ mod tests {
     #[test]
     fn same_seed_reproduces_fault_sequence() {
         let model = FaultModel::from_error_rate(0.3).expect("valid");
-        let mut a = FaultInjector::new(model.clone(), 42);
-        let mut b = FaultInjector::new(model, 42);
+        let mut a = FaultStream::new(model.clone(), 42);
+        let mut b = FaultStream::new(model, 42);
         for i in 0..5000 {
             assert_eq!(a.corrupt_product(i * 7919), b.corrupt_product(i * 7919));
         }
@@ -1594,7 +1410,7 @@ mod tests {
 
     #[test]
     fn bitwise_rates_follow_fig1_shape() {
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.5).expect("valid"), 11);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.5).expect("valid"), 11);
         for _ in 0..100_000 {
             inj.corrupt_product(0x0f0f_0f0f_0f0f_0f0f);
         }
@@ -1639,7 +1455,7 @@ mod tests {
     fn near_zero_products_are_unprotected() {
         // Paper §IX "Limitations": since LSBs cannot flip, values very
         // close to zero are not protected.
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(1.0).expect("valid"), 13);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(1.0).expect("valid"), 13);
         for p in [0i64, 1, -1, 37, -200, 255] {
             for _ in 0..50 {
                 assert_eq!(inj.corrupt_product(p), p, "tiny product {p} faulted");
@@ -1652,7 +1468,7 @@ mod tests {
         // No switching activity above the product's top column ⇒ faults
         // stay within the active width, except rare carry-ripple faults
         // that reach at most DEFAULT_RIPPLE_SPAN bits higher.
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(1.0).expect("valid"), 14);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(1.0).expect("valid"), 14);
         let product = 1i64 << 20; // active width 21
         let mut in_width = 0u32;
         let mut rippled = 0u32;
@@ -1679,7 +1495,7 @@ mod tests {
         // The paper's FANN-integrated tool mostly perturbs low-significance
         // mantissa bits; verify the median faulty deviation is small at the
         // paper's er = 0.1 operating point (where faults are single flips).
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.1).expect("valid"), 15);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.1).expect("valid"), 15);
         let product = 1i64 << 40;
         let mut rel_errors: Vec<f64> = (0..40_000)
             .filter_map(|_| {
@@ -1707,7 +1523,7 @@ mod tests {
         // within ±0.02 over 20k draws at each probed rate.
         for &er in &[0.01, 0.1, 0.5] {
             let model = FaultModel::from_error_rate(er).expect("valid");
-            let mut geo = FaultInjector::new(model.clone(), 99);
+            let mut geo = FaultStream::new(model.clone(), 99);
             let mut oracle = PerDrawInjector::new(model, 99);
             for _ in 0..20_000 {
                 // Full-width product: observed rate matches the knob exactly.
@@ -1729,7 +1545,7 @@ mod tests {
         // (wide-product) fault counts must still agree.
         let er = 0.3;
         let model = FaultModel::from_error_rate(er).expect("valid");
-        let mut geo = FaultInjector::new(model.clone(), 7);
+        let mut geo = FaultStream::new(model.clone(), 7);
         let mut oracle = PerDrawInjector::new(model, 7);
         for i in 0..40_000i64 {
             let p = if i % 2 == 0 { 0x7123_4567_89ab_cdef } else { 3 };
@@ -1753,7 +1569,7 @@ mod tests {
         // oracle (full tail scan) implement one per-bit law, so their
         // bitwise rate profiles over the same workload stay close.
         let model = FaultModel::from_error_rate(0.2).expect("valid");
-        let mut geo = FaultInjector::new(model.clone(), 21);
+        let mut geo = FaultStream::new(model.clone(), 21);
         let mut oracle = PerDrawInjector::new(model, 21);
         for _ in 0..50_000 {
             geo.corrupt_product(0x0f0f_0f0f_0f0f_0f0f);
@@ -1779,7 +1595,7 @@ mod tests {
         // skips under the max-probability envelope) must reproduce the full
         // scan's mean flip multiplicity, not just the event rate.
         let model = FaultModel::from_error_rate(0.9).expect("valid");
-        let mut geo = FaultInjector::new(model.clone(), 33);
+        let mut geo = FaultStream::new(model.clone(), 33);
         let mut oracle = PerDrawInjector::new(model, 33);
         let product = 0x7fff_ffff_ffff_fff0i64;
         for _ in 0..50_000 {
@@ -1804,7 +1620,7 @@ mod tests {
     fn set_model_resamples_the_gap() {
         // Raising the rate must take effect immediately, not after the stale
         // (long) gap for the old rate has drained.
-        let mut inj = FaultInjector::new(FaultModel::from_error_rate(0.001).expect("valid"), 17);
+        let mut inj = FaultStream::new(FaultModel::from_error_rate(0.001).expect("valid"), 17);
         inj.set_model(FaultModel::from_error_rate(1.0).expect("valid"));
         let product = 3i64 << 60;
         let mut faulty = 0;
@@ -1834,47 +1650,19 @@ mod tests {
     }
 
     #[test]
-    fn injector_state_resumes_mid_gap_bit_identically() {
-        let model = FaultModel::from_error_rate(0.2).expect("valid");
-        let mut original = FaultInjector::new(model, 42);
-        // Run partway into a gap so skip, stats, and RNG are all mid-flight.
-        for i in 0..1777i64 {
-            original.corrupt_product(i * 7919);
-        }
-        let mut resumed = FaultInjector::from_state(original.export_state()).expect("valid state");
-        assert_eq!(original.stats(), resumed.stats(), "fold must carry over");
-        for i in 1777..12_000i64 {
-            assert_eq!(
-                original.corrupt_product(i * 7919),
-                resumed.corrupt_product(i * 7919),
-                "corruption streams diverged at multiply {i}"
-            );
-        }
-        assert_eq!(original.stats(), resumed.stats());
-    }
-
-    #[test]
-    fn injector_state_rejects_corrupted_snapshots() {
-        let good =
-            FaultInjector::new(FaultModel::from_error_rate(0.3).expect("valid"), 7).export_state();
-        let mut zero_rng = good.clone();
-        zero_rng.rng = [0; 4];
-        assert!(FaultInjector::from_state(zero_rng).is_err());
-        let mut short_flips = good.clone();
-        short_flips.stats.bit_flips.truncate(10);
-        assert!(FaultInjector::from_state(short_flips).is_err());
+    fn model_state_rejects_corrupted_snapshots() {
+        let good = FaultModel::from_error_rate(0.3)
+            .expect("valid")
+            .export_state();
         let mut bad_bit = good.clone();
-        bad_bit.model.flips.push((64, 0.5));
-        assert!(FaultInjector::from_state(bad_bit).is_err());
+        bad_bit.flips.push((64, 0.5));
+        assert!(FaultModel::from_state(bad_bit).is_err());
         let mut bad_rate = good.clone();
-        bad_rate.model.error_rate = f64::NAN;
-        assert!(FaultInjector::from_state(bad_rate).is_err());
-        let mut bad_ripple = good.clone();
-        bad_ripple.model.ripple_fraction = 1.5;
-        assert!(FaultInjector::from_state(bad_ripple).is_err());
-        let mut bad_counts = good;
-        bad_counts.stats.faulty = bad_counts.stats.multiplies + 1;
-        assert!(FaultInjector::from_state(bad_counts).is_err());
+        bad_rate.error_rate = f64::NAN;
+        assert!(FaultModel::from_state(bad_rate).is_err());
+        let mut bad_ripple = good;
+        bad_ripple.ripple_fraction = 1.5;
+        assert!(FaultModel::from_state(bad_ripple).is_err());
     }
 
     #[test]
@@ -1926,7 +1714,7 @@ mod tests {
             let model = FaultModel::from_error_rate(er).expect("valid");
             let seeds: [u64; LANES] = std::array::from_fn(|l| 1000 + 37 * l as u64);
             let mut batch = BatchFaultStream::<LANES>::new(&model, seeds);
-            let mut scalars: Vec<FaultStream<'_>> =
+            let mut scalars: Vec<FaultStream<&FaultModel>> =
                 seeds.iter().map(|&s| FaultStream::new(&model, s)).collect();
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
             let products: Vec<[i64; LANES]> = (0..total)
@@ -2054,7 +1842,7 @@ mod tests {
         }
 
         // The same law observed through a scalar injector, different seed.
-        let mut scalar = FaultInjector::new(model.clone(), 0xdead);
+        let mut scalar = FaultStream::new(model.clone(), 0xdead);
         let mut scalar_gaps = Vec::new();
         let mut since = 0u64;
         for _ in 0..40_000 {
@@ -2131,8 +1919,8 @@ mod tests {
             .expect("valid"); // never consults the cache
         assert_eq!(first, cached);
         assert_eq!(first, rebuilt);
-        let mut a = FaultInjector::new(cached, 99);
-        let mut b = FaultInjector::new(rebuilt, 99);
+        let mut a = FaultStream::new(cached, 99);
+        let mut b = FaultStream::new(rebuilt, 99);
         for i in 0..10_000i64 {
             let p = (i * 0x5851_f42d) << 16;
             assert_eq!(a.corrupt_product(p), b.corrupt_product(p));
@@ -2151,8 +1939,8 @@ mod tests {
             .with_near_zero_width(20);
         let mut without_table = with_table.clone();
         without_table.place_pos.clear();
-        let mut a = FaultInjector::new(with_table, 1234);
-        let mut b = FaultInjector::new(without_table, 1234);
+        let mut a = FaultStream::new(with_table, 1234);
+        let mut b = FaultStream::new(without_table, 1234);
         let mut x = 42u64;
         for _ in 0..30_000 {
             x ^= x << 13;
@@ -2179,7 +1967,7 @@ mod tests {
             // geometric-skip sampler's observed rate stays within a 5σ
             // binomial band of the requested Bernoulli rate.
             let n = 6000;
-            let mut inj = FaultInjector::new(FaultModel::from_error_rate(er).unwrap(), seed);
+            let mut inj = FaultStream::new(FaultModel::from_error_rate(er).unwrap(), seed);
             for _ in 0..n {
                 inj.corrupt_product(0x7123_4567_89ab_cdef);
             }
@@ -2193,7 +1981,7 @@ mod tests {
         fn corruption_never_touches_immune_bits(
             product in any::<i64>(), er in 0.01f64..1.0, seed in any::<u64>()
         ) {
-            let mut inj = FaultInjector::new(FaultModel::from_error_rate(er).unwrap(), seed);
+            let mut inj = FaultStream::new(FaultModel::from_error_rate(er).unwrap(), seed);
             let c = inj.corrupt_product(product);
             let diff = (c ^ product) as u64;
             prop_assert_eq!(diff & 0xff, 0, "immune LSB flipped");

@@ -10,7 +10,7 @@
 //!   including temperature dependence;
 //! - [`multiplier`] — a per-output-bit timing model of a 64-bit multiplier
 //!   (and of the much shallower adder/logic datapaths, which never fault);
-//! - [`fault`] — the stochastic fault model and injector: per-bit flip
+//! - [`fault`] — the stochastic fault model and its fault stream: per-bit flip
 //!   probabilities, seeded sampling, and fault statistics;
 //! - [`calibration`] — the per-device calibration flow mapping undervolt
 //!   offsets to observed error rates (and back);
@@ -36,13 +36,13 @@
 //! # Example
 //!
 //! ```
-//! use shmd_volt::fault::{FaultInjector, FaultModel};
+//! use shmd_volt::fault::{FaultModel, FaultStream};
 //!
 //! // An abstract error-rate knob, as used by the paper's space exploration:
 //! let model = FaultModel::from_error_rate(0.1)?;
-//! let mut injector = FaultInjector::new(model, 42);
+//! let mut stream = FaultStream::new(model, 42);
 //! let product: i64 = 12345 << 20;
-//! let _maybe_faulty = injector.corrupt_product(product);
+//! let _maybe_faulty = stream.corrupt_product(product);
 //! # Ok::<(), shmd_volt::fault::FaultModelError>(())
 //! ```
 
@@ -67,8 +67,6 @@ pub use characterize::{
 pub use controller::{AdaptiveVoltageController, ControllerAction, ControllerConfig};
 pub use delay::DelayModel;
 pub use environment::{delivered_error_rate_at, freezes_at, EnvironmentConfig, ThermalEnvironment};
-pub use fault::{
-    FaultInjector, FaultModel, FaultModelError, FaultStats, FaultStream, ProductCorruptor,
-};
+pub use fault::{FaultModel, FaultModelError, FaultStats, FaultStream, ProductCorruptor};
 pub use multiplier::{AluTimingModel, BitErrorProfile, MultiplierTimingModel};
 pub use voltage::{Millivolts, MsrVoltageCommand, VoltagePlane, Volts, NOMINAL_CORE_VOLTAGE};

@@ -43,8 +43,8 @@ fn substrate_types_are_send_and_sync() {
     assert_send_sync::<shmd_fixed::Q16>();
     assert_send_sync::<shmd_fixed::Accumulator>();
     assert_send_sync::<shmd_volt::FaultModel>();
-    assert_send_sync::<shmd_volt::FaultInjector>();
-    assert_send_sync::<shmd_volt::FaultStream<'static>>();
+    assert_send_sync::<shmd_volt::FaultStream<shmd_volt::FaultModel>>();
+    assert_send_sync::<shmd_volt::FaultStream<&'static shmd_volt::FaultModel>>();
     assert_send_sync::<shmd_volt::CalibrationCurve>();
     assert_send_sync::<shmd_volt::AdaptiveVoltageController>();
     assert_send_sync::<shmd_volt::MsrVoltageCommand>();

@@ -5,7 +5,7 @@ use shmd_power::latency::LatencyModel;
 use shmd_power::memory::storage_savings;
 use shmd_power::rng_cost::{NoiseSource, RngCostModel};
 use shmd_volt::entropy::approximate_entropy_bits;
-use shmd_volt::fault::{FaultInjector, FaultModel};
+use shmd_volt::fault::{FaultModel, FaultStream};
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use stochastic_hmd::explore::accuracy_sweep;
@@ -41,7 +41,7 @@ fn claim_degradation_diverges_as_error_rate_approaches_one() {
 fn claim_faults_are_stochastic_not_deterministic() {
     // §II: the fault *pattern* over repeated identical multiplications
     // passes an approximate-entropy check.
-    let mut injector = FaultInjector::new(FaultModel::from_error_rate(0.5).expect("valid"), 4);
+    let mut injector = FaultStream::new(FaultModel::from_error_rate(0.5).expect("valid"), 4);
     let product = 0x7a5a_5a5a_5a5a_5a5ai64;
     let series: Vec<bool> = (0..600)
         .map(|_| injector.corrupt_product(product) != product)
