@@ -54,8 +54,8 @@
 
 use crate::codec::{fnv1a, fnv1a_tagged, CodecError, Reader, Writer};
 use crate::deploy::DetectionPolicy;
-use crate::supervisor::ShardHealth;
-use crate::telemetry::{FaultCounters, HISTOGRAM_BINS};
+use crate::supervisor::{ShardHealth, SupervisionRecord};
+use crate::telemetry::{FaultCounters, ScoreHistogram, HISTOGRAM_BINS};
 use shmd_volt::fault::FaultModelState;
 use shmd_volt::voltage::Millivolts;
 use std::fmt;
@@ -205,36 +205,21 @@ pub enum BackendCheckpoint {
     Down,
 }
 
-/// One shard's complete mutable state.
+/// One shard's durable state: everything about the shard except its
+/// detector backend. The serving layer keeps it as the shard's record,
+/// and a checkpoint clones it, so the fields are declared once. The
+/// shard's id is its position in [`ServiceCheckpoint::shards`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct ShardCheckpoint {
-    /// Shard index.
-    pub id: u64,
-    /// Current generation seed.
+pub struct ShardState {
+    /// Seed of the current calibration generation.
     pub seed: u64,
-    /// Calibration generation.
+    /// Calibration generation: bumped on every backend rebuild
+    /// (recalibration or supervised restart), so the shard never replays
+    /// an old fault stream.
     pub generation: u64,
-    /// The detector backend.
-    pub backend: BackendCheckpoint,
-    /// Supervision health state.
-    pub health: ShardHealth,
-    /// Lifetime health transitions.
-    pub transitions: u64,
-    /// Lifetime crashes.
-    pub crashes: u64,
-    /// Lifetime watchdog drift events.
-    pub drift_events: u64,
-    /// Lifetime recovery retries.
-    pub retries: u64,
-    /// Consecutive failed retries of the current quarantine.
-    pub attempt: u32,
-    /// Batch index of the next scheduled retry, when quarantined.
-    pub next_retry_batch: Option<u64>,
-    /// The watchdog's reference delivered-error-rate, once observed.
-    pub reference_rate: Option<f64>,
-    /// Fault counters at the start of the watchdog's current window.
-    pub window_mark: FaultCounters,
-    /// Why the shard is degraded/quarantined, when it is.
+    /// Health, lifetime counters, watchdog window and retry schedule.
+    pub supervision: SupervisionRecord,
+    /// Why the shard is degraded or quarantined, when it is.
     pub degraded_reason: Option<String>,
     /// Lifetime degradation events.
     pub degradation_events: u64,
@@ -242,22 +227,64 @@ pub struct ShardCheckpoint {
     pub queries: u64,
     /// Malware verdicts raised.
     pub flags: u64,
-    /// Fault counters folded from the shard's per-query fault streams.
-    pub faults: FaultCounters,
-    /// Score histogram bin counts.
-    pub histogram: [u64; HISTOGRAM_BINS],
-    /// Cumulative detection energy, microjoules.
-    pub energy_uj: f64,
-    /// Busy core power (watts) at the last energy accrual.
-    pub last_power_w: Option<f64>,
-    /// The power scheduler's current error-rate target for the shard.
-    pub power_target_er: Option<f64>,
-    /// Shard query count at the last power-scheduling tick.
-    pub power_window_queries: u64,
-    /// Queries whose score landed inside the re-query confidence band.
+    /// Verdicts whose primary score landed inside the re-query confidence
+    /// band (0 while re-query is disabled).
     pub band_hits: u64,
     /// Extra ensemble draws spent answering band hits.
     pub requeries: u64,
+    /// Fault counters folded at every batch boundary from the shard's
+    /// per-query fault streams.
+    pub faults: FaultCounters,
+    /// Score histogram.
+    pub histogram: ScoreHistogram,
+    /// Cumulative detection energy, microjoules, accrued at every batch
+    /// boundary (see DESIGN.md §13).
+    pub energy_uj: f64,
+    /// Busy core power (watts) at the last energy accrual.
+    pub last_power_w: Option<f64>,
+    /// The power scheduler's current error-rate target for the shard
+    /// (`None` until a budget policy first touches it).
+    pub power_target_er: Option<f64>,
+    /// Shard query count at the last power-scheduling tick: the window
+    /// base of the scheduler's per-shard load estimate.
+    pub power_window_queries: u64,
+}
+
+impl ShardState {
+    /// A generation-0 shard record in `health`, degraded for
+    /// `degraded_reason` when there is one.
+    pub(crate) fn fresh(
+        seed: u64,
+        health: ShardHealth,
+        degraded_reason: Option<String>,
+    ) -> ShardState {
+        ShardState {
+            seed,
+            generation: 0,
+            supervision: SupervisionRecord::starting(health),
+            degradation_events: u64::from(degraded_reason.is_some()),
+            degraded_reason,
+            queries: 0,
+            flags: 0,
+            band_hits: 0,
+            requeries: 0,
+            faults: FaultCounters::default(),
+            histogram: ScoreHistogram::new(),
+            energy_uj: 0.0,
+            last_power_w: None,
+            power_target_er: None,
+            power_window_queries: 0,
+        }
+    }
+}
+
+/// One shard at checkpoint time: its backend and its durable record.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ShardCheckpoint {
+    /// The detector backend.
+    pub backend: BackendCheckpoint,
+    /// Everything else about the shard.
+    pub state: ShardState,
 }
 
 /// The supervisor's mutable state: the voltage controller's calibration
@@ -314,7 +341,7 @@ pub struct ServiceCheckpoint {
     /// Supervisor state, for services deployed via
     /// `MonitoringService::supervised`.
     pub supervisor: Option<SupervisorCheckpoint>,
-    /// Per-shard state, in shard order.
+    /// Per-shard state, in shard order: a shard's id is its index.
     pub shards: Vec<ShardCheckpoint>,
 }
 
@@ -347,8 +374,8 @@ impl ServiceCheckpoint {
             }
         }
         w.u32(self.shards.len() as u32);
-        for shard in &self.shards {
-            encode_shard(&mut w, shard);
+        for (id, shard) in self.shards.iter().enumerate() {
+            encode_shard(&mut w, id, shard);
         }
         let checksum = fnv1a(&w.bytes);
         w.u64(checksum);
@@ -421,8 +448,8 @@ impl ServiceCheckpoint {
                     return Err(CheckpointError::Truncated);
                 }
                 let mut shards = Vec::with_capacity(count);
-                for _ in 0..count {
-                    shards.push(decode_shard(&mut r)?);
+                for id in 0..count {
+                    shards.push(decode_shard(&mut r, id)?);
                 }
                 shards
             },
@@ -506,97 +533,111 @@ fn decode_counters(r: &mut Reader<'_>) -> Result<FaultCounters, CheckpointError>
     })
 }
 
-fn encode_shard(w: &mut Writer, shard: &ShardCheckpoint) {
-    w.u64(shard.id);
-    w.u64(shard.seed);
-    w.u64(shard.generation);
+/// Writes one shard record. The v4 layout leads with the shard's id, its
+/// position in the checkpoint, which [`decode_shard`] checks.
+fn encode_shard(w: &mut Writer, id: usize, shard: &ShardCheckpoint) {
+    let state = &shard.state;
+    w.u64(id as u64);
+    w.u64(state.seed);
+    w.u64(state.generation);
     match &shard.backend {
-        BackendCheckpoint::Stochastic(state) => {
+        BackendCheckpoint::Stochastic(hmd) => {
             w.u8(0);
-            w.string(&state.name);
-            w.f64(state.error_rate);
-            match state.offset {
+            w.string(&hmd.name);
+            w.f64(hmd.error_rate);
+            match hmd.offset {
                 None => w.u8(0),
                 Some(mv) => {
                     w.u8(1);
                     w.i32(mv.get());
                 }
             }
-            w.f64(state.threshold);
-            encode_fault_model(w, &state.model);
+            w.f64(hmd.threshold);
+            encode_fault_model(w, &hmd.model);
         }
         BackendCheckpoint::Baseline => w.u8(1),
         BackendCheckpoint::Down => w.u8(2),
     }
-    w.u8(health_tag(shard.health));
-    w.u64(shard.transitions);
-    w.u64(shard.crashes);
-    w.u64(shard.drift_events);
-    w.u64(shard.retries);
-    w.u32(shard.attempt);
-    w.opt_u64(shard.next_retry_batch);
-    w.opt_f64(shard.reference_rate);
-    encode_counters(w, &shard.window_mark);
-    match &shard.degraded_reason {
+    let sup = &state.supervision;
+    w.u8(health_tag(sup.health));
+    w.u64(sup.transitions);
+    w.u64(sup.crashes);
+    w.u64(sup.drift_events);
+    w.u64(sup.retries);
+    w.u32(sup.attempt);
+    w.opt_u64(sup.next_retry_batch);
+    w.opt_f64(sup.reference_rate);
+    encode_counters(w, &sup.window_mark);
+    match &state.degraded_reason {
         None => w.u8(0),
         Some(reason) => {
             w.u8(1);
             w.string(reason);
         }
     }
-    w.u64(shard.degradation_events);
-    w.u64(shard.queries);
-    w.u64(shard.flags);
-    encode_counters(w, &shard.faults);
-    for bin in shard.histogram {
+    w.u64(state.degradation_events);
+    w.u64(state.queries);
+    w.u64(state.flags);
+    encode_counters(w, &state.faults);
+    for &bin in state.histogram.counts() {
         w.u64(bin);
     }
-    w.f64(shard.energy_uj);
-    w.opt_f64(shard.last_power_w);
-    w.opt_f64(shard.power_target_er);
-    w.u64(shard.power_window_queries);
-    w.u64(shard.band_hits);
-    w.u64(shard.requeries);
+    w.f64(state.energy_uj);
+    w.opt_f64(state.last_power_w);
+    w.opt_f64(state.power_target_er);
+    w.u64(state.power_window_queries);
+    w.u64(state.band_hits);
+    w.u64(state.requeries);
 }
 
-fn decode_shard(r: &mut Reader<'_>) -> Result<ShardCheckpoint, CheckpointError> {
-    Ok(ShardCheckpoint {
-        id: r.u64()?,
-        seed: r.u64()?,
-        generation: r.u64()?,
-        backend: match r.u8()? {
-            0 => BackendCheckpoint::Stochastic(crate::stochastic::StochasticHmdState {
-                name: r.string()?,
-                error_rate: r.f64()?,
-                offset: match r.u8()? {
-                    0 => None,
-                    1 => Some(Millivolts::new(r.i32()?)),
-                    tag => {
-                        return Err(CheckpointError::Corrupted(format!(
-                            "invalid offset tag {tag}"
-                        )))
-                    }
-                },
-                threshold: r.f64()?,
-                model: decode_fault_model(r)?,
-            }),
-            1 => BackendCheckpoint::Baseline,
-            2 => BackendCheckpoint::Down,
-            tag => {
-                return Err(CheckpointError::Corrupted(format!(
-                    "invalid backend tag {tag}"
-                )))
-            }
+/// Reads the record of the shard at position `id`.
+fn decode_shard(r: &mut Reader<'_>, id: usize) -> Result<ShardCheckpoint, CheckpointError> {
+    let stored = r.u64()?;
+    if stored != id as u64 {
+        return Err(CheckpointError::Corrupted(format!(
+            "shard {id} carries id {stored}"
+        )));
+    }
+    let seed = r.u64()?;
+    let generation = r.u64()?;
+    let backend = match r.u8()? {
+        0 => BackendCheckpoint::Stochastic(crate::stochastic::StochasticHmdState {
+            name: r.string()?,
+            error_rate: r.f64()?,
+            offset: match r.u8()? {
+                0 => None,
+                1 => Some(Millivolts::new(r.i32()?)),
+                tag => {
+                    return Err(CheckpointError::Corrupted(format!(
+                        "invalid offset tag {tag}"
+                    )))
+                }
+            },
+            threshold: r.f64()?,
+            model: decode_fault_model(r)?,
+        }),
+        1 => BackendCheckpoint::Baseline,
+        2 => BackendCheckpoint::Down,
+        tag => {
+            return Err(CheckpointError::Corrupted(format!(
+                "invalid backend tag {tag}"
+            )))
+        }
+    };
+    let state = ShardState {
+        seed,
+        generation,
+        supervision: SupervisionRecord {
+            health: decode_health(r.u8()?)?,
+            transitions: r.u64()?,
+            crashes: r.u64()?,
+            drift_events: r.u64()?,
+            retries: r.u64()?,
+            attempt: r.u32()?,
+            next_retry_batch: r.opt_u64()?,
+            reference_rate: r.opt_f64()?,
+            window_mark: decode_counters(r)?,
         },
-        health: decode_health(r.u8()?)?,
-        transitions: r.u64()?,
-        crashes: r.u64()?,
-        drift_events: r.u64()?,
-        retries: r.u64()?,
-        attempt: r.u32()?,
-        next_retry_batch: r.opt_u64()?,
-        reference_rate: r.opt_f64()?,
-        window_mark: decode_counters(r)?,
         degraded_reason: match r.u8()? {
             0 => None,
             1 => Some(r.string()?),
@@ -615,7 +656,7 @@ fn decode_shard(r: &mut Reader<'_>) -> Result<ShardCheckpoint, CheckpointError> 
             for bin in &mut bins {
                 *bin = r.u64()?;
             }
-            bins
+            ScoreHistogram::from_counts(bins)
         },
         energy_uj: r.f64()?,
         last_power_w: r.opt_f64()?,
@@ -623,7 +664,8 @@ fn decode_shard(r: &mut Reader<'_>) -> Result<ShardCheckpoint, CheckpointError> 
         power_window_queries: r.u64()?,
         band_hits: r.u64()?,
         requeries: r.u64()?,
-    })
+    };
+    Ok(ShardCheckpoint { backend, state })
 }
 
 fn encode_fault_model(w: &mut Writer, model: &FaultModelState) {
@@ -917,10 +959,11 @@ impl StateJournal {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_checkpoint() -> ServiceCheckpoint {
+    /// A two-shard checkpoint with every optional field exercised.
+    pub(crate) fn sample_checkpoint() -> ServiceCheckpoint {
         ServiceCheckpoint {
             policy: DetectionPolicy::MajorityOf(3),
             target_error_rate: 0.2,
@@ -940,9 +983,6 @@ mod tests {
             }),
             shards: vec![
                 ShardCheckpoint {
-                    id: 0,
-                    seed: 7,
-                    generation: 2,
                     backend: BackendCheckpoint::Stochastic(crate::stochastic::StochasticHmdState {
                         name: "stochastic(er=0.2)".to_string(),
                         error_rate: 0.2,
@@ -956,66 +996,75 @@ mod tests {
                             near_zero_width: 20,
                         },
                     }),
-                    health: ShardHealth::Healthy,
-                    transitions: 4,
-                    crashes: 1,
-                    drift_events: 0,
-                    retries: 2,
-                    attempt: 0,
-                    next_retry_batch: None,
-                    reference_rate: Some(0.19),
-                    window_mark: FaultCounters {
-                        multiplies: 900,
-                        faulty: 160,
-                        bit_flips: 300,
+                    state: ShardState {
+                        seed: 7,
+                        generation: 2,
+                        supervision: SupervisionRecord {
+                            health: ShardHealth::Healthy,
+                            transitions: 4,
+                            crashes: 1,
+                            drift_events: 0,
+                            retries: 2,
+                            attempt: 0,
+                            next_retry_batch: None,
+                            reference_rate: Some(0.19),
+                            window_mark: FaultCounters {
+                                multiplies: 900,
+                                faulty: 160,
+                                bit_flips: 300,
+                            },
+                        },
+                        degraded_reason: None,
+                        degradation_events: 0,
+                        queries: 320,
+                        flags: 100,
+                        band_hits: 12,
+                        requeries: 48,
+                        faults: FaultCounters {
+                            multiplies: 1000,
+                            faulty: 180,
+                            bit_flips: 320,
+                        },
+                        histogram: ScoreHistogram::from_counts([2; HISTOGRAM_BINS]),
+                        energy_uj: 987.5,
+                        last_power_w: Some(6.5),
+                        power_target_er: Some(0.15),
+                        power_window_queries: 300,
                     },
-                    degraded_reason: None,
-                    degradation_events: 0,
-                    queries: 320,
-                    flags: 100,
-                    faults: FaultCounters {
-                        multiplies: 1000,
-                        faulty: 180,
-                        bit_flips: 320,
-                    },
-                    histogram: [2; HISTOGRAM_BINS],
-                    energy_uj: 987.5,
-                    last_power_w: Some(6.5),
-                    power_target_er: Some(0.15),
-                    power_window_queries: 300,
-                    band_hits: 12,
-                    requeries: 48,
                 },
                 ShardCheckpoint {
-                    id: 1,
-                    seed: 9,
-                    generation: 0,
                     backend: BackendCheckpoint::Down,
-                    health: ShardHealth::Quarantined,
-                    transitions: 2,
-                    crashes: 1,
-                    drift_events: 0,
-                    retries: 1,
-                    attempt: 1,
-                    next_retry_batch: Some(44),
-                    reference_rate: None,
-                    window_mark: FaultCounters::default(),
-                    degraded_reason: Some("chaos kill".to_string()),
-                    degradation_events: 0,
-                    queries: 310,
-                    flags: 90,
-                    faults: FaultCounters {
-                        multiplies: 800,
-                        faulty: 140,
-                        bit_flips: 250,
+                    state: ShardState {
+                        seed: 9,
+                        generation: 0,
+                        supervision: SupervisionRecord {
+                            health: ShardHealth::Quarantined,
+                            transitions: 2,
+                            crashes: 1,
+                            drift_events: 0,
+                            retries: 1,
+                            attempt: 1,
+                            next_retry_batch: Some(44),
+                            reference_rate: None,
+                            window_mark: FaultCounters::default(),
+                        },
+                        degraded_reason: Some("chaos kill".to_string()),
+                        degradation_events: 0,
+                        queries: 310,
+                        flags: 90,
+                        band_hits: 0,
+                        requeries: 0,
+                        faults: FaultCounters {
+                            multiplies: 800,
+                            faulty: 140,
+                            bit_flips: 250,
+                        },
+                        histogram: ScoreHistogram::from_counts([1; HISTOGRAM_BINS]),
+                        energy_uj: 0.0,
+                        last_power_w: None,
+                        power_target_er: None,
+                        power_window_queries: 0,
                     },
-                    histogram: [1; HISTOGRAM_BINS],
-                    energy_uj: 0.0,
-                    last_power_w: None,
-                    power_target_er: None,
-                    power_window_queries: 0,
-                    band_hits: 0,
-                    requeries: 0,
                 },
             ],
         }

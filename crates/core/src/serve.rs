@@ -73,16 +73,14 @@
 
 use crate::baseline::BaselineHmd;
 use crate::checkpoint::{
-    BackendCheckpoint, BatchCommit, RestoreError, ServiceCheckpoint, ShardCheckpoint, StateJournal,
-    SupervisorCheckpoint,
+    BackendCheckpoint, BatchCommit, RestoreError, ServiceCheckpoint, ShardCheckpoint, ShardState,
+    StateJournal, SupervisorCheckpoint,
 };
 use crate::deploy::DetectionPolicy;
 use crate::detector::{Detector, Label};
 use crate::exec::{derive_seed, parallel_map_n, ExecConfig};
 use crate::stochastic::StochasticHmd;
-use crate::supervisor::{
-    retry_backoff, ShardHealth, SupervisionRecord, Supervisor, SupervisorConfig,
-};
+use crate::supervisor::{retry_backoff, ShardHealth, Supervisor, SupervisorConfig};
 use crate::telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
 use shmd_ann::network::BatchScratch;
 use shmd_ml::anomaly::AnomalyScorer;
@@ -459,16 +457,6 @@ enum ShardBackend {
     Down,
 }
 
-/// A shard's backend as seen from inside the parallel region: shared
-/// references only, so any number of workers can score against it
-/// concurrently without locks.
-#[derive(Clone, Copy)]
-enum BackendView<'a> {
-    Stochastic(&'a StochasticHmd),
-    Baseline(&'a BaselineHmd),
-    Down,
-}
-
 /// The immutable slice of one shard a batch's workers score against. All
 /// mutable shard state (counters, histogram, fault totals) stays on the
 /// main thread and is updated from the workers' additive
@@ -476,7 +464,7 @@ enum BackendView<'a> {
 #[derive(Clone, Copy)]
 struct ShardView<'a> {
     seed: u64,
-    backend: BackendView<'a>,
+    backend: &'a ShardBackend,
     /// Service-wide re-query policy (`None` = re-query disabled).
     requery: Option<RequeryConfig>,
     /// Service-wide anomaly scorer, voting in every re-query when
@@ -564,9 +552,10 @@ impl ShardView<'_> {
         lane_draws: &mut Vec<f64>,
         delta: &mut ShardDelta,
     ) -> [(f64, Label, VerdictConfidence); LANES] {
-        let BackendView::Stochastic(hmd) = self.backend else {
+        let ShardBackend::Stochastic(hmd) = self.backend else {
             unreachable!("answer_block is only dispatched to stochastic shards")
         };
+        let hmd: &StochasticHmd = hmd;
         let k = policy.detections();
         let seeds: [u64; LANES] =
             std::array::from_fn(|l| derive_seed(self.seed, &[QUERY_TAG, positions[l]]));
@@ -628,51 +617,11 @@ impl ShardDelta {
     }
 }
 
-/// One detector replica plus its telemetry counters.
+/// One detector replica and its durable record. A shard's id is its
+/// position in [`MonitoringService`]'s shard list.
 struct Shard {
-    id: usize,
-    seed: u64,
-    /// Calibration generation: bumped on every backend rebuild
-    /// (recalibration or supervised restart) so the shard never replays an
-    /// old fault stream.
-    generation: u64,
     backend: ShardBackend,
-    supervision: SupervisionRecord,
-    degraded_reason: Option<String>,
-    degradation_events: u64,
-    queries: u64,
-    flags: u64,
-    /// Verdicts whose primary score landed inside the re-query confidence
-    /// band (0 while re-query is disabled).
-    band_hits: u64,
-    /// Cumulative ensemble replica draws spent on re-queries.
-    requeries: u64,
-    /// Re-query count energy has been accrued up to. Like
-    /// `energy_accounted`, not checkpointed: at any batch boundary it
-    /// equals `requeries`.
-    requeries_accounted: u64,
-    /// Fault counters folded at every batch boundary from the per-query
-    /// fault streams.
-    faults: FaultCounters,
-    histogram: ScoreHistogram,
-    /// Cumulative detection energy, microjoules — accrued on the main
-    /// thread at every batch boundary from the query-count delta, the
-    /// modelled per-detection latency, and the busy core power at the
-    /// shard's live offset. A deterministic function of the query stream
-    /// (see DESIGN.md §13).
-    energy_uj: f64,
-    /// Shard query count energy has been accrued up to. Not checkpointed:
-    /// accrual runs inside every batch, so at any checkpoint boundary it
-    /// equals `queries`.
-    energy_accounted: u64,
-    /// Busy core power (watts) at the last energy accrual.
-    last_power_w: Option<f64>,
-    /// The power scheduler's current error-rate target for this shard
-    /// (`None` until a budget policy first touches it).
-    power_target_er: Option<f64>,
-    /// Shard query count at the last power-scheduling tick — the window
-    /// base for the scheduler's per-shard load estimate.
-    power_window_queries: u64,
+    state: ShardState,
 }
 
 impl Shard {
@@ -685,12 +634,8 @@ impl Shard {
         anomaly: Option<&'a AnomalyScorer>,
     ) -> ShardView<'a> {
         ShardView {
-            seed: self.seed,
-            backend: match &self.backend {
-                ShardBackend::Stochastic(hmd) => BackendView::Stochastic(hmd),
-                ShardBackend::Baseline(hmd) => BackendView::Baseline(hmd),
-                ShardBackend::Down => BackendView::Down,
-            },
+            seed: self.state.seed,
+            backend: &self.backend,
             requery,
             anomaly,
         }
@@ -698,36 +643,82 @@ impl Shard {
 
     /// Folds one worker's per-batch telemetry delta into the shard.
     fn fold_delta(&mut self, delta: &ShardDelta) {
-        self.queries += delta.queries;
-        self.flags += delta.flags;
-        self.band_hits += delta.band_hits;
-        self.requeries += delta.requeries;
-        self.faults.merge(&delta.faults);
-        self.histogram.merge(&delta.histogram);
+        let state = &mut self.state;
+        state.queries += delta.queries;
+        state.flags += delta.flags;
+        state.band_hits += delta.band_hits;
+        state.requeries += delta.requeries;
+        state.faults.merge(&delta.faults);
+        state.histogram.merge(&delta.histogram);
     }
 
-    fn report(&self) -> ShardReport {
-        ShardReport {
-            shard: self.id,
-            seed: self.seed,
-            degraded: matches!(self.backend, ShardBackend::Baseline(_)),
-            degraded_reason: self.degraded_reason.clone(),
-            health: self.supervision.health(),
-            transitions: self.supervision.transitions(),
-            crashes: self.supervision.crashes(),
-            drift_events: self.supervision.drift_events(),
-            retries: self.supervision.retries(),
-            queries: self.queries,
-            flags: self.flags,
-            band_hits: self.band_hits,
-            requeries: self.requeries,
-            faults: self.faults,
-            histogram: self.histogram.clone(),
-            energy_uj: self.energy_uj,
-            power_w: self.last_power_w,
-            power_target_er: self.power_target_er,
+    /// Fails the shard over to the baseline at nominal voltage: it keeps
+    /// answering, without the moving-target defense, until a restart or
+    /// recalibration succeeds. The retry schedule is the caller's to
+    /// settle.
+    fn fail_over(&mut self, baseline: &BaselineHmd, reason: String) {
+        self.backend = ShardBackend::Baseline(baseline.clone());
+        let state = &mut self.state;
+        state.supervision.transition(ShardHealth::Degraded);
+        state.degraded_reason = Some(reason);
+        state.degradation_events += 1;
+        state.supervision.reset_watchdog(state.faults);
+    }
+
+    /// Swaps the shard onto a freshly calibrated stochastic backend under
+    /// its next generation seed. Returns `false` (leaving the shard
+    /// untouched) when the fault model cannot be built at the offset.
+    fn restart(
+        &mut self,
+        id: usize,
+        baseline: &BaselineHmd,
+        curve: &CalibrationCurve,
+        offset: Millivolts,
+        master_seed: u64,
+    ) -> bool {
+        let generation = self.state.generation + 1;
+        let seed = shard_seed(master_seed, id, generation);
+        match StochasticHmd::at_offset(baseline, curve, offset, seed) {
+            Ok(hmd) => {
+                self.backend = ShardBackend::Stochastic(Box::new(hmd));
+                self.state.generation = generation;
+                self.state.seed = seed;
+                self.state.degraded_reason = None;
+                true
+            }
+            Err(_) => false,
         }
     }
+
+    fn report(&self, id: usize) -> ShardReport {
+        let state = &self.state;
+        let sup = &state.supervision;
+        ShardReport {
+            shard: id,
+            seed: state.seed,
+            degraded: matches!(self.backend, ShardBackend::Baseline(_)),
+            degraded_reason: state.degraded_reason.clone(),
+            health: sup.health,
+            transitions: sup.transitions,
+            crashes: sup.crashes,
+            drift_events: sup.drift_events,
+            retries: sup.retries,
+            queries: state.queries,
+            flags: state.flags,
+            band_hits: state.band_hits,
+            requeries: state.requeries,
+            faults: state.faults,
+            histogram: state.histogram.clone(),
+            energy_uj: state.energy_uj,
+            power_w: state.last_power_w,
+            power_target_er: state.power_target_er,
+        }
+    }
+}
+
+/// The seed of shard `id` at calibration `generation`.
+fn shard_seed(master_seed: u64, id: usize, generation: u64) -> u64 {
+    derive_seed(master_seed, &[SERVE_TAG, id as u64, generation])
 }
 
 /// Validates one query's features against the deployed model.
@@ -816,7 +807,7 @@ fn batch_worker<const LANES: usize>(
                     confidence: VerdictConfidence::Confident,
                 }),
                 Ok(()) => match ctx.views[target].backend {
-                    BackendView::Stochastic(_) => {
+                    ShardBackend::Stochastic(_) => {
                         groups[target].push(i);
                         None
                     }
@@ -825,14 +816,14 @@ fn batch_worker<const LANES: usize>(
                     // single score — and re-querying it would only
                     // re-produce that value, so the baseline never enters
                     // the ensemble.
-                    BackendView::Baseline(hmd) => {
+                    ShardBackend::Baseline(hmd) => {
                         let score = hmd.score_features(query);
                         let label = Label::from_bool(score >= Detector::threshold(hmd));
                         deltas[target].record(score, label);
                         let answer = (score, label, VerdictConfidence::Confident);
                         Some(Verdict::served(position, target, answer))
                     }
-                    BackendView::Down => unreachable!("crashed shard received a query"),
+                    ShardBackend::Down => unreachable!("crashed shard received a query"),
                 },
             };
         }
@@ -881,30 +872,6 @@ fn batch_worker<const LANES: usize>(
         ranges.push((lo, answered));
     }
     (ranges, deltas)
-}
-
-/// Swaps a shard onto a freshly calibrated stochastic backend under a new
-/// generation seed. Returns `false` (leaving the shard untouched) when the
-/// fault model cannot be built at the offset.
-fn restart_shard(
-    shard: &mut Shard,
-    baseline: &BaselineHmd,
-    curve: &CalibrationCurve,
-    offset: Millivolts,
-    master_seed: u64,
-) -> bool {
-    let generation = shard.generation + 1;
-    let seed = derive_seed(master_seed, &[SERVE_TAG, shard.id as u64, generation]);
-    match StochasticHmd::at_offset(baseline, curve, offset, seed) {
-        Ok(hmd) => {
-            shard.generation = generation;
-            shard.seed = seed;
-            shard.backend = ShardBackend::Stochastic(Box::new(hmd));
-            shard.degraded_reason = None;
-            true
-        }
-        Err(_) => false,
-    }
 }
 
 /// A sharded continuous-monitoring service over Stochastic-HMD replicas.
@@ -986,12 +953,10 @@ impl MonitoringService {
         config: ServeConfig,
     ) -> Result<MonitoringService, ServeError> {
         Self::validate_target(config.target_error_rate)?;
-        let mut service = Self::empty(baseline, config);
-        for id in 0..config.shards.max(1) {
-            let shard = service.build_shard(id, baseline, curve);
-            service.shards.push(shard);
-        }
-        Ok(service)
+        let target = config.target_error_rate;
+        Ok(Self::with_shards(baseline, config, |seed| {
+            Self::protected_backend(baseline, curve, target, seed)
+        }))
     }
 
     /// Deploys a *supervised* service: the pool runs inside `supervision`'s
@@ -1021,48 +986,12 @@ impl MonitoringService {
     ) -> Result<MonitoringService, ServeError> {
         Self::validate_target(config.target_error_rate)?;
         let supervisor = Supervisor::new(supervision, config.target_error_rate)?;
-        let mut service = Self::empty(baseline, config);
         let offset = supervisor.controller().offset();
         let curve = supervisor.controller().curve();
-        for id in 0..config.shards.max(1) {
-            let seed = derive_seed(service.seed, &[SERVE_TAG, id as u64, 0]);
-            let (backend, reason, degradation, health) =
-                match StochasticHmd::at_offset(baseline, curve, offset, seed) {
-                    Ok(hmd) => (
-                        ShardBackend::Stochastic(Box::new(hmd)),
-                        None,
-                        0,
-                        ShardHealth::Healthy,
-                    ),
-                    Err(e) => (
-                        ShardBackend::Baseline(baseline.clone()),
-                        Some(format!("fault model failed: {e}")),
-                        1,
-                        ShardHealth::Degraded,
-                    ),
-                };
-            service.shards.push(Shard {
-                id,
-                seed,
-                generation: 0,
-                backend,
-                supervision: SupervisionRecord::starting(health),
-                degraded_reason: reason,
-                degradation_events: degradation,
-                queries: 0,
-                flags: 0,
-                band_hits: 0,
-                requeries: 0,
-                requeries_accounted: 0,
-                faults: FaultCounters::default(),
-                histogram: ScoreHistogram::new(),
-                energy_uj: 0.0,
-                energy_accounted: 0,
-                last_power_w: None,
-                power_target_er: None,
-                power_window_queries: 0,
-            });
-        }
+        let mut service = Self::with_shards(baseline, config, |seed| {
+            StochasticHmd::at_offset(baseline, curve, offset, seed)
+                .map_err(|e| format!("fault model failed: {e}"))
+        });
         service.supervisor = Some(supervisor);
         Ok(service)
     }
@@ -1074,8 +1003,35 @@ impl MonitoringService {
         Ok(())
     }
 
-    /// The shard-less scaffold both deploy paths start from.
-    fn empty(baseline: &BaselineHmd, config: ServeConfig) -> MonitoringService {
+    /// The service both deploy paths start from, with `config.shards`
+    /// generation-0 shards: each protected by `protect(seed)`, or degraded
+    /// to the baseline for the reason it returns.
+    fn with_shards(
+        baseline: &BaselineHmd,
+        config: ServeConfig,
+        protect: impl Fn(u64) -> Result<StochasticHmd, String>,
+    ) -> MonitoringService {
+        let shards = (0..config.shards.max(1))
+            .map(|id| {
+                let seed = shard_seed(config.seed, id, 0);
+                let (backend, health, reason) = match protect(seed) {
+                    Ok(hmd) => (
+                        ShardBackend::Stochastic(Box::new(hmd)),
+                        ShardHealth::Healthy,
+                        None,
+                    ),
+                    Err(reason) => (
+                        ShardBackend::Baseline(baseline.clone()),
+                        ShardHealth::Degraded,
+                        Some(reason),
+                    ),
+                };
+                Shard {
+                    backend,
+                    state: ShardState::fresh(seed, health, reason),
+                }
+            })
+            .collect();
         MonitoringService {
             spec: baseline.spec(),
             policy: config.policy,
@@ -1089,7 +1045,7 @@ impl MonitoringService {
             baseline: baseline.clone(),
             input_dim: baseline.quantized().input_dim(),
             supervisor: None,
-            shards: Vec::new(),
+            shards,
             served: 0,
             batches: 0,
             rejected_queries: 0,
@@ -1099,48 +1055,6 @@ impl MonitoringService {
             latency_model: LatencyModel::i7_5557u(),
             macs: baseline.quantized().size_bytes() / 4,
             service_power_w: None,
-        }
-    }
-
-    /// Builds one generation-0 shard, degrading to the baseline on
-    /// calibration failure.
-    fn build_shard(&self, id: usize, baseline: &BaselineHmd, curve: &CalibrationCurve) -> Shard {
-        let seed = derive_seed(self.seed, &[SERVE_TAG, id as u64, 0]);
-        let (backend, degraded_reason, degradation, health) =
-            match Self::protected_backend(baseline, curve, self.target_error_rate, seed) {
-                Ok(hmd) => (
-                    ShardBackend::Stochastic(Box::new(hmd)),
-                    None,
-                    0,
-                    ShardHealth::Healthy,
-                ),
-                Err(reason) => (
-                    ShardBackend::Baseline(baseline.clone()),
-                    Some(reason),
-                    1,
-                    ShardHealth::Degraded,
-                ),
-            };
-        Shard {
-            id,
-            seed,
-            generation: 0,
-            backend,
-            supervision: SupervisionRecord::starting(health),
-            degraded_reason,
-            degradation_events: degradation,
-            queries: 0,
-            flags: 0,
-            band_hits: 0,
-            requeries: 0,
-            requeries_accounted: 0,
-            faults: FaultCounters::default(),
-            histogram: ScoreHistogram::new(),
-            energy_uj: 0.0,
-            energy_accounted: 0,
-            last_power_w: None,
-            power_target_er: None,
-            power_window_queries: 0,
         }
     }
 
@@ -1260,7 +1174,7 @@ impl MonitoringService {
     pub fn shard_healths(&self) -> Vec<ShardHealth> {
         self.shards
             .iter()
-            .map(|shard| shard.supervision.health())
+            .map(|shard| shard.state.supervision.health)
             .collect()
     }
 
@@ -1287,20 +1201,15 @@ impl MonitoringService {
     /// Returns `false` (touching nothing) for an out-of-range id or a
     /// shard that is still serving.
     pub fn force_degrade_shard(&mut self, id: usize, reason: &str) -> bool {
-        let baseline = self.baseline.clone();
         let Some(shard) = self.shards.get_mut(id) else {
             return false;
         };
-        if shard.supervision.health().is_serving() {
+        if shard.state.supervision.health.is_serving() {
             return false;
         }
-        shard.backend = ShardBackend::Baseline(baseline);
-        shard.supervision.transition(ShardHealth::Degraded);
-        shard.supervision.attempt = 0;
-        shard.supervision.next_retry_batch = None;
-        shard.degraded_reason = Some(reason.to_string());
-        shard.degradation_events += 1;
-        shard.supervision.reset_watchdog(shard.faults);
+        shard.state.supervision.attempt = 0;
+        shard.state.supervision.next_retry_batch = None;
+        shard.fail_over(&self.baseline, reason.to_string());
         true
     }
 
@@ -1314,24 +1223,22 @@ impl MonitoringService {
     /// shards left degraded.
     pub fn recalibrate(&mut self, baseline: &BaselineHmd, curve: &CalibrationCurve) -> usize {
         let mut degraded = 0;
-        for shard in &mut self.shards {
-            shard.generation += 1;
-            shard.seed = derive_seed(self.seed, &[SERVE_TAG, shard.id as u64, shard.generation]);
-            match Self::protected_backend(baseline, curve, self.target_error_rate, shard.seed) {
+        for (id, shard) in self.shards.iter_mut().enumerate() {
+            let state = &mut shard.state;
+            state.generation += 1;
+            state.seed = shard_seed(self.seed, id, state.generation);
+            match Self::protected_backend(baseline, curve, self.target_error_rate, state.seed) {
                 Ok(hmd) => {
+                    state.degraded_reason = None;
+                    state.supervision.transition(ShardHealth::Healthy);
+                    state.supervision.reset_watchdog(state.faults);
                     shard.backend = ShardBackend::Stochastic(Box::new(hmd));
-                    shard.degraded_reason = None;
-                    shard.supervision.transition(ShardHealth::Healthy);
                 }
                 Err(reason) => {
-                    shard.backend = ShardBackend::Baseline(baseline.clone());
-                    shard.degraded_reason = Some(reason);
-                    shard.degradation_events += 1;
-                    shard.supervision.transition(ShardHealth::Degraded);
+                    shard.fail_over(baseline, reason);
                     degraded += 1;
                 }
             }
-            shard.supervision.reset_watchdog(shard.faults);
         }
         degraded
     }
@@ -1382,7 +1289,7 @@ impl MonitoringService {
         let mask: Vec<bool> = self
             .shards
             .iter()
-            .map(|shard| shard.supervision.health().is_serving())
+            .map(|shard| shard.state.supervision.health.is_serving())
             .collect();
         let serving: Vec<usize> = (0..n_shards).filter(|&id| mask[id]).collect();
         debug_assert!(
@@ -1451,10 +1358,14 @@ impl MonitoringService {
         // verdict ranges partition the batch, so stitching them by start
         // position rebuilds exact stream order.
         let mut stitched: Vec<(usize, Vec<Verdict>)> = Vec::new();
+        // Queries answered and re-query draws spent this batch, per shard.
+        let mut drawn = vec![(0u64, 0u64); n_shards];
         for (ranges, deltas) in worker_out {
-            for (shard, delta) in self.shards.iter_mut().zip(&deltas) {
+            for ((shard, delta), drawn) in self.shards.iter_mut().zip(&deltas).zip(&mut drawn) {
                 if !delta.is_empty() {
                     shard.fold_delta(delta);
+                    drawn.0 += delta.queries;
+                    drawn.1 += delta.requeries;
                 }
             }
             stitched.extend(ranges);
@@ -1481,7 +1392,7 @@ impl MonitoringService {
         }
         self.served += n as u64;
         self.batches += 1;
-        self.accrue_energy();
+        self.accrue_energy(&drawn);
         // Timing folds exactly once per batch, on the main thread, after
         // the parallel region — workers never touch the clock.
         if self.batch_latency_micros.len() == BATCH_LATENCY_WINDOW {
@@ -1494,23 +1405,20 @@ impl MonitoringService {
 
     /// Accrues modelled detection energy for every query answered this
     /// batch: queries × per-detection latency × detections per query ×
-    /// busy core power at the shard's live offset. Runs on the main
-    /// thread after the telemetry deltas fold, in shard order, so the
-    /// accrual is a deterministic function of the query stream at any
-    /// thread count.
-    fn accrue_energy(&mut self) {
+    /// busy core power at the shard's live offset. `drawn` holds each
+    /// shard's queries answered and re-query draws spent this batch.
+    /// Runs on the main thread after the telemetry deltas fold, in shard
+    /// order, so the accrual is a deterministic function of the query
+    /// stream at any thread count.
+    fn accrue_energy(&mut self, drawn: &[(u64, u64)]) {
         let per_detection_us = self.latency_model.hmd_us(self.macs);
         let detections = self.policy.detections();
-        for shard in &mut self.shards {
-            let delta = shard.queries - shard.energy_accounted;
-            shard.energy_accounted = shard.queries;
+        for (shard, &(delta, requery_delta)) in self.shards.iter_mut().zip(drawn) {
             // Every ensemble replica draw is a full inference at the
             // shard's live offset — the honest energy price of the
             // re-query counter-measure. (The anomaly scorer's vote is a
             // handful of flops against the model's MACs; below the
             // model's resolution.)
-            let requery_delta = shard.requeries - shard.requeries_accounted;
-            shard.requeries_accounted = shard.requeries;
             if delta == 0 && requery_delta == 0 {
                 continue;
             }
@@ -1527,9 +1435,9 @@ impl MonitoringService {
                 .power_model
                 .core_power_w(NOMINAL_CORE_VOLTAGE.with_offset(offset));
             // W × µs = µJ.
-            shard.energy_uj +=
+            shard.state.energy_uj +=
                 (delta as f64 * k as f64 + requery_delta as f64) * per_detection_us * power_w;
-            shard.last_power_w = Some(power_w);
+            shard.state.last_power_w = Some(power_w);
         }
     }
 
@@ -1551,13 +1459,13 @@ impl MonitoringService {
         let drift_marks: Vec<u64> = self
             .shards
             .iter()
-            .map(|shard| shard.supervision.drift_events())
+            .map(|shard| shard.state.supervision.drift_events)
             .collect();
 
         // Shards rebuilt at the previous point finish their recovery.
         for shard in &mut self.shards {
-            if shard.supervision.health() == ShardHealth::Recovering {
-                shard.supervision.transition(ShardHealth::Healthy);
+            if shard.state.supervision.health == ShardHealth::Recovering {
+                shard.state.supervision.transition(ShardHealth::Healthy);
             }
         }
 
@@ -1577,7 +1485,7 @@ impl MonitoringService {
         for id in 0..self.shards.len() {
             let (offset, current_er) = {
                 let shard = &self.shards[id];
-                if !shard.supervision.health().is_serving() {
+                if !shard.state.supervision.health.is_serving() {
                     continue;
                 }
                 match &shard.backend {
@@ -1618,12 +1526,9 @@ impl MonitoringService {
         // Due recovery retries of quarantined shards.
         for id in 0..self.shards.len() {
             let due = {
-                let shard = &self.shards[id];
-                shard.supervision.health() == ShardHealth::Quarantined
-                    && shard
-                        .supervision
-                        .next_retry_batch
-                        .is_some_and(|due| batch >= due)
+                let sup = &self.shards[id].state.supervision;
+                sup.health == ShardHealth::Quarantined
+                    && sup.next_retry_batch.is_some_and(|due| batch >= due)
             };
             if !due {
                 continue;
@@ -1631,47 +1536,40 @@ impl MonitoringService {
             let action = sup.controller_mut().force_recalibrate(temp);
             let offset = sup.controller().offset();
             let shard = &mut self.shards[id];
-            shard.supervision.retries += 1;
+            shard.state.supervision.retries += 1;
             let recovered = match action {
                 Ok(ControllerAction::Clamped { .. }) if !sup.config().allow_clamped_recovery => {
                     false
                 }
-                Ok(_) => restart_shard(
-                    shard,
-                    &self.baseline,
-                    sup.controller().curve(),
-                    offset,
-                    master,
-                ),
+                Ok(_) => {
+                    shard.restart(id, &self.baseline, sup.controller().curve(), offset, master)
+                }
                 Err(_) => false,
             };
+            let state = &mut shard.state;
             if recovered {
-                shard.supervision.transition(ShardHealth::Recovering);
-                shard.supervision.attempt = 0;
-                shard.supervision.next_retry_batch = None;
-                shard.supervision.reset_watchdog(shard.faults);
+                state.supervision.transition(ShardHealth::Recovering);
+                state.supervision.attempt = 0;
+                state.supervision.next_retry_batch = None;
+                state.supervision.reset_watchdog(state.faults);
+                continue;
+            }
+            // Saturating: a restored schedule may carry any attempt count.
+            state.supervision.attempt = state.supervision.attempt.saturating_add(1);
+            if state.supervision.attempt >= sup.config().max_retries.max(1) {
+                state.supervision.next_retry_batch = None;
+                let reason = format!(
+                    "retry budget exhausted after {} attempts",
+                    state.supervision.retries
+                );
+                shard.fail_over(&self.baseline, reason);
             } else {
-                shard.supervision.attempt += 1;
-                if shard.supervision.attempt >= sup.config().max_retries.max(1) {
-                    shard.backend = ShardBackend::Baseline(self.baseline.clone());
-                    shard.supervision.transition(ShardHealth::Degraded);
-                    shard.supervision.next_retry_batch = None;
-                    shard.degraded_reason = Some(format!(
-                        "retry budget exhausted after {} attempts",
-                        shard.supervision.retries()
-                    ));
-                    shard.degradation_events += 1;
-                    shard.supervision.reset_watchdog(shard.faults);
-                } else {
-                    shard.supervision.next_retry_batch = Some(
-                        batch
-                            + retry_backoff(
-                                shard.seed,
-                                shard.supervision.attempt,
-                                sup.config().backoff_base,
-                            ),
-                    );
-                }
+                let backoff = retry_backoff(
+                    state.seed,
+                    state.supervision.attempt,
+                    sup.config().backoff_base,
+                );
+                state.supervision.next_retry_batch = Some(batch.saturating_add(backoff));
             }
         }
 
@@ -1681,38 +1579,39 @@ impl MonitoringService {
         for id in 0..self.shards.len() {
             {
                 let shard = &mut self.shards[id];
-                if !shard.supervision.health().is_serving() {
+                if !shard.state.supervision.health.is_serving() {
                     continue;
                 }
                 if !matches!(shard.backend, ShardBackend::Stochastic(_)) {
                     continue;
                 }
-                let now = shard.faults;
-                let window = now.multiplies - shard.supervision.window_mark.multiplies;
+                let now = shard.state.faults;
+                let record = &mut shard.state.supervision;
+                let window = now.multiplies - record.window_mark.multiplies;
                 if window < sup.config().watchdog_window {
                     continue;
                 }
-                let faulty = now.faulty - shard.supervision.window_mark.faulty;
+                let faulty = now.faulty - record.window_mark.faulty;
                 let observed = faulty as f64 / window as f64;
-                match shard.supervision.reference_rate {
+                match record.reference_rate {
                     None => {
                         // First full window after (re)calibration: the
                         // target *as observed through this workload* (the
                         // near-zero immune region absorbs a workload-
                         // dependent fraction of injected faults, so the
                         // raw target would misjudge every window).
-                        shard.supervision.reference_rate = Some(observed);
-                        shard.supervision.window_mark = now;
+                        record.reference_rate = Some(observed);
+                        record.window_mark = now;
                         continue;
                     }
                     Some(reference) => {
                         let band = sup.watchdog_band(reference, window);
                         if (observed - reference).abs() <= band {
-                            shard.supervision.window_mark = now;
+                            record.window_mark = now;
                             continue;
                         }
-                        shard.supervision.drift_events += 1;
-                        shard.supervision.transition(ShardHealth::Drifting);
+                        record.drift_events += 1;
+                        record.transition(ShardHealth::Drifting);
                     }
                 }
             }
@@ -1722,25 +1621,19 @@ impl MonitoringService {
             let offset = sup.controller().offset();
             let shard = &mut self.shards[id];
             let recovered = match action {
-                Ok(_) => restart_shard(
-                    shard,
-                    &self.baseline,
-                    sup.controller().curve(),
-                    offset,
-                    master,
-                ),
+                Ok(_) => {
+                    shard.restart(id, &self.baseline, sup.controller().curve(), offset, master)
+                }
                 Err(_) => false,
             };
             if recovered {
-                shard.supervision.transition(ShardHealth::Recovering);
+                let state = &mut shard.state;
+                state.supervision.transition(ShardHealth::Recovering);
+                state.supervision.reset_watchdog(state.faults);
             } else {
-                shard.backend = ShardBackend::Baseline(self.baseline.clone());
-                shard.supervision.transition(ShardHealth::Degraded);
-                shard.degraded_reason =
-                    Some("drift recalibration failed; serving baseline".to_string());
-                shard.degradation_events += 1;
+                let reason = "drift recalibration failed; serving baseline".to_string();
+                shard.fail_over(&self.baseline, reason);
             }
-            shard.supervision.reset_watchdog(shard.faults);
         }
 
         // Power scheduling last, so this tick's drift flags and recovery
@@ -1771,11 +1664,8 @@ impl MonitoringService {
         let floor = deepest_safe_offset(device, temp, guard);
         let power_model = self.power_model;
         let nominal_power = power_model.core_power_w(NOMINAL_CORE_VOLTAGE);
-        let serving: Vec<usize> = self
-            .shards
-            .iter()
-            .filter(|shard| shard.supervision.health().is_serving())
-            .map(|shard| shard.id)
+        let serving: Vec<usize> = (0..self.shards.len())
+            .filter(|&id| self.shards[id].state.supervision.health.is_serving())
             .collect();
         if serving.is_empty() {
             return;
@@ -1785,7 +1675,10 @@ impl MonitoringService {
         // against the fair share of the serving set.
         let window_total: u64 = serving
             .iter()
-            .map(|&id| self.shards[id].queries - self.shards[id].power_window_queries)
+            .map(|&id| {
+                let state = &self.shards[id].state;
+                state.queries - state.power_window_queries
+            })
             .sum();
         let fair = window_total as f64 / serving.len() as f64;
 
@@ -1804,12 +1697,13 @@ impl MonitoringService {
             if hmd.offset().is_none() {
                 continue;
             }
-            let current = shard
+            let state = &shard.state;
+            let current = state
                 .power_target_er
                 .unwrap_or_else(|| policy.clamp_target(self.target_error_rate));
             flagged[id] =
-                shard.supervision.drift_events() > drift_marks.get(id).copied().unwrap_or(u64::MAX);
-            let window = (shard.queries - shard.power_window_queries) as f64;
+                state.supervision.drift_events > drift_marks.get(id).copied().unwrap_or(u64::MAX);
+            let window = (state.queries - state.power_window_queries) as f64;
             let light = fair == 0.0 || window <= policy.light_load * fair;
             let target = if flagged[id] {
                 policy.clamp_target(current - policy.step_er)
@@ -1886,7 +1780,7 @@ impl MonitoringService {
                 continue;
             };
             let shard = &mut self.shards[id];
-            shard.power_target_er = Some(target);
+            shard.state.power_target_er = Some(target);
             let ShardBackend::Stochastic(hmd) = &mut shard.backend else {
                 continue;
             };
@@ -1900,11 +1794,11 @@ impl MonitoringService {
                 // is never worth crashing a shard over.
                 continue;
             }
-            shard.supervision.reset_watchdog(shard.faults);
+            shard.state.supervision.reset_watchdog(shard.state.faults);
         }
         // Close the load window and publish the projection.
         for shard in &mut self.shards {
-            shard.power_window_queries = shard.queries;
+            shard.state.power_window_queries = shard.state.queries;
         }
         self.service_power_w = Some(total);
     }
@@ -1917,29 +1811,25 @@ impl MonitoringService {
         let serving = self
             .shards
             .iter()
-            .filter(|shard| shard.supervision.health().is_serving())
+            .filter(|shard| shard.state.supervision.health.is_serving())
             .count();
         let shard = &mut self.shards[id];
-        if !shard.supervision.health().is_serving() {
+        let state = &mut shard.state;
+        if !state.supervision.health.is_serving() {
             return;
         }
-        shard.supervision.transition(ShardHealth::Crashed);
-        shard.supervision.crashes += 1;
+        state.supervision.transition(ShardHealth::Crashed);
+        state.supervision.crashes += 1;
         if serving <= 1 {
-            shard.backend = ShardBackend::Baseline(self.baseline.clone());
-            shard.supervision.transition(ShardHealth::Degraded);
-            shard.degradation_events += 1;
-            shard.degraded_reason = Some(format!(
-                "{cause}; last serving shard failed over to baseline"
-            ));
-            shard.supervision.reset_watchdog(shard.faults);
+            let reason = format!("{cause}; last serving shard failed over to baseline");
+            shard.fail_over(&self.baseline, reason);
         } else {
+            state.supervision.transition(ShardHealth::Quarantined);
+            state.degraded_reason = Some(cause);
+            state.supervision.attempt = 0;
+            let backoff = retry_backoff(state.seed, 0, backoff_base);
+            state.supervision.next_retry_batch = Some(batch.saturating_add(backoff));
             shard.backend = ShardBackend::Down;
-            shard.supervision.transition(ShardHealth::Quarantined);
-            shard.degraded_reason = Some(cause);
-            shard.supervision.attempt = 0;
-            shard.supervision.next_retry_batch =
-                Some(batch + retry_backoff(shard.seed, 0, backoff_base));
         }
     }
 
@@ -1975,9 +1865,6 @@ impl MonitoringService {
             .shards
             .iter()
             .map(|shard| ShardCheckpoint {
-                id: shard.id as u64,
-                seed: shard.seed,
-                generation: shard.generation,
                 backend: match &shard.backend {
                     ShardBackend::Stochastic(hmd) => {
                         BackendCheckpoint::Stochastic(hmd.export_state())
@@ -1985,27 +1872,7 @@ impl MonitoringService {
                     ShardBackend::Baseline(_) => BackendCheckpoint::Baseline,
                     ShardBackend::Down => BackendCheckpoint::Down,
                 },
-                health: shard.supervision.health(),
-                transitions: shard.supervision.transitions(),
-                crashes: shard.supervision.crashes(),
-                drift_events: shard.supervision.drift_events(),
-                retries: shard.supervision.retries(),
-                attempt: shard.supervision.attempt,
-                next_retry_batch: shard.supervision.next_retry_batch,
-                reference_rate: shard.supervision.reference_rate,
-                window_mark: shard.supervision.window_mark,
-                degraded_reason: shard.degraded_reason.clone(),
-                degradation_events: shard.degradation_events,
-                queries: shard.queries,
-                flags: shard.flags,
-                faults: shard.faults,
-                histogram: *shard.histogram.counts(),
-                energy_uj: shard.energy_uj,
-                last_power_w: shard.last_power_w,
-                power_target_er: shard.power_target_er,
-                power_window_queries: shard.power_window_queries,
-                band_hits: shard.band_hits,
-                requeries: shard.requeries,
+                state: shard.state.clone(),
             })
             .collect();
         ServiceCheckpoint {
@@ -2101,61 +1968,45 @@ impl MonitoringService {
             (None, None) => None,
         };
         let mut shards = Vec::with_capacity(checkpoint.shards.len());
-        for s in &checkpoint.shards {
-            let backend = match &s.backend {
-                BackendCheckpoint::Stochastic(state) => {
-                    let hmd = StochasticHmd::from_state(baseline, state.clone(), s.seed)
-                        .map_err(|e| RestoreError::InvalidState(format!("shard {}: {e}", s.id)))?;
+        for (id, shard) in checkpoint.shards.iter().enumerate() {
+            let state = &shard.state;
+            let invalid = |what: String| RestoreError::InvalidState(format!("shard {id}: {what}"));
+            let health = state.supervision.health;
+            let backend = match &shard.backend {
+                BackendCheckpoint::Stochastic(hmd) => {
+                    let hmd = StochasticHmd::from_state(baseline, hmd.clone(), state.seed)
+                        .map_err(|e| invalid(e.to_string()))?;
                     ShardBackend::Stochastic(Box::new(hmd))
                 }
                 BackendCheckpoint::Baseline => ShardBackend::Baseline(baseline.clone()),
-                BackendCheckpoint::Down => {
-                    if s.health.is_serving() {
-                        return Err(RestoreError::InvalidState(format!(
-                            "shard {} is {} but has no backend",
-                            s.id, s.health
-                        )));
-                    }
-                    ShardBackend::Down
+                BackendCheckpoint::Down if health.is_serving() => {
+                    return Err(invalid(format!("{health} but has no backend")));
                 }
+                BackendCheckpoint::Down => ShardBackend::Down,
             };
+            // Window bases are earlier readings of their counters; one
+            // past its counter would underflow the next window.
+            let mark = state.supervision.window_mark;
+            if mark.multiplies > state.faults.multiplies || mark.faulty > state.faults.faulty {
+                return Err(invalid(
+                    "watchdog window starts past the fault counters".into(),
+                ));
+            }
+            if state.power_window_queries > state.queries {
+                return Err(invalid("power window starts past the query count".into()));
+            }
             shards.push(Shard {
-                id: usize::try_from(s.id).map_err(|_| {
-                    RestoreError::InvalidState(format!("shard id {} overflows usize", s.id))
-                })?,
-                seed: s.seed,
-                generation: s.generation,
                 backend,
-                supervision: SupervisionRecord {
-                    health: s.health,
-                    transitions: s.transitions,
-                    crashes: s.crashes,
-                    drift_events: s.drift_events,
-                    retries: s.retries,
-                    attempt: s.attempt,
-                    next_retry_batch: s.next_retry_batch,
-                    reference_rate: s.reference_rate,
-                    window_mark: s.window_mark,
-                },
-                degraded_reason: s.degraded_reason.clone(),
-                degradation_events: s.degradation_events,
-                queries: s.queries,
-                flags: s.flags,
-                band_hits: s.band_hits,
-                requeries: s.requeries,
-                // Checkpoints are taken at batch boundaries, where
-                // re-query energy is always fully accrued.
-                requeries_accounted: s.requeries,
-                faults: s.faults,
-                histogram: ScoreHistogram::from_counts(s.histogram),
-                energy_uj: s.energy_uj,
-                // Checkpoints are taken at batch boundaries, where energy
-                // is always fully accrued.
-                energy_accounted: s.queries,
-                last_power_w: s.last_power_w,
-                power_target_er: s.power_target_er,
-                power_window_queries: s.power_window_queries,
+                state: state.clone(),
             });
+        }
+        if !shards
+            .iter()
+            .any(|s| s.state.supervision.health.is_serving())
+        {
+            return Err(RestoreError::InvalidState(
+                "no shard is serving".to_string(),
+            ));
         }
         Ok(MonitoringService {
             spec: baseline.spec(),
@@ -2227,7 +2078,12 @@ impl MonitoringService {
 
     /// Snapshots the service-wide telemetry.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let shards: Vec<ShardReport> = self.shards.iter().map(Shard::report).collect();
+        let shards: Vec<ShardReport> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(id, shard)| shard.report(id))
+            .collect();
         TelemetrySnapshot {
             seed: self.seed,
             policy: self.policy.to_string(),
@@ -2236,7 +2092,7 @@ impl MonitoringService {
             flags: shards.iter().map(|s| s.flags).sum(),
             band_hits: shards.iter().map(|s| s.band_hits).sum(),
             requeries: shards.iter().map(|s| s.requeries).sum(),
-            degradation_events: self.shards.iter().map(|s| s.degradation_events).sum(),
+            degradation_events: self.shards.iter().map(|s| s.state.degradation_events).sum(),
             rejected_queries: self.rejected_queries,
             verdict_checksum: self.verdict_checksum,
             power_budget_w: self
@@ -2978,6 +2834,31 @@ mod tests {
             Err(RestoreError::InputDimMismatch { .. })
         ));
 
+        // States no live service holds: a pool with no serving shard, and
+        // watchdog or power windows that start past their counters.
+        let restore_err = |checkpoint: &ServiceCheckpoint| match MonitoringService::restore(
+            &baseline,
+            None,
+            checkpoint,
+            ExecConfig::serial(),
+        ) {
+            Err(RestoreError::InvalidState(reason)) => reason,
+            other => panic!("expected invalid state, got {:?}", other.err()),
+        };
+        let mut dark = unsupervised.clone();
+        for shard in &mut dark.shards {
+            shard.backend = BackendCheckpoint::Down;
+            shard.state.supervision.health = ShardHealth::Quarantined;
+        }
+        assert_eq!(restore_err(&dark), "no shard is serving");
+        let mut window = unsupervised.clone();
+        window.shards[0].state.supervision.window_mark.faulty =
+            window.shards[0].state.faults.faulty + 1;
+        assert!(restore_err(&window).starts_with("shard 0:"));
+        let mut power = unsupervised.clone();
+        power.shards[1].state.power_window_queries = power.shards[1].state.queries + 1;
+        assert!(restore_err(&power).starts_with("shard 1:"));
+
         // A stochastic shard whose fault law fails validation (a flip bit
         // past the 64-bit product) is typed as invalid state.
         let mut corrupt = unsupervised;
@@ -3235,6 +3116,132 @@ mod tests {
         assert!(
             uninterrupted.service_power_w.is_some(),
             "budget projection survives the round trip"
+        );
+    }
+
+    /// A supervised 3-shard pool on a hot (58 °C) die under a 23 W power
+    /// budget, with the given chaos plan and retries spaced far enough
+    /// apart that none comes due within a test's few batches.
+    fn hot_budgeted_pool(
+        baseline: &BaselineHmd,
+        chaos: crate::supervisor::ChaosPlan,
+    ) -> (SupervisorConfig, MonitoringService) {
+        use crate::supervisor::PowerBudgetPolicy;
+        use shmd_volt::environment::EnvironmentConfig;
+
+        let supervision = SupervisorConfig::new(DeviceProfile::reference())
+            .with_environment(EnvironmentConfig::steady(58.0))
+            .with_power_budget(PowerBudgetPolicy::new(23.0))
+            .with_retry_policy(3, 64)
+            .with_chaos(chaos);
+        let config = ServeConfig::new(3)
+            .with_seed(23)
+            .with_target_error_rate(0.2)
+            .with_batch_size(8);
+        let service =
+            MonitoringService::supervised(baseline, supervision.clone(), config).expect("deploys");
+        (supervision, service)
+    }
+
+    /// Byte offset of shard `shard`'s record (its id word) in `checkpoint`'s
+    /// encoding: the length of the encoding of the shards before it, minus
+    /// the trailing checksum.
+    fn shard_record_offset(checkpoint: &ServiceCheckpoint, shard: usize) -> usize {
+        let mut head = checkpoint.clone();
+        head.shards.truncate(shard);
+        head.encode().len() - 8
+    }
+
+    /// Recomputes the trailing checksum of patched checkpoint bytes, so
+    /// only the structural checks can reject them.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let sum = crate::codec::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn decode_rejects_a_shard_id_that_is_not_its_position() {
+        use crate::checkpoint::CheckpointError;
+        use crate::supervisor::ChaosPlan;
+
+        let (dataset, baseline, _) = setup();
+        let features: Vec<Vec<f32>> = (0..32)
+            .map(|i| baseline.spec().extract(dataset.trace(i % dataset.len())))
+            .collect();
+        let (supervision, mut service) = hot_budgeted_pool(&baseline, ChaosPlan::none());
+        for chunk in features.chunks(8) {
+            service.process_feature_batch(chunk);
+        }
+        let checkpoint = service.checkpoint();
+        let mut bytes = checkpoint.encode();
+        let at = shard_record_offset(&checkpoint, 1);
+        bytes[at..at + 8].copy_from_slice(&7u64.to_le_bytes());
+        reseal(&mut bytes);
+        match ServiceCheckpoint::decode(&bytes) {
+            Err(CheckpointError::Corrupted(what)) => assert!(what.contains("shard 1"), "{what}"),
+            Err(other) => panic!("wrong error for a misplaced shard id: {other}"),
+            Ok(decoded) => {
+                // Serving shard 1 under the power scheduler is what a
+                // misplaced id breaks: the batch below is the failure.
+                let mut restored = MonitoringService::restore(
+                    &baseline,
+                    Some(supervision),
+                    &decoded,
+                    ExecConfig::serial(),
+                )
+                .expect("restores");
+                restored.process_feature_batch(&features[..8]);
+                panic!("a shard id that is not its position decoded and served");
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_v4_layout_is_pinned() {
+        use crate::checkpoint::tests::sample_checkpoint;
+        use crate::supervisor::{ChaosEvent, ChaosPlan};
+
+        assert_eq!(
+            crate::codec::fnv1a(&sample_checkpoint().encode()),
+            0xa541_abc1_7efa_3dc6,
+            "the v4 encoding of the sample checkpoint moved"
+        );
+
+        // A live checkpoint holding every backend kind: shard 0 stochastic
+        // under a power target, shard 1 down with a retry scheduled, and
+        // shard 2 forced onto the baseline after its crash.
+        let (dataset, baseline, _) = setup();
+        let features: Vec<Vec<f32>> = (0..64)
+            .map(|i| baseline.spec().extract(dataset.trace(i % dataset.len())))
+            .collect();
+        let chaos = ChaosPlan::new(vec![
+            ChaosEvent::Crash { batch: 2, shard: 1 },
+            ChaosEvent::Crash { batch: 3, shard: 2 },
+        ]);
+        let (_, mut service) = hot_budgeted_pool(&baseline, chaos);
+        for (batch, chunk) in features.chunks(8).enumerate() {
+            if batch == 5 {
+                assert!(service.force_degrade_shard(2, "hang deadline"));
+            }
+            service.process_feature_batch(chunk);
+        }
+        let live = service.checkpoint();
+        assert!(matches!(
+            live.shards[0].backend,
+            BackendCheckpoint::Stochastic(_)
+        ));
+        assert!(matches!(live.shards[1].backend, BackendCheckpoint::Down));
+        assert!(matches!(
+            live.shards[2].backend,
+            BackendCheckpoint::Baseline
+        ));
+        assert!(live.shards[0].state.power_target_er.is_some());
+        assert!(live.shards[1].state.supervision.next_retry_batch.is_some());
+        assert_eq!(
+            crate::codec::fnv1a(&live.encode()),
+            0x900c_c776_3a8f_5bb3,
+            "the v4 encoding of a live supervised checkpoint moved"
         );
     }
 }

@@ -126,23 +126,29 @@ impl fmt::Display for ShardHealth {
 }
 
 /// One shard's supervision state: the health machine plus its counters,
-/// the watchdog's window bookkeeping, and the retry schedule.
+/// the watchdog's window bookkeeping, and the retry schedule. Part of the
+/// shard's durable record ([`crate::checkpoint::ShardState`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SupervisionRecord {
-    pub(crate) health: ShardHealth,
-    pub(crate) transitions: u64,
-    pub(crate) crashes: u64,
-    pub(crate) drift_events: u64,
-    pub(crate) retries: u64,
+    /// Current health.
+    pub health: ShardHealth,
+    /// Health transitions since deployment.
+    pub transitions: u64,
+    /// Crashes (freeze or chaos) since deployment.
+    pub crashes: u64,
+    /// Watchdog drift detections since deployment.
+    pub drift_events: u64,
+    /// Recalibration retries attempted since deployment.
+    pub retries: u64,
     /// Failed retries since the shard was quarantined.
-    pub(crate) attempt: u32,
+    pub attempt: u32,
     /// Batch index of the next scheduled retry, when quarantined.
-    pub(crate) next_retry_batch: Option<u64>,
+    pub next_retry_batch: Option<u64>,
     /// Observed error rate of the reference window captured after the
     /// last (re)calibration — the watchdog's empirical target.
-    pub(crate) reference_rate: Option<f64>,
+    pub reference_rate: Option<f64>,
     /// Fault counters at the start of the current watchdog window.
-    pub(crate) window_mark: FaultCounters,
+    pub window_mark: FaultCounters,
 }
 
 impl SupervisionRecord {
@@ -160,31 +166,6 @@ impl SupervisionRecord {
             reference_rate: None,
             window_mark: FaultCounters::default(),
         }
-    }
-
-    /// Current health.
-    pub fn health(&self) -> ShardHealth {
-        self.health
-    }
-
-    /// Health transitions since deployment.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Crashes (freeze or chaos) since deployment.
-    pub fn crashes(&self) -> u64 {
-        self.crashes
-    }
-
-    /// Watchdog drift detections since deployment.
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events
-    }
-
-    /// Recalibration retries attempted since deployment.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// Moves to `to`, counting the transition (a self-transition counts
@@ -701,12 +682,12 @@ mod tests {
     fn transitions_count_changes_only() {
         let mut r = SupervisionRecord::default();
         r.transition(ShardHealth::Healthy); // self-transition: no count
-        assert_eq!(r.transitions(), 0);
+        assert_eq!(r.transitions, 0);
         r.transition(ShardHealth::Drifting);
         r.transition(ShardHealth::Recovering);
         r.transition(ShardHealth::Healthy);
-        assert_eq!(r.transitions(), 3);
-        assert_eq!(r.health(), ShardHealth::Healthy);
+        assert_eq!(r.transitions, 3);
+        assert_eq!(r.health, ShardHealth::Healthy);
     }
 
     #[test]
