@@ -54,8 +54,10 @@
 //!   ([`SupervisorConfig::supervision_cadence`], default every batch):
 //!   at each point the supervisor processes the scripted-kill window
 //!   accumulated since the previous point, so no chaos event is lost.
-//!   All supervision runs on the main thread as a function of the batch
-//!   index, so chaos runs replay bit-identically at any thread count.
+//!   The control plane lives in [`crate::supervisor`]: this module calls
+//!   its tick before every batch, on the main thread, as a function of
+//!   the batch index, so chaos runs replay bit-identically at any thread
+//!   count.
 //!
 //! The `serve_bench` binary replays a generated dataset through this
 //! engine and records throughput plus the thread-invariance checksum in
@@ -80,17 +82,15 @@ use crate::deploy::DetectionPolicy;
 use crate::detector::{Detector, Label};
 use crate::exec::{derive_seed, parallel_map_n, ExecConfig};
 use crate::stochastic::StochasticHmd;
-use crate::supervisor::{retry_backoff, ShardHealth, Supervisor, SupervisorConfig};
+use crate::supervisor::{ShardHealth, Supervisor, SupervisorConfig};
 use crate::telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
 use shmd_ann::network::BatchScratch;
 use shmd_ml::anomaly::AnomalyScorer;
 use shmd_power::cmos::CmosPowerModel;
 use shmd_power::latency::LatencyModel;
 use shmd_volt::calibration::{CalibrationCurve, CalibrationError};
-use shmd_volt::controller::{ControllerAction, ControllerState};
-use shmd_volt::environment::{deepest_safe_offset, delivered_error_rate_at};
+use shmd_volt::controller::ControllerState;
 use shmd_volt::fault::BatchFaultStream;
-use shmd_volt::multiplier::FREEZE_ERROR_RATE;
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::features::FeatureSpec;
 use shmd_workload::trace::Trace;
@@ -154,7 +154,7 @@ pub const MAX_REQUERY_REPLICAS: usize = 250;
 /// [`MonitoringService::install_anomaly_scorer`]) — and the final label
 /// is the strict majority of all votes.
 ///
-/// The re-query stream is seeded from `(shard seed, `[`REQUERY_TAG`]`,
+/// The re-query stream is seeded from `(shard seed, REQUERY_TAG,
 /// stream position)`, so the whole mechanism stays a pure function of
 /// seeds: serial and N-thread runs, every lane width, and
 /// checkpoint/restore all produce bit-identical re-queried verdicts.
@@ -618,10 +618,12 @@ impl ShardDelta {
 }
 
 /// One detector replica and its durable record. A shard's id is its
-/// position in [`MonitoringService`]'s shard list.
-struct Shard {
+/// position in [`MonitoringService`]'s shard list. The supervision tick
+/// ([`Supervisor`]) reads and updates the record directly, but swaps or
+/// retunes the backend only through the methods below.
+pub(crate) struct Shard {
     backend: ShardBackend,
-    state: ShardState,
+    pub(crate) state: ShardState,
 }
 
 impl Shard {
@@ -652,11 +654,48 @@ impl Shard {
         state.histogram.merge(&delta.histogram);
     }
 
+    /// The live model of a serving stochastic shard that runs at an
+    /// undervolt offset, with that offset: what the supervision tick
+    /// retunes, watches and retargets. `None` for a shard out of the
+    /// serving set, on the baseline, or without an offset.
+    pub(crate) fn live_model(&mut self) -> Option<(Millivolts, &mut StochasticHmd)> {
+        if !self.state.supervision.health.is_serving() {
+            return None;
+        }
+        match &mut self.backend {
+            ShardBackend::Stochastic(hmd) => Some((hmd.offset()?, &mut **hmd)),
+            _ => None,
+        }
+    }
+
+    /// Crashes a serving shard: quarantined, its backend down and its
+    /// first retry due at batch `retry_at`, or, with no retry (the
+    /// pool's last serving shard), failed over to the baseline so the
+    /// service never stops answering.
+    pub(crate) fn crash(&mut self, baseline: &BaselineHmd, cause: String, retry_at: Option<u64>) {
+        let record = &mut self.state.supervision;
+        record.transition(ShardHealth::Crashed);
+        record.crashes += 1;
+        match retry_at {
+            None => {
+                let reason = format!("{cause}; last serving shard failed over to baseline");
+                self.fail_over(baseline, reason);
+            }
+            Some(due) => {
+                record.transition(ShardHealth::Quarantined);
+                record.attempt = 0;
+                record.next_retry_batch = Some(due);
+                self.state.degraded_reason = Some(cause);
+                self.backend = ShardBackend::Down;
+            }
+        }
+    }
+
     /// Fails the shard over to the baseline at nominal voltage: it keeps
     /// answering, without the moving-target defense, until a restart or
     /// recalibration succeeds. The retry schedule is the caller's to
     /// settle.
-    fn fail_over(&mut self, baseline: &BaselineHmd, reason: String) {
+    pub(crate) fn fail_over(&mut self, baseline: &BaselineHmd, reason: String) {
         self.backend = ShardBackend::Baseline(baseline.clone());
         let state = &mut self.state;
         state.supervision.transition(ShardHealth::Degraded);
@@ -668,7 +707,7 @@ impl Shard {
     /// Swaps the shard onto a freshly calibrated stochastic backend under
     /// its next generation seed. Returns `false` (leaving the shard
     /// untouched) when the fault model cannot be built at the offset.
-    fn restart(
+    pub(crate) fn restart(
         &mut self,
         id: usize,
         baseline: &BaselineHmd,
@@ -1268,16 +1307,16 @@ impl MonitoringService {
 
     fn run_batch(&mut self, features: &[Vec<f32>]) -> Vec<Verdict> {
         let start = Instant::now();
-        // Supervision points are amortized to the configured cadence; at
-        // each point the scripted-kill window accumulated since the
-        // previous point is processed, so no chaos event is lost.
-        let cadence = self
-            .supervisor
-            .as_ref()
-            .map_or(1, |sup| sup.config().supervision_cadence.max(1));
-        if self.batches.is_multiple_of(cadence) {
-            let window_from = self.batches.saturating_sub(cadence - 1);
-            self.supervise(window_from, self.batches);
+        if let Some(sup) = &mut self.supervisor {
+            let projection = sup.tick(
+                &mut self.shards,
+                &self.baseline,
+                self.seed,
+                self.target_error_rate,
+                &self.power_model,
+                self.batches,
+            );
+            self.service_power_w = projection.or(self.service_power_w);
         }
         let n = features.len();
         let n_shards = self.shards.len();
@@ -1438,398 +1477,6 @@ impl MonitoringService {
             shard.state.energy_uj +=
                 (delta as f64 * k as f64 + requery_delta as f64) * per_detection_us * power_w;
             shard.state.last_power_w = Some(power_w);
-        }
-    }
-
-    /// One supervision point, run on the main thread before the batch is
-    /// dispatched: `batch` is the index of the batch about to run, and
-    /// `[window_from, batch]` is the scripted-kill window accumulated
-    /// since the previous point (equal to `batch` at cadence 1). The
-    /// thermal world, physics, watchdog, and retries are sampled at
-    /// `batch`. Everything here is a function of the batch index and
-    /// prior state — never of wall-clock or thread scheduling.
-    fn supervise(&mut self, window_from: u64, batch: u64) {
-        let Some(mut sup) = self.supervisor.take() else {
-            return;
-        };
-        let master = self.seed;
-        let temp = sup.temperature_at(batch);
-        // Drift counters before this tick's watchdog runs: the power
-        // scheduler backs off exactly the shards flagged *this tick*.
-        let drift_marks: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|shard| shard.state.supervision.drift_events)
-            .collect();
-
-        // Shards rebuilt at the previous point finish their recovery.
-        for shard in &mut self.shards {
-            if shard.state.supervision.health == ShardHealth::Recovering {
-                shard.state.supervision.transition(ShardHealth::Healthy);
-            }
-        }
-
-        // Scripted chaos kills, anywhere in the window.
-        let kills: Vec<(usize, &'static str)> =
-            sup.config().chaos.kills_in(window_from, batch).collect();
-        for (victim, cause) in kills {
-            if victim < self.shards.len() {
-                self.crash_shard(victim, batch, cause.to_string(), sup.config().backoff_base);
-            }
-        }
-
-        // Physics: what the die actually delivers at this temperature. A
-        // frozen operating point crashes the shard; a drifted one retunes
-        // the live fault model so the fault streams follow the die rather
-        // than the stale calibration.
-        for id in 0..self.shards.len() {
-            let (offset, current_er) = {
-                let shard = &self.shards[id];
-                if !shard.state.supervision.health.is_serving() {
-                    continue;
-                }
-                match &shard.backend {
-                    ShardBackend::Stochastic(hmd) => match hmd.offset() {
-                        Some(offset) => (offset, hmd.error_rate()),
-                        None => continue,
-                    },
-                    _ => continue,
-                }
-            };
-            let delivered = delivered_error_rate_at(&sup.config().device, offset, temp);
-            if delivered >= FREEZE_ERROR_RATE {
-                self.crash_shard(
-                    id,
-                    batch,
-                    format!("froze: {offset} delivers er {delivered:.3} at {temp:.1} °C"),
-                    sup.config().backoff_base,
-                );
-            } else if (delivered - current_er).abs() > sup.config().physics_epsilon {
-                // delivered < FREEZE_ERROR_RATE < 1 here, so retune only
-                // fails if the physics model hands back a non-probability
-                // — treat that like a freeze instead of panicking.
-                let retuned = match &mut self.shards[id].backend {
-                    ShardBackend::Stochastic(hmd) => hmd.retune(delivered).is_ok(),
-                    _ => true,
-                };
-                if !retuned {
-                    self.crash_shard(
-                        id,
-                        batch,
-                        format!("retune rejected delivered er {delivered:.3}"),
-                        sup.config().backoff_base,
-                    );
-                }
-            }
-        }
-
-        // Due recovery retries of quarantined shards.
-        for id in 0..self.shards.len() {
-            let due = {
-                let sup = &self.shards[id].state.supervision;
-                sup.health == ShardHealth::Quarantined
-                    && sup.next_retry_batch.is_some_and(|due| batch >= due)
-            };
-            if !due {
-                continue;
-            }
-            let action = sup.controller_mut().force_recalibrate(temp);
-            let offset = sup.controller().offset();
-            let shard = &mut self.shards[id];
-            shard.state.supervision.retries += 1;
-            let recovered = match action {
-                Ok(ControllerAction::Clamped { .. }) if !sup.config().allow_clamped_recovery => {
-                    false
-                }
-                Ok(_) => {
-                    shard.restart(id, &self.baseline, sup.controller().curve(), offset, master)
-                }
-                Err(_) => false,
-            };
-            let state = &mut shard.state;
-            if recovered {
-                state.supervision.transition(ShardHealth::Recovering);
-                state.supervision.attempt = 0;
-                state.supervision.next_retry_batch = None;
-                state.supervision.reset_watchdog(state.faults);
-                continue;
-            }
-            // Saturating: a restored schedule may carry any attempt count.
-            state.supervision.attempt = state.supervision.attempt.saturating_add(1);
-            if state.supervision.attempt >= sup.config().max_retries.max(1) {
-                state.supervision.next_retry_batch = None;
-                let reason = format!(
-                    "retry budget exhausted after {} attempts",
-                    state.supervision.retries
-                );
-                shard.fail_over(&self.baseline, reason);
-            } else {
-                let backoff = retry_backoff(
-                    state.seed,
-                    state.supervision.attempt,
-                    sup.config().backoff_base,
-                );
-                state.supervision.next_retry_batch = Some(batch.saturating_add(backoff));
-            }
-        }
-
-        // Watchdog: judge each serving stochastic shard's observed error
-        // rate over the completed window against its post-calibration
-        // reference.
-        for id in 0..self.shards.len() {
-            {
-                let shard = &mut self.shards[id];
-                if !shard.state.supervision.health.is_serving() {
-                    continue;
-                }
-                if !matches!(shard.backend, ShardBackend::Stochastic(_)) {
-                    continue;
-                }
-                let now = shard.state.faults;
-                let record = &mut shard.state.supervision;
-                let window = now.multiplies - record.window_mark.multiplies;
-                if window < sup.config().watchdog_window {
-                    continue;
-                }
-                let faulty = now.faulty - record.window_mark.faulty;
-                let observed = faulty as f64 / window as f64;
-                match record.reference_rate {
-                    None => {
-                        // First full window after (re)calibration: the
-                        // target *as observed through this workload* (the
-                        // near-zero immune region absorbs a workload-
-                        // dependent fraction of injected faults, so the
-                        // raw target would misjudge every window).
-                        record.reference_rate = Some(observed);
-                        record.window_mark = now;
-                        continue;
-                    }
-                    Some(reference) => {
-                        let band = sup.watchdog_band(reference, window);
-                        if (observed - reference).abs() <= band {
-                            record.window_mark = now;
-                            continue;
-                        }
-                        record.drift_events += 1;
-                        record.transition(ShardHealth::Drifting);
-                    }
-                }
-            }
-            // Drift confirmed: recalibrate at the current temperature and
-            // rebuild the shard at the fresh offset.
-            let action = sup.controller_mut().force_recalibrate(temp);
-            let offset = sup.controller().offset();
-            let shard = &mut self.shards[id];
-            let recovered = match action {
-                Ok(_) => {
-                    shard.restart(id, &self.baseline, sup.controller().curve(), offset, master)
-                }
-                Err(_) => false,
-            };
-            if recovered {
-                let state = &mut shard.state;
-                state.supervision.transition(ShardHealth::Recovering);
-                state.supervision.reset_watchdog(state.faults);
-            } else {
-                let reason = "drift recalibration failed; serving baseline".to_string();
-                shard.fail_over(&self.baseline, reason);
-            }
-        }
-
-        // Power scheduling last, so this tick's drift flags and recovery
-        // restarts are visible to the budget policy.
-        self.schedule_power(&sup, temp, &drift_marks);
-
-        self.supervisor = Some(sup);
-    }
-
-    /// One power-scheduling tick under the configured
-    /// [`crate::supervisor::PowerBudgetPolicy`] (no-op without one):
-    /// DVFS-style error-rate
-    /// retargeting of every serving stochastic shard as load and
-    /// temperature move, holding the projected busy-power total under the
-    /// service watt budget and every operating point a guard band shy of
-    /// the freeze threshold. Runs on the main thread at supervision
-    /// points, in shard-id order, as a pure function of (shard state,
-    /// batch index) — so schedules replay bit-identically at any thread
-    /// count.
-    fn schedule_power(&mut self, sup: &Supervisor, temp: f64, drift_marks: &[u64]) {
-        let Some(policy) = sup.config().power_budget else {
-            return;
-        };
-        let device = &sup.config().device;
-        let guard = sup.controller().config().guard_band_mv;
-        // The physical floor at this temperature: deepening stops a
-        // guard band shy of wherever the freeze point sits *now*.
-        let floor = deepest_safe_offset(device, temp, guard);
-        let power_model = self.power_model;
-        let nominal_power = power_model.core_power_w(NOMINAL_CORE_VOLTAGE);
-        let serving: Vec<usize> = (0..self.shards.len())
-            .filter(|&id| self.shards[id].state.supervision.health.is_serving())
-            .collect();
-        if serving.is_empty() {
-            return;
-        }
-
-        // Per-shard load over the window since the previous tick,
-        // against the fair share of the serving set.
-        let window_total: u64 = serving
-            .iter()
-            .map(|&id| {
-                let state = &self.shards[id].state;
-                state.queries - state.power_window_queries
-            })
-            .sum();
-        let fair = window_total as f64 / serving.len() as f64;
-
-        // Phases A and B: tentative per-shard targets. A freshly
-        // drift-flagged shard backs off one step toward the nominal end
-        // of the band; a healthy shard on a cool die carrying no more
-        // than its fair share deepens one step.
-        let n = self.shards.len();
-        let mut targets: Vec<Option<f64>> = vec![None; n];
-        let mut flagged: Vec<bool> = vec![false; n];
-        for &id in &serving {
-            let shard = &self.shards[id];
-            let ShardBackend::Stochastic(hmd) = &shard.backend else {
-                continue;
-            };
-            if hmd.offset().is_none() {
-                continue;
-            }
-            let state = &shard.state;
-            let current = state
-                .power_target_er
-                .unwrap_or_else(|| policy.clamp_target(self.target_error_rate));
-            flagged[id] =
-                state.supervision.drift_events > drift_marks.get(id).copied().unwrap_or(u64::MAX);
-            let window = (state.queries - state.power_window_queries) as f64;
-            let light = fair == 0.0 || window <= policy.light_load * fair;
-            let target = if flagged[id] {
-                policy.clamp_target(current - policy.step_er)
-            } else if temp <= policy.cool_temp_c && light {
-                policy.clamp_target(current + policy.step_er)
-            } else {
-                current
-            };
-            targets[id] = Some(target);
-        }
-
-        // A target's operating point: the controller's curve-derived
-        // offset, clamped shallow of the physical floor, and the busy
-        // core power it draws.
-        let place = |target: f64| -> (Millivolts, f64) {
-            let offset = match sup.controller().offset_for_target(target) {
-                Ok((offset, _clamped)) => offset,
-                Err(_) => Millivolts::new(0),
-            };
-            let offset = Millivolts::new(offset.get().max(floor.get()));
-            let power = power_model.core_power_w(NOMINAL_CORE_VOLTAGE.with_offset(offset));
-            (offset, power)
-        };
-        let mut offsets: Vec<Option<Millivolts>> = vec![None; n];
-        let mut powers: Vec<f64> = vec![0.0; n];
-        for &id in &serving {
-            match targets[id] {
-                Some(target) => {
-                    let (offset, power) = place(target);
-                    offsets[id] = Some(offset);
-                    powers[id] = power;
-                }
-                // Serving but not retargetable (degraded to baseline):
-                // budgeted at nominal busy power.
-                None => powers[id] = nominal_power,
-            }
-        }
-        let mut total: f64 = serving.iter().map(|&id| powers[id]).sum();
-
-        // Phase C: while the projection exceeds the budget, deepen
-        // healthy shards one step each in id order. Stops as soon as the
-        // projection fits, or when a full pass makes no progress (every
-        // shard at its band cap or physical floor: the budget is held
-        // best-effort, never by freezing a shard).
-        while total > policy.budget_w {
-            let before = total;
-            for &id in &serving {
-                let Some(target) = targets[id] else {
-                    continue;
-                };
-                if flagged[id] || target >= policy.max_target_er {
-                    continue;
-                }
-                let deeper = policy.clamp_target(target + policy.step_er);
-                let (offset, power) = place(deeper);
-                total += power - powers[id];
-                targets[id] = Some(deeper);
-                offsets[id] = Some(offset);
-                powers[id] = power;
-                if total <= policy.budget_w {
-                    break;
-                }
-            }
-            if total >= before {
-                break;
-            }
-        }
-
-        // Apply: write each schedule into the live fault model at the
-        // rate the die physically delivers there, and rebase the
-        // watchdog reference wherever the operating point moved.
-        for &id in &serving {
-            let (Some(target), Some(offset)) = (targets[id], offsets[id]) else {
-                continue;
-            };
-            let shard = &mut self.shards[id];
-            shard.state.power_target_er = Some(target);
-            let ShardBackend::Stochastic(hmd) = &mut shard.backend else {
-                continue;
-            };
-            if hmd.offset() == Some(offset) {
-                continue;
-            }
-            let delivered = delivered_error_rate_at(device, offset, temp);
-            if delivered >= FREEZE_ERROR_RATE || hmd.apply_offset(offset, delivered).is_err() {
-                // Unreachable by construction (the floor keeps every
-                // schedule a guard band shy of freezing), but a schedule
-                // is never worth crashing a shard over.
-                continue;
-            }
-            shard.state.supervision.reset_watchdog(shard.state.faults);
-        }
-        // Close the load window and publish the projection.
-        for shard in &mut self.shards {
-            shard.state.power_window_queries = shard.state.queries;
-        }
-        self.service_power_w = Some(total);
-    }
-
-    /// Crashes one shard: quarantine it and schedule deterministic
-    /// recovery retries — unless it is the last serving shard, in which
-    /// case it fails over to the baseline instead (the service never stops
-    /// answering).
-    fn crash_shard(&mut self, id: usize, batch: u64, cause: String, backoff_base: u64) {
-        let serving = self
-            .shards
-            .iter()
-            .filter(|shard| shard.state.supervision.health.is_serving())
-            .count();
-        let shard = &mut self.shards[id];
-        let state = &mut shard.state;
-        if !state.supervision.health.is_serving() {
-            return;
-        }
-        state.supervision.transition(ShardHealth::Crashed);
-        state.supervision.crashes += 1;
-        if serving <= 1 {
-            let reason = format!("{cause}; last serving shard failed over to baseline");
-            shard.fail_over(&self.baseline, reason);
-        } else {
-            state.supervision.transition(ShardHealth::Quarantined);
-            state.degraded_reason = Some(cause);
-            state.supervision.attempt = 0;
-            let backoff = retry_backoff(state.seed, 0, backoff_base);
-            state.supervision.next_retry_batch = Some(batch.saturating_add(backoff));
-            shard.backend = ShardBackend::Down;
         }
     }
 
@@ -3242,6 +2889,165 @@ mod tests {
             crate::codec::fnv1a(&live.encode()),
             0x900c_c776_3a8f_5bb3,
             "the v4 encoding of a live supervised checkpoint moved"
+        );
+    }
+
+    /// Appends one shard's supervision decisions to `out`: the fields the
+    /// supervision tick writes, in a fixed byte layout.
+    fn encode_decisions(state: &ShardState, out: &mut Vec<u8>) {
+        let sup = &state.supervision;
+        out.extend_from_slice(sup.health.as_str().as_bytes());
+        for word in [
+            sup.transitions,
+            sup.crashes,
+            sup.drift_events,
+            sup.retries,
+            u64::from(sup.attempt),
+            sup.next_retry_batch.map_or(u64::MAX, |b| b),
+            state.generation,
+            state.power_target_er.map_or(u64::MAX, f64::to_bits),
+        ] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(state.degraded_reason.as_deref().unwrap_or("-").as_bytes());
+        out.push(0);
+    }
+
+    #[test]
+    fn supervision_decision_trace_is_pinned() {
+        use crate::supervisor::{ChaosEvent, ChaosPlan, PowerBudgetPolicy};
+
+        // A 4-shard pool at the reference temperature (49 °C) under a 31 W
+        // budget and a full-target retry policy, scripted through every
+        // branch of the supervision tick:
+        // - batches 0–1: the cool die deepens every shard to the band cap;
+        // - batch 3: a −25 °C spike freezes all four shards — three are
+        //   quarantined, the last serving one fails over to the baseline —
+        //   and the retries after the spike succeed;
+        // - batches 10–39: a +6 °C spike retunes the live models; a chaos
+        //   kill at batch 12 retries into clamped (failing) calibrations
+        //   until its budget of two runs out;
+        // - batches 20–39: a further +10 °C retunes again, the watchdog
+        //   flags the drop, the flagged shards back off, and the degraded
+        //   shards' nominal draw makes the budget deepen them back;
+        // - batch 40: back at 49 °C the deep hot offsets freeze again.
+        let (dataset, baseline, _) = setup();
+        let features: Vec<Vec<f32>> = (0..32 * 48)
+            .map(|i| baseline.spec().extract(dataset.trace(i % dataset.len())))
+            .collect();
+        let chaos = ChaosPlan::new(vec![
+            ChaosEvent::DriftSpike {
+                batch: 3,
+                delta_c: -25.0,
+                duration: 2,
+            },
+            ChaosEvent::DriftSpike {
+                batch: 10,
+                delta_c: 6.0,
+                duration: 30,
+            },
+            ChaosEvent::Crash {
+                batch: 12,
+                shard: 0,
+            },
+            ChaosEvent::DriftSpike {
+                batch: 20,
+                delta_c: 10.0,
+                duration: 20,
+            },
+        ]);
+        let supervision = SupervisorConfig::new(DeviceProfile::reference())
+            .with_chaos(chaos)
+            .with_watchdog(4096, 6.0, 0.02)
+            .with_retry_policy(2, 2)
+            .require_full_target()
+            .with_power_budget(PowerBudgetPolicy::new(31.0));
+        let config = ServeConfig::new(4)
+            .with_seed(41)
+            .with_target_error_rate(0.2)
+            .with_batch_size(32);
+        let mut service =
+            MonitoringService::supervised(&baseline, supervision, config).expect("deploys");
+
+        // Per shard after each batch: its record, and its live model's
+        // offset and error-rate bits when stochastic.
+        type Observed = (ShardState, Option<(Millivolts, u64)>);
+        let mut trace = Vec::new();
+        let mut reasons = std::collections::BTreeSet::new();
+        let (mut retunes, mut recovered, mut rescheduled) = (0, 0, 0);
+        let (mut backed_off, mut deepened, mut enforced) = (0, 0, 0);
+        let mut before: Vec<Observed> = Vec::new();
+        for (batch, chunk) in features.chunks(32).enumerate() {
+            service.process_feature_batch(chunk);
+            let cool = service.supervisor().unwrap().temperature_at(batch as u64)
+                <= DeviceProfile::reference().temp_c;
+            let now: Vec<Observed> = service
+                .shards
+                .iter()
+                .map(|shard| {
+                    let model = match &shard.backend {
+                        ShardBackend::Stochastic(hmd) => {
+                            hmd.offset().map(|o| (o, hmd.error_rate().to_bits()))
+                        }
+                        _ => None,
+                    };
+                    (shard.state.clone(), model)
+                })
+                .collect();
+            for (id, (state, model)) in now.iter().enumerate() {
+                encode_decisions(state, &mut trace);
+                reasons.extend(state.degraded_reason.clone());
+                let Some((prev, prev_model)) = before.get(id) else {
+                    continue;
+                };
+                if let (Some((offset, er)), Some((prev_offset, prev_er))) = (model, prev_model) {
+                    if state.generation == prev.generation && offset == prev_offset && er != prev_er
+                    {
+                        retunes += 1;
+                    }
+                }
+                let (sup, was) = (&state.supervision, &prev.supervision);
+                if sup.retries > was.retries {
+                    if sup.health == ShardHealth::Recovering {
+                        recovered += 1;
+                    } else if sup.next_retry_batch.is_some() {
+                        rescheduled += 1;
+                    }
+                }
+                match (prev.power_target_er, state.power_target_er) {
+                    (Some(p), Some(q)) if q < p => backed_off += 1,
+                    (Some(p), Some(q)) if q > p && cool => deepened += 1,
+                    (Some(p), Some(q)) if q > p => enforced += 1,
+                    _ => {}
+                }
+            }
+            before = now;
+        }
+        let has = |needle: &str| reasons.iter().any(|r| r.contains(needle));
+        assert!(has("chaos: shard crashed"), "no chaos kill: {reasons:?}");
+        assert!(has("froze"), "no freeze: {reasons:?}");
+        assert!(has("last serving shard"), "no fail-over: {reasons:?}");
+        assert!(
+            has("retry budget exhausted"),
+            "no exhausted budget: {reasons:?}"
+        );
+        assert!(retunes > 0, "no live model was retuned");
+        assert!(recovered > 0, "no retry succeeded");
+        assert!(rescheduled > 0, "no retry backed off");
+        assert!(
+            service.snapshot().total_drift_events() > 0,
+            "no watchdog drift"
+        );
+        assert!(backed_off > 0, "no drift-flagged shard backed off");
+        assert!(deepened > 0, "no shard deepened on a cool die");
+        assert!(
+            enforced > 0,
+            "the budget never deepened a shard on a hot die"
+        );
+        assert_eq!(
+            crate::codec::fnv1a(&trace),
+            0x5bfc_80cb_3aa5_adf6,
+            "the supervision decisions moved"
         );
     }
 }

@@ -20,7 +20,11 @@
 //!   count;
 //! - [`SupervisorConfig`] / [`Supervisor`] — the supervision engine: a
 //!   [`ThermalEnvironment`] world model, an [`AdaptiveVoltageController`]
-//!   for watchdog-triggered recalibration, and the watchdog/retry policy.
+//!   for watchdog-triggered recalibration, the watchdog/retry policy, and
+//!   the supervision tick the service runs before every batch (crashes,
+//!   physics, retries, watchdog, and [`PowerBudgetPolicy`] scheduling).
+//!   The service keeps the data plane; the tick changes a shard's backend
+//!   only through the shard's own methods.
 //!
 //! Two design rules keep supervision deterministic:
 //!
@@ -38,11 +42,22 @@
 //!    below the model rate by a workload-dependent factor; judging against
 //!    the post-calibration reference cancels that factor out.)
 
+// The tick runs on the ingest path, like the data plane in `crate::serve`:
+// no unwrap/expect may survive here either.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::baseline::BaselineHmd;
 use crate::exec::derive_seed;
+use crate::serve::Shard;
 use crate::telemetry::FaultCounters;
+use shmd_power::cmos::CmosPowerModel;
 use shmd_volt::calibration::{CalibrationError, Calibrator, DeviceProfile};
-use shmd_volt::controller::{AdaptiveVoltageController, ControllerConfig};
-use shmd_volt::environment::{EnvironmentConfig, ThermalEnvironment};
+use shmd_volt::controller::{AdaptiveVoltageController, ControllerAction, ControllerConfig};
+use shmd_volt::environment::{
+    deepest_safe_offset, delivered_error_rate_at, EnvironmentConfig, ThermalEnvironment,
+};
+use shmd_volt::multiplier::FREEZE_ERROR_RATE;
+use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use std::fmt;
 
 /// Tag mixed into chaos-plan seed derivations.
@@ -337,15 +352,18 @@ impl ChaosPlan {
 /// shard-id order (so replays are bit-identical at any thread count):
 ///
 /// 1. **Back off** shards the watchdog flagged this tick (their delivered
-///    rate left the confidence band): one `step_er` shallower, floored at
-///    `min_target_er` — a drifting operating point earns margin, not
-///    aggression.
-/// 2. **Deepen** healthy shards one `step_er` when the die is cool
-///    (`temp ≤ cool_temp_c`; temperature inversion makes a cool die fault
-///    *more* at a fixed offset, so a cool tick buys the same error rate at
-///    a shallower voltage — and budget headroom at a deeper one) and the
-///    shard is lightly loaded (its share of the window's queries is at
-///    most `light_load ×` fair share), capped at `max_target_er`.
+///    rate left the confidence band): one
+///    [`STEP_ER`](PowerBudgetPolicy::STEP_ER) shallower, floored at
+///    [`MIN_TARGET_ER`](PowerBudgetPolicy::MIN_TARGET_ER) — a drifting
+///    operating point earns margin, not aggression.
+/// 2. **Deepen** healthy shards one step when the die is cool
+///    (`temp ≤` [`COOL_TEMP_C`](PowerBudgetPolicy::COOL_TEMP_C);
+///    temperature inversion makes a cool die fault *more* at a fixed
+///    offset, so a cool tick buys the same error rate at a shallower
+///    voltage — and budget headroom at a deeper one) and the shard is
+///    lightly loaded (its share of the window's queries is at most
+///    [`LIGHT_LOAD`](PowerBudgetPolicy::LIGHT_LOAD) × fair share), capped
+///    at [`MAX_TARGET_ER`](PowerBudgetPolicy::MAX_TARGET_ER).
 /// 3. **Enforce the budget**: while the projected busy core power summed
 ///    over serving shards exceeds `budget_w`, deepen healthy shards one
 ///    step each in shard-id order; stop when within budget or no shard
@@ -361,70 +379,40 @@ pub struct PowerBudgetPolicy {
     /// Service-wide busy core power budget, watts, summed over serving
     /// shards.
     pub budget_w: f64,
-    /// Shallowest per-shard error-rate target the back-off phase may
-    /// reach.
-    pub min_target_er: f64,
-    /// Deepest per-shard error-rate target the deepening phases may
-    /// reach.
-    pub max_target_er: f64,
-    /// Error-rate step of one retarget.
-    pub step_er: f64,
-    /// Deepen only when the die temperature is at or below this, °C.
-    pub cool_temp_c: f64,
-    /// Deepen only shards whose window query share is at most this
-    /// multiple of the fair share.
-    pub light_load: f64,
 }
 
 impl PowerBudgetPolicy {
-    /// A budget of `budget_w` watts with the default scheduling band:
-    /// targets in `[0.05, 0.30]`, steps of `0.05`, deepening below the
-    /// reference calibration temperature at up to 1.1× fair-share load.
+    /// Shallowest per-shard error-rate target the back-off phase reaches.
+    pub const MIN_TARGET_ER: f64 = 0.05;
+    /// Deepest per-shard error-rate target the deepening phases reach.
+    pub const MAX_TARGET_ER: f64 = 0.30;
+    /// Error-rate step of one retarget.
+    pub const STEP_ER: f64 = 0.05;
+    /// Deepen only when the die is at or below this temperature, °C: the
+    /// reference device's calibration temperature.
+    pub const COOL_TEMP_C: f64 = 49.0;
+    /// Deepen only shards whose window query share is at most this
+    /// multiple of the fair share.
+    pub const LIGHT_LOAD: f64 = 1.1;
+
+    /// A budget of `budget_w` watts.
     pub fn new(budget_w: f64) -> PowerBudgetPolicy {
-        PowerBudgetPolicy {
-            budget_w,
-            min_target_er: 0.05,
-            max_target_er: 0.30,
-            step_er: 0.05,
-            cool_temp_c: DeviceProfile::reference().temp_c,
-            light_load: 1.1,
-        }
+        PowerBudgetPolicy { budget_w }
     }
 
-    /// Sets the per-shard error-rate target band.
-    #[must_use]
-    pub fn with_target_band(mut self, min_er: f64, max_er: f64) -> PowerBudgetPolicy {
-        self.min_target_er = min_er;
-        self.max_target_er = max_er;
-        self
-    }
-
-    /// Sets the retarget step.
-    #[must_use]
-    pub fn with_step(mut self, step_er: f64) -> PowerBudgetPolicy {
-        self.step_er = step_er;
-        self
-    }
-
-    /// Sets the cool-die threshold for the deepening phase.
-    #[must_use]
-    pub fn with_cool_below(mut self, temp_c: f64) -> PowerBudgetPolicy {
-        self.cool_temp_c = temp_c;
-        self
-    }
-
-    /// Sets the light-load threshold (multiple of fair share).
-    #[must_use]
-    pub fn with_light_load(mut self, multiple: f64) -> PowerBudgetPolicy {
-        self.light_load = multiple;
-        self
-    }
-
-    /// Clamps an error-rate target into the policy band.
-    pub fn clamp_target(&self, er: f64) -> f64 {
-        er.clamp(self.min_target_er, self.max_target_er)
+    /// Clamps an error-rate target into the scheduling band.
+    pub fn clamp_target(er: f64) -> f64 {
+        er.clamp(Self::MIN_TARGET_ER, Self::MAX_TARGET_ER)
     }
 }
+
+/// Sweep step (mV) of the supervisor's calibrations — coarser than the
+/// paper's 1 mV lab sweep because the supervisor recalibrates live.
+pub const CALIBRATION_STEP_MV: i32 = 2;
+
+/// The supervision tick retunes a live fault model when the physically
+/// delivered error rate moves further than this from the model rate.
+pub const PHYSICS_EPSILON: f64 = 1e-4;
 
 /// Supervision policy for a [`crate::serve::MonitoringService`].
 #[derive(Clone, Debug)]
@@ -435,13 +423,6 @@ pub struct SupervisorConfig {
     pub environment: EnvironmentConfig,
     /// Scripted chaos, if any.
     pub chaos: ChaosPlan,
-    /// Controller policy (guard band, recalibration threshold). The
-    /// target error rate is overridden by the service's
-    /// `ServeConfig::target_error_rate` at deploy time.
-    pub controller: ControllerConfig,
-    /// Sweep step (mV) for supervised recalibrations — coarser than the
-    /// paper's 1 mV lab sweep because the supervisor recalibrates live.
-    pub calibration_step_mv: i32,
     /// Minimum multiplies in a watchdog window before it is judged.
     pub watchdog_window: u64,
     /// Width of the confidence band, in binomial standard deviations of
@@ -461,9 +442,6 @@ pub struct SupervisorConfig {
     /// operator demands the full target rate: clamped retries fail and
     /// consume retry budget.
     pub allow_clamped_recovery: bool,
-    /// Retune a live fault model when the physically delivered rate moves
-    /// further than this from the model rate.
-    pub physics_epsilon: f64,
     /// Batches between supervision points. The default of 1 supervises
     /// every batch (the historical behaviour); a cadence of `c` runs the
     /// supervisor only when `batch % c == 0`, processing the scripted
@@ -488,15 +466,12 @@ impl SupervisorConfig {
             device,
             environment,
             chaos: ChaosPlan::none(),
-            controller: ControllerConfig::default(),
-            calibration_step_mv: 2,
             watchdog_window: 4096,
             band_sigmas: 6.0,
             band_floor: 0.02,
             max_retries: 3,
             backoff_base: 2,
             allow_clamped_recovery: true,
-            physics_epsilon: 1e-4,
             supervision_cadence: 1,
             power_budget: None,
         }
@@ -513,14 +488,6 @@ impl SupervisorConfig {
     #[must_use]
     pub fn with_chaos(mut self, chaos: ChaosPlan) -> SupervisorConfig {
         self.chaos = chaos;
-        self
-    }
-
-    /// Sets the controller policy (its target error rate is still
-    /// overridden by the service's at deploy time).
-    #[must_use]
-    pub fn with_controller(mut self, controller: ControllerConfig) -> SupervisorConfig {
-        self.controller = controller;
         self
     }
 
@@ -592,23 +559,25 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Builds the engine: calibrates the controller on the configured
-    /// device at the configured target rate.
+    /// Builds the engine: calibrates the controller (default guard band,
+    /// [`CALIBRATION_STEP_MV`] sweep) on the configured device at
+    /// `target_error_rate`.
     ///
     /// # Errors
     ///
     /// Propagates [`CalibrationError`] for an invalid target rate (an
     /// unreachable one clamps at the guard band instead).
     pub fn new(
-        mut config: SupervisorConfig,
+        config: SupervisorConfig,
         target_error_rate: f64,
     ) -> Result<Supervisor, CalibrationError> {
-        config.controller.target_error_rate = target_error_rate;
-        let calibrator = Calibrator::new().with_step(config.calibration_step_mv.max(1));
         let controller = AdaptiveVoltageController::with_calibrator(
             config.device.clone(),
-            config.controller,
-            calibrator,
+            ControllerConfig {
+                target_error_rate,
+                ..ControllerConfig::default()
+            },
+            Calibrator::new().with_step(CALIBRATION_STEP_MV),
         )?;
         let environment = ThermalEnvironment::new(config.environment);
         Ok(Supervisor {
@@ -628,7 +597,7 @@ impl Supervisor {
         &self.controller
     }
 
-    /// Mutable access for watchdog-triggered recalibration.
+    /// Mutable access for restoring a checkpointed calibration.
     pub(crate) fn controller_mut(&mut self) -> &mut AdaptiveVoltageController {
         &mut self.controller
     }
@@ -647,9 +616,361 @@ impl Supervisor {
         let p = reference_rate.clamp(1e-9, 1.0 - 1e-9);
         self.config.band_floor + self.config.band_sigmas * (p * (1.0 - p) / n).sqrt()
     }
+
+    /// The supervision tick, run on the main thread before batch `batch`
+    /// is dispatched. It acts only at supervision points (every
+    /// [`SupervisorConfig::supervision_cadence`] batches) and there, in
+    /// order: promotes the shards rebuilt at the previous point, crashes
+    /// the shards chaos kills anywhere in the window since that point,
+    /// crashes frozen operating points and retunes drifted ones, runs the
+    /// due recovery retries, judges the watchdog windows, and schedules
+    /// power. Everything is a function of the batch index and prior state,
+    /// never of wall-clock or thread scheduling.
+    ///
+    /// `master_seed` seeds restarted shards, `target_error_rate` is the
+    /// service target a shard's power schedule starts from, and
+    /// `power_model` prices the budget. Returns the projected busy power
+    /// when the power scheduler ran.
+    pub(crate) fn tick(
+        &mut self,
+        shards: &mut [Shard],
+        baseline: &BaselineHmd,
+        master_seed: u64,
+        target_error_rate: f64,
+        power_model: &CmosPowerModel,
+        batch: u64,
+    ) -> Option<f64> {
+        let cadence = self.config.supervision_cadence.max(1);
+        if !batch.is_multiple_of(cadence) {
+            return None;
+        }
+        let window_from = batch.saturating_sub(cadence - 1);
+        let temp = self.temperature_at(batch);
+
+        // Shards rebuilt at the previous point finish their recovery.
+        for shard in shards.iter_mut() {
+            let record = &mut shard.state.supervision;
+            if record.health == ShardHealth::Recovering {
+                record.transition(ShardHealth::Healthy);
+            }
+        }
+
+        // Scripted chaos kills, anywhere in the window.
+        for (victim, cause) in self.config.chaos.kills_in(window_from, batch) {
+            if victim < shards.len() {
+                self.crash(shards, victim, batch, cause.to_string(), baseline);
+            }
+        }
+
+        // Physics: what the die actually delivers at this temperature. A
+        // frozen operating point crashes the shard; a drifted one retunes
+        // the live fault model so the fault streams follow the die rather
+        // than the stale calibration. delivered < FREEZE_ERROR_RATE < 1 at
+        // a retune, so it fails only if the physics model hands back a
+        // non-probability — treated like a freeze instead of a panic.
+        for id in 0..shards.len() {
+            let Some((offset, hmd)) = shards[id].live_model() else {
+                continue;
+            };
+            let delivered = delivered_error_rate_at(&self.config.device, offset, temp);
+            let cause = if delivered >= FREEZE_ERROR_RATE {
+                format!("froze: {offset} delivers er {delivered:.3} at {temp:.1} °C")
+            } else if (delivered - hmd.error_rate()).abs() > PHYSICS_EPSILON
+                && hmd.retune(delivered).is_err()
+            {
+                format!("retune rejected delivered er {delivered:.3}")
+            } else {
+                continue;
+            };
+            self.crash(shards, id, batch, cause, baseline);
+        }
+
+        // Due recovery retries of quarantined shards. A failed retry backs
+        // off, until the budget runs out and the shard serves the baseline.
+        for (id, shard) in shards.iter_mut().enumerate() {
+            let record = &mut shard.state.supervision;
+            let due = record.health == ShardHealth::Quarantined
+                && record.next_retry_batch.is_some_and(|due| batch >= due);
+            if !due {
+                continue;
+            }
+            record.retries += 1;
+            let accept_clamped = self.config.allow_clamped_recovery;
+            if self.recover(shard, id, temp, accept_clamped, baseline, master_seed) {
+                let record = &mut shard.state.supervision;
+                record.attempt = 0;
+                record.next_retry_batch = None;
+                continue;
+            }
+            let record = &mut shard.state.supervision;
+            // Saturating: a restored schedule may carry any attempt count.
+            record.attempt = record.attempt.saturating_add(1);
+            if record.attempt >= self.config.max_retries.max(1) {
+                record.next_retry_batch = None;
+                let reason = format!("retry budget exhausted after {} attempts", record.retries);
+                shard.fail_over(baseline, reason);
+            } else {
+                let backoff =
+                    retry_backoff(shard.state.seed, record.attempt, self.config.backoff_base);
+                record.next_retry_batch = Some(batch.saturating_add(backoff));
+            }
+        }
+
+        // Watchdog: judge each live model's observed error rate over the
+        // completed window against its post-calibration reference. A drift
+        // flags the shard for the power scheduler and recalibrates it; if
+        // that fails the shard serves the baseline.
+        let mut flagged = vec![false; shards.len()];
+        for (id, shard) in shards.iter_mut().enumerate() {
+            if shard.live_model().is_none() {
+                continue;
+            }
+            let now = shard.state.faults;
+            let record = &mut shard.state.supervision;
+            let window = now.multiplies - record.window_mark.multiplies;
+            if window < self.config.watchdog_window {
+                continue;
+            }
+            let observed = (now.faulty - record.window_mark.faulty) as f64 / window as f64;
+            let Some(reference) = record.reference_rate else {
+                // First full window after (re)calibration: the target *as
+                // observed through this workload* (the near-zero immune
+                // region absorbs a workload-dependent fraction of injected
+                // faults, so the raw target would misjudge every window).
+                record.reference_rate = Some(observed);
+                record.window_mark = now;
+                continue;
+            };
+            if (observed - reference).abs() <= self.watchdog_band(reference, window) {
+                record.window_mark = now;
+                continue;
+            }
+            record.drift_events += 1;
+            record.transition(ShardHealth::Drifting);
+            flagged[id] = true;
+            if !self.recover(shard, id, temp, true, baseline, master_seed) {
+                let reason = "drift recalibration failed; serving baseline".to_string();
+                shard.fail_over(baseline, reason);
+            }
+        }
+
+        // Power scheduling last, so this tick's drift flags and recovery
+        // restarts are visible to the budget policy.
+        self.schedule_power(shards, temp, &flagged, target_error_rate, power_model)
+    }
+
+    /// Crashes shard `id` if it is serving: quarantined with its first
+    /// retry scheduled, or failed over when it is the last serving shard.
+    fn crash(
+        &self,
+        shards: &mut [Shard],
+        id: usize,
+        batch: u64,
+        cause: String,
+        baseline: &BaselineHmd,
+    ) {
+        let serving = shards
+            .iter()
+            .filter(|shard| shard.state.supervision.health.is_serving())
+            .count();
+        let shard = &mut shards[id];
+        if !shard.state.supervision.health.is_serving() {
+            return;
+        }
+        let retry_at = (serving > 1).then(|| {
+            batch.saturating_add(retry_backoff(shard.state.seed, 0, self.config.backoff_base))
+        });
+        shard.crash(baseline, cause, retry_at);
+    }
+
+    /// The one recovery step of a retry and of a watchdog drift:
+    /// recalibrates the controller at `temp` and restarts shard `id` at
+    /// the fresh offset, `Recovering` with a reset watchdog. Returns
+    /// `false`, leaving the shard as it was, when the calibration fails,
+    /// clamps at the guard band without `accept_clamped`, or yields no
+    /// fault model.
+    fn recover(
+        &mut self,
+        shard: &mut Shard,
+        id: usize,
+        temp: f64,
+        accept_clamped: bool,
+        baseline: &BaselineHmd,
+        master_seed: u64,
+    ) -> bool {
+        let restarted = match self.controller.force_recalibrate(temp) {
+            Ok(ControllerAction::Clamped { .. }) if !accept_clamped => false,
+            Ok(_) => {
+                let (curve, offset) = (self.controller.curve(), self.controller.offset());
+                shard.restart(id, baseline, curve, offset, master_seed)
+            }
+            Err(_) => false,
+        };
+        if restarted {
+            let state = &mut shard.state;
+            state.supervision.transition(ShardHealth::Recovering);
+            state.supervision.reset_watchdog(state.faults);
+        }
+        restarted
+    }
+
+    /// One power-scheduling pass under the configured
+    /// [`PowerBudgetPolicy`] (no-op without one): retargets every live
+    /// model's error rate as load and temperature move, holding the
+    /// projected busy-power total under the budget and every operating
+    /// point a guard band shy of the freeze threshold. `flagged` marks the
+    /// shards the watchdog flagged this tick. Returns the projection.
+    fn schedule_power(
+        &self,
+        shards: &mut [Shard],
+        temp: f64,
+        flagged: &[bool],
+        target_error_rate: f64,
+        power_model: &CmosPowerModel,
+    ) -> Option<f64> {
+        let policy = self.config.power_budget?;
+        let device = &self.config.device;
+        let guard = self.controller.config().guard_band_mv;
+        // The physical floor at this temperature: deepening stops a
+        // guard band shy of wherever the freeze point sits *now*.
+        let floor = deepest_safe_offset(device, temp, guard);
+        let nominal_power = power_model.core_power_w(NOMINAL_CORE_VOLTAGE);
+        let serving: Vec<usize> = (0..shards.len())
+            .filter(|&id| shards[id].state.supervision.health.is_serving())
+            .collect();
+        if serving.is_empty() {
+            return None;
+        }
+
+        // Per-shard load over the window since the previous tick,
+        // against the fair share of the serving set.
+        let window_total: u64 = serving
+            .iter()
+            .map(|&id| {
+                let state = &shards[id].state;
+                state.queries - state.power_window_queries
+            })
+            .sum();
+        let fair = window_total as f64 / serving.len() as f64;
+
+        // Phases A and B: tentative per-shard targets. A freshly
+        // drift-flagged shard backs off one step toward the nominal end
+        // of the band; a healthy shard on a cool die carrying no more
+        // than its fair share deepens one step.
+        let n = shards.len();
+        let mut targets: Vec<Option<f64>> = vec![None; n];
+        for &id in &serving {
+            let shard = &mut shards[id];
+            if shard.live_model().is_none() {
+                continue;
+            }
+            let state = &shard.state;
+            let current = state
+                .power_target_er
+                .unwrap_or_else(|| PowerBudgetPolicy::clamp_target(target_error_rate));
+            let window = (state.queries - state.power_window_queries) as f64;
+            let light = fair == 0.0 || window <= PowerBudgetPolicy::LIGHT_LOAD * fair;
+            let target = if flagged[id] {
+                PowerBudgetPolicy::clamp_target(current - PowerBudgetPolicy::STEP_ER)
+            } else if temp <= PowerBudgetPolicy::COOL_TEMP_C && light {
+                PowerBudgetPolicy::clamp_target(current + PowerBudgetPolicy::STEP_ER)
+            } else {
+                current
+            };
+            targets[id] = Some(target);
+        }
+
+        // A target's operating point: the controller's curve-derived
+        // offset, clamped shallow of the physical floor, and the busy
+        // core power it draws.
+        let place = |target: f64| -> (Millivolts, f64) {
+            let offset = match self.controller.offset_for_target(target) {
+                Ok((offset, _clamped)) => offset,
+                Err(_) => Millivolts::new(0),
+            };
+            let offset = Millivolts::new(offset.get().max(floor.get()));
+            let power = power_model.core_power_w(NOMINAL_CORE_VOLTAGE.with_offset(offset));
+            (offset, power)
+        };
+        let mut offsets: Vec<Option<Millivolts>> = vec![None; n];
+        let mut powers: Vec<f64> = vec![0.0; n];
+        for &id in &serving {
+            match targets[id] {
+                Some(target) => {
+                    let (offset, power) = place(target);
+                    offsets[id] = Some(offset);
+                    powers[id] = power;
+                }
+                // Serving but not retargetable (degraded to baseline):
+                // budgeted at nominal busy power.
+                None => powers[id] = nominal_power,
+            }
+        }
+        let mut total: f64 = serving.iter().map(|&id| powers[id]).sum();
+
+        // Phase C: while the projection exceeds the budget, deepen
+        // healthy shards one step each in id order. Stops as soon as the
+        // projection fits, or when a full pass makes no progress (every
+        // shard at its band cap or physical floor: the budget is held
+        // best-effort, never by freezing a shard).
+        while total > policy.budget_w {
+            let before = total;
+            for &id in &serving {
+                let Some(target) = targets[id] else {
+                    continue;
+                };
+                if flagged[id] || target >= PowerBudgetPolicy::MAX_TARGET_ER {
+                    continue;
+                }
+                let deeper = PowerBudgetPolicy::clamp_target(target + PowerBudgetPolicy::STEP_ER);
+                let (offset, power) = place(deeper);
+                total += power - powers[id];
+                targets[id] = Some(deeper);
+                offsets[id] = Some(offset);
+                powers[id] = power;
+                if total <= policy.budget_w {
+                    break;
+                }
+            }
+            if total >= before {
+                break;
+            }
+        }
+
+        // Apply: write each schedule into the live fault model at the
+        // rate the die physically delivers there, and rebase the
+        // watchdog reference wherever the operating point moved.
+        for &id in &serving {
+            let (Some(target), Some(offset)) = (targets[id], offsets[id]) else {
+                continue;
+            };
+            let shard = &mut shards[id];
+            shard.state.power_target_er = Some(target);
+            let Some((live, hmd)) = shard.live_model() else {
+                continue;
+            };
+            if live == offset {
+                continue;
+            }
+            let delivered = delivered_error_rate_at(device, offset, temp);
+            if delivered >= FREEZE_ERROR_RATE || hmd.apply_offset(offset, delivered).is_err() {
+                // Unreachable by construction (the floor keeps every
+                // schedule a guard band shy of freezing), but a schedule
+                // is never worth crashing a shard over.
+                continue;
+            }
+            shard.state.supervision.reset_watchdog(shard.state.faults);
+        }
+        // Close the load window and publish the projection.
+        for shard in shards.iter_mut() {
+            shard.state.power_window_queries = shard.state.queries;
+        }
+        Some(total)
+    }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -830,15 +1151,15 @@ mod tests {
 
     #[test]
     fn power_budget_policy_clamps_into_its_band() {
-        let policy = PowerBudgetPolicy::new(30.0)
-            .with_target_band(0.08, 0.25)
-            .with_step(0.02)
-            .with_cool_below(45.0)
-            .with_light_load(1.0);
+        let policy = PowerBudgetPolicy::new(30.0);
         assert_eq!(policy.budget_w, 30.0);
-        assert_eq!(policy.clamp_target(0.01), 0.08);
-        assert_eq!(policy.clamp_target(0.9), 0.25);
-        assert_eq!(policy.clamp_target(0.1), 0.1);
+        assert_eq!(PowerBudgetPolicy::clamp_target(0.01), 0.05);
+        assert_eq!(PowerBudgetPolicy::clamp_target(0.9), 0.30);
+        assert_eq!(PowerBudgetPolicy::clamp_target(0.1), 0.1);
+        assert_eq!(
+            PowerBudgetPolicy::COOL_TEMP_C,
+            DeviceProfile::reference().temp_c
+        );
         let config = SupervisorConfig::new(DeviceProfile::reference()).with_power_budget(policy);
         assert_eq!(config.power_budget, Some(policy));
         assert_eq!(

@@ -999,7 +999,7 @@ impl<M: Borrow<FaultModel>> FaultStream<M> {
     /// and counted down, so the hot path is a decrement with *no* RNG draw
     /// — O(#faults) RNG cost instead of O(#multiplications), while the
     /// fault/no-fault sequence keeps the exact per-multiplication
-    /// Bernoulli(er) law (see [`sample_gap`]; [`PerDrawInjector`] is the
+    /// Bernoulli(er) law (see `sample_gap`; [`PerDrawInjector`] is the
     /// retained per-draw oracle). When the counter reaches a fault event,
     /// the first flipped bit is drawn from the conditional first-flip
     /// distribution and later bits flip independently, which reproduces

@@ -11,7 +11,7 @@
 //! Two sub-models combine here:
 //!
 //! 1. **Voltage → fault rate** (physics). The critical path occupies a
-//!    fraction [`MultiplierTimingModel::utilization`] of the clock period at
+//!    fraction `MultiplierTimingModel::utilization` of the clock period at
 //!    nominal voltage; undervolting stretches it by the alpha-power-law
 //!    factor of [`DelayModel`]; cycle-to-cycle supply/thermal noise jitters
 //!    the arrival time by a Gaussian of relative width `jitter_sigma`. A
