@@ -93,31 +93,28 @@ impl Layer {
     ///
     /// Panics if `input.len() != in_dim`.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.out_dim);
+        let mut out = vec![0.0; self.out_dim];
         self.forward_into(input, &mut out);
         out
     }
 
-    /// Forward pass reusing caller-provided output storage (cleared
-    /// first) — same results as [`Layer::forward`] with no per-layer
-    /// allocation once `out` has grown to `out_dim`. This keeps the float
-    /// reference path's cost profile comparable to the allocation-free
-    /// quantised path in baseline-vs-stochastic sweeps.
+    /// Forward pass into caller-provided storage — same results as
+    /// [`Layer::forward`], without allocating. Backpropagation writes each
+    /// layer's activations straight into its slot of a trace this way.
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != in_dim`.
-    pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
+    /// Panics if `input.len() != in_dim` or `out.len() != out_dim`.
+    pub fn forward_into(&self, input: &[f32], out: &mut [f32]) {
         assert_eq!(input.len(), self.in_dim, "input width mismatch");
-        out.clear();
-        out.reserve(self.out_dim);
-        for o in 0..self.out_dim {
+        assert_eq!(out.len(), self.out_dim, "output width mismatch");
+        for (o, y) in out.iter_mut().enumerate() {
             let row = self.row(o);
             let mut sum = f64::from(row[self.in_dim]); // bias
             for (w, x) in row[..self.in_dim].iter().zip(input) {
                 sum += f64::from(*w) * f64::from(*x);
             }
-            out.push(self.activation.apply(sum) as f32);
+            *y = self.activation.apply(sum) as f32;
         }
     }
 }

@@ -72,27 +72,39 @@ impl Network {
     ///
     /// Panics if `input.len()` differs from [`Network::input_dim`].
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        // Ping-pong between two buffers so a pass allocates twice in
-        // total, not once per layer (see `Layer::forward_into`).
-        let mut cur = input.to_vec();
-        let mut next = Vec::new();
-        for layer in &self.layers {
-            layer.forward_into(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        let mut trace = vec![0.0; self.trace_len()];
+        self.forward_trace_into(input, &mut trace).to_vec()
     }
 
-    /// Forward pass that records every layer's activations (input first,
-    /// final output last). Used by backpropagation.
-    pub fn forward_trace(&self, input: &[f32]) -> Vec<Vec<f32>> {
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(input.to_vec());
+    /// Length of a forward trace: every layer's activations (hidden and
+    /// output; the input is not copied).
+    pub fn trace_len(&self) -> usize {
+        self.layers.iter().map(Layer::out_dim).sum()
+    }
+
+    /// Forward pass that records every layer's activations into `trace`,
+    /// input side first, and returns the output (the trace's last
+    /// [`Network::output_dim`] values). Used by backpropagation; it does
+    /// not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from [`Network::input_dim`] or
+    /// `trace.len()` from [`Network::trace_len`].
+    pub fn forward_trace_into<'t>(&self, input: &[f32], trace: &'t mut [f32]) -> &'t [f32] {
+        assert_eq!(trace.len(), self.trace_len(), "trace length mismatch");
+        let mut start = 0;
         for layer in &self.layers {
-            let next = layer.forward(acts.last().expect("non-empty"));
-            acts.push(next);
+            let (done, rest) = trace.split_at_mut(start);
+            let prev = if start == 0 {
+                input
+            } else {
+                &done[start - layer.in_dim()..]
+            };
+            layer.forward_into(prev, &mut rest[..layer.out_dim()]);
+            start += layer.out_dim();
         }
-        acts
+        &trace[start - self.output_dim()..]
     }
 
     /// Quantises the network to the Q16.16 datapath.
@@ -645,9 +657,11 @@ mod tests {
     fn forward_trace_matches_forward() {
         let net = small_net(2);
         let input = [0.1, -0.2, 0.3, 0.4];
-        let trace = net.forward_trace(&input);
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.last().expect("output"), &net.forward(&input));
+        let mut trace = vec![f32::NAN; net.trace_len()];
+        let output = net.forward_trace_into(&input, &mut trace).to_vec();
+        assert_eq!(trace.len(), 6 + 1);
+        assert_eq!(output, net.forward(&input));
+        assert_eq!(&trace[..6], net.layers()[0].forward(&input).as_slice());
     }
 
     #[test]

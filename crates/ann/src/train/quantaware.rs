@@ -9,7 +9,7 @@
 //! retraining — but a deployment that wants the last fraction of a percent
 //! of baseline accuracy can apply it before enabling undervolting.
 
-use super::{gradients, TrainData};
+use super::{weights_mut, BatchPass, TrainData};
 use crate::network::Network;
 use shmd_fixed::Q16;
 
@@ -50,40 +50,34 @@ impl QatTrainer {
     /// precision weights. Returns the quantised-forward MSE after tuning.
     pub fn fine_tune(&self, net: &mut Network, data: &TrainData) -> f64 {
         // Keep full-precision "shadow" weights; gradients accumulate there.
-        let mut shadow: Vec<Vec<f32>> = net.layers().iter().map(|l| l.weights().to_vec()).collect();
+        let mut shadow: Vec<f32> = net
+            .layers()
+            .iter()
+            .flat_map(|l| l.weights())
+            .copied()
+            .collect();
+        let mut pass = BatchPass::new(net, data);
+        let n = data.len() as f64;
         for _ in 0..self.epochs {
-            // Snap the working network to the quantised grid.
-            for (layer, sw) in net.layers_mut().iter_mut().zip(&shadow) {
-                for (w, &s) in layer.weights_mut().iter_mut().zip(sw) {
-                    *w = Q16::from_f32(s).to_f32();
-                }
-            }
+            snap(net, &shadow);
             // Batch gradient at the snapped point.
-            let shape: Vec<usize> = net.layers().iter().map(|l| l.len()).collect();
-            let mut batch: Vec<Vec<f64>> = shape.iter().map(|&n| vec![0.0; n]).collect();
-            for (input, target) in data.iter() {
-                let g = gradients(net, input, target);
-                for (acc, gl) in batch.iter_mut().zip(&g) {
-                    for (a, &v) in acc.iter_mut().zip(gl) {
-                        *a += f64::from(v);
-                    }
-                }
-            }
-            let n = data.len() as f64;
+            pass.forward(net, data);
+            let grad = pass.gradient(net, data);
             // Straight-through: apply to the shadow weights.
-            for (sw, gl) in shadow.iter_mut().zip(&batch) {
-                for (s, &g) in sw.iter_mut().zip(gl) {
-                    *s -= (self.learning_rate * g / n) as f32;
-                }
+            for (s, &g) in shadow.iter_mut().zip(grad) {
+                *s -= (self.learning_rate * g / n) as f32;
             }
         }
         // Leave the network holding the quantised weights.
-        for (layer, sw) in net.layers_mut().iter_mut().zip(&shadow) {
-            for (w, &s) in layer.weights_mut().iter_mut().zip(sw) {
-                *w = Q16::from_f32(s).to_f32();
-            }
-        }
-        super::mse(net, data)
+        snap(net, &shadow);
+        pass.forward(net, data)
+    }
+}
+
+/// Sets every weight to its shadow weight snapped to the Q16.16 grid.
+fn snap(net: &mut Network, shadow: &[f32]) {
+    for (w, &s) in weights_mut(net).zip(shadow) {
+        *w = Q16::from_f32(s).to_f32();
     }
 }
 

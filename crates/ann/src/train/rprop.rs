@@ -5,7 +5,7 @@
 //! and very fast on small dense networks like HMDs. The iRPROP− variant
 //! zeroes the stored gradient after a sign change instead of backtracking.
 
-use super::{gradients, TrainData};
+use super::{weights_mut, BatchPass, TrainData};
 use crate::network::Network;
 
 /// iRPROP− trainer with FANN's default hyper-parameters.
@@ -49,44 +49,42 @@ impl RpropTrainer {
         self
     }
 
-    /// Trains the network in place; returns the final MSE.
+    /// Trains the network in place; returns the final MSE (the untouched
+    /// network's MSE when `epochs` is 0).
+    ///
+    /// Each epoch makes one forward pass per sample: the pass that measures
+    /// the epoch's MSE also records the traces the next epoch's gradient
+    /// backpropagates through.
     pub fn train(&self, net: &mut Network, data: &TrainData) -> f64 {
-        let shape: Vec<usize> = net.layers().iter().map(|l| l.len()).collect();
-        let mut step: Vec<Vec<f64>> = shape.iter().map(|&n| vec![self.delta_zero; n]).collect();
-        let mut prev_grad: Vec<Vec<f64>> = shape.iter().map(|&n| vec![0.0; n]).collect();
-        let mut last_mse = f64::INFINITY;
+        let n = net.num_weights();
+        let mut step = vec![self.delta_zero; n];
+        let mut prev_grad = vec![0.0f64; n];
+        let mut pass = BatchPass::new(net, data);
+        let mut last_mse = pass.forward(net, data);
 
         for _ in 0..self.epochs {
-            // Accumulate the batch gradient.
-            let mut batch: Vec<Vec<f64>> = shape.iter().map(|&n| vec![0.0; n]).collect();
-            for (input, target) in data.iter() {
-                let g = gradients(net, input, target);
-                for (acc, gl) in batch.iter_mut().zip(&g) {
-                    for (a, &v) in acc.iter_mut().zip(gl) {
-                        *a += f64::from(v);
-                    }
-                }
-            }
+            let grad = pass.gradient(net, data);
             // Per-weight sign-based update.
-            for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-                for (w, wt) in layer.weights_mut().iter_mut().enumerate() {
-                    let g = batch[l][w];
-                    let sign_product = g * prev_grad[l][w];
-                    if sign_product > 0.0 {
-                        step[l][w] = (step[l][w] * self.increase).min(self.delta_max);
-                        *wt -= (g.signum() * step[l][w]) as f32;
-                        prev_grad[l][w] = g;
-                    } else if sign_product < 0.0 {
-                        step[l][w] = (step[l][w] * self.decrease).max(self.delta_min);
-                        // iRPROP−: no weight revert, just forget the gradient.
-                        prev_grad[l][w] = 0.0;
-                    } else {
-                        *wt -= (g.signum() * step[l][w]) as f32;
-                        prev_grad[l][w] = g;
-                    }
+            for (((wt, &g), step), prev) in weights_mut(net)
+                .zip(grad)
+                .zip(&mut step)
+                .zip(&mut prev_grad)
+            {
+                let sign_product = g * *prev;
+                if sign_product > 0.0 {
+                    *step = (*step * self.increase).min(self.delta_max);
+                    *wt -= (g.signum() * *step) as f32;
+                    *prev = g;
+                } else if sign_product < 0.0 {
+                    *step = (*step * self.decrease).max(self.delta_min);
+                    // iRPROP−: no weight revert, just forget the gradient.
+                    *prev = 0.0;
+                } else {
+                    *wt -= (g.signum() * *step) as f32;
+                    *prev = g;
                 }
             }
-            last_mse = super::mse(net, data);
+            last_mse = pass.forward(net, data);
             if last_mse < self.target_mse {
                 break;
             }
@@ -147,6 +145,21 @@ mod tests {
             .target_mse(0.05)
             .train(&mut net, &data);
         assert!(final_mse < 0.06);
+    }
+
+    #[test]
+    fn zero_epochs_return_the_untouched_mse() {
+        let data = or_data();
+        let mut net = NetworkBuilder::new(2)
+            .hidden(3)
+            .output(1)
+            .seed(4)
+            .build()
+            .unwrap();
+        let before = net.clone();
+        let final_mse = RpropTrainer::new().epochs(0).train(&mut net, &data);
+        assert_eq!(net, before);
+        assert_eq!(final_mse.to_bits(), mse(&net, &data).to_bits());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental stochastic gradient descent with momentum
 //! (FANN's `FANN_TRAIN_INCREMENTAL`).
 
-use super::{gradients, TrainData};
+use super::{forward_all, gradients, mse, weights_mut, DeltaScratch, TrainData};
 use crate::network::Network;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,27 +67,36 @@ impl SgdTrainer {
         self
     }
 
-    /// Trains the network in place; returns the final MSE.
+    /// Trains the network in place; returns the final MSE (the untouched
+    /// network's MSE when `epochs` is 0).
     pub fn train(&self, net: &mut Network, data: &TrainData) -> f64 {
+        if self.epochs == 0 {
+            return mse(net, data);
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut velocity: Vec<Vec<f32>> = net.layers().iter().map(|l| vec![0.0; l.len()]).collect();
+        let mut velocity = vec![0.0f32; net.num_weights()];
+        let mut grads = vec![0.0f32; net.num_weights()];
+        let mut scratch = DeltaScratch::default();
+        let trace_len = net.trace_len();
+        let mut traces = vec![0.0f32; data.len() * trace_len];
         let mut last_mse = f64::INFINITY;
         for _ in 0..self.epochs {
             order.shuffle(&mut rng);
             for &i in &order {
+                // Weights move after every sample, so each one is traced
+                // afresh at the current weights.
                 let (input, target) = data.sample(i);
-                let grads = gradients(net, input, target);
-                for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-                    for (w, (wt, &g)) in layer.weights_mut().iter_mut().zip(&grads[l]).enumerate() {
-                        let v = self.momentum * f64::from(velocity[l][w])
-                            - self.learning_rate * f64::from(g);
-                        velocity[l][w] = v as f32;
-                        *wt += v as f32;
-                    }
+                let trace = &mut traces[i * trace_len..(i + 1) * trace_len];
+                net.forward_trace_into(input, trace);
+                gradients(net, input, trace, target, &mut grads, &mut scratch);
+                for ((wt, &g), vel) in weights_mut(net).zip(&grads).zip(&mut velocity) {
+                    let v = self.momentum * f64::from(*vel) - self.learning_rate * f64::from(g);
+                    *vel = v as f32;
+                    *wt += v as f32;
                 }
             }
-            last_mse = super::mse(net, data);
+            last_mse = forward_all(net, data, &mut traces);
             if last_mse < self.target_mse {
                 break;
             }
@@ -106,7 +115,6 @@ impl Default for SgdTrainer {
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
-    use crate::train::mse;
 
     fn and_data() -> TrainData {
         TrainData::new(
@@ -159,6 +167,21 @@ mod tests {
         SgdTrainer::new().seed(9).epochs(50).train(&mut a, &data);
         SgdTrainer::new().seed(9).epochs(50).train(&mut b, &data);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_epochs_return_the_untouched_mse() {
+        let data = and_data();
+        let mut net = NetworkBuilder::new(2)
+            .hidden(3)
+            .output(1)
+            .seed(4)
+            .build()
+            .unwrap();
+        let before = net.clone();
+        let final_mse = SgdTrainer::new().epochs(0).train(&mut net, &data);
+        assert_eq!(net, before);
+        assert_eq!(final_mse.to_bits(), mse(&net, &data).to_bits());
     }
 
     #[test]

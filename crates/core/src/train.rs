@@ -228,6 +228,33 @@ mod tests {
         assert_ne!(a.network(), b.network());
     }
 
+    /// Pins `train_baseline` bit for bit: FNV-1a over every trained weight.
+    /// Captured before training shared its forward passes between the MSE
+    /// and the next gradient.
+    #[test]
+    fn pinned_train_baseline_weights() {
+        let d = Dataset::generate(&DatasetConfig::small(40), 7);
+        let split = d.three_fold_split(0);
+        let hmd = train_baseline(
+            &d,
+            split.victim_training(),
+            FeatureSpec::frequency(),
+            &HmdTrainConfig::fast(),
+        )
+        .unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for layer in hmd.network().layers() {
+            for b in layer
+                .weights()
+                .iter()
+                .flat_map(|w| w.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 13_056_178_724_357_011_916);
+    }
+
     #[test]
     fn error_display_is_informative() {
         let e = TrainHmdError::BadTrainingData("empty".into());
