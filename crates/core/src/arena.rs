@@ -113,7 +113,7 @@ impl Detector for ArenaOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{RequeryConfig, ServeConfig};
+    use crate::serve::{RequeryConfig, ServeConfig, VerdictConfidence};
     use crate::supervisor::SupervisorConfig;
     use crate::train::{train_baseline, HmdTrainConfig};
     use shmd_volt::calibration::DeviceProfile;
@@ -176,13 +176,27 @@ mod tests {
             .set_requery(Some(RequeryConfig::new(0.5, 5)));
         // With a half-width-0.5 band every stochastic score is a band
         // hit; the labels must come from the ensemble vote.
+        let mut drawn = 0;
         for i in 0..16 {
             let v = oracle.query(dataset.trace(i % 10));
-            assert!(v.confidence.is_requeried(), "query {i}: {v:?}");
+            let VerdictConfidence::Requeried { votes, positives } = v.confidence else {
+                panic!("query {i} was not re-queried: {v:?}");
+            };
+            // Six votes in all: the primary and five replicas. Drawing
+            // stopped once the label was settled, and not before.
+            let undrawn = 6 - votes;
+            assert!(
+                2 * positives > 6 || 2 * (positives + undrawn) <= 6,
+                "query {i} stopped unsettled: {v:?}"
+            );
+            assert_eq!(v.label.is_malware(), 2 * positives > 6, "query {i}");
+            drawn += u64::from(votes - 1);
         }
         let snapshot = oracle.service().snapshot();
         assert_eq!(snapshot.band_hits, 16);
-        assert!(snapshot.requeries >= 16 * 5);
+        assert_eq!(snapshot.requeries, drawn);
+        // All five replicas for every query would be 80 draws.
+        assert_eq!(snapshot.requeries, 52, "replicas drawn");
     }
 
     #[test]

@@ -152,7 +152,8 @@ pub const MAX_REQUERY_REPLICAS: usize = 250;
 /// re-query fault stream, plus the service's installed anomaly scorer
 /// when one is present (see
 /// [`MonitoringService::install_anomaly_scorer`]) — and the final label
-/// is the strict majority of all votes.
+/// is the strict majority of all votes. Replicas are drawn only until
+/// the undrawn ones can no longer change that majority.
 ///
 /// The re-query stream is seeded from `(shard seed, REQUERY_TAG,
 /// stream position)`, so the whole mechanism stays a pure function of
@@ -164,7 +165,7 @@ pub struct RequeryConfig {
     /// Scores with `|score - threshold| <= band` trigger a re-query;
     /// `band <= 0` disables re-query in all but name.
     pub band: f64,
-    /// Fresh stochastic draws per re-query, clamped into
+    /// Most fresh stochastic draws per re-query, clamped into
     /// `1..=`[`MAX_REQUERY_REPLICAS`] at use.
     pub replicas: usize,
 }
@@ -384,10 +385,12 @@ pub enum VerdictConfidence {
     /// the strict majority over the re-query ensemble (ties resolve
     /// benign). The score field still reports the *primary* order
     /// statistic, so re-query can flip `label` relative to
-    /// `score >= threshold`.
+    /// `score >= threshold`. Replicas stop being drawn once the label is
+    /// settled, so the counts below cover the votes actually cast.
     Requeried {
-        /// Total votes cast: 1 primary + replicas + 1 if an anomaly
-        /// scorer is installed.
+        /// Votes cast: 1 primary, 1 if an anomaly scorer is installed,
+        /// and the replicas drawn before the label settled (at most
+        /// [`RequeryConfig::replicas`]).
         votes: u8,
         /// Votes that said malware.
         positives: u8,
@@ -457,6 +460,25 @@ enum ShardBackend {
     Down,
 }
 
+/// The strict-majority label of a `total`-vote ensemble once `votes` of
+/// them are cast with `positives` saying malware, or `None` while the
+/// uncast votes could still change it: malware once `2·positives >
+/// total`, benign once `2·(positives + uncast) ≤ total`.
+fn vote_settled(positives: u8, votes: u8, total: u8) -> Option<Label> {
+    let (positives, uncast, total) = (
+        u16::from(positives),
+        u16::from(total - votes),
+        u16::from(total),
+    );
+    if 2 * positives > total {
+        Some(Label::Malware)
+    } else if 2 * (positives + uncast) <= total {
+        Some(Label::Benign)
+    } else {
+        None
+    }
+}
+
 /// The immutable slice of one shard a batch's workers score against. All
 /// mutable shard state (counters, histogram, fault totals) stays on the
 /// main thread and is updated from the workers' additive
@@ -477,13 +499,19 @@ impl ShardView<'_> {
     /// final label: a confident thresholding outside the band, or a
     /// strict-majority vote over the re-query ensemble inside it.
     ///
-    /// The ensemble draws `replicas` fresh scores from a one-lane fault
-    /// stream seeded by `(shard seed, REQUERY_TAG, position)` — disjoint
-    /// from the primary QUERY_TAG stream, but equally a pure function of
-    /// the stream position — and adds the anomaly scorer's vote when one
-    /// is installed. Ties resolve benign (strict majority), matching the
-    /// service's bias toward false negatives over alert floods at the
-    /// boundary.
+    /// The ensemble is the primary vote, the anomaly scorer's vote when one
+    /// is installed, and up to `replicas` fresh scores drawn in turn from a
+    /// one-lane fault stream seeded by `(shard seed, REQUERY_TAG,
+    /// position)` — disjoint from the primary QUERY_TAG stream, but equally
+    /// a pure function of the stream position. Ties resolve benign (strict
+    /// majority), matching the service's bias toward false negatives over
+    /// alert floods at the boundary.
+    ///
+    /// The anomaly vote is taken first, and drawing stops as soon as the
+    /// remaining replicas can no longer change the label (see
+    /// [`vote_settled`]). The label is therefore the one all `replicas`
+    /// draws would give, while `requeries`, the fault tallies and
+    /// `Requeried { votes, positives }` count only the votes cast.
     #[allow(clippy::too_many_arguments)]
     fn resolve(
         &self,
@@ -504,24 +532,24 @@ impl ShardView<'_> {
         if !in_band {
             return (Label::from_bool(primary), VerdictConfidence::Confident);
         }
-        let replicas = cfg.effective_replicas();
         delta.band_hits += 1;
-        delta.requeries += replicas as u64;
+        let replicas = cfg.effective_replicas() as u8;
+        let anomaly = self.anomaly.map(|a| a.is_anomalous(features));
+        let total = 1 + replicas + u8::from(anomaly.is_some());
+        let mut votes = 1 + u8::from(anomaly.is_some());
+        let mut positives = u8::from(primary) + u8::from(anomaly == Some(true));
         let seed = derive_seed(self.seed, &[REQUERY_TAG, position]);
         let mut stream = BatchFaultStream::new(hmd.fault_model(), [seed]);
-        let mut votes: u8 = 1;
-        let mut positives = u8::from(primary);
-        for _ in 0..replicas {
+        let label = loop {
+            if let Some(label) = vote_settled(positives, votes, total) {
+                break label;
+            }
             let [replica] = hmd.score_features_batch_with(&[features], &mut stream, scratch);
             votes += 1;
             positives += u8::from(replica >= threshold);
-        }
+            delta.requeries += 1;
+        };
         delta.faults.fold_tally(&stream.tally(0));
-        if let Some(anomaly) = self.anomaly {
-            votes += 1;
-            positives += u8::from(anomaly.is_anomalous(features));
-        }
-        let label = Label::from_bool(2 * u16::from(positives) > u16::from(votes));
         (label, VerdictConfidence::Requeried { votes, positives })
     }
 
@@ -1960,7 +1988,8 @@ mod tests {
     /// [`shmd_volt::fault::FaultStream`] per query seeded by `[QUERY_TAG,
     /// position]` and shared across the policy draws, a second one seeded
     /// by `[REQUERY_TAG, position]` for in-band re-queries, and the
-    /// strict-majority vote. The service scores on the lane-block engine
+    /// strict-majority vote, curtailed once the undrawn replicas can no
+    /// longer change it. The service scores on the lane-block engine
     /// at every width, so this scalar reconstruction is the independent
     /// oracle the width-invariance tests no longer provide.
     #[test]
@@ -2011,6 +2040,7 @@ mod tests {
         let mut expected: Vec<Verdict> = Vec::new();
         let mut expected_faults = vec![FaultCounters::default(); shards];
         let mut band_hits = 0;
+        let mut requeries = 0;
         for (i, query) in features.iter().enumerate() {
             let position = i as u64;
             let shard = i % shards;
@@ -2051,21 +2081,37 @@ mod tests {
                         hmd.fault_model(),
                         derive_seed(shard_seed, &[REQUERY_TAG, position]),
                     );
-                    let mut positives = u8::from(primary);
-                    for _ in 0..requery.replicas {
+                    // The primary and the anomaly vote are cast first;
+                    // replicas are drawn while the undrawn ones could
+                    // still change the strict majority.
+                    let total = 1 + requery.replicas as u8 + 1;
+                    let mut votes = 2;
+                    let mut positives = u8::from(primary) + u8::from(anomaly.is_anomalous(query));
+                    while 2 * positives <= total && 2 * (positives + total - votes) > total {
                         let replica = hmd.score_features_with(query, &mut stream, &mut scratch);
+                        votes += 1;
                         positives += u8::from(replica >= threshold);
+                        requeries += 1;
                     }
                     expected_faults[shard].fold(&stream.stats());
-                    positives += u8::from(anomaly.is_anomalous(query));
-                    let votes = 1 + requery.replicas as u8 + 1;
-                    verdict.label = Label::from_bool(2 * positives > votes);
+                    verdict.label = Label::from_bool(2 * positives > total);
                     verdict.confidence = VerdictConfidence::Requeried { votes, positives };
+                    // Drawing every replica gives the same label.
+                    let mut full = positives;
+                    for _ in votes..total {
+                        let replica = hmd.score_features_with(query, &mut stream, &mut scratch);
+                        full += u8::from(replica >= threshold);
+                    }
+                    assert_eq!(verdict.label, Label::from_bool(2 * full > total));
                 }
             }
             expected.push(verdict);
         }
         assert!(band_hits >= 10, "only {band_hits} verdicts re-queried");
+        assert!(
+            requeries < band_hits * requery.replicas as u64,
+            "no re-query was curtailed"
+        );
         assert!(
             expected
                 .iter()
@@ -2110,6 +2156,43 @@ mod tests {
                 snapshot.shards.iter().map(|s| s.band_hits).sum::<u64>(),
                 band_hits
             );
+            assert_eq!(
+                snapshot.requeries, requeries,
+                "replicas drawn at {lanes} lanes"
+            );
+        }
+    }
+
+    #[test]
+    fn curtailed_votes_give_the_full_draw_label_on_every_vote_sequence() {
+        // Every sequence of primary, anomaly and replica votes: stopping
+        // once `vote_settled` answers gives the label of the whole
+        // ensemble, and stops exactly where that label was first decided.
+        for replicas in [1u8, 2, 13, 14] {
+            for with_anomaly in [false, true] {
+                let total = 1 + replicas + u8::from(with_anomaly);
+                let cast_first = 1 + u8::from(with_anomaly);
+                for bits in 0u32..1 << total {
+                    let vote = |i: u8| u8::from(bits >> i & 1 == 1);
+                    let full = (0..total).map(vote).sum::<u8>();
+                    let full_label = Label::from_bool(2 * full > total);
+                    let mut votes = cast_first;
+                    let mut positives = (0..cast_first).map(vote).sum::<u8>();
+                    let label = loop {
+                        if let Some(label) = vote_settled(positives, votes, total) {
+                            break label;
+                        }
+                        positives += vote(votes);
+                        votes += 1;
+                    };
+                    assert_eq!(label, full_label, "{replicas} replicas, votes {bits:b}");
+                    // One vote fewer would not have settled it.
+                    if votes > cast_first {
+                        let before = positives - vote(votes - 1);
+                        assert_eq!(vote_settled(before, votes - 1, total), None);
+                    }
+                }
+            }
         }
     }
 
@@ -2840,6 +2923,59 @@ mod tests {
                 .expect("restores");
                 restored.process_feature_batch(&features[..8]);
                 panic!("a shard id that is not its position decoded and served");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_fault_model_with_an_out_of_range_ripple_or_floor() {
+        use crate::checkpoint::RestoreError;
+        use crate::supervisor::ChaosPlan;
+
+        let (dataset, baseline, _) = setup();
+        let features: Vec<Vec<f32>> = (0..32)
+            .map(|i| baseline.spec().extract(dataset.trace(i % dataset.len())))
+            .collect();
+        let (supervision, mut service) = hot_budgeted_pool(&baseline, ChaosPlan::none());
+        for chunk in features.chunks(8) {
+            service.process_feature_batch(chunk);
+        }
+        let checkpoint = service.checkpoint();
+        // A ripple span this wide overflowed the event law's reach
+        // arithmetic; a floor this narrow put a product's top column
+        // below the placement table.
+        for (field, value) in [
+            ("ripple span", u32::MAX),
+            ("ripple span", shmd_volt::multiplier::OUTPUT_BITS as u32 + 1),
+            ("near-zero width", u32::MAX),
+            ("near-zero width", 0),
+        ] {
+            let mut hostile = checkpoint.clone();
+            let BackendCheckpoint::Stochastic(hmd) = &mut hostile.shards[0].backend else {
+                panic!("shard 0 serves stochastic");
+            };
+            if field == "ripple span" {
+                hmd.model.ripple_span = value;
+            } else {
+                hmd.model.near_zero_width = value;
+            }
+            // Encoding reseals the patched bytes, so only the fault
+            // model's own validation can reject them.
+            let decoded = ServiceCheckpoint::decode(&hostile.encode()).expect("structurally valid");
+            match MonitoringService::restore(
+                &baseline,
+                Some(supervision.clone()),
+                &decoded,
+                ExecConfig::serial(),
+            ) {
+                Err(RestoreError::InvalidState(what)) => {
+                    assert!(what.contains(field), "{field} {value}: {what}");
+                }
+                Err(other) => panic!("wrong error for {field} {value}: {other}"),
+                Ok(mut restored) => {
+                    restored.process_feature_batch(&features[..8]);
+                    panic!("{field} {value} restored and served");
+                }
             }
         }
     }

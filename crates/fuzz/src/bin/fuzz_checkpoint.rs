@@ -35,6 +35,10 @@ const HEALTHS: [ShardHealth; 6] = [
     ShardHealth::Degraded,
 ];
 
+/// Ripple spans and near-zero widths for the structural pass: in range,
+/// at the edges of the accepted range, and far outside it.
+const MODEL_WIDTHS: [u32; 8] = [0, 6, 7, 14, 20, 64, 65, u32::MAX];
+
 fn main() {
     let args = FuzzArgs::parse("fuzz_checkpoint");
     let mut rng = args.rng();
@@ -150,7 +154,8 @@ fn misplaced_ids(checkpoint: &ServiceCheckpoint) -> Vec<Vec<u8>> {
 /// `n` rewrites of `checkpoint` that still encode cleanly. Each reorders,
 /// duplicates or drops a shard, then gives one shard any backend and any
 /// health, with a retry attempt and schedule that may be far out of
-/// range.
+/// range. A stochastic backend also gets a ripple span and a near-zero
+/// width that may be out of range.
 fn rewrites(
     checkpoint: &ServiceCheckpoint,
     rng: &mut TestRunner,
@@ -183,6 +188,10 @@ fn rewrites(
                 1 => BackendCheckpoint::Baseline,
                 _ => BackendCheckpoint::Down,
             };
+            if let BackendCheckpoint::Stochastic(hmd) = &mut shard.backend {
+                hmd.model.ripple_span = MODEL_WIDTHS[rng.gen_range(0..MODEL_WIDTHS.len())];
+                hmd.model.near_zero_width = MODEL_WIDTHS[rng.gen_range(0..MODEL_WIDTHS.len())];
+            }
             let sup = &mut shard.state.supervision;
             sup.health = HEALTHS[rng.gen_range(0..HEALTHS.len())];
             sup.attempt = [0, 1, 3, u32::MAX][rng.gen_range(0..4usize)];
