@@ -106,15 +106,38 @@ impl Layer {
     ///
     /// Panics if `input.len() != in_dim` or `out.len() != out_dim`.
     pub fn forward_into(&self, input: &[f32], out: &mut [f32]) {
-        assert_eq!(input.len(), self.in_dim, "input width mismatch");
-        assert_eq!(out.len(), self.out_dim, "output width mismatch");
-        for (o, y) in out.iter_mut().enumerate() {
-            let row = self.row(o);
-            let mut sum = f64::from(row[self.in_dim]); // bias
-            for (w, x) in row[..self.in_dim].iter().zip(input) {
-                sum += f64::from(*w) * f64::from(*x);
+        self.forward_lanes::<1>(input, out);
+    }
+
+    /// Forward pass for `B` samples at once, lane-major: `input[i * B + s]`
+    /// is input `i` of sample `s`, and `out[o * B + s]` receives neuron
+    /// `o`'s activation for sample `s`.
+    ///
+    /// Each lane's sum is the bias plus the products `w · x` in input
+    /// order, as separate f64 multiplies and adds (Rust never contracts
+    /// them into fused multiply-adds), so every lane is bit-identical to
+    /// [`Layer::forward_into`] on its sample; across the lanes the MACs
+    /// vectorize. `B = 1` is [`Layer::forward_into`] itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len() != in_dim · B` or `out.len() != out_dim · B`.
+    pub(crate) fn forward_lanes<const B: usize>(&self, input: &[f32], out: &mut [f32]) {
+        assert_eq!(input.len(), self.in_dim * B, "input width mismatch");
+        assert_eq!(out.len(), self.out_dim * B, "output width mismatch");
+        let rows = self.weights.chunks_exact(self.in_dim + 1);
+        for (row, y) in rows.zip(out.chunks_exact_mut(B)) {
+            let (w, bias) = row.split_at(self.in_dim);
+            let mut sum = [f64::from(bias[0]); B];
+            for (&w, x) in w.iter().zip(input.chunks_exact(B)) {
+                let w = f64::from(w);
+                for (s, &x) in sum.iter_mut().zip(x) {
+                    *s += w * f64::from(x);
+                }
             }
-            *y = self.activation.apply(sum) as f32;
+            for (y, s) in y.iter_mut().zip(sum) {
+                *y = self.activation.apply(s) as f32;
+            }
         }
     }
 }
@@ -161,6 +184,35 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dim_panics() {
         let _ = Layer::zeros(0, 1, Activation::Linear);
+    }
+
+    #[test]
+    fn lanes_match_the_per_sample_pass_bit_for_bit() {
+        for activation in [
+            Activation::Linear,
+            Activation::Sigmoid,
+            Activation::SigmoidSymmetric,
+            Activation::Relu,
+        ] {
+            let mut l = Layer::zeros(5, 3, activation);
+            for (k, w) in l.weights_mut().iter_mut().enumerate() {
+                *w = (k as f32 * 0.37).sin() * 1.9;
+            }
+            let samples: Vec<Vec<f32>> = (0..8)
+                .map(|s| (0..5).map(|i| ((s * 5 + i) as f32 * 0.91).cos()).collect())
+                .collect();
+            let lanes: Vec<f32> = (0..5)
+                .flat_map(|i| samples.iter().map(move |x| x[i]))
+                .collect();
+            let mut out = vec![0.0; 3 * 8];
+            l.forward_lanes::<8>(&lanes, &mut out);
+            for (s, x) in samples.iter().enumerate() {
+                let want = l.forward(x);
+                for (o, w) in want.iter().enumerate() {
+                    assert_eq!(out[o * 8 + s].to_bits(), w.to_bits(), "{activation:?}");
+                }
+            }
+        }
     }
 
     #[test]

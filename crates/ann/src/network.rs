@@ -92,19 +92,32 @@ impl Network {
     /// Panics if `input.len()` differs from [`Network::input_dim`] or
     /// `trace.len()` from [`Network::trace_len`].
     pub fn forward_trace_into<'t>(&self, input: &[f32], trace: &'t mut [f32]) -> &'t [f32] {
-        assert_eq!(trace.len(), self.trace_len(), "trace length mismatch");
+        self.forward_trace_lanes::<1>(input, trace);
+        &trace[self.trace_len() - self.output_dim()..]
+    }
+
+    /// [`Network::forward_trace_into`] for `B` samples at once, lane-major
+    /// like [`Layer::forward_lanes`]: `input[i * B + s]` is input `i` of
+    /// sample `s`, and `trace[j * B + s]` receives trace value `j` of
+    /// sample `s`. Every lane is bit-identical to its sample's own trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` differs from `B ·` [`Network::input_dim`]
+    /// or `trace.len()` from `B ·` [`Network::trace_len`].
+    pub(crate) fn forward_trace_lanes<const B: usize>(&self, input: &[f32], trace: &mut [f32]) {
+        assert_eq!(trace.len(), self.trace_len() * B, "trace length mismatch");
         let mut start = 0;
         for layer in &self.layers {
             let (done, rest) = trace.split_at_mut(start);
             let prev = if start == 0 {
                 input
             } else {
-                &done[start - layer.in_dim()..]
+                &done[start - layer.in_dim() * B..]
             };
-            layer.forward_into(prev, &mut rest[..layer.out_dim()]);
-            start += layer.out_dim();
+            layer.forward_lanes::<B>(prev, &mut rest[..layer.out_dim() * B]);
+            start += layer.out_dim() * B;
         }
-        &trace[start - self.output_dim()..]
     }
 
     /// Quantises the network to the Q16.16 datapath.

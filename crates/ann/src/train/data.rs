@@ -16,6 +16,16 @@ pub enum TrainDataError {
     },
     /// A sample's width differs from the first sample's.
     RaggedSample(usize),
+    /// A sample holds a NaN or an infinity, which would turn every weight
+    /// it reaches into NaN.
+    NonFinite {
+        /// The sample's index.
+        sample: usize,
+        /// The value's position in the sample's input followed by its
+        /// target: below the input width it is an input, from there on a
+        /// target value.
+        index: usize,
+    },
 }
 
 impl fmt::Display for TrainDataError {
@@ -27,6 +37,9 @@ impl fmt::Display for TrainDataError {
             }
             TrainDataError::RaggedSample(i) => {
                 write!(f, "sample {i} has a different width than sample 0")
+            }
+            TrainDataError::NonFinite { sample, index } => {
+                write!(f, "sample {sample} has a non-finite value at index {index}")
             }
         }
     }
@@ -47,7 +60,7 @@ impl TrainData {
     /// # Errors
     ///
     /// Returns a [`TrainDataError`] when the sets are empty, mismatched in
-    /// length, or ragged.
+    /// length, ragged, or hold a NaN or an infinity.
     pub fn new(inputs: Vec<Vec<f32>>, targets: Vec<Vec<f32>>) -> Result<TrainData, TrainDataError> {
         if inputs.is_empty() {
             return Err(TrainDataError::Empty);
@@ -63,6 +76,9 @@ impl TrainData {
         for (i, (x, t)) in inputs.iter().zip(&targets).enumerate() {
             if x.len() != in_w || t.len() != t_w {
                 return Err(TrainDataError::RaggedSample(i));
+            }
+            if let Some(index) = x.iter().chain(t).position(|v| !v.is_finite()) {
+                return Err(TrainDataError::NonFinite { sample: i, index });
             }
         }
         Ok(TrainData { inputs, targets })
@@ -145,6 +161,39 @@ mod tests {
         let err =
             TrainData::new(vec![vec![1., 2.], vec![3.]], vec![vec![0.], vec![1.]]).unwrap_err();
         assert_eq!(err, TrainDataError::RaggedSample(1));
+    }
+
+    #[test]
+    fn non_finite_inputs_and_targets_are_rejected() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = TrainData::new(
+                vec![vec![0., 0.], vec![0., 1.], vec![1., bad], vec![1., 1.]],
+                vec![vec![0.], vec![1.], vec![1.], vec![1.]],
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                TrainDataError::NonFinite {
+                    sample: 2,
+                    index: 1
+                }
+            );
+            let err = TrainData::new(vec![vec![0., 0.], vec![0., 1.]], vec![vec![0.], vec![bad]])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                TrainDataError::NonFinite {
+                    sample: 1,
+                    index: 2
+                }
+            );
+        }
+        assert!(TrainDataError::NonFinite {
+            sample: 2,
+            index: 1
+        }
+        .to_string()
+        .contains("non-finite"));
     }
 
     #[test]

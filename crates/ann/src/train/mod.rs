@@ -1,5 +1,6 @@
 //! Training algorithms: incremental SGD and batch iRPROP− (FANN's default).
 
+mod batch;
 mod data;
 mod quantaware;
 mod rprop;
@@ -11,149 +12,114 @@ pub use rprop::RpropTrainer;
 pub use sgd::SgdTrainer;
 
 use crate::network::Network;
+use batch::BatchPass;
+use std::ops::Range;
 
-/// Reusable backpropagation scratch: the deltas of the layer being walked
-/// and of the one below it.
-#[derive(Debug, Default)]
-pub(crate) struct DeltaScratch {
-    cur: Vec<f64>,
-    next: Vec<f64>,
+/// Backpropagates `B` samples at once: writes the delta of the
+/// half-squared error at every neuron into `delta`, laid out like `trace`,
+/// the samples' lane-major forward trace at the network's current weights
+/// (see [`Network::forward_trace_lanes`]); `target` is lane-major too.
+/// Each lane's deltas are bit-identical to backpropagating its sample
+/// alone (`B = 1`, the layout of [`Network::forward_trace_into`]).
+pub(crate) fn backprop<const B: usize>(
+    net: &Network,
+    trace: &[f32],
+    target: &[f32],
+    delta: &mut [f64],
+) {
+    let layers = net.layers();
+    // Output delta: (y - t) * f'(y)
+    let out_layer = layers.last().expect("non-empty");
+    let mut end = trace.len();
+    let out = end - out_layer.out_dim() * B;
+    let act = out_layer.activation();
+    for ((d, &y), &t) in delta[out..end].iter_mut().zip(&trace[out..]).zip(target) {
+        *d = f64::from(y - t) * act.derivative_from_output(f64::from(y));
+    }
+    // Walk the layers backwards; `end` marks where the current layer's
+    // neurons end in `trace` and `delta`.
+    for l in (1..layers.len()).rev() {
+        let layer = &layers[l];
+        let in_dim = layer.in_dim();
+        let start = end - layer.out_dim() * B;
+        let (below, cur) = delta[..end].split_at_mut(start);
+        let next = &mut below[start - in_dim * B..];
+        next.fill(0.0);
+        let rows = layer.weights().chunks_exact(in_dim + 1);
+        for (row, d) in rows.zip(cur.chunks_exact(B)) {
+            for (nd, &w) in next.chunks_exact_mut(B).zip(&row[..in_dim]) {
+                for (nd, &d) in nd.iter_mut().zip(d) {
+                    *nd += d * f64::from(w);
+                }
+            }
+        }
+        let act = layers[l - 1].activation();
+        for (nd, &a) in next.iter_mut().zip(&trace[start - in_dim * B..start]) {
+            *nd *= act.derivative_from_output(f64::from(a));
+        }
+        end = start;
+    }
+}
+
+/// Calls `f(slot, g)` with the f32 gradient `g` of each weight in `rows`,
+/// one sample's worth. A row is one neuron's weights, bias last, and rows
+/// are numbered like the trace (every neuron of layer 0, then layer 1, …),
+/// so their weights follow [`crate::layer::Layer::weights`] order
+/// concatenated input side first. `slots` holds one slot per weight of
+/// `rows`, in that order; `delta` is the sample's [`backprop`].
+#[inline]
+fn for_each_gradient<T>(
+    net: &Network,
+    input: &[f32],
+    trace: &[f32],
+    delta: &[f64],
+    rows: Range<usize>,
+    mut slots: &mut [T],
+    mut f: impl FnMut(&mut T, f32),
+) {
+    let mut first = 0;
+    for layer in net.layers() {
+        let in_dim = layer.in_dim();
+        let lo = rows.start.max(first);
+        let hi = rows.end.min(first + layer.out_dim());
+        if lo < hi {
+            let prev = if first == 0 {
+                input
+            } else {
+                &trace[first - in_dim..first]
+            };
+            let (here, rest) = std::mem::take(&mut slots).split_at_mut((hi - lo) * (in_dim + 1));
+            slots = rest;
+            for (row, &d) in here.chunks_exact_mut(in_dim + 1).zip(&delta[lo..hi]) {
+                let (weights, bias) = row.split_at_mut(in_dim);
+                for (g, &x) in weights.iter_mut().zip(prev) {
+                    f(g, (d * f64::from(x)) as f32);
+                }
+                f(&mut bias[0], d as f32);
+            }
+        }
+        first += layer.out_dim();
+    }
 }
 
 /// Writes the per-weight gradients of the half-squared error on one sample
 /// into `grads`: the layers' weights concatenated, input side first, each
 /// laid out like [`crate::layer::Layer::weights`]. `trace` is the sample's
 /// forward trace at the network's current weights (see
-/// [`Network::forward_trace_into`]). Allocation-free once `scratch` has
-/// grown to the widest layer.
+/// [`Network::forward_trace_into`]); `delta` is scratch of
+/// [`Network::trace_len`] values. Allocation-free.
 pub(crate) fn gradients(
     net: &Network,
     input: &[f32],
     trace: &[f32],
     target: &[f32],
     grads: &mut [f32],
-    scratch: &mut DeltaScratch,
+    delta: &mut [f64],
 ) {
-    let layers = net.layers();
-    let DeltaScratch { cur: delta, next } = scratch;
-    // Output delta: (y - t) * f'(y)
-    let out_layer = layers.last().expect("non-empty");
-    let output = &trace[trace.len() - out_layer.out_dim()..];
-    delta.clear();
-    delta.extend(output.iter().zip(target).map(|(&y, &t)| {
-        f64::from(y - t) * out_layer.activation().derivative_from_output(f64::from(y))
-    }));
-
-    // Walk the layers backwards; `t_end`/`w_end` mark where the current
-    // layer's activations end in `trace` and its gradients in `grads`.
-    let (mut t_end, mut w_end) = (trace.len(), grads.len());
-    for (l, layer) in layers.iter().enumerate().rev() {
-        let in_dim = layer.in_dim();
-        t_end -= layer.out_dim();
-        let prev = if l == 0 {
-            input
-        } else {
-            &trace[t_end - in_dim..t_end]
-        };
-        let layer_grads = &mut grads[w_end - layer.len()..w_end];
-        w_end -= layer.len();
-        for (row, &d) in layer_grads.chunks_exact_mut(in_dim + 1).zip(delta.iter()) {
-            for (g, &x) in row[..in_dim].iter_mut().zip(prev) {
-                *g = (d * f64::from(x)) as f32;
-            }
-            row[in_dim] = d as f32; // bias
-        }
-        if l > 0 {
-            // Propagate delta to the previous layer.
-            let prev_layer = &layers[l - 1];
-            next.clear();
-            next.resize(in_dim, 0.0);
-            for (o, &d) in delta.iter().enumerate() {
-                for (nd, &w) in next.iter_mut().zip(&layer.row(o)[..in_dim]) {
-                    *nd += d * f64::from(w);
-                }
-            }
-            for (nd, &a) in next.iter_mut().zip(prev) {
-                *nd *= prev_layer.activation().derivative_from_output(f64::from(a));
-            }
-            std::mem::swap(delta, next);
-        }
-    }
-}
-
-/// Forward-traces every sample into `traces` (one [`Network::trace_len`]
-/// slot per sample, in sample order) and returns the mean squared error of
-/// the outputs.
-///
-/// # Panics
-///
-/// Panics if `traces` does not hold exactly one trace per sample.
-pub(crate) fn forward_all(net: &Network, data: &TrainData, traces: &mut [f32]) -> f64 {
-    let trace_len = net.trace_len();
-    assert_eq!(traces.len(), data.len() * trace_len, "one trace per sample");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for ((input, target), trace) in data.iter().zip(traces.chunks_exact_mut(trace_len)) {
-        for (&y, &t) in net.forward_trace_into(input, trace).iter().zip(target) {
-            total += f64::from(y - t) * f64::from(y - t);
-            count += 1;
-        }
-    }
-    total / count.max(1) as f64
-}
-
-/// A batch epoch's buffers: every sample's trace from the last
-/// [`BatchPass::forward`], one sample's f32 gradient, the backpropagation
-/// scratch, and the f64 batch sum.
-///
-/// One forward pass per epoch serves two purposes: its MSE is the epoch's,
-/// and its traces are what the next [`BatchPass::gradient`] backpropagates
-/// through.
-#[derive(Debug)]
-pub(crate) struct BatchPass {
-    traces: Vec<f32>,
-    sample: Vec<f32>,
-    scratch: DeltaScratch,
-    sum: Vec<f64>,
-}
-
-impl BatchPass {
-    pub(crate) fn new(net: &Network, data: &TrainData) -> BatchPass {
-        BatchPass {
-            traces: vec![0.0; data.len() * net.trace_len()],
-            sample: vec![0.0; net.num_weights()],
-            scratch: DeltaScratch::default(),
-            sum: vec![0.0; net.num_weights()],
-        }
-    }
-
-    /// Traces every sample at the network's current weights; returns the
-    /// MSE.
-    pub(crate) fn forward(&mut self, net: &Network, data: &TrainData) -> f64 {
-        forward_all(net, data, &mut self.traces)
-    }
-
-    /// The batch gradient at the weights of the last
-    /// [`BatchPass::forward`]: each sample's gradient rounded to f32,
-    /// summed in f64 in sample order. Laid out like [`gradients`].
-    pub(crate) fn gradient(&mut self, net: &Network, data: &TrainData) -> &[f64] {
-        self.sum.fill(0.0);
-        let traces = self.traces.chunks_exact(net.trace_len());
-        for ((input, target), trace) in data.iter().zip(traces) {
-            gradients(
-                net,
-                input,
-                trace,
-                target,
-                &mut self.sample,
-                &mut self.scratch,
-            );
-            for (a, &g) in self.sum.iter_mut().zip(&self.sample) {
-                *a += f64::from(g);
-            }
-        }
-        &self.sum
-    }
+    backprop::<1>(net, trace, target, delta);
+    for_each_gradient(net, input, trace, delta, 0..trace.len(), grads, |g, v| {
+        *g = v;
+    });
 }
 
 /// Every weight of the network, input side first, in [`gradients`] order.
@@ -164,8 +130,12 @@ fn weights_mut(net: &mut Network) -> impl Iterator<Item = &mut f32> {
 }
 
 /// Mean squared error of a network over a dataset.
+///
+/// # Panics
+///
+/// Panics if the data's input or target width differs from the network's.
 pub fn mse(net: &Network, data: &TrainData) -> f64 {
-    forward_all(net, data, &mut vec![0.0; data.len() * net.trace_len()])
+    BatchPass::run(net, data, 1, |pass| pass.forward(net))
 }
 
 #[cfg(test)]
@@ -195,14 +165,8 @@ mod tests {
         let mut trace = vec![0.0; net.trace_len()];
         net.forward_trace_into(&input, &mut trace);
         let mut analytic = vec![0.0; net.num_weights()];
-        gradients(
-            &net,
-            &input,
-            &trace,
-            &target,
-            &mut analytic,
-            &mut DeltaScratch::default(),
-        );
+        let mut delta = vec![0.0; net.trace_len()];
+        gradients(&net, &input, &trace, &target, &mut analytic, &mut delta);
         let eps = 1e-3f32;
         let loss = |n: &Network| {
             let y = n.forward(&input)[0];
@@ -259,7 +223,7 @@ mod tests {
 
     /// Deterministic synthetic samples: uniform inputs in `[0, 1)` and a
     /// binary target that depends on a few of them.
-    fn synthetic(n: usize, dim: usize, seed: u64) -> TrainData {
+    pub(super) fn synthetic(n: usize, dim: usize, seed: u64) -> TrainData {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -287,7 +251,7 @@ mod tests {
         h
     }
 
-    fn pinned_net(seed: u64) -> Network {
+    pub(super) fn pinned_net(seed: u64) -> Network {
         NetworkBuilder::new(6)
             .hidden(5)
             .output(1)

@@ -2,10 +2,12 @@
 //!
 //! The deployed HMD runs in Q16.16, but training happens in `f32`; the
 //! quantisation gap slightly shifts scores near the decision boundary.
-//! Quantisation-aware training (QAT) closes it: after ordinary training, a
-//! few fine-tuning epochs run the *forward* pass through the quantised
-//! datapath (straight-through estimator: gradients flow as if the forward
-//! pass were exact). The paper needs no QAT — its defense explicitly avoids
+//! Quantisation-aware training (QAT) narrows it: after ordinary training, a
+//! few fine-tuning epochs run the forward pass in floating point at the
+//! weights snapped to the Q16.16 grid, not through the Q16.16 datapath
+//! itself, and apply the resulting gradients to full-precision shadow
+//! weights (a straight-through estimator: the snap counts as the
+//! identity). The paper needs no QAT — its defense explicitly avoids
 //! retraining — but a deployment that wants the last fraction of a percent
 //! of baseline accuracy can apply it before enabling undervolting.
 
@@ -45,9 +47,11 @@ impl QatTrainer {
     }
 
     /// Fine-tunes the network so that its *quantised* weights fit the data:
-    /// each epoch snaps weights to Q16.16, computes gradients at the
-    /// snapped point (straight-through), and applies them to the full-
-    /// precision weights. Returns the quantised-forward MSE after tuning.
+    /// each epoch snaps the weights to the Q16.16 grid, runs the float
+    /// forward pass and gradient at the snapped point, and applies the
+    /// gradient to the full-precision weights (straight-through). Leaves
+    /// the network at its snapped weights and returns their float-forward
+    /// MSE. Runs on one thread.
     pub fn fine_tune(&self, net: &mut Network, data: &TrainData) -> f64 {
         // Keep full-precision "shadow" weights; gradients accumulate there.
         let mut shadow: Vec<f32> = net
@@ -56,21 +60,22 @@ impl QatTrainer {
             .flat_map(|l| l.weights())
             .copied()
             .collect();
-        let mut pass = BatchPass::new(net, data);
         let n = data.len() as f64;
-        for _ in 0..self.epochs {
-            snap(net, &shadow);
-            // Batch gradient at the snapped point.
-            pass.forward(net, data);
-            let grad = pass.gradient(net, data);
-            // Straight-through: apply to the shadow weights.
-            for (s, &g) in shadow.iter_mut().zip(grad) {
-                *s -= (self.learning_rate * g / n) as f32;
+        BatchPass::run(&net.clone(), data, 1, |pass| {
+            for _ in 0..self.epochs {
+                snap(net, &shadow);
+                // Batch gradient at the snapped point.
+                pass.forward(net);
+                let grad = pass.gradient(net);
+                // Straight-through: apply to the shadow weights.
+                for (s, &g) in shadow.iter_mut().zip(grad) {
+                    *s -= (self.learning_rate * g / n) as f32;
+                }
             }
-        }
-        // Leave the network holding the quantised weights.
-        snap(net, &shadow);
-        pass.forward(net, data)
+            // Leave the network holding the quantised weights.
+            snap(net, &shadow);
+            pass.forward(net)
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Incremental stochastic gradient descent with momentum
 //! (FANN's `FANN_TRAIN_INCREMENTAL`).
 
-use super::{forward_all, gradients, mse, weights_mut, DeltaScratch, TrainData};
+use super::{gradients, mse, weights_mut, BatchPass, TrainData};
 use crate::network::Network;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -77,31 +77,31 @@ impl SgdTrainer {
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut velocity = vec![0.0f32; net.num_weights()];
         let mut grads = vec![0.0f32; net.num_weights()];
-        let mut scratch = DeltaScratch::default();
-        let trace_len = net.trace_len();
-        let mut traces = vec![0.0f32; data.len() * trace_len];
-        let mut last_mse = f64::INFINITY;
-        for _ in 0..self.epochs {
-            order.shuffle(&mut rng);
-            for &i in &order {
-                // Weights move after every sample, so each one is traced
-                // afresh at the current weights.
-                let (input, target) = data.sample(i);
-                let trace = &mut traces[i * trace_len..(i + 1) * trace_len];
-                net.forward_trace_into(input, trace);
-                gradients(net, input, trace, target, &mut grads, &mut scratch);
-                for ((wt, &g), vel) in weights_mut(net).zip(&grads).zip(&mut velocity) {
-                    let v = self.momentum * f64::from(*vel) - self.learning_rate * f64::from(g);
-                    *vel = v as f32;
-                    *wt += v as f32;
+        let mut trace = vec![0.0f32; net.trace_len()];
+        let mut delta = vec![0.0f64; net.trace_len()];
+        BatchPass::run(&net.clone(), data, 1, |pass| {
+            let mut last_mse = f64::INFINITY;
+            for _ in 0..self.epochs {
+                order.shuffle(&mut rng);
+                for &i in &order {
+                    // Weights move after every sample, so each one is traced
+                    // afresh at the current weights.
+                    let (input, target) = data.sample(i);
+                    net.forward_trace_into(input, &mut trace);
+                    gradients(net, input, &trace, target, &mut grads, &mut delta);
+                    for ((wt, &g), vel) in weights_mut(net).zip(&grads).zip(&mut velocity) {
+                        let v = self.momentum * f64::from(*vel) - self.learning_rate * f64::from(g);
+                        *vel = v as f32;
+                        *wt += v as f32;
+                    }
+                }
+                last_mse = pass.forward(net);
+                if last_mse < self.target_mse {
+                    break;
                 }
             }
-            last_mse = forward_all(net, data, &mut traces);
-            if last_mse < self.target_mse {
-                break;
-            }
-        }
-        last_mse
+            last_mse
+        })
     }
 }
 

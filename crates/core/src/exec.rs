@@ -16,6 +16,7 @@
 //! task indices from an atomic counter — work-stealing in effect, since an
 //! idle worker immediately claims the next unstarted task.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -93,6 +94,19 @@ impl ExecConfig {
         }
     }
 
+    /// The worker count for data parallelism inside one piece of work,
+    /// such as training one model: [`ExecConfig::auto`] on a thread that is
+    /// not running a [`parallel_map_n`] task, and [`ExecConfig::serial`]
+    /// inside one, serial grid or threaded. A task's inner work therefore
+    /// never multiplies the grid's threads.
+    pub fn nested() -> ExecConfig {
+        if IN_TASK.get() {
+            ExecConfig::serial()
+        } else {
+            ExecConfig::auto()
+        }
+    }
+
     /// From an optional `--threads` flag: `None` means [`ExecConfig::auto`].
     pub fn from_flag(threads: Option<usize>) -> ExecConfig {
         threads.map_or_else(ExecConfig::auto, ExecConfig::threads)
@@ -110,13 +124,37 @@ impl Default for ExecConfig {
     }
 }
 
+thread_local! {
+    /// Whether this thread is running a [`parallel_map_n`] task.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running a task until dropped, then restores
+/// the previous mark (a task may itself run a grid).
+struct TaskMark(bool);
+
+impl TaskMark {
+    /// Runs one task under the mark.
+    fn run<R>(task: impl FnOnce() -> R) -> R {
+        let _mark = TaskMark(IN_TASK.replace(true));
+        task()
+    }
+}
+
+impl Drop for TaskMark {
+    fn drop(&mut self) {
+        IN_TASK.set(self.0);
+    }
+}
+
 /// Maps `f` over the task indices `0..tasks`, returning results in index
 /// order.
 ///
 /// Workers claim indices from a shared atomic counter, so load balances
 /// dynamically; each result lands in its own slot, so the output is
 /// independent of which worker ran which task. A panicking task propagates
-/// the panic to the caller once the scope joins.
+/// the panic to the caller once the scope joins. Every task, serial or
+/// threaded, runs under the mark that makes [`ExecConfig::nested`] serial.
 pub fn parallel_map_n<R, F>(config: &ExecConfig, tasks: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -124,7 +162,7 @@ where
 {
     let workers = config.thread_count().min(tasks);
     if workers <= 1 {
-        return (0..tasks).map(f).collect();
+        return (0..tasks).map(|i| TaskMark::run(|| f(i))).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
@@ -136,7 +174,9 @@ where
                 if i >= tasks {
                     break;
                 }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    TaskMark::run(|| f(i))
+                })) {
                     Ok(result) => *slots[i].lock().expect("slot mutex poisoned") = Some(result),
                     Err(payload) => {
                         // Re-raise on the caller with the original message,
@@ -256,6 +296,21 @@ mod tests {
         assert_eq!(ExecConfig::from_flag(Some(3)).thread_count(), 3);
         assert!(ExecConfig::from_flag(None).thread_count() >= 1);
         assert!(ExecConfig::default().thread_count() >= 1);
+    }
+
+    #[test]
+    fn nested_work_is_serial_inside_every_task() {
+        let auto = ExecConfig::auto().thread_count();
+        assert_eq!(ExecConfig::nested().thread_count(), auto);
+        for config in [ExecConfig::serial(), ExecConfig::threads(3)] {
+            let inner = parallel_map_n(&config, 5, |_| {
+                let nested = ExecConfig::nested().thread_count();
+                let grid = parallel_map_n(&config, 2, |_| ExecConfig::nested().thread_count());
+                (nested, grid, ExecConfig::nested().thread_count())
+            });
+            assert!(inner.iter().all(|t| *t == (1, vec![1, 1], 1)), "{inner:?}");
+        }
+        assert_eq!(ExecConfig::nested().thread_count(), auto, "mark restored");
     }
 
     #[test]

@@ -2,11 +2,12 @@
 
 use crate::baseline::BaselineHmd;
 use crate::detector::Detector;
+use crate::exec::ExecConfig;
 use serde::{Deserialize, Serialize};
 use shmd_ann::builder::{BuildNetworkError, NetworkBuilder};
 use shmd_ann::train::{RpropTrainer, TrainData, TrainDataError};
 use shmd_ml::metrics::ConfusionMatrix;
-use shmd_workload::dataset::Dataset;
+use shmd_workload::dataset::{Dataset, LabeledFeatures};
 use shmd_workload::features::{FeatureSpec, FEATURE_DIM};
 use std::fmt;
 
@@ -79,7 +80,28 @@ impl Default for HmdTrainConfig {
     }
 }
 
+/// Fewest training samples worth a worker of their own: below this, a
+/// worker's share of an epoch is too short to repay the hand-off between
+/// the steps of the epoch.
+pub const MIN_SAMPLES_PER_TRAINING_WORKER: usize = 256;
+
+/// Training workers for a fold of `samples`: [`ExecConfig::nested`] (every
+/// core at top level, one inside a [`crate::exec::parallel_map_n`] task),
+/// capped at one per [`MIN_SAMPLES_PER_TRAINING_WORKER`] samples.
+fn training_threads(samples: usize) -> usize {
+    ExecConfig::nested()
+        .thread_count()
+        .min(samples / MIN_SAMPLES_PER_TRAINING_WORKER)
+        .max(1)
+}
+
 /// Trains a baseline HMD on a fold of the dataset.
+///
+/// Training splits across every core at top level and stays on one thread
+/// inside a [`crate::exec::parallel_map_n`] task (see
+/// [`ExecConfig::nested`]), with at most one worker per
+/// [`MIN_SAMPLES_PER_TRAINING_WORKER`] samples. The trained weights are
+/// bit-identical at every count.
 ///
 /// # Errors
 ///
@@ -91,7 +113,15 @@ pub fn train_baseline(
     spec: FeatureSpec,
     config: &HmdTrainConfig,
 ) -> Result<BaselineHmd, TrainHmdError> {
-    let lf = dataset.labeled_features(indices, spec);
+    train_on(dataset.labeled_features(indices, spec), spec, config)
+}
+
+/// [`train_baseline`] on a fold's extracted features.
+fn train_on(
+    lf: LabeledFeatures,
+    spec: FeatureSpec,
+    config: &HmdTrainConfig,
+) -> Result<BaselineHmd, TrainHmdError> {
     let targets: Vec<Vec<f32>> = lf
         .labels
         .iter()
@@ -105,6 +135,7 @@ pub fn train_baseline(
         .build()?;
     RpropTrainer::new()
         .epochs(config.epochs)
+        .threads(training_threads(data.len()))
         .train(&mut network, &data);
     Ok(BaselineHmd::new(format!("hmd[{spec}]"), spec, network))
 }
@@ -187,6 +218,54 @@ mod tests {
         let err = train_baseline(&d, &[], FeatureSpec::frequency(), &HmdTrainConfig::fast())
             .expect_err("empty fold");
         assert!(matches!(err, TrainHmdError::BadTrainingData(_)));
+    }
+
+    #[test]
+    fn a_non_finite_feature_is_bad_training_data() {
+        let d = dataset();
+        let split = d.three_fold_split(0);
+        let spec = FeatureSpec::frequency();
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut lf = d.labeled_features(split.victim_training(), spec);
+            lf.inputs[3][2] = bad;
+            match train_on(lf, spec, &HmdTrainConfig::fast()) {
+                Err(TrainHmdError::BadTrainingData(msg)) => {
+                    assert!(
+                        msg.contains("sample 3") && msg.contains("non-finite"),
+                        "{msg}"
+                    );
+                }
+                other => panic!("expected bad training data, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn training_starts_no_workers_inside_a_grid_task() {
+        use crate::exec::{parallel_map_n, ExecConfig};
+        let fold = 4 * MIN_SAMPLES_PER_TRAINING_WORKER;
+        let top = ExecConfig::auto().thread_count().min(4);
+        assert_eq!(training_threads(fold), top);
+        assert_eq!(training_threads(MIN_SAMPLES_PER_TRAINING_WORKER - 1), 1);
+        for config in [ExecConfig::serial(), ExecConfig::threads(2)] {
+            let inside = parallel_map_n(&config, 3, |_| training_threads(fold));
+            assert_eq!(inside, vec![1, 1, 1]);
+        }
+        // And the model trained inside a task is the one trained outside.
+        let d = dataset();
+        let split = d.three_fold_split(0);
+        let train = || {
+            train_baseline(
+                &d,
+                split.victim_training(),
+                FeatureSpec::frequency(),
+                &HmdTrainConfig::fast(),
+            )
+            .unwrap()
+        };
+        let outside = train();
+        let inside = parallel_map_n(&ExecConfig::threads(2), 2, |_| train());
+        assert!(inside.iter().all(|m| m.network() == outside.network()));
     }
 
     #[test]
