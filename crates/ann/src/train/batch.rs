@@ -1,9 +1,10 @@
-//! The batch epoch shared by iRPROP− and QAT (and the MSE pass of SGD and
-//! [`super::mse`]): a sample-blocked forward pass and a row-split
-//! gradient, on one thread or on a crew of scoped workers that stays up
-//! for the whole training run.
+//! The batch epoch shared by iRPROP− and QAT: a sample-blocked forward
+//! pass and a row-split gradient, on one thread or on a crew of scoped
+//! workers that stays up for the whole training run. The serial
+//! sample-blocked MSE pass ([`forward_mse`]) also serves SGD and
+//! [`super::mse`].
 
-use super::{backprop, for_each_gradient, weights_mut, TrainData};
+use super::{assert_widths, backprop, for_each_gradient, weights_mut, TrainData};
 use crate::network::Network;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -16,7 +17,7 @@ const BLOCK: usize = 8;
 /// One thread's buffers for a block of [`BLOCK`] samples: lane-major
 /// inputs, targets, trace and deltas, and the deltas back in sample order.
 #[derive(Debug)]
-struct Lanes {
+pub(super) struct Lanes {
     input: Vec<f32>,
     target: Vec<f32>,
     trace: Vec<f32>,
@@ -25,7 +26,7 @@ struct Lanes {
 }
 
 impl Lanes {
-    fn new(net: &Network) -> Lanes {
+    pub(super) fn new(net: &Network) -> Lanes {
         Lanes {
             input: vec![0.0; net.input_dim() * BLOCK],
             target: vec![0.0; net.output_dim() * BLOCK],
@@ -135,9 +136,42 @@ impl SquaredError {
         }
     }
 
+    /// Adds the output error of each of `traces` (whole traces at `net`'s
+    /// shape) against the target of the next of `samples`.
+    fn add_traces<'a>(
+        &mut self,
+        net: &Network,
+        traces: &[f32],
+        samples: &mut impl Iterator<Item = (&'a [f32], &'a [f32])>,
+    ) {
+        let outputs = net.trace_len() - net.output_dim();
+        for (trace, (_, target)) in traces.chunks_exact(net.trace_len()).zip(samples) {
+            self.add(&trace[outputs..], target);
+        }
+    }
+
     fn mean(&self) -> f64 {
         self.total / self.count.max(1) as f64
     }
+}
+
+/// Traces every sample at `net`'s weights into `traces`, one
+/// [`Network::trace_len`] slot per sample, on this thread; returns the MSE.
+///
+/// # Panics
+///
+/// Panics if the data's input or target width differs from the network's.
+pub(super) fn forward_mse(
+    net: &Network,
+    data: &TrainData,
+    traces: &mut [f32],
+    lanes: &mut Lanes,
+) -> f64 {
+    assert_widths(net, data);
+    trace_samples(net, data, 0, traces, lanes);
+    let mut error = SquaredError::default();
+    error.add_traces(net, traces, &mut data.iter());
+    error.mean()
 }
 
 /// Splits the network's rows (numbered as in [`for_each_gradient`]) into
@@ -214,8 +248,6 @@ struct Board {
 #[derive(Debug)]
 struct Crew<'d> {
     data: &'d TrainData,
-    trace_len: usize,
-    output_dim: usize,
     samples_per_run: usize,
     traces: Vec<RwLock<Vec<f32>>>,
     rows: Vec<Range<usize>>,
@@ -256,8 +288,6 @@ impl<'d> Crew<'d> {
             .unzip();
         Crew {
             data,
-            trace_len,
-            output_dim: net.output_dim(),
             samples_per_run,
             workers: traces.len().max(rows.len()) - 1,
             main_claims: true,
@@ -450,8 +480,7 @@ impl BatchPass<'_, '_> {
         threads: usize,
         body: impl FnOnce(&mut BatchPass<'_, '_>) -> R,
     ) -> R {
-        assert_eq!(data.input_dim(), net.input_dim(), "input width mismatch");
-        assert_eq!(data.target_dim(), net.output_dim(), "target width mismatch");
+        assert_widths(net, data);
         BatchPass::run_with(Crew::new(net, data, threads), net, body)
     }
 
@@ -489,14 +518,17 @@ impl BatchPass<'_, '_> {
     /// Traces every sample at `net`'s weights; returns the MSE.
     pub(crate) fn forward(&mut self, net: &Network) -> f64 {
         let crew = self.crew;
+        if crew.workers == 0 {
+            // One run, so one trace buffer for the whole fold.
+            let mut traces = crew.traces[0].write().expect("no trace reader panicked");
+            return forward_mse(net, crew.data, &mut traces, &mut self.lanes);
+        }
         crew.step(Step::Forward, net, &mut self.lanes);
         let mut error = SquaredError::default();
         let mut samples = crew.data.iter();
         for traces in &crew.traces {
             let traces = traces.read().expect("no trace writer panicked");
-            for (trace, (_, target)) in traces.chunks_exact(crew.trace_len).zip(samples.by_ref()) {
-                error.add(&trace[crew.trace_len - crew.output_dim..], target);
-            }
+            error.add_traces(net, &traces, &mut samples);
         }
         error.mean()
     }

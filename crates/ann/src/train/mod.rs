@@ -12,7 +12,7 @@ pub use rprop::RpropTrainer;
 pub use sgd::SgdTrainer;
 
 use crate::network::Network;
-use batch::BatchPass;
+use batch::{forward_mse, BatchPass, Lanes};
 use std::ops::Range;
 
 /// Backpropagates `B` samples at once: writes the delta of the
@@ -129,13 +129,20 @@ fn weights_mut(net: &mut Network) -> impl Iterator<Item = &mut f32> {
         .flat_map(|l| l.weights_mut().iter_mut())
 }
 
+/// Panics unless the data's input and target widths are the network's.
+fn assert_widths(net: &Network, data: &TrainData) {
+    assert_eq!(data.input_dim(), net.input_dim(), "input width mismatch");
+    assert_eq!(data.target_dim(), net.output_dim(), "target width mismatch");
+}
+
 /// Mean squared error of a network over a dataset.
 ///
 /// # Panics
 ///
 /// Panics if the data's input or target width differs from the network's.
 pub fn mse(net: &Network, data: &TrainData) -> f64 {
-    BatchPass::run(net, data, 1, |pass| pass.forward(net))
+    let mut traces = vec![0.0; data.len() * net.trace_len()];
+    forward_mse(net, data, &mut traces, &mut Lanes::new(net))
 }
 
 #[cfg(test)]

@@ -52,6 +52,11 @@ impl QatTrainer {
     /// gradient to the full-precision weights (straight-through). Leaves
     /// the network at its snapped weights and returns their float-forward
     /// MSE. Runs on one thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data's input or target width differs from the
+    /// network's.
     pub fn fine_tune(&self, net: &mut Network, data: &TrainData) -> f64 {
         // Keep full-precision "shadow" weights; gradients accumulate there.
         let mut shadow: Vec<f32> = net

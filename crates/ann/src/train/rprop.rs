@@ -67,6 +67,11 @@ impl RpropTrainer {
     /// Each epoch makes one forward pass per sample: the pass that measures
     /// the epoch's MSE also records the traces the next epoch's gradient
     /// backpropagates through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data's input or target width differs from the
+    /// network's.
     pub fn train(&self, net: &mut Network, data: &TrainData) -> f64 {
         let n = net.num_weights();
         let mut step = vec![self.delta_zero; n];

@@ -1,7 +1,7 @@
 //! Incremental stochastic gradient descent with momentum
 //! (FANN's `FANN_TRAIN_INCREMENTAL`).
 
-use super::{gradients, mse, weights_mut, BatchPass, TrainData};
+use super::{assert_widths, forward_mse, gradients, mse, weights_mut, Lanes, TrainData};
 use crate::network::Network;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -69,7 +69,13 @@ impl SgdTrainer {
 
     /// Trains the network in place; returns the final MSE (the untouched
     /// network's MSE when `epochs` is 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data's input or target width differs from the
+    /// network's.
     pub fn train(&self, net: &mut Network, data: &TrainData) -> f64 {
+        assert_widths(net, data);
         if self.epochs == 0 {
             return mse(net, data);
         }
@@ -79,29 +85,29 @@ impl SgdTrainer {
         let mut grads = vec![0.0f32; net.num_weights()];
         let mut trace = vec![0.0f32; net.trace_len()];
         let mut delta = vec![0.0f64; net.trace_len()];
-        BatchPass::run(&net.clone(), data, 1, |pass| {
-            let mut last_mse = f64::INFINITY;
-            for _ in 0..self.epochs {
-                order.shuffle(&mut rng);
-                for &i in &order {
-                    // Weights move after every sample, so each one is traced
-                    // afresh at the current weights.
-                    let (input, target) = data.sample(i);
-                    net.forward_trace_into(input, &mut trace);
-                    gradients(net, input, &trace, target, &mut grads, &mut delta);
-                    for ((wt, &g), vel) in weights_mut(net).zip(&grads).zip(&mut velocity) {
-                        let v = self.momentum * f64::from(*vel) - self.learning_rate * f64::from(g);
-                        *vel = v as f32;
-                        *wt += v as f32;
-                    }
-                }
-                last_mse = pass.forward(net);
-                if last_mse < self.target_mse {
-                    break;
+        let mut epoch_traces = vec![0.0f32; data.len() * net.trace_len()];
+        let mut lanes = Lanes::new(net);
+        let mut last_mse = f64::INFINITY;
+        for _ in 0..self.epochs {
+            order.shuffle(&mut rng);
+            for &i in &order {
+                // Weights move after every sample, so each one is traced
+                // afresh at the current weights.
+                let (input, target) = data.sample(i);
+                net.forward_trace_into(input, &mut trace);
+                gradients(net, input, &trace, target, &mut grads, &mut delta);
+                for ((wt, &g), vel) in weights_mut(net).zip(&grads).zip(&mut velocity) {
+                    let v = self.momentum * f64::from(*vel) - self.learning_rate * f64::from(g);
+                    *vel = v as f32;
+                    *wt += v as f32;
                 }
             }
-            last_mse
-        })
+            last_mse = forward_mse(net, data, &mut epoch_traces, &mut lanes);
+            if last_mse < self.target_mse {
+                break;
+            }
+        }
+        last_mse
     }
 }
 
@@ -182,6 +188,21 @@ mod tests {
         let final_mse = SgdTrainer::new().epochs(0).train(&mut net, &data);
         assert_eq!(net, before);
         assert_eq!(final_mse.to_bits(), mse(&net, &data).to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "target width mismatch")]
+    fn a_target_wider_than_the_output_panics_before_training() {
+        let data = TrainData::new(vec![vec![0.0, 1.0]; 3], vec![vec![0.0, 1.0]; 3]).unwrap();
+        let mut net = NetworkBuilder::new(2).output(1).seed(5).build().unwrap();
+        SgdTrainer::new().epochs(3).train(&mut net, &data);
+    }
+
+    #[test]
+    #[should_panic(expected = "input width mismatch")]
+    fn mse_panics_on_an_input_width_mismatch() {
+        let net = NetworkBuilder::new(3).output(1).seed(5).build().unwrap();
+        mse(&net, &and_data());
     }
 
     #[test]

@@ -80,10 +80,13 @@ impl Default for HmdTrainConfig {
     }
 }
 
-/// Fewest training samples worth a worker of their own: below this, a
-/// worker's share of an epoch is too short to repay the hand-off between
-/// the steps of the epoch.
-pub const MIN_SAMPLES_PER_TRAINING_WORKER: usize = 256;
+/// Fewest training samples per worker. On a 2-vCPU host, training a
+/// 16-12-1 network for 80 or 200 epochs on two workers is no faster than on
+/// one for a 32-sample fold and 1.1–1.25× faster for a 64-sample fold, where
+/// each worker has 32 samples; with fewer, the hand-offs between an epoch's
+/// steps cost what the split saves
+/// (`cargo run --release -p shmd-ann --example train_threads`).
+const MIN_SAMPLES_PER_TRAINING_WORKER: usize = 32;
 
 /// Training workers for a fold of `samples`: [`ExecConfig::nested`] (every
 /// core at top level, one inside a [`crate::exec::parallel_map_n`] task),
@@ -99,9 +102,8 @@ fn training_threads(samples: usize) -> usize {
 ///
 /// Training splits across every core at top level and stays on one thread
 /// inside a [`crate::exec::parallel_map_n`] task (see
-/// [`ExecConfig::nested`]), with at most one worker per
-/// [`MIN_SAMPLES_PER_TRAINING_WORKER`] samples. The trained weights are
-/// bit-identical at every count.
+/// [`ExecConfig::nested`]), with at most one worker per 32 samples. The
+/// trained weights are bit-identical at every count.
 ///
 /// # Errors
 ///
