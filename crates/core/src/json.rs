@@ -1,9 +1,9 @@
-//! The JSON reader and float rule shared by the telemetry snapshot and the
-//! bench documents. The vendored `serde` derives are no-op stand-ins (see
-//! DESIGN.md §8), so JSON is written by hand: every float goes through
-//! [`Num`] (non-finite → `null`) and [`parse`] reads the documents back.
+//! The JSON reader and writer shared by the telemetry snapshot and the
+//! bench documents. [`document`] owns the layout every one of them uses;
+//! callers name a key, a typed value and, for a float, its precision.
+//! [`parse`] reads the documents back.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A float that formats as JSON: finite values exactly as the `f64` under
 /// the same spec (`{:.3}` keeps its precision), non-finite ones as `null`.
@@ -20,25 +20,201 @@ impl fmt::Display for Num {
     }
 }
 
-/// Serialises an optional float as JSON: `None` *and* non-finite values
-/// become `null` — bare `NaN`/`inf` tokens are not JSON and would poison
-/// every standard reader of the document.
-pub(crate) fn json_f64(value: Option<f64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| Num(v).to_string())
+/// A value [`Writer::field`] writes as itself: a boolean, an integer, an
+/// escaped string, a float in its shortest round-trip form (non-finite →
+/// `null`), or an `Option` of one (`None` → `null`).
+pub trait Scalar {
+    /// Appends the value's JSON text to `out`.
+    fn write_to(&self, out: &mut String);
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl Scalar for bool {
+    fn write_to(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+macro_rules! integer_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_to(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+integer_scalar!(u64, usize, i32);
+
+impl Scalar for f64 {
+    fn write_to(&self, out: &mut String) {
+        let _ = write!(out, "{}", Num(*self));
+    }
+}
+
+impl Scalar for str {
+    fn write_to(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_to(&self, out: &mut String) {
+        (**self).write_to(out);
+    }
+}
+
+impl<T: Scalar> Scalar for Option<T> {
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_to(out),
+            None => out.push_str("null"),
         }
     }
-    out
+}
+
+/// How an open container separates its entries.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// The document's own object: one field per line, two-space indent.
+    Top,
+    /// A top-level array of records: one inline record per line,
+    /// four-space indent.
+    Rows,
+    /// Everything nested deeper: one line, `", "` between entries.
+    Inline,
+}
+
+/// Streams one JSON document; see [`document`].
+pub struct Writer {
+    out: String,
+    /// The open containers, outermost first, each with "still empty".
+    open: Vec<(Layout, bool)>,
+}
+
+/// Writes one JSON document: `body` adds the top-level fields in order,
+/// and the writer lays them out the one way every BENCH file and the
+/// telemetry snapshot share: one top-level field per line, nested objects
+/// and arrays inline, and a top-level array of records one record per
+/// line. The document ends in a newline.
+pub fn document(body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer {
+        out: String::with_capacity(1024),
+        open: Vec::new(),
+    };
+    w.nest('{', Layout::Top, body, "\n}\n");
+    w.out
+}
+
+impl Writer {
+    /// Writes `value` as itself (see [`Scalar`]).
+    pub fn field(&mut self, key: &str, value: impl Scalar) {
+        self.key(key);
+        value.write_to(&mut self.out);
+    }
+
+    /// Writes a float at `decimals` places; `None` and non-finite values
+    /// become `null`.
+    pub fn fixed(&mut self, key: &str, value: impl Into<Option<f64>>, decimals: usize) {
+        self.key(key);
+        let v = value.into().unwrap_or(f64::NAN);
+        let _ = write!(self.out, "{:.*}", decimals, Num(v));
+    }
+
+    /// Writes a 64-bit seed or checksum as a decimal string, which stays
+    /// integer-exact in readers that hold numbers as `f64` (above 2⁵³).
+    pub fn u64_string(&mut self, key: &str, value: u64) {
+        self.key(key);
+        let _ = write!(self.out, "\"{value}\"");
+    }
+
+    /// Writes an array of scalars, inline.
+    pub fn array<T: Scalar>(&mut self, key: &str, items: impl IntoIterator<Item = T>) {
+        self.key(key);
+        self.nest(
+            '[',
+            Layout::Inline,
+            |w| {
+                for item in items {
+                    w.separate();
+                    item.write_to(&mut w.out);
+                }
+            },
+            "]",
+        );
+    }
+
+    /// Writes a nested object, inline; `body` adds its fields.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Writer)) {
+        self.key(key);
+        self.nest('{', Layout::Inline, body, "}");
+    }
+
+    /// Writes an array of objects, `row` adding each item's fields. At the
+    /// top level each object takes its own line; deeper, the array is
+    /// inline like any other nested value.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut row: impl FnMut(&mut Writer, T),
+    ) {
+        self.key(key);
+        let (layout, close) = if self.open.len() == 1 {
+            (Layout::Rows, "\n  ]")
+        } else {
+            (Layout::Inline, "]")
+        };
+        self.nest(
+            '[',
+            layout,
+            |w| {
+                for item in items {
+                    w.separate();
+                    w.nest('{', Layout::Inline, |w| row(w, item), "}");
+                }
+            },
+            close,
+        );
+    }
+
+    fn nest(&mut self, open: char, layout: Layout, body: impl FnOnce(&mut Writer), close: &str) {
+        self.out.push(open);
+        self.open.push((layout, true));
+        body(self);
+        self.open.pop();
+        self.out.push_str(close);
+    }
+
+    fn separate(&mut self) {
+        let (layout, empty) = self.open.last_mut().expect("a container is open");
+        let first = std::mem::replace(empty, false);
+        self.out.push_str(match (*layout, first) {
+            (Layout::Top, true) => "\n  ",
+            (Layout::Top, false) => ",\n  ",
+            (Layout::Rows, true) => "\n    ",
+            (Layout::Rows, false) => ",\n    ",
+            (Layout::Inline, true) => "",
+            (Layout::Inline, false) => ", ",
+        });
+    }
+
+    fn key(&mut self, key: &str) {
+        self.separate();
+        key.write_to(&mut self.out);
+        self.out.push_str(": ");
+    }
 }
 
 /// A parsed JSON value.
@@ -123,15 +299,21 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The documents
+/// it reads nest four deep; the bound keeps hostile input from exhausting
+/// the stack, since each level is one recursive call.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// Describes the first malformed byte.
+/// Describes the first malformed byte, or the first array or object
+/// nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -155,12 +337,17 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` counts the arrays and objects enclosing the value.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
@@ -230,7 +417,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         .map_err(|_| format!("bad number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -286,19 +474,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the full UTF-8 character, not just one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice. Both are ASCII, so the run ends on a character
+                // boundary of the already-valid `text`.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                out.push_str(&text[*pos..*pos + run]);
+                *pos += run;
             }
             None => return Err("unterminated string".to_string()),
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -307,7 +499,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -320,7 +512,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -330,9 +523,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -379,6 +572,42 @@ mod tests {
             value.as_str("s").unwrap(),
             "a\tb\rc\nd\u{0008}e\u{000c}f/g\"h\\i"
         );
+        // A long string mixing multi-byte characters with escapes: each
+        // run between escapes is copied whole, so this stays linear.
+        let piece = r#"é ✓ 😀\"\n\u00e9"#;
+        let text = format!("\"{}\"", piece.repeat(20_000));
+        let want = "é ✓ 😀\"\né".repeat(20_000);
+        assert_eq!(parse(&text).expect("parses").as_str("s").unwrap(), want);
+        let accents = "é".repeat(80_000);
+        let value = parse(&format!("\"{accents}\"")).expect("parses");
+        assert_eq!(value.as_str("s").unwrap(), accents);
+    }
+
+    #[test]
+    fn writer_lays_out_empty_and_nested_containers() {
+        let doc = document(|w| {
+            w.objects("rows", Vec::<u64>::new(), |_, _| {});
+            w.object("o", |w| {
+                w.objects("inline", [1u64, 2], |w, n| w.field("n", n))
+            });
+            w.array("a", [Some(1.5), None]);
+            w.fixed("f", f64::NAN, 3);
+        });
+        assert_eq!(
+            doc,
+            "{\n  \"rows\": [\n  ],\n  \"o\": {\"inline\": [{\"n\": 1}, {\"n\": 2}]},\n  \
+             \"a\": [1.5, null],\n  \"f\": null\n}\n"
+        );
+        assert!(parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        assert!(parse(&"{\"a\": ".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

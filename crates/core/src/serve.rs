@@ -129,9 +129,13 @@ const REJECTED_QUERY_MARK: u64 = 0x07e1_ec7e_dbad_feed;
 pub const BATCH_LATENCY_WINDOW: usize = 1024;
 
 /// Widest lane width the batched structure-of-arrays inference path
-/// supports. [`ServeConfig::lanes`] is clamped into `1..=MAX_LANES` at
-/// deployment.
+/// supports.
 pub const MAX_LANES: usize = 16;
+
+/// The lane widths the batched inference path is compiled for.
+/// [`ServeConfig::lanes`] rounds down to the nearest of them at deployment
+/// (0 rounds up to 1).
+pub const LANE_WIDTHS: [usize; 4] = [1, 4, 8, MAX_LANES];
 
 /// Default batched-inference lane width: eight `i64` accumulator lanes
 /// keep the inner MAC loop inside a couple of cache lines while amortizing
@@ -202,8 +206,8 @@ pub struct ServeConfig {
     /// results.
     pub exec: ExecConfig,
     /// Lane width of the batched structure-of-arrays inference path: how
-    /// many same-shard queries one worker scores simultaneously. Clamped
-    /// to `1..=`[`MAX_LANES`] at deployment. Like [`ServeConfig::exec`],
+    /// many same-shard queries one worker scores simultaneously. Rounded
+    /// down to one of [`LANE_WIDTHS`] at deployment. Like [`ServeConfig::exec`],
     /// this affects wall-clock only, never results — every lane's fault
     /// stream is seeded from its query's stream position alone.
     pub lanes: usize,
@@ -268,8 +272,8 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the batched-inference lane width (clamped to
-    /// `1..=`[`MAX_LANES`] at deployment).
+    /// Sets the batched-inference lane width (rounded down to one of
+    /// [`LANE_WIDTHS`] at deployment).
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> ServeConfig {
         self.lanes = lanes;
@@ -957,8 +961,8 @@ pub struct MonitoringService {
     seed: u64,
     batch_size: usize,
     exec: ExecConfig,
-    /// Batched-inference lane width, clamped into
-    /// `1..=`[`MAX_LANES`]. A wall-clock knob like `exec`: verdicts,
+    /// Batched-inference lane width, one of [`LANE_WIDTHS`]. A
+    /// wall-clock knob like `exec`: verdicts,
     /// checksums, and telemetry are bit-identical at every width, so it
     /// is never checkpointed and [`MonitoringService::restore`] gives it
     /// the default.
@@ -1106,7 +1110,11 @@ impl MonitoringService {
             seed: config.seed,
             batch_size: config.batch_size.max(1),
             exec: config.exec,
-            lanes: config.lanes.clamp(1, MAX_LANES),
+            lanes: LANE_WIDTHS
+                .into_iter()
+                .rev()
+                .find(|&w| w <= config.lanes)
+                .unwrap_or(1),
             requery: config.requery,
             anomaly: None,
             baseline: baseline.clone(),
@@ -1402,22 +1410,10 @@ impl MonitoringService {
             let ctx_ref = &ctx;
             parallel_map_n(&self.exec, workers, |_worker| match lanes {
                 1 => batch_worker::<1>(ctx_ref),
-                2 => batch_worker::<2>(ctx_ref),
-                3 => batch_worker::<3>(ctx_ref),
                 4 => batch_worker::<4>(ctx_ref),
-                5 => batch_worker::<5>(ctx_ref),
-                6 => batch_worker::<6>(ctx_ref),
-                7 => batch_worker::<7>(ctx_ref),
                 8 => batch_worker::<8>(ctx_ref),
-                9 => batch_worker::<9>(ctx_ref),
-                10 => batch_worker::<10>(ctx_ref),
-                11 => batch_worker::<11>(ctx_ref),
-                12 => batch_worker::<12>(ctx_ref),
-                13 => batch_worker::<13>(ctx_ref),
-                14 => batch_worker::<14>(ctx_ref),
-                15 => batch_worker::<15>(ctx_ref),
-                16 => batch_worker::<16>(ctx_ref),
-                w => unreachable!("lane width {w} outside 1..=MAX_LANES"),
+                MAX_LANES => batch_worker::<MAX_LANES>(ctx_ref),
+                w => unreachable!("lane width {w} is not one of LANE_WIDTHS"),
             })
         };
 
@@ -2199,7 +2195,17 @@ mod tests {
     #[test]
     fn lane_width_is_clamped_and_reported() {
         let (_, baseline, curve) = setup();
-        for (asked, got) in [(0, 1), (1, 1), (8, 8), (16, 16), (64, MAX_LANES)] {
+        for (asked, got) in [
+            (0, 1),
+            (1, 1),
+            (3, 1),
+            (4, 4),
+            (5, 4),
+            (8, 8),
+            (12, 8),
+            (16, 16),
+            (64, MAX_LANES),
+        ] {
             let service =
                 MonitoringService::deploy(&baseline, &curve, ServeConfig::new(1).with_lanes(asked))
                     .expect("valid config");

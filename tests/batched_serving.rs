@@ -167,7 +167,8 @@ proptest::proptest! {
     /// Skewed adversarial workloads: random lengths, random poison
     /// placement (width mismatches and NaNs anywhere, including runs),
     /// random lane width and batch size — the batched replay must stay
-    /// bit-identical to the one-lane one.
+    /// bit-identical to the one-lane one. Widths between the compiled
+    /// ones exercise the round-down to `LANE_WIDTHS`.
     #[test]
     fn skewed_workloads_stay_bit_identical(
         len in 1usize..80,
