@@ -6,8 +6,8 @@
 //! samples, 2 400 (a paper-scale victim fold) and 1 200 (perfbench's fold).
 //!
 //! `rprop/0_epochs` is the forward pass every RPROP run starts with; it
-//! yields the untouched network's MSE and the traces the first gradient
-//! reads. `rprop/1_epoch` adds one epoch (batch gradient, update, and the
+//! yields the untouched network's MSE and the traces and deltas the first
+//! gradient reads. `rprop/1_epoch` adds one epoch (batch gradient, update, and the
 //! forward pass shared by the epoch's MSE and the next gradient), so one
 //! RPROP epoch costs the difference. `sgd/1_epoch` is one incremental epoch:
 //! a forward pass, gradient and update per sample, then the epoch's MSE.

@@ -1,7 +1,7 @@
 //! The batch epoch shared by iRPROP− and QAT: a sample-blocked forward
-//! pass and a row-split gradient, on one thread or on a crew of scoped
-//! workers that stays up for the whole training run. The serial
-//! sample-blocked MSE pass ([`forward_mse`]) also serves SGD and
+//! and backward pass and a row-split gradient sum, on one thread or on a
+//! crew of scoped workers that stays up for the whole training run. The
+//! serial sample-blocked MSE pass ([`forward_mse`]) also serves SGD and
 //! [`super::mse`].
 
 use super::{assert_widths, backprop, for_each_gradient, weights_mut, TrainData};
@@ -9,20 +9,20 @@ use crate::network::Network;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
+use std::thread::Thread;
 
 /// Samples per block of the lane-major forward kernel
 /// ([`Network::forward_trace_lanes`]).
 const BLOCK: usize = 8;
 
 /// One thread's buffers for a block of [`BLOCK`] samples: lane-major
-/// inputs, targets, trace and deltas, and the deltas back in sample order.
+/// inputs, targets, trace and deltas.
 #[derive(Debug)]
 pub(super) struct Lanes {
     input: Vec<f32>,
     target: Vec<f32>,
     trace: Vec<f32>,
     delta: Vec<f64>,
-    deltas: Vec<f64>,
 }
 
 impl Lanes {
@@ -32,7 +32,6 @@ impl Lanes {
             target: vec![0.0; net.output_dim() * BLOCK],
             trace: vec![0.0; net.trace_len() * BLOCK],
             delta: vec![0.0; net.trace_len() * BLOCK],
-            deltas: vec![0.0; net.trace_len() * BLOCK],
         }
     }
 }
@@ -84,39 +83,39 @@ fn trace_samples(
     }
 }
 
-/// Backpropagates the samples from `first` on, whose forward traces are
-/// `traces`, and calls `f(sample, trace, delta)` for each in order: whole
-/// blocks of [`BLOCK`] through the lane-major [`backprop`], the remainder
-/// one at a time. Either way each delta is bit-identical to its sample's
-/// own.
-fn backprop_samples(
+/// Forward-traces the samples from `first` on into `samples.traces`, as
+/// [`trace_samples`] does, and backpropagates each into its slot of
+/// `samples.deltas`: a block while its lane-major trace is still at hand,
+/// the remainder one at a time. Either way each delta is bit-identical to
+/// its sample's own.
+fn trace_and_backprop(
     net: &Network,
     data: &TrainData,
     first: usize,
-    traces: &[f32],
+    samples: &mut Samples,
     lanes: &mut Lanes,
-    mut f: impl FnMut(usize, &[f32], &[f64]),
 ) {
     let trace_len = net.trace_len();
-    let mut blocks = traces.chunks_exact(BLOCK * trace_len);
+    let mut blocks = samples.traces.chunks_exact_mut(BLOCK * trace_len);
+    let mut outs = samples.deltas.chunks_exact_mut(BLOCK * trace_len);
     let mut sample = first;
-    for block in &mut blocks {
-        for (lane, trace) in block.chunks_exact(trace_len).enumerate() {
-            to_lane(&mut lanes.trace, lane, trace);
-            to_lane(&mut lanes.target, lane, data.sample(sample + lane).1);
+    for (block, out) in (&mut blocks).zip(&mut outs) {
+        for lane in 0..BLOCK {
+            let (input, target) = data.sample(sample + lane);
+            to_lane(&mut lanes.input, lane, input);
+            to_lane(&mut lanes.target, lane, target);
         }
+        net.forward_trace_lanes::<BLOCK>(&lanes.input, &mut lanes.trace);
         backprop::<BLOCK>(net, &lanes.trace, &lanes.target, &mut lanes.delta);
-        from_lanes(&lanes.delta, &mut lanes.deltas);
-        let deltas = lanes.deltas.chunks_exact(trace_len);
-        for (trace, delta) in block.chunks_exact(trace_len).zip(deltas) {
-            f(sample, trace, delta);
-            sample += 1;
-        }
+        from_lanes(&lanes.trace, block);
+        from_lanes(&lanes.delta, out);
+        sample += BLOCK;
     }
-    let delta = &mut lanes.deltas[..trace_len];
-    for trace in blocks.remainder().chunks_exact(trace_len) {
-        backprop::<1>(net, trace, data.sample(sample).1, delta);
-        f(sample, trace, delta);
+    let traces = blocks.into_remainder().chunks_exact_mut(trace_len);
+    for (trace, delta) in traces.zip(outs.into_remainder().chunks_exact_mut(trace_len)) {
+        let (input, target) = data.sample(sample);
+        net.forward_trace_into(input, trace);
+        backprop::<1>(net, trace, target, delta);
         sample += 1;
     }
 }
@@ -210,17 +209,25 @@ enum Step {
 /// Busy-wait rounds before a waiting thread starts yielding its core.
 const SPINS: u32 = 1 << 10;
 
+/// Yields before a waiting thread parks.
+const YIELDS: u32 = 1 << 10;
+
 /// Waits until `ready` holds: spinning first, since a step lasts well
 /// under a millisecond, then yielding, so that more workers than cores
-/// still make progress.
+/// still make progress, then parking, so that a thread kept waiting for
+/// longer stops taking a core. Whoever makes `ready` hold unparks the
+/// waiting thread.
 fn wait_until(mut ready: impl FnMut() -> bool) {
-    let mut spins = 0;
+    let mut rounds = 0;
     while !ready() {
-        if spins < SPINS {
-            spins += 1;
+        if rounds < SPINS {
+            rounds += 1;
             std::hint::spin_loop();
-        } else {
+        } else if rounds < SPINS + YIELDS {
+            rounds += 1;
             std::thread::yield_now();
+        } else {
+            std::thread::park();
         }
     }
 }
@@ -233,15 +240,23 @@ struct Board {
     next: usize,
 }
 
+/// A forward run's samples: each one's forward trace and its
+/// backpropagated deltas, [`Network::trace_len`] values apiece.
+#[derive(Debug)]
+struct Samples {
+    traces: Vec<f32>,
+    deltas: Vec<f64>,
+}
+
 /// A batch pass's split of the work, its buffers, and the hand-off between
 /// the main thread and the crew of workers.
 ///
 /// A step is cut into runs. A forward run is a contiguous range of whole
-/// sample blocks with its own trace buffer. A gradient run is a contiguous
-/// range of weight rows with its own sum: it backpropagates every sample,
-/// in order and in blocks, and adds only its rows' gradients, so each
-/// weight's f64 sum gets the same f32 addends in the same order as on one
-/// thread. Nothing per sample is buffered beyond the traces. The main thread
+/// sample blocks with its own [`Samples`]: it traces its samples and
+/// backpropagates them. A gradient run is a contiguous range of weight
+/// rows with its own sum: it adds its rows' gradients over every buffered
+/// trace and delta, in sample order, so each weight's f64 sum gets the
+/// same f32 addends in the same order as on one thread. The main thread
 /// and the crew claim runs from the [`Board`] until none is left, so a
 /// worker that is slow to wake loses its run to another thread rather than
 /// stalling the step.
@@ -249,7 +264,7 @@ struct Board {
 struct Crew<'d> {
     data: &'d TrainData,
     samples_per_run: usize,
-    traces: Vec<RwLock<Vec<f32>>>,
+    samples: Vec<RwLock<Samples>>,
     rows: Vec<Range<usize>>,
     sums: Vec<Mutex<Vec<f64>>>,
     workers: usize,
@@ -268,6 +283,12 @@ struct Crew<'d> {
     /// Set by a worker that panicked, so that the main thread stops
     /// waiting for its run.
     failed: AtomicBool,
+    /// The thread that builds the crew and offers its steps, unparked when
+    /// a crew thread finishes a run.
+    main: Thread,
+    /// The crew's threads, unparked when a step is offered or the crew
+    /// stops.
+    threads: Mutex<Vec<Thread>>,
 }
 
 impl<'d> Crew<'d> {
@@ -275,11 +296,14 @@ impl<'d> Crew<'d> {
         let threads = threads.max(1);
         let trace_len = net.trace_len();
         let samples_per_run = data.len().div_ceil(BLOCK).div_ceil(threads) * BLOCK;
-        let traces: Vec<_> = (0..data.len())
+        let samples: Vec<_> = (0..data.len())
             .step_by(samples_per_run)
             .map(|first| {
-                let samples = samples_per_run.min(data.len() - first);
-                RwLock::new(vec![0.0; samples * trace_len])
+                let len = samples_per_run.min(data.len() - first) * trace_len;
+                RwLock::new(Samples {
+                    traces: vec![0.0; len],
+                    deltas: vec![0.0; len],
+                })
             })
             .collect();
         let (rows, sums): (Vec<_>, Vec<_>) = row_split(net, threads)
@@ -289,9 +313,9 @@ impl<'d> Crew<'d> {
         Crew {
             data,
             samples_per_run,
-            workers: traces.len().max(rows.len()) - 1,
+            workers: samples.len().max(rows.len()) - 1,
             main_claims: true,
-            traces,
+            samples,
             rows,
             sums,
             weights: RwLock::new(vec![0.0; net.num_weights()]),
@@ -304,44 +328,42 @@ impl<'d> Crew<'d> {
             finished: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             failed: AtomicBool::new(false),
+            main: std::thread::current(),
+            threads: Mutex::new(Vec::new()),
         }
     }
 
     fn run_count(&self, step: Step) -> usize {
         match step {
-            Step::Forward => self.traces.len(),
+            Step::Forward => self.samples.len(),
             Step::Gradient => self.rows.len(),
         }
     }
 
-    /// Forward run `k` at `net`'s weights.
+    /// Forward run `k` at `net`'s weights: traces and backpropagates its
+    /// samples.
     fn forward_run(&self, k: usize, net: &Network, lanes: &mut Lanes) {
-        let mut traces = self.traces[k].write().expect("no trace reader panicked");
-        trace_samples(net, self.data, k * self.samples_per_run, &mut traces, lanes);
+        let first = k * self.samples_per_run;
+        let mut samples = self.samples[k].write().expect("no sample reader panicked");
+        trace_and_backprop(net, self.data, first, &mut samples, lanes);
     }
 
-    /// Gradient run `k` at `net`'s weights, which must be those of the
-    /// last forward step.
-    fn gradient_run(&self, k: usize, net: &Network, lanes: &mut Lanes) {
-        let rows = &self.rows[k];
+    /// Gradient run `k` over the last forward step's samples, for networks
+    /// shaped like `net`.
+    fn gradient_run(&self, k: usize, net: &Network) {
+        let (rows, trace_len) = (&self.rows[k], net.trace_len());
         let mut sum = self.sums[k].lock().expect("no sum holder panicked");
         sum.fill(0.0);
-        for (run, traces) in self.traces.iter().enumerate() {
-            let traces = traces.read().expect("no trace writer panicked");
-            let first = run * self.samples_per_run;
-            backprop_samples(
-                net,
-                self.data,
-                first,
-                &traces,
-                lanes,
-                |sample, trace, delta| {
-                    let input = self.data.sample(sample).0;
-                    for_each_gradient(net, input, trace, delta, rows.clone(), &mut sum, |a, g| {
-                        *a += f64::from(g);
-                    });
-                },
-            );
+        for (run, samples) in self.samples.iter().enumerate() {
+            let samples = samples.read().expect("no sample writer panicked");
+            let traces = samples.traces.chunks_exact(trace_len);
+            let buffered = traces.zip(samples.deltas.chunks_exact(trace_len));
+            for (sample, (trace, delta)) in (run * self.samples_per_run..).zip(buffered) {
+                let input = self.data.sample(sample).0;
+                for_each_gradient(net, input, trace, delta, rows.clone(), &mut sum, |a, g| {
+                    *a += f64::from(g);
+                });
+            }
         }
     }
 
@@ -360,26 +382,36 @@ impl<'d> Crew<'d> {
     fn execute(&self, step: Step, run: usize, net: &Network, lanes: &mut Lanes) {
         match step {
             Step::Forward => self.forward_run(run, net, lanes),
-            Step::Gradient => self.gradient_run(run, net, lanes),
+            Step::Gradient => self.gradient_run(run, net),
         }
         // Release: pairs with the main thread's Acquire wait, so the run's
         // buffer is complete once it is counted.
         self.finished.fetch_add(1, Ordering::Release);
     }
 
+    /// Wakes every crew thread that has parked.
+    fn wake_crew(&self) {
+        let threads = self.threads.lock().expect("no thread list holder panicked");
+        for thread in threads.iter() {
+            thread.unpark();
+        }
+    }
+
     /// Tells the crew to exit.
     fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.wake_crew();
     }
 
     /// Offers `step` at `net`'s weights, works through its runs alongside
-    /// the crew, and returns once every run is done.
+    /// the crew, and returns once every run is done. A gradient step reads
+    /// only the buffers, so its weights are not published.
     ///
     /// # Panics
     ///
     /// Panics if a crew worker panicked.
     fn step(&self, step: Step, net: &Network, lanes: &mut Lanes) {
-        if self.workers > 0 {
+        if self.workers > 0 && step == Step::Forward {
             let mut weights = self.weights.write().expect("no weight reader panicked");
             weights.clear();
             weights.extend(net.layers().iter().flat_map(|l| l.weights()));
@@ -396,6 +428,7 @@ impl<'d> Crew<'d> {
         // happen-before the work of a worker whose Acquire load sees this
         // phase (its claim also goes through the board's lock).
         self.phase.store(phase, Ordering::Release);
+        self.wake_crew();
         if self.main_claims || self.workers == 0 {
             while let Some((step, run)) = self.claim(phase) {
                 self.execute(step, run, net, lanes);
@@ -415,15 +448,16 @@ impl<'d> Crew<'d> {
     /// own copy of the published weights, until told to stop.
     fn work(&self, mut net: Network) {
         /// Raises [`Crew::failed`] if the worker unwinds.
-        struct Failed<'a>(&'a AtomicBool);
-        impl Drop for Failed<'_> {
+        struct Failed<'a, 'd>(&'a Crew<'d>);
+        impl Drop for Failed<'_, '_> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
-                    self.0.store(true, Ordering::Relaxed);
+                    self.0.failed.store(true, Ordering::Relaxed);
+                    self.0.main.unpark();
                 }
             }
         }
-        let _failed = Failed(&self.failed);
+        let _failed = Failed(self);
         let mut lanes = Lanes::new(&net);
         let mut seen = 0;
         loop {
@@ -436,7 +470,7 @@ impl<'d> Crew<'d> {
             seen = self.phase.load(Ordering::Acquire);
             let mut current = false;
             while let Some((step, run)) = self.claim(seen) {
-                if !current {
+                if !current && step == Step::Forward {
                     // A claimed run holds its phase open, so these are
                     // still the weights it was offered at.
                     let weights = self.weights.read().expect("no weight writer panicked");
@@ -446,6 +480,7 @@ impl<'d> Crew<'d> {
                     current = true;
                 }
                 self.execute(step, run, &net, &mut lanes);
+                self.main.unpark();
             }
         }
     }
@@ -454,8 +489,9 @@ impl<'d> Crew<'d> {
 /// A batch epoch's two steps, run by the main thread with a [`Crew`].
 ///
 /// One forward pass per epoch serves two purposes: its MSE is the epoch's,
-/// and its traces are what the next [`BatchPass::gradient`] backpropagates
-/// through. Both steps split across the crew without changing a bit.
+/// and its traces and deltas are what the next [`BatchPass::gradient`]
+/// sums gradients over. Both steps split across the crew without changing
+/// a bit.
 #[derive(Debug)]
 pub(crate) struct BatchPass<'c, 'd> {
     crew: &'c Crew<'d>,
@@ -509,34 +545,32 @@ impl BatchPass<'_, '_> {
             let _stop = Stop(&crew);
             for _ in 0..crew.workers {
                 let (crew, net) = (&crew, net.clone());
-                scope.spawn(move || crew.work(net));
+                let worker = scope.spawn(move || crew.work(net));
+                let mut threads = crew.threads.lock().expect("no thread list holder panicked");
+                threads.push(worker.thread().clone());
             }
             body(&mut pass)
         })
     }
 
-    /// Traces every sample at `net`'s weights; returns the MSE.
+    /// Traces and backpropagates every sample at `net`'s weights; returns
+    /// the MSE.
     pub(crate) fn forward(&mut self, net: &Network) -> f64 {
         let crew = self.crew;
-        if crew.workers == 0 {
-            // One run, so one trace buffer for the whole fold.
-            let mut traces = crew.traces[0].write().expect("no trace reader panicked");
-            return forward_mse(net, crew.data, &mut traces, &mut self.lanes);
-        }
         crew.step(Step::Forward, net, &mut self.lanes);
         let mut error = SquaredError::default();
         let mut samples = crew.data.iter();
-        for traces in &crew.traces {
-            let traces = traces.read().expect("no trace writer panicked");
-            error.add_traces(net, &traces, &mut samples);
+        for run in &crew.samples {
+            let run = run.read().expect("no sample writer panicked");
+            error.add_traces(net, &run.traces, &mut samples);
         }
         error.mean()
     }
 
-    /// The batch gradient at `net`'s weights, which must be those of the
-    /// last [`BatchPass::forward`]: each sample's gradient rounded to f32,
-    /// summed in f64 in sample order. Laid out like
-    /// [`super::gradients`].
+    /// The batch gradient at the weights of the last
+    /// [`BatchPass::forward`], for networks shaped like `net`: each
+    /// sample's gradient rounded to f32, summed in f64 in sample order.
+    /// Laid out like [`super::gradients`].
     pub(crate) fn gradient(&mut self, net: &Network) -> &[f64] {
         let crew = self.crew;
         crew.step(Step::Gradient, net, &mut self.lanes);

@@ -65,8 +65,8 @@ impl RpropTrainer {
     /// network's MSE when `epochs` is 0).
     ///
     /// Each epoch makes one forward pass per sample: the pass that measures
-    /// the epoch's MSE also records the traces the next epoch's gradient
-    /// backpropagates through.
+    /// the epoch's MSE also backpropagates each sample, and the next
+    /// epoch's gradient sums over the deltas it keeps.
     ///
     /// # Panics
     ///

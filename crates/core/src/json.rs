@@ -304,19 +304,72 @@ impl Value {
 /// the stack, since each level is one recursive call.
 pub const MAX_DEPTH: usize = 64;
 
+/// Why [`parse`] refused a document, and the byte offset where.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ParseError {
+    /// Malformed syntax; `expected` names what should have been there.
+    Syntax {
+        /// Byte offset of the offending input.
+        at: usize,
+        /// What the parser was looking for.
+        expected: &'static str,
+    },
+    /// An array or object nested deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of its opening bracket.
+        at: usize,
+    },
+    /// A number with a leading zero, such as `01` or `-01`.
+    LeadingZero {
+        /// Byte offset of the number.
+        at: usize,
+    },
+    /// A raw control character (U+0000–U+001F) inside a string.
+    ControlCharacter {
+        /// Byte offset of the character.
+        at: usize,
+    },
+    /// A number too large for an `f64`, such as `1.5e400`.
+    OutOfRange {
+        /// Byte offset of the number.
+        at: usize,
+    },
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::Syntax { at, expected } => write!(f, "expected {expected} at byte {at}"),
+            ParseError::TooDeep { at } => write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}"),
+            ParseError::LeadingZero { at } => write!(f, "leading zero in number at byte {at}"),
+            ParseError::ControlCharacter { at } => {
+                write!(f, "unescaped control character in string at byte {at}")
+            }
+            ParseError::OutOfRange { at } => write!(f, "number out of range at byte {at}"),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+fn syntax<T>(at: usize, expected: &'static str) -> Result<T, ParseError> {
+    Err(ParseError::Syntax { at, expected })
+}
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// Describes the first malformed byte, or the first array or object
-/// nested deeper than [`MAX_DEPTH`].
-pub fn parse(text: &str) -> Result<Value, String> {
+/// Returns the first malformed input: bad syntax, an array or object
+/// nested deeper than [`MAX_DEPTH`], a number with a leading zero or too
+/// large for an `f64`, or a raw control character inside a string.
+pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
     let value = parse_value(text, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+        return syntax(pos, "end of document");
     }
     Ok(value)
 }
@@ -327,24 +380,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+/// Skips whitespace and then `token`, one ASCII byte.
+fn expect(bytes: &[u8], pos: &mut usize, token: &'static str) -> Result<(), ParseError> {
     skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&c) {
+    if bytes.get(*pos) == token.as_bytes().first() {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
+        syntax(*pos, token)
     }
 }
 
 /// `depth` counts the arrays and objects enclosing the value.
-fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{' | b'[') if depth == MAX_DEPTH => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
-        }
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::TooDeep { at: *pos }),
         Some(b'{') => parse_object(text, pos, depth + 1),
         Some(b'[') => parse_array(text, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
@@ -352,20 +404,25 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Strin
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        _ => Err(format!("unexpected input at byte {}", *pos)),
+        _ => syntax(*pos, "a value"),
     }
 }
 
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value, String> {
+fn parse_keyword(
+    bytes: &[u8],
+    pos: &mut usize,
+    word: &'static str,
+    value: Value,
+) -> Result<Value, ParseError> {
     if bytes[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(value)
     } else {
-        Err(format!("expected {word} at byte {}", *pos))
+        syntax(*pos, word)
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -375,7 +432,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     if *pos == int_digits {
-        return Err(format!("bad number at byte {start}"));
+        return syntax(start, "a digit");
+    }
+    if bytes[int_digits] == b'0' && *pos > int_digits + 1 {
+        return Err(ParseError::LeadingZero { at: start });
     }
     let mut is_float = false;
     if bytes.get(*pos) == Some(&b'.') {
@@ -386,7 +446,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             *pos += 1;
         }
         if *pos == frac_digits {
-            return Err(format!("bad number at byte {start}"));
+            return syntax(start, "a digit");
         }
     }
     if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
@@ -400,11 +460,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             *pos += 1;
         }
         if *pos == exp_digits {
-            return Err(format!("bad number at byte {start}"));
+            return syntax(start, "a digit");
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("bad number at byte {start}"))?;
+    let Ok(text) = std::str::from_utf8(&bytes[start..*pos]) else {
+        return syntax(start, "a number");
+    };
     if !is_float {
         // Counters stay integer-exact as long as they fit u64; a
         // negative or oversized integer falls back to the float form.
@@ -412,14 +473,16 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Ok(Value::Int(n));
         }
     }
-    text.parse::<f64>()
-        .map(Value::Float)
-        .map_err(|_| format!("bad number at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+        Ok(_) => Err(ParseError::OutOfRange { at: start }),
+        Err(_) => syntax(start, "a number"),
+    }
 }
 
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, ParseError> {
     let bytes = text.as_bytes();
-    expect(bytes, pos, b'"')?;
+    expect(bytes, pos, "\"")?;
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
@@ -445,53 +508,60 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                         };
-                        let hex = read_hex(*pos + 1)
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                        let hex = read_hex(*pos + 1).ok_or(ParseError::Syntax {
+                            at: *pos,
+                            expected: "four hex digits",
+                        })?;
                         let (code, hex_len) = if (0xd800..=0xdbff).contains(&hex) {
                             // High surrogate: standard JSON encodes
                             // non-BMP characters as a \uXXXX\uXXXX
                             // surrogate pair.
+                            let unpaired = ParseError::Syntax {
+                                at: *pos,
+                                expected: "a low surrogate",
+                            };
                             if bytes.get(*pos + 5) != Some(&b'\\')
                                 || bytes.get(*pos + 6) != Some(&b'u')
                             {
-                                return Err(format!("unpaired surrogate at byte {}", *pos));
+                                return Err(unpaired);
                             }
                             let low = read_hex(*pos + 7)
                                 .filter(|c| (0xdc00..=0xdfff).contains(c))
-                                .ok_or_else(|| format!("unpaired surrogate at byte {}", *pos))?;
+                                .ok_or(unpaired)?;
                             (0x10000 + ((hex - 0xd800) << 10) + (low - 0xdc00), 10)
                         } else {
                             (hex, 4)
                         };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad code point at byte {}", *pos))?,
-                        );
+                        out.push(char::from_u32(code).ok_or(ParseError::Syntax {
+                            at: *pos,
+                            expected: "a high surrogate first",
+                        })?);
                         *pos += hex_len;
                     }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
+                    _ => return syntax(*pos, "an escape character"),
                 }
                 *pos += 1;
             }
+            Some(&c) if c < 0x20 => return Err(ParseError::ControlCharacter { at: *pos }),
             Some(_) => {
-                // Copy the run up to the next quote or backslash as one
-                // slice. Both are ASCII, so the run ends on a character
-                // boundary of the already-valid `text`.
+                // Copy the run up to the next quote, backslash or control
+                // character as one slice. All are ASCII, so the run ends
+                // on a character boundary of the already-valid `text`.
                 let run = bytes[*pos..]
                     .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                     .unwrap_or(bytes.len() - *pos);
                 out.push_str(&text[*pos..*pos + run]);
                 *pos += run;
             }
-            None => return Err("unterminated string".to_string()),
+            None => return syntax(*pos, "a closing quote"),
         }
     }
 }
 
-fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
-    expect(bytes, pos, b'[')?;
+    expect(bytes, pos, "[")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
@@ -507,14 +577,14 @@ fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Strin
                 *pos += 1;
                 return Ok(Value::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            _ => return syntax(*pos, "',' or ']'"),
         }
     }
 }
 
-fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
-    expect(bytes, pos, b'{')?;
+    expect(bytes, pos, "{")?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
@@ -524,7 +594,7 @@ fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Stri
     loop {
         skip_ws(bytes, pos);
         let key = parse_string(text, pos)?;
-        expect(bytes, pos, b':')?;
+        expect(bytes, pos, ":")?;
         let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
@@ -534,7 +604,7 @@ fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Stri
                 *pos += 1;
                 return Ok(Value::Obj(fields));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => return syntax(*pos, "',' or '}'"),
         }
     }
 }
@@ -606,7 +676,7 @@ mod tests {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
         let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
-        assert!(err.contains("nesting deeper than 64"), "{err}");
+        assert!(err.to_string().contains("nesting deeper than 64"), "{err}");
         assert!(parse(&"{\"a\": ".repeat(MAX_DEPTH + 1)).is_err());
     }
 
@@ -627,6 +697,44 @@ mod tests {
             "\"\\ude00\"",        // lone low surrogate
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_leading_zeros() {
+        for (bad, at) in [("01", 0), ("-01", 0), ("[1, 007]", 4), ("00.5", 0)] {
+            assert_eq!(parse(bad), Err(ParseError::LeadingZero { at }), "{bad:?}");
+        }
+        for good in ["0", "-0", "0.5", "-0.5", "0e3", "10"] {
+            assert!(parse(good).is_ok(), "refused {good:?}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_raw_control_characters_in_strings() {
+        for (bad, at) in [("\"a\nb\"", 2), ("\"\u{0}\"", 1), ("{\"k\u{1f}\": 1}", 3)] {
+            assert_eq!(
+                parse(bad),
+                Err(ParseError::ControlCharacter { at }),
+                "{bad:?}"
+            );
+        }
+        // Escaped, the same characters are fine, and U+007F is not a
+        // control character to JSON.
+        let value = parse("\"a\\nb\\u001f\u{7f}\"").expect("parses");
+        assert_eq!(value.as_str("s").unwrap(), "a\nb\u{1f}\u{7f}");
+    }
+
+    #[test]
+    fn parser_rejects_numbers_beyond_f64() {
+        for (bad, at) in [("1.5e400", 0), ("-1e309", 0), ("[0, 2E+999]", 4)] {
+            assert_eq!(parse(bad), Err(ParseError::OutOfRange { at }), "{bad:?}");
+        }
+        let huge = "9".repeat(400);
+        assert_eq!(parse(&huge), Err(ParseError::OutOfRange { at: 0 }));
+        // Underflow to zero loses nothing a writer could have produced.
+        for (text, want) in [("1e-400", 0.0), ("1.7976931348623157e308", f64::MAX)] {
+            assert_eq!(parse(text).unwrap().as_f64("n").unwrap(), want, "{text}");
         }
     }
 }

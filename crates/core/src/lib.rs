@@ -82,7 +82,6 @@ pub mod daemon;
 pub mod deploy;
 pub mod detector;
 pub mod enclave;
-pub mod exec;
 pub mod explore;
 pub mod json;
 pub mod monitor;
@@ -95,6 +94,10 @@ pub mod telemetry;
 pub mod train;
 pub mod wire;
 pub mod xval;
+
+/// The deterministic parallel experiment engine, defined in
+/// [`shmd_workload`] so that corpus generation can run on it too.
+pub use shmd_workload::exec;
 
 pub use arena::ArenaOracle;
 pub use baseline::BaselineHmd;

@@ -378,7 +378,7 @@ impl TelemetrySnapshot {
     /// Returns [`TelemetryParseError`] on malformed JSON or a schema
     /// mismatch.
     pub fn from_json(text: &str) -> Result<TelemetrySnapshot, TelemetryParseError> {
-        let value = json::parse(text).map_err(TelemetryParseError)?;
+        let value = json::parse(text).map_err(|e| TelemetryParseError(e.to_string()))?;
         let top = value.as_object("snapshot")?;
         let shards_value = top.field("shards")?;
         let mut shards = Vec::new();
@@ -820,5 +820,31 @@ mod tests {
                 "accepted malformed input {bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn snapshot_json_that_would_not_round_trip_is_rejected() {
+        // Each edit makes input that a lenient parser would read into a
+        // snapshot whose `to_json` differs from it: `inf` writes back as
+        // `null`, a leading zero and a raw newline in their canonical forms.
+        let json = sample_snapshot().to_json();
+        for (from, to) in [
+            ("\"power_w\": 8.25", "\"power_w\": 1.5e400"),
+            ("\"service_power_w\": 16.5", "\"service_power_w\": -1e999"),
+            ("\"queries\": 2,", "\"queries\": 02,"),
+            ("unreachable \\\"before\\\"", "unreachable\nbefore"),
+        ] {
+            assert_eq!(json.matches(from).count(), 1, "{from}");
+            let edited = json.replacen(from, to, 1);
+            assert!(
+                TelemetrySnapshot::from_json(&edited).is_err(),
+                "accepted {to:?}"
+            );
+        }
+        // What is accepted survives a second trip unchanged.
+        let once = TelemetrySnapshot::from_json(&json).expect("parses");
+        let twice = TelemetrySnapshot::from_json(&once.to_json()).expect("parses");
+        assert_eq!(twice, once);
+        assert_eq!(twice.to_json(), json);
     }
 }

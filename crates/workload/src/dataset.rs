@@ -5,14 +5,23 @@
 //! benign application types were distributed evenly and randomly across the
 //! folds to ensure that the datasets are not biased."
 
+use crate::exec::{parallel_map, ExecConfig};
 use crate::families::{BenignFamily, MalwareFamily, ProgramClass};
 use crate::features::FeatureSpec;
+use crate::isa::CATEGORY_COUNT;
 use crate::program::Program;
 use crate::trace::{Trace, TraceConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
+
+/// Fewest programs worth a worker of their own when generating a corpus.
+/// On a 2-vCPU host two workers beat one from about 50 programs and
+/// clearly from about 100; smaller corpora, most test fixtures among them,
+/// stay on the calling thread.
+const MIN_PROGRAMS_PER_WORKER: usize = 64;
 
 /// Shape of a generated dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,26 +121,17 @@ pub struct Dataset {
 
 impl Dataset {
     /// Generates the dataset; deterministic per `(config, seed)`.
+    ///
+    /// Programs are built on [`ExecConfig::nested`]'s workers, so inside an
+    /// experiment's task this runs serially; the corpus is the same either
+    /// way.
     pub fn generate(config: &DatasetConfig, seed: u64) -> Dataset {
-        let mut programs = Vec::with_capacity(config.malware_count + config.benign_count);
-        let mut id = 0u32;
-        for i in 0..config.malware_count {
-            let family = MalwareFamily::ALL[i % MalwareFamily::ALL.len()];
-            programs.push(Program::generate(id, ProgramClass::Malware(family), seed));
-            id += 1;
-        }
-        for i in 0..config.benign_count {
-            let family = BenignFamily::ALL[i % BenignFamily::ALL.len()];
-            programs.push(Program::generate(id, ProgramClass::Benign(family), seed));
-            id += 1;
-        }
-        let traces = programs.iter().map(|p| p.trace(&config.trace)).collect();
-        Dataset {
-            config: *config,
-            seed,
-            programs,
-            traces,
-        }
+        let malware = (0..config.malware_count)
+            .map(|i| ProgramClass::Malware(MalwareFamily::ALL[i % MalwareFamily::ALL.len()]));
+        let benign = (0..config.benign_count)
+            .map(|i| ProgramClass::Benign(BenignFamily::ALL[i % BenignFamily::ALL.len()]));
+        let classes: Vec<ProgramClass> = malware.chain(benign).collect();
+        Dataset::from_classes(*config, &classes, seed)
     }
 
     /// Generates a dataset from explicit `(class, count)` groups (used by
@@ -141,27 +141,44 @@ impl Dataset {
         trace: &TraceConfig,
         seed: u64,
     ) -> Dataset {
-        let mut programs = Vec::new();
-        let mut id = 0u32;
-        let (mut malware_count, mut benign_count) = (0usize, 0usize);
-        for &(class, count) in groups {
-            for _ in 0..count {
-                programs.push(Program::generate(id, class, seed));
-                id += 1;
-            }
-            if class.is_malware() {
-                malware_count += count;
-            } else {
-                benign_count += count;
-            }
-        }
-        let traces = programs.iter().map(|p| p.trace(trace)).collect();
+        let classes: Vec<ProgramClass> = groups
+            .iter()
+            .flat_map(|&(class, count)| std::iter::repeat_n(class, count))
+            .collect();
+        let malware_count = classes.iter().filter(|c| c.is_malware()).count();
+        let config = DatasetConfig {
+            malware_count,
+            benign_count: classes.len() - malware_count,
+            trace: *trace,
+        };
+        Dataset::from_classes(config, &classes, seed)
+    }
+
+    /// Generates one program per entry of `classes`, its id the entry's
+    /// index, and the program's trace, in index order. Each program draws
+    /// from its own seed, so which worker builds it changes nothing.
+    fn from_classes(config: DatasetConfig, classes: &[ProgramClass], seed: u64) -> Dataset {
+        let workers = ExecConfig::nested()
+            .thread_count()
+            .min(classes.len() / MIN_PROGRAMS_PER_WORKER);
+        // The trace buffers are allocated here rather than on the workers,
+        // so that the corpus stays in this thread's allocator arena.
+        let windows: Vec<Mutex<Vec<[u32; CATEGORY_COUNT]>>> = classes
+            .iter()
+            .map(|_| Mutex::new(vec![[0; CATEGORY_COUNT]; config.trace.windows]))
+            .collect();
+        let programs = parallel_map(&ExecConfig::threads(workers), classes, |id, &class| {
+            let program = Program::generate(id as u32, class, seed);
+            let mut windows = windows[id].lock().expect("a panicking task ends the map");
+            program.trace_windows(config.trace.insns_per_window, &mut windows);
+            program
+        });
+        let traces = windows
+            .into_iter()
+            .map(|w| Trace::from_windows(w.into_inner().expect("a panicking task ends the map")))
+            .collect();
         Dataset {
-            config: DatasetConfig {
-                malware_count,
-                benign_count,
-                trace: *trace,
-            },
+            config,
             seed,
             programs,
             traces,
@@ -253,6 +270,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::parallel_map_n;
 
     fn tiny() -> Dataset {
         Dataset::generate(&DatasetConfig::small(30), 5)
@@ -291,6 +309,35 @@ mod tests {
         let b = Dataset::generate(&DatasetConfig::small(20), 9);
         assert_eq!(a.programs(), b.programs());
         assert_eq!(a.trace(3), b.trace(3));
+    }
+
+    /// FNV-1a over each program's profile and then its trace windows, in
+    /// dataset order: a corpus's fingerprint.
+    fn corpus_hash(d: &Dataset) -> u64 {
+        let bytes = d.programs.iter().zip(&d.traces).flat_map(|(p, t)| {
+            let profile = p.profile().iter().flat_map(|x| x.to_bits().to_le_bytes());
+            let windows = t.windows().iter().flatten().flat_map(|c| c.to_le_bytes());
+            profile.chain(windows)
+        });
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn corpus_is_pinned_on_any_number_of_workers() {
+        // Captured when generation ran on one thread only.
+        for (config, want) in [
+            (DatasetConfig::paper(), 17_554_140_117_733_026_454),
+            (DatasetConfig::small(40), 5_379_178_724_107_450_159),
+        ] {
+            let top_level = corpus_hash(&Dataset::generate(&config, 42));
+            // Inside a task, `ExecConfig::nested` makes generation serial.
+            let in_task = parallel_map_n(&ExecConfig::serial(), 1, |_| {
+                corpus_hash(&Dataset::generate(&config, 42))
+            });
+            assert_eq!((top_level, in_task[0]), (want, want), "{config:?}");
+        }
     }
 
     #[test]

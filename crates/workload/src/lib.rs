@@ -14,7 +14,9 @@
 //! log-normally; each execution window draws category counts around the
 //! program profile. Generation is **deterministic per seed** — the paper
 //! verifies its own feature collection is deterministic, and tests here
-//! assert the same property.
+//! assert the same property. Generation fans out over the [`exec`]
+//! engine, which lives here so that this crate and `stochastic-hmd`
+//! share it, and the corpus is the same on any number of threads.
 //!
 //! # Example
 //!
@@ -34,6 +36,7 @@
 pub mod builder;
 pub mod dataset;
 pub mod drift;
+pub mod exec;
 pub mod export;
 pub mod families;
 pub mod features;

@@ -120,14 +120,25 @@ impl Program {
     /// collection ("we get the exact same trace in every run when we supply
     /// the same input").
     pub fn trace(&self, config: &TraceConfig) -> Trace {
+        let mut windows = vec![[0; CATEGORY_COUNT]; config.windows];
+        self.trace_windows(config.insns_per_window, &mut windows);
+        Trace::from_windows(windows)
+    }
+
+    /// Writes [`Program::trace`]'s windows, `insns_per_window` instructions
+    /// each, into `windows`, one slot per window; allocation-free.
+    pub(crate) fn trace_windows(
+        &self,
+        insns_per_window: u32,
+        windows: &mut [[u32; CATEGORY_COUNT]],
+    ) {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ u64::from(self.id).wrapping_mul(0xd134_2543_de82_ef95),
         );
         let startup_windows =
-            ((config.windows as f64 * STARTUP_FRACTION).ceil() as usize).min(config.windows);
+            ((windows.len() as f64 * STARTUP_FRACTION).ceil() as usize).min(windows.len());
         let burst = self.class.burstiness();
-        let mut windows = Vec::with_capacity(config.windows);
-        for w in 0..config.windows {
+        for (w, counts) in windows.iter_mut().enumerate() {
             let in_startup = w < startup_windows;
             let mut weights = [0.0f64; CATEGORY_COUNT];
             let mut total = 0.0;
@@ -142,13 +153,10 @@ impl Program {
                 *wt = mean * (burst * gaussian(&mut rng)).exp();
                 total += *wt;
             }
-            let mut counts = [0u32; CATEGORY_COUNT];
             for (count, &wt) in counts.iter_mut().zip(&weights) {
-                *count = ((wt / total) * f64::from(config.insns_per_window)).round() as u32;
+                *count = ((wt / total) * f64::from(insns_per_window)).round() as u32;
             }
-            windows.push(counts);
         }
-        Trace::from_windows(windows)
     }
 }
 
