@@ -9,10 +9,9 @@
 //! yields the untouched network's MSE and the traces and deltas the first
 //! gradient reads. `rprop/1_epoch` adds one epoch (batch gradient, update, and the
 //! forward pass shared by the epoch's MSE and the next gradient), so one
-//! RPROP epoch costs the difference. `sgd/1_epoch` is one incremental epoch:
-//! a forward pass, gradient and update per sample, then the epoch's MSE.
+//! RPROP epoch costs the difference.
 //!
-//! The unsuffixed RPROP entries run on one thread, so they time the
+//! The unsuffixed entries run on one thread, so they time the
 //! sample-blocked forward kernel alone. The `/threads_N` entries split the
 //! forward pass and the gradient across `N` workers, `N` being the
 //! machine's available parallelism (what `train_baseline` uses outside an
@@ -24,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shmd_ann::builder::NetworkBuilder;
 use shmd_ann::network::Network;
-use shmd_ann::train::{RpropTrainer, SgdTrainer, TrainData};
+use shmd_ann::train::{RpropTrainer, TrainData};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 
@@ -75,15 +74,6 @@ fn bench_train(c: &mut Criterion) {
                     })
                 });
             }
-        }
-        if samples == SAMPLES {
-            group.bench_function("sgd/1_epoch", |b| {
-                b.iter(|| {
-                    SgdTrainer::new()
-                        .epochs(1)
-                        .train(&mut net.clone(), black_box(&data))
-                })
-            });
         }
     }
     group.finish();

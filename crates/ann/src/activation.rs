@@ -1,9 +1,7 @@
 //! Neuron activation functions (the FANN subset used by HMDs).
 
-use serde::{Deserialize, Serialize};
-
 /// An activation function applied to a neuron's weighted sum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Identity: `f(x) = x`.
     Linear,

@@ -1,13 +1,12 @@
 //! A fully-connected layer.
 
 use crate::activation::Activation;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer: `out = act(W · [in, 1])`.
 ///
 /// Weights are stored row-major, one row of `in_dim + 1` values per output
 /// neuron; the final column is the bias.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Layer {
     in_dim: usize,
     out_dim: usize,

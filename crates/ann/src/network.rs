@@ -4,7 +4,6 @@
 use crate::activation::Activation;
 use crate::fast_tanh::fast_tanh;
 use crate::layer::Layer;
-use serde::{Deserialize, Serialize};
 use shmd_fixed::{Accumulator, LaneAccumulator, Q16};
 use shmd_volt::fault::{LaneCorruptor, ProductCorruptor};
 
@@ -13,7 +12,7 @@ use shmd_volt::fault::{LaneCorruptor, ProductCorruptor};
 /// Build one with [`crate::builder::NetworkBuilder`]; train it with the
 /// algorithms in [`crate::train`]; deploy it on the fault-injectable
 /// datapath via [`Network::quantized`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Network {
     layers: Vec<Layer>,
 }
@@ -159,7 +158,7 @@ fn row_abs_sums(weights: &[Q16], in_dim: usize, out_dim: usize) -> Vec<u64> {
 }
 
 /// A layer with Q16.16 weights.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct QuantizedLayer {
     in_dim: usize,
     out_dim: usize,
@@ -453,7 +452,7 @@ fn forward_batch_loop<'s, const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
 /// With [`shmd_volt::fault::ExactDatapath`] this reproduces the float
 /// network up to quantisation error; with a
 /// [`shmd_volt::fault::FaultStream`] it becomes the undervolted detector.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedNetwork {
     layers: Vec<QuantizedLayer>,
 }

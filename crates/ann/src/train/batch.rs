@@ -1,8 +1,7 @@
-//! The batch epoch shared by iRPROP− and QAT: a sample-blocked forward
-//! and backward pass and a row-split gradient sum, on one thread or on a
-//! crew of scoped workers that stays up for the whole training run. The
-//! serial sample-blocked MSE pass ([`forward_mse`]) also serves SGD and
-//! [`super::mse`].
+//! The batch epoch of iRPROP−: a sample-blocked forward and backward pass
+//! and a row-split gradient sum, on one thread or on a crew of scoped
+//! workers that stays up for the whole training run. [`super::mse`] is its
+//! forward pass on one thread.
 
 use super::{assert_widths, backprop, for_each_gradient, weights_mut, TrainData};
 use crate::network::Network;
@@ -18,7 +17,7 @@ const BLOCK: usize = 8;
 /// One thread's buffers for a block of [`BLOCK`] samples: lane-major
 /// inputs, targets, trace and deltas.
 #[derive(Debug)]
-pub(super) struct Lanes {
+struct Lanes {
     input: Vec<f32>,
     target: Vec<f32>,
     trace: Vec<f32>,
@@ -26,7 +25,7 @@ pub(super) struct Lanes {
 }
 
 impl Lanes {
-    pub(super) fn new(net: &Network) -> Lanes {
+    fn new(net: &Network) -> Lanes {
         Lanes {
             input: vec![0.0; net.input_dim() * BLOCK],
             target: vec![0.0; net.output_dim() * BLOCK],
@@ -54,40 +53,13 @@ fn from_lanes<T: Copy>(lanes: &[T], samples: &mut [T]) {
     }
 }
 
-/// Forward-traces the samples from `first` on into `traces`, one
-/// [`Network::trace_len`] slot per sample: whole blocks of [`BLOCK`]
-/// through the lane-major kernel, the remainder one at a time. Either way
-/// each trace is bit-identical to its sample's own
-/// [`Network::forward_trace_into`].
-fn trace_samples(
-    net: &Network,
-    data: &TrainData,
-    first: usize,
-    traces: &mut [f32],
-    lanes: &mut Lanes,
-) {
-    let trace_len = net.trace_len();
-    let mut blocks = traces.chunks_exact_mut(BLOCK * trace_len);
-    let mut sample = first;
-    for block in &mut blocks {
-        for lane in 0..BLOCK {
-            to_lane(&mut lanes.input, lane, data.sample(sample + lane).0);
-        }
-        net.forward_trace_lanes::<BLOCK>(&lanes.input, &mut lanes.trace);
-        from_lanes(&lanes.trace, block);
-        sample += BLOCK;
-    }
-    for trace in blocks.into_remainder().chunks_exact_mut(trace_len) {
-        net.forward_trace_into(data.sample(sample).0, trace);
-        sample += 1;
-    }
-}
-
-/// Forward-traces the samples from `first` on into `samples.traces`, as
-/// [`trace_samples`] does, and backpropagates each into its slot of
-/// `samples.deltas`: a block while its lane-major trace is still at hand,
-/// the remainder one at a time. Either way each delta is bit-identical to
-/// its sample's own.
+/// Forward-traces the samples from `first` on into `samples.traces`, one
+/// [`Network::trace_len`] slot per sample, and backpropagates each into
+/// its slot of `samples.deltas`: whole blocks of [`BLOCK`] through the
+/// lane-major kernel, each backpropagated while its lane-major trace is
+/// still at hand, the remainder one at a time. Either way each trace and
+/// delta is bit-identical to its sample's own
+/// [`Network::forward_trace_into`] and [`backprop`].
 fn trace_and_backprop(
     net: &Network,
     data: &TrainData,
@@ -152,25 +124,6 @@ impl SquaredError {
     fn mean(&self) -> f64 {
         self.total / self.count.max(1) as f64
     }
-}
-
-/// Traces every sample at `net`'s weights into `traces`, one
-/// [`Network::trace_len`] slot per sample, on this thread; returns the MSE.
-///
-/// # Panics
-///
-/// Panics if the data's input or target width differs from the network's.
-pub(super) fn forward_mse(
-    net: &Network,
-    data: &TrainData,
-    traces: &mut [f32],
-    lanes: &mut Lanes,
-) -> f64 {
-    assert_widths(net, data);
-    trace_samples(net, data, 0, traces, lanes);
-    let mut error = SquaredError::default();
-    error.add_traces(net, traces, &mut data.iter());
-    error.mean()
 }
 
 /// Splits the network's rows (numbered as in [`for_each_gradient`]) into
@@ -570,7 +523,8 @@ impl BatchPass<'_, '_> {
     /// The batch gradient at the weights of the last
     /// [`BatchPass::forward`], for networks shaped like `net`: each
     /// sample's gradient rounded to f32, summed in f64 in sample order.
-    /// Laid out like [`super::gradients`].
+    /// Laid out like the layers' [`crate::layer::Layer::weights`]
+    /// concatenated, input side first.
     pub(crate) fn gradient(&mut self, net: &Network) -> &[f64] {
         let crew = self.crew;
         crew.step(Step::Gradient, net, &mut self.lanes);
@@ -588,8 +542,8 @@ impl BatchPass<'_, '_> {
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
-    use crate::train::tests::{pinned_net, synthetic};
-    use crate::train::{gradients, QatTrainer, RpropTrainer};
+    use crate::train::tests::{gradients, pinned_net, synthetic};
+    use crate::train::RpropTrainer;
 
     /// Sample counts with no whole block, a block and a remainder, and
     /// many blocks and a remainder.
@@ -686,35 +640,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn qat_matches_the_per_sample_reference_on_a_remainder_count() {
-        use shmd_fixed::Q16;
-        let data = synthetic(13, 6, 7);
-        let start = pinned_net(25);
-        let mut net = start.clone();
-        let mse = QatTrainer::new().epochs(4).fine_tune(&mut net, &data);
-
-        // The same fine-tune, every epoch through `reference_epoch`.
-        let mut reference = start;
-        let mut shadow: Vec<f32> = weights_mut(&mut reference).map(|w| *w).collect();
-        let snap = |net: &mut Network, shadow: &[f32]| {
-            for (w, &s) in weights_mut(net).zip(shadow) {
-                *w = Q16::from_f32(s).to_f32();
-            }
-        };
-        for _ in 0..4 {
-            snap(&mut reference, &shadow);
-            let (_, grad) = reference_epoch(&reference, &data);
-            for (s, &g) in shadow.iter_mut().zip(&grad) {
-                *s -= (0.05 * g / 13.0) as f32;
-            }
-        }
-        snap(&mut reference, &shadow);
-        let (want, _) = reference_epoch(&reference, &data);
-        assert_eq!(weight_bits(&net), weight_bits(&reference));
-        assert_eq!(mse.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! Training algorithms: incremental SGD and batch iRPROP− (FANN's default).
+//! Training: batch iRPROP− (FANN's default algorithm) over a [`TrainData`]
+//! set.
 
 mod batch;
 mod data;
-mod quantaware;
 mod rprop;
-mod sgd;
 
 pub use data::{TrainData, TrainDataError};
-pub use quantaware::QatTrainer;
 pub use rprop::RpropTrainer;
-pub use sgd::SgdTrainer;
 
 use crate::network::Network;
-use batch::{forward_mse, BatchPass, Lanes};
+use batch::BatchPass;
 use std::ops::Range;
 
 /// Backpropagates `B` samples at once: writes the delta of the
@@ -102,27 +99,8 @@ fn for_each_gradient<T>(
     }
 }
 
-/// Writes the per-weight gradients of the half-squared error on one sample
-/// into `grads`: the layers' weights concatenated, input side first, each
-/// laid out like [`crate::layer::Layer::weights`]. `trace` is the sample's
-/// forward trace at the network's current weights (see
-/// [`Network::forward_trace_into`]); `delta` is scratch of
-/// [`Network::trace_len`] values. Allocation-free.
-pub(crate) fn gradients(
-    net: &Network,
-    input: &[f32],
-    trace: &[f32],
-    target: &[f32],
-    grads: &mut [f32],
-    delta: &mut [f64],
-) {
-    backprop::<1>(net, trace, target, delta);
-    for_each_gradient(net, input, trace, delta, 0..trace.len(), grads, |g, v| {
-        *g = v;
-    });
-}
-
-/// Every weight of the network, input side first, in [`gradients`] order.
+/// Every weight of the network: the layers' weights concatenated, input
+/// side first, each laid out like [`crate::layer::Layer::weights`].
 fn weights_mut(net: &mut Network) -> impl Iterator<Item = &mut f32> {
     net.layers_mut()
         .iter_mut()
@@ -141,14 +119,34 @@ fn assert_widths(net: &Network, data: &TrainData) {
 ///
 /// Panics if the data's input or target width differs from the network's.
 pub fn mse(net: &Network, data: &TrainData) -> f64 {
-    let mut traces = vec![0.0; data.len() * net.trace_len()];
-    forward_mse(net, data, &mut traces, &mut Lanes::new(net))
+    BatchPass::run(net, data, 1, |pass| pass.forward(net))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
+
+    /// Writes the per-weight gradients of the half-squared error on one
+    /// sample into `grads`: the layers' weights concatenated, input side
+    /// first, each laid out like [`crate::layer::Layer::weights`]. `trace`
+    /// is the sample's forward trace at the network's current weights (see
+    /// [`Network::forward_trace_into`]); `delta` is scratch of
+    /// [`Network::trace_len`] values. The per-sample reference the batch
+    /// pass is checked against.
+    pub(super) fn gradients(
+        net: &Network,
+        input: &[f32],
+        trace: &[f32],
+        target: &[f32],
+        grads: &mut [f32],
+        delta: &mut [f64],
+    ) {
+        backprop::<1>(net, trace, target, delta);
+        for_each_gradient(net, input, trace, delta, 0..trace.len(), grads, |g, v| {
+            *g = v;
+        });
+    }
 
     fn xor_data() -> TrainData {
         TrainData::new(
@@ -200,19 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_learns_xor() {
-        let mut net = NetworkBuilder::new(2)
-            .hidden(4)
-            .output(1)
-            .seed(7)
-            .build()
-            .unwrap();
-        let data = xor_data();
-        SgdTrainer::new()
-            .epochs(5000)
-            .learning_rate(0.7)
-            .train(&mut net, &data);
-        assert!(mse(&net, &data) < 0.05, "mse = {}", mse(&net, &data));
+    #[should_panic(expected = "input width mismatch")]
+    fn mse_panics_on_an_input_width_mismatch() {
+        let net = NetworkBuilder::new(3).output(1).seed(5).build().unwrap();
+        mse(&net, &xor_data());
     }
 
     #[test]
@@ -267,6 +256,24 @@ mod tests {
             .unwrap()
     }
 
+    /// `mse` and an untrained RPROP run return these bits, captured when
+    /// `mse` still ran a forward-only pass of its own.
+    #[test]
+    fn pinned_mse() {
+        let pins = [
+            (4, 0x3fd2_7d04_1b2d_9894),
+            (13, 0x3fd0_9084_95c0_5db5),
+            (1_203, 0x3fd1_e27e_f334_bce7),
+        ];
+        for (n, want) in pins {
+            let data = synthetic(n, 6, 5);
+            let mut net = pinned_net(24);
+            assert_eq!(mse(&net, &data).to_bits(), want, "mse, {n} samples");
+            let untrained = RpropTrainer::new().epochs(0).train(&mut net, &data);
+            assert_eq!(untrained.to_bits(), want, "0 epochs, {n} samples");
+        }
+    }
+
     // The pinned hashes below were captured before training shared its
     // forward passes between the MSE and the next gradient; any change to
     // the arithmetic or its accumulation order moves them.
@@ -294,46 +301,5 @@ mod tests {
             .train(&mut net, &data);
         assert!(final_mse < 0.01, "mse = {final_mse}");
         assert_eq!(model_hash(&net, final_mse), 934_710_710_726_938_617);
-    }
-
-    #[test]
-    fn pinned_sgd() {
-        let data = synthetic(48, 6, 2);
-        let mut net = pinned_net(22);
-        let final_mse = SgdTrainer::new()
-            .epochs(15)
-            .learning_rate(0.3)
-            .momentum(0.5)
-            .seed(9)
-            .train(&mut net, &data);
-        assert_eq!(model_hash(&net, final_mse), 546_336_021_673_512_753);
-    }
-
-    #[test]
-    fn pinned_qat_fine_tune() {
-        let data = synthetic(48, 6, 3);
-        let mut net = pinned_net(23);
-        RpropTrainer::new().epochs(20).train(&mut net, &data);
-        let final_mse = QatTrainer::new().epochs(6).fine_tune(&mut net, &data);
-        assert_eq!(model_hash(&net, final_mse), 6_010_443_388_064_602_081);
-    }
-
-    #[test]
-    fn rprop_converges_faster_than_sgd_per_epoch() {
-        // Motivation for FANN's default choice on this tiny problem.
-        let data = xor_data();
-        let mut a = NetworkBuilder::new(2)
-            .hidden(4)
-            .output(1)
-            .seed(5)
-            .build()
-            .unwrap();
-        let mut b = a.clone();
-        RpropTrainer::new().epochs(300).train(&mut a, &data);
-        SgdTrainer::new()
-            .epochs(300)
-            .learning_rate(0.3)
-            .train(&mut b, &data);
-        assert!(mse(&a, &data) <= mse(&b, &data) + 0.05);
     }
 }

@@ -8,13 +8,12 @@
 use crate::evasion::EvasionConfig;
 use crate::reverse::{effectiveness, reverse_engineer, ReverseConfig, ReverseError};
 use crate::transfer::{transferability, TransferOutcome, DEFAULT_DETECTION_PERIODS};
-use serde::{Deserialize, Serialize};
 use shmd_workload::dataset::Dataset;
 use stochastic_hmd::detector::Detector;
 use stochastic_hmd::exec::{parallel_map_n, ExecConfig};
 
 /// Which fold the attacker trains the proxy on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackTrainingSet {
     /// The attacker somehow knows the victim's training data — the paper's
     /// stronger scenario (1).
@@ -33,7 +32,7 @@ impl std::fmt::Display for AttackTrainingSet {
 }
 
 /// The result of one full campaign.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttackReport {
     /// The proxy family used (display form: MLP/LR/DT).
     pub proxy: String,

@@ -20,13 +20,12 @@
 //! decision surface, which is what differentiates MLP/LR/DT transfer rates.
 
 use crate::reverse::Proxy;
-use serde::{Deserialize, Serialize};
 use shmd_workload::families::{BenignFamily, ProgramClass};
 use shmd_workload::isa::CATEGORY_COUNT;
 use shmd_workload::trace::Trace;
 
 /// Evasion hyper-parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EvasionConfig {
     /// Injection step, as a fraction of the original trace length.
     pub step_fraction: f64,

@@ -58,11 +58,10 @@ pub use reverse::{reverse_engineer, Proxy, ReverseConfig, ReverseError};
 pub use transfer::{transferability, NoTransferAttempts, TransferOutcome};
 pub use validated::{validated_outcome, ValidatedOutcome, ValidationConfig};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The model family the attacker trains as a proxy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ProxyKind {
     /// Multi-layer perceptron (the strongest proxy in the paper).
     #[default]

@@ -2,7 +2,6 @@
 
 use crate::evasion::{generate_evasive_malware, EvasionConfig};
 use crate::reverse::Proxy;
-use serde::{Deserialize, Serialize};
 use shmd_workload::dataset::Dataset;
 use std::fmt;
 use stochastic_hmd::detector::Detector;
@@ -24,7 +23,7 @@ impl fmt::Display for NoTransferAttempts {
 impl std::error::Error for NoTransferAttempts {}
 
 /// Outcome of a transferability experiment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransferOutcome {
     /// Malware samples the attacker tried to make evasive.
     pub attempted: usize,

@@ -16,13 +16,12 @@
 
 use crate::evasion::{evade, EvasionConfig, EvasiveSample};
 use crate::reverse::Proxy;
-use serde::{Deserialize, Serialize};
 use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
 use stochastic_hmd::detector::Detector;
 
 /// Configuration of the validation loop.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ValidationConfig {
     /// Consecutive benign victim verdicts required to accept a candidate.
     pub required_clean: usize,
@@ -44,7 +43,7 @@ impl Default for ValidationConfig {
 }
 
 /// Outcome of the validated-evasion experiment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ValidatedOutcome {
     /// Malware samples the attacker tried to make evasive.
     pub attempted: usize,

@@ -1,7 +1,6 @@
 //! The unprotected baseline HMD: an MLP over instruction-category features.
 
 use crate::detector::{Detector, Label};
-use serde::{Deserialize, Serialize};
 use shmd_ann::network::{InferenceScratch, Network, QuantizedNetwork};
 use shmd_volt::fault::ExactDatapath;
 use shmd_workload::features::FeatureSpec;
@@ -13,7 +12,7 @@ use shmd_workload::trace::Trace;
 /// datapath — the very same datapath a [`crate::stochastic::StochasticHmd`]
 /// undervolts, so baseline and protected detector differ *only* in supply
 /// voltage, exactly as the paper deploys them.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BaselineHmd {
     name: String,
     spec: FeatureSpec,

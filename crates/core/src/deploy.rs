@@ -18,12 +18,11 @@
 //! The `ablation_policy` bench binary quantifies the trade-off.
 
 use crate::detector::{Detector, Label};
-use serde::{Deserialize, Serialize};
 use shmd_workload::trace::Trace;
 use std::fmt;
 
 /// How per-period verdicts combine into one decision.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DetectionPolicy {
     /// One detection (the paper's evaluation setting).
     #[default]

@@ -1,11 +1,10 @@
 //! The common detector interface.
 
-use serde::{Deserialize, Serialize};
 use shmd_workload::trace::Trace;
 use std::fmt;
 
 /// A detection verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Label {
     /// Classified as a benign program.
     Benign,

@@ -11,7 +11,6 @@ use crate::detector::Detector;
 use crate::exec::{derive_seed, parallel_map_n, ExecConfig};
 use crate::stochastic::StochasticHmd;
 use crate::train::{train_baseline, HmdTrainConfig, TrainHmdError};
-use serde::{Deserialize, Serialize};
 use shmd_ml::metrics::{mean_std, ConfusionMatrix};
 use shmd_volt::fault::{FaultModel, FaultModelError};
 use shmd_workload::dataset::Dataset;
@@ -56,7 +55,7 @@ impl From<FaultModelError> for ExploreError {
 }
 
 /// One row of Figure 2(a): statistics at a single error rate.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepPoint {
     /// The multiplication error rate.
     pub error_rate: f64,
@@ -197,7 +196,7 @@ struct Fold {
 
 /// The Figure 2(b) data: output-score samples per true class at one error
 /// rate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConfidenceDistribution {
     /// The multiplication error rate.
     pub error_rate: f64,

@@ -13,11 +13,10 @@
 //! detector a fresh boundary draw.
 
 use crate::detector::Detector;
-use serde::{Deserialize, Serialize};
 use shmd_workload::trace::Trace;
 
 /// Outcome of monitoring one program's execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MonitorOutcome {
     /// Flagged after this many windows had executed (1-based).
     DetectedAt(usize),
@@ -33,7 +32,7 @@ impl MonitorOutcome {
 }
 
 /// Result of a monitoring session over many programs.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MonitorReport {
     /// Programs flagged, with their detection window.
     pub detected: Vec<(usize, usize)>,

@@ -15,7 +15,6 @@ use crate::detector::Detector;
 use crate::train::{train_baseline, HmdTrainConfig, TrainHmdError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use shmd_ml::anomaly::{AnomalyConfig, AnomalyScorer};
 use shmd_workload::dataset::Dataset;
 use shmd_workload::features::{DetectionPeriod, FeatureKind, FeatureSpec};
@@ -23,7 +22,7 @@ use shmd_workload::trace::Trace;
 use std::fmt;
 
 /// The four RHMD constructions evaluated by the paper (§VII-C).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RhmdConstruction {
     /// Two feature vectors, one detection period.
     TwoFeatures,

@@ -7,12 +7,11 @@
 //! detectors, whose ROC is itself an expectation over fault draws.
 
 use crate::detector::Detector;
-use serde::{Deserialize, Serialize};
 use shmd_workload::dataset::Dataset;
 use std::fmt;
 
 /// One operating point of a ROC curve.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RocPoint {
     /// Score threshold producing this point.
     pub threshold: f64,
@@ -40,7 +39,7 @@ impl fmt::Display for RocError {
 impl std::error::Error for RocError {}
 
 /// A ROC curve: points sorted by increasing FPR.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RocCurve {
     points: Vec<RocPoint>,
 }

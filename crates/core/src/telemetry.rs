@@ -28,7 +28,6 @@
 
 use crate::json;
 use crate::supervisor::ShardHealth;
-use serde::{Deserialize, Serialize};
 use shmd_volt::fault::{FaultStats, FaultTally};
 use std::fmt;
 
@@ -36,7 +35,7 @@ use std::fmt;
 pub const HISTOGRAM_BINS: usize = 20;
 
 /// A fixed-bin histogram of detection scores in `[0, 1]`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScoreHistogram {
     counts: [u64; HISTOGRAM_BINS],
 }
@@ -93,7 +92,7 @@ impl Default for ScoreHistogram {
 ///
 /// The serving layer cares about rates, not the 64-entry per-bit profile,
 /// so only the totals travel in a snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Total multiplications processed.
     pub multiplies: u64,
@@ -140,7 +139,7 @@ impl FaultCounters {
 }
 
 /// One shard's telemetry: a replica's counters and degradation state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardReport {
     /// Shard index within the service.
     pub shard: usize,
@@ -190,7 +189,7 @@ pub struct ShardReport {
 }
 
 /// A serialisable snapshot of the whole monitoring service.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TelemetrySnapshot {
     /// The service's master seed.
     pub seed: u64,

@@ -3,7 +3,6 @@
 use crate::baseline::BaselineHmd;
 use crate::detector::Detector;
 use crate::exec::ExecConfig;
-use serde::{Deserialize, Serialize};
 use shmd_ann::builder::{BuildNetworkError, NetworkBuilder};
 use shmd_ann::train::{RpropTrainer, TrainData, TrainDataError};
 use shmd_ml::metrics::ConfusionMatrix;
@@ -44,7 +43,7 @@ impl From<BuildNetworkError> for TrainHmdError {
 }
 
 /// HMD training hyper-parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HmdTrainConfig {
     /// Hidden-layer width of the MLP.
     pub hidden: usize,

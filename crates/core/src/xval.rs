@@ -8,12 +8,11 @@
 use crate::detector::Detector;
 use crate::exec::{parallel_map_n, ExecConfig};
 use crate::train::TrainHmdError;
-use serde::{Deserialize, Serialize};
 use shmd_ml::metrics::{mean_std, ConfusionMatrix};
 use shmd_workload::dataset::{Dataset, ThreeFoldSplit};
 
 /// Aggregated cross-validation metrics (mean ± std across folds × reps).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct XvalSummary {
     /// Mean detection accuracy.
     pub accuracy_mean: f64,

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -42,7 +41,7 @@ pub const PRODUCT_FRAC_BITS: u32 = 32;
 /// The representable range is roughly `[-32768, 32768)` with a resolution of
 /// `2^-16 ≈ 1.5e-5`, which comfortably covers neural-network weights and
 /// activations after input normalisation.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Q16(i32);
 
 impl Q16 {

@@ -13,10 +13,9 @@ use crate::tree::{DecisionTree, TreeConfig};
 use crate::{validate, FitError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for random-forest training.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ForestConfig {
     /// Number of bootstrap trees.
     pub trees: usize,
@@ -40,13 +39,13 @@ impl Default for ForestConfig {
 }
 
 /// A fitted random forest.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RandomForest {
     members: Vec<ForestMember>,
     width: usize,
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct ForestMember {
     /// Which input columns this tree consumes.
     features: Vec<usize>,

@@ -1,10 +1,9 @@
 //! Logistic regression — the paper's "simple" attacker proxy model.
 
 use crate::{validate, FitError};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for logistic-regression training.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogisticConfig {
     /// Gradient-descent learning rate.
     pub learning_rate: f64,
@@ -27,7 +26,7 @@ impl Default for LogisticConfig {
 /// A fitted logistic-regression model.
 ///
 /// Scores are `P(malware | x) = σ(w·x + b)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,

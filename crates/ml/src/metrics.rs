@@ -4,11 +4,10 @@
 //! a benign program flagged as malware and a false negative is a missed
 //! malware — matching the paper's FPR/FNR in Figure 2(a).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 2×2 confusion matrix for malware (positive) vs benign (negative).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Malware classified as malware.
     pub true_positives: u64,

@@ -5,7 +5,6 @@
 //! the attacker-training fold and applied to everything after — fitting it
 //! on test data would leak.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error fitting a [`StandardScaler`].
@@ -29,7 +28,7 @@ impl fmt::Display for FitScalerError {
 impl std::error::Error for FitScalerError {}
 
 /// Per-column mean/std standardiser.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

@@ -6,10 +6,9 @@
 //! framework must use search-based (greedy) evasion against it.
 
 use crate::{validate, FitError};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for decision-tree training.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -26,7 +25,7 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 enum Node {
     Leaf {
         malware_fraction: f64,
@@ -40,7 +39,7 @@ enum Node {
 }
 
 /// A fitted CART decision tree.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecisionTree {
     root: Node,
     width: usize,

@@ -9,12 +9,11 @@
 
 use crate::cmos::{CmosPowerModel, PowerScope};
 use crate::latency::LatencyModel;
-use serde::{Deserialize, Serialize};
 use shmd_volt::voltage::Volts;
 use std::fmt;
 
 /// An always-on detection duty cycle on a battery-powered device.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DetectionDutyCycle {
     /// Detections per second while the device is awake.
     pub detections_per_second: f64,
@@ -54,7 +53,7 @@ impl Default for DetectionDutyCycle {
 }
 
 /// Battery-life model around the calibrated power/latency figures.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatteryModel {
     /// Battery capacity in joules (e.g. a 1.1 Wh watch battery ≈ 4000 J).
     pub capacity_j: f64,

@@ -8,11 +8,10 @@
 //! core power, while the paper's "~15% savings" trade-off statement is a
 //! package-level number.
 
-use serde::{Deserialize, Serialize};
 use shmd_volt::voltage::{Volts, NOMINAL_CORE_VOLTAGE};
 
 /// Which power domain a query refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PowerScope {
     /// The undervolted CPU core only (Figure 7's measurements).
     Core,
@@ -21,7 +20,7 @@ pub enum PowerScope {
 }
 
 /// A calibrated CMOS power model of the detection core.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CmosPowerModel {
     /// Core power at nominal voltage, watts.
     core_power_nominal_w: f64,

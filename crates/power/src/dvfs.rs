@@ -11,11 +11,10 @@
 
 use crate::cmos::CmosPowerModel;
 use crate::latency::LatencyModel;
-use serde::{Deserialize, Serialize};
 use shmd_volt::voltage::{Volts, NOMINAL_CORE_VOLTAGE};
 
 /// An operating point: supply voltage and clock frequency.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OperatingPoint {
     /// Core supply voltage.
     pub vdd: Volts,
@@ -24,7 +23,7 @@ pub struct OperatingPoint {
 }
 
 /// What one strategy delivers for a detection workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StrategyOutcome {
     /// Core power, watts.
     pub power_w: f64,
@@ -35,7 +34,7 @@ pub struct StrategyOutcome {
 }
 
 /// Compares undervolting against DVFS for the detection core.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DvfsComparison {
     power: CmosPowerModel,
     latency: LatencyModel,

@@ -6,11 +6,10 @@
 //! evictions); undervolting costs nothing because the clock frequency is
 //! unchanged.
 
-use serde::{Deserialize, Serialize};
 use shmd_volt::voltage::Volts;
 
 /// Latency model of one detection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyModel {
     /// Time per multiply–accumulate, nanoseconds.
     mac_time_ns: f64,

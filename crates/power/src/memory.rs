@@ -5,8 +5,6 @@
 //! more than twice the 32 KB L1 data cache of contemporary cores, so every
 //! extra base detector costs cache pressure too.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's per-detector model size in bytes.
 pub const PAPER_DETECTOR_BYTES: usize = 71 * 1024;
 
@@ -28,7 +26,7 @@ pub fn storage_savings(base_detectors: usize) -> f64 {
 }
 
 /// Memory footprint of an HMD deployment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryModel {
     /// Bytes per stored detector model.
     pub detector_bytes: usize,

@@ -7,11 +7,10 @@
 //! cites) still adds ≈4× and ≈5.7×. Undervolting adds zero of either —
 //! the noise source *is* the datapath.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where the injected randomness comes from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NoiseSource {
     /// Undervolting: the stochastic datapath itself (no per-MAC query).
     Undervolting,
@@ -32,7 +31,7 @@ impl fmt::Display for NoiseSource {
 }
 
 /// Per-MAC cost model of noise injection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RngCostModel {
     /// Effective cycles per MAC in the dense inference loop.
     mac_cycles: f64,

@@ -1,10 +1,10 @@
-//! Offline stand-in for `serde`.
+//! Offline stand-in for `serde`, kept only for its lockfile entry.
 //!
-//! The workspace uses serde only for `#[derive(Serialize, Deserialize)]`
-//! annotations on report/data types — nothing actually serializes today,
-//! and the build environment cannot reach crates.io. These derives expand
-//! to nothing, keeping every annotation compiling (and documenting intent)
-//! until real serialization lands with a vendored serde.
+//! Nothing in the workspace derives or imports serde any more, and these
+//! derives expand to nothing. The crate and the `serde` entries in the
+//! Cargo manifests stay only because the benchmark's lockfile
+//! (`perfbench/Cargo.lock`) lists it; the change that next updates that
+//! lockfile removes the crate together with its entry there.
 
 use proc_macro::TokenStream;
 

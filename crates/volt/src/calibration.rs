@@ -14,7 +14,6 @@ use crate::multiplier::{MultiplierTimingModel, FREEZE_ERROR_RATE, OBSERVABLE_P};
 use crate::voltage::{Millivolts, Volts, NOMINAL_CORE_VOLTAGE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Deepest offset the calibration sweep explores.
@@ -25,7 +24,7 @@ pub const SWEEP_LIMIT_MV: i32 = -200;
 /// Two devices with different seeds model two different chips of the same
 /// SKU; their first-fault and freeze offsets differ by a few millivolts,
 /// which is why calibration is per-device.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device identifier.
     pub name: String,
@@ -87,7 +86,7 @@ impl Default for DeviceProfile {
 }
 
 /// One measured point of a calibration sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CalibrationPoint {
     /// Undervolt offset.
     pub offset: Millivolts,
@@ -131,7 +130,7 @@ impl std::error::Error for CalibrationError {}
 
 /// The result of calibrating one device: offset ↔ error-rate mapping plus
 /// the first-fault and freeze offsets.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CalibrationCurve {
     device: String,
     points: Vec<CalibrationPoint>,

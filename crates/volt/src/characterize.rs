@@ -11,11 +11,10 @@ use crate::multiplier::{AluTimingModel, MultiplierTimingModel, FREEZE_ERROR_RATE
 use crate::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The instruction classes the paper characterised.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InstructionKind {
     /// 64-bit integer multiplication (the only faulting class).
     Multiply,
@@ -49,7 +48,7 @@ impl fmt::Display for InstructionKind {
 }
 
 /// How a per-instruction undervolting sweep ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepOutcome {
     /// A computational fault was first observed at this offset.
     FaultAt(Millivolts),
@@ -59,7 +58,7 @@ pub enum SweepOutcome {
 }
 
 /// One instruction class's sweep result.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepResult {
     /// The instruction class swept.
     pub kind: InstructionKind,
@@ -70,7 +69,7 @@ pub struct SweepResult {
 }
 
 /// Configuration of a characterisation sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Repetitions of the instruction at each voltage step.
     pub reps_per_step: u32,

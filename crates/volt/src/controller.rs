@@ -13,10 +13,9 @@
 
 use crate::calibration::{CalibrationCurve, CalibrationError, Calibrator, DeviceProfile};
 use crate::voltage::{Millivolts, MsrVoltageCommand, VoltagePlane};
-use serde::{Deserialize, Serialize};
 
 /// Controller policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControllerConfig {
     /// The multiplication error rate the defense wants to hold.
     pub target_error_rate: f64,
@@ -38,7 +37,7 @@ impl Default for ControllerConfig {
 }
 
 /// What a temperature observation caused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControllerAction {
     /// Temperature within threshold; offset unchanged.
     Unchanged,
@@ -70,7 +69,7 @@ pub enum ControllerAction {
 /// [`AdaptiveVoltageController::restore_state`] re-derives the rest
 /// bit-identically. The offset is carried anyway so a restore path can
 /// verify the re-derivation against what the checkpoint recorded.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControllerState {
     /// The temperature of the last calibration, °C.
     pub calibrated_at_c: f64,

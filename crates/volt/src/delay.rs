@@ -20,7 +20,6 @@
 //! temperature-aware calibration.
 
 use crate::voltage::{Volts, NOMINAL_CORE_VOLTAGE};
-use serde::{Deserialize, Serialize};
 
 /// Default threshold voltage for the modelled Broadwell-class core.
 pub const DEFAULT_VTH: Volts = Volts(0.35);
@@ -50,7 +49,7 @@ pub const REFERENCE_TEMP_C: f64 = 25.0;
 /// let slow = model.relative_delay(NOMINAL_CORE_VOLTAGE.with_offset(Millivolts::new(-130)));
 /// assert!(slow > 1.05 && slow < 1.20, "≈11% stretch at −130 mV, got {slow}");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelayModel {
     vdd_nominal: Volts,
     vth_at_ref: Volts,

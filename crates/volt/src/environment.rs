@@ -22,10 +22,9 @@
 use crate::calibration::{DeviceProfile, SWEEP_LIMIT_MV};
 use crate::multiplier::FREEZE_ERROR_RATE;
 use crate::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`ThermalEnvironment`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnvironmentConfig {
     /// Baseline ambient die temperature, °C.
     pub base_temp_c: f64,
@@ -132,7 +131,7 @@ const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 /// `temperature_at(t)` = base + ambient triangle drift + exponential
 /// load-heating ramp + seeded per-step noise. No wall-clock anywhere, so
 /// a replay from the same configuration is bit-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ThermalEnvironment {
     config: EnvironmentConfig,
 }

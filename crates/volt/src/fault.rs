@@ -15,7 +15,6 @@ use crate::multiplier::{BitErrorProfile, MultiplierTimingModel, OUTPUT_BITS};
 use crate::voltage::Volts;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -76,7 +75,7 @@ impl std::error::Error for FaultModelError {}
 /// event law samples from. Every uniform test of the event law is made on
 /// the draw's 53-bit mantissa against an integer cut (see `cut_le`), which
 /// decides exactly what the `f64` comparison it replaces decides.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultModel {
     error_rate: f64,
     /// `(bit index, flip probability)` for bits with non-zero weight.
@@ -600,7 +599,7 @@ impl Default for FaultModel {
 /// derived table. Produced by [`FaultModel::export_state`], consumed by
 /// [`FaultModel::from_state`]; the checkpoint codec serialises this
 /// instead of the (much larger, fully recomputable) model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultModelState {
     /// Effective error rate (already clamped to the model's maximum).
     pub error_rate: f64,
@@ -616,7 +615,7 @@ pub struct FaultModelState {
 
 /// Statistics accumulated by a [`FaultStream`], sufficient to regenerate
 /// the paper's Figure 1.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Total multiplications processed.
     pub multiplies: u64,

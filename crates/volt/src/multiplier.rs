@@ -33,7 +33,6 @@
 use crate::delay::DelayModel;
 use crate::math::normal_cdf;
 use crate::voltage::{Millivolts, Volts, NOMINAL_CORE_VOLTAGE};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Width of the modelled multiplier output in bits.
@@ -57,7 +56,7 @@ pub const FREEZE_ERROR_RATE: f64 = 0.5;
 /// Weights are non-negative; the sign bit and the 8 LSBs are structurally
 /// zero. Use [`BitErrorProfile::fig1`] for the distribution calibrated to
 /// the paper's Figure 1 measurement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BitErrorProfile {
     weights: Vec<f64>,
 }
@@ -172,7 +171,7 @@ impl Default for BitErrorProfile {
 }
 
 /// Timing model of the 64-bit multiplier under undervolting.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MultiplierTimingModel {
     delay: DelayModel,
     clock_ghz: f64,
@@ -346,7 +345,7 @@ fn scan_first_crossing(crossed: impl Fn(i32) -> bool) -> Millivolts {
 /// the system still runs it never violates timing — the paper "tried
 /// undervolting addition, subtraction, and bit-wise operations, but no
 /// faults were observed".
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AluTimingModel {
     multiplier: MultiplierTimingModel,
     depth_ratio: f64,

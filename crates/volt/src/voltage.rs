@@ -6,14 +6,13 @@
 //! deployment of Stochastic-HMDs could drive real hardware with values
 //! produced by this crate's calibration flow.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The nominal core supply voltage of the paper's i7-5557U at 2.2 GHz.
 pub const NOMINAL_CORE_VOLTAGE: Volts = Volts(1.18);
 
 /// A supply voltage in volts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]
 pub struct Volts(pub f64);
 
 impl Volts {
@@ -45,9 +44,7 @@ impl fmt::Display for Volts {
 }
 
 /// A voltage offset in millivolts. Negative values undervolt.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Millivolts(i32);
 
 impl Millivolts {
@@ -86,7 +83,7 @@ impl From<i32> for Millivolts {
 ///
 /// The paper sets the plane index to 0 (the CPU core plane) "to scale the
 /// core's voltage exclusively".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum VoltagePlane {
     /// CPU core plane (index 0) — the plane the paper undervolts.
@@ -170,7 +167,7 @@ impl std::error::Error for ParseMsrCommandError {}
 /// bit 36        : 1 = write, 0 = read
 /// bits 21..=31  : signed offset in units of 1/1.024 mV (1024 steps per volt)
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MsrVoltageCommand {
     plane: VoltagePlane,
     offset: Millivolts,

@@ -14,7 +14,6 @@ use crate::trace::{Trace, TraceConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Fewest programs worth a worker of their own when generating a corpus.
@@ -24,7 +23,7 @@ use std::sync::Mutex;
 const MIN_PROGRAMS_PER_WORKER: usize = 64;
 
 /// Shape of a generated dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DatasetConfig {
     /// Total malware samples (spread evenly over the five families).
     pub malware_count: usize,
@@ -87,7 +86,7 @@ impl LabeledFeatures {
 ///
 /// `rotation` (0–2) cycles which fold plays which role, implementing the
 /// paper's 3-fold cross-validation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreeFoldSplit {
     folds: [Vec<usize>; 3],
     rotation: usize,

@@ -10,11 +10,10 @@
 //! paper's detector/attack dynamics.
 
 use crate::isa::CATEGORY_COUNT;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five malware types of the paper's dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MalwareFamily {
     /// Remote-access backdoors.
     Backdoor,
@@ -53,7 +52,7 @@ impl fmt::Display for MalwareFamily {
 }
 
 /// The benign application classes of the paper's dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BenignFamily {
     /// Web browsers.
     Browser,
@@ -88,7 +87,7 @@ impl fmt::Display for BenignFamily {
 }
 
 /// A program's class: benign application or malware of some family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProgramClass {
     /// A benign application.
     Benign(BenignFamily),

@@ -8,14 +8,13 @@
 
 use crate::isa::CATEGORY_COUNT;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Width of every feature vector (one slot per instruction category).
 pub const FEATURE_DIM: usize = CATEGORY_COUNT;
 
 /// The family of statistic a feature vector captures.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum FeatureKind {
     /// Mean per-category instruction frequency (the paper's primary
     /// feature vector).
@@ -50,7 +49,7 @@ impl fmt::Display for FeatureKind {
 
 /// How many windows apart consecutive feature samples are taken
 /// (RHMD's "detection period" axis of diversity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DetectionPeriod(usize);
 
 impl DetectionPeriod {
@@ -83,7 +82,7 @@ impl Default for DetectionPeriod {
 }
 
 /// A complete feature-vector specification: kind × detection period.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FeatureSpec {
     /// The statistic family.
     pub kind: FeatureKind,

@@ -4,11 +4,10 @@
 //! Intel's sub-grouping of instructions, e.g., binary arithmetic, control
 //! transfer, and system instructions sub-groups".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An instruction category (Intel SDM sub-group granularity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum InsnCategory {
     /// ADD/SUB/MUL/DIV and friends.

@@ -5,7 +5,6 @@ use crate::isa::{InsnCategory, CATEGORY_COUNT};
 use crate::trace::{Trace, TraceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Log-normal spread of per-program profiles around the family base.
 const PROGRAM_PROFILE_SIGMA: f64 = 0.30;
@@ -25,7 +24,7 @@ pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
 /// The program's behaviour profile is its family's base instruction mix
 /// perturbed log-normally per sample, so two trojans resemble each other
 /// more than a trojan resembles a browser, without being identical.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     id: u32,
     class: ProgramClass,

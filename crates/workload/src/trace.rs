@@ -1,10 +1,9 @@
 //! Execution traces: per-window instruction-category counts.
 
 use crate::isa::CATEGORY_COUNT;
-use serde::{Deserialize, Serialize};
 
 /// Sampling interval structure of a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Number of detection windows per trace.
     pub windows: usize,
@@ -23,7 +22,7 @@ impl Default for TraceConfig {
 
 /// An instruction-category count trace: one count vector per detection
 /// window — the raw material every feature extractor consumes.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Trace {
     windows: Vec<[u32; CATEGORY_COUNT]>,
 }
