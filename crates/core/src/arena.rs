@@ -67,11 +67,6 @@ impl ArenaOracle {
         &mut self.service
     }
 
-    /// Releases the service.
-    pub fn into_service(self) -> MonitoringService {
-        self.service
-    }
-
     /// Issues one query through the live serving path and returns the
     /// full verdict (disposition and confidence included).
     pub fn query(&mut self, trace: &Trace) -> Verdict {

@@ -73,11 +73,6 @@ impl CoreVoltageState {
         }
     }
 
-    /// The offset currently applied to the core, in mV.
-    pub fn current_offset(&self) -> Millivolts {
-        Millivolts::new(self.offset.get())
-    }
-
     /// `true` when the core sits at nominal voltage.
     pub fn is_nominal(&self) -> bool {
         self.offset.get() == 0

@@ -207,11 +207,6 @@ pub struct ConfidenceDistribution {
 }
 
 impl ConfidenceDistribution {
-    /// `(mean, std)` of the benign-sample scores.
-    pub fn benign_summary(&self) -> (f64, f64) {
-        mean_std(&self.benign_scores)
-    }
-
     /// `(mean, std)` of the malware-sample scores.
     pub fn malware_summary(&self) -> (f64, f64) {
         mean_std(&self.malware_scores)

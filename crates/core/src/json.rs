@@ -1,7 +1,8 @@
 //! The JSON reader and writer shared by the telemetry snapshot and the
 //! bench documents. [`document`] owns the layout every one of them uses;
 //! callers name a key, a typed value and, for a float, its precision.
-//! [`parse`] reads the documents back.
+//! [`parse`] reads a document back as a [`Value`] tree; the bench
+//! binaries' `--check` gate compares two such trees.
 
 use std::fmt::{self, Write};
 
@@ -234,69 +235,6 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object's fields, in document order.
     Obj(Vec<(String, Value)>),
-}
-
-pub(crate) struct Object<'a>(&'a [(String, Value)]);
-
-impl<'a> Object<'a> {
-    pub(crate) fn field(&self, name: &str) -> Result<&'a Value, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {name}"))
-    }
-}
-
-impl Value {
-    pub(crate) fn as_object(&self, what: &str) -> Result<Object<'_>, String> {
-        match self {
-            Value::Obj(fields) => Ok(Object(fields)),
-            _ => Err(format!("{what} is not an object")),
-        }
-    }
-
-    pub(crate) fn as_array(&self, what: &str) -> Result<&[Value], String> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            _ => Err(format!("{what} is not an array")),
-        }
-    }
-
-    pub(crate) fn as_bool(&self, what: &str) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(format!("{what} is not a boolean")),
-        }
-    }
-
-    pub(crate) fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err(format!("{what} is not a string")),
-        }
-    }
-
-    /// Accepts either a bare integer or a decimal string (the form
-    /// used for quantities that can exceed 2⁵³).
-    pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Value::Int(n) => Ok(*n),
-            Value::Str(s) => s
-                .parse::<u64>()
-                .map_err(|_| format!("{what} is not a u64: {s:?}")),
-            _ => Err(format!("{what} is not an integer")),
-        }
-    }
-
-    /// Accepts any JSON number.
-    pub(crate) fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Value::Int(n) => Ok(*n as f64),
-            Value::Float(x) => Ok(*x),
-            _ => Err(format!("{what} is not a number")),
-        }
-    }
 }
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The documents
@@ -622,12 +560,10 @@ mod tests {
             ("2.5E-2", 0.025),
             ("-7", -7.0),
         ] {
-            let v = parse(text).expect("parses");
-            assert_eq!(v.as_f64("n").unwrap(), want, "{text}");
+            assert_eq!(parse(text), Ok(Value::Float(want)), "{text}");
         }
         // Integers that fit u64 stay integer-exact.
-        let v = parse("18446744073709551615").expect("parses");
-        assert_eq!(v.as_u64("n").unwrap(), u64::MAX);
+        assert_eq!(parse("18446744073709551615"), Ok(Value::Int(u64::MAX)));
         for bad in ["-", "1.", ".5", "1e", "1e+", "--1", "1.2.3"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -635,22 +571,21 @@ mod tests {
 
     #[test]
     fn parser_accepts_standard_string_escapes() {
-        // A standard JSON library re-emitting a snapshot may use any of
-        // the short escape forms; from_json must read them all.
-        let value = parse(r#""a\tb\rc\nd\be\ff\/g\"h\\i""#).expect("parses");
+        // A standard JSON library re-emitting a document may use any of
+        // the short escape forms; the parser must read them all.
+        let string = |s: &str| Ok(Value::Str(s.to_string()));
         assert_eq!(
-            value.as_str("s").unwrap(),
-            "a\tb\rc\nd\u{0008}e\u{000c}f/g\"h\\i"
+            parse(r#""a\tb\rc\nd\be\ff\/g\"h\\i""#),
+            string("a\tb\rc\nd\u{0008}e\u{000c}f/g\"h\\i")
         );
         // A long string mixing multi-byte characters with escapes: each
         // run between escapes is copied whole, so this stays linear.
         let piece = r#"é ✓ 😀\"\n\u00e9"#;
         let text = format!("\"{}\"", piece.repeat(20_000));
         let want = "é ✓ 😀\"\né".repeat(20_000);
-        assert_eq!(parse(&text).expect("parses").as_str("s").unwrap(), want);
+        assert_eq!(parse(&text), string(&want));
         let accents = "é".repeat(80_000);
-        let value = parse(&format!("\"{accents}\"")).expect("parses");
-        assert_eq!(value.as_str("s").unwrap(), accents);
+        assert_eq!(parse(&format!("\"{accents}\"")), string(&accents));
     }
 
     #[test]
@@ -672,6 +607,23 @@ mod tests {
     }
 
     #[test]
+    fn parser_rejects_truncated_and_trailing_input() {
+        for bad in [
+            "",
+            "{",
+            "[1, 2",
+            "nonsense",
+            "NaN",
+            "{\"seed\": 1} trailing",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ParseError::Syntax { .. })),
+                "accepted {bad:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parser_bounds_nesting_depth() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
@@ -684,8 +636,7 @@ mod tests {
     fn parser_decodes_surrogate_pairs() {
         // U+1F600 as a standard JSON library escapes it: "\ud83d\ude00".
         let text = "\"pre \\ud83d\\ude00 post\"";
-        let value = parse(text).expect("parses");
-        assert_eq!(value.as_str("s").unwrap(), "pre \u{1f600} post");
+        assert_eq!(parse(text), Ok(Value::Str("pre \u{1f600} post".into())));
     }
 
     #[test]
@@ -721,8 +672,10 @@ mod tests {
         }
         // Escaped, the same characters are fine, and U+007F is not a
         // control character to JSON.
-        let value = parse("\"a\\nb\\u001f\u{7f}\"").expect("parses");
-        assert_eq!(value.as_str("s").unwrap(), "a\nb\u{1f}\u{7f}");
+        assert_eq!(
+            parse("\"a\\nb\\u001f\u{7f}\""),
+            Ok(Value::Str("a\nb\u{1f}\u{7f}".into()))
+        );
     }
 
     #[test]
@@ -734,7 +687,7 @@ mod tests {
         assert_eq!(parse(&huge), Err(ParseError::OutOfRange { at: 0 }));
         // Underflow to zero loses nothing a writer could have produced.
         for (text, want) in [("1e-400", 0.0), ("1.7976931348623157e308", f64::MAX)] {
-            assert_eq!(parse(text).unwrap().as_f64("n").unwrap(), want, "{text}");
+            assert_eq!(parse(text), Ok(Value::Float(want)), "{text}");
         }
     }
 }

@@ -13,8 +13,7 @@
 //!   only a supply-voltage offset;
 //! - [`rhmd::Rhmd`] — the state-of-the-art comparison defense (RHMD,
 //!   MICRO 2017): random switching among diverse base detectors;
-//! - [`train`] — training pipelines and the 3-fold cross-validation
-//!   harness;
+//! - [`train`] — the training pipeline and per-fold evaluation;
 //! - [`explore`] — the §VI space exploration: accuracy and
 //!   confidence-distribution sweeps over the error rate;
 //! - [`exec`] — the deterministic parallel experiment engine: fans task
@@ -28,8 +27,8 @@
 //!   health states, a delivered-error-rate watchdog, seeded chaos plans,
 //!   and deterministic recovery schedules;
 //! - [`telemetry`] — the serving layer's export surface: per-shard
-//!   counters, score histograms, fault statistics, and a JSON-round-trip
-//!   snapshot;
+//!   counters, score histograms, fault statistics, and a snapshot
+//!   exported as JSON;
 //! - [`json`] — the JSON reader and float/string writing rules shared by
 //!   the telemetry snapshot and the bench documents;
 //! - [`checkpoint`] — crash consistency: versioned binary service
@@ -93,7 +92,6 @@ pub mod supervisor;
 pub mod telemetry;
 pub mod train;
 pub mod wire;
-pub mod xval;
 
 /// The deterministic parallel experiment engine, defined in
 /// [`shmd_workload`] so that corpus generation can run on it too.
@@ -123,12 +121,9 @@ pub use stochastic::StochasticHmd;
 pub use supervisor::{
     ChaosEvent, ChaosPlan, ShardHealth, SupervisionRecord, Supervisor, SupervisorConfig,
 };
-pub use telemetry::{
-    FaultCounters, ScoreHistogram, ShardReport, TelemetryParseError, TelemetrySnapshot,
-};
+pub use telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
 pub use train::{train_baseline, HmdTrainConfig, TrainHmdError};
 pub use wire::{
     decode_frame, encode_frame, Frame, RejectCode, WireError, DEFAULT_MAX_FRAME_BYTES,
     FRAME_OVERHEAD, WIRE_MAGIC, WIRE_VERSION,
 };
-pub use xval::{cross_validate, XvalSummary};

@@ -119,19 +119,6 @@ impl ShardHealth {
             ShardHealth::Degraded => "degraded",
         }
     }
-
-    /// Parses the form produced by [`ShardHealth::as_str`].
-    pub fn parse(s: &str) -> Option<ShardHealth> {
-        Some(match s {
-            "healthy" => ShardHealth::Healthy,
-            "drifting" => ShardHealth::Drifting,
-            "crashed" => ShardHealth::Crashed,
-            "quarantined" => ShardHealth::Quarantined,
-            "recovering" => ShardHealth::Recovering,
-            "degraded" => ShardHealth::Degraded,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for ShardHealth {
@@ -973,21 +960,6 @@ impl Supervisor {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn health_names_round_trip() {
-        for h in [
-            ShardHealth::Healthy,
-            ShardHealth::Drifting,
-            ShardHealth::Crashed,
-            ShardHealth::Quarantined,
-            ShardHealth::Recovering,
-            ShardHealth::Degraded,
-        ] {
-            assert_eq!(ShardHealth::parse(h.as_str()), Some(h));
-        }
-        assert_eq!(ShardHealth::parse("zombie"), None);
-    }
 
     #[test]
     fn serving_set_excludes_crashed_and_quarantined() {

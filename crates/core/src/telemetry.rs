@@ -12,9 +12,9 @@
 //! - [`ShardReport`] — one replica's counters: queries, flags, fault
 //!   counts folded from its per-query fault streams, and its degradation
 //!   state;
-//! - [`TelemetrySnapshot`] — the service-wide report, serialisable to
-//!   JSON and parseable back ([`TelemetrySnapshot::to_json`] /
-//!   [`TelemetrySnapshot::from_json`]).
+//! - [`TelemetrySnapshot`] — the service-wide report, exported as JSON
+//!   ([`TelemetrySnapshot::to_json`]) for an operator's dashboard; the
+//!   service itself never reads a snapshot back.
 //!
 //! Everything in a snapshot except [`TelemetrySnapshot::batch_latency_micros`]
 //! is a deterministic function of the seed and the query stream;
@@ -22,14 +22,13 @@
 //! runs can be compared bit-for-bit (the `serve_bench` binary asserts this
 //! across thread counts).
 //!
-//! The JSON codec sits on [`crate::json`]; 64-bit quantities that can
-//! exceed 2⁵³ (derived seeds, checksums) are emitted as decimal strings to
-//! stay integer-exact in any reader.
+//! The JSON writer is [`crate::json::document`]; 64-bit quantities that
+//! can exceed 2⁵³ (derived seeds, checksums) are emitted as decimal
+//! strings to stay integer-exact in any reader.
 
 use crate::json;
 use crate::supervisor::ShardHealth;
 use shmd_volt::fault::{FaultStats, FaultTally};
-use std::fmt;
 
 /// Number of bins in a [`ScoreHistogram`] (scores span `[0, 1]`).
 pub const HISTOGRAM_BINS: usize = 20;
@@ -233,24 +232,6 @@ pub struct TelemetrySnapshot {
     pub batch_latency_micros: Vec<u64>,
 }
 
-/// Error parsing a snapshot from JSON.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TelemetryParseError(String);
-
-impl fmt::Display for TelemetryParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed telemetry snapshot: {}", self.0)
-    }
-}
-
-impl std::error::Error for TelemetryParseError {}
-
-impl From<String> for TelemetryParseError {
-    fn from(message: String) -> TelemetryParseError {
-        TelemetryParseError(message)
-    }
-}
-
 impl TelemetrySnapshot {
     /// Shards currently serving degraded (baseline fallback).
     pub fn degraded_shards(&self) -> usize {
@@ -367,129 +348,6 @@ impl TelemetrySnapshot {
                 w.array("histogram", s.histogram.counts());
             });
         })
-    }
-
-    /// Parses a snapshot previously rendered by
-    /// [`TelemetrySnapshot::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TelemetryParseError`] on malformed JSON or a schema
-    /// mismatch.
-    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, TelemetryParseError> {
-        let value = json::parse(text).map_err(|e| TelemetryParseError(e.to_string()))?;
-        let top = value.as_object("snapshot")?;
-        let shards_value = top.field("shards")?;
-        let mut shards = Vec::new();
-        for (i, sv) in shards_value.as_array("shards")?.iter().enumerate() {
-            let obj = sv.as_object(&format!("shards[{i}]"))?;
-            let hist_values = obj.field("histogram")?.as_array("histogram")?;
-            if hist_values.len() != HISTOGRAM_BINS {
-                return Err(TelemetryParseError(format!(
-                    "histogram has {} bins, expected {HISTOGRAM_BINS}",
-                    hist_values.len()
-                )));
-            }
-            let mut counts = [0u64; HISTOGRAM_BINS];
-            for (slot, v) in counts.iter_mut().zip(hist_values) {
-                *slot = v.as_u64("histogram bin")?;
-            }
-            shards.push(ShardReport {
-                shard: obj.field("shard")?.as_u64("shard")? as usize,
-                seed: obj.field("seed")?.as_u64("seed")?,
-                degraded: obj.field("degraded")?.as_bool("degraded")?,
-                degraded_reason: match obj.field("degraded_reason")? {
-                    json::Value::Null => None,
-                    other => Some(other.as_str("degraded_reason")?.to_string()),
-                },
-                health: {
-                    let name = obj.field("health")?.as_str("health")?;
-                    ShardHealth::parse(name)
-                        .ok_or_else(|| format!("unknown shard health {name:?}"))?
-                },
-                transitions: obj.field("transitions")?.as_u64("transitions")?,
-                crashes: obj.field("crashes")?.as_u64("crashes")?,
-                drift_events: obj.field("drift_events")?.as_u64("drift_events")?,
-                retries: obj.field("retries")?.as_u64("retries")?,
-                queries: obj.field("queries")?.as_u64("queries")?,
-                flags: obj.field("flags")?.as_u64("flags")?,
-                // Re-query counters are absent in pre-arena snapshots;
-                // they read back as "no re-queries yet".
-                band_hits: optional_u64(&obj, "band_hits")?.unwrap_or(0),
-                requeries: optional_u64(&obj, "requeries")?.unwrap_or(0),
-                faults: FaultCounters {
-                    multiplies: obj.field("multiplies")?.as_u64("multiplies")?,
-                    faulty: obj.field("faulty")?.as_u64("faulty")?,
-                    bit_flips: obj.field("bit_flips")?.as_u64("bit_flips")?,
-                },
-                histogram: ScoreHistogram::from_counts(counts),
-                // Energy fields are absent in pre-power snapshots; they
-                // read back as "no energy accounted yet".
-                energy_uj: optional_f64(&obj, "energy_uj")?.unwrap_or(0.0),
-                power_w: optional_f64(&obj, "power_w")?,
-                power_target_er: optional_f64(&obj, "power_target_er")?,
-            });
-        }
-        let latency = top
-            .field("batch_latency_micros")?
-            .as_array("batch_latency_micros")?
-            .iter()
-            .map(|v| v.as_u64("batch latency"))
-            .collect::<Result<Vec<u64>, _>>()?;
-        // The mean is derived from the latency window, so its value is
-        // recomputed rather than trusted; the field is still type-checked
-        // (`null` or a number — `null` is how a non-finite or absent mean
-        // serialises). Absent entirely in pre-durability snapshots.
-        if let Ok(v) = top.field("mean_batch_latency_micros") {
-            if !matches!(v, json::Value::Null) {
-                v.as_f64("mean_batch_latency_micros")?;
-            }
-        }
-        // total_energy_uj is likewise derived from the shard rows; only
-        // its type is checked.
-        if let Ok(v) = top.field("total_energy_uj") {
-            if !matches!(v, json::Value::Null) {
-                v.as_f64("total_energy_uj")?;
-            }
-        }
-        Ok(TelemetrySnapshot {
-            seed: top.field("seed")?.as_u64("seed")?,
-            policy: top.field("policy")?.as_str("policy")?.to_string(),
-            batches: top.field("batches")?.as_u64("batches")?,
-            queries: top.field("queries")?.as_u64("queries")?,
-            flags: top.field("flags")?.as_u64("flags")?,
-            band_hits: optional_u64(&top, "band_hits")?.unwrap_or(0),
-            requeries: optional_u64(&top, "requeries")?.unwrap_or(0),
-            degradation_events: top
-                .field("degradation_events")?
-                .as_u64("degradation_events")?,
-            rejected_queries: top.field("rejected_queries")?.as_u64("rejected_queries")?,
-            verdict_checksum: top.field("verdict_checksum")?.as_u64("verdict_checksum")?,
-            power_budget_w: optional_f64(&top, "power_budget_w")?,
-            service_power_w: optional_f64(&top, "service_power_w")?,
-            shards,
-            batch_latency_micros: latency,
-        })
-    }
-}
-
-/// Reads an optional float field: absent (pre-power snapshots) and `null`
-/// both map to `None`, mirroring how [`TelemetrySnapshot::to_json`]
-/// writes them.
-fn optional_f64(obj: &json::Object<'_>, name: &str) -> Result<Option<f64>, String> {
-    match obj.field(name) {
-        Ok(json::Value::Null) | Err(_) => Ok(None),
-        Ok(v) => Ok(Some(v.as_f64(name)?)),
-    }
-}
-
-/// Reads an optional counter field: absent (pre-arena snapshots) and
-/// `null` both map to `None`, the same back-compat idiom as
-/// [`optional_f64`].
-fn optional_u64(obj: &json::Object<'_>, name: &str) -> Result<Option<u64>, String> {
-    match obj.field(name) {
-        Ok(json::Value::Null) | Err(_) => Ok(None),
-        Ok(v) => Ok(Some(v.as_u64(name)?)),
     }
 }
 
@@ -638,19 +496,7 @@ mod tests {
 }
 "#;
         assert_eq!(json, want);
-        let back = TelemetrySnapshot::from_json(&json).expect("parses");
-        assert_eq!(back, snapshot, "JSON round-trip must be lossless");
-    }
-
-    #[test]
-    fn round_trip_preserves_full_u64_range() {
-        let mut snapshot = sample_snapshot();
-        snapshot.verdict_checksum = u64::MAX;
-        snapshot.seed = u64::MAX - 1;
-        snapshot.shards[0].seed = 0x9e37_79b9_7f4a_7c15;
-        let back = TelemetrySnapshot::from_json(&snapshot.to_json()).expect("parses");
-        assert_eq!(back.verdict_checksum, u64::MAX);
-        assert_eq!(back.shards[0].seed, 0x9e37_79b9_7f4a_7c15);
+        assert!(json::parse(&json).is_ok());
     }
 
     #[test]
@@ -684,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn energy_fields_round_trip_and_aggregate() {
+    fn energy_fields_export_and_aggregate() {
         let snapshot = sample_snapshot();
         assert_eq!(snapshot.total_energy_uj(), 1234.5);
         let json = snapshot.to_json();
@@ -693,67 +539,6 @@ mod tests {
         assert!(json.contains("\"power_w\": 8.25"));
         // The idle shard's power fields render as null, not 0.
         assert!(json.contains("\"energy_uj\": 0, \"power_w\": null, \"power_target_er\": null"));
-        let back = TelemetrySnapshot::from_json(&json).expect("parses");
-        assert_eq!(back, snapshot);
-        assert_eq!(back.total_energy_uj().to_bits(), 1234.5f64.to_bits());
-    }
-
-    #[test]
-    fn pre_power_snapshots_still_parse() {
-        // Snapshots written before energy accounting carry none of the
-        // power fields; they read back as "nothing accounted".
-        let json = sample_snapshot().to_json();
-        let stripped = json
-            .lines()
-            .filter(|l| {
-                !l.contains("\"power_budget_w\"")
-                    && !l.contains("\"service_power_w\"")
-                    && !l.contains("\"total_energy_uj\"")
-            })
-            .map(|l| {
-                let mut l = l.to_string();
-                if let Some(at) = l.find(", \"energy_uj\"") {
-                    let end = l.find(", \"histogram\"").expect("shard row has histogram");
-                    l.replace_range(at..end, "");
-                }
-                l
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = TelemetrySnapshot::from_json(&stripped).expect("parses");
-        assert_eq!(back.power_budget_w, None);
-        assert_eq!(back.service_power_w, None);
-        assert_eq!(back.total_energy_uj(), 0.0);
-        assert!(back.shards.iter().all(|s| s.power_w.is_none()));
-    }
-
-    #[test]
-    fn pre_requery_snapshots_still_parse() {
-        // Snapshots written before uncertainty-aware re-query carry no
-        // band-hit or re-query counters; they read back as zero.
-        let json = sample_snapshot().to_json();
-        let stripped = json
-            .lines()
-            .filter(|l| {
-                !l.trim_start().starts_with("\"band_hits\"") && {
-                    !l.trim_start().starts_with("\"requeries\"")
-                }
-            })
-            .map(|l| {
-                let mut l = l.to_string();
-                if let Some(at) = l.find(", \"band_hits\"") {
-                    let end = l.find(", \"multiplies\"").expect("shard row has faults");
-                    l.replace_range(at..end, "");
-                }
-                l
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = TelemetrySnapshot::from_json(&stripped).expect("parses");
-        assert_eq!(back.band_hits, 0);
-        assert_eq!(back.requeries, 0);
-        assert!(back.shards.iter().all(|s| s.band_hits == 0));
-        assert!(back.shards.iter().all(|s| s.requeries == 0));
     }
 
     #[test]
@@ -767,83 +552,9 @@ mod tests {
         assert_eq!(float(None), "{\n  \"v\": null\n}\n");
         assert_eq!(float(Some(107.5)), "{\n  \"v\": 107.5\n}\n");
         // An empty latency window renders the mean as null end-to-end, and
-        // the document still round-trips.
-        let snapshot = sample_snapshot().without_timing();
-        let json = snapshot.to_json();
+        // the document is still JSON.
+        let json = sample_snapshot().without_timing().to_json();
         assert!(json.contains("\"mean_batch_latency_micros\": null"));
-        let back = TelemetrySnapshot::from_json(&json).expect("parses");
-        assert_eq!(back, snapshot);
-    }
-
-    #[test]
-    fn emitted_mean_latency_round_trips() {
-        let snapshot = sample_snapshot();
-        let json = snapshot.to_json();
-        assert!(json.contains("\"mean_batch_latency_micros\": 107.5"));
-        let back = TelemetrySnapshot::from_json(&json).expect("parses");
-        assert_eq!(back.mean_batch_latency_micros(), Some(107.5));
-        // A reader-normalised variant (null mean) still parses: the value
-        // is derived, so only its type is checked.
-        let nulled = json.replace(
-            "\"mean_batch_latency_micros\": 107.5",
-            "\"mean_batch_latency_micros\": null",
-        );
-        assert_eq!(
-            TelemetrySnapshot::from_json(&nulled).expect("parses"),
-            snapshot
-        );
-        // ...but a bare NaN token is rejected as the malformed JSON it is.
-        let poisoned = json.replace(
-            "\"mean_batch_latency_micros\": 107.5",
-            "\"mean_batch_latency_micros\": NaN",
-        );
-        assert!(TelemetrySnapshot::from_json(&poisoned).is_err());
-    }
-
-    #[test]
-    fn malformed_json_is_rejected_not_panicked() {
-        // 100 000 nested brackets once overflowed the parser's stack.
-        let deep = "[".repeat(100_000);
-        for bad in [
-            "",
-            "{",
-            "{}",
-            "[1, 2",
-            "{\"snapshot\": \"x\"}",
-            "nonsense",
-            "{\"seed\": 1} trailing",
-            deep.as_str(),
-        ] {
-            assert!(
-                TelemetrySnapshot::from_json(bad).is_err(),
-                "accepted malformed input {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_json_that_would_not_round_trip_is_rejected() {
-        // Each edit makes input that a lenient parser would read into a
-        // snapshot whose `to_json` differs from it: `inf` writes back as
-        // `null`, a leading zero and a raw newline in their canonical forms.
-        let json = sample_snapshot().to_json();
-        for (from, to) in [
-            ("\"power_w\": 8.25", "\"power_w\": 1.5e400"),
-            ("\"service_power_w\": 16.5", "\"service_power_w\": -1e999"),
-            ("\"queries\": 2,", "\"queries\": 02,"),
-            ("unreachable \\\"before\\\"", "unreachable\nbefore"),
-        ] {
-            assert_eq!(json.matches(from).count(), 1, "{from}");
-            let edited = json.replacen(from, to, 1);
-            assert!(
-                TelemetrySnapshot::from_json(&edited).is_err(),
-                "accepted {to:?}"
-            );
-        }
-        // What is accepted survives a second trip unchanged.
-        let once = TelemetrySnapshot::from_json(&json).expect("parses");
-        let twice = TelemetrySnapshot::from_json(&once.to_json()).expect("parses");
-        assert_eq!(twice, once);
-        assert_eq!(twice.to_json(), json);
+        assert!(json::parse(&json).is_ok());
     }
 }

@@ -1,4 +1,5 @@
-//! Training pipelines and the 3-fold cross-validation harness.
+//! The training pipeline and per-fold evaluation. The fold × rep sweeps
+//! that run it live in [`crate::explore`].
 
 use crate::baseline::BaselineHmd;
 use crate::detector::Detector;
@@ -158,26 +159,6 @@ pub fn evaluate(
     m
 }
 
-/// One rotation of the 3-fold cross-validation: train on the victim fold,
-/// evaluate on the test fold.
-///
-/// # Errors
-///
-/// Propagates [`TrainHmdError`].
-pub fn cross_validate_baseline(
-    dataset: &Dataset,
-    spec: FeatureSpec,
-    config: &HmdTrainConfig,
-) -> Result<Vec<ConfusionMatrix>, TrainHmdError> {
-    let mut out = Vec::with_capacity(3);
-    for rotation in 0..3 {
-        let split = dataset.three_fold_split(rotation);
-        let mut hmd = train_baseline(dataset, split.victim_training(), spec, config)?;
-        out.push(evaluate(&mut hmd, dataset, split.testing()));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,17 +181,6 @@ mod tests {
         .expect("train");
         let m = evaluate(&mut hmd, &d, split.testing());
         assert!(m.accuracy() > 0.9, "{m}");
-    }
-
-    #[test]
-    fn cross_validation_runs_three_rotations() {
-        let d = dataset();
-        let folds = cross_validate_baseline(&d, FeatureSpec::frequency(), &HmdTrainConfig::fast())
-            .expect("cv");
-        assert_eq!(folds.len(), 3);
-        for m in &folds {
-            assert!(m.accuracy() > 0.85, "{m}");
-        }
     }
 
     #[test]

@@ -148,12 +148,6 @@ impl Q16 {
         Q16(self.0.saturating_abs())
     }
 
-    /// Returns `true` if the value is negative.
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
     /// Clamps the value into `[lo, hi]`.
     ///
     /// # Panics
@@ -332,9 +326,9 @@ impl<const LANES: usize> LaneAccumulator<LANES> {
         LaneAccumulator { sums: [0; LANES] }
     }
 
-    /// Adds `weight · xs[l]` to every lane, exactly (no corruption). This
-    /// is the batched hot path: no per-lane branching, one shared weight
-    /// broadcast across the lane array.
+    /// Adds `weight · xs[l]` to every lane, exactly (no corruption): one
+    /// shared weight broadcast across the lane array. [`mac_span`](Self::mac_span)
+    /// is this, one span of weights at a time.
     #[inline]
     pub fn mac_exact(&mut self, weight: Q16, xs: &[Q16; LANES]) {
         for (s, &x) in self.sums.iter_mut().zip(xs) {
@@ -378,27 +372,6 @@ impl<const LANES: usize> LaneAccumulator<LANES> {
             for (s, &x) in self.sums.iter_mut().zip(xs) {
                 *s = s.wrapping_add(Q16::raw_product(*w, x));
             }
-        }
-    }
-
-    /// Adds `weight · xs[l]` to every lane, routing the raw product of
-    /// each lane whose bit is set in `due` through `fault` (identity for
-    /// the rest). Called on the rare multiplications where at least one
-    /// lane's fault countdown expired.
-    #[inline]
-    pub fn mac_faulty(
-        &mut self,
-        weight: Q16,
-        xs: &[Q16; LANES],
-        due: u64,
-        mut fault: impl FnMut(usize, i64) -> i64,
-    ) {
-        for (l, (s, &x)) in self.sums.iter_mut().zip(xs).enumerate() {
-            let mut p = Q16::raw_product(weight, x);
-            if due & (1 << l) != 0 {
-                p = fault(l, p);
-            }
-            *s = s.saturating_add(p);
         }
     }
 
@@ -541,35 +514,23 @@ mod tests {
     #[test]
     fn lane_accumulator_matches_scalar_lanes() {
         // Each lane of a LaneAccumulator must be bit-identical to a scalar
-        // Accumulator fed the same products — including saturation, bias,
-        // and corrupted lanes.
+        // Accumulator fed the same products — including saturation and
+        // bias. Corrupted lanes are the batched MAC's business and are
+        // checked against the scalar forward pass in `shmd-ann`.
         const LANES: usize = 8;
         let mut lanes = LaneAccumulator::<LANES>::new();
         let mut scalars = [Accumulator::new(); LANES];
         let mut x = 0x243f_6a88_85a3_08d3u64;
-        for step in 0..500u64 {
+        for _ in 0..500 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let w = Q16::from_bits((x >> 16) as i32);
             let xs: [Q16; LANES] =
                 std::array::from_fn(|l| Q16::from_bits((x.rotate_left(8 * l as u32) >> 24) as i32));
-            // Every third step corrupts two lanes; the rest run exact.
-            if step % 3 == 0 {
-                let due = 0b0010_0100u64;
-                lanes.mac_faulty(w, &xs, due, |l, p| p ^ (1 << (20 + l)));
-                for (l, acc) in scalars.iter_mut().enumerate() {
-                    if due & (1 << l) != 0 {
-                        acc.mac(w, xs[l], |p| p ^ (1 << (20 + l)));
-                    } else {
-                        acc.mac(w, xs[l], |p| p);
-                    }
-                }
-            } else {
-                lanes.mac_exact(w, &xs);
-                for (l, acc) in scalars.iter_mut().enumerate() {
-                    acc.mac(w, xs[l], |p| p);
-                }
+            lanes.mac_exact(w, &xs);
+            for (l, acc) in scalars.iter_mut().enumerate() {
+                acc.mac(w, xs[l], |p| p);
             }
         }
         let bias = Q16::from_f64(-1.25);

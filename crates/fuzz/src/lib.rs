@@ -7,7 +7,8 @@
 //! generate *valid* artifacts and then mutate them exhaustively:
 //!
 //! - `fuzz_checkpoint` — [`stochastic_hmd::ServiceCheckpoint::decode`]
-//! - `fuzz_telemetry` — [`stochastic_hmd::TelemetrySnapshot::from_json`]
+//! - `fuzz_telemetry` — [`stochastic_hmd::json::parse`] over mutated
+//!   telemetry snapshots
 //! - `fuzz_wire` — [`stochastic_hmd::decode_frame`]
 //! - `fuzz_daemon` — the admission path ([`stochastic_hmd::Daemon::handle_frame`])
 //!

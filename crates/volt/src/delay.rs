@@ -91,12 +91,6 @@ impl DelayModel {
         self.vdd_nominal
     }
 
-    /// The die temperature in °C.
-    #[inline]
-    pub fn temperature_c(&self) -> f64 {
-        self.temp_c
-    }
-
     /// Effective threshold voltage at the model's temperature.
     pub fn vth_effective(&self) -> Volts {
         Volts(self.vth_at_ref.as_f64() + self.vth_temp_coeff * (self.temp_c - REFERENCE_TEMP_C))

@@ -8,7 +8,6 @@
 
 use crate::dataset::Dataset;
 use crate::families::ProgramClass;
-use crate::trace::TraceConfig;
 use std::fmt;
 
 /// Error building a custom dataset.
@@ -54,7 +53,6 @@ impl std::error::Error for BuildDatasetError {}
 #[derive(Clone, Debug)]
 pub struct DatasetBuilder {
     groups: Vec<(ProgramClass, usize)>,
-    trace: TraceConfig,
     seed: u64,
 }
 
@@ -63,7 +61,6 @@ impl DatasetBuilder {
     pub fn new() -> DatasetBuilder {
         DatasetBuilder {
             groups: Vec::new(),
-            trace: TraceConfig::default(),
             seed: 0,
         }
     }
@@ -72,13 +69,6 @@ impl DatasetBuilder {
     #[must_use]
     pub fn add(mut self, class: ProgramClass, count: usize) -> DatasetBuilder {
         self.groups.push((class, count));
-        self
-    }
-
-    /// Overrides the trace shape.
-    #[must_use]
-    pub fn trace_config(mut self, trace: TraceConfig) -> DatasetBuilder {
-        self.trace = trace;
         self
     }
 
@@ -105,7 +95,7 @@ impl DatasetBuilder {
         if !has_malware || !has_benign {
             return Err(BuildDatasetError::SingleClass);
         }
-        Ok(Dataset::from_groups(&self.groups, &self.trace, self.seed))
+        Ok(Dataset::from_groups(&self.groups, self.seed))
     }
 }
 

@@ -133,13 +133,9 @@ impl Dataset {
         Dataset::from_classes(*config, &classes, seed)
     }
 
-    /// Generates a dataset from explicit `(class, count)` groups (used by
-    /// [`crate::builder::DatasetBuilder`]).
-    pub(crate) fn from_groups(
-        groups: &[(ProgramClass, usize)],
-        trace: &TraceConfig,
-        seed: u64,
-    ) -> Dataset {
+    /// Generates a dataset from explicit `(class, count)` groups at the
+    /// default trace shape (used by [`crate::builder::DatasetBuilder`]).
+    pub(crate) fn from_groups(groups: &[(ProgramClass, usize)], seed: u64) -> Dataset {
         let classes: Vec<ProgramClass> = groups
             .iter()
             .flat_map(|&(class, count)| std::iter::repeat_n(class, count))
@@ -148,7 +144,7 @@ impl Dataset {
         let config = DatasetConfig {
             malware_count,
             benign_count: classes.len() - malware_count,
-            trace: *trace,
+            trace: TraceConfig::default(),
         };
         Dataset::from_classes(config, &classes, seed)
     }

@@ -84,12 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The snapshot round-trips through JSON for external dashboards.
+    // The snapshot exports as JSON for external dashboards.
     let json = snapshot.to_json();
-    let back = stochastic_hmd::telemetry::TelemetrySnapshot::from_json(&json)?;
-    assert_eq!(back, snapshot);
+    stochastic_hmd::json::parse(&json)?;
     println!(
-        "\nsnapshot exports to {} bytes of JSON (round-trip verified)",
+        "\nsnapshot exports to {} bytes of JSON (parse verified)",
         json.len()
     );
     Ok(())

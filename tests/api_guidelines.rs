@@ -14,7 +14,6 @@ fn core_types_are_send_and_sync() {
     assert_send_sync::<stochastic_hmd::RocCurve>();
     assert_send_sync::<stochastic_hmd::MonitorReport>();
     assert_send_sync::<stochastic_hmd::DetectionPolicy>();
-    assert_send_sync::<stochastic_hmd::XvalSummary>();
     assert_send_sync::<stochastic_hmd::MonitoringService>();
     assert_send_sync::<stochastic_hmd::Verdict>();
     assert_send_sync::<stochastic_hmd::QueryDisposition>();
