@@ -1,12 +1,14 @@
 //! Decomposes the per-query cost of the serving hot path at the bench
 //! fixture's scale (16 → 8 → 1 network by default, the wider 16 → 32 → 1
 //! deployment with `--wide`; er = 0.1): fault-stream setup, the scalar
-//! inference, and the batched inference at several widths, each against
-//! its exact (er = 0) counterpart so the event-side cost falls out by
-//! subtraction. Each component is timed in a tight loop so the split
-//! between shared per-query overhead, lane-amortizable work, and the
-//! batching-immune event floor is visible directly — detector-level
-//! numbers live in `batch_bench`.
+//! inference, and the batched inference at widths 1, 4, 8 and 16, each
+//! against its exact (er = 0) counterpart so the event-side cost falls
+//! out by subtraction. The scalar query and widths 1 and 8 are timed
+//! again at er = 0.413512, the rate the serving deployments deliver for
+//! target 0.3 (the attacker arena's operating point). Each component is
+//! timed in a tight loop so the split between shared per-query overhead,
+//! lane-amortizable work, and the batching-immune event floor is visible
+//! directly — detector-level numbers live in `batch_bench`.
 
 use hmd_bench::setup;
 use hmd_bench::Args;
@@ -100,7 +102,11 @@ fn main() {
     println!("scalar query exact          {exact:6.1} ns");
 
     macro_rules! batched {
-        ($lanes:literal) => {{
+        ($lanes:literal) => {
+            batched!($lanes, hmd, model, scalar)
+        };
+        ($lanes:literal, $hmd:expr, $model:expr, $scalar:expr) => {{
+            let (hmd, model, scalar): (&StochasticHmd, _, f64) = (&$hmd, $model, $scalar);
             let mut scratch = BatchScratch::<$lanes>::new();
             let blocks = n / $lanes;
             let per_block = time(blocks, || {
@@ -127,8 +133,9 @@ fn main() {
                 out[0].to_bits()
             });
             println!(
-                "b{:<2} query er=0.1 {:6.1} ns/q ({:.2}x)   exact {:6.1} ns/q ({:.2}x)   event side {:6.1} ns/q",
+                "b{:<2} query er={:<8} {:6.1} ns/q ({:.2}x)   exact {:6.1} ns/q ({:.2}x)   event side {:6.1} ns/q",
                 $lanes,
+                model.error_rate(),
                 per_block / $lanes as f64,
                 scalar / (per_block / $lanes as f64),
                 per_block_exact / $lanes as f64,
@@ -137,8 +144,27 @@ fn main() {
             );
         }};
     }
+    batched!(1);
     batched!(4);
     batched!(8);
     batched!(16);
     println!("scalar event side           {:6.1} ns/q", scalar - exact);
+
+    let hot_hmd = StochasticHmd::from_baseline(&baseline, 0.413512, 7).expect("valid error rate");
+    let hot_model = hot_hmd.fault_model();
+    let hot_scalar = time(n, || {
+        let f = &features[(pos as usize) & 63];
+        pos += 1;
+        let mut stream = FaultStream::new(hot_model, pos);
+        hot_hmd
+            .score_features_with(black_box(f), &mut stream, &mut scratch)
+            .to_bits()
+    });
+    println!("\nscalar query er=0.413512   {hot_scalar:6.1} ns");
+    batched!(1, hot_hmd, hot_model, hot_scalar);
+    batched!(8, hot_hmd, hot_model, hot_scalar);
+    println!(
+        "scalar event side           {:6.1} ns/q",
+        hot_scalar - exact
+    );
 }

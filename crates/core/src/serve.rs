@@ -22,9 +22,11 @@
 //!   position in the stream (`index mod shards`, re-routed to the serving
 //!   set by the same arithmetic when a shard is quarantined). Workers
 //!   claim contiguous *query ranges* from a shared atomic cursor — the
-//!   task-claim idiom of [`crate::exec`] — scoring against shared `&`
-//!   shard state with thread-local scratch, fault streams, and telemetry
-//!   accumulators; no worker ever takes a lock or mutates a shard.
+//!   task-claim idiom of [`crate::exec`] — extracting trace features and
+//!   scoring against shared `&` shard state with per-worker scratch
+//!   (kept by the service across batches, one uncontended slot per
+//!   worker), fault streams, and telemetry accumulators; no worker ever
+//!   contends for a lock or mutates a shard.
 //!   Verdict ranges are stitched back into stream order at the batch
 //!   boundary and per-shard telemetry deltas (additive, order-independent)
 //!   fold on the main thread, so serial and N-thread execution produce
@@ -92,12 +94,14 @@ use shmd_volt::calibration::{CalibrationCurve, CalibrationError};
 use shmd_volt::controller::ControllerState;
 use shmd_volt::fault::BatchFaultStream;
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
-use shmd_workload::features::FeatureSpec;
+use shmd_workload::features::{FeatureSpec, FEATURE_DIM};
 use shmd_workload::trace::Trace;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Experiment tag mixed into every shard-seed derivation, so a service and
@@ -806,61 +810,153 @@ fn validate_features(features: &[f32], expected: usize) -> Result<(), RejectReas
     Ok(())
 }
 
+/// The queries of one batch: traces, whose features the workers extract
+/// into their own row buffers, or feature vectors extracted elsewhere.
+#[derive(Clone, Copy)]
+enum BatchInput<'a> {
+    Traces(&'a [&'a Trace], FeatureSpec),
+    Features(&'a [Vec<f32>]),
+}
+
+impl BatchInput<'_> {
+    fn len(&self) -> usize {
+        match self {
+            BatchInput::Traces(traces, _) => traces.len(),
+            BatchInput::Features(features) => features.len(),
+        }
+    }
+}
+
 /// Everything a batch worker needs from the main thread, by shared
-/// reference: the claim cursor, the query slice, the immutable shard
-/// views, and the routing tables. Bundled so the per-width monomorphized
-/// worker ([`batch_worker`]) has one parameter instead of ten.
+/// reference: the claim cursor, the queries, the shards and service-wide
+/// policies its views are made of, and the routing tables. Bundled so the
+/// per-width monomorphized worker ([`batch_worker`]) has one parameter
+/// instead of ten.
 struct BatchCtx<'a> {
     cursor: &'a AtomicUsize,
-    features: &'a [Vec<f32>],
-    views: &'a [ShardView<'a>],
+    input: BatchInput<'a>,
+    shards: &'a [Shard],
+    requery: Option<RequeryConfig>,
+    anomaly: Option<&'a AnomalyScorer>,
     mask: &'a [bool],
     serving: &'a [usize],
     n: usize,
-    n_shards: usize,
     chunk: usize,
     base: u64,
     policy: DetectionPolicy,
     input_dim: usize,
 }
 
+/// One worker's buffers. The service keeps one per task index of the
+/// batch fan-out across batches, so a warmed-up batch makes no heap
+/// allocation in its workers. Scoped workers end with every batch, so a
+/// thread-local would not outlive it. Wall-clock state: every buffer is
+/// reset before use and none is checkpointed.
+#[derive(Default)]
+struct WorkerScratch {
+    /// The claimed range's extracted feature rows, [`FEATURE_DIM`] each.
+    rows: Vec<f32>,
+    single: BatchScratch<1>,
+    requery: BatchScratch<1>,
+    lane_draws: Vec<f64>,
+    /// Per target shard, the range slots of its stochastic queries.
+    groups: Vec<Vec<usize>>,
+    /// Per shard, this worker's telemetry for the batch.
+    deltas: Vec<ShardDelta>,
+    /// The claimed range's answers, by slot.
+    out: Vec<Option<Verdict>>,
+    /// Every claimed range's verdicts, range after range.
+    verdicts: Vec<Verdict>,
+    /// Per claimed range: its first query's index in the batch and the
+    /// span of its verdicts in `verdicts`.
+    ranges: Vec<(usize, Range<usize>)>,
+}
+
+/// The buffers a batch uses on the main thread and in its workers, kept
+/// across batches (see [`WorkerScratch`]).
+#[derive(Default)]
+struct BatchBuffers {
+    /// One per task index of the batch fan-out.
+    workers: Vec<Mutex<WorkerScratch>>,
+    /// Per shard: whether it is in the serving set.
+    mask: Vec<bool>,
+    /// The serving set's shard ids, ascending.
+    serving: Vec<usize>,
+    /// Per shard: queries answered and re-query draws spent this batch.
+    drawn: Vec<(u64, u64)>,
+    /// Every worker's ranges as `(first query, worker, verdict span)`,
+    /// sorted into stream order for stitching.
+    stitch: Vec<(usize, usize, Range<usize>)>,
+}
+
+/// Locks a worker's buffers. A worker that panicked mid-batch leaves them
+/// poisoned; every buffer is reset before use, so the next batch takes
+/// them over.
+fn lock_scratch(slot: &Mutex<WorkerScratch>) -> MutexGuard<'_, WorkerScratch> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One worker's claim loop at compile-time lane width `LANES`.
 ///
 /// Each claimed range is answered in two stages. First, in stream order,
-/// rejects and baseline/degraded queries are answered in place and
-/// stochastic queries are grouped by target shard. Then each shard's
-/// group is scored in lane blocks of `LANES` via
-/// [`ShardView::answer_block`], and its remainder one query at a time
-/// through `answer_block::<1>`. Remainders run at width 1 rather than
-/// padded into masked lanes, because an 8-lane block with one live lane
-/// costs several times a 1-lane block. Results are written into
-/// slot-indexed positions of the range, so the verdict vector (and
-/// therefore stitching and the running checksum) is oblivious to the
-/// regrouping; and because per-query fault streams are seeded by stream
-/// position, the verdicts themselves are bit-identical at every width.
-fn batch_worker<const LANES: usize>(
-    ctx: &BatchCtx<'_>,
-) -> (Vec<(usize, Vec<Verdict>)>, Vec<ShardDelta>) {
-    let mut ranges: Vec<(usize, Vec<Verdict>)> = Vec::new();
-    let mut deltas: Vec<ShardDelta> = vec![ShardDelta::default(); ctx.n_shards];
+/// trace queries are extracted into the worker's rows, rejects and
+/// baseline/degraded queries are answered in place and stochastic queries
+/// are grouped by target shard. Then each shard's group is scored in lane
+/// blocks of `LANES` via [`ShardView::answer_block`], and its remainder
+/// one query at a time through `answer_block::<1>`. Remainders run at
+/// width 1 rather than padded into masked lanes, because an 8-lane block
+/// with one live lane costs several times a 1-lane block. Results are
+/// written into slot-indexed positions of the range, so the verdict
+/// sequence (and therefore stitching and the running checksum) is
+/// oblivious to the regrouping; and because per-query fault streams are
+/// seeded by stream position, the verdicts themselves are bit-identical
+/// at every width.
+fn batch_worker<const LANES: usize>(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch) {
+    let n_shards = ctx.shards.len();
+    let WorkerScratch {
+        rows,
+        single,
+        requery,
+        lane_draws,
+        groups,
+        deltas,
+        out,
+        verdicts,
+        ranges,
+    } = scratch;
+    verdicts.clear();
+    ranges.clear();
+    deltas.clear();
+    deltas.resize(n_shards, ShardDelta::default());
+    groups.resize_with(n_shards, Vec::new);
     let mut block_scratch = BatchScratch::<LANES>::new();
-    let mut single_scratch = BatchScratch::<1>::new();
-    let mut requery_scratch = BatchScratch::<1>::new();
-    let mut lane_draws: Vec<f64> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ctx.n_shards];
     loop {
         let lo = ctx.cursor.fetch_add(ctx.chunk, Ordering::Relaxed);
         if lo >= ctx.n {
             break;
         }
         let hi = (lo + ctx.chunk).min(ctx.n);
-        let mut out: Vec<Option<Verdict>> = vec![None; hi - lo];
-        for group in &mut groups {
+        if let BatchInput::Traces(traces, spec) = ctx.input {
+            rows.resize((hi - lo) * FEATURE_DIM, 0.0);
+            for (row, trace) in rows.chunks_exact_mut(FEATURE_DIM).zip(&traces[lo..hi]) {
+                spec.extract_into(trace, row);
+            }
+        }
+        let rows: &[f32] = rows;
+        let query = |i: usize| -> &[f32] {
+            match ctx.input {
+                BatchInput::Traces(..) => &rows[i * FEATURE_DIM..(i + 1) * FEATURE_DIM],
+                BatchInput::Features(features) => &features[lo + i],
+            }
+        };
+        out.clear();
+        out.resize(hi - lo, None);
+        for group in groups.iter_mut() {
             group.clear();
         }
-        for (i, query) in ctx.features[lo..hi].iter().enumerate() {
+        for (i, slot) in out.iter_mut().enumerate() {
             let position = ctx.base + (lo + i) as u64;
-            let home = (position % ctx.n_shards as u64) as usize;
+            let home = (position % n_shards as u64) as usize;
             let target = if ctx.mask[home] {
                 home
             } else {
@@ -868,7 +964,8 @@ fn batch_worker<const LANES: usize>(
                 // a function of the stream position only.
                 ctx.serving[(position % ctx.serving.len() as u64) as usize]
             };
-            out[i] = match validate_features(query, ctx.input_dim) {
+            let features = query(i);
+            *slot = match validate_features(features, ctx.input_dim) {
                 Err(reason) => Some(Verdict {
                     query: position,
                     shard: target,
@@ -877,7 +974,7 @@ fn batch_worker<const LANES: usize>(
                     disposition: QueryDisposition::Rejected(reason),
                     confidence: VerdictConfidence::Confident,
                 }),
-                Ok(()) => match ctx.views[target].backend {
+                Ok(()) => match &ctx.shards[target].backend {
                     ShardBackend::Stochastic(_) => {
                         groups[target].push(i);
                         None
@@ -888,7 +985,7 @@ fn batch_worker<const LANES: usize>(
                     // re-produce that value, so the baseline never enters
                     // the ensemble.
                     ShardBackend::Baseline(hmd) => {
-                        let score = hmd.score_features(query);
+                        let score = hmd.score_features(features);
                         let label = Label::from_bool(score >= Detector::threshold(hmd));
                         deltas[target].record(score, label);
                         let answer = (score, label, VerdictConfidence::Confident);
@@ -899,21 +996,20 @@ fn batch_worker<const LANES: usize>(
             };
         }
         for (target, group) in groups.iter().enumerate() {
-            let view = &ctx.views[target];
+            let view = ctx.shards[target].view(ctx.requery, ctx.anomaly);
             let delta = &mut deltas[target];
             let mut blocks = group.chunks_exact(LANES);
             for block in blocks.by_ref() {
                 let positions: [u64; LANES] =
                     std::array::from_fn(|l| ctx.base + (lo + block[l]) as u64);
-                let lane_features: [&[f32]; LANES] =
-                    std::array::from_fn(|l| ctx.features[lo + block[l]].as_slice());
+                let lane_features: [&[f32]; LANES] = std::array::from_fn(|l| query(block[l]));
                 let answers = view.answer_block(
                     ctx.policy,
                     &positions,
                     &lane_features,
                     &mut block_scratch,
-                    &mut requery_scratch,
-                    &mut lane_draws,
+                    requery,
+                    lane_draws,
                     delta,
                 );
                 for (l, answer) in answers.into_iter().enumerate() {
@@ -925,10 +1021,10 @@ fn batch_worker<const LANES: usize>(
                 let [answer] = view.answer_block(
                     ctx.policy,
                     &[position],
-                    &[ctx.features[lo + i].as_slice()],
-                    &mut single_scratch,
-                    &mut requery_scratch,
-                    &mut lane_draws,
+                    &[query(i)],
+                    single,
+                    requery,
+                    lane_draws,
                     delta,
                 );
                 out[i] = Some(Verdict::served(position, target, answer));
@@ -938,11 +1034,15 @@ fn batch_worker<const LANES: usize>(
         // covers every grouped index (chunks + remainder), so no slot is
         // None; flatten keeps the path panic-free and the debug assert
         // keeps the invariant honest under test.
-        let answered: Vec<Verdict> = out.into_iter().flatten().collect();
-        debug_assert_eq!(answered.len(), hi - lo, "unanswered query in claimed range");
-        ranges.push((lo, answered));
+        let start = verdicts.len();
+        verdicts.extend(out.iter().flatten());
+        debug_assert_eq!(
+            verdicts.len() - start,
+            hi - lo,
+            "unanswered query in claimed range"
+        );
+        ranges.push((lo, start..verdicts.len()));
     }
-    (ranges, deltas)
 }
 
 /// A sharded continuous-monitoring service over Stochastic-HMD replicas.
@@ -1003,6 +1103,9 @@ pub struct MonitoringService {
     /// power-scheduling tick (`None` before the first tick or without a
     /// budget policy).
     service_power_w: Option<f64>,
+    /// Buffers reused by every batch. Wall-clock state like `lanes`:
+    /// never checkpointed.
+    buffers: BatchBuffers,
 }
 
 impl MonitoringService {
@@ -1125,11 +1228,12 @@ impl MonitoringService {
             batches: 0,
             rejected_queries: 0,
             verdict_checksum: 0,
-            batch_latency_micros: VecDeque::new(),
+            batch_latency_micros: VecDeque::with_capacity(BATCH_LATENCY_WINDOW),
             power_model: CmosPowerModel::i7_5557u(),
             latency_model: LatencyModel::i7_5557u(),
             macs: baseline.quantized().size_bytes() / 4,
             service_power_w: None,
+            buffers: BatchBuffers::default(),
         }
     }
 
@@ -1322,8 +1426,7 @@ impl MonitoringService {
     /// position, so workers claiming arbitrary query ranges produce
     /// output bit-identical at any thread count.
     pub fn process_batch(&mut self, queries: &[&Trace]) -> Vec<Verdict> {
-        let features: Vec<Vec<f32>> = queries.iter().map(|t| self.spec.extract(t)).collect();
-        self.run_batch(&features)
+        self.run_batch(BatchInput::Traces(queries, self.spec))
     }
 
     /// Scores one batch of *raw* feature vectors — the ingestion path for
@@ -1333,10 +1436,10 @@ impl MonitoringService {
     /// (score 0, benign) without touching any shard; everything else is
     /// served exactly as [`MonitoringService::process_batch`].
     pub fn process_feature_batch(&mut self, features: &[Vec<f32>]) -> Vec<Verdict> {
-        self.run_batch(features)
+        self.run_batch(BatchInput::Features(features))
     }
 
-    fn run_batch(&mut self, features: &[Vec<f32>]) -> Vec<Verdict> {
+    fn run_batch(&mut self, input: BatchInput<'_>) -> Vec<Verdict> {
         let start = Instant::now();
         if let Some(sup) = &mut self.supervisor {
             let projection = sup.tick(
@@ -1349,89 +1452,98 @@ impl MonitoringService {
             );
             self.service_power_w = projection.or(self.service_power_w);
         }
-        let n = features.len();
+        let n = input.len();
         let n_shards = self.shards.len();
-        let base = self.served;
-        let policy = self.policy;
-        let input_dim = self.input_dim;
+        let buffers = &mut self.buffers;
         // The serving set after supervision: a pure function of the batch
         // index and prior state, identical at any thread count.
-        let mask: Vec<bool> = self
-            .shards
-            .iter()
-            .map(|shard| shard.state.supervision.health.is_serving())
-            .collect();
-        let serving: Vec<usize> = (0..n_shards).filter(|&id| mask[id]).collect();
+        buffers.mask.clear();
+        buffers.mask.extend(
+            self.shards
+                .iter()
+                .map(|shard| shard.state.supervision.health.is_serving()),
+        );
+        buffers.serving.clear();
+        buffers
+            .serving
+            .extend((0..n_shards).filter(|&id| buffers.mask[id]));
         debug_assert!(
-            !serving.is_empty(),
+            !buffers.serving.is_empty(),
             "the supervisor never empties the serving set"
         );
         // Lock-free range claiming over the query stream (the atomic
         // task-claim idiom of `crate::exec`, at query-range granularity):
         // each worker repeatedly claims the next contiguous chunk of the
         // batch from a shared cursor and scores it against the shared
-        // shard views with thread-local scratch, draws, fault streams,
-        // and telemetry deltas. Verdicts are a pure function of stream
-        // position, so which worker claims which range affects wall-clock
-        // only, never output. The lane width is dispatched once per
-        // worker invocation to a monomorphized claim loop that regroups
-        // each range into same-shard lane blocks (see `batch_worker`).
+        // shards with its own buffers, fault streams, and telemetry
+        // deltas. Verdicts are a pure function of stream position, so
+        // which worker claims which range affects wall-clock only, never
+        // output. The lane width is dispatched once per worker invocation
+        // to a monomorphized claim loop that regroups each range into
+        // same-shard lane blocks (see `batch_worker`).
         let workers = self.exec.thread_count().min((n / MIN_CLAIM).max(1));
         let chunk = (n / (workers * 4).max(1)).clamp(MIN_CLAIM, 8192);
         let lanes = self.lanes;
-        type WorkerRanges = Vec<(usize, Vec<Verdict>)>;
-        let worker_out: Vec<(WorkerRanges, Vec<ShardDelta>)> = {
-            let requery = self.requery;
-            let anomaly = self.anomaly.as_ref();
-            let views: Vec<ShardView<'_>> = self
-                .shards
-                .iter()
-                .map(|shard| shard.view(requery, anomaly))
-                .collect();
+        if buffers.workers.len() < workers {
+            buffers.workers.resize_with(workers, Mutex::default);
+        }
+        {
             let cursor = AtomicUsize::new(0);
             let ctx = BatchCtx {
                 cursor: &cursor,
-                features,
-                views: &views,
-                mask: &mask,
-                serving: &serving,
+                input,
+                shards: &self.shards,
+                requery: self.requery,
+                anomaly: self.anomaly.as_ref(),
+                mask: &buffers.mask,
+                serving: &buffers.serving,
                 n,
-                n_shards,
                 chunk,
-                base,
-                policy,
-                input_dim,
+                base: self.served,
+                policy: self.policy,
+                input_dim: self.input_dim,
             };
-            let ctx_ref = &ctx;
-            parallel_map_n(&self.exec, workers, |_worker| match lanes {
-                1 => batch_worker::<1>(ctx_ref),
-                4 => batch_worker::<4>(ctx_ref),
-                8 => batch_worker::<8>(ctx_ref),
-                MAX_LANES => batch_worker::<MAX_LANES>(ctx_ref),
-                w => unreachable!("lane width {w} is not one of LANE_WIDTHS"),
-            })
-        };
+            let (ctx, slots) = (&ctx, &buffers.workers);
+            parallel_map_n(&self.exec, workers, |worker| {
+                let scratch = &mut *lock_scratch(&slots[worker]);
+                match lanes {
+                    1 => batch_worker::<1>(ctx, scratch),
+                    4 => batch_worker::<4>(ctx, scratch),
+                    8 => batch_worker::<8>(ctx, scratch),
+                    MAX_LANES => batch_worker::<MAX_LANES>(ctx, scratch),
+                    w => unreachable!("lane width {w} is not one of LANE_WIDTHS"),
+                }
+            });
+        }
 
         // Fold: telemetry deltas are additive and order-independent;
         // verdict ranges partition the batch, so stitching them by start
         // position rebuilds exact stream order.
-        let mut stitched: Vec<(usize, Vec<Verdict>)> = Vec::new();
-        // Queries answered and re-query draws spent this batch, per shard.
-        let mut drawn = vec![(0u64, 0u64); n_shards];
-        for (ranges, deltas) in worker_out {
-            for ((shard, delta), drawn) in self.shards.iter_mut().zip(&deltas).zip(&mut drawn) {
+        buffers.drawn.clear();
+        buffers.drawn.resize(n_shards, (0, 0));
+        buffers.stitch.clear();
+        for (worker, slot) in buffers.workers[..workers].iter().enumerate() {
+            let scratch = lock_scratch(slot);
+            let deltas = scratch.deltas.iter();
+            for ((shard, delta), drawn) in
+                self.shards.iter_mut().zip(deltas).zip(&mut buffers.drawn)
+            {
                 if !delta.is_empty() {
                     shard.fold_delta(delta);
                     drawn.0 += delta.queries;
                     drawn.1 += delta.requeries;
                 }
             }
-            stitched.extend(ranges);
+            let ranges = scratch.ranges.iter();
+            buffers
+                .stitch
+                .extend(ranges.map(|(lo, span)| (*lo, worker, span.clone())));
         }
-        stitched.sort_unstable_by_key(|&(lo, _)| lo);
+        buffers.stitch.sort_unstable_by_key(|&(lo, ..)| lo);
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(n);
-        for (_, range) in stitched {
-            verdicts.extend(range);
+        for (_, worker, span) in &buffers.stitch {
+            verdicts
+                .extend_from_slice(&lock_scratch(&buffers.workers[*worker]).verdicts[span.clone()]);
         }
         debug_assert_eq!(verdicts.len(), n, "claimed ranges partition the batch");
         for v in &verdicts {
@@ -1450,7 +1562,9 @@ impl MonitoringService {
         }
         self.served += n as u64;
         self.batches += 1;
+        let drawn = std::mem::take(&mut self.buffers.drawn);
         self.accrue_energy(&drawn);
+        self.buffers.drawn = drawn;
         // Timing folds exactly once per batch, on the main thread, after
         // the parallel region — workers never touch the clock.
         if self.batch_latency_micros.len() == BATCH_LATENCY_WINDOW {
@@ -1703,11 +1817,12 @@ impl MonitoringService {
             batches: checkpoint.batches,
             rejected_queries: checkpoint.rejected_queries,
             verdict_checksum: checkpoint.verdict_checksum,
-            batch_latency_micros: VecDeque::new(),
+            batch_latency_micros: VecDeque::with_capacity(BATCH_LATENCY_WINDOW),
             power_model: CmosPowerModel::i7_5557u(),
             latency_model: LatencyModel::i7_5557u(),
             macs: baseline.quantized().size_bytes() / 4,
             service_power_w: checkpoint.service_power_w,
+            buffers: BatchBuffers::default(),
         })
     }
 
@@ -1733,7 +1848,7 @@ impl MonitoringService {
         features: &[Vec<f32>],
         journal: &mut StateJournal,
     ) -> io::Result<Vec<Verdict>> {
-        let verdicts = self.run_batch(features);
+        let verdicts = self.run_batch(BatchInput::Features(features));
         journal.append_commit(BatchCommit {
             batch: self.batches - 1,
             stream_pos: self.served,
@@ -1971,6 +2086,54 @@ mod tests {
             let (verdicts, snapshot) = run(8, ExecConfig::threads(4));
             assert_eq!(verdicts, narrow_verdicts, "8 lanes × 4 threads differs");
             assert_eq!(snapshot, narrow_snapshot, "8×4 telemetry differs");
+        }
+    }
+
+    #[test]
+    fn trace_and_feature_batches_serve_identically() {
+        // `process_batch` extracts inside the workers; `process_feature_batch`
+        // takes rows extracted up front. Same queries, same verdicts and
+        // checksum, at every worker count and lane width, re-query included.
+        let (dataset, baseline, curve) = setup();
+        let traces = stream(&dataset, 280);
+        let features: Vec<Vec<f32>> = traces.iter().map(|t| baseline.spec().extract(t)).collect();
+        for threads in [1, 2, 8] {
+            for lanes in [1, 8] {
+                let deploy = || {
+                    let config = ServeConfig::new(3)
+                        .with_seed(5)
+                        .with_target_error_rate(0.3)
+                        .with_requery(RequeryConfig::new(0.3, 6))
+                        .with_exec(ExecConfig::threads(threads))
+                        .with_lanes(lanes);
+                    MonitoringService::deploy(&baseline, &curve, config).expect("valid config")
+                };
+                let (mut from_traces, mut from_features) = (deploy(), deploy());
+                // One batch large enough for eight workers to claim a range
+                // each, then one-query batches.
+                let mut a = from_traces.process_batch(&traces[..256]);
+                let mut b = from_features.process_feature_batch(&features[..256]);
+                for i in 256..traces.len() {
+                    a.extend(from_traces.process_batch(&traces[i..=i]));
+                    b.extend(from_features.process_feature_batch(&features[i..=i]));
+                }
+                let context = format!("{threads} workers, {lanes} lanes");
+                assert_eq!(a, b, "{context}");
+                assert!(
+                    a.iter().any(Verdict::is_requeried),
+                    "{context}: no re-query"
+                );
+                assert_eq!(
+                    from_traces.verdict_checksum(),
+                    from_features.verdict_checksum(),
+                    "{context}"
+                );
+                assert_eq!(
+                    from_traces.snapshot().without_timing(),
+                    from_features.snapshot().without_timing(),
+                    "{context}"
+                );
+            }
         }
     }
 

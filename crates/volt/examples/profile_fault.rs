@@ -5,7 +5,11 @@
 //! deployments deliver (0.116359 for target 0.1, 0.413512 for target
 //! 0.3), the split of one fault event into its gap draw, its first flip
 //! with placement and ripple, and its tail continuation, and the counts
-//! of events, tail searches and search probes per inference.
+//! of events, tail searches and search probes per inference. Last, the
+//! cost of building a model without the Figure-1 cache
+//! (`FaultModel::from_normalized_weights`, which every retune pays) and of
+//! each of its tables on its own: the gap table, the first-flip table, the
+//! tail-continuation tables and the placement table.
 //!
 //! Run with `cargo run --release -p shmd-volt --example profile_fault`.
 //! Detector-level numbers live in `bench_throughput` and perfbench.
@@ -15,6 +19,7 @@ use rand::{Rng, SeedableRng};
 use shmd_volt::fault::{
     profile, BatchFaultStream, FaultModel, FaultStream, LaneCorruptor, PerDrawInjector,
 };
+use shmd_volt::multiplier::BitErrorProfile;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -169,6 +174,34 @@ fn main() {
             per(c.events),
             per(c.tail_searches),
             c.probes as f64 / c.tail_searches.max(1) as f64
+        );
+    }
+
+    // Model builds. Each part is timed on its own, the parts in turn for
+    // 21 rounds, like the event split.
+    println!(
+        "\nmodel build (ns, median of 21)   uncached build   gap   first flip   tail   placement"
+    );
+    let weights = BitErrorProfile::fig1_normalized();
+    let n = 20_000u64;
+    for er in [0.1, 0.178, 0.4135] {
+        let model = FaultModel::from_error_rate(er).unwrap();
+        let mut parts: [Vec<f64>; 5] = Default::default();
+        for _ in 0..21 {
+            parts[0].push(time(n, || {
+                let built = FaultModel::from_normalized_weights(black_box(er), weights);
+                u64::from(built.is_ok())
+            }));
+            parts[1].push(time(n, || profile::build_gap(black_box(&model)) as u64));
+            parts[2].push(time(n, || {
+                profile::build_first_flip(black_box(&model)) as u64
+            }));
+            parts[3].push(time(n, || profile::build_tail(black_box(&model)) as u64));
+            parts[4].push(time(n, || profile::build_place(black_box(&model)) as u64));
+        }
+        let [build, gap, first, tail, place] = parts.map(median);
+        println!(
+            "er={er:<8}                     {build:14.0}   {gap:3.0}   {first:10.0}   {tail:4.0}   {place:9.0}"
         );
     }
 }

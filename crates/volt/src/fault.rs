@@ -16,7 +16,9 @@ use crate::voltage::Volts;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default fraction of faults that land in the carry-ripple zone *above*
 /// the product's most-significant bit.
@@ -92,42 +94,66 @@ pub struct FaultModel {
     near_zero_width: u32,
     /// `cut_le` of the geometric gap CDF `P(gap ≤ k) = 1 − (1 − er)^{k+1}`,
     /// truncated once it covers ~99.9% of the mass (see [`sample_gap`]).
-    gap_cuts: Vec<u64>,
-    /// Guide table over `gap_cuts` (see [`build_guide`]).
-    gap_guide: Vec<u16>,
+    gap: CutTable,
     /// `cut_lt` of `first_flip_cdf`: the first flip is the number of cuts
     /// at or below the draw's mantissa.
-    first_flip_cuts: Vec<u64>,
-    /// Guide table over `first_flip_cuts` (see [`build_guide`]).
-    first_flip_guide: Vec<u16>,
+    first_flip: CutTable,
     /// `cut_le(ripple_fraction)`: a flip ripples when the draw's mantissa
     /// is below it.
     ripple_cut: u64,
-    /// Suffix no-flip probabilities over `flips`:
-    /// `tail_none[j] = ∏_{i ≥ j} (1 − pᵢ)`, with `tail_none[len] = 1`.
-    /// Drives the tail continuation in [`next_flip`].
-    tail_none: Vec<f64>,
-    /// `cut_lt(tail_none[j])`: the tail walking from `j` stops when the
-    /// draw's mantissa is below it.
-    tail_stop_cuts: Vec<u64>,
-    /// `1 / tail_none[j]`, which turns a tail draw into the guide key of
-    /// [`next_flip`] with one multiply.
-    tail_inverse: Vec<f64>,
-    /// Guide table for [`next_flip`], keyed on the bit pattern of
-    /// `u / tail_none[j]` above that of 1.0, shifted right by `tail_shift`.
-    tail_guide: Vec<u16>,
-    /// Shift that fits the keys of `tail_guide` into [`GUIDE_BUCKETS`].
-    tail_shift: u32,
+    /// The tail continuation's tables (see [`tail_continuation`]).
+    tail: TailTables,
     /// Precomputed deterministic flip *positions*, indexed by
-    /// `top * OUTPUT_BITS + profile_bit`: the activity-scaled placement
-    /// `clamp(bit * top / 62, IMMUNE_LSBS + 1, top)` for every reachable
-    /// active width `top`, so a fault event shifts a looked-up byte
-    /// instead of re-deriving the multiply/divide/clamp per flipped bit
-    /// (see [`apply_fault_event`]). Stored as bit positions rather than
-    /// 64-bit masks so the whole table is ~4 KiB and stays L1-resident on
-    /// the event path. Rows below the immunity floor are unreachable and
-    /// stay zero.
-    place_pos: Vec<u8>,
+    /// `(top − PLACE_FLOOR) * flips.len() + k`: the activity-scaled
+    /// placement `clamp(bit * top / 62, IMMUNE_LSBS + 1, top)` of weighted
+    /// bit `flips[k]` for every reachable active width `top`, so a fault
+    /// event shifts a looked-up byte instead of re-deriving the
+    /// multiply/divide/clamp per flipped bit, and never goes through
+    /// `flips[k].0` to find its column (see [`apply_fault_event`]). Stored
+    /// as bit positions rather than 64-bit masks so the whole table is
+    /// ~3 KiB and stays L1-resident on the event path. Models with the same
+    /// weighted bits share one table (see [`shared_place_table`]).
+    place: Arc<[u8]>,
+}
+
+/// An inverse-CDF lookup over non-decreasing integer cuts: the answer for
+/// a draw's mantissa `m` is the number of cuts at or below `m`.
+///
+/// `exact` answers most draws with one load. It splits the 53-bit
+/// mantissa range into [`EXACT_BUCKETS`] equal buckets, and bucket `b`
+/// stores the answer shared by every mantissa in it, or [`SPLIT`] when a
+/// cut lies strictly inside the bucket, so that the answer changes within
+/// it. Only those few buckets (at most one per cut) fall back to the
+/// guided scan over `cuts` ([`guided_index`]), and so do buckets whose
+/// answer is [`SPLIT`] or more, which only gap tables longer than 255
+/// cuts, at error rates below about 0.027, reach.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct CutTable {
+    cuts: Vec<u64>,
+    /// Guide table over `cuts` (see [`build_guide`]).
+    guide: Vec<u16>,
+    /// Exact answers per bucket (see [`build_exact`]).
+    exact: Vec<u8>,
+}
+
+impl CutTable {
+    fn new(cuts: Vec<u64>) -> CutTable {
+        CutTable {
+            guide: build_guide(&cuts),
+            exact: build_exact(&cuts),
+            cuts,
+        }
+    }
+
+    /// The number of cuts at or below the mantissa `m`. The table must
+    /// hold at least one cut.
+    #[inline]
+    fn count(&self, m: u64) -> usize {
+        match self.exact[(m >> EXACT_SHIFT) as usize] {
+            SPLIT => guided_index(&self.cuts, &self.guide, m),
+            answer => usize::from(answer),
+        }
+    }
 }
 
 /// Bucket count for the inverse-CDF guide tables.
@@ -139,6 +165,23 @@ const MANTISSA_SCALE: f64 = (1u64 << 53) as f64;
 
 /// Shift from a mantissa to its guide bucket: `⌊u·256⌋ = m >> 45`.
 const GUIDE_SHIFT: u32 = 53 - GUIDE_BUCKETS.trailing_zeros();
+
+/// Bucket count for the exact-answer tables of [`CutTable`]. A bucket
+/// spans `2⁴¹` mantissas (`2⁻¹²` of the unit interval), so a table of a
+/// few dozen cuts leaves ≥98% of its buckets exact; at `2⁸` buckets that
+/// share falls to about 80%.
+const EXACT_BUCKETS: usize = 1 << 12;
+
+/// Shift from a mantissa to its exact-answer bucket: `m >> 41`.
+const EXACT_SHIFT: u32 = 53 - EXACT_BUCKETS.trailing_zeros();
+
+/// The [`CutTable`] marker for a bucket whose answer is not constant, or
+/// not below this value.
+const SPLIT: u8 = u8::MAX;
+
+/// The lowest column the placement table covers: the carry-out column of
+/// the narrowest product that can fault (see [`MIN_NEAR_ZERO_WIDTH`]).
+const PLACE_FLOOR: u32 = crate::multiplier::IMMUNE_LSBS as u32 + 1;
 
 /// Narrowest near-zero width a model accepts: a product of width 8 or more
 /// has its carry-out column `top` at or above the first non-immune bit,
@@ -173,11 +216,9 @@ const FIG1_MODEL_CACHE_CAP: usize = 256;
 /// Process-wide cache of models built from the Figure-1 profile, keyed by
 /// the requested error rate's bit pattern (see
 /// [`FaultModel::from_error_rate`]).
-fn fig1_model_cache() -> &'static std::sync::Mutex<std::collections::HashMap<u64, FaultModel>> {
-    static CACHE: std::sync::OnceLock<
-        std::sync::Mutex<std::collections::HashMap<u64, FaultModel>>,
-    > = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()))
+fn fig1_model_cache() -> &'static Mutex<HashMap<u64, FaultModel>> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, FaultModel>>> = OnceLock::new();
+    CACHE.get_or_init(Mutex::default)
 }
 
 /// Builds a guide table over non-decreasing integer cuts: `guide[b]` is the
@@ -197,6 +238,153 @@ fn build_guide(cuts: &[u64]) -> Vec<u16> {
             k.min(usize::from(u16::MAX)) as u16
         })
         .collect()
+}
+
+/// Builds the exact-answer table of a [`CutTable`] in O(cuts + buckets)
+/// with range fills. Bucket `b` holds the mantissas `[b·W, (b+1)·W)` for
+/// `W = 2⁴¹`. Cut `i` counts for every mantissa at or above it, so the
+/// buckets whose least mantissa lies below it, and above every earlier
+/// cut, all answer `i`. A cut that is not its bucket's least mantissa
+/// changes the answer inside that bucket, which becomes [`SPLIT`]. Cuts at
+/// or above `2⁵³` lie above every mantissa and change nothing.
+fn build_exact(cuts: &[u64]) -> Vec<u8> {
+    const WIDTH: u64 = 1 << EXACT_SHIFT;
+    let answer = |i: usize| i.min(usize::from(SPLIT)) as u8;
+    let mut exact = Vec::with_capacity(EXACT_BUCKETS);
+    for (i, &cut) in cuts.iter().enumerate() {
+        // Buckets whose least mantissa lies below `cut`: `⌈cut / W⌉`.
+        let below = (cut.div_ceil(WIDTH) as usize).min(EXACT_BUCKETS);
+        if below > exact.len() {
+            exact.resize(below, answer(i));
+        }
+    }
+    exact.resize(EXACT_BUCKETS, answer(cuts.len()));
+    for &cut in cuts {
+        let bucket = (cut >> EXACT_SHIFT) as usize;
+        if bucket < EXACT_BUCKETS && cut % WIDTH != 0 {
+            exact[bucket] = SPLIT;
+        }
+    }
+    exact
+}
+
+/// The gap table: `cut_le` of the geometric gap CDF `F(k) = 1 − (1 −
+/// er)^{k+1}`, truncated at 99.9% coverage (the remaining mass is sampled
+/// by the exact memoryless fallback) and bounded so that a minuscule error
+/// rate cannot allocate an unbounded table.
+fn gap_table(er_eff: f64) -> CutTable {
+    let mut cuts = Vec::new();
+    let mut f = er_eff;
+    while cuts.len() < 1024 {
+        cuts.push(cut_le(f));
+        if f >= 0.999 {
+            break;
+        }
+        f = 1.0 - (1.0 - f) * (1.0 - er_eff);
+    }
+    CutTable::new(cuts)
+}
+
+/// The first-flip CDF over `flips`, conditioned on at least one flip,
+/// with its [`CutTable`] of `cut_lt` cuts:
+/// `P(first flip is flips[k] | ≥1 flip) = p_k · ∏_{j<k}(1 − p_j) / er`.
+fn first_flip_table(er_eff: f64, flips: &[(u8, f64)]) -> (Vec<f64>, CutTable) {
+    let mut cdf = Vec::with_capacity(flips.len());
+    let mut none_so_far = 1.0;
+    let mut cum = 0.0;
+    for &(_, p) in flips {
+        cum += p * none_so_far / er_eff;
+        none_so_far *= 1.0 - p;
+        cdf.push(cum);
+    }
+    // Guard against rounding: force the last entry to 1.
+    if let Some(last) = cdf.last_mut() {
+        *last = 1.0;
+    }
+    let cuts = cdf.iter().map(|&c| cut_lt(c)).collect();
+    (cdf, CutTable::new(cuts))
+}
+
+/// The tail-continuation tables over `flips`.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct TailTables {
+    /// Suffix no-flip probabilities over `flips`:
+    /// `none[j] = ∏_{i ≥ j} (1 − pᵢ)`, with `none[len] = 1`.
+    /// Drives the tail continuation in [`next_flip`].
+    none: Vec<f64>,
+    /// `cut_lt(none[j])`: the tail walking from `j` stops when the
+    /// draw's mantissa is below it.
+    stop_cuts: Vec<u64>,
+    /// `1 / none[j]`, which turns a tail draw into the guide key of
+    /// [`next_flip`] with one multiply.
+    inverse: Vec<f64>,
+    /// Guide table for [`next_flip`], keyed on the bit pattern of
+    /// `u / none[j]` above that of 1.0, shifted right by `shift`.
+    guide: Vec<u16>,
+    /// Shift that fits the keys of `guide` into [`GUIDE_BUCKETS`].
+    shift: u32,
+}
+
+fn tail_tables(flips: &[(u8, f64)]) -> TailTables {
+    let mut none = vec![1.0; flips.len() + 1];
+    for i in (0..flips.len()).rev() {
+        none[i] = none[i + 1] * (1.0 - flips[i].1);
+    }
+    let stop_cuts = none.iter().map(|&t| cut_lt(t)).collect();
+    let inverse: Vec<f64> = none.iter().map(|&t| 1.0 / t).collect();
+    let (guide, shift) = build_tail_guide(&inverse);
+    TailTables {
+        none,
+        stop_cuts,
+        inverse,
+        guide,
+        shift,
+    }
+}
+
+/// The placement table over `flips`, one row of `flips.len()` columns for
+/// every active width `top` from [`PLACE_FLOOR`] up to `OUTPUT_BITS − 2`,
+/// the widths a faultable product can present (`near_zero_width` absorbs
+/// anything narrower, and [`FaultWindow::new`] caps at `OUTPUT_BITS − 2`).
+fn place_table(flips: &[(u8, f64)]) -> Vec<u8> {
+    let n = flips.len();
+    let mut place = vec![0u8; (OUTPUT_BITS - 1 - PLACE_FLOOR as usize) * n];
+    for (row, top) in place.chunks_exact_mut(n.max(1)).zip(PLACE_FLOOR..) {
+        for (pos, &(bit, _)) in row.iter_mut().zip(flips) {
+            *pos =
+                ((u32::from(bit) * top) / (OUTPUT_BITS as u32 - 2)).clamp(PLACE_FLOOR, top) as u8;
+        }
+    }
+    place
+}
+
+/// Entry cap for the placement cache: one entry per set of weighted bits,
+/// and a process meets a handful of profiles at most.
+const PLACE_CACHE_CAP: usize = 64;
+
+/// [`place_table`], shared by every model whose weighted bits are the
+/// same. The table depends on which bits carry weight, never on their
+/// probabilities, so a retune to a new error rate reuses it. Flip tables
+/// with bits in strictly increasing order, as every constructor makes
+/// them, are keyed by their bit mask; any other order (a hand-made
+/// checkpoint) builds its own table.
+fn shared_place_table(flips: &[(u8, f64)]) -> Arc<[u8]> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<[u8]>>>> = OnceLock::new();
+    if !flips.windows(2).all(|w| w[0].0 < w[1].0) {
+        return place_table(flips).into();
+    }
+    let key = flips.iter().fold(0u64, |mask, &(bit, _)| mask | 1 << bit);
+    let cache = CACHE.get_or_init(Mutex::default);
+    if let Some(place) = cache.lock().ok().and_then(|c| c.get(&key).cloned()) {
+        return place;
+    }
+    let place: Arc<[u8]> = place_table(flips).into();
+    if let Ok(mut c) = cache.lock() {
+        if c.len() < PLACE_CACHE_CAP {
+            c.insert(key, Arc::clone(&place));
+        }
+    }
+    place
 }
 
 /// The guide key of a tail draw: the bit pattern of `w = u / tail_none[j]`
@@ -240,17 +428,11 @@ impl FaultModel {
             ripple_fraction: DEFAULT_RIPPLE_FRACTION,
             ripple_span: DEFAULT_RIPPLE_SPAN,
             near_zero_width: crate::multiplier::IMMUNE_LSBS as u32,
-            gap_cuts: Vec::new(),
-            gap_guide: Vec::new(),
-            first_flip_cuts: Vec::new(),
-            first_flip_guide: Vec::new(),
+            gap: CutTable::default(),
+            first_flip: CutTable::default(),
             ripple_cut: cut_le(DEFAULT_RIPPLE_FRACTION),
-            tail_none: Vec::new(),
-            tail_stop_cuts: Vec::new(),
-            tail_inverse: Vec::new(),
-            tail_guide: Vec::new(),
-            tail_shift: 0,
-            place_pos: Vec::new(),
+            tail: TailTables::default(),
+            place: Arc::default(),
         }
     }
 
@@ -340,9 +522,9 @@ impl FaultModel {
     /// table is a pure `f64` function of `(er_eff, flips)` and the ripple
     /// fraction, so rebuilding from a [`FaultModelState`] snapshot
     /// reproduces the original model bit for bit — the snapshot never has
-    /// to carry the tables. Each table is O(flips + [`GUIDE_BUCKETS`]),
-    /// apart from the fixed placement table and the gap CDF, whose length
-    /// depends on `er` alone.
+    /// to carry the tables. Each table is O(flips + [`GUIDE_BUCKETS`] +
+    /// [`EXACT_BUCKETS`]), apart from the placement table, O(flips × 54),
+    /// and the gap CDF, whose length depends on `er` alone.
     fn assemble(
         er_eff: f64,
         flips: Vec<(u8, f64)>,
@@ -350,72 +532,19 @@ impl FaultModel {
         ripple_span: u32,
         near_zero_width: u32,
     ) -> FaultModel {
-        // P(first flip is flips[k] | >=1 flip) = p_k * prod_{j<k}(1-p_j) / er
-        let mut cdf = Vec::with_capacity(flips.len());
-        let mut none_so_far = 1.0;
-        let mut cum = 0.0;
-        for &(_, p) in &flips {
-            cum += p * none_so_far / er_eff;
-            none_so_far *= 1.0 - p;
-            cdf.push(cum);
-        }
-        // Guard against rounding: force the last entry to 1.
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
-        let first_flip_cuts: Vec<u64> = cdf.iter().map(|&c| cut_lt(c)).collect();
-        // Geometric gap CDF, truncated at 99.9% coverage (the remaining
-        // mass is sampled by the exact memoryless fallback). Bounded so a
-        // minuscule error rate cannot allocate an unbounded table.
-        let mut gap_cuts = Vec::new();
-        let mut f = er_eff;
-        while gap_cuts.len() < 1024 {
-            gap_cuts.push(cut_le(f));
-            if f >= 0.999 {
-                break;
-            }
-            f = 1.0 - (1.0 - f) * (1.0 - er_eff);
-        }
-        // Suffix products of the per-bit no-flip probabilities.
-        let mut tail_none = vec![1.0; flips.len() + 1];
-        for i in (0..flips.len()).rev() {
-            tail_none[i] = tail_none[i + 1] * (1.0 - flips[i].1);
-        }
-        let tail_stop_cuts = tail_none.iter().map(|&t| cut_lt(t)).collect();
-        let tail_inverse: Vec<f64> = tail_none.iter().map(|&t| 1.0 / t).collect();
-        let (tail_guide, tail_shift) = build_tail_guide(&tail_inverse);
-        // Deterministic flip positions for every (active width, profile
-        // bit) pair. `top` ranges over the widths a faultable product can
-        // present (`near_zero_width` absorbs anything narrower, and
-        // `apply_fault_event` caps at OUTPUT_BITS - 2); rows outside that
-        // band are unreachable and stay zero.
-        let floor = crate::multiplier::IMMUNE_LSBS as u32 + 1;
-        let mut place_pos = vec![0u8; (OUTPUT_BITS - 1) * OUTPUT_BITS];
-        for top in floor..OUTPUT_BITS as u32 - 1 {
-            for bit in 0..OUTPUT_BITS as u32 {
-                let pos = (bit * top) / (OUTPUT_BITS as u32 - 2);
-                place_pos[(top as usize) * OUTPUT_BITS + bit as usize] =
-                    pos.clamp(floor, top) as u8;
-            }
-        }
+        let (first_flip_cdf, first_flip) = first_flip_table(er_eff, &flips);
         FaultModel {
             error_rate: er_eff,
+            first_flip_cdf,
+            place: shared_place_table(&flips),
+            tail: tail_tables(&flips),
             flips,
-            first_flip_cdf: cdf,
             ripple_fraction,
             ripple_span,
             near_zero_width,
-            gap_guide: build_guide(&gap_cuts),
-            gap_cuts,
-            first_flip_guide: build_guide(&first_flip_cuts),
-            first_flip_cuts,
+            gap: gap_table(er_eff),
+            first_flip,
             ripple_cut: cut_le(ripple_fraction),
-            tail_none,
-            tail_stop_cuts,
-            tail_inverse,
-            tail_guide,
-            tail_shift,
-            place_pos,
         }
     }
 
@@ -654,11 +783,14 @@ impl FaultSink for FaultStats {
 /// Allocation-free per-lane statistics for [`BatchFaultStream`]: the same
 /// counts as [`FaultStats`] with the per-bit histogram stored inline, so
 /// arming a batch of lanes touches no heap and the per-flip histogram
-/// update indexes a fixed-size array.
+/// update indexes a fixed-size array. The running flip total beside the
+/// histogram makes [`BatchFaultStream::tally`] O(1).
 #[derive(Clone, Debug)]
 struct LaneStats {
     multiplies: u64,
     faulty: u64,
+    /// Sum of `bit_flips`.
+    flips: u64,
     bit_flips: [u64; OUTPUT_BITS],
 }
 
@@ -666,6 +798,7 @@ impl LaneStats {
     const ZERO: LaneStats = LaneStats {
         multiplies: 0,
         faulty: 0,
+        flips: 0,
         bit_flips: [0; OUTPUT_BITS],
     };
 }
@@ -676,6 +809,7 @@ impl FaultSink for LaneStats {
         self.faulty += 1;
         let mut remaining = mask;
         while remaining != 0 {
+            self.flips += 1;
             self.bit_flips[remaining.trailing_zeros() as usize] += 1;
             remaining &= remaining - 1;
         }
@@ -833,28 +967,24 @@ fn guided_index(cuts: &[u64], guide: &[u16], m: u64) -> usize {
 ///
 /// The common case is a table lookup: `gap = k` exactly when
 /// `F(k−1) ≤ u < F(k)` for the precomputed CDF `F`, which on the draw's
-/// mantissa is the number of gap cuts at or below it, located by a
-/// [`build_guide`] table plus a short forward scan, with no
-/// transcendental call. A draw past the truncated table lands in the
-/// geometric's memoryless tail, so the exact remainder is
+/// mantissa is the number of gap cuts at or below it ([`CutTable::count`]),
+/// with no transcendental call. A draw at or past the last cut lands in
+/// the geometric's memoryless tail, so the exact remainder is
 /// `table length + Geom(er)` via the logarithm sampler. Either way the
 /// fault/no-fault sequence keeps the same law as one Bernoulli(er) draw
 /// per multiplication, at one draw per *fault* instead of per *product*.
 #[inline]
 fn sample_gap(rng: &mut StdRng, model: &FaultModel) -> u64 {
-    let cuts = &model.gap_cuts;
-    match cuts.last() {
-        Some(&last) => {
-            let m = draw_mantissa(rng);
-            // `u < F(last)`: the answer lies inside the table.
-            if m < last {
-                guided_index(cuts, &model.gap_guide, m) as u64
-            } else {
-                (cuts.len() as u64).saturating_add(sample_gap_ln(rng, model.error_rate))
-            }
-        }
+    let table = &model.gap;
+    if table.cuts.is_empty() {
         // An exact model has no table; its gap saturates.
-        None => sample_gap_ln(rng, model.error_rate),
+        return sample_gap_ln(rng, model.error_rate);
+    }
+    let gap = table.count(draw_mantissa(rng));
+    if gap < table.cuts.len() {
+        gap as u64
+    } else {
+        (table.cuts.len() as u64).saturating_add(sample_gap_ln(rng, model.error_rate))
     }
 }
 
@@ -871,7 +1001,7 @@ struct FaultWindow<'m> {
     top: u32,
     /// Highest column a carry-ripple flip can reach.
     ripple_top: u32,
-    /// `place_pos` row for `top`.
+    /// `place` row for `top`, indexed by flip.
     row: &'m [u8],
 }
 
@@ -891,11 +1021,12 @@ impl<'m> FaultWindow<'m> {
         let ripple_top = width
             .saturating_add(model.ripple_span)
             .min(OUTPUT_BITS as u32 - 2);
-        let at = top as usize * OUTPUT_BITS;
+        let n = model.flips.len();
+        let at = (top - PLACE_FLOOR) as usize * n;
         Some(FaultWindow {
             top,
             ripple_top,
-            row: &model.place_pos[at..at + OUTPUT_BITS],
+            row: &model.place[at..at + n],
         })
     }
 
@@ -907,7 +1038,7 @@ impl<'m> FaultWindow<'m> {
         if self.ripple_top > self.top && draw_mantissa(rng) < model.ripple_cut {
             1u64 << rng.gen_range(self.top + 1..=self.ripple_top)
         } else {
-            1u64 << self.row[usize::from(model.flips[k].0)]
+            1u64 << self.row[k]
         }
     }
 }
@@ -929,15 +1060,15 @@ impl<'m> FaultWindow<'m> {
 /// Returns the index and the number of predicate evaluations.
 #[inline]
 fn next_flip(model: &FaultModel, j: usize, m: u64) -> (usize, u32) {
-    let tn = &model.tail_none;
+    let tn = &model.tail.none;
     let u = m as f64 * (1.0 / MANTISSA_SCALE);
     let mut probes = 0;
     let mut holds = |i: usize| {
         probes += 1;
         u * tn[i] <= tn[j]
     };
-    let key = tail_key(u * model.tail_inverse[j]) >> model.tail_shift;
-    let mut i = usize::from(model.tail_guide[(key as usize).min(GUIDE_BUCKETS - 1)]).max(j);
+    let key = tail_key(u * model.tail.inverse[j]) >> model.tail.shift;
+    let mut i = usize::from(model.tail.guide[(key as usize).min(GUIDE_BUCKETS - 1)]).max(j);
     while !holds(i) {
         i -= 1;
     }
@@ -949,9 +1080,10 @@ fn next_flip(model: &FaultModel, j: usize, m: u64) -> (usize, u32) {
 
 /// The first flip of an event on `window`, conditioned on at least one,
 /// with its placement: the flip index and its mask. The index is the
-/// number of first-flip cuts at or below the draw's mantissa, which is the
-/// index `first_flip_cdf.partition_point(|&c| c < u)` finds; the last cut
-/// lies above every mantissa, so it is in range.
+/// number of first-flip cuts at or below the draw's mantissa
+/// ([`CutTable::count`]), which is the index
+/// `first_flip_cdf.partition_point(|&c| c < u)` finds; the last cut lies
+/// above every mantissa, so it is in range.
 #[inline]
 fn first_placed_flip(
     model: &FaultModel,
@@ -959,7 +1091,7 @@ fn first_placed_flip(
     window: &FaultWindow<'_>,
 ) -> (usize, u64) {
     let m = draw_mantissa(rng);
-    let k = guided_index(&model.first_flip_cuts, &model.first_flip_guide, m);
+    let k = model.first_flip.count(m);
     (k, window.place(model, rng, k))
 }
 
@@ -982,7 +1114,7 @@ fn tail_continuation<S: FaultSink>(
     let mut j = k + 1;
     while j < model.flips.len() {
         let m = draw_mantissa(rng);
-        if m < model.tail_stop_cuts[j] {
+        if m < model.tail.stop_cuts[j] {
             break;
         }
         let (i, probes) = next_flip(model, j, m);
@@ -1368,7 +1500,7 @@ impl<'a, const LANES: usize> BatchFaultStream<'a, LANES> {
         FaultTally {
             multiplies: s.multiplies + self.gap_len[lane] - self.skip[lane],
             faulty: s.faulty,
-            bit_flips: s.bit_flips.iter().sum(),
+            bit_flips: s.flips,
         }
     }
 }
@@ -1477,8 +1609,8 @@ impl ProductCorruptor for PerDrawInjector {
 #[doc(hidden)]
 pub mod profile {
     use super::{
-        apply_fault_event, arm_gap, first_placed_flip, sample_gap, FaultModel, FaultSink,
-        FaultWindow,
+        apply_fault_event, arm_gap, first_flip_table, first_placed_flip, gap_table, place_table,
+        sample_gap, tail_tables, FaultModel, FaultSink, FaultWindow,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1518,6 +1650,31 @@ pub mod profile {
     /// One whole event, without its gap draw.
     pub fn event(model: &FaultModel, rng: &mut StdRng, product: i64) -> i64 {
         apply_fault_event(model, rng, &mut EventCounts::default(), product)
+    }
+
+    /// Builds `model`'s gap table alone; returns its cut count.
+    pub fn build_gap(model: &FaultModel) -> usize {
+        gap_table(model.error_rate).cuts.len()
+    }
+
+    /// Builds `model`'s first-flip CDF and table alone; returns its cut
+    /// count.
+    pub fn build_first_flip(model: &FaultModel) -> usize {
+        first_flip_table(model.error_rate, &model.flips)
+            .1
+            .cuts
+            .len()
+    }
+
+    /// Builds `model`'s tail-continuation tables alone; returns their
+    /// length.
+    pub fn build_tail(model: &FaultModel) -> usize {
+        tail_tables(&model.flips).none.len()
+    }
+
+    /// Builds `model`'s placement table alone; returns its length.
+    pub fn build_place(model: &FaultModel) -> usize {
+        place_table(&model.flips).len()
     }
 
     /// Drives a stream seeded with `seed` over `products`, as
@@ -2177,27 +2334,126 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
     }
 
+    /// The models the table tests sweep: seven rates of the Figure-1
+    /// profile from nearly exact to the clamped maximum, a custom profile,
+    /// a wider ripple and a raised near-zero floor.
+    fn table_models() -> Vec<(String, FaultModel)> {
+        let mut weights = vec![0.0; OUTPUT_BITS];
+        for (bit, w) in weights
+            .iter_mut()
+            .enumerate()
+            .take(SIGN_BIT)
+            .skip(IMMUNE_LSBS)
+        {
+            *w = if bit % 5 == 0 {
+                3.0
+            } else {
+                0.25 + bit as f64 / 64.0
+            };
+        }
+        let custom = BitErrorProfile::from_weights(weights).expect("valid profile");
+        let fig1 = |er: f64| FaultModel::from_error_rate(er).expect("valid");
+        let mut models: Vec<(String, FaultModel)> =
+            [1e-6, 1e-3, 0.1164, 0.178, 0.4135, 0.9, 0.9999]
+                .into_iter()
+                .map(|er| (format!("er {er}"), fig1(er)))
+                .collect();
+        models.push((
+            "custom profile".into(),
+            FaultModel::from_error_rate_with_profile(0.3, &custom).expect("valid"),
+        ));
+        models.push(("ripple".into(), fig1(0.178).with_ripple(0.4, 20)));
+        models.push((
+            "near-zero width".into(),
+            fig1(0.178).with_near_zero_width(30),
+        ));
+        models
+    }
+
     #[test]
     fn place_mask_table_matches_arithmetic_placement() {
         // The event law places a flip by table lookup; the oracle keeps
         // the clamp arithmetic. With the ripple off, both must put every
         // weighted bit in the same column at every active width.
-        let model = FaultModel::from_error_rate(0.4)
-            .expect("valid")
-            .with_ripple(0.0, DEFAULT_RIPPLE_SPAN);
         let mut rng = StdRng::seed_from_u64(5);
-        for width in IMMUNE_LSBS as u32 + 1..=63 {
-            let window = FaultWindow::new(&model, 1i64 << (width - 1)).expect("wide enough");
-            for (k, &(bit, _)) in model.flips.iter().enumerate() {
-                let pos = (u32::from(bit) * window.top / (OUTPUT_BITS as u32 - 2))
-                    .clamp(IMMUNE_LSBS as u32 + 1, window.top);
-                assert_eq!(
-                    window.place(&model, &mut rng, k),
-                    1 << pos,
-                    "width {width}, bit {bit}"
-                );
+        for (name, model) in table_models() {
+            let model = model.with_ripple(0.0, DEFAULT_RIPPLE_SPAN);
+            for width in model.near_zero_width() + 1..=63 {
+                let window = FaultWindow::new(&model, 1i64 << (width - 1)).expect("wide enough");
+                for (k, &(bit, _)) in model.flips.iter().enumerate() {
+                    let pos = (u32::from(bit) * window.top / (OUTPUT_BITS as u32 - 2))
+                        .clamp(IMMUNE_LSBS as u32 + 1, window.top);
+                    assert_eq!(
+                        window.place(&model, &mut rng, k),
+                        1 << pos,
+                        "{name}: width {width}, bit {bit}"
+                    );
+                }
             }
         }
+    }
+
+    /// `sample_gap` as it was before the exact-answer tables: the guided
+    /// scan for a draw below the last cut, else the logarithm sampler.
+    fn scanned_gap(rng: &mut StdRng, model: &FaultModel) -> u64 {
+        let cuts = &model.gap.cuts;
+        let m = draw_mantissa(rng);
+        if m < cuts[cuts.len() - 1] {
+            guided_index(cuts, &model.gap.guide, m) as u64
+        } else {
+            (cuts.len() as u64).saturating_add(sample_gap_ln(rng, model.error_rate))
+        }
+    }
+
+    #[test]
+    fn exact_tables_answer_what_the_scans_answer() {
+        // Every bucket's least and greatest mantissa, and random ones: the
+        // gap table must answer what the guided scan answers, and the
+        // first-flip table what a binary search over the f64 CDF answers.
+        let mut rng = StdRng::seed_from_u64(17);
+        let u = |m: u64| m as f64 * (1.0 / MANTISSA_SCALE);
+        for (name, model) in &table_models() {
+            let edges = (0..EXACT_BUCKETS as u64)
+                .flat_map(|b| [b << EXACT_SHIFT, ((b + 1) << EXACT_SHIFT) - 1]);
+            let random: Vec<u64> = (0..20_000).map(|_| rng.next_u64() >> 11).collect();
+            let mut gaps_past_last = 0;
+            for m in edges.chain(random) {
+                let gap = &model.gap;
+                let want = guided_index(&gap.cuts, &gap.guide, m);
+                assert_eq!(gap.count(m), want, "{name}: gap at m {m}");
+                gaps_past_last += usize::from(want == gap.cuts.len());
+                let want = model.first_flip_cdf.partition_point(|&c| c < u(m));
+                assert_eq!(
+                    model.first_flip.count(m),
+                    want,
+                    "{name}: first flip at m {m}"
+                );
+            }
+            assert!(
+                gaps_past_last > 0,
+                "{name}: no draw reached the ln fallback"
+            );
+            // Whole gap draws, the ln fallback included: the same gaps and
+            // the same RNG state afterwards.
+            for seed in 0..200 {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                for _ in 0..50 {
+                    assert_eq!(
+                        sample_gap(&mut a, model),
+                        scanned_gap(&mut b, model),
+                        "{name}"
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
+            }
+        }
+        // At er = 1e-6 the truncated table ends far below 99.9% coverage,
+        // so almost every gap lies beyond it.
+        let sparse = FaultModel::from_error_rate(1e-6).expect("valid");
+        assert_eq!(sparse.gap.cuts.len(), 1024);
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!((0..100).all(|_| sample_gap(&mut rng, &sparse) >= 1024));
     }
 
     /// The error rates the event-law tests sweep: the serving operating
@@ -2218,14 +2474,14 @@ mod tests {
             let model = FaultModel::from_error_rate(er).expect("valid");
             // Gap: `F(k) ≤ u`, with F rebuilt by the model's recurrence.
             let mut f = model.error_rate;
-            for &cut in &model.gap_cuts {
+            for &cut in &model.gap.cuts {
                 for m in around(cut) {
                     assert_eq!(f <= u(m), cut <= m, "er {er}: gap cut {cut}, m {m}");
                 }
                 f = 1.0 - (1.0 - f) * (1.0 - model.error_rate);
             }
             // First flip: `cdf[k] < u`.
-            for (&c, &cut) in model.first_flip_cdf.iter().zip(&model.first_flip_cuts) {
+            for (&c, &cut) in model.first_flip_cdf.iter().zip(&model.first_flip.cuts) {
                 for m in around(cut) {
                     assert_eq!(c < u(m), cut <= m, "er {er}: first-flip cut {cut}, m {m}");
                 }
@@ -2235,7 +2491,7 @@ mod tests {
                 assert_eq!(u(m) < model.ripple_fraction, m < model.ripple_cut);
             }
             // Tail stop: `u ≤ tail_none[j]`.
-            for (&t, &cut) in model.tail_none.iter().zip(&model.tail_stop_cuts) {
+            for (&t, &cut) in model.tail.none.iter().zip(&model.tail.stop_cuts) {
                 for m in around(cut) {
                     assert_eq!(u(m) <= t, m < cut, "er {er}: tail-stop cut {cut}, m {m}");
                 }
@@ -2251,9 +2507,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         for er in EVENT_RATES {
             let model = FaultModel::from_error_rate(er).expect("valid");
-            let tn = &model.tail_none;
+            let tn = &model.tail.none;
             for j in 0..model.flips.len() {
-                let stop = model.tail_stop_cuts[j];
+                let stop = model.tail.stop_cuts[j];
                 let draws = [stop, stop + 1, (1 << 53) - 1]
                     .into_iter()
                     .chain((0..200).map(|_| rng.gen_range(stop..1 << 53)));

@@ -336,6 +336,27 @@ mod tests {
     }
 
     #[test]
+    fn paper_corpus_features_are_pinned() {
+        // Every feature of every paper-corpus trace under every spec,
+        // through both extraction entry points. Captured when extraction
+        // collected each window's frequencies before summing them.
+        let d = Dataset::generate(&DatasetConfig::paper(), 42);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut row = [0.0f32; crate::features::FEATURE_DIM];
+        for spec in FeatureSpec::all_combinations() {
+            for trace in &d.traces {
+                let features = spec.extract(trace);
+                spec.extract_into(trace, &mut row);
+                assert_eq!(features, row, "{spec}: extract_into differs from extract");
+                for b in features.iter().flat_map(|f| f.to_bits().to_le_bytes()) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 11_752_399_746_380_779_902, "paper-corpus features moved");
+    }
+
+    #[test]
     fn folds_partition_the_dataset() {
         let d = tiny();
         let split = d.three_fold_split(0);

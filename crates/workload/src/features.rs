@@ -114,68 +114,90 @@ impl FeatureSpec {
 
     /// Extracts the feature vector from a trace.
     pub fn extract(&self, trace: &Trace) -> Vec<f32> {
-        let freqs: Vec<[f64; CATEGORY_COUNT]> = trace
-            .windows()
-            .iter()
-            .step_by(self.period.get())
-            .map(Trace::window_frequencies)
-            .collect();
-        let n = freqs.len().max(1) as f64;
+        let mut out = vec![0.0; FEATURE_DIM];
+        self.extract_into(trace, &mut out);
+        out
+    }
+
+    /// Extracts the feature vector from a trace into `out`, without
+    /// allocating: [`FeatureSpec::extract`] for a caller that owns the row.
+    ///
+    /// One pass over the sampled windows computes each window's
+    /// frequencies and adds them into running sums in window order.
+    /// Burstiness takes a second pass for the deviations from the mean,
+    /// recomputing the frequencies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not [`FEATURE_DIM`].
+    pub fn extract_into(&self, trace: &Trace, out: &mut [f32]) {
+        assert_eq!(out.len(), FEATURE_DIM, "feature row width");
+        let windows = || {
+            trace
+                .windows()
+                .iter()
+                .step_by(self.period.get())
+                .map(Trace::window_frequencies)
+        };
+        let mut sum = [0.0f64; CATEGORY_COUNT];
+        let mut count = 0usize;
+        let mut prev: Option<[f64; CATEGORY_COUNT]> = None;
+        for f in windows() {
+            count += 1;
+            match self.kind {
+                FeatureKind::Transition => {
+                    if let Some(p) = prev {
+                        for (d, (a, b)) in sum.iter_mut().zip(p.iter().zip(&f)) {
+                            *d += (a - b).abs();
+                        }
+                    }
+                    prev = Some(f);
+                }
+                _ => {
+                    for (m, v) in sum.iter_mut().zip(&f) {
+                        *m += v;
+                    }
+                }
+            }
+        }
+        let n = count.max(1) as f64;
         match self.kind {
             FeatureKind::Frequency => {
-                let mut mean = [0.0f64; CATEGORY_COUNT];
-                for f in &freqs {
-                    for (m, v) in mean.iter_mut().zip(f) {
-                        *m += v;
-                    }
+                for (o, &m) in out.iter_mut().zip(&sum) {
+                    *o = (m / n) as f32;
                 }
-                mean.iter().map(|&m| (m / n) as f32).collect()
             }
             FeatureKind::Burstiness => {
-                let mut mean = [0.0f64; CATEGORY_COUNT];
-                for f in &freqs {
-                    for (m, v) in mean.iter_mut().zip(f) {
-                        *m += v;
-                    }
-                }
+                let mut mean = sum;
                 for m in &mut mean {
                     *m /= n;
                 }
                 let mut var = [0.0f64; CATEGORY_COUNT];
-                for f in &freqs {
-                    for ((v, x), m) in var.iter_mut().zip(f).zip(&mean) {
+                for f in windows() {
+                    for ((v, x), m) in var.iter_mut().zip(&f).zip(&mean) {
                         *v += (x - m) * (x - m);
                     }
                 }
-                var.iter()
-                    .zip(&mean)
-                    .map(|(&v, &m)| {
-                        if m <= 0.0 {
-                            0.0
-                        } else {
-                            // Coefficient of variation, squashed into [0, 1).
-                            let cv = (v / n).sqrt() / m;
-                            (cv / (1.0 + cv)) as f32
-                        }
-                    })
-                    .collect()
+                for ((o, &v), &m) in out.iter_mut().zip(&var).zip(&mean) {
+                    *o = if m <= 0.0 {
+                        0.0
+                    } else {
+                        // Coefficient of variation, squashed into [0, 1).
+                        let cv = (v / n).sqrt() / m;
+                        (cv / (1.0 + cv)) as f32
+                    };
+                }
             }
             FeatureKind::Transition => {
-                if freqs.len() < 2 {
-                    return vec![0.0; FEATURE_DIM];
+                if count < 2 {
+                    out.fill(0.0);
+                    return;
                 }
-                let mut delta = [0.0f64; CATEGORY_COUNT];
-                for pair in freqs.windows(2) {
-                    for (d, (a, b)) in delta.iter_mut().zip(pair[0].iter().zip(&pair[1])) {
-                        *d += (a - b).abs();
-                    }
-                }
-                let steps = (freqs.len() - 1) as f64;
+                let steps = (count - 1) as f64;
                 // Scale ×10 so magnitudes are comparable to frequencies.
-                delta
-                    .iter()
-                    .map(|&d| ((d / steps) * 10.0).min(1.0) as f32)
-                    .collect()
+                for (o, &d) in out.iter_mut().zip(&sum) {
+                    *o = ((d / steps) * 10.0).min(1.0) as f32;
+                }
             }
         }
     }

@@ -1,0 +1,156 @@
+//! Heap work per one-query batch on the serving path.
+//!
+//! An attacker's oracle (`ArenaOracle::query`) sends one query per batch,
+//! so whatever a batch allocates is paid on every query. The service keeps
+//! its per-batch buffers (worker scratch, routing tables, stitching
+//! indices) across batches and its workers extract features into their
+//! own rows, so a warmed-up batch allocates little beyond the verdict
+//! vector it returns.
+//!
+//! The counting allocator below counts only on the thread that asked for
+//! it. A one-query batch runs on the calling thread (one claim, no worker
+//! threads), so the count covers the whole batch, and other tests running
+//! in parallel never add to it.
+
+use shmd_ml::anomaly::{AnomalyConfig, AnomalyScorer};
+use shmd_volt::calibration::{Calibrator, DeviceProfile};
+use shmd_workload::dataset::{Dataset, DatasetConfig};
+use shmd_workload::features::FeatureSpec;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::serve::{MonitoringService, RequeryConfig, ServeConfig};
+use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
+
+/// Most heap allocations a warmed-up one-query batch may make.
+const MAX_ALLOCATIONS_PER_BATCH: u64 = 4;
+
+thread_local! {
+    /// Allocations this thread made since counting began, or `None` while
+    /// it is not counting.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while thread locals are torn down.
+    let _ = COUNT.try_with(|count| {
+        if let Some(n) = count.get() {
+            count.set(Some(n + 1));
+        }
+    });
+}
+
+/// The system allocator, counting allocations and reallocations.
+struct CountingAllocator;
+
+// SAFETY: every call forwards to `System` with the caller's arguments.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f`, returning the heap allocations it made on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    COUNT.set(Some(0));
+    f();
+    COUNT.replace(None).unwrap_or(0)
+}
+
+/// An unsupervised service like the arena's: er = 0.3, re-query with 14
+/// replicas in a band that covers nearly every score, and an installed
+/// anomaly scorer, with two worker threads configured.
+fn deploy(dataset: &Dataset) -> MonitoringService {
+    let split = dataset.three_fold_split(0);
+    let baseline = train_baseline(
+        dataset,
+        split.victim_training(),
+        FeatureSpec::frequency(),
+        &HmdTrainConfig::fast(),
+    )
+    .expect("trains");
+    let curve = Calibrator::new()
+        .with_step(2)
+        .calibrate(&DeviceProfile::reference());
+    let config = ServeConfig::new(2)
+        .with_seed(3)
+        .with_target_error_rate(0.3)
+        .with_requery(RequeryConfig::new(0.499, 14))
+        .with_exec(ExecConfig::threads(2));
+    let mut service = MonitoringService::deploy(&baseline, &curve, config).expect("deploys");
+    let labeled = dataset.labeled_features(split.victim_training(), baseline.spec());
+    let benign: Vec<Vec<f32>> = labeled
+        .inputs
+        .into_iter()
+        .zip(labeled.labels)
+        .filter(|(_, malware)| !malware)
+        .map(|(row, _)| row)
+        .collect();
+    let scorer = AnomalyScorer::fit(&benign, &AnomalyConfig::default()).expect("benign rows");
+    service
+        .install_anomaly_scorer(scorer)
+        .expect("fits the model");
+    service
+}
+
+#[test]
+fn warmed_up_one_query_batches_barely_touch_the_heap() {
+    let dataset = Dataset::generate(&DatasetConfig::small(60), 9);
+    let mut service = deploy(&dataset);
+    let features: Vec<Vec<f32>> = (0..dataset.len())
+        .map(|i| FeatureSpec::frequency().extract(dataset.trace(i)))
+        .collect();
+    // Warm-up: every buffer reaches the size these queries need.
+    for i in 0..dataset.len() {
+        service.process_batch(&[dataset.trace(i)]);
+        service.process_feature_batch(&features[i..=i]);
+    }
+    let requeries_before = service.snapshot().requeries;
+    let (mut traces_total, mut features_total) = (0, 0);
+    let rounds = 3 * dataset.len();
+    for r in 0..rounds {
+        let i = r % dataset.len();
+        let trace = dataset.trace(i);
+        let from_trace = allocations(|| {
+            service.process_batch(&[trace]);
+        });
+        let from_features = allocations(|| {
+            service.process_feature_batch(&features[i..=i]);
+        });
+        assert!(
+            from_trace <= MAX_ALLOCATIONS_PER_BATCH,
+            "process_batch of query {r} made {from_trace} allocations"
+        );
+        assert!(
+            from_features <= MAX_ALLOCATIONS_PER_BATCH,
+            "process_feature_batch of query {r} made {from_features} allocations"
+        );
+        traces_total += from_trace;
+        features_total += from_features;
+    }
+    // The measured batches did re-query, so the ensemble path is covered.
+    assert!(service.snapshot().requeries > requeries_before);
+    println!(
+        "allocations per one-query batch: process_batch {:.2}, process_feature_batch {:.2}",
+        traces_total as f64 / rounds as f64,
+        features_total as f64 / rounds as f64
+    );
+}
