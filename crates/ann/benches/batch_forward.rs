@@ -1,21 +1,20 @@
-//! Criterion bench: scalar vs batched (structure-of-arrays) quantised
-//! forward pass.
+//! Criterion bench: the quantised forward pass at lane widths 1, 4, 8
+//! and 16.
 //!
-//! The batched path's whole claim is per-query throughput: one weight load
-//! feeds `LANES` multiply-accumulates and the fault-gap countdown is
-//! decremented in bulk, so B queries through one layer walk should beat B
-//! scalar walks. This bench pins that claim at the layer level — if a
-//! refactor regresses the batched MAC loop, it shows up here without
-//! running the end-to-end serving bench.
+//! Batching's whole claim is per-query throughput: one weight load feeds
+//! `LANES` multiply-accumulates and the fault-gap countdown is decremented
+//! in bulk, so B queries through one layer walk should beat B one-query
+//! walks. This bench pins that claim at the layer level — if a refactor
+//! regresses the MAC loop, it shows up here without running the
+//! end-to-end serving bench.
 //!
-//! Scalar timings are per single inference; batched timings are per
-//! `LANES`-query batch, so divide by the width when comparing per-query
-//! cost.
+//! Timings are per `LANES`-query batch, so divide by the width when
+//! comparing per-query cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shmd_ann::builder::NetworkBuilder;
-use shmd_ann::network::{BatchScratch, InferenceScratch, QuantizedNetwork};
-use shmd_volt::fault::{BatchFaultStream, ExactDatapath, ExactLanes, FaultModel, FaultStream};
+use shmd_ann::network::{BatchScratch, QuantizedNetwork};
+use shmd_volt::fault::{BatchFaultStream, ExactLanes, FaultModel};
 use std::hint::black_box;
 
 const INPUT_DIM: usize = 32;
@@ -70,27 +69,7 @@ fn bench_batch_forward(c: &mut Criterion) {
         .expect("valid")
         .with_near_zero_width(20);
 
-    // Scalar baseline: one query per forward pass, per-query fault stream.
-    let mut group = c.benchmark_group("scalar_forward");
-    group.bench_function("exact", |b| {
-        let mut scratch = InferenceScratch::new();
-        b.iter(|| {
-            black_box(net.infer_into(
-                black_box(inputs[0].as_slice()),
-                &mut ExactDatapath,
-                &mut scratch,
-            ));
-        })
-    });
-    group.bench_function("er_0_1", |b| {
-        let mut scratch = InferenceScratch::new();
-        b.iter(|| {
-            let mut stream = FaultStream::new(&model, 11);
-            black_box(net.infer_into(black_box(inputs[0].as_slice()), &mut stream, &mut scratch));
-        })
-    });
-    group.finish();
-
+    bench_width::<1>(c, &net, &inputs, &model);
     bench_width::<4>(c, &net, &inputs, &model);
     bench_width::<8>(c, &net, &inputs, &model);
     bench_width::<16>(c, &net, &inputs, &model);

@@ -9,16 +9,19 @@
 //! - training runs in ordinary `f32` floating point with batch iRPROP−
 //!   (FANN's default algorithm) — see [`train`];
 //! - inference can additionally run over a quantised Q16.16 datapath
-//!   ([`network::QuantizedNetwork`]) whose every multiplication product is
-//!   routed through a [`shmd_volt::fault::ProductCorruptor`], the hook the
-//!   undervolting fault model plugs into.
+//!   ([`network::QuantizedNetwork`]) whose multiplication products are
+//!   routed through a [`shmd_volt::fault::LaneCorruptor`], the hook the
+//!   undervolting fault model plugs into. One kernel serves one query or a
+//!   lane-major batch of them; each lane's corruptor skips whole fault-free
+//!   runs, and the software-noise baseline ([`mac::NoisyMac`]) is a
+//!   corruptor that sees every product.
 //!
 //! # Example
 //!
 //! ```
 //! use shmd_ann::builder::NetworkBuilder;
 //! use shmd_ann::train::{RpropTrainer, TrainData};
-//! use shmd_volt::fault::ExactDatapath;
+//! use shmd_volt::fault::ExactLanes;
 //!
 //! // Learn XOR.
 //! let mut net = NetworkBuilder::new(2)
@@ -35,7 +38,7 @@
 //!
 //! // The quantised path gives the same answer through an exact datapath.
 //! let q = net.quantized();
-//! assert!(q.infer(&[1.0, 0.0], &mut shmd_volt::fault::ExactDatapath)[0] > 0.5);
+//! assert!(q.infer(&[1.0, 0.0], &mut ExactLanes)[0] > 0.5);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

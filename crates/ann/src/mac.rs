@@ -1,56 +1,15 @@
-//! MAC datapath adapters.
+//! The software noise-injection MAC.
 //!
-//! The quantised inference path of [`crate::network::QuantizedNetwork`]
-//! accepts any [`ProductCorruptor`]; this module adds adapters that are
-//! useful around it:
-//!
-//! - [`CountingMac`] wraps another corruptor and counts multiplications
-//!   (used by the power/latency models, which charge per MAC);
-//! - [`NoisyMac`] emulates the *software* noise-injection alternative the
-//!   paper compares against (§VIII "Comparison with TRNG"): additive noise
-//!   drawn from an external RNG after every MAC, which costs an RNG query
-//!   per multiplication instead of being free like undervolting.
+//! [`NoisyMac`] emulates the *software* noise-injection alternative the
+//! paper compares against (§VIII "Comparison with TRNG"): additive noise
+//! drawn from an external RNG after every MAC, which costs an RNG query per
+//! multiplication instead of being free like undervolting. It plugs into
+//! [`crate::network::QuantizedNetwork`] as a one-lane
+//! [`LaneCorruptor`] that reports every multiplication.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shmd_volt::fault::ProductCorruptor;
-
-/// Wraps a corruptor and counts how many products pass through.
-#[derive(Clone, Debug)]
-pub struct CountingMac<C> {
-    inner: C,
-    count: u64,
-}
-
-impl<C: ProductCorruptor> CountingMac<C> {
-    /// Wraps `inner`.
-    pub fn new(inner: C) -> CountingMac<C> {
-        CountingMac { inner, count: 0 }
-    }
-
-    /// Number of multiplications observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Resets the counter.
-    pub fn reset(&mut self) {
-        self.count = 0;
-    }
-
-    /// Returns the wrapped corruptor.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-}
-
-impl<C: ProductCorruptor> ProductCorruptor for CountingMac<C> {
-    #[inline]
-    fn corrupt(&mut self, product: i64) -> i64 {
-        self.count += 1;
-        self.inner.corrupt(product)
-    }
-}
+use shmd_volt::fault::LaneCorruptor;
 
 /// Software noise injection: adds bounded uniform noise to every product,
 /// querying an RNG per MAC.
@@ -82,9 +41,15 @@ impl NoisyMac {
     }
 }
 
-impl ProductCorruptor for NoisyMac {
+impl LaneCorruptor<1> for NoisyMac {
+    /// Every multiplication is an event: the next one is always due.
     #[inline]
-    fn corrupt(&mut self, product: i64) -> i64 {
+    fn lane_run(&mut self, _lane: usize, max: u64) -> Option<u64> {
+        (max > 0).then_some(0)
+    }
+
+    #[inline]
+    fn fault(&mut self, _lane: usize, product: i64) -> i64 {
         self.queries += 1;
         if self.amplitude == 0 {
             return product;
@@ -97,24 +62,18 @@ impl ProductCorruptor for NoisyMac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmd_volt::fault::ExactDatapath;
 
-    #[test]
-    fn counting_mac_counts() {
-        let mut mac = CountingMac::new(ExactDatapath);
-        for i in 0..17 {
-            assert_eq!(mac.corrupt(i), i);
-        }
-        assert_eq!(mac.count(), 17);
-        mac.reset();
-        assert_eq!(mac.count(), 0);
+    /// One product through the MAC, as the inference kernel drives it.
+    fn corrupt(mac: &mut NoisyMac, product: i64) -> i64 {
+        assert_eq!(mac.lane_run(0, 1), Some(0), "every product is due");
+        mac.fault(0, product)
     }
 
     #[test]
     fn noisy_mac_queries_once_per_mac() {
         let mut mac = NoisyMac::new(1 << 20, 4);
         for _ in 0..100 {
-            mac.corrupt(0);
+            corrupt(&mut mac, 0);
         }
         assert_eq!(mac.queries(), 100);
     }
@@ -124,7 +83,7 @@ mod tests {
         let amp = 1 << 24;
         let mut mac = NoisyMac::new(amp, 5);
         for _ in 0..1000 {
-            let out = mac.corrupt(1 << 32);
+            let out = corrupt(&mut mac, 1 << 32);
             assert!((out - (1i64 << 32)).abs() <= amp);
         }
     }
@@ -132,11 +91,11 @@ mod tests {
     #[test]
     fn zero_amplitude_is_exact() {
         let mut mac = NoisyMac::new(0, 6);
-        assert_eq!(mac.corrupt(12345), 12345);
+        assert_eq!(corrupt(&mut mac, 12345), 12345);
     }
 
     #[test]
-    fn counting_mac_composes_with_network() {
+    fn noisy_mac_queries_once_per_network_mac() {
         use crate::builder::NetworkBuilder;
         let net = NetworkBuilder::new(3)
             .hidden(5)
@@ -145,8 +104,8 @@ mod tests {
             .build()
             .unwrap();
         let q = net.quantized();
-        let mut mac = CountingMac::new(ExactDatapath);
+        let mut mac = NoisyMac::new(1 << 16, 2);
         q.infer(&[0.1, 0.2, 0.3], &mut mac);
-        assert_eq!(mac.count() as usize, q.mac_count());
+        assert_eq!(mac.queries() as usize, q.mac_count());
     }
 }

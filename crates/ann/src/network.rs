@@ -4,8 +4,8 @@
 use crate::activation::Activation;
 use crate::fast_tanh::fast_tanh;
 use crate::layer::Layer;
-use shmd_fixed::{Accumulator, LaneAccumulator, Q16};
-use shmd_volt::fault::{LaneCorruptor, ProductCorruptor};
+use shmd_fixed::{LaneAccumulator, Q16};
+use shmd_volt::fault::LaneCorruptor;
 
 /// A feed-forward multi-layer perceptron (float weights).
 ///
@@ -170,37 +170,10 @@ struct QuantizedLayer {
 }
 
 impl QuantizedLayer {
-    /// Writes the layer's activations into `out` (cleared first).
-    ///
-    /// Monomorphic over the corruptor so the per-MAC `corrupt` call inlines
-    /// into the accumulation loop instead of going through a vtable.
-    fn forward_into<C: ProductCorruptor + ?Sized>(
-        &self,
-        input: &[Q16],
-        out: &mut Vec<Q16>,
-        corruptor: &mut C,
-    ) {
-        let stride = self.in_dim + 1;
-        out.clear();
-        out.reserve(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.weights[o * stride..(o + 1) * stride];
-            let mut acc = Accumulator::new();
-            for (w, x) in row[..self.in_dim].iter().zip(input) {
-                acc.mac(*w, *x, |p| corruptor.corrupt(p));
-            }
-            acc.add_q16(row[self.in_dim]);
-            // Activations are computed by LUT/dedicated logic off the
-            // multiplier's critical path, so they evaluate exactly.
-            let activated = self.activation.apply(acc.to_q16().to_f64());
-            out.push(Q16::from_f64(activated));
-        }
-    }
-
-    /// Batched forward pass over a lane-major activation plane: `input`
-    /// holds `in_dim × LANES` values with lane `l`'s activation for input
-    /// `i` at `input[i * LANES + l]`, and `out` is filled the same way
-    /// (`out[o * LANES + l]`).
+    /// Forward pass over a lane-major activation plane: `input` holds
+    /// `in_dim × LANES` values with lane `l`'s activation for input `i` at
+    /// `input[i * LANES + l]`, and `out` is filled the same way
+    /// (`out[o * LANES + l]`). `LANES = 1` is a single query.
     ///
     /// The weight row is walked once for the whole batch, in two phases
     /// that keep the MAC loop free of *any* per-product stream logic:
@@ -209,9 +182,9 @@ impl QuantizedLayer {
     ///    the row ([`LaneCorruptor::lane_run`] hands back whole fault-free
     ///    runs per lane); each fault event computes just its own lane's
     ///    product, corrupts it, and records the substitution. Every lane
-    ///    sees its draws in exactly the per-`(neuron, input)` order the
-    ///    scalar path uses, so each lane's corruption stream stays
-    ///    bit-identical.
+    ///    sees its draws in exactly the per-`(neuron, input)` order of a
+    ///    walk over the products one at a time, so each lane's corruption
+    ///    stream is independent of the width.
     /// 2. **Span + patch.** One uninterrupted
     ///    [`LaneAccumulator::mac_span`] accumulates the whole row for all
     ///    lanes — the straight-line kernel the vectorizer chews on — and
@@ -222,8 +195,8 @@ impl QuantizedLayer {
     ///    bit-identical to the sequential saturating accumulation; in the
     ///    adversarial case where the bound cannot prove it, the affected
     ///    lane is replayed sequentially with the recorded substitutions —
-    ///    the scalar law verbatim.
-    fn forward_batch_into<const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
+    ///    the sequential law verbatim.
+    fn forward_lanes<const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
         &self,
         input: &[Q16],
         out: &mut Vec<Q16>,
@@ -240,10 +213,10 @@ impl QuantizedLayer {
             // Phase 1: drain this row's fault events lane by lane. Each
             // lane's (lane_run, fault) call sequence — and so its RNG
             // draw sequence — is exactly the per-`(neuron, input)` walk
-            // the scalar path issues over this row, so per-lane
-            // bit-identity is untouched, and the MAC loop below stays
-            // free of any per-product stream logic. A lane's whole
-            // fault-free row is consumed by a single `lane_run` call.
+            // over this row, so per-lane bit-identity holds at every
+            // width, and the MAC loop below stays free of any
+            // per-product stream logic. A lane's whole fault-free row is
+            // consumed by a single `lane_run` call.
             events.clear();
             let mut sub_mag = [0u128; LANES];
             let span = self.in_dim as u64;
@@ -295,7 +268,7 @@ impl QuantizedLayer {
                     }
                 }
                 // Lanes whose bound cannot rule out saturation replay the
-                // scalar law verbatim with the recorded substitutions.
+                // sequential law verbatim with the recorded substitutions.
                 for l in 0..LANES {
                     if sub_mag[l] != 0 && row_bound + sub_mag[l] > i64::MAX as u128 {
                         let mut sum = 0i64;
@@ -316,12 +289,14 @@ impl QuantizedLayer {
                 }
             }
             acc.add_q16(bias);
-            // The activation stage is the batched path's largest
-            // non-event cost (one libm call per neuron per lane), so
-            // hidden tanh layers go through the exhaustively verified
-            // fast table instead — see the `fast_tanh` module for why
-            // that is bit-identical to `Activation::apply`, which the
-            // scalar path keeps as the oracle.
+            // Activations are computed by LUT/dedicated logic off the
+            // multiplier's critical path, so they evaluate exactly.
+            // They are the kernel's largest non-event cost (one libm
+            // call per neuron per lane), so hidden tanh layers go through
+            // the exhaustively verified fast table instead — see the
+            // `fast_tanh` module for why that is bit-identical to
+            // `Activation::apply`, which the tests' sequential reference
+            // keeps as the oracle.
             if self.activation == Activation::SigmoidSymmetric {
                 let table = fast_tanh();
                 for l in 0..LANES {
@@ -337,52 +312,11 @@ impl QuantizedLayer {
     }
 }
 
-/// Reusable activation buffers for the allocation-free inference path.
-///
-/// One scratch serves any number of inferences (and any network): each
-/// [`QuantizedNetwork::infer_into`] / [`QuantizedNetwork::forward_into`]
-/// call clears and refills the buffers, so the steady-state query path
-/// performs zero heap allocations once the buffers have grown to the
-/// largest layer width seen.
-#[derive(Clone, Debug, Default)]
-pub struct InferenceScratch {
-    /// Quantised copy of the `f32` input.
-    qin: Vec<Q16>,
-    /// Ping-pong activation buffers.
-    ping: Vec<Q16>,
-    pong: Vec<Q16>,
-}
-
-impl InferenceScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> InferenceScratch {
-        InferenceScratch::default()
-    }
-}
-
-/// Runs `input` through `layers`, ping-ponging activations between the two
-/// scratch buffers, and returns a borrow of the buffer holding the output.
-fn forward_loop<'s, C: ProductCorruptor + ?Sized>(
-    layers: &[QuantizedLayer],
-    input: &[Q16],
-    ping: &'s mut Vec<Q16>,
-    pong: &'s mut Vec<Q16>,
-    corruptor: &mut C,
-) -> &'s [Q16] {
-    let (mut cur, mut next) = (ping, pong);
-    layers[0].forward_into(input, cur, corruptor);
-    for layer in &layers[1..] {
-        layer.forward_into(cur, next, corruptor);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    cur
-}
-
 /// One recorded fault substitution inside a neuron row: lane `lane`'s
 /// product at weight `index` came out of the corruptor as `corrupted`
-/// instead of `product`. Collected during the batched MAC's event walk and
-/// patched into the lane sums after the straight-line span (see
-/// [`QuantizedLayer::forward_batch_into`]).
+/// instead of `product`. Collected during the MAC's event walk and patched
+/// into the lane sums after the straight-line span (see
+/// [`QuantizedLayer::forward_lanes`]).
 #[derive(Clone, Copy, Debug)]
 struct RowEvent {
     index: u32,
@@ -391,14 +325,16 @@ struct RowEvent {
     corrupted: i64,
 }
 
-/// Reusable lane-major activation planes for the batched inference path —
-/// the structure-of-arrays counterpart of [`InferenceScratch`].
+/// Reusable lane-major activation planes for the allocation-free inference
+/// path.
 ///
 /// One ping/pong pair serves the *whole batch*: a plane stores layer
 /// activations for all `LANES` queries interleaved lane-major
 /// (`plane[i * LANES + l]` is query `l`'s activation `i`), which is what
 /// lets the per-weight MAC touch `LANES` adjacent values. Buffers grow to
-/// the largest `layer width × LANES` seen and are reused thereafter.
+/// the largest `layer width × LANES` seen and are reused thereafter, by
+/// any number of inferences and any network, so the steady-state query
+/// path performs no heap allocation.
 #[derive(Clone, Debug)]
 pub struct BatchScratch<const LANES: usize> {
     /// Lane-major quantised copy of the `f32` inputs.
@@ -428,30 +364,18 @@ impl<const LANES: usize> Default for BatchScratch<LANES> {
     }
 }
 
-/// Batched counterpart of [`forward_loop`] over lane-major planes.
-fn forward_batch_loop<'s, const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
-    layers: &[QuantizedLayer],
-    input: &[Q16],
-    ping: &'s mut Vec<Q16>,
-    pong: &'s mut Vec<Q16>,
-    corruptor: &mut C,
-    events: &mut Vec<RowEvent>,
-) -> &'s [Q16] {
-    let (mut cur, mut next) = (ping, pong);
-    layers[0].forward_batch_into(input, cur, corruptor, events);
-    for layer in &layers[1..] {
-        layer.forward_batch_into(cur, next, corruptor, events);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    cur
-}
+/// The scratch of one-query inference ([`QuantizedNetwork::infer_into`]).
+pub type InferenceScratch = BatchScratch<1>;
 
 /// A network quantised to Q16.16 whose multiplications run through a
-/// [`ProductCorruptor`] — the deployment form of a (Stochastic-)HMD.
+/// [`LaneCorruptor`] — the deployment form of a (Stochastic-)HMD.
 ///
-/// With [`shmd_volt::fault::ExactDatapath`] this reproduces the float
-/// network up to quantisation error; with a
-/// [`shmd_volt::fault::FaultStream`] it becomes the undervolted detector.
+/// With [`shmd_volt::fault::ExactLanes`] this reproduces the float network
+/// up to quantisation error; with a [`shmd_volt::fault::FaultStream`] (one
+/// query) or a [`shmd_volt::fault::BatchFaultStream`] (one query per lane)
+/// it becomes the undervolted detector. Every entry point runs one kernel,
+/// [`QuantizedNetwork::infer_batch_into`]; the one-query entry points are
+/// its width-1 case.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedNetwork {
     layers: Vec<QuantizedLayer>,
@@ -478,68 +402,14 @@ impl QuantizedNetwork {
         self.layers.iter().map(|l| l.weights.len() * 4).sum()
     }
 
-    /// Forward pass over Q16.16 inputs (object-safe entry point; thin
-    /// wrapper over [`QuantizedNetwork::forward_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from [`QuantizedNetwork::input_dim`].
-    pub fn forward(&self, input: &[Q16], corruptor: &mut dyn ProductCorruptor) -> Vec<Q16> {
-        self.forward_with(input, corruptor)
-    }
-
-    /// Monomorphic forward pass over Q16.16 inputs: identical results to
-    /// [`QuantizedNetwork::forward`], with the corruptor statically
-    /// dispatched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from [`QuantizedNetwork::input_dim`].
-    pub fn forward_with<C: ProductCorruptor + ?Sized>(
-        &self,
-        input: &[Q16],
-        corruptor: &mut C,
-    ) -> Vec<Q16> {
-        let mut scratch = InferenceScratch::new();
-        self.forward_into(input, corruptor, &mut scratch).to_vec()
-    }
-
-    /// Allocation-free forward pass: activations ping-pong through
-    /// `scratch`, and the returned slice borrows the buffer holding the
-    /// output layer. Bit-identical to [`QuantizedNetwork::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from [`QuantizedNetwork::input_dim`].
-    pub fn forward_into<'s, C: ProductCorruptor + ?Sized>(
-        &self,
-        input: &[Q16],
-        corruptor: &mut C,
-        scratch: &'s mut InferenceScratch,
-    ) -> &'s [Q16] {
-        assert_eq!(input.len(), self.input_dim(), "input width mismatch");
-        let InferenceScratch { ping, pong, .. } = scratch;
-        forward_loop(&self.layers, input, ping, pong, corruptor)
-    }
-
     /// Convenience: quantises an `f32` input, runs the forward pass, and
-    /// returns `f32` outputs (object-safe entry point; thin wrapper over
-    /// [`QuantizedNetwork::infer_with`]).
+    /// returns `f32` outputs. Allocates; see
+    /// [`QuantizedNetwork::infer_into`] for the steady-state path.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from [`QuantizedNetwork::input_dim`].
-    pub fn infer(&self, input: &[f32], corruptor: &mut dyn ProductCorruptor) -> Vec<f32> {
-        self.infer_with(input, corruptor)
-    }
-
-    /// Monomorphic [`QuantizedNetwork::infer`]: identical results, with the
-    /// corruptor statically dispatched so the per-MAC fault hook inlines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from [`QuantizedNetwork::input_dim`].
-    pub fn infer_with<C: ProductCorruptor + ?Sized>(
+    pub fn infer<C: LaneCorruptor<1> + ?Sized>(
         &self,
         input: &[f32],
         corruptor: &mut C,
@@ -551,63 +421,33 @@ impl QuantizedNetwork {
             .collect()
     }
 
-    /// The steady-state query path: quantises the input and runs the
-    /// forward pass entirely inside `scratch`, performing no heap
-    /// allocation once the scratch buffers have warmed up. The returned
-    /// Q16.16 slice borrows `scratch`; convert with [`Q16::to_f32`] as
-    /// needed. Bit-identical to [`QuantizedNetwork::infer`].
+    /// The one-query steady-state path: [`QuantizedNetwork::infer_batch_into`]
+    /// at width 1, allocation-free once `scratch` has warmed up. The
+    /// returned Q16.16 outputs borrow `scratch`; convert with
+    /// [`Q16::to_f32`] as needed.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from [`QuantizedNetwork::input_dim`].
-    pub fn infer_into<'s, C: ProductCorruptor + ?Sized>(
+    pub fn infer_into<'s, C: LaneCorruptor<1> + ?Sized>(
         &self,
         input: &[f32],
         corruptor: &mut C,
         scratch: &'s mut InferenceScratch,
     ) -> &'s [Q16] {
-        assert_eq!(input.len(), self.input_dim(), "input width mismatch");
-        let InferenceScratch { qin, ping, pong } = scratch;
-        qin.clear();
-        qin.extend(input.iter().map(|&v| Q16::from_f32(v)));
-        forward_loop(&self.layers, qin, ping, pong, corruptor)
+        self.infer_batch_into(&[input], corruptor, scratch)
     }
 
-    /// Batched allocation-free forward pass over a lane-major Q16.16 input
-    /// plane (`input[i * LANES + l]` is lane `l`'s input `i`). Returns the
-    /// lane-major output plane (`out[o * LANES + l]`), borrowing `scratch`.
-    ///
-    /// Lane `l`'s outputs are bit-identical to a scalar
-    /// [`QuantizedNetwork::forward_into`] run with a corruptor walking the
-    /// same per-lane corruption stream — the batch only changes memory
-    /// layout and instruction scheduling, never arithmetic or fault law.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from
-    /// [`QuantizedNetwork::input_dim`]` × LANES`.
-    pub fn forward_batch_into<'s, const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
-        &self,
-        input: &[Q16],
-        corruptor: &mut C,
-        scratch: &'s mut BatchScratch<LANES>,
-    ) -> &'s [Q16] {
-        assert_eq!(
-            input.len(),
-            self.input_dim() * LANES,
-            "lane-major input plane width mismatch"
-        );
-        let BatchScratch {
-            ping, pong, events, ..
-        } = scratch;
-        forward_batch_loop(&self.layers, input, ping, pong, corruptor, events)
-    }
-
-    /// The batched steady-state query path: quantises `LANES` `f32` inputs
-    /// into the lane-major plane and runs the whole batch through every
-    /// layer simultaneously, allocation-free once `scratch` has warmed up.
+    /// The inference kernel: quantises `LANES` `f32` inputs into the
+    /// lane-major plane and runs the whole batch through every layer
+    /// simultaneously, allocation-free once `scratch` has warmed up.
     /// Returns the lane-major Q16.16 output plane (`out[o * LANES + l]`),
     /// borrowing `scratch`.
+    ///
+    /// Lane `l`'s outputs depend only on its input and its corruption
+    /// stream, never on the width or its neighbours: the batch changes
+    /// memory layout and instruction scheduling, not arithmetic or fault
+    /// law.
     ///
     /// # Panics
     ///
@@ -636,7 +476,13 @@ impl QuantizedNetwork {
                 qin.push(Q16::from_f32(input[i]));
             }
         }
-        forward_batch_loop(&self.layers, qin, ping, pong, corruptor, events)
+        let (mut cur, mut next) = (ping, pong);
+        self.layers[0].forward_lanes(qin, cur, corruptor, events);
+        for layer in &self.layers[1..] {
+            layer.forward_lanes(cur, next, corruptor, events);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur
     }
 }
 
@@ -644,8 +490,12 @@ impl QuantizedNetwork {
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
+    use crate::mac::NoisyMac;
     use proptest::prelude::*;
-    use shmd_volt::fault::{ExactDatapath, FaultModel, FaultStream};
+    use shmd_fixed::Accumulator;
+    use shmd_volt::fault::{
+        BatchFaultStream, ExactLanes, FaultModel, FaultStream, PerDrawInjector,
+    };
 
     fn small_net(seed: u64) -> Network {
         NetworkBuilder::new(4)
@@ -654,6 +504,66 @@ mod tests {
             .seed(seed)
             .build()
             .expect("valid network")
+    }
+
+    /// A deeper, wider net than the smoke fixture, so several layers, the
+    /// ping-pong swaps and multi-output planes are all exercised.
+    fn deep_net(seed: u64) -> QuantizedNetwork {
+        NetworkBuilder::new(4)
+            .hidden(9)
+            .hidden(5)
+            .output(2)
+            .seed(seed)
+            .build()
+            .expect("valid network")
+            .quantized()
+    }
+
+    /// The sequential datapath the kernel must reproduce, written the
+    /// straightforward way: every product through `corrupt` in
+    /// `(neuron, input)` order, a saturating [`Accumulator::mac`] per
+    /// product, and libm's [`Activation::apply`] on every neuron. It lives
+    /// here because it is the oracle the kernel is checked against, not a
+    /// second way to serve a query.
+    fn reference_infer(
+        net: &QuantizedNetwork,
+        input: &[f32],
+        mut corrupt: impl FnMut(i64) -> i64,
+    ) -> Vec<Q16> {
+        let mut cur: Vec<Q16> = input.iter().map(|&v| Q16::from_f32(v)).collect();
+        for layer in &net.layers {
+            cur = layer
+                .weights
+                .chunks_exact(layer.in_dim + 1)
+                .map(|row| {
+                    let mut acc = Accumulator::new();
+                    for (w, x) in row[..layer.in_dim].iter().zip(&cur) {
+                        acc.mac(*w, *x, &mut corrupt);
+                    }
+                    acc.add_q16(row[layer.in_dim]);
+                    Q16::from_f64(layer.activation.apply(acc.to_q16().to_f64()))
+                })
+                .collect();
+        }
+        cur
+    }
+
+    /// One product through a one-lane corruptor, the way a walk over the
+    /// products one at a time drives it.
+    fn per_product<C: LaneCorruptor<1>>(corruptor: &mut C, p: i64) -> i64 {
+        match corruptor.lane_run(0, 1) {
+            Some(_) => corruptor.fault(0, p),
+            None => p,
+        }
+    }
+
+    fn infer_vec<C: LaneCorruptor<1> + ?Sized>(
+        net: &QuantizedNetwork,
+        input: &[f32],
+        corruptor: &mut C,
+    ) -> Vec<Q16> {
+        net.infer_into(input, corruptor, &mut InferenceScratch::new())
+            .to_vec()
     }
 
     #[test]
@@ -685,7 +595,7 @@ mod tests {
                 .map(|i| ((trial * 4 + i) as f32 * 0.07) % 1.0)
                 .collect();
             let float_out = net.forward(&input)[0];
-            let q_out = q.infer(&input, &mut ExactDatapath)[0];
+            let q_out = q.infer(&input, &mut ExactLanes)[0];
             assert!(
                 (float_out - q_out).abs() < 1e-2,
                 "float {float_out} vs quantized {q_out}"
@@ -698,7 +608,7 @@ mod tests {
         let net = small_net(4);
         let q = net.quantized();
         let input = [0.3, 0.3, 0.3, 0.3];
-        let exact = q.infer(&input, &mut ExactDatapath)[0];
+        let exact = q.infer(&input, &mut ExactLanes)[0];
         let mut inj = FaultStream::new(FaultModel::from_error_rate(1.0).unwrap(), 9);
         let mut any_different = false;
         for _ in 0..50 {
@@ -731,15 +641,15 @@ mod tests {
         let net = small_net(6);
         let q = net.quantized();
         let input = [0.5, 0.1, -0.3, 0.9];
-        let exact = q.infer(&input, &mut ExactDatapath)[0];
+        let exact = q.infer(&input, &mut ExactLanes)[0];
         let mut inj = FaultStream::new(FaultModel::exact(), 11);
         assert_eq!(q.infer(&input, &mut inj)[0], exact);
     }
 
     #[test]
-    fn infer_with_and_infer_into_are_bit_identical_to_infer() {
-        // The monomorphic and allocation-free entry points must be exact
-        // drop-in replacements for the dyn path, faulty or not.
+    fn infer_through_dyn_and_infer_into_are_bit_identical_to_infer() {
+        // A trait object and the allocation-free entry point must be exact
+        // drop-in replacements for the generic path, faulty or not.
         let net = small_net(8);
         let q = net.quantized();
         let model = FaultModel::from_error_rate(0.4).unwrap();
@@ -752,15 +662,16 @@ mod tests {
             let mut a = FaultStream::new(model.clone(), trial as u64);
             let mut b = FaultStream::new(model.clone(), trial as u64);
             let mut c = FaultStream::new(model.clone(), trial as u64);
-            let via_dyn = q.infer(&input, &mut a);
-            let via_generic = q.infer_with(&input, &mut b);
+            let via_generic = q.infer(&input, &mut a);
+            let dynamic: &mut dyn LaneCorruptor<1> = &mut b;
+            let via_dyn = q.infer(&input, dynamic);
             let via_scratch: Vec<f32> = q
                 .infer_into(&input, &mut c, &mut scratch)
                 .iter()
                 .map(|v| v.to_f32())
                 .collect();
-            assert_eq!(via_dyn, via_generic, "infer_with diverged on {input:?}");
-            assert_eq!(via_dyn, via_scratch, "infer_into diverged on {input:?}");
+            assert_eq!(via_generic, via_dyn, "dyn diverged on {input:?}");
+            assert_eq!(via_generic, via_scratch, "infer_into diverged on {input:?}");
         }
     }
 
@@ -778,17 +689,17 @@ mod tests {
             .quantized();
         let input = [0.2, -0.4, 0.6, 0.8];
         let mut scratch = InferenceScratch::new();
-        let expect_small = small.infer(&input, &mut ExactDatapath);
-        let expect_wide = wide.infer(&input, &mut ExactDatapath);
+        let expect_small = small.infer(&input, &mut ExactLanes);
+        let expect_wide = wide.infer(&input, &mut ExactLanes);
         for _ in 0..3 {
             let s: Vec<f32> = small
-                .infer_into(&input, &mut ExactDatapath, &mut scratch)
+                .infer_into(&input, &mut ExactLanes, &mut scratch)
                 .iter()
                 .map(|v| v.to_f32())
                 .collect();
             assert_eq!(s, expect_small);
             let w: Vec<f32> = wide
-                .infer_into(&input, &mut ExactDatapath, &mut scratch)
+                .infer_into(&input, &mut ExactLanes, &mut scratch)
                 .iter()
                 .map(|v| v.to_f32())
                 .collect();
@@ -820,17 +731,7 @@ mod tests {
     }
 
     fn batch_matches_scalar_at_width<const LANES: usize>(seed: u64) {
-        use shmd_volt::fault::{BatchFaultStream, FaultStream};
-        // A deeper, wider net than the smoke fixture so multiple layers,
-        // ping-pong swaps, and multi-output planes are all exercised.
-        let net = NetworkBuilder::new(4)
-            .hidden(9)
-            .hidden(5)
-            .output(2)
-            .seed(seed)
-            .build()
-            .expect("valid network")
-            .quantized();
+        let net = deep_net(seed);
         let model = FaultModel::from_error_rate(0.4)
             .unwrap()
             .with_near_zero_width(20);
@@ -849,10 +750,9 @@ mod tests {
             .infer_batch_into(&inputs, &mut stream, &mut batch_scratch)
             .to_vec();
         assert_eq!(plane.len(), 2 * LANES);
-        let mut scratch = InferenceScratch::new();
         for l in 0..LANES {
             let mut scalar_stream = FaultStream::new(&model, seeds[l]);
-            let scalar = net.infer_into(inputs[l], &mut scalar_stream, &mut scratch);
+            let scalar = reference_infer(&net, inputs[l], |p| scalar_stream.corrupt_product(p));
             for (o, &expected) in scalar.iter().enumerate() {
                 assert_eq!(
                     plane[o * LANES + l],
@@ -871,8 +771,9 @@ mod tests {
     #[test]
     fn batch_inference_is_bit_identical_to_scalar_at_every_width() {
         // The tentpole determinism claim, at every batch width the serving
-        // layer can dispatch: lane l of the batched path reproduces the
-        // scalar path bit for bit — outputs *and* fault statistics.
+        // layer can dispatch, width 1 included: lane l of the kernel
+        // reproduces the sequential reference bit for bit — outputs *and*
+        // fault statistics.
         batch_matches_scalar_at_width::<1>(101);
         batch_matches_scalar_at_width::<2>(102);
         batch_matches_scalar_at_width::<3>(103);
@@ -893,7 +794,6 @@ mod tests {
 
     #[test]
     fn exact_batch_matches_exact_scalar() {
-        use shmd_volt::fault::ExactLanes;
         const LANES: usize = 8;
         let net = small_net(21).quantized();
         let inputs_owned: Vec<Vec<f32>> = (0..LANES)
@@ -905,10 +805,65 @@ mod tests {
             .infer_batch_into(&inputs, &mut ExactLanes, &mut scratch)
             .to_vec();
         for (l, input) in inputs.iter().enumerate() {
-            let scalar = net.infer(input, &mut ExactDatapath);
+            let scalar = reference_infer(&net, input, |p| p);
             for (o, &expected) in scalar.iter().enumerate() {
-                assert_eq!(plane[o * LANES + l].to_f32(), expected, "lane {l}");
+                assert_eq!(plane[o * LANES + l], expected, "lane {l}");
             }
+        }
+    }
+
+    #[test]
+    fn long_lived_stream_matches_the_reference_across_set_model() {
+        // A detector drives one owned stream across queries, and across
+        // retunes (`set_model`); each query starts where the last left the
+        // countdown. The kernel must walk that stream exactly as the
+        // reference walks a same-seeded one.
+        let net = deep_net(41);
+        let models = [
+            FaultModel::from_error_rate(0.1).unwrap(),
+            FaultModel::from_error_rate(0.45).unwrap(),
+        ];
+        let mut stream = FaultStream::new(models[0].clone(), 42);
+        let mut reference = FaultStream::new(models[0].clone(), 42);
+        let mut scratch = InferenceScratch::new();
+        for q in 0..300 {
+            if q == 170 {
+                stream.set_model(models[1].clone());
+                reference.set_model(models[1].clone());
+            }
+            let input: Vec<f32> = (0..4).map(|i| ((q * 4 + i) as f32 * 0.37).sin()).collect();
+            let got = net.infer_into(&input, &mut stream, &mut scratch).to_vec();
+            let want = reference_infer(&net, &input, |p| reference.corrupt_product(p));
+            assert_eq!(got, want, "query {q} diverged");
+            assert_eq!(stream.stats(), reference.stats(), "query {q} statistics");
+        }
+        assert!(stream.stats().faulty > 0, "the stream must fault");
+    }
+
+    #[test]
+    fn per_product_corruptors_match_the_reference() {
+        // Corruptors that see every multiplication (the software-noise MAC
+        // and the per-draw oracle) run through the same kernel at width 1.
+        let net = deep_net(51);
+        let model = FaultModel::from_error_rate(0.3).unwrap();
+        for q in 0..40 {
+            let input: Vec<f32> = (0..4).map(|i| ((q * 4 + i) as f32 * 0.29).cos()).collect();
+            let mut noisy = NoisyMac::new(1 << 16, q as u64);
+            let mut noisy_ref = NoisyMac::new(1 << 16, q as u64);
+            assert_eq!(
+                infer_vec(&net, &input, &mut noisy),
+                reference_infer(&net, &input, |p| per_product(&mut noisy_ref, p)),
+                "noisy MAC, query {q}"
+            );
+            assert_eq!(noisy.queries(), net.mac_count() as u64);
+            let mut per_draw = PerDrawInjector::new(model.clone(), q as u64);
+            let mut per_draw_ref = PerDrawInjector::new(model.clone(), q as u64);
+            assert_eq!(
+                infer_vec(&net, &input, &mut per_draw),
+                reference_infer(&net, &input, |p| per_draw_ref.corrupt_product(p)),
+                "per-draw injector, query {q}"
+            );
+            assert_eq!(per_draw.stats(), per_draw_ref.stats());
         }
     }
 
@@ -920,7 +875,6 @@ mod tests {
             inputs in proptest::collection::vec(
                 proptest::collection::vec(-1.0f32..1.0, 4), 8)
         ) {
-            use shmd_volt::fault::{BatchFaultStream, FaultStream};
             const LANES: usize = 8;
             let net = small_net(31).quantized();
             let model = FaultModel::from_error_rate(er).unwrap().with_near_zero_width(20);
@@ -933,10 +887,10 @@ mod tests {
             let plane = net
                 .infer_batch_into(&input_refs, &mut stream, &mut batch_scratch)
                 .to_vec();
-            let mut scratch = InferenceScratch::new();
             for l in 0..LANES {
                 let mut scalar_stream = FaultStream::new(&model, seeds[l]);
-                let scalar = net.infer_into(input_refs[l], &mut scalar_stream, &mut scratch);
+                let scalar =
+                    reference_infer(&net, input_refs[l], |p| scalar_stream.corrupt_product(p));
                 for (o, &expected) in scalar.iter().enumerate() {
                     prop_assert_eq!(plane[o * LANES + l], expected,
                         "lane {} output {} diverged", l, o);

@@ -222,14 +222,7 @@ mod tests {
         let trace = dataset.trace(idx);
 
         // Deterministic surface: identical estimates.
-        let exact = |t: &Trace| {
-            f64::from(
-                victim.quantized().infer_with(
-                    &victim.spec().extract(t),
-                    &mut shmd_volt::fault::ExactDatapath,
-                )[0],
-            )
-        };
+        let exact = |t: &Trace| victim.score_features(&victim.spec().extract(t));
         let probe = |score_fn: &mut dyn FnMut(&Trace) -> f64| -> Vec<f64> {
             let base = score_fn(trace);
             (0..CATEGORY_COUNT)

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shmd_ann::network::InferenceScratch;
-use shmd_volt::fault::{ExactDatapath, FaultModel, FaultStream};
+use shmd_volt::fault::{ExactLanes, FaultModel, FaultStream};
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
 use std::hint::black_box;
@@ -33,7 +33,7 @@ fn bench_inference(c: &mut Criterion) {
         b.iter(|| black_box(victim.network().forward(black_box(&features))))
     });
     group.bench_function("quantized_exact", |b| {
-        let mut mac = ExactDatapath;
+        let mut mac = ExactLanes;
         b.iter(|| black_box(q.infer(black_box(&features), &mut mac)))
     });
     group.bench_function("quantized_er_0_1", |b| {
@@ -47,7 +47,7 @@ fn bench_inference(c: &mut Criterion) {
     // The deployed hot path: monomorphised corruptor + reusable scratch,
     // no per-inference allocation.
     group.bench_function("quantized_exact_scratch", |b| {
-        let mut mac = ExactDatapath;
+        let mut mac = ExactLanes;
         let mut scratch = InferenceScratch::new();
         b.iter(|| {
             black_box(q.infer_into(black_box(&features), &mut mac, &mut scratch));

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shmd_ann::mac::NoisyMac;
-use shmd_volt::fault::ExactDatapath;
+use shmd_volt::fault::ExactLanes;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
 use std::hint::black_box;
@@ -28,7 +28,7 @@ fn bench_rng_overhead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("noise_source");
     group.bench_function("undervolting_equivalent_plain", |b| {
-        let mut mac = ExactDatapath;
+        let mut mac = ExactLanes;
         b.iter(|| black_box(q.infer(black_box(&features), &mut mac)))
     });
     group.bench_function("prng_per_mac", |b| {

@@ -1,10 +1,12 @@
 //! Decomposes the per-query cost of the serving hot path at the bench
 //! fixture's scale (16 → 8 → 1 network by default, the wider 16 → 32 → 1
-//! deployment with `--wide`; er = 0.1): fault-stream setup, the scalar
-//! inference, and the batched inference at widths 1, 4, 8 and 16, each
-//! against its exact (er = 0) counterpart so the event-side cost falls
-//! out by subtraction. The scalar query and widths 1 and 8 are timed
-//! again at er = 0.413512, the rate the serving deployments deliver for
+//! deployment with `--wide`; er = 0.1): fault-stream setup, one query
+//! through a [`FaultStream`], and the batched inference at widths 1, 4, 8
+//! and 16 through a [`BatchFaultStream`], each against its exact (er = 0)
+//! counterpart so the event-side cost falls out by subtraction. Both
+//! streams drive the same kernel; the `FaultStream` row is the baseline of
+//! the speed-up column. The `FaultStream` query and widths 1 and 8 are
+//! timed again at er = 0.413512, the rate the serving deployments deliver for
 //! target 0.3 (the attacker arena's operating point). Each component is
 //! timed in a tight loop so the split between shared per-query overhead,
 //! lane-amortizable work, and the batching-immune event floor is visible
@@ -86,7 +88,7 @@ fn main() {
         hmd.score_features_with(black_box(f), &mut stream, &mut scratch)
             .to_bits()
     });
-    println!("scalar query (stream+infer) {scalar:6.1} ns");
+    println!("FaultStream query (stream+infer) {scalar:6.1} ns");
 
     let mut exact_scratch = InferenceScratch::new();
     let exact_hmd = StochasticHmd::from_baseline(&baseline, 0.0, 7).expect("valid");
@@ -99,7 +101,7 @@ fn main() {
             .score_features_with(black_box(f), &mut stream, &mut exact_scratch)
             .to_bits()
     });
-    println!("scalar query exact          {exact:6.1} ns");
+    println!("FaultStream query exact          {exact:6.1} ns");
 
     macro_rules! batched {
         ($lanes:literal) => {
@@ -148,7 +150,10 @@ fn main() {
     batched!(4);
     batched!(8);
     batched!(16);
-    println!("scalar event side           {:6.1} ns/q", scalar - exact);
+    println!(
+        "FaultStream event side          {:6.1} ns/q",
+        scalar - exact
+    );
 
     let hot_hmd = StochasticHmd::from_baseline(&baseline, 0.413512, 7).expect("valid error rate");
     let hot_model = hot_hmd.fault_model();
@@ -160,11 +165,11 @@ fn main() {
             .score_features_with(black_box(f), &mut stream, &mut scratch)
             .to_bits()
     });
-    println!("\nscalar query er=0.413512   {hot_scalar:6.1} ns");
+    println!("\nFaultStream query er=0.413512   {hot_scalar:6.1} ns");
     batched!(1, hot_hmd, hot_model, hot_scalar);
     batched!(8, hot_hmd, hot_model, hot_scalar);
     println!(
-        "scalar event side           {:6.1} ns/q",
+        "FaultStream event side          {:6.1} ns/q",
         hot_scalar - exact
     );
 }

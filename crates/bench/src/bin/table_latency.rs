@@ -5,7 +5,7 @@
 use hmd_bench::{setup, table, Args};
 use shmd_ann::network::InferenceScratch;
 use shmd_power::latency::LatencyModel;
-use shmd_volt::fault::{ExactDatapath, FaultModel, FaultStream};
+use shmd_volt::fault::{ExactLanes, FaultModel, FaultStream};
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ fn main() {
 
     let mut scratch = InferenceScratch::new();
     let start = Instant::now();
-    let mut exact = ExactDatapath;
+    let mut exact = ExactLanes;
     for _ in 0..n {
         std::hint::black_box(q.infer_into(&features, &mut exact, &mut scratch));
     }

@@ -2,7 +2,7 @@
 
 use crate::detector::{Detector, Label};
 use shmd_ann::network::{InferenceScratch, Network, QuantizedNetwork};
-use shmd_volt::fault::ExactDatapath;
+use shmd_volt::fault::ExactLanes;
 use shmd_workload::features::FeatureSpec;
 use shmd_workload::trace::Trace;
 
@@ -98,7 +98,7 @@ impl BaselineHmd {
     ///
     /// Panics if the feature width mismatches the network input.
     pub fn score_features(&self, features: &[f32]) -> f64 {
-        f64::from(self.quantized.infer_with(features, &mut ExactDatapath)[0])
+        f64::from(self.quantized.infer(features, &mut ExactLanes)[0])
     }
 
     /// Like [`BaselineHmd::score_features`] but reusing caller-provided
@@ -110,7 +110,7 @@ impl BaselineHmd {
     pub fn score_features_with(&self, features: &[f32], scratch: &mut InferenceScratch) -> f64 {
         let out = self
             .quantized
-            .infer_into(features, &mut ExactDatapath, scratch);
+            .infer_into(features, &mut ExactLanes, scratch);
         f64::from(out[0].to_f32())
     }
 
@@ -134,7 +134,7 @@ impl Detector for BaselineHmd {
         let features = self.spec.extract(trace);
         let out = self
             .quantized
-            .infer_into(&features, &mut ExactDatapath, &mut self.scratch);
+            .infer_into(&features, &mut ExactLanes, &mut self.scratch);
         f64::from(out[0].to_f32())
     }
 

@@ -856,6 +856,7 @@ struct BatchCtx<'a> {
 struct WorkerScratch {
     /// The claimed range's extracted feature rows, [`FEATURE_DIM`] each.
     rows: Vec<f32>,
+    /// One-query scratch: per-shard remainders and degraded shards.
     single: BatchScratch<1>,
     requery: BatchScratch<1>,
     lane_draws: Vec<f64>,
@@ -985,7 +986,7 @@ fn batch_worker<const LANES: usize>(ctx: &BatchCtx<'_>, scratch: &mut WorkerScra
                     // re-produce that value, so the baseline never enters
                     // the ensemble.
                     ShardBackend::Baseline(hmd) => {
-                        let score = hmd.score_features(features);
+                        let score = hmd.score_features_with(features, single);
                         let label = Label::from_bool(score >= Detector::threshold(hmd));
                         deltas[target].record(score, label);
                         let answer = (score, label, VerdictConfidence::Confident);

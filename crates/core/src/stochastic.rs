@@ -4,9 +4,7 @@ use crate::baseline::BaselineHmd;
 use crate::detector::Detector;
 use shmd_ann::network::{BatchScratch, InferenceScratch, QuantizedNetwork};
 use shmd_volt::calibration::CalibrationCurve;
-use shmd_volt::fault::{
-    FaultModel, FaultModelError, FaultModelState, FaultStream, LaneCorruptor, ProductCorruptor,
-};
+use shmd_volt::fault::{FaultModel, FaultModelError, FaultModelState, FaultStream, LaneCorruptor};
 use shmd_volt::voltage::Millivolts;
 use shmd_workload::features::FeatureSpec;
 use shmd_workload::trace::Trace;
@@ -275,11 +273,12 @@ impl StochasticHmd {
     /// Scores an already-extracted feature vector (one stochastic
     /// detection).
     ///
-    /// This is the deployment hot path: the detector's own stream is
-    /// statically dispatched into the MAC loop and the activations live in
-    /// the detector's [`InferenceScratch`], so a steady stream of queries
+    /// This is the deployment hot path: the detector's own stream drives
+    /// the one-lane inference kernel and the activations live in the
+    /// detector's [`InferenceScratch`], so a steady stream of queries
     /// performs no heap allocation and no per-MAC RNG draws (geometric gap
-    /// sampling inside [`FaultStream`]).
+    /// sampling inside [`FaultStream`]). One stream runs across queries and
+    /// across [`StochasticHmd::retune`] and [`StochasticHmd::apply_offset`].
     ///
     /// # Panics
     ///
@@ -294,32 +293,28 @@ impl StochasticHmd {
     /// Scores a feature vector through an *external* corruption stream,
     /// leaving the detector untouched (`&self`): the caller owns the fault
     /// stream and the scratch space, so many workers can score against one
-    /// shared detector concurrently. Paired with a
-    /// [`shmd_volt::fault::FaultStream`] borrowed from
-    /// [`StochasticHmd::fault_model`], this is the scalar reference the
-    /// serving layer's lane-block engine
-    /// ([`StochasticHmd::score_features_batch_with`]) is tested against.
+    /// shared detector concurrently. It is
+    /// [`StochasticHmd::score_features_batch_with`] at width 1, typically
+    /// driven by a [`shmd_volt::fault::FaultStream`] borrowed from
+    /// [`StochasticHmd::fault_model`].
     ///
     /// # Panics
     ///
     /// Panics if the feature width mismatches the network input.
-    pub fn score_features_with<C: ProductCorruptor + ?Sized>(
+    pub fn score_features_with<C: LaneCorruptor<1> + ?Sized>(
         &self,
         features: &[f32],
         corruptor: &mut C,
         scratch: &mut InferenceScratch,
     ) -> f64 {
-        let out = self.quantized.infer_into(features, corruptor, scratch);
-        f64::from(out[0].to_f32())
+        self.score_features_batch_with(&[features], corruptor, scratch)[0]
     }
 
     /// Scores `LANES` feature vectors simultaneously through one
-    /// structure-of-arrays forward pass — the batched counterpart of
-    /// [`StochasticHmd::score_features_with`]. Lane `l`'s score is
-    /// bit-identical to a scalar `score_features_with(features[l], ..)`
-    /// driven by the corruptor stream lane `l` wraps, because the batched
-    /// datapath advances every lane through the same per-multiplication
-    /// schedule as a scalar inference.
+    /// structure-of-arrays forward pass. Lane `l`'s score is bit-identical
+    /// to `score_features_with(features[l], ..)` driven by the corruptor
+    /// stream lane `l` wraps, because the kernel advances every lane
+    /// through the same per-multiplication schedule at every width.
     ///
     /// # Panics
     ///

@@ -10,8 +10,10 @@
 //!   including temperature dependence;
 //! - [`multiplier`] — a per-output-bit timing model of a 64-bit multiplier
 //!   (and of the much shallower adder/logic datapaths, which never fault);
-//! - [`fault`] — the stochastic fault model and its fault stream: per-bit flip
-//!   probabilities, seeded sampling, and fault statistics;
+//! - [`fault`] — the stochastic fault model and its fault streams: per-bit
+//!   flip probabilities, seeded sampling, fault statistics, and the
+//!   [`LaneCorruptor`] hook through which the quantised inference kernel
+//!   drives one stream or a batch of them;
 //! - [`calibration`] — the per-device calibration flow mapping undervolt
 //!   offsets to observed error rates (and back);
 //! - [`entropy`] — the approximate-entropy test used by the paper to
@@ -67,6 +69,6 @@ pub use characterize::{
 pub use controller::{AdaptiveVoltageController, ControllerAction, ControllerConfig};
 pub use delay::DelayModel;
 pub use environment::{delivered_error_rate_at, freezes_at, EnvironmentConfig, ThermalEnvironment};
-pub use fault::{FaultModel, FaultModelError, FaultStats, FaultStream, ProductCorruptor};
+pub use fault::{FaultModel, FaultModelError, FaultStats, FaultStream, LaneCorruptor};
 pub use multiplier::{AluTimingModel, BitErrorProfile, MultiplierTimingModel};
 pub use voltage::{Millivolts, MsrVoltageCommand, VoltagePlane, Volts, NOMINAL_CORE_VOLTAGE};
