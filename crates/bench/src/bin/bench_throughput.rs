@@ -49,7 +49,10 @@ fn main() {
             table::verdict(p.thread_invariant, "yes", "NO"),
         ]);
     }
-    println!("(before: per-draw Bernoulli + dyn + allocation; after: geometric gap + scratch)");
+    println!(
+        "(before: per-draw Bernoulli, dyn corruptor, fresh buffers per query; \
+         after: geometric gap + scratch; both on the width-1 kernel)"
+    );
 
     let doc = render(&points, exec.thread_count());
     run.write(&doc);
