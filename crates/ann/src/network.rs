@@ -186,16 +186,16 @@ impl QuantizedLayer {
     ///    walk over the products one at a time, so each lane's corruption
     ///    stream is independent of the width.
     /// 2. **Span + patch.** One uninterrupted
-    ///    [`LaneAccumulator::mac_span`] accumulates the whole row for all
-    ///    lanes — the straight-line kernel the vectorizer chews on — and
-    ///    the recorded substitutions are then patched into the affected
-    ///    lane sums. A per-row magnitude bound (`row_abs · 2³¹` plus the
-    ///    bias and every substituted product) proves no partial sum could
-    ///    have left the `i64` range, which makes the patched sum
-    ///    bit-identical to the sequential saturating accumulation; in the
-    ///    adversarial case where the bound cannot prove it, the affected
-    ///    lane is replayed sequentially with the recorded substitutions —
-    ///    the sequential law verbatim.
+    ///    [`LaneAccumulator::mac_span_wrapping`] accumulates the whole row
+    ///    for all lanes — the straight-line kernel the vectorizer chews
+    ///    on — and the recorded substitutions are then patched into the
+    ///    affected lane sums. A per-lane magnitude bound (`row_abs · 2³¹`
+    ///    plus the bias and every substituted product) proves no partial
+    ///    sum could have left the `i64` range, which makes the wrapped and
+    ///    patched sum bit-identical to the sequential saturating
+    ///    accumulation. That is the one overflow rule: every lane whose
+    ///    bound cannot prove it, events or not, is replayed sequentially
+    ///    with the recorded substitutions — the sequential law verbatim.
     fn forward_lanes<const LANES: usize, C: LaneCorruptor<LANES> + ?Sized>(
         &self,
         input: &[Q16],
@@ -246,31 +246,24 @@ impl QuantizedLayer {
                     }
                 }
             }
-            // Phase 2: one straight-line span over the whole row…
+            // Phase 2: one straight-line wrapping span over the whole row…
             let bias_mag = u128::from(bias.to_bits().unsigned_abs()) << 16;
             let row_bound = (u128::from(self.row_abs[o]) << 31) + bias_mag;
             let mut acc = LaneAccumulator::<LANES>::new();
-            if row_bound <= i64::MAX as u128 {
-                // The magnitude bound already proves no partial sum can
-                // leave i64, so the saturating clamps are dead code and
-                // the span can use plain wrapping adds (about half the
-                // vectorized cost). Real quantized rows land here.
-                acc.mac_span_wrapping(&row[..self.in_dim], &input[..self.in_dim * LANES]);
-            } else {
-                acc.mac_span(&row[..self.in_dim], &input[..self.in_dim * LANES]);
-            }
-            // …then patch the (rare) substituted products in.
-            if !events.is_empty() {
+            acc.mac_span_wrapping(&row[..self.in_dim], &input[..self.in_dim * LANES]);
+            // …then patch the substituted products in where the magnitude
+            // bound proves no partial sum left i64, and replay every other
+            // lane with the sequential saturating law verbatim. Real
+            // quantized rows are provable, so an event-free row skips this.
+            if !events.is_empty() || row_bound > i64::MAX as u128 {
                 for ev in events.iter() {
                     let l = ev.lane as usize;
                     if row_bound + sub_mag[l] <= i64::MAX as u128 {
                         acc.patch(l, ev.product, ev.corrupted);
                     }
                 }
-                // Lanes whose bound cannot rule out saturation replay the
-                // sequential law verbatim with the recorded substitutions.
                 for l in 0..LANES {
-                    if sub_mag[l] != 0 && row_bound + sub_mag[l] > i64::MAX as u128 {
+                    if row_bound + sub_mag[l] > i64::MAX as u128 {
                         let mut sum = 0i64;
                         let mut next = events.iter().filter(|e| e.lane as usize == l);
                         let mut pending = next.next();
@@ -790,6 +783,99 @@ mod tests {
         batch_matches_scalar_at_width::<14>(114);
         batch_matches_scalar_at_width::<15>(115);
         batch_matches_scalar_at_width::<16>(116);
+    }
+
+    /// A linear hidden layer whose first three rows carry weights near
+    /// ±30 000 (Σ|w_raw| > 2³², so the no-overflow bound cannot hold) and
+    /// whose last row stays small, followed by a small linear output
+    /// layer. Mixed signs make the saturating order visible: a row that
+    /// clips at `i64::MAX` and then comes back down ends elsewhere than
+    /// its exact (or wrapped) sum.
+    fn overflow_net() -> QuantizedNetwork {
+        use crate::layer::Layer;
+        let big: [[f32; 6]; 3] = [
+            [30_000.0, 29_000.0, 30_000.0, 28_500.0, 30_000.0, 29_500.0],
+            [
+                30_000.0, 30_000.0, 30_000.0, -30_000.0, -29_000.0, -30_000.0,
+            ],
+            [
+                -29_000.0, -30_000.0, -30_000.0, 30_000.0, 30_000.0, -28_000.0,
+            ],
+        ];
+        let mut hidden = Layer::zeros(6, 4, Activation::Linear);
+        for (o, row) in hidden.weights_mut().chunks_exact_mut(7).enumerate() {
+            for (i, w) in row[..6].iter_mut().enumerate() {
+                *w = match big.get(o) {
+                    Some(weights) => weights[i],
+                    None => 0.125 * (i as f32 - 2.5),
+                };
+            }
+            row[6] = 1.5 - o as f32;
+        }
+        let mut output = Layer::zeros(4, 2, Activation::Linear);
+        for (o, row) in output.weights_mut().chunks_exact_mut(5).enumerate() {
+            for (i, w) in row[..4].iter_mut().enumerate() {
+                *w = if i % 2 == o { 0.5 } else { -0.25 };
+            }
+        }
+        let net = Network::from_layers(vec![hidden, output]).quantized();
+        let row_abs = &net.layers[0].row_abs;
+        assert!(row_abs[..3]
+            .iter()
+            .all(|&s| u128::from(s) << 31 > i64::MAX as u128));
+        assert!(u128::from(row_abs[3]) << 31 <= i64::MAX as u128);
+        net
+    }
+
+    fn overflow_rows_match_the_reference_at_width<const LANES: usize>(er: f64) {
+        let net = overflow_net();
+        let model = FaultModel::from_error_rate(er).unwrap();
+        let mut scratch = BatchScratch::<LANES>::new();
+        // Two passes with the big and small lanes swapped, so width 1 sees
+        // both kinds of input.
+        for pass in 0..2usize {
+            let inputs_owned: Vec<Vec<f32>> = (0..LANES)
+                .map(|l| {
+                    if (l + pass) % 2 == 0 {
+                        vec![30_000.0; 6]
+                    } else {
+                        (0..6).map(|i| ((l * 6 + i) as f32 * 0.7).sin()).collect()
+                    }
+                })
+                .collect();
+            let inputs: [&[f32]; LANES] = std::array::from_fn(|l| inputs_owned[l].as_slice());
+            let seeds: [u64; LANES] = std::array::from_fn(|l| (pass * 64 + l) as u64);
+            let mut stream = BatchFaultStream::new(&model, seeds);
+            let plane = net
+                .infer_batch_into(&inputs, &mut stream, &mut scratch)
+                .to_vec();
+            for l in 0..LANES {
+                let mut lane_stream = FaultStream::new(&model, seeds[l]);
+                let want = reference_infer(&net, inputs[l], |p| lane_stream.corrupt_product(p));
+                for (o, &expected) in want.iter().enumerate() {
+                    assert_eq!(
+                        plane[o * LANES + l],
+                        expected,
+                        "er {er}, width {LANES}, pass {pass}, lane {l}, output {o}"
+                    );
+                }
+                assert_eq!(stream.stats(l), lane_stream.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn rows_past_the_overflow_bound_saturate_like_the_reference() {
+        // Quantized detectors never get near the bound, so this builds
+        // rows that do: lanes fed +30 000 everywhere saturate their
+        // fault-free sums, the small lanes stay exact, and at er > 0 the
+        // saturating lanes also carry fault events.
+        for er in [0.0, 0.3, 0.9] {
+            overflow_rows_match_the_reference_at_width::<1>(er);
+            overflow_rows_match_the_reference_at_width::<4>(er);
+            overflow_rows_match_the_reference_at_width::<8>(er);
+            overflow_rows_match_the_reference_at_width::<16>(er);
+        }
     }
 
     #[test]

@@ -43,10 +43,11 @@
 //! serving throughput is guarded by the repository benchmark and by
 //! BENCH_2's floor.
 
+use crate::perf::paired_qps;
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::json;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, LANE_WIDTHS};
@@ -121,10 +122,9 @@ fn replay(
 }
 
 /// Deploys a `lanes = 1` and a `lanes`-wide service and replays
-/// the feature stream through both *in alternation*, one chunk at a time,
-/// timing each side separately. Both deployments see every host-speed
-/// epoch, so their throughput ratio is robust to machine noise that would
-/// skew back-to-back runs.
+/// the feature stream through both *in alternation*, one batch at a time
+/// ([`paired_qps`]), so their throughput ratio is robust to machine noise
+/// that would skew back-to-back runs.
 fn paired_replay(
     baseline: &BaselineHmd,
     curve: &CalibrationCurve,
@@ -138,19 +138,12 @@ fn paired_replay(
         .expect("benchmark config is valid");
     let mut wide = MonitoringService::deploy(baseline, curve, serial.with_lanes(lanes))
         .expect("benchmark config is valid");
-    let mut one_lane_elapsed = Duration::ZERO;
-    let mut wide_elapsed = Duration::ZERO;
-    for chunk in features.chunks(chunk_len) {
-        let t = Instant::now();
-        one_lane.process_feature_batch(chunk);
-        one_lane_elapsed += t.elapsed();
-        let t = Instant::now();
-        wide.process_feature_batch(chunk);
-        wide_elapsed += t.elapsed();
-    }
-    let n = features.len() as f64;
-    let one_lane_qps = n / one_lane_elapsed.as_secs_f64();
-    let wide_qps = n / wide_elapsed.as_secs_f64();
+    let (one_lane_qps, wide_qps) = paired_qps(
+        features.len(),
+        chunk_len,
+        |range| drop(one_lane.process_feature_batch(&features[range])),
+        |range| drop(wide.process_feature_batch(&features[range])),
+    );
     (one_lane, one_lane_qps, wide, wide_qps)
 }
 

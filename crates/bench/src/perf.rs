@@ -10,7 +10,8 @@
 //! Both sides run the one inference kernel at width 1, so at er = 0,
 //! where neither draws, they differ only by those buffers and the
 //! per-product count. This module times both on the same trained
-//! detector so the speedup is recorded next to the code that produced it
+//! detector, in alternating chunks so host noise slows both sides alike
+//! ([`paired_qps`]), and records the speedup next to the code that produced it
 //! (`BENCH_2.json` at the repository root, written by the
 //! `bench_throughput` binary).
 //!
@@ -21,7 +22,8 @@
 
 use shmd_ann::network::{InferenceScratch, QuantizedNetwork};
 use shmd_volt::fault::{FaultModel, FaultStream, LaneCorruptor, PerDrawInjector};
-use std::time::Instant;
+use std::ops::Range;
+use std::time::{Duration, Instant};
 use stochastic_hmd::exec::{derive_seed, parallel_map_n, ExecConfig};
 use stochastic_hmd::json;
 
@@ -63,48 +65,65 @@ fn fold_scores(acc: u64, out: &[shmd_fixed::Q16]) -> u64 {
         .fold(acc, |a, q| a.rotate_left(7) ^ u64::from(q.to_bits() as u32))
 }
 
-/// Times `queries` inferences through the legacy per-draw, allocating
-/// path. Returns queries per second.
-fn time_before(q: &QuantizedNetwork, features: &[f32], er: f64, seed: u64, queries: usize) -> f64 {
-    let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
-    let injector: &mut dyn LaneCorruptor<1> = &mut PerDrawInjector::new(model, seed);
-    for _ in 0..queries.min(64) {
-        std::hint::black_box(q.infer(features, &mut *injector));
+/// Times two paths over the same `n` queries in alternation, `chunk` at a
+/// time, each side accumulating only its own elapsed time: a host-speed
+/// epoch, much longer than a chunk, slows both sides alike instead of
+/// whichever ran during it. Returns each side's queries per second.
+pub fn paired_qps<A, B>(n: usize, chunk: usize, mut a: A, mut b: B) -> (f64, f64)
+where
+    A: FnMut(Range<usize>),
+    B: FnMut(Range<usize>),
+{
+    let mut elapsed = [Duration::ZERO; 2];
+    for lo in (0..n).step_by(chunk.max(1)) {
+        let start = Instant::now();
+        a(lo..(lo + chunk).min(n));
+        let mid = Instant::now();
+        b(lo..(lo + chunk).min(n));
+        elapsed[0] += mid - start;
+        elapsed[1] += mid.elapsed();
     }
-    let start = Instant::now();
-    for _ in 0..queries {
-        std::hint::black_box(q.infer(features, &mut *injector));
-    }
-    queries as f64 / start.elapsed().as_secs_f64()
+    let qps = |d: Duration| n as f64 / d.as_secs_f64();
+    (qps(elapsed[0]), qps(elapsed[1]))
 }
 
-/// Times `queries` inferences through the geometric + scratch hot path.
-/// Returns `(queries per second, output checksum)`.
-fn time_after(
+/// Times `queries` inferences through the legacy per-draw, allocating
+/// path and the geometric + scratch hot path, alternating every 50
+/// queries ([`paired_qps`]). Returns both rates and the checksum of the
+/// hot path's stream from `seed`, independent of warm-up.
+fn time_paths(
     q: &QuantizedNetwork,
     features: &[f32],
     er: f64,
     seed: u64,
     queries: usize,
-) -> (f64, u64) {
+) -> (f64, f64, u64) {
     let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
-    let mut injector = FaultStream::new(model, seed);
+    let before: &mut dyn LaneCorruptor<1> = &mut PerDrawInjector::new(model.clone(), seed);
+    let mut after = FaultStream::new(model.clone(), seed);
     let mut scratch = InferenceScratch::new();
     for _ in 0..queries.min(64) {
-        std::hint::black_box(q.infer_into(features, &mut injector, &mut scratch));
+        std::hint::black_box(q.infer(features, &mut *before));
+        std::hint::black_box(q.infer_into(features, &mut after, &mut scratch));
     }
-    // Re-seed so the checksum covers a known stream, independent of warmup.
-    injector = FaultStream::new(
-        FaultModel::from_error_rate(er).expect("valid benchmark error rate"),
-        seed,
-    );
+    after = FaultStream::new(model, seed);
     let mut checksum = 0u64;
-    let start = Instant::now();
-    for _ in 0..queries {
-        let out = q.infer_into(features, &mut injector, &mut scratch);
-        checksum = fold_scores(checksum, std::hint::black_box(out));
-    }
-    (queries as f64 / start.elapsed().as_secs_f64(), checksum)
+    let (before_qps, after_qps) = paired_qps(
+        queries,
+        50,
+        |range| {
+            for _ in range {
+                std::hint::black_box(q.infer(features, &mut *before));
+            }
+        },
+        |range| {
+            for _ in range {
+                let out = q.infer_into(features, &mut after, &mut scratch);
+                checksum = fold_scores(checksum, std::hint::black_box(out));
+            }
+        },
+    );
+    (before_qps, after_qps, checksum)
 }
 
 /// Runs the hot path fanned over `exec`'s worker pool, one task per chunk
@@ -124,10 +143,11 @@ fn time_threaded(
     // pool executes the schedule.
     let tasks = 16;
     let per_task = queries.div_ceil(tasks);
+    // Built once, outside the timed region: models are not cached.
+    let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
     let start = Instant::now();
     let sums = parallel_map_n(exec, tasks, |task| {
-        let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
-        let mut injector = FaultStream::new(model, derive_seed(seed, &[task as u64]));
+        let mut injector = FaultStream::new(&model, derive_seed(seed, &[task as u64]));
         let mut scratch = InferenceScratch::new();
         let mut checksum = 0u64;
         for _ in 0..per_task {
@@ -151,8 +171,7 @@ pub fn measure_point(
     queries: usize,
     exec: &ExecConfig,
 ) -> ThroughputPoint {
-    let before_qps = time_before(q, features, er, seed, queries);
-    let (after_qps, checksum) = time_after(q, features, er, seed, queries);
+    let (before_qps, after_qps, checksum) = time_paths(q, features, er, seed, queries);
     let (threaded_qps, threaded_sum) = time_threaded(q, features, er, seed, queries, exec);
     // The serial reference for the fan-out is the same chunked schedule on
     // one worker — identical seeds, identical order.
@@ -259,10 +278,10 @@ mod tests {
     #[test]
     fn checksum_is_seed_deterministic() {
         let (q, features) = fixture();
-        let (_, a) = time_after(&q, &features, 0.3, 5, 200);
-        let (_, b) = time_after(&q, &features, 0.3, 5, 200);
+        let (.., a) = time_paths(&q, &features, 0.3, 5, 200);
+        let (.., b) = time_paths(&q, &features, 0.3, 5, 200);
         assert_eq!(a, b, "same seed must reproduce the same score stream");
-        let (_, c) = time_after(&q, &features, 0.3, 6, 200);
+        let (.., c) = time_paths(&q, &features, 0.3, 6, 200);
         assert_ne!(a, c, "different seed must change the stream");
     }
 

@@ -461,8 +461,8 @@ impl Verdict {
 /// while the shard is crashed.
 enum ShardBackend {
     Stochastic(Box<StochasticHmd>),
-    /// Degraded: nominal voltage, no moving target — but still serving.
-    Baseline(BaselineHmd),
+    /// Degraded: nominal voltage, no moving target — serving the service's baseline.
+    Baseline,
     /// Crashed: the core is hung. The shard is out of the serving set and
     /// receives no queries until the supervisor restarts it.
     Down,
@@ -557,7 +557,7 @@ impl ShardView<'_> {
             positives += u8::from(replica >= threshold);
             delta.requeries += 1;
         };
-        delta.faults.fold_tally(&stream.tally(0));
+        delta.faults.merge(&stream.tally(0));
         (label, VerdictConfidence::Requeried { votes, positives })
     }
 
@@ -605,7 +605,7 @@ impl ShardView<'_> {
             }
         }
         for l in 0..LANES {
-            delta.faults.fold_tally(&stream.tally(l));
+            delta.faults.merge(&stream.tally(l));
         }
         let threshold = Detector::threshold(hmd);
         std::array::from_fn(|l| {
@@ -708,14 +708,14 @@ impl Shard {
     /// first retry due at batch `retry_at`, or, with no retry (the
     /// pool's last serving shard), failed over to the baseline so the
     /// service never stops answering.
-    pub(crate) fn crash(&mut self, baseline: &BaselineHmd, cause: String, retry_at: Option<u64>) {
+    pub(crate) fn crash(&mut self, cause: String, retry_at: Option<u64>) {
         let record = &mut self.state.supervision;
         record.transition(ShardHealth::Crashed);
         record.crashes += 1;
         match retry_at {
             None => {
                 let reason = format!("{cause}; last serving shard failed over to baseline");
-                self.fail_over(baseline, reason);
+                self.fail_over(reason);
             }
             Some(due) => {
                 record.transition(ShardHealth::Quarantined);
@@ -731,8 +731,8 @@ impl Shard {
     /// answering, without the moving-target defense, until a restart or
     /// recalibration succeeds. The retry schedule is the caller's to
     /// settle.
-    pub(crate) fn fail_over(&mut self, baseline: &BaselineHmd, reason: String) {
-        self.backend = ShardBackend::Baseline(baseline.clone());
+    pub(crate) fn fail_over(&mut self, reason: String) {
+        self.backend = ShardBackend::Baseline;
         let state = &mut self.state;
         state.supervision.transition(ShardHealth::Degraded);
         state.degraded_reason = Some(reason);
@@ -771,7 +771,7 @@ impl Shard {
         ShardReport {
             shard: id,
             seed: state.seed,
-            degraded: matches!(self.backend, ShardBackend::Baseline(_)),
+            degraded: matches!(self.backend, ShardBackend::Baseline),
             degraded_reason: state.degraded_reason.clone(),
             health: sup.health,
             transitions: sup.transitions,
@@ -836,6 +836,7 @@ struct BatchCtx<'a> {
     cursor: &'a AtomicUsize,
     input: BatchInput<'a>,
     shards: &'a [Shard],
+    baseline: &'a BaselineHmd,
     requery: Option<RequeryConfig>,
     anomaly: Option<&'a AnomalyScorer>,
     mask: &'a [bool],
@@ -985,9 +986,9 @@ fn batch_worker<const LANES: usize>(ctx: &BatchCtx<'_>, scratch: &mut WorkerScra
                     // single score — and re-querying it would only
                     // re-produce that value, so the baseline never enters
                     // the ensemble.
-                    ShardBackend::Baseline(hmd) => {
-                        let score = hmd.score_features_with(features, single);
-                        let label = Label::from_bool(score >= Detector::threshold(hmd));
+                    ShardBackend::Baseline => {
+                        let score = ctx.baseline.score_features_with(features, single);
+                        let label = Label::from_bool(score >= Detector::threshold(ctx.baseline));
                         deltas[target].record(score, label);
                         let answer = (score, label, VerdictConfidence::Confident);
                         Some(Verdict::served(position, target, answer))
@@ -1195,11 +1196,7 @@ impl MonitoringService {
                         ShardHealth::Healthy,
                         None,
                     ),
-                    Err(reason) => (
-                        ShardBackend::Baseline(baseline.clone()),
-                        ShardHealth::Degraded,
-                        Some(reason),
-                    ),
+                    Err(reason) => (ShardBackend::Baseline, ShardHealth::Degraded, Some(reason)),
                 };
                 Shard {
                     backend,
@@ -1207,6 +1204,12 @@ impl MonitoringService {
                 }
             })
             .collect();
+        Self::assemble(baseline, &config, shards)
+    }
+
+    /// The one constructor behind deployment and restore: `shards` serving
+    /// `baseline` under `config`, at stream position 0, unsupervised.
+    fn assemble(baseline: &BaselineHmd, config: &ServeConfig, shards: Vec<Shard>) -> Self {
         MonitoringService {
             spec: baseline.spec(),
             policy: config.policy,
@@ -1384,7 +1387,7 @@ impl MonitoringService {
         }
         shard.state.supervision.attempt = 0;
         shard.state.supervision.next_retry_batch = None;
-        shard.fail_over(&self.baseline, reason.to_string());
+        shard.fail_over(reason.to_string());
         true
     }
 
@@ -1396,7 +1399,8 @@ impl MonitoringService {
     /// back to the baseline detector — and previously degraded shards
     /// recover when the new calibration succeeds. Returns the number of
     /// shards left degraded.
-    pub fn recalibrate(&mut self, baseline: &BaselineHmd, curve: &CalibrationCurve) -> usize {
+    pub fn recalibrate(&mut self, curve: &CalibrationCurve) -> usize {
+        let baseline = &self.baseline;
         let mut degraded = 0;
         for (id, shard) in self.shards.iter_mut().enumerate() {
             let state = &mut shard.state;
@@ -1410,7 +1414,7 @@ impl MonitoringService {
                     shard.backend = ShardBackend::Stochastic(Box::new(hmd));
                 }
                 Err(reason) => {
-                    shard.fail_over(baseline, reason);
+                    shard.fail_over(reason);
                     degraded += 1;
                 }
             }
@@ -1494,6 +1498,7 @@ impl MonitoringService {
                 cursor: &cursor,
                 input,
                 shards: &self.shards,
+                baseline: &self.baseline,
                 requery: self.requery,
                 anomaly: self.anomaly.as_ref(),
                 mask: &buffers.mask,
@@ -1650,7 +1655,7 @@ impl MonitoringService {
                     ShardBackend::Stochastic(hmd) => {
                         BackendCheckpoint::Stochastic(hmd.export_state())
                     }
-                    ShardBackend::Baseline(_) => BackendCheckpoint::Baseline,
+                    ShardBackend::Baseline => BackendCheckpoint::Baseline,
                     ShardBackend::Down => BackendCheckpoint::Down,
                 },
                 state: shard.state.clone(),
@@ -1759,7 +1764,7 @@ impl MonitoringService {
                         .map_err(|e| invalid(e.to_string()))?;
                     ShardBackend::Stochastic(Box::new(hmd))
                 }
-                BackendCheckpoint::Baseline => ShardBackend::Baseline(baseline.clone()),
+                BackendCheckpoint::Baseline => ShardBackend::Baseline,
                 BackendCheckpoint::Down if health.is_serving() => {
                     return Err(invalid(format!("{health} but has no backend")));
                 }
@@ -1789,14 +1794,14 @@ impl MonitoringService {
                 "no shard is serving".to_string(),
             ));
         }
-        Ok(MonitoringService {
-            spec: baseline.spec(),
-            policy: checkpoint.policy,
-            target_error_rate: checkpoint.target_error_rate,
-            seed: checkpoint.seed,
+        let config = ServeConfig {
+            shards: shards.len(),
             batch_size: usize::try_from(checkpoint.batch_size.max(1)).map_err(|_| {
                 RestoreError::InvalidState("batch size overflows usize".to_string())
             })?,
+            target_error_rate: checkpoint.target_error_rate,
+            policy: checkpoint.policy,
+            seed: checkpoint.seed,
             exec,
             // Wall-clock only, so not part of the checkpoint: any width
             // resumes the stream bit-identically.
@@ -1807,24 +1812,15 @@ impl MonitoringService {
                     .unwrap_or(MAX_REQUERY_REPLICAS)
                     .clamp(1, MAX_REQUERY_REPLICAS),
             }),
-            // Model weights, not mutable state: the caller re-installs
-            // the same scorer it installed at first deployment.
-            anomaly: None,
-            baseline: baseline.clone(),
-            input_dim: expected,
-            supervisor,
-            shards,
-            served: checkpoint.served,
-            batches: checkpoint.batches,
-            rejected_queries: checkpoint.rejected_queries,
-            verdict_checksum: checkpoint.verdict_checksum,
-            batch_latency_micros: VecDeque::with_capacity(BATCH_LATENCY_WINDOW),
-            power_model: CmosPowerModel::i7_5557u(),
-            latency_model: LatencyModel::i7_5557u(),
-            macs: baseline.quantized().size_bytes() / 4,
-            service_power_w: checkpoint.service_power_w,
-            buffers: BatchBuffers::default(),
-        })
+        };
+        let mut service = Self::assemble(baseline, &config, shards);
+        service.supervisor = supervisor;
+        service.served = checkpoint.served;
+        service.batches = checkpoint.batches;
+        service.rejected_queries = checkpoint.rejected_queries;
+        service.verdict_checksum = checkpoint.verdict_checksum;
+        service.service_power_w = checkpoint.service_power_w;
+        Ok(service)
     }
 
     /// [`MonitoringService::process_feature_batch`] with write-ahead
@@ -2152,7 +2148,7 @@ mod tests {
     fn every_verdict_matches_a_scalar_reconstruction_outside_the_service() {
         use shmd_ann::network::InferenceScratch;
         use shmd_ml::anomaly::AnomalyConfig;
-        use shmd_volt::fault::FaultStream;
+        use shmd_volt::fault::{FaultModel, FaultStream};
 
         let (dataset, baseline, curve) = setup();
         let dim = baseline.quantized().input_dim();
@@ -2195,6 +2191,16 @@ mod tests {
         let mut scratch = InferenceScratch::new();
         let mut expected: Vec<Verdict> = Vec::new();
         let mut expected_faults = vec![FaultCounters::default(); shards];
+        // A scalar stream's statistics with the histogram summed: what the
+        // service's lane tallies count.
+        let tally = |stream: &FaultStream<&FaultModel>| {
+            let stats = stream.stats();
+            FaultCounters {
+                multiplies: stats.multiplies,
+                faulty: stats.faulty,
+                bit_flips: stats.total_flips(),
+            }
+        };
         let mut band_hits = 0;
         let mut requeries = 0;
         for (i, query) in features.iter().enumerate() {
@@ -2224,7 +2230,7 @@ mod tests {
                 let mut draws: Vec<f64> = (0..3)
                     .map(|_| hmd.score_features_with(query, &mut stream, &mut scratch))
                     .collect();
-                expected_faults[shard].fold(&stream.stats());
+                expected_faults[shard].merge(&tally(&stream));
                 draws.sort_by(f64::total_cmp);
                 // Majority of 3: the median clears the threshold iff at
                 // least two draws do.
@@ -2249,7 +2255,7 @@ mod tests {
                         positives += u8::from(replica >= threshold);
                         requeries += 1;
                     }
-                    expected_faults[shard].fold(&stream.stats());
+                    expected_faults[shard].merge(&tally(&stream));
                     verdict.label = Label::from_bool(2 * positives > total);
                     verdict.confidence = VerdictConfidence::Requeried { votes, positives };
                     // Drawing every replica gives the same label.
@@ -2294,7 +2300,7 @@ mod tests {
                 .install_anomaly_scorer(anomaly.clone())
                 .expect("matching width");
             // Degrade one shard in place, as a failed calibration would.
-            service.shards[degraded].backend = ShardBackend::Baseline(baseline.clone());
+            service.shards[degraded].backend = ShardBackend::Baseline;
             let mut verdicts = Vec::new();
             for chunk in features.chunks(batch_size) {
                 verdicts.extend(service.process_feature_batch(chunk));
@@ -2563,7 +2569,7 @@ mod tests {
         // next recalibration degrades every shard, but serving continues
         // and the folded fault counters survive the backend swap.
         service.retarget(0.95).expect("a valid probability");
-        assert_eq!(service.recalibrate(&baseline, &curve), 2);
+        assert_eq!(service.recalibrate(&curve), 2);
         service.process_stream(&queries);
         let snapshot = service.snapshot();
         assert_eq!(snapshot.degraded_shards(), 2);
@@ -2576,7 +2582,7 @@ mod tests {
 
         // Back to a reachable target: the shards recover.
         service.retarget(0.1).expect("a valid probability");
-        assert_eq!(service.recalibrate(&baseline, &curve), 0);
+        assert_eq!(service.recalibrate(&curve), 0);
         let recovered = service.snapshot();
         assert_eq!(recovered.degraded_shards(), 0);
         assert_eq!(recovered.degradation_events, 2, "history is cumulative");

@@ -531,6 +531,38 @@ mod tests {
     }
 
     #[test]
+    fn retuned_model_equals_a_fresh_build_over_a_sweep_of_rates() {
+        // Fault models are rebuilt on every retune, never looked up, so a
+        // detector retuned from its deploy rate must hold exactly the law a
+        // fresh deployment at the new rate builds — and keep it through a
+        // state round-trip — with injectors that sample bit-identically.
+        use shmd_volt::fault::{FaultModel, FaultStream};
+        let (_, base) = setup();
+        for k in 0..9 {
+            let er = 0.01 + 0.055 * f64::from(k);
+            let mut retuned = StochasticHmd::from_baseline(&base, 0.1, 5).expect("valid");
+            retuned.retune(er).expect("valid rate");
+            let fresh = StochasticHmd::from_baseline(&base, er, 6).expect("valid");
+            assert_eq!(retuned.fault_model(), fresh.fault_model(), "er {er}");
+            let round_trip =
+                FaultModel::from_state(retuned.fault_model().export_state()).expect("valid state");
+            assert_eq!(&round_trip, fresh.fault_model(), "er {er} state round-trip");
+            let mut a = FaultStream::new(retuned.fault_model(), 99);
+            let mut b = FaultStream::new(fresh.fault_model(), 99);
+            for i in 0..10_000i64 {
+                let p = (i * 0x5851_f42d) << 16;
+                assert_eq!(
+                    a.corrupt_product(p),
+                    b.corrupt_product(p),
+                    "er {er}, product {i}"
+                );
+            }
+            assert_eq!(a.stats(), b.stats(), "er {er}");
+            assert!(a.stats().faulty > 0, "er {er} must fault");
+        }
+    }
+
+    #[test]
     fn exported_state_restores_the_operating_point_and_fault_law() {
         use shmd_volt::fault::FaultStream;
         let (dataset, base) = setup();

@@ -645,7 +645,7 @@ impl Supervisor {
         // Scripted chaos kills, anywhere in the window.
         for (victim, cause) in self.config.chaos.kills_in(window_from, batch) {
             if victim < shards.len() {
-                self.crash(shards, victim, batch, cause.to_string(), baseline);
+                self.crash(shards, victim, batch, cause.to_string());
             }
         }
 
@@ -669,7 +669,7 @@ impl Supervisor {
             } else {
                 continue;
             };
-            self.crash(shards, id, batch, cause, baseline);
+            self.crash(shards, id, batch, cause);
         }
 
         // Due recovery retries of quarantined shards. A failed retry backs
@@ -695,7 +695,7 @@ impl Supervisor {
             if record.attempt >= self.config.max_retries.max(1) {
                 record.next_retry_batch = None;
                 let reason = format!("retry budget exhausted after {} attempts", record.retries);
-                shard.fail_over(baseline, reason);
+                shard.fail_over(reason);
             } else {
                 let backoff =
                     retry_backoff(shard.state.seed, record.attempt, self.config.backoff_base);
@@ -737,7 +737,7 @@ impl Supervisor {
             flagged[id] = true;
             if !self.recover(shard, id, temp, true, baseline, master_seed) {
                 let reason = "drift recalibration failed; serving baseline".to_string();
-                shard.fail_over(baseline, reason);
+                shard.fail_over(reason);
             }
         }
 
@@ -748,14 +748,7 @@ impl Supervisor {
 
     /// Crashes shard `id` if it is serving: quarantined with its first
     /// retry scheduled, or failed over when it is the last serving shard.
-    fn crash(
-        &self,
-        shards: &mut [Shard],
-        id: usize,
-        batch: u64,
-        cause: String,
-        baseline: &BaselineHmd,
-    ) {
+    fn crash(&self, shards: &mut [Shard], id: usize, batch: u64, cause: String) {
         let serving = shards
             .iter()
             .filter(|shard| shard.state.supervision.health.is_serving())
@@ -767,7 +760,7 @@ impl Supervisor {
         let retry_at = (serving > 1).then(|| {
             batch.saturating_add(retry_backoff(shard.state.seed, 0, self.config.backoff_base))
         });
-        shard.crash(baseline, cause, retry_at);
+        shard.crash(cause, retry_at);
     }
 
     /// The one recovery step of a retry and of a watchdog drift:

@@ -28,7 +28,7 @@
 
 use crate::json;
 use crate::supervisor::ShardHealth;
-use shmd_volt::fault::{FaultStats, FaultTally};
+pub use shmd_volt::fault::FaultCounters;
 
 /// Number of bins in a [`ScoreHistogram`] (scores span `[0, 1]`).
 pub const HISTOGRAM_BINS: usize = 20;
@@ -84,56 +84,6 @@ impl ScoreHistogram {
 impl Default for ScoreHistogram {
     fn default() -> ScoreHistogram {
         ScoreHistogram::new()
-    }
-}
-
-/// Compact fault-injection counters, folded from [`FaultStats`].
-///
-/// The serving layer cares about rates, not the 64-entry per-bit profile,
-/// so only the totals travel in a snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Total multiplications processed.
-    pub multiplies: u64,
-    /// Multiplications whose result was corrupted.
-    pub faulty: u64,
-    /// Total product bits flipped.
-    pub bit_flips: u64,
-}
-
-impl FaultCounters {
-    /// Adds a fault stream's accumulated statistics into these counters.
-    pub fn fold(&mut self, stats: &FaultStats) {
-        self.multiplies += stats.multiplies;
-        self.faulty += stats.faulty;
-        self.bit_flips += stats.total_flips();
-    }
-
-    /// Adds a batched lane's tally — the same fold as
-    /// [`FaultCounters::fold`] fed by a [`FaultTally`], which the batched
-    /// stream produces without materializing a heap-backed `FaultStats`
-    /// per lane per block.
-    pub fn fold_tally(&mut self, tally: &FaultTally) {
-        self.multiplies += tally.multiplies;
-        self.faulty += tally.faulty;
-        self.bit_flips += tally.bit_flips;
-    }
-
-    /// Adds another counter record into this one — the additive fold the
-    /// serving layer uses to merge per-worker deltas at batch boundaries.
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.multiplies += other.multiplies;
-        self.faulty += other.faulty;
-        self.bit_flips += other.bit_flips;
-    }
-
-    /// Observed fraction of faulty multiplications.
-    pub fn observed_error_rate(&self) -> f64 {
-        if self.multiplies == 0 {
-            0.0
-        } else {
-            self.faulty as f64 / self.multiplies as f64
-        }
     }
 }
 
@@ -267,9 +217,7 @@ impl TelemetrySnapshot {
     pub fn total_faults(&self) -> FaultCounters {
         let mut total = FaultCounters::default();
         for s in &self.shards {
-            total.multiplies += s.faults.multiplies;
-            total.faulty += s.faults.faulty;
-            total.bit_flips += s.faults.bit_flips;
+            total.merge(&s.faults);
         }
         total
     }
@@ -447,25 +395,6 @@ mod tests {
         b.record(0.9);
         a.merge(&b);
         assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    fn fault_counters_fold_stats() {
-        let mut bit_flips = vec![0; 64];
-        bit_flips[40] = 8;
-        bit_flips[41] = 3;
-        let stats = FaultStats {
-            multiplies: 100,
-            faulty: 9,
-            bit_flips,
-        };
-        let mut c = FaultCounters::default();
-        c.fold(&stats);
-        c.fold(&stats);
-        assert_eq!(c.multiplies, 200);
-        assert_eq!(c.faulty, 18);
-        assert_eq!(c.bit_flips, 22);
-        assert!((c.observed_error_rate() - 0.09).abs() < 1e-12);
     }
 
     #[test]

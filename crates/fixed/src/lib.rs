@@ -132,16 +132,6 @@ impl Q16 {
         }
     }
 
-    /// Multiplies through a caller-supplied 64-bit product transformation.
-    ///
-    /// `corrupt` receives the exact Q32.32 product and returns the (possibly
-    /// faulty) product actually latched by the datapath. Passing the identity
-    /// function makes this equivalent to `a * b`.
-    #[inline]
-    pub fn mul_with(a: Q16, b: Q16, corrupt: impl FnOnce(i64) -> i64) -> Q16 {
-        Q16::from_raw_product(corrupt(Q16::raw_product(a, b)))
-    }
-
     /// Returns the absolute value, saturating on `MIN`.
     #[inline]
     pub fn abs(self) -> Q16 {
@@ -310,10 +300,12 @@ impl Accumulator {
 /// The batched inference path multiplies one shared weight against `LANES`
 /// activations at a time. Keeping the running sums in a flat
 /// `[i64; LANES]` array makes the fault-free MAC a straight-line
-/// multiply/saturating-add loop over fixed-width lanes that the
-/// autovectorizer can unroll, while each lane's arithmetic — including
-/// saturation — stays bit-identical to a scalar [`Accumulator`] fed the
-/// same (possibly corrupted) products in the same order.
+/// multiply/wrapping-add loop over fixed-width lanes that the
+/// autovectorizer can unroll. A lane is bit-identical to a scalar
+/// [`Accumulator`] fed the same (possibly corrupted) products in the same
+/// order while the caller's magnitude bound rules out overflow; any other
+/// lane is replayed by the caller and stored with
+/// [`set_raw`](Self::set_raw).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaneAccumulator<const LANES: usize> {
     sums: [i64; LANES],
@@ -326,45 +318,24 @@ impl<const LANES: usize> LaneAccumulator<LANES> {
         LaneAccumulator { sums: [0; LANES] }
     }
 
-    /// Adds `weight · xs[l]` to every lane, exactly (no corruption): one
-    /// shared weight broadcast across the lane array. [`mac_span`](Self::mac_span)
-    /// is this, one span of weights at a time.
-    #[inline]
-    pub fn mac_exact(&mut self, weight: Q16, xs: &[Q16; LANES]) {
-        for (s, &x) in self.sums.iter_mut().zip(xs) {
-            *s = s.saturating_add(Q16::raw_product(weight, x));
-        }
-    }
-
     /// Accumulates a whole fault-free *span*: `weights[j] · plane[j·LANES + l]`
-    /// for every `j` and lane, with no corruption and no per-product
+    /// for every `j` and lane, with plain wrapping adds and no per-product
     /// branching. `plane` is a lane-major slice of exactly
-    /// `weights.len() × LANES` activations. This is the kernel the
-    /// run-length batched MAC loop hands its spans to — the whole nest is
-    /// visible to the optimizer at once, so it unrolls and vectorizes
-    /// without bounds checks or callback indirection.
+    /// `weights.len() × LANES` activations. The whole nest is visible to
+    /// the optimizer at once, so it unrolls and vectorizes without bounds
+    /// checks or callback indirection.
+    ///
+    /// Each lane equals a scalar [`Accumulator`] fed the same products in
+    /// order **only** when the caller has proved that no partial sum can
+    /// leave the `i64` range (e.g. via a per-row `Σ|wᵢ| · 2³¹` magnitude
+    /// bound over the accumulator's starting value): with that proof no
+    /// add wraps, and none would have saturated. A lane without the proof
+    /// must be recomputed sequentially and stored with
+    /// [`set_raw`](Self::set_raw).
     ///
     /// # Panics
     ///
     /// Panics (debug) if `plane` is not `weights.len() × LANES` long.
-    #[inline]
-    pub fn mac_span(&mut self, weights: &[Q16], plane: &[Q16]) {
-        debug_assert_eq!(plane.len(), weights.len() * LANES);
-        for (w, xs) in weights.iter().zip(plane.chunks_exact(LANES)) {
-            for (s, &x) in self.sums.iter_mut().zip(xs) {
-                *s = s.saturating_add(Q16::raw_product(*w, x));
-            }
-        }
-    }
-
-    /// [`mac_span`](Self::mac_span) with plain wrapping adds instead of
-    /// saturating ones. Bit-identical to the saturating span — and to the
-    /// exact linear sum — **only** when the caller has proved no partial
-    /// sum can leave the `i64` range (e.g. via a per-row
-    /// `Σ|wᵢ| · 2³¹` magnitude bound over the accumulator's starting
-    /// value); with that proof the saturation clamps are dead code, and
-    /// dropping them roughly halves the vectorized span cost. Callers
-    /// without such a bound must use the saturating variant.
     #[inline]
     pub fn mac_span_wrapping(&mut self, weights: &[Q16], plane: &[Q16]) {
         debug_assert_eq!(plane.len(), weights.len() * LANES);
@@ -470,18 +441,18 @@ mod tests {
     }
 
     #[test]
-    fn mul_with_identity_matches_mul() {
+    fn raw_product_round_trips_to_mul() {
         let a = Q16::from_f64(-3.5);
         let b = Q16::from_f64(1.25);
-        assert_eq!(Q16::mul_with(a, b, |p| p), a * b);
+        assert_eq!(Q16::from_raw_product(Q16::raw_product(a, b)), a * b);
     }
 
     #[test]
-    fn mul_with_fault_changes_result() {
+    fn product_fault_changes_result() {
         let a = Q16::from_f64(1.0);
         let b = Q16::from_f64(1.0);
         // Flip product bit 40 => adds 2^(40-32) = 256 to the result.
-        let faulty = Q16::mul_with(a, b, |p| p ^ (1 << 40));
+        let faulty = Q16::from_raw_product(Q16::raw_product(a, b) ^ (1 << 40));
         assert_eq!(faulty.to_f64(), 257.0);
     }
 
@@ -491,7 +462,7 @@ mod tests {
         // (the >>16 shift discards bits 0..16 entirely).
         let a = Q16::from_f64(1.0);
         let b = Q16::from_f64(1.0);
-        let faulty = Q16::mul_with(a, b, |p| p ^ 0b1111_1111);
+        let faulty = Q16::from_raw_product(Q16::raw_product(a, b) ^ 0b1111_1111);
         assert_eq!(faulty, a * b);
     }
 
@@ -512,74 +483,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_accumulator_matches_scalar_lanes() {
-        // Each lane of a LaneAccumulator must be bit-identical to a scalar
-        // Accumulator fed the same products — including saturation and
-        // bias. Corrupted lanes are the batched MAC's business and are
-        // checked against the scalar forward pass in `shmd-ann`.
-        const LANES: usize = 8;
-        let mut lanes = LaneAccumulator::<LANES>::new();
-        let mut scalars = [Accumulator::new(); LANES];
-        let mut x = 0x243f_6a88_85a3_08d3u64;
-        for _ in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let w = Q16::from_bits((x >> 16) as i32);
-            let xs: [Q16; LANES] =
-                std::array::from_fn(|l| Q16::from_bits((x.rotate_left(8 * l as u32) >> 24) as i32));
-            lanes.mac_exact(w, &xs);
-            for (l, acc) in scalars.iter_mut().enumerate() {
-                acc.mac(w, xs[l], |p| p);
-            }
-        }
-        let bias = Q16::from_f64(-1.25);
-        lanes.add_q16(bias);
-        for (l, acc) in scalars.iter_mut().enumerate() {
-            acc.add_q16(bias);
-            assert_eq!(lanes.raw(l), acc.raw(), "lane {l} raw sum diverged");
-            assert_eq!(lanes.to_q16(l), acc.to_q16(), "lane {l} result diverged");
-        }
-    }
-
-    #[test]
-    fn mac_span_matches_per_product_mac_exact() {
-        // The span kernel is a pure batching of mac_exact: same products,
-        // same saturating order, same lane sums — including near-saturation
-        // values where the add order would show through any shortcut.
-        const LANES: usize = 4;
-        let mut x = 0x13198a2e_03707344u64;
-        let mut draw = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            Q16::from_bits((x >> 20) as i32)
-        };
-        let weights: Vec<Q16> = (0..37).map(|_| draw()).collect();
-        let mut plane: Vec<Q16> = (0..37 * LANES).map(|_| draw()).collect();
-        plane[5] = Q16::MAX; // push one lane toward saturation early
-        let mut span = LaneAccumulator::<LANES>::new();
-        span.mac_span(&weights, &plane);
-        let mut per = LaneAccumulator::<LANES>::new();
-        for (j, w) in weights.iter().enumerate() {
-            let xs: &[Q16; LANES] = plane[j * LANES..(j + 1) * LANES].try_into().unwrap();
-            per.mac_exact(*w, xs);
-        }
-        for l in 0..LANES {
-            assert_eq!(span.raw(l), per.raw(l), "lane {l} diverged");
-        }
-        // An empty span is a no-op.
-        let before = span;
-        span.mac_span(&[], &[]);
-        assert_eq!(span, before);
-    }
-
-    #[test]
-    fn wrapping_span_matches_saturating_span_under_the_magnitude_bound() {
-        // The wrapping fast path is only claimed bit-identical when
-        // Σ|wⱼ|·2³¹ stays inside i64 — build operands that satisfy the
-        // bound (everything the quantizer emits does) and check the two
-        // kernels agree lane for lane.
+    fn wrapping_span_matches_scalar_lanes_under_the_magnitude_bound() {
+        // The wrapping span is only claimed bit-identical to a scalar
+        // Accumulator when Σ|wⱼ|·2³¹ stays inside i64 — build operands that
+        // satisfy the bound (everything the quantizer emits does) and check
+        // every lane, bias included. Rows past the bound are the batched
+        // MAC's business and are checked against its sequential reference
+        // in `shmd-ann`.
         const LANES: usize = 8;
         let mut x = 0x0123_4567_89ab_cdefu64;
         let mut draw = |scale: u32| {
@@ -596,24 +506,38 @@ mod tests {
             .map(|w| u128::from(w.to_bits().unsigned_abs()) << 31)
             .sum();
         assert!(bound <= i64::MAX as u128, "fixture violates its own bound");
-        let mut saturating = LaneAccumulator::<LANES>::new();
-        saturating.mac_span(&weights, &plane);
-        let mut wrapping = LaneAccumulator::<LANES>::new();
-        wrapping.mac_span_wrapping(&weights, &plane);
-        assert_eq!(saturating, wrapping);
+        let mut lanes = LaneAccumulator::<LANES>::new();
+        lanes.mac_span_wrapping(&weights, &plane);
+        let bias = Q16::from_f64(-1.25);
+        lanes.add_q16(bias);
+        for l in 0..LANES {
+            let mut scalar = Accumulator::new();
+            for (j, &w) in weights.iter().enumerate() {
+                scalar.mac(w, plane[j * LANES + l], |p| p);
+            }
+            scalar.add_q16(bias);
+            assert_eq!(lanes.raw(l), scalar.raw(), "lane {l} raw sum diverged");
+            assert_eq!(lanes.to_q16(l), scalar.to_q16(), "lane {l} result diverged");
+        }
+        // An empty span is a no-op.
+        let before = lanes;
+        lanes.mac_span_wrapping(&[], &[]);
+        assert_eq!(lanes, before);
     }
 
     #[test]
-    fn lane_accumulator_saturates_like_scalar() {
+    fn lane_bias_saturates_like_scalar() {
         let mut lanes = LaneAccumulator::<2>::new();
         let mut scalar = Accumulator::new();
-        let big = Q16::MAX;
         for _ in 0..100_000 {
-            lanes.mac_exact(big, &[big, big]);
-            scalar.mac(big, big, |p| p);
+            scalar.mac(Q16::MAX, Q16::MAX, |p| p);
         }
+        lanes.set_raw(0, scalar.raw());
+        lanes.set_raw(1, scalar.raw());
+        scalar.add_q16(Q16::MAX);
+        lanes.add_q16(Q16::MAX);
         assert_eq!(lanes.raw(0), scalar.raw());
-        assert_eq!(lanes.raw(1), scalar.raw());
+        assert_eq!(lanes.raw(1), i64::MAX);
         assert_eq!(lanes.to_q16(0), Q16::MAX);
     }
 

@@ -6,8 +6,8 @@
 //! 0.3), the split of one fault event into its gap draw, its first flip
 //! with placement and ripple, and its tail continuation, and the counts
 //! of events, tail searches and search probes per inference. Last, the
-//! cost of building a model without the Figure-1 cache
-//! (`FaultModel::from_normalized_weights`, which every retune pays) and of
+//! cost of building a model (`FaultModel::from_normalized_weights`, which
+//! `from_error_rate` and so every retune runs) and of
 //! each of its tables on its own: the gap table, the first-flip table, the
 //! tail-continuation tables and the placement table.
 //!
@@ -180,7 +180,7 @@ fn main() {
     // Model builds. Each part is timed on its own, the parts in turn for
     // 21 rounds, like the event split.
     println!(
-        "\nmodel build (ns, median of 21)   uncached build   gap   first flip   tail   placement"
+        "\nmodel build (ns, median of 21)   whole build   gap   first flip   tail   placement"
     );
     let weights = BitErrorProfile::fig1_normalized();
     let n = 20_000u64;
@@ -201,7 +201,7 @@ fn main() {
         }
         let [build, gap, first, tail, place] = parts.map(median);
         println!(
-            "er={er:<8}                     {build:14.0}   {gap:3.0}   {first:10.0}   {tail:4.0}   {place:9.0}"
+            "er={er:<8}                     {build:11.0}   {gap:3.0}   {first:10.0}   {tail:4.0}   {place:9.0}"
         );
     }
 }

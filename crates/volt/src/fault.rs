@@ -211,19 +211,6 @@ fn draw_mantissa(rng: &mut StdRng) -> u64 {
     rng.next_u64() >> 11
 }
 
-/// Entry cap for the Figure-1 model cache: a sweep touches a few dozen
-/// operating points at most, and an adversarial caller cycling through
-/// arbitrary rates must not grow process memory without bound.
-const FIG1_MODEL_CACHE_CAP: usize = 256;
-
-/// Process-wide cache of models built from the Figure-1 profile, keyed by
-/// the requested error rate's bit pattern (see
-/// [`FaultModel::from_error_rate`]).
-fn fig1_model_cache() -> &'static Mutex<HashMap<u64, FaultModel>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, FaultModel>>> = OnceLock::new();
-    CACHE.get_or_init(Mutex::default)
-}
-
 /// Builds a guide table over non-decreasing integer cuts: `guide[b]` is the
 /// number of cuts at or below `b << GUIDE_SHIFT`, the least mantissa of
 /// bucket `b`, and so a lower bound on the scan result for any mantissa in
@@ -450,28 +437,7 @@ impl FaultModel {
     /// Returns [`FaultModelError::InvalidErrorRate`] if `er` is not in
     /// `[0, 1]`.
     pub fn from_error_rate(er: f64) -> Result<FaultModel, FaultModelError> {
-        if !er.is_finite() || !(0.0..=1.0).contains(&er) {
-            return Err(FaultModelError::InvalidErrorRate(er));
-        }
-        // The Figure-1 profile is a process-wide singleton, and the derived
-        // tables are a pure function of `er` under it — so a model for an
-        // already-seen operating point is a clone, not a rebuild. Retune
-        // and recalibrate hammer a handful of rates (the watchdog retargets
-        // shards mid-stream), and without the cache every retarget rebuilt
-        // four CDF/guide tables plus the flip-mask table from scratch.
-        let key = er.to_bits();
-        if let Ok(cache) = fig1_model_cache().lock() {
-            if let Some(model) = cache.get(&key) {
-                return Ok(model.clone());
-            }
-        }
-        let model = FaultModel::from_normalized_weights(er, BitErrorProfile::fig1_normalized())?;
-        if let Ok(mut cache) = fig1_model_cache().lock() {
-            if cache.len() < FIG1_MODEL_CACHE_CAP {
-                cache.insert(key, model.clone());
-            }
-        }
-        Ok(model)
+        FaultModel::from_normalized_weights(er, BitErrorProfile::fig1_normalized())
     }
 
     /// Like [`FaultModel::from_error_rate`] but with a custom fault-location
@@ -827,18 +793,39 @@ impl FaultSink for LaneStats {
     }
 }
 
-/// The additive summary of a fault stream's statistics — exactly what the
-/// serving layer's telemetry fold consumes — producible from a batched
-/// lane without materializing a heap-backed [`FaultStats`] per lane per
-/// block.
+/// Compact fault-injection counters: the additive summary of a fault
+/// stream's statistics with the per-bit histogram collapsed to its total.
+/// A batched lane produces it without materializing a heap-backed
+/// [`FaultStats`] ([`BatchFaultStream::tally`]), and the serving layer
+/// folds, checkpoints and exports it: rates, not the 64-entry per-bit
+/// profile, are what a service watches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultTally {
+pub struct FaultCounters {
     /// Total multiplications processed.
     pub multiplies: u64,
     /// Multiplications whose result was corrupted.
     pub faulty: u64,
     /// Total product bits flipped.
     pub bit_flips: u64,
+}
+
+impl FaultCounters {
+    /// Adds another counter record into this one — the additive fold the
+    /// serving layer uses for lane tallies and per-worker deltas alike.
+    pub fn merge(&mut self, other: &FaultCounters) {
+        self.multiplies += other.multiplies;
+        self.faulty += other.faulty;
+        self.bit_flips += other.bit_flips;
+    }
+
+    /// Observed fraction of faulty multiplications.
+    pub fn observed_error_rate(&self) -> f64 {
+        if self.multiplies == 0 {
+            0.0
+        } else {
+            self.faulty as f64 / self.multiplies as f64
+        }
+    }
 }
 
 impl FaultStats {
@@ -1283,9 +1270,9 @@ impl<const L: usize> Lanes<L> {
     }
 
     /// Lane `lane`'s additive summary with its in-flight gap folded in.
-    fn tally(&self, lane: usize) -> FaultTally {
+    fn tally(&self, lane: usize) -> FaultCounters {
         let s = &self.stats[lane];
-        FaultTally {
+        FaultCounters {
             multiplies: s.multiplies + self.gap_len[lane] - self.skip[lane],
             faulty: s.faulty,
             bit_flips: s.flips,
@@ -1518,7 +1505,7 @@ impl<'a, const LANES: usize> BatchFaultStream<'a, LANES> {
     /// the histogram collapsed to its total, and no heap traffic. This is
     /// what the serving layer folds into its telemetry once per lane per
     /// block, so the fold is three adds rather than a `Vec` clone.
-    pub fn tally(&self, lane: usize) -> FaultTally {
+    pub fn tally(&self, lane: usize) -> FaultCounters {
         self.lanes.tally(lane)
     }
 }
@@ -2179,14 +2166,32 @@ mod tests {
                     }
                 }
             }
+            let mut merged = FaultCounters::default();
             for (l, scalar) in scalars.iter().enumerate() {
+                let stats = scalar.stats();
                 assert_eq!(
                     batch.stats(l),
-                    scalar.stats(),
+                    stats,
                     "er = {er}, lane {l} statistics diverged"
                 );
+                // The tally is the same statistics, histogram summed.
+                let tally = batch.tally(l);
+                assert_eq!(
+                    (tally.multiplies, tally.faulty, tally.bit_flips),
+                    (stats.multiplies, stats.faulty, stats.total_flips()),
+                    "er = {er}, lane {l} tally diverged"
+                );
+                merged.merge(&tally);
             }
+            assert_eq!(merged.multiplies, (LANES * total) as u64);
+            let faulty: u64 = (0..LANES).map(|l| batch.tally(l).faulty).sum();
+            assert_eq!(merged.faulty, faulty);
+            assert_eq!(
+                merged.observed_error_rate(),
+                faulty as f64 / merged.multiplies as f64
+            );
         }
+        assert_eq!(FaultCounters::default().observed_error_rate(), 0.0);
     }
 
     #[test]
@@ -2313,27 +2318,6 @@ mod tests {
             "lane 5 observed rate {} for er = {er}",
             batch_stats.observed_error_rate()
         );
-    }
-
-    #[test]
-    fn cached_model_equals_rebuild_and_samples_identically() {
-        // The from_error_rate cache must be invisible: a cache hit, a fresh
-        // rebuild that bypasses the cache, and a state round-trip all
-        // produce equal models whose injectors sample bit-identically.
-        let er = 0.137;
-        let first = FaultModel::from_error_rate(er).expect("valid"); // builds + caches
-        let cached = FaultModel::from_error_rate(er).expect("valid"); // cache hit
-        let rebuilt = FaultModel::from_normalized_weights(er, BitErrorProfile::fig1_normalized())
-            .expect("valid"); // never consults the cache
-        assert_eq!(first, cached);
-        assert_eq!(first, rebuilt);
-        let mut a = FaultStream::new(cached, 99);
-        let mut b = FaultStream::new(rebuilt, 99);
-        for i in 0..10_000i64 {
-            let p = (i * 0x5851_f42d) << 16;
-            assert_eq!(a.corrupt_product(p), b.corrupt_product(p));
-        }
-        assert_eq!(a.stats(), b.stats());
     }
 
     /// The models the table tests sweep: seven rates of the Figure-1

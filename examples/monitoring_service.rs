@@ -57,14 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // reach: recalibration degrades every shard to the baseline detector —
     // the service keeps answering, telemetry records why.
     service.retarget(0.9)?;
-    let degraded = service.recalibrate(&baseline, &curve);
+    let degraded = service.recalibrate(&curve);
     service.process_stream(&queries[..20.min(queries.len())]);
     println!("after retarget to er 0.9: {degraded} shards degraded to baseline");
 
     // Back to a reachable target: the pool recovers on the next
     // recalibration.
     service.retarget(0.1)?;
-    service.recalibrate(&baseline, &curve);
+    service.recalibrate(&curve);
 
     let snapshot = service.snapshot();
     println!(

@@ -88,7 +88,7 @@ fn mid_stream_degradation_and_recovery_preserve_history() {
     // The operator retargets past the freeze point mid-stream: the next
     // recalibration degrades the whole pool, but serving continues.
     service.retarget(0.95).expect("a valid probability");
-    assert_eq!(service.recalibrate(&baseline, &curve), 3);
+    assert_eq!(service.recalibrate(&curve), 3);
     let verdicts = service.process_stream(&queries);
     assert_eq!(verdicts.len(), 30);
     let degraded = service.snapshot();
@@ -103,7 +103,7 @@ fn mid_stream_degradation_and_recovery_preserve_history() {
     // Recovery: a reachable target brings the moving target back, and the
     // degradation history stays cumulative.
     service.retarget(0.1).expect("a valid probability");
-    assert_eq!(service.recalibrate(&baseline, &curve), 0);
+    assert_eq!(service.recalibrate(&curve), 0);
     service.process_stream(&queries);
     let recovered = service.snapshot();
     assert_eq!(recovered.degraded_shards(), 0);
@@ -127,10 +127,10 @@ fn degrade_recover_cycle_is_thread_invariant() {
             MonitoringService::deploy(&baseline, &curve, config).expect("valid config");
         let mut verdicts = service.process_stream(&queries);
         service.retarget(0.9).expect("a valid probability");
-        service.recalibrate(&baseline, &curve);
+        service.recalibrate(&curve);
         verdicts.extend(service.process_stream(&queries));
         service.retarget(0.1).expect("a valid probability");
-        service.recalibrate(&baseline, &curve);
+        service.recalibrate(&curve);
         verdicts.extend(service.process_stream(&queries));
         (verdicts, service.snapshot().without_timing())
     };
@@ -157,7 +157,7 @@ fn telemetry_json_survives_a_degradation_cycle() {
     let queries = stream(&dataset, 20);
     service.process_stream(&queries);
     service.retarget(0.9).expect("a valid probability");
-    service.recalibrate(&baseline, &curve);
+    service.recalibrate(&curve);
     service.process_stream(&queries);
 
     let snapshot = service.snapshot();
@@ -174,7 +174,7 @@ fn telemetry_json_survives_a_degradation_cycle() {
         .expect("valid config");
     again.process_stream(&queries);
     again.retarget(0.9).expect("a valid probability");
-    again.recalibrate(&baseline, &curve);
+    again.recalibrate(&curve);
     again.process_stream(&queries);
     assert_eq!(
         again.snapshot().without_timing().to_json(),
