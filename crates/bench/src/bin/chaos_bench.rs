@@ -96,21 +96,8 @@ fn main() {
             run.fail(format!("{} shards: pool ended the run dark", p.shards));
         }
     }
-    // Scaling-regression gate on the largest pool, hardware-clamped like
-    // serve_bench's.
-    if let Some(p) = points.last() {
-        if exec.thread_count() > 1 && p.scaling() < floor {
-            run.fail(format!(
-                "{} shards: scaling {:.2}x below floor {:.2}x \
-                 (configured {:.2}x, {} hardware threads)",
-                p.shards,
-                p.scaling(),
-                floor,
-                CHAOS_SCALING_FLOOR,
-                serve::hardware_threads(),
-            ));
-        }
-    }
+    let largest = points.last().map(|p| (p.shards, p.scaling()));
+    serve::check_scaling(&mut run, CHAOS_SCALING_FLOOR, exec.thread_count(), largest);
     run.compare_serial(&doc, chaos::WALL_CLOCK, |serial| {
         render(&measure(serial), 1)
     });

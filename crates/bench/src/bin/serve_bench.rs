@@ -79,21 +79,8 @@ fn main() {
             ));
         }
     }
-    // Scaling-regression gate on the largest pool: the configured floor,
-    // clamped to what this host's core count can deliver.
-    if let Some(p) = points.last() {
-        if exec.thread_count() > 1 && p.scaling() < floor {
-            run.fail(format!(
-                "{} shards: scaling {:.2}x below floor {:.2}x \
-                 (configured {:.2}x, {} hardware threads)",
-                p.shards,
-                p.scaling(),
-                floor,
-                SERVE_SCALING_FLOOR,
-                serve::hardware_threads(),
-            ));
-        }
-    }
+    let largest = points.last().map(|p| (p.shards, p.scaling()));
+    serve::check_scaling(&mut run, SERVE_SCALING_FLOOR, exec.thread_count(), largest);
     run.compare_serial(&doc, serve::WALL_CLOCK, |serial| {
         render(&measure(serial), 1)
     });

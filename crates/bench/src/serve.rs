@@ -16,6 +16,7 @@
 //! checksums — and the full timing-stripped telemetry snapshots — are
 //! bit-identical.
 
+use crate::report::BenchRun;
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
@@ -80,6 +81,29 @@ pub const CHAOS_SCALING_FLOOR: f64 = 1.5;
 pub fn effective_scaling_floor(configured: f64, threads: usize) -> f64 {
     let usable = hardware_threads().min(threads.max(1)) as f64;
     configured.min(0.75 * usable).max(0.75)
+}
+
+/// The scaling-regression gate of `serve_bench` and `chaos_bench`: fails
+/// `run` when the largest pool's threaded-vs-serial scaling falls below
+/// `configured` clamped by [`effective_scaling_floor`]. `largest` is that
+/// pool's `(shards, scaling)`; a serial run has nothing to scale, so it
+/// passes.
+pub fn check_scaling(
+    run: &mut BenchRun,
+    configured: f64,
+    threads: usize,
+    largest: Option<(usize, f64)>,
+) {
+    let floor = effective_scaling_floor(configured, threads);
+    if let Some((shards, scaling)) = largest {
+        if threads > 1 && scaling < floor {
+            run.fail(format!(
+                "{shards} shards: scaling {scaling:.2}x below floor {floor:.2}x \
+                 (configured {configured:.2}x, {} hardware threads)",
+                hardware_threads(),
+            ));
+        }
+    }
 }
 
 /// Hardware threads available to this process, reported alongside the

@@ -20,17 +20,18 @@
 //!   inter-fault gap is memoryless;
 //! - **lock-free fan-out**: queries are assigned to shards by their
 //!   position in the stream (`index mod shards`, re-routed to the serving
-//!   set by the same arithmetic when a shard is quarantined). Workers
-//!   claim contiguous *query ranges* from a shared atomic cursor — the
-//!   task-claim idiom of [`crate::exec`] — extracting trace features and
-//!   scoring against shared `&` shard state with per-worker scratch
-//!   (kept by the service across batches, one uncontended slot per
-//!   worker), fault streams, and telemetry accumulators; no worker ever
-//!   contends for a lock or mutates a shard.
-//!   Verdict ranges are stitched back into stream order at the batch
-//!   boundary and per-shard telemetry deltas (additive, order-independent)
-//!   fold on the main thread, so serial and N-thread execution produce
-//!   bit-identical verdicts, scores, checksums, and telemetry;
+//!   set by the same arithmetic when a shard is quarantined). The batch's
+//!   verdict vector is allocated once and cut into contiguous *query
+//!   ranges*, which workers claim through [`crate::exec`]'s one claim loop
+//!   ([`crate::exec::parallel_for_each`]), extracting trace features and
+//!   scoring straight into the range's verdict slots against shared `&`
+//!   shard state with per-worker scratch (kept by the service across
+//!   batches, one per worker), fault streams, and telemetry accumulators;
+//!   no worker ever mutates a shard. Verdicts therefore land in stream
+//!   order as they are answered, and per-shard telemetry deltas
+//!   (additive, order-independent) fold on the main thread, so serial and
+//!   N-thread execution produce bit-identical verdicts, scores, checksums,
+//!   and telemetry;
 //! - **ingestion validation**: a query whose feature width mismatches the
 //!   deployed model, or whose features are NaN/infinite, is *rejected* at
 //!   the door with a [`QueryDisposition::Rejected`] verdict instead of
@@ -82,7 +83,7 @@ use crate::checkpoint::{
 };
 use crate::deploy::DetectionPolicy;
 use crate::detector::{Detector, Label};
-use crate::exec::{derive_seed, parallel_map_n, ExecConfig};
+use crate::exec::{derive_seed, parallel_for_each, ExecConfig};
 use crate::stochastic::StochasticHmd;
 use crate::supervisor::{ShardHealth, Supervisor, SupervisorConfig};
 use crate::telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
@@ -99,9 +100,6 @@ use shmd_workload::trace::Trace;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Experiment tag mixed into every shard-seed derivation, so a service and
@@ -118,8 +116,8 @@ const QUERY_TAG: u64 = 0x09e4;
 /// draws never overlap the primary scoring stream at the same position.
 const REQUERY_TAG: u64 = 0x7e9e;
 
-/// Smallest query range a worker claims from the batch cursor. Claims
-/// below this would spend more time on the atomic than on inference.
+/// Smallest query range a worker claims in one go. Claims below this
+/// would spend more time on the claim than on inference.
 const MIN_CLAIM: usize = 32;
 
 /// Folded into the verdict checksum in place of a score for rejected
@@ -134,18 +132,18 @@ pub const BATCH_LATENCY_WINDOW: usize = 1024;
 
 /// Widest lane width the batched structure-of-arrays inference path
 /// supports.
-pub const MAX_LANES: usize = 16;
+pub const MAX_LANES: usize = 8;
 
-/// The lane widths the batched inference path is compiled for.
-/// [`ServeConfig::lanes`] rounds down to the nearest of them at deployment
-/// (0 rounds up to 1).
-pub const LANE_WIDTHS: [usize; 4] = [1, 4, 8, MAX_LANES];
+/// The lane widths the batched inference path is compiled for: one query
+/// at a time, or [`MAX_LANES`]. [`ServeConfig::lanes`] rounds down to the
+/// nearest of them at deployment (0 rounds up to 1).
+pub const LANE_WIDTHS: [usize; 2] = [1, MAX_LANES];
 
 /// Default batched-inference lane width: eight `i64` accumulator lanes
 /// keep the inner MAC loop inside a couple of cache lines while amortizing
 /// one weight load (and one fault-gap countdown sweep) across eight
 /// queries.
-pub const DEFAULT_LANES: usize = 8;
+pub const DEFAULT_LANES: usize = MAX_LANES;
 
 /// Most ensemble replicas one re-query will ever draw.
 /// [`RequeryConfig::replicas`] is clamped into `1..=MAX_REQUERY_REPLICAS`
@@ -828,12 +826,10 @@ impl BatchInput<'_> {
 }
 
 /// Everything a batch worker needs from the main thread, by shared
-/// reference: the claim cursor, the queries, the shards and service-wide
-/// policies its views are made of, and the routing tables. Bundled so the
-/// per-width monomorphized worker ([`batch_worker`]) has one parameter
-/// instead of ten.
+/// reference: the queries, the shards and service-wide policies its views
+/// are made of, and the routing tables. Bundled so the per-range worker
+/// ([`batch_worker`]) has one parameter instead of ten.
 struct BatchCtx<'a> {
-    cursor: &'a AtomicUsize,
     input: BatchInput<'a>,
     shards: &'a [Shard],
     baseline: &'a BaselineHmd,
@@ -841,209 +837,171 @@ struct BatchCtx<'a> {
     anomaly: Option<&'a AnomalyScorer>,
     mask: &'a [bool],
     serving: &'a [usize],
-    n: usize,
-    chunk: usize,
     base: u64,
     policy: DetectionPolicy,
+    lanes: usize,
     input_dim: usize,
 }
 
-/// One worker's buffers. The service keeps one per task index of the
-/// batch fan-out across batches, so a warmed-up batch makes no heap
-/// allocation in its workers. Scoped workers end with every batch, so a
-/// thread-local would not outlive it. Wall-clock state: every buffer is
-/// reset before use and none is checkpointed.
+/// One worker's buffers. The service keeps one per worker of the batch
+/// fan-out across batches, so a warmed-up batch makes no heap allocation
+/// in its workers. Scoped workers end with every batch, so a thread-local
+/// would not outlive it. Wall-clock state: every buffer is reset before
+/// use and none is checkpointed.
 #[derive(Default)]
 struct WorkerScratch {
     /// The claimed range's extracted feature rows, [`FEATURE_DIM`] each.
     rows: Vec<f32>,
     /// One-query scratch: per-shard remainders and degraded shards.
     single: BatchScratch<1>,
+    /// [`MAX_LANES`]-query block scratch.
+    wide: BatchScratch<MAX_LANES>,
     requery: BatchScratch<1>,
     lane_draws: Vec<f64>,
     /// Per target shard, the range slots of its stochastic queries.
     groups: Vec<Vec<usize>>,
-    /// Per shard, this worker's telemetry for the batch.
+    /// Per shard, this worker's telemetry for the batch; reset on the main
+    /// thread before the fan-out and folded after it.
     deltas: Vec<ShardDelta>,
-    /// The claimed range's answers, by slot.
-    out: Vec<Option<Verdict>>,
-    /// Every claimed range's verdicts, range after range.
-    verdicts: Vec<Verdict>,
-    /// Per claimed range: its first query's index in the batch and the
-    /// span of its verdicts in `verdicts`.
-    ranges: Vec<(usize, Range<usize>)>,
 }
 
 /// The buffers a batch uses on the main thread and in its workers, kept
 /// across batches (see [`WorkerScratch`]).
 #[derive(Default)]
 struct BatchBuffers {
-    /// One per task index of the batch fan-out.
-    workers: Vec<Mutex<WorkerScratch>>,
+    /// One per worker of the batch fan-out.
+    workers: Vec<WorkerScratch>,
     /// Per shard: whether it is in the serving set.
     mask: Vec<bool>,
     /// The serving set's shard ids, ascending.
     serving: Vec<usize>,
     /// Per shard: queries answered and re-query draws spent this batch.
     drawn: Vec<(u64, u64)>,
-    /// Every worker's ranges as `(first query, worker, verdict span)`,
-    /// sorted into stream order for stitching.
-    stitch: Vec<(usize, usize, Range<usize>)>,
 }
 
-/// Locks a worker's buffers. A worker that panicked mid-batch leaves them
-/// poisoned; every buffer is reset before use, so the next batch takes
-/// them over.
-fn lock_scratch(slot: &Mutex<WorkerScratch>) -> MutexGuard<'_, WorkerScratch> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One worker's claim loop at compile-time lane width `LANES`.
+/// Answers one claimed range, the batch's queries `lo..lo + out.len()`,
+/// into their verdict slots `out`.
 ///
-/// Each claimed range is answered in two stages. First, in stream order,
-/// trace queries are extracted into the worker's rows, rejects and
+/// The range is answered in two stages. First, in stream order, trace
+/// queries are extracted into the worker's rows, rejects and
 /// baseline/degraded queries are answered in place and stochastic queries
-/// are grouped by target shard. Then each shard's group is scored in lane
-/// blocks of `LANES` via [`ShardView::answer_block`], and its remainder
-/// one query at a time through `answer_block::<1>`. Remainders run at
-/// width 1 rather than padded into masked lanes, because an 8-lane block
-/// with one live lane costs several times a 1-lane block. Results are
-/// written into slot-indexed positions of the range, so the verdict
-/// sequence (and therefore stitching and the running checksum) is
-/// oblivious to the regrouping; and because per-query fault streams are
-/// seeded by stream position, the verdicts themselves are bit-identical
-/// at every width.
-fn batch_worker<const LANES: usize>(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch) {
+/// are grouped by target shard. Then, at lane width [`MAX_LANES`], each
+/// shard's group is scored in blocks of that width via
+/// [`ShardView::answer_block`], and its remainder (the whole group at
+/// width 1) one query at a time through `answer_block::<1>`. Remainders
+/// run at width 1 rather than padded into masked lanes, because an 8-lane
+/// block with one live lane costs several times a 1-lane block. Every
+/// answer is written to its query's own slot, so the verdict sequence (and
+/// therefore the running checksum) is oblivious to the regrouping; and
+/// because per-query fault streams are seeded by stream position, the
+/// verdicts themselves are bit-identical at every width.
+fn batch_worker(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch, lo: usize, out: &mut [Verdict]) {
     let n_shards = ctx.shards.len();
     let WorkerScratch {
         rows,
         single,
+        wide,
         requery,
         lane_draws,
         groups,
         deltas,
-        out,
-        verdicts,
-        ranges,
     } = scratch;
-    verdicts.clear();
-    ranges.clear();
-    deltas.clear();
-    deltas.resize(n_shards, ShardDelta::default());
-    groups.resize_with(n_shards, Vec::new);
-    let mut block_scratch = BatchScratch::<LANES>::new();
-    loop {
-        let lo = ctx.cursor.fetch_add(ctx.chunk, Ordering::Relaxed);
-        if lo >= ctx.n {
-            break;
+    if let BatchInput::Traces(traces, spec) = ctx.input {
+        rows.resize(out.len() * FEATURE_DIM, 0.0);
+        let traces = &traces[lo..lo + out.len()];
+        for (row, trace) in rows.chunks_exact_mut(FEATURE_DIM).zip(traces) {
+            spec.extract_into(trace, row);
         }
-        let hi = (lo + ctx.chunk).min(ctx.n);
-        if let BatchInput::Traces(traces, spec) = ctx.input {
-            rows.resize((hi - lo) * FEATURE_DIM, 0.0);
-            for (row, trace) in rows.chunks_exact_mut(FEATURE_DIM).zip(&traces[lo..hi]) {
-                spec.extract_into(trace, row);
-            }
+    }
+    let rows: &[f32] = rows;
+    let query = |i: usize| -> &[f32] {
+        match ctx.input {
+            BatchInput::Traces(..) => &rows[i * FEATURE_DIM..(i + 1) * FEATURE_DIM],
+            BatchInput::Features(features) => &features[lo + i],
         }
-        let rows: &[f32] = rows;
-        let query = |i: usize| -> &[f32] {
-            match ctx.input {
-                BatchInput::Traces(..) => &rows[i * FEATURE_DIM..(i + 1) * FEATURE_DIM],
-                BatchInput::Features(features) => &features[lo + i],
-            }
+    };
+    for group in groups.iter_mut() {
+        group.clear();
+    }
+    for (i, slot) in out.iter_mut().enumerate() {
+        let position = ctx.base + (lo + i) as u64;
+        let home = (position % n_shards as u64) as usize;
+        let target = if ctx.mask[home] {
+            home
+        } else {
+            // Deterministic re-route around quarantined shards: still
+            // a function of the stream position only.
+            ctx.serving[(position % ctx.serving.len() as u64) as usize]
         };
-        out.clear();
-        out.resize(hi - lo, None);
-        for group in groups.iter_mut() {
-            group.clear();
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            let position = ctx.base + (lo + i) as u64;
-            let home = (position % n_shards as u64) as usize;
-            let target = if ctx.mask[home] {
-                home
-            } else {
-                // Deterministic re-route around quarantined shards: still
-                // a function of the stream position only.
-                ctx.serving[(position % ctx.serving.len() as u64) as usize]
-            };
-            let features = query(i);
-            *slot = match validate_features(features, ctx.input_dim) {
-                Err(reason) => Some(Verdict {
+        let features = query(i);
+        match validate_features(features, ctx.input_dim) {
+            Err(reason) => {
+                *slot = Verdict {
                     query: position,
                     shard: target,
                     score: 0.0,
                     label: Label::from_bool(false),
                     disposition: QueryDisposition::Rejected(reason),
                     confidence: VerdictConfidence::Confident,
-                }),
-                Ok(()) => match &ctx.shards[target].backend {
-                    ShardBackend::Stochastic(_) => {
-                        groups[target].push(i);
-                        None
-                    }
-                    // The baseline is deterministic: all k draws are one
-                    // value, so every policy order statistic equals the
-                    // single score — and re-querying it would only
-                    // re-produce that value, so the baseline never enters
-                    // the ensemble.
-                    ShardBackend::Baseline => {
-                        let score = ctx.baseline.score_features_with(features, single);
-                        let label = Label::from_bool(score >= Detector::threshold(ctx.baseline));
-                        deltas[target].record(score, label);
-                        let answer = (score, label, VerdictConfidence::Confident);
-                        Some(Verdict::served(position, target, answer))
-                    }
-                    ShardBackend::Down => unreachable!("crashed shard received a query"),
-                },
-            };
-        }
-        for (target, group) in groups.iter().enumerate() {
-            let view = ctx.shards[target].view(ctx.requery, ctx.anomaly);
-            let delta = &mut deltas[target];
-            let mut blocks = group.chunks_exact(LANES);
-            for block in blocks.by_ref() {
-                let positions: [u64; LANES] =
-                    std::array::from_fn(|l| ctx.base + (lo + block[l]) as u64);
-                let lane_features: [&[f32]; LANES] = std::array::from_fn(|l| query(block[l]));
-                let answers = view.answer_block(
-                    ctx.policy,
-                    &positions,
-                    &lane_features,
-                    &mut block_scratch,
-                    requery,
-                    lane_draws,
-                    delta,
-                );
-                for (l, answer) in answers.into_iter().enumerate() {
-                    out[block[l]] = Some(Verdict::served(positions[l], target, answer));
                 }
             }
-            for &i in blocks.remainder() {
-                let position = ctx.base + (lo + i) as u64;
-                let [answer] = view.answer_block(
-                    ctx.policy,
-                    &[position],
-                    &[query(i)],
-                    single,
-                    requery,
-                    lane_draws,
-                    delta,
-                );
-                out[i] = Some(Verdict::served(position, target, answer));
+            Ok(()) => match &ctx.shards[target].backend {
+                ShardBackend::Stochastic(_) => groups[target].push(i),
+                // The baseline is deterministic: all k draws are one
+                // value, so every policy order statistic equals the
+                // single score — and re-querying it would only
+                // re-produce that value, so the baseline never enters
+                // the ensemble.
+                ShardBackend::Baseline => {
+                    let score = ctx.baseline.score_features_with(features, single);
+                    let label = Label::from_bool(score >= Detector::threshold(ctx.baseline));
+                    deltas[target].record(score, label);
+                    let answer = (score, label, VerdictConfidence::Confident);
+                    *slot = Verdict::served(position, target, answer);
+                }
+                ShardBackend::Down => unreachable!("crashed shard received a query"),
+            },
+        }
+    }
+    for (target, group) in groups.iter().enumerate() {
+        let view = ctx.shards[target].view(ctx.requery, ctx.anomaly);
+        let delta = &mut deltas[target];
+        let blocked = if ctx.lanes == MAX_LANES {
+            group.len() - group.len() % MAX_LANES
+        } else {
+            0
+        };
+        let (blocks, remainder) = group.split_at(blocked);
+        for block in blocks.chunks_exact(MAX_LANES) {
+            let positions: [u64; MAX_LANES] =
+                std::array::from_fn(|l| ctx.base + (lo + block[l]) as u64);
+            let lane_features: [&[f32]; MAX_LANES] = std::array::from_fn(|l| query(block[l]));
+            let answers = view.answer_block(
+                ctx.policy,
+                &positions,
+                &lane_features,
+                wide,
+                requery,
+                lane_draws,
+                delta,
+            );
+            for (l, answer) in answers.into_iter().enumerate() {
+                out[block[l]] = Verdict::served(positions[l], target, answer);
             }
         }
-        // Ingestion fills every reject and baseline slot and the lane pass
-        // covers every grouped index (chunks + remainder), so no slot is
-        // None; flatten keeps the path panic-free and the debug assert
-        // keeps the invariant honest under test.
-        let start = verdicts.len();
-        verdicts.extend(out.iter().flatten());
-        debug_assert_eq!(
-            verdicts.len() - start,
-            hi - lo,
-            "unanswered query in claimed range"
-        );
-        ranges.push((lo, start..verdicts.len()));
+        for &i in remainder {
+            let position = ctx.base + (lo + i) as u64;
+            let [answer] = view.answer_block(
+                ctx.policy,
+                &[position],
+                &[query(i)],
+                single,
+                requery,
+                lane_draws,
+                delta,
+            );
+            out[i] = Verdict::served(position, target, answer);
+        }
     }
 }
 
@@ -1476,63 +1434,54 @@ impl MonitoringService {
             !buffers.serving.is_empty(),
             "the supervisor never empties the serving set"
         );
-        // Lock-free range claiming over the query stream (the atomic
-        // task-claim idiom of `crate::exec`, at query-range granularity):
-        // each worker repeatedly claims the next contiguous chunk of the
-        // batch from a shared cursor and scores it against the shared
-        // shards with its own buffers, fault streams, and telemetry
-        // deltas. Verdicts are a pure function of stream position, so
-        // which worker claims which range affects wall-clock only, never
-        // output. The lane width is dispatched once per worker invocation
-        // to a monomorphized claim loop that regroups each range into
-        // same-shard lane blocks (see `batch_worker`).
+        // Range claiming over the query stream: `exec`'s claim loop hands
+        // each worker the next contiguous chunk of the verdict vector, and
+        // the worker scores that chunk in place against the shared shards
+        // with its own buffers, fault streams, and telemetry deltas.
+        // Verdicts are a pure function of stream position, so which worker
+        // claims which range affects wall-clock only, never output.
         let workers = self.exec.thread_count().min((n / MIN_CLAIM).max(1));
-        let chunk = (n / (workers * 4).max(1)).clamp(MIN_CLAIM, 8192);
-        let lanes = self.lanes;
+        let chunk = (n / (workers * 4)).clamp(MIN_CLAIM, 8192);
         if buffers.workers.len() < workers {
-            buffers.workers.resize_with(workers, Mutex::default);
+            buffers.workers.resize_with(workers, WorkerScratch::default);
         }
-        {
-            let cursor = AtomicUsize::new(0);
-            let ctx = BatchCtx {
-                cursor: &cursor,
-                input,
-                shards: &self.shards,
-                baseline: &self.baseline,
-                requery: self.requery,
-                anomaly: self.anomaly.as_ref(),
-                mask: &buffers.mask,
-                serving: &buffers.serving,
-                n,
-                chunk,
-                base: self.served,
-                policy: self.policy,
-                input_dim: self.input_dim,
-            };
-            let (ctx, slots) = (&ctx, &buffers.workers);
-            parallel_map_n(&self.exec, workers, |worker| {
-                let scratch = &mut *lock_scratch(&slots[worker]);
-                match lanes {
-                    1 => batch_worker::<1>(ctx, scratch),
-                    4 => batch_worker::<4>(ctx, scratch),
-                    8 => batch_worker::<8>(ctx, scratch),
-                    MAX_LANES => batch_worker::<MAX_LANES>(ctx, scratch),
-                    w => unreachable!("lane width {w} is not one of LANE_WIDTHS"),
-                }
-            });
+        for scratch in &mut buffers.workers[..workers] {
+            scratch.deltas.clear();
+            scratch.deltas.resize(n_shards, ShardDelta::default());
+            scratch.groups.resize_with(n_shards, Vec::new);
         }
+        // Every slot is overwritten by the worker that claims its range.
+        let unanswered = (0.0, Label::Benign, VerdictConfidence::Confident);
+        let mut verdicts = vec![Verdict::served(0, 0, unanswered); n];
+        let ctx = BatchCtx {
+            input,
+            shards: &self.shards,
+            baseline: &self.baseline,
+            requery: self.requery,
+            anomaly: self.anomaly.as_ref(),
+            mask: &buffers.mask,
+            serving: &buffers.serving,
+            base: self.served,
+            policy: self.policy,
+            lanes: self.lanes,
+            input_dim: self.input_dim,
+        };
+        parallel_for_each(
+            &self.exec,
+            &mut buffers.workers[..workers],
+            verdicts.chunks_mut(chunk).enumerate(),
+            |scratch, (k, out)| batch_worker(&ctx, scratch, k * chunk, out),
+        );
 
-        // Fold: telemetry deltas are additive and order-independent;
-        // verdict ranges partition the batch, so stitching them by start
-        // position rebuilds exact stream order.
+        // Fold: telemetry deltas are additive and order-independent.
         buffers.drawn.clear();
         buffers.drawn.resize(n_shards, (0, 0));
-        buffers.stitch.clear();
-        for (worker, slot) in buffers.workers[..workers].iter().enumerate() {
-            let scratch = lock_scratch(slot);
-            let deltas = scratch.deltas.iter();
-            for ((shard, delta), drawn) in
-                self.shards.iter_mut().zip(deltas).zip(&mut buffers.drawn)
+        for scratch in &buffers.workers[..workers] {
+            for ((shard, delta), drawn) in self
+                .shards
+                .iter_mut()
+                .zip(&scratch.deltas)
+                .zip(&mut buffers.drawn)
             {
                 if !delta.is_empty() {
                     shard.fold_delta(delta);
@@ -1540,18 +1489,7 @@ impl MonitoringService {
                     drawn.1 += delta.requeries;
                 }
             }
-            let ranges = scratch.ranges.iter();
-            buffers
-                .stitch
-                .extend(ranges.map(|(lo, span)| (*lo, worker, span.clone())));
         }
-        buffers.stitch.sort_unstable_by_key(|&(lo, ..)| lo);
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(n);
-        for (_, worker, span) in &buffers.stitch {
-            verdicts
-                .extend_from_slice(&lock_scratch(&buffers.workers[*worker]).verdicts[span.clone()]);
-        }
-        debug_assert_eq!(verdicts.len(), n, "claimed ranges partition the batch");
         for v in &verdicts {
             match v.disposition {
                 QueryDisposition::Served => {
@@ -2365,11 +2303,11 @@ mod tests {
             (0, 1),
             (1, 1),
             (3, 1),
-            (4, 4),
-            (5, 4),
+            (4, 1),
+            (7, 1),
             (8, 8),
             (12, 8),
-            (16, 16),
+            (16, 8),
             (64, MAX_LANES),
         ] {
             let service =
@@ -2388,7 +2326,7 @@ mod tests {
         // (width-poisoned) at the front of every batch, then expensive
         // majority-of-5 queries. Workers claiming ranges finish at very
         // different times, so any ordering assumption in the range-claim
-        // fold (verdict stitching, checksum order, delta merge) would
+        // fold (verdict placement, checksum order, delta merge) would
         // surface here.
         let (dataset, baseline, curve) = setup();
         let dim = baseline.quantized().input_dim();

@@ -12,14 +12,20 @@
 //!   avalanche mixer), never from a shared sequential RNG stream or a
 //!   thread id.
 //!
-//! The engine is std-only: a [`std::thread::scope`] worker pool claiming
-//! task indices from an atomic counter — work-stealing in effect, since an
-//! idle worker immediately claims the next unstarted task.
+//! The engine is std-only and has one claim loop, [`parallel_for_each`]:
+//! workers take items from one shared, mutex-guarded iterator, so an idle
+//! worker immediately claims the next unstarted item, and each worker owns
+//! one mutable state for the whole call. The calling thread is worker 0
+//! and the others are [`std::thread::scope`] threads, so a one-worker call
+//! spawns nothing and the serial and threaded cases run the same loop.
+//! [`parallel_map_n`] is that loop over task indices, each writing its own
+//! result slot.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 /// The odd increment of the splitmix64 sequence (2⁶⁴ / φ).
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -62,7 +68,8 @@ pub fn derive_seed(master: u64, path: &[u64]) -> u64 {
     state
 }
 
-/// Thread-count configuration for [`parallel_map`] / [`parallel_map_n`].
+/// Thread-count configuration for [`parallel_for_each`], [`parallel_map`]
+/// and [`parallel_map_n`].
 ///
 /// The configuration only affects wall-clock time, never results: the same
 /// task grid produces bit-identical output under [`ExecConfig::serial`],
@@ -96,9 +103,10 @@ impl ExecConfig {
 
     /// The worker count for data parallelism inside one piece of work,
     /// such as training one model: [`ExecConfig::auto`] on a thread that is
-    /// not running a [`parallel_map_n`] task, and [`ExecConfig::serial`]
-    /// inside one, serial grid or threaded. A task's inner work therefore
-    /// never multiplies the grid's threads.
+    /// not running a [`parallel_for_each`] worker (every grid task runs in
+    /// one), and [`ExecConfig::serial`] inside one, serial grid or
+    /// threaded. A task's inner work therefore never multiplies the grid's
+    /// threads.
     pub fn nested() -> ExecConfig {
         if IN_TASK.get() {
             ExecConfig::serial()
@@ -125,19 +133,17 @@ impl Default for ExecConfig {
 }
 
 thread_local! {
-    /// Whether this thread is running a [`parallel_map_n`] task.
+    /// Whether this thread is running a [`parallel_for_each`] worker.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Marks the current thread as running a task until dropped, then restores
-/// the previous mark (a task may itself run a grid).
+/// Marks the current thread as running a worker until dropped, then
+/// restores the previous mark (a task may itself run a grid).
 struct TaskMark(bool);
 
 impl TaskMark {
-    /// Runs one task under the mark.
-    fn run<R>(task: impl FnOnce() -> R) -> R {
-        let _mark = TaskMark(IN_TASK.replace(true));
-        task()
+    fn set() -> TaskMark {
+        TaskMark(IN_TASK.replace(true))
     }
 }
 
@@ -147,60 +153,95 @@ impl Drop for TaskMark {
     }
 }
 
+/// Runs `f` over every item of `items`, each item exactly once, on
+/// `min(config.thread_count(), workers.len())` workers.
+///
+/// Worker `w` owns `workers[w]` for the whole call and takes items one at
+/// a time from the shared iterator, so load balances dynamically. The
+/// calling thread is worker 0: a one-worker call spawns no thread, and
+/// the serial and threaded cases run the same loop. Which worker takes
+/// which item is a matter of scheduling, so `f` must make each item's
+/// effect a function of the item alone for the result to be
+/// thread-count-invariant. Every worker runs under the mark that makes
+/// [`ExecConfig::nested`] serial. A panicking item stops its worker; the
+/// others finish, and the first panic is re-raised on the caller with its
+/// original payload.
+///
+/// # Panics
+///
+/// When `workers` is empty, or when `f` panics.
+pub fn parallel_for_each<S, I, F>(config: &ExecConfig, workers: &mut [S], items: I, f: F)
+where
+    S: Send,
+    I: Iterator + Send,
+    I::Item: Send,
+    F: Fn(&mut S, I::Item) + Sync,
+{
+    let threads = config.thread_count().min(workers.len());
+    let items = Mutex::new(items);
+    let caught: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let work = |state: &mut S| {
+        let _mark = TaskMark::set();
+        loop {
+            // The guard drops at the end of this statement, before `f`.
+            let next = items.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some(item) = next else { break };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(state, item))) {
+                // Re-raised on the caller with the original message, not
+                // the scope's generic join panic.
+                caught
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(payload);
+                break;
+            }
+        }
+    };
+    let (first, rest) = workers[..threads]
+        .split_first_mut()
+        .expect("parallel_for_each needs a worker state");
+    if rest.is_empty() {
+        // `std::thread::scope` allocates even when it spawns nothing.
+        work(first);
+    } else {
+        std::thread::scope(|scope| {
+            for state in rest {
+                let work = &work;
+                scope.spawn(move || work(state));
+            }
+            work(first);
+        });
+    }
+    if let Some(payload) = caught.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
+    }
+}
+
 /// Maps `f` over the task indices `0..tasks`, returning results in index
 /// order.
 ///
-/// Workers claim indices from a shared atomic counter, so load balances
+/// The tasks are [`parallel_for_each`]'s items, so load balances
 /// dynamically; each result lands in its own slot, so the output is
 /// independent of which worker ran which task. A panicking task propagates
-/// the panic to the caller once the scope joins. Every task, serial or
-/// threaded, runs under the mark that makes [`ExecConfig::nested`] serial.
+/// the panic to the caller with its original message. Every task, serial
+/// or threaded, runs under the mark that makes [`ExecConfig::nested`]
+/// serial.
 pub fn parallel_map_n<R, F>(config: &ExecConfig, tasks: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = config.thread_count().min(tasks);
-    if workers <= 1 {
-        return (0..tasks).map(|i| TaskMark::run(|| f(i))).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    let caught: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    TaskMark::run(|| f(i))
-                })) {
-                    Ok(result) => *slots[i].lock().expect("slot mutex poisoned") = Some(result),
-                    Err(payload) => {
-                        // Re-raise on the caller with the original message,
-                        // not the scope's generic join panic.
-                        caught
-                            .lock()
-                            .expect("panic slot poisoned")
-                            .get_or_insert(payload);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(payload) = caught.into_inner().expect("panic slot poisoned") {
-        std::panic::resume_unwind(payload);
-    }
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(tasks).collect();
+    let mut workers = vec![(); config.thread_count().min(tasks).max(1)];
+    parallel_for_each(
+        config,
+        &mut workers,
+        slots.iter_mut().enumerate(),
+        |(), (i, slot)| *slot = Some(f(i)),
+    );
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot mutex poisoned")
-                .expect("every claimed slot is filled")
-        })
+        .map(|slot| slot.expect("every task fills its slot"))
         .collect()
 }
 
@@ -277,6 +318,26 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             let parallel = parallel_map_n(&ExecConfig::threads(threads), 257, f);
             assert_eq!(serial, parallel, "results differ at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn parallel_for_each_hands_out_each_item_exactly_once() {
+        for workers in [1, 2, 3, 8] {
+            for items in [0, 1, workers - 1, workers, workers + 1, 10 * workers + 3] {
+                let mut states: Vec<Vec<usize>> = vec![Vec::new(); workers];
+                parallel_for_each(
+                    &ExecConfig::threads(workers),
+                    &mut states,
+                    0..items,
+                    |seen, item| seen.push(item),
+                );
+                let counts: usize = states.iter().map(Vec::len).sum();
+                assert_eq!(counts, items, "{workers} workers, {items} items");
+                let mut all: Vec<usize> = states.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..items).collect::<Vec<_>>(), "{workers} workers");
+            }
         }
     }
 

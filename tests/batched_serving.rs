@@ -86,7 +86,8 @@ fn lane_width_never_changes_the_verdict_stream_or_checksum() {
         ExecConfig::serial(),
         32,
     );
-    for lanes in [8, 16] {
+    // 4 rounds down to one lane and 16 to eight.
+    for lanes in [4, 8, 16] {
         let (wide, snapshot) = replay(
             &features,
             lanes,
@@ -111,8 +112,9 @@ fn poison_queries_mid_lane_are_contained_at_every_width() {
     let (_, baseline, _) = fixture();
     let dim = baseline.quantized().input_dim();
     // Poison lands mid-block on purpose: a width mismatch at stream
-    // position 5 and a NaN at position 11 sit inside the first 16-lane
-    // block, so lane regrouping around rejected slots is exercised.
+    // position 5 and a NaN at position 11 both route to shard 2 and thin
+    // out its group in the first batch, so lane regrouping around
+    // rejected slots is exercised.
     let mut features: Vec<Vec<f32>> = (0..64).map(well_formed).collect();
     features[5] = vec![0.25; dim + 2];
     features[11][0] = f32::NAN;
@@ -163,12 +165,65 @@ fn majority_policies_are_lane_and_thread_invariant() {
     }
 }
 
+#[test]
+fn claim_boundaries_never_change_the_verdict_stream() {
+    // Batch sizes on both sides of the smallest claim (32 queries) and of
+    // the claims a 1 024-query batch is cut into, against one-query
+    // batches, which make exactly one claim each. Batch counts and the
+    // per-batch energy sums depend on the batch size, so the snapshots
+    // are compared through their verdict checksum only.
+    let features: Vec<Vec<f32>> = (0..1_100).map(well_formed).collect();
+    let (reference, reference_snapshot) = replay(
+        &features,
+        1,
+        DetectionPolicy::Single,
+        ExecConfig::serial(),
+        1,
+    );
+    for batch_size in [1, 31, 32, 33, 257, 1_025] {
+        for workers in [1, 2, 8] {
+            for lanes in [1, 8] {
+                let (verdicts, snapshot) = replay(
+                    &features,
+                    lanes,
+                    DetectionPolicy::Single,
+                    ExecConfig::threads(workers),
+                    batch_size,
+                );
+                let context = format!("batches of {batch_size}, {workers} workers, {lanes} lanes");
+                assert_eq!(verdicts, reference, "{context}");
+                assert_eq!(
+                    snapshot.verdict_checksum, reference_snapshot.verdict_checksum,
+                    "{context}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_empty_batch_answers_nothing_and_leaves_the_stream_alone() {
+    let (dataset, baseline, curve) = fixture();
+    let config = ServeConfig::new(3)
+        .with_seed(17)
+        .with_exec(ExecConfig::threads(2));
+    let mut service = MonitoringService::deploy(baseline, curve, config).expect("valid config");
+    let traces: Vec<_> = (0..40).map(|i| dataset.trace(i)).collect();
+    service.process_batch(&traces);
+    let (served, checksum) = (service.served(), service.verdict_checksum());
+    assert!(service.process_batch(&[]).is_empty());
+    assert!(service.process_feature_batch(&[]).is_empty());
+    assert_eq!(service.served(), served);
+    assert_eq!(service.verdict_checksum(), checksum);
+}
+
 proptest::proptest! {
     /// Skewed adversarial workloads: random lengths, random poison
     /// placement (width mismatches and NaNs anywhere, including runs),
     /// random lane width and batch size — the batched replay must stay
     /// bit-identical to the one-lane one. Widths between the compiled
-    /// ones exercise the round-down to `LANE_WIDTHS`.
+    /// ones exercise the round-down to `LANE_WIDTHS`: 2–7 run one lane,
+    /// 9–16 run eight.
     #[test]
     fn skewed_workloads_stay_bit_identical(
         len in 1usize..80,

@@ -1,21 +1,23 @@
-//! Heap work per one-query batch on the serving path.
+//! Heap work per batch on the serving path.
 //!
 //! An attacker's oracle (`ArenaOracle::query`) sends one query per batch,
 //! so whatever a batch allocates is paid on every query. The service keeps
-//! its per-batch buffers (worker scratch, routing tables, stitching
-//! indices) across batches and its workers extract features into their
-//! own rows, so a warmed-up batch allocates little beyond the verdict
-//! vector it returns.
+//! its per-batch buffers (worker scratch, lane-block scratch, routing
+//! tables) across batches, its workers extract features into their own
+//! rows and score straight into the verdict vector it returns, so a
+//! warmed-up batch allocates little beyond that vector, one query or a
+//! thousand.
 //!
 //! The counting allocator below counts only on the thread that asked for
-//! it. A one-query batch runs on the calling thread (one claim, no worker
-//! threads), so the count covers the whole batch, and other tests running
-//! in parallel never add to it.
+//! it. A one-query batch, and any batch on a serial service, runs on the
+//! calling thread (no worker threads), so the count covers the whole
+//! batch, and other tests running in parallel never add to it.
 
 use shmd_ml::anomaly::{AnomalyConfig, AnomalyScorer};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
+use shmd_workload::trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use stochastic_hmd::exec::ExecConfig;
@@ -24,6 +26,10 @@ use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
 
 /// Most heap allocations a warmed-up one-query batch may make.
 const MAX_ALLOCATIONS_PER_BATCH: u64 = 4;
+
+/// Most heap allocations a warmed-up serial 1 024-query batch may make:
+/// its verdict vector, and one to spare.
+const MAX_ALLOCATIONS_PER_FULL_BATCH: u64 = 2;
 
 thread_local! {
     /// Allocations this thread made since counting began, or `None` while
@@ -81,24 +87,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
 /// target no calibration reaches (above the freeze rate) degrades every
 /// shard to the baseline at deploy time.
 fn deploy(dataset: &Dataset, target_error_rate: f64) -> MonitoringService {
-    let split = dataset.three_fold_split(0);
-    let baseline = train_baseline(
-        dataset,
-        split.victim_training(),
-        FeatureSpec::frequency(),
-        &HmdTrainConfig::fast(),
-    )
-    .expect("trains");
-    let curve = Calibrator::new()
-        .with_step(2)
-        .calibrate(&DeviceProfile::reference());
     let config = ServeConfig::new(2)
         .with_seed(3)
         .with_target_error_rate(target_error_rate)
         .with_requery(RequeryConfig::new(0.499, 14))
         .with_exec(ExecConfig::threads(2));
-    let mut service = MonitoringService::deploy(&baseline, &curve, config).expect("deploys");
-    let labeled = dataset.labeled_features(split.victim_training(), baseline.spec());
+    let mut service = deploy_plain(dataset, config);
+    let split = dataset.three_fold_split(0);
+    let labeled = dataset.labeled_features(split.victim_training(), FeatureSpec::frequency());
     let benign: Vec<Vec<f32>> = labeled
         .inputs
         .into_iter()
@@ -111,6 +107,22 @@ fn deploy(dataset: &Dataset, target_error_rate: f64) -> MonitoringService {
         .install_anomaly_scorer(scorer)
         .expect("fits the model");
     service
+}
+
+/// A service under `config` over a detector trained on `dataset`.
+fn deploy_plain(dataset: &Dataset, config: ServeConfig) -> MonitoringService {
+    let split = dataset.three_fold_split(0);
+    let baseline = train_baseline(
+        dataset,
+        split.victim_training(),
+        FeatureSpec::frequency(),
+        &HmdTrainConfig::fast(),
+    )
+    .expect("trains");
+    let curve = Calibrator::new()
+        .with_step(2)
+        .calibrate(&DeviceProfile::reference());
+    MonitoringService::deploy(&baseline, &curve, config).expect("deploys")
 }
 
 /// What the measured one-query batches (after the warm-up) did.
@@ -191,4 +203,48 @@ fn degraded_shards_score_one_query_batches_without_the_heap() {
     println!(
         "allocations per degraded one-query batch: process_batch {traces:.2}, process_feature_batch {features:.2}"
     );
+}
+
+#[test]
+fn warmed_up_full_batches_allocate_only_their_verdicts() {
+    let dataset = Dataset::generate(&DatasetConfig::small(60), 9);
+    let traces: Vec<&Trace> = (0..1024)
+        .map(|i| dataset.trace(i % dataset.len()))
+        .collect();
+    let features: Vec<Vec<f32>> = traces
+        .iter()
+        .map(|trace| FeatureSpec::frequency().extract(trace))
+        .collect();
+    for lanes in [1, 8] {
+        let config = ServeConfig::new(4)
+            .with_seed(3)
+            .with_target_error_rate(0.1)
+            .with_lanes(lanes)
+            .with_exec(ExecConfig::serial());
+        let mut service = deploy_plain(&dataset, config);
+        assert_eq!(service.lanes(), lanes);
+        // Warm-up: every buffer reaches the size these batches need.
+        service.process_batch(&traces);
+        service.process_feature_batch(&features);
+        for round in 0..3 {
+            let from_traces = allocations(|| {
+                service.process_batch(&traces);
+            });
+            let from_features = allocations(|| {
+                service.process_feature_batch(&features);
+            });
+            assert!(
+                from_traces <= MAX_ALLOCATIONS_PER_FULL_BATCH,
+                "{lanes} lanes: process_batch round {round} made {from_traces} allocations"
+            );
+            assert!(
+                from_features <= MAX_ALLOCATIONS_PER_FULL_BATCH,
+                "{lanes} lanes: process_feature_batch round {round} made {from_features} allocations"
+            );
+            println!(
+                "allocations per 1 024-query batch at {lanes} lanes: \
+                 process_batch {from_traces}, process_feature_batch {from_features}"
+            );
+        }
+    }
 }
