@@ -1,13 +1,14 @@
 //! Decomposes the per-query cost of the serving hot path at the bench
 //! fixture's scale (16 → 8 → 1 network by default, the wider 16 → 32 → 1
 //! deployment with `--wide`; er = 0.1): fault-stream setup, one query
-//! through a [`FaultStream`], and the batched inference at widths 1, 4, 8
-//! and 16 through a [`BatchFaultStream`], each against its exact (er = 0)
-//! counterpart so the event-side cost falls out by subtraction. Both
-//! streams drive the same kernel; the `FaultStream` row is the baseline of
-//! the speed-up column. The `FaultStream` query and widths 1 and 8 are
-//! timed again at er = 0.413512, the rate the serving deployments deliver for
-//! target 0.3 (the attacker arena's operating point). Each component is
+//! through a [`FaultStream`], and the batched inference at the widths
+//! serving runs (`serve::LANE_WIDTHS`: 1 and 8) through a
+//! [`BatchFaultStream`], each against its exact (er = 0) counterpart so
+//! the event-side cost falls out by subtraction. Both streams drive the
+//! same kernel; the `FaultStream` row is the baseline of the speed-up
+//! column. The `FaultStream` query and both widths are timed again at
+//! er = 0.413512, the rate the serving deployments deliver for target 0.3
+//! (the attacker arena's operating point). Each component is
 //! timed in a tight loop so the split between shared per-query overhead,
 //! lane-amortizable work, and the batching-immune event floor is visible
 //! directly — detector-level numbers live in `batch_bench`.
@@ -147,9 +148,7 @@ fn main() {
         }};
     }
     batched!(1);
-    batched!(4);
     batched!(8);
-    batched!(16);
     println!(
         "FaultStream event side          {:6.1} ns/q",
         scalar - exact

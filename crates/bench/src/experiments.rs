@@ -210,13 +210,34 @@ pub struct RhmdRow {
     pub accuracy: f64,
 }
 
+/// Trains one RHMD construction on rotation 0's victim fold with the seed
+/// [`rhmd_comparison`] gives it in repetition `rep`.
+pub fn train_rhmd(
+    dataset: &Dataset,
+    construction: RhmdConstruction,
+    rep: u64,
+    args: &Args,
+) -> Rhmd {
+    let di = RhmdConstruction::ALL
+        .iter()
+        .position(|&c| c == construction)
+        .expect("ALL lists every construction");
+    Rhmd::train(
+        dataset,
+        dataset.three_fold_split(0).victim_training(),
+        construction,
+        &train_config(args),
+        derive_seed(args.seed, &[TAG_RHMD, di as u64, rep]),
+    )
+    .expect("training succeeds")
+}
+
 /// Runs the RHMD comparison (Figures 5 and 6): each RHMD construction and
 /// the er = 0.1 Stochastic-HMD, attacked with an MLP proxy that uses all
 /// the construction's feature vectors.
 pub fn rhmd_comparison(dataset: &Dataset, args: &Args) -> Vec<RhmdRow> {
     let rotation = 0;
     let split = dataset.three_fold_split(rotation);
-    let cfg = train_config(args);
     let exec = args.exec();
     let seeds = args.reps_or(3) as u64;
     // Defender index `di`: the four RHMD constructions, then the
@@ -226,16 +247,8 @@ pub fn rhmd_comparison(dataset: &Dataset, args: &Args) -> Vec<RhmdRow> {
     let cells = parallel_map_n(&exec, defenders * seeds as usize, |cell| {
         let di = cell / seeds as usize;
         let s = (cell % seeds as usize) as u64;
-        let cell_seed = derive_seed(args.seed, &[TAG_RHMD, di as u64, s]);
         if let Some(&construction) = RhmdConstruction::ALL.get(di) {
-            let mut rhmd = Rhmd::train(
-                dataset,
-                split.victim_training(),
-                construction,
-                &cfg,
-                cell_seed,
-            )
-            .expect("training succeeds");
+            let mut rhmd = train_rhmd(dataset, construction, s, args);
             let accuracy = evaluate(&mut rhmd, dataset, split.testing()).accuracy();
             // "We reverse-engineer each RHMD construction using all the
             // feature vectors used in the construction."
@@ -249,6 +262,7 @@ pub fn rhmd_comparison(dataset: &Dataset, args: &Args) -> Vec<RhmdRow> {
                 .expect("attack succeeds");
             (report.transfer.assumed_detection_rate(), accuracy)
         } else {
+            let cell_seed = derive_seed(args.seed, &[TAG_RHMD, di as u64, s]);
             let mut protected =
                 StochasticHmd::from_baseline(&base, OPERATING_ERROR_RATE, cell_seed)
                     .expect("valid error rate");

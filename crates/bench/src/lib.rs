@@ -10,6 +10,8 @@
 //! ```text
 //! --seed N      master seed (default 42)
 //! --reps N      stochastic repetitions (default: experiment-specific)
+//! --threads N   worker threads (default: one per hardware thread);
+//!               results are bit-identical at any count
 //! --paper       full paper-scale dataset (3000 malware + 600 benign)
 //! --fast        tiny dataset for smoke runs
 //! ```
