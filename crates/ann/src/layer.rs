@@ -125,7 +125,7 @@ impl Layer {
         assert_eq!(input.len(), self.in_dim * B, "input width mismatch");
         assert_eq!(out.len(), self.out_dim * B, "output width mismatch");
         let rows = self.weights.chunks_exact(self.in_dim + 1);
-        for (row, y) in rows.zip(out.chunks_exact_mut(B)) {
+        for (row, y) in rows.zip(out.as_chunks_mut::<B>().0) {
             let (w, bias) = row.split_at(self.in_dim);
             let mut sum = [f64::from(bias[0]); B];
             for (&w, x) in w.iter().zip(input.chunks_exact(B)) {
@@ -134,9 +134,7 @@ impl Layer {
                     *s += w * f64::from(x);
                 }
             }
-            for (y, s) in y.iter_mut().zip(sum) {
-                *y = self.activation.apply(s) as f32;
-            }
+            self.activation.apply_lanes(&sum, y);
         }
     }
 }

@@ -138,13 +138,13 @@ fn paired_replay(
         .expect("benchmark config is valid");
     let mut wide = MonitoringService::deploy(baseline, curve, serial.with_lanes(lanes))
         .expect("benchmark config is valid");
-    let (one_lane_qps, wide_qps) = paired_qps(
+    let paired = paired_qps(
         features.len(),
         chunk_len,
         |range| drop(one_lane.process_feature_batch(&features[range])),
         |range| drop(wide.process_feature_batch(&features[range])),
     );
-    (one_lane, one_lane_qps, wide, wide_qps)
+    (one_lane, paired.a_qps, wide, paired.b_qps)
 }
 
 /// Measures one error rate across [`LANE_WIDTHS`]: per width a

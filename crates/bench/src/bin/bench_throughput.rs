@@ -44,7 +44,7 @@ fn main() {
             format!("{}", p.error_rate),
             format!("{:.0}", p.before_qps),
             format!("{:.0}", p.after_qps),
-            format!("{:.2}x", p.speedup()),
+            format!("{:.2}x", p.speedup),
             format!("{:.0}", p.threaded_qps),
             table::verdict(p.thread_invariant, "yes", "NO"),
         ]);
@@ -63,10 +63,7 @@ fn main() {
                 p.error_rate
             ));
         }
-        // Timing on shared CI runners is noisy; the guard only catches
-        // a real regression (geometric path materially slower than the
-        // per-draw path it replaced).
-        if p.speedup() < 0.9 {
+        if p.speedup < perf::SPEEDUP_FLOOR {
             run.fail(format!(
                 "er={} hot path slower than legacy ({:.0} vs {:.0} q/s)",
                 p.error_rate, p.after_qps, p.before_qps

@@ -45,6 +45,10 @@ pub struct ThroughputPoint {
     /// Hot path: geometric gap sampling, monomorphised corruptor,
     /// reusable scratch. Queries per second.
     pub after_qps: f64,
+    /// The hot path's speed over the legacy path's: the median over the
+    /// alternating chunks of [`paired_qps`], so one stalled chunk cannot
+    /// move it.
+    pub speedup: f64,
     /// Output checksum of the hot path, serial execution.
     pub checksum: u64,
     /// Hot-path queries per second when fanned across the worker pool.
@@ -53,43 +57,70 @@ pub struct ThroughputPoint {
     pub thread_invariant: bool,
 }
 
-impl ThroughputPoint {
-    /// `after_qps / before_qps`.
-    pub fn speedup(&self) -> f64 {
-        self.after_qps / self.before_qps
-    }
-}
+/// The `--check` floor on [`ThroughputPoint::speedup`]: below it the hot
+/// path is materially slower than the per-draw path it replaced. Timing on
+/// shared CI runners is noisy, so the floor sits below parity.
+pub const SPEEDUP_FLOOR: f64 = 0.9;
 
 fn fold_scores(acc: u64, out: &[shmd_fixed::Q16]) -> u64 {
     out.iter()
         .fold(acc, |a, q| a.rotate_left(7) ^ u64::from(q.to_bits() as u32))
 }
 
+/// Two paths timed over the same queries by [`paired_qps`].
+#[derive(Clone, Copy, Debug)]
+pub struct PairedQps {
+    /// The first path's queries per second over all chunks.
+    pub a_qps: f64,
+    /// The second path's queries per second over all chunks.
+    pub b_qps: f64,
+    /// The median over chunks of the first path's time over the second's:
+    /// the second path's speedup, unmoved by a few stalled chunks.
+    pub b_speedup: f64,
+}
+
 /// Times two paths over the same `n` queries in alternation, `chunk` at a
 /// time, each side accumulating only its own elapsed time: a host-speed
 /// epoch, much longer than a chunk, slows both sides alike instead of
-/// whichever ran during it. Returns each side's queries per second.
-pub fn paired_qps<A, B>(n: usize, chunk: usize, mut a: A, mut b: B) -> (f64, f64)
+/// whichever ran during it.
+pub fn paired_qps<A, B>(n: usize, chunk: usize, mut a: A, mut b: B) -> PairedQps
 where
     A: FnMut(Range<usize>),
     B: FnMut(Range<usize>),
 {
-    let mut elapsed = [Duration::ZERO; 2];
+    let mut chunks = Vec::with_capacity(n.div_ceil(chunk.max(1)));
     for lo in (0..n).step_by(chunk.max(1)) {
         let start = Instant::now();
         a(lo..(lo + chunk).min(n));
         let mid = Instant::now();
         b(lo..(lo + chunk).min(n));
-        elapsed[0] += mid - start;
-        elapsed[1] += mid.elapsed();
+        chunks.push((mid - start, mid.elapsed()));
     }
     let qps = |d: Duration| n as f64 / d.as_secs_f64();
-    (qps(elapsed[0]), qps(elapsed[1]))
+    PairedQps {
+        a_qps: qps(chunks.iter().map(|c| c.0).sum()),
+        b_qps: qps(chunks.iter().map(|c| c.1).sum()),
+        b_speedup: median_speedup(&chunks),
+    }
+}
+
+/// The median over `(a, b)` chunk times of `a / b`; NaN for no chunks.
+fn median_speedup(chunks: &[(Duration, Duration)]) -> f64 {
+    let mut ratios: Vec<f64> = chunks
+        .iter()
+        .map(|(a, b)| a.as_secs_f64() / b.as_secs_f64())
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    match ratios.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => ratios[n / 2],
+        n => (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0,
+    }
 }
 
 /// Times `queries` inferences through the legacy per-draw, allocating
 /// path and the geometric + scratch hot path, alternating every 50
-/// queries ([`paired_qps`]). Returns both rates and the checksum of the
+/// queries ([`paired_qps`]). Returns both timings and the checksum of the
 /// hot path's stream from `seed`, independent of warm-up.
 fn time_paths(
     q: &QuantizedNetwork,
@@ -97,7 +128,7 @@ fn time_paths(
     er: f64,
     seed: u64,
     queries: usize,
-) -> (f64, f64, u64) {
+) -> (PairedQps, u64) {
     let model = FaultModel::from_error_rate(er).expect("valid benchmark error rate");
     let before: &mut dyn LaneCorruptor<1> = &mut PerDrawInjector::new(model.clone(), seed);
     let mut after = FaultStream::new(model.clone(), seed);
@@ -108,7 +139,7 @@ fn time_paths(
     }
     after = FaultStream::new(model, seed);
     let mut checksum = 0u64;
-    let (before_qps, after_qps) = paired_qps(
+    let paired = paired_qps(
         queries,
         50,
         |range| {
@@ -123,7 +154,7 @@ fn time_paths(
             }
         },
     );
-    (before_qps, after_qps, checksum)
+    (paired, checksum)
 }
 
 /// Runs the hot path fanned over `exec`'s worker pool, one task per chunk
@@ -171,7 +202,7 @@ pub fn measure_point(
     queries: usize,
     exec: &ExecConfig,
 ) -> ThroughputPoint {
-    let (before_qps, after_qps, checksum) = time_paths(q, features, er, seed, queries);
+    let (paired, checksum) = time_paths(q, features, er, seed, queries);
     let (threaded_qps, threaded_sum) = time_threaded(q, features, er, seed, queries, exec);
     // The serial reference for the fan-out is the same chunked schedule on
     // one worker — identical seeds, identical order.
@@ -179,8 +210,9 @@ pub fn measure_point(
     ThroughputPoint {
         error_rate: er,
         queries,
-        before_qps,
-        after_qps,
+        before_qps: paired.a_qps,
+        after_qps: paired.b_qps,
+        speedup: paired.b_speedup,
         checksum,
         threaded_qps,
         thread_invariant: threaded_sum == serial_sum,
@@ -237,7 +269,7 @@ pub fn render_json(
             w.field("queries", p.queries);
             w.fixed("before_qps", p.before_qps, 1);
             w.fixed("after_qps", p.after_qps, 1);
-            w.fixed("speedup", p.speedup(), 3);
+            w.fixed("speedup", p.speedup, 3);
             w.fixed("threaded_qps", p.threaded_qps, 1);
             w.u64_string("checksum", p.checksum);
             w.field("thread_invariant", p.thread_invariant);
@@ -278,11 +310,30 @@ mod tests {
     #[test]
     fn checksum_is_seed_deterministic() {
         let (q, features) = fixture();
-        let (.., a) = time_paths(&q, &features, 0.3, 5, 200);
-        let (.., b) = time_paths(&q, &features, 0.3, 5, 200);
+        let (_, a) = time_paths(&q, &features, 0.3, 5, 200);
+        let (_, b) = time_paths(&q, &features, 0.3, 5, 200);
         assert_eq!(a, b, "same seed must reproduce the same score stream");
-        let (.., c) = time_paths(&q, &features, 0.3, 6, 200);
+        let (_, c) = time_paths(&q, &features, 0.3, 6, 200);
         assert_ne!(a, c, "different seed must change the stream");
+    }
+
+    #[test]
+    fn the_speedup_gate_fails_a_slower_path_and_survives_one_stalled_chunk() {
+        let us = Duration::from_micros;
+        // Forty 50-query chunks at 100 µs a side; one hot-path chunk stalls.
+        let mut chunks = vec![(us(100), us(100)); 40];
+        chunks[17].1 = us(100_000);
+        let totals = 40.0 * 100.0 / (39.0 * 100.0 + 100_000.0);
+        assert!(
+            totals < SPEEDUP_FLOOR,
+            "the ratio of totals trips on the stall"
+        );
+        assert!(median_speedup(&chunks) >= SPEEDUP_FLOOR);
+        // A hot path a quarter slower in every chunk, legacy stalls included.
+        let mut slower = vec![(us(100), us(125)); 40];
+        slower[3].0 = us(100_000);
+        assert!(median_speedup(&slower) < SPEEDUP_FLOOR);
+        assert!(median_speedup(&[]).is_nan());
     }
 
     #[test]
@@ -292,6 +343,7 @@ mod tests {
             queries: 100,
             before_qps: 1000.0,
             after_qps: 2500.0,
+            speedup: 2.5,
             checksum: 42,
             threaded_qps: 2400.0,
             thread_invariant: true,
@@ -322,6 +374,7 @@ mod tests {
             queries: 100,
             before_qps: 0.0,
             after_qps: 2500.0,
+            speedup: f64::INFINITY,
             checksum: 42,
             threaded_qps: f64::NAN,
             thread_invariant: true,

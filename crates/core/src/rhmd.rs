@@ -206,8 +206,8 @@ impl Detector for Rhmd {
     fn score(&mut self, trace: &Trace) -> f64 {
         let pool = self.bases.len() + usize::from(self.anomaly.is_some());
         let pick = self.rng.gen_range(0..pool);
-        match self.bases.get(pick) {
-            Some(base) => base.score_features(&base.spec().extract(trace)),
+        match self.bases.get_mut(pick) {
+            Some(base) => base.score(trace),
             None => match &self.anomaly {
                 Some((spec, scorer)) => scorer.score(&spec.extract(trace)),
                 // Unreachable: pick < pool implies an anomaly member when

@@ -81,11 +81,11 @@ impl Default for HmdTrainConfig {
 }
 
 /// Fewest training samples per worker. On a 2-vCPU host, training a
-/// 16-12-1 network for 80 or 200 epochs on two workers is no faster than on
-/// one for a 32-sample fold and 1.1–1.25× faster for a 64-sample fold, where
-/// each worker has 32 samples; with fewer, the hand-offs between an epoch's
-/// steps cost what the split saves
-/// (`cargo run --release -p shmd-ann --example train_threads`).
+/// 16-12-1 network for 80 or 200 epochs on two workers is 0.88–1.08× one
+/// worker's speed for a 32-sample fold and 1.16–1.28× for a 64-sample fold,
+/// where each worker has 32 samples, in runs where the host delivered both
+/// cores; with fewer, the hand-offs between an epoch's steps cost what the
+/// split saves (`cargo run --release -p shmd-ann --example train_threads`).
 const MIN_SAMPLES_PER_TRAINING_WORKER: usize = 32;
 
 /// Training workers for a fold of `samples`: [`ExecConfig::nested`] (every
