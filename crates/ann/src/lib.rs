@@ -47,7 +47,6 @@
 
 pub mod activation;
 pub mod builder;
-pub mod fast_tanh;
 pub mod io;
 pub mod layer;
 pub mod mac;

@@ -2,7 +2,6 @@
 //! fault-injectable inference path.
 
 use crate::activation::Activation;
-use crate::fast_tanh::fast_tanh;
 use crate::layer::Layer;
 use shmd_fixed::{LaneAccumulator, Q16};
 use shmd_volt::fault::LaneCorruptor;
@@ -282,25 +281,21 @@ impl QuantizedLayer {
                 }
             }
             acc.add_q16(bias);
-            // Activations are computed by LUT/dedicated logic off the
-            // multiplier's critical path, so they evaluate exactly.
-            // They are the kernel's largest non-event cost (one libm
-            // call per neuron per lane), so hidden tanh layers go through
-            // the exhaustively verified fast table instead — see the
-            // `fast_tanh` module for why that is bit-identical to
-            // `Activation::apply`, which the tests' sequential reference
-            // keeps as the oracle.
-            if self.activation == Activation::SigmoidSymmetric {
-                let table = fast_tanh();
-                for l in 0..LANES {
-                    out.push(table.apply(acc.to_q16(l)));
-                }
-            } else {
-                for l in 0..LANES {
-                    let activated = self.activation.apply(acc.to_q16(l).to_f64());
-                    out.push(Q16::from_f64(activated));
-                }
-            }
+            out.extend((0..LANES).map(|l| acc.to_q16(l)));
+        }
+        // Activations run on LUT/dedicated logic off the multiplier's
+        // critical path, so they evaluate exactly: the float pass's
+        // activation loop, rounding to Q16, holds every sum to
+        // `Activation::apply` bit for bit. It takes the whole plane eight
+        // sums at a time, so the fast `tanh` vectorizes at width 1 too;
+        // the remainder goes one sum at a time.
+        let (chunks, rest) = out.as_chunks_mut::<8>();
+        for chunk in chunks {
+            self.activation.apply_lanes(&chunk.map(Q16::to_f64), chunk);
+        }
+        for q in rest {
+            let sum = [q.to_f64()];
+            self.activation.apply_lanes(&sum, std::array::from_mut(q));
         }
     }
 }
@@ -785,13 +780,15 @@ mod tests {
         batch_matches_scalar_at_width::<16>(116);
     }
 
-    /// A linear hidden layer whose first three rows carry weights near
-    /// ±30 000 (Σ|w_raw| > 2³², so the no-overflow bound cannot hold) and
-    /// whose last row stays small, followed by a small linear output
+    /// A hidden layer whose first three rows carry weights near ±30 000
+    /// (Σ|w_raw| > 2³², so the no-overflow bound cannot hold) and whose
+    /// last three rows stay small, followed by a small linear output
     /// layer. Mixed signs make the saturating order visible: a row that
     /// clips at `i64::MAX` and then comes back down ends elsewhere than
-    /// its exact (or wrapped) sum.
-    fn overflow_net() -> QuantizedNetwork {
+    /// its exact (or wrapped) sum. Under `tanh`, the big rows' sums lie
+    /// far beyond ±64, and on inputs in [−1, 1] the last two rows' sums
+    /// lie in [14, 26] and [−26, −14], beyond ±8.
+    fn overflow_net(hidden_activation: Activation) -> QuantizedNetwork {
         use crate::layer::Layer;
         let big: [[f32; 6]; 3] = [
             [30_000.0, 29_000.0, 30_000.0, 28_500.0, 30_000.0, 29_500.0],
@@ -802,19 +799,20 @@ mod tests {
                 -29_000.0, -30_000.0, -30_000.0, 30_000.0, 30_000.0, -28_000.0,
             ],
         ];
-        let mut hidden = Layer::zeros(6, 4, Activation::Linear);
+        let mut hidden = Layer::zeros(6, 6, hidden_activation);
         for (o, row) in hidden.weights_mut().chunks_exact_mut(7).enumerate() {
             for (i, w) in row[..6].iter_mut().enumerate() {
-                *w = match big.get(o) {
-                    Some(weights) => weights[i],
-                    None => 0.125 * (i as f32 - 2.5),
+                *w = match (big.get(o), o) {
+                    (Some(weights), _) => weights[i],
+                    (None, 3) => 0.125 * (i as f32 - 2.5),
+                    (None, _) => 1.0,
                 };
             }
-            row[6] = 1.5 - o as f32;
+            row[6] = [1.5, 0.5, -0.5, -1.5, 20.0, -20.0][o];
         }
-        let mut output = Layer::zeros(4, 2, Activation::Linear);
-        for (o, row) in output.weights_mut().chunks_exact_mut(5).enumerate() {
-            for (i, w) in row[..4].iter_mut().enumerate() {
+        let mut output = Layer::zeros(6, 2, Activation::Linear);
+        for (o, row) in output.weights_mut().chunks_exact_mut(7).enumerate() {
+            for (i, w) in row[..6].iter_mut().enumerate() {
                 *w = if i % 2 == o { 0.5 } else { -0.25 };
             }
         }
@@ -823,12 +821,17 @@ mod tests {
         assert!(row_abs[..3]
             .iter()
             .all(|&s| u128::from(s) << 31 > i64::MAX as u128));
-        assert!(u128::from(row_abs[3]) << 31 <= i64::MAX as u128);
+        assert!(row_abs[3..]
+            .iter()
+            .all(|&s| u128::from(s) << 31 <= i64::MAX as u128));
         net
     }
 
-    fn overflow_rows_match_the_reference_at_width<const LANES: usize>(er: f64) {
-        let net = overflow_net();
+    fn overflow_rows_match_the_reference_at_width<const LANES: usize>(
+        hidden_activation: Activation,
+        er: f64,
+    ) {
+        let net = overflow_net(hidden_activation);
         let model = FaultModel::from_error_rate(er).unwrap();
         let mut scratch = BatchScratch::<LANES>::new();
         // Two passes with the big and small lanes swapped, so width 1 sees
@@ -856,7 +859,8 @@ mod tests {
                     assert_eq!(
                         plane[o * LANES + l],
                         expected,
-                        "er {er}, width {LANES}, pass {pass}, lane {l}, output {o}"
+                        "{hidden_activation:?}, er {er}, width {LANES}, pass {pass}, lane {l}, \
+                         output {o}"
                     );
                 }
                 assert_eq!(stream.stats(l), lane_stream.stats());
@@ -869,12 +873,19 @@ mod tests {
         // Quantized detectors never get near the bound, so this builds
         // rows that do: lanes fed +30 000 everywhere saturate their
         // fault-free sums, the small lanes stay exact, and at er > 0 the
-        // saturating lanes also carry fault events.
-        for er in [0.0, 0.3, 0.9] {
-            overflow_rows_match_the_reference_at_width::<1>(er);
-            overflow_rows_match_the_reference_at_width::<4>(er);
-            overflow_rows_match_the_reference_at_width::<8>(er);
-            overflow_rows_match_the_reference_at_width::<16>(er);
+        // saturating lanes also carry fault events. Under `tanh` the same
+        // rows hold the activation stage to libm on sums beyond ±8 and ±64.
+        for (act, er) in [
+            (Activation::Linear, 0.0),
+            (Activation::Linear, 0.3),
+            (Activation::Linear, 0.9),
+            (Activation::SigmoidSymmetric, 0.0),
+            (Activation::SigmoidSymmetric, 0.9),
+        ] {
+            overflow_rows_match_the_reference_at_width::<1>(act, er);
+            overflow_rows_match_the_reference_at_width::<4>(act, er);
+            overflow_rows_match_the_reference_at_width::<8>(act, er);
+            overflow_rows_match_the_reference_at_width::<16>(act, er);
         }
     }
 

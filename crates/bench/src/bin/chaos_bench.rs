@@ -29,10 +29,11 @@ fn main() {
     let exec = args.exec();
 
     let floor = serve::effective_scaling_floor(CHAOS_SCALING_FLOOR, exec.thread_count());
+    let delivered = serve::delivered_parallelism(exec.thread_count());
     let measure =
         |exec: &ExecConfig| chaos::measure_sweep(&baseline, &dataset, args.seed, batch_size, exec);
     let render = |points: &[chaos::ChaosPoint], threads: usize| {
-        chaos::render_json(points, args.seed, scale_name, threads, floor)
+        chaos::render_json(points, args.seed, scale_name, threads, floor, delivered)
     };
     let points = measure(&exec);
     let total_batches = chaos::CHAOS_HORIZON + chaos::CHAOS_TAIL;
@@ -97,7 +98,13 @@ fn main() {
         }
     }
     let largest = points.last().map(|p| (p.shards, p.scaling()));
-    serve::check_scaling(&mut run, CHAOS_SCALING_FLOOR, exec.thread_count(), largest);
+    serve::check_scaling(
+        &mut run,
+        CHAOS_SCALING_FLOOR,
+        exec.thread_count(),
+        largest,
+        delivered,
+    );
     run.compare_serial(&doc, chaos::WALL_CLOCK, |serial| {
         render(&measure(serial), 1)
     });

@@ -32,11 +32,12 @@ fn main() {
     let exec = args.exec();
 
     let floor = serve::effective_scaling_floor(SERVE_SCALING_FLOOR, exec.thread_count());
+    let delivered = serve::delivered_parallelism(exec.thread_count());
     let measure = |exec: &ExecConfig| {
         serve::measure_sweep(&baseline, &curve, &dataset, args.seed, queries, exec)
     };
     let render = |points: &[serve::ServePoint], threads: usize| {
-        serve::render_json(points, args.seed, scale_name, threads, floor)
+        serve::render_json(points, args.seed, scale_name, threads, floor, delivered)
     };
     let points = measure(&exec);
 
@@ -80,7 +81,13 @@ fn main() {
         }
     }
     let largest = points.last().map(|p| (p.shards, p.scaling()));
-    serve::check_scaling(&mut run, SERVE_SCALING_FLOOR, exec.thread_count(), largest);
+    serve::check_scaling(
+        &mut run,
+        SERVE_SCALING_FLOOR,
+        exec.thread_count(),
+        largest,
+        delivered,
+    );
     run.compare_serial(&doc, serve::WALL_CLOCK, |serial| {
         render(&measure(serial), 1)
     });

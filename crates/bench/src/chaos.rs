@@ -203,6 +203,7 @@ pub fn measure_sweep(
 
 /// The wall-clock paths of `BENCH_4.json` (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[
+    ".delivered_parallelism",
     ".results[].serial_qps",
     ".results[].threaded_qps",
     ".results[].scaling",
@@ -215,6 +216,7 @@ pub fn render_json(
     scale: &str,
     threads: usize,
     scaling_floor: f64,
+    delivered_parallelism: f64,
 ) -> String {
     json::document(|w| {
         w.field("bench", "chaos_recovery");
@@ -223,6 +225,7 @@ pub fn render_json(
         w.field("scale", scale);
         w.field("threads", threads);
         w.field("hardware_threads", crate::serve::hardware_threads());
+        w.fixed("delivered_parallelism", delivered_parallelism, 3);
         w.fixed("scaling_floor", scaling_floor, 3);
         let schedule = format!(
             "{CHAOS_HORIZON} chaos batches + {CHAOS_TAIL} clean, seeded crashes and a cold \
@@ -310,7 +313,7 @@ mod tests {
             healthy_at_end: 4,
             degraded_at_end: 0,
         };
-        let doc = render_json(&[p], 42, "fast", 8, 1.5);
+        let doc = render_json(&[p], 42, "fast", 8, 1.5, 1.25);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "chaos_recovery",
@@ -319,6 +322,7 @@ mod tests {
   "scale": "fast",
   "threads": 8,
   "hardware_threads": HW,
+  "delivered_parallelism": 1.250,
   "scaling_floor": 1.500,
   "schedule": "24 chaos batches + 16 clean, seeded crashes and a cold spike, one poison query per batch, supervision every 4 batches",
   "results": [

@@ -87,23 +87,61 @@ pub fn effective_scaling_floor(configured: f64, threads: usize) -> f64 {
 /// `run` when the largest pool's threaded-vs-serial scaling falls below
 /// `configured` clamped by [`effective_scaling_floor`]. `largest` is that
 /// pool's `(shards, scaling)`; a serial run has nothing to scale, so it
-/// passes.
+/// passes. The message carries `delivered`, the host's
+/// [`delivered_parallelism`], so a failure says whether the host or the
+/// service fell short.
 pub fn check_scaling(
     run: &mut BenchRun,
     configured: f64,
     threads: usize,
     largest: Option<(usize, f64)>,
+    delivered: f64,
 ) {
     let floor = effective_scaling_floor(configured, threads);
     if let Some((shards, scaling)) = largest {
         if threads > 1 && scaling < floor {
             run.fail(format!(
                 "{shards} shards: scaling {scaling:.2}x below floor {floor:.2}x \
-                 (configured {configured:.2}x, {} hardware threads)",
+                 (configured {configured:.2}x, {} hardware threads, the host \
+                 delivered {delivered:.2}x on a CPU spin)",
                 hardware_threads(),
             ));
         }
     }
+}
+
+/// Steps of [`delivered_parallelism`]'s spin: about 70 ms on one core of
+/// a 2-vCPU AVX-512 VM.
+const SPIN_STEPS: u32 = 1 << 25;
+
+/// How many cores the host delivered to `min(threads, hardware_threads)`
+/// threads: one fixed CPU-bound spin is timed alone and then on each of
+/// those threads at once, and the ratio scales the thread count by how
+/// much longer the parallel round took. It reads about
+/// `min(threads, hardware_threads)` when every thread got a core of its
+/// own, and about 1 when the host ran them on one core.
+/// `available_parallelism` cannot tell the two apart.
+pub fn delivered_parallelism(threads: usize) -> f64 {
+    let usable = hardware_threads().min(threads.max(1));
+    let spin = || {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..SPIN_STEPS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        std::hint::black_box(x);
+    };
+    let start = Instant::now();
+    spin();
+    let one = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..usable {
+            s.spawn(spin);
+        }
+    });
+    usable as f64 * one / start.elapsed().as_secs_f64()
 }
 
 /// Hardware threads available to this process, reported alongside the
@@ -182,6 +220,7 @@ pub fn measure_sweep(
 
 /// The wall-clock paths of `BENCH_3.json` (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[
+    ".delivered_parallelism",
     ".results[].serial_qps",
     ".results[].threaded_qps",
     ".results[].scaling",
@@ -194,6 +233,7 @@ pub fn render_json(
     scale: &str,
     threads: usize,
     scaling_floor: f64,
+    delivered_parallelism: f64,
 ) -> String {
     json::document(|w| {
         w.field("bench", "monitoring_service");
@@ -202,6 +242,7 @@ pub fn render_json(
         w.field("scale", scale);
         w.field("threads", threads);
         w.field("hardware_threads", hardware_threads());
+        w.fixed("delivered_parallelism", delivered_parallelism, 3);
         w.fixed("scaling_floor", scaling_floor, 3);
         w.field(
             "engine",
@@ -276,7 +317,7 @@ mod tests {
             degraded_shards: 0,
             flags: 17,
         };
-        let doc = render_json(&[p], 42, "fast", 8, 2.0);
+        let doc = render_json(&[p], 42, "fast", 8, 2.0, 1.25);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "monitoring_service",
@@ -285,6 +326,7 @@ mod tests {
   "scale": "fast",
   "threads": 8,
   "hardware_threads": HW,
+  "delivered_parallelism": 1.250,
   "scaling_floor": 2.000,
   "engine": "lock-free query-range claiming over a shared shard pool, per-query derived fault streams, per-worker telemetry fold",
   "results": [
@@ -309,7 +351,7 @@ mod tests {
             degraded_shards: 0,
             flags: 17,
         };
-        let doc = render_json(&[p], 42, "fast", 8, 2.0);
+        let doc = render_json(&[p], 42, "fast", 8, 2.0, 1.0);
         assert!(doc.contains("\"serial_qps\": 0.0"), "{doc}");
         assert!(doc.contains("\"scaling\": null"), "{doc}");
         assert!(json::parse(&doc).is_ok(), "{doc}");

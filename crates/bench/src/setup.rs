@@ -29,16 +29,10 @@ pub fn train_config(args: &Args) -> HmdTrainConfig {
 
 /// Trains the victim baseline on fold `rotation`.
 ///
-/// Also builds the batched inference's `tanh` table, which otherwise
-/// builds lazily on the first batched inference (tens of milliseconds,
-/// once per process): every bench trains its victim before it times
-/// anything, so no timed run pays for the build.
-///
 /// # Panics
 ///
 /// Panics if training fails (cannot happen for generated datasets).
 pub fn victim(dataset: &Dataset, rotation: usize, args: &Args) -> BaselineHmd {
-    shmd_ann::fast_tanh::fast_tanh();
     let split = dataset.three_fold_split(rotation);
     train_baseline(
         dataset,

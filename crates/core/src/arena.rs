@@ -116,6 +116,10 @@ mod tests {
     use shmd_workload::features::FeatureSpec;
 
     fn arena() -> (Dataset, ArenaOracle) {
+        arena_under(ServeConfig::new(2).with_seed(9))
+    }
+
+    fn arena_under(config: ServeConfig) -> (Dataset, ArenaOracle) {
         let dataset = Dataset::generate(&DatasetConfig::small(100), 77);
         let split = dataset.three_fold_split(0);
         let baseline = train_baseline(
@@ -128,7 +132,7 @@ mod tests {
         let service = MonitoringService::supervised(
             &baseline,
             SupervisorConfig::new(DeviceProfile::reference()),
-            ServeConfig::new(2).with_seed(9),
+            config,
         )
         .expect("deploy");
         (dataset, ArenaOracle::new(service))
@@ -165,10 +169,11 @@ mod tests {
 
     #[test]
     fn classify_returns_the_live_label_under_requery() {
-        let (dataset, mut oracle) = arena();
-        oracle
-            .service_mut()
-            .set_requery(Some(RequeryConfig::new(0.5, 5)));
+        let (dataset, mut oracle) = arena_under(
+            ServeConfig::new(2)
+                .with_seed(9)
+                .with_requery(RequeryConfig::new(0.5, 5)),
+        );
         // With a half-width-0.5 band every stochastic score is a band
         // hit; the labels must come from the ensemble vote.
         let mut drawn = 0;

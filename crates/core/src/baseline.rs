@@ -3,7 +3,7 @@
 use crate::detector::{Detector, Label};
 use shmd_ann::network::{InferenceScratch, Network, QuantizedNetwork};
 use shmd_volt::fault::ExactLanes;
-use shmd_workload::features::FeatureSpec;
+use shmd_workload::features::{FeatureSpec, FEATURE_DIM};
 use shmd_workload::trace::Trace;
 
 /// A trained, deterministic HMD.
@@ -131,7 +131,8 @@ impl Detector for BaselineHmd {
     }
 
     fn score(&mut self, trace: &Trace) -> f64 {
-        let features = self.spec.extract(trace);
+        let mut features = [0.0; FEATURE_DIM];
+        self.spec.extract_into(trace, &mut features);
         let out = self
             .quantized
             .infer_into(&features, &mut ExactLanes, &mut self.scratch);

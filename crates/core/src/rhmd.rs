@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shmd_ml::anomaly::{AnomalyConfig, AnomalyScorer};
 use shmd_workload::dataset::Dataset;
-use shmd_workload::features::{DetectionPeriod, FeatureKind, FeatureSpec};
+use shmd_workload::features::{DetectionPeriod, FeatureKind, FeatureSpec, FEATURE_DIM};
 use shmd_workload::trace::Trace;
 use std::fmt;
 
@@ -209,7 +209,11 @@ impl Detector for Rhmd {
         match self.bases.get_mut(pick) {
             Some(base) => base.score(trace),
             None => match &self.anomaly {
-                Some((spec, scorer)) => scorer.score(&spec.extract(trace)),
+                Some((spec, scorer)) => {
+                    let mut features = [0.0; FEATURE_DIM];
+                    spec.extract_into(trace, &mut features);
+                    scorer.score(&features)
+                }
                 // Unreachable: pick < pool implies an anomaly member when
                 // pick >= bases.len().
                 None => 0.0,

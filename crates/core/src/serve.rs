@@ -1257,13 +1257,6 @@ impl MonitoringService {
         self.requery
     }
 
-    /// Enables (or replaces) uncertainty-aware re-query at runtime.
-    /// `None` disables it. Takes effect from the next batch; counters
-    /// already accrued are kept.
-    pub fn set_requery(&mut self, requery: Option<RequeryConfig>) {
-        self.requery = requery;
-    }
-
     /// The installed ensemble anomaly scorer, if any.
     pub fn anomaly_scorer(&self) -> Option<&AnomalyScorer> {
         self.anomaly.as_ref()

@@ -6,7 +6,7 @@ use shmd_ann::network::{BatchScratch, InferenceScratch, QuantizedNetwork};
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_volt::fault::{FaultModel, FaultModelError, FaultModelState, FaultStream, LaneCorruptor};
 use shmd_volt::voltage::Millivolts;
-use shmd_workload::features::FeatureSpec;
+use shmd_workload::features::{FeatureSpec, FEATURE_DIM};
 use shmd_workload::trace::Trace;
 
 /// A Stochastic-HMD: the *unmodified* trained model whose inference runs on
@@ -341,7 +341,8 @@ impl Detector for StochasticHmd {
     }
 
     fn score(&mut self, trace: &Trace) -> f64 {
-        let features = self.spec.extract(trace);
+        let mut features = [0.0; FEATURE_DIM];
+        self.spec.extract_into(trace, &mut features);
         self.score_features(&features)
     }
 

@@ -66,17 +66,20 @@ impl Q16 {
         self.0
     }
 
-    /// Converts from an `f64`, saturating at the representable range.
+    /// Converts from an `f64`, saturating at the representable range and
+    /// rounding half away from zero; NaN converts to zero.
+    ///
+    /// Branch-free, so loops over it vectorize: the scaled value is clamped
+    /// to the `i32` range and rounded, and adding `1.5 · 2⁵²` to that
+    /// integer leaves it, two's complement, in the low mantissa bits.
     #[inline]
     pub fn from_f64(value: f64) -> Q16 {
-        let scaled = value * f64::from(1i32 << FRAC_BITS);
-        if scaled >= i32::MAX as f64 {
-            Q16::MAX
-        } else if scaled <= i32::MIN as f64 {
-            Q16::MIN
-        } else {
-            Q16(scaled.round() as i32)
-        }
+        const SHIFT: f64 = 6_755_399_441_055_744.0;
+        let rounded = (value * f64::from(1i32 << FRAC_BITS))
+            .clamp(i32::MIN as f64, i32::MAX as f64)
+            .round();
+        let bits = (rounded + SHIFT).to_bits() as i32;
+        Q16(if rounded.is_nan() { 0 } else { bits })
     }
 
     /// Converts from an `f32`, saturating at the representable range.
@@ -414,6 +417,25 @@ mod tests {
     fn from_f64_saturates() {
         assert_eq!(Q16::from_f64(1e9), Q16::MAX);
         assert_eq!(Q16::from_f64(-1e9), Q16::MIN);
+    }
+
+    #[test]
+    fn from_f64_matches_the_saturating_cast() {
+        // Rust's `as i32` saturates and sends NaN to 0. Checked on edges,
+        // on half-steps between grid points and on raw bit patterns.
+        let mut xs = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 32_768.0];
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1 << 18 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let k = (s >> 30) as f64 - 8_589_934_592.0;
+            xs.extend([(k + 0.5) / 65_536.0, k / 65_536.0, f64::from_bits(s)]);
+        }
+        for x in xs {
+            let by_cast = (x * 65_536.0).round() as i32;
+            assert_eq!(Q16::from_f64(x).to_bits(), by_cast, "{x:e}");
+        }
     }
 
     #[test]

@@ -20,8 +20,11 @@ use shmd_workload::features::FeatureSpec;
 use shmd_workload::trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use stochastic_hmd::baseline::BaselineHmd;
+use stochastic_hmd::detector::Detector;
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, RequeryConfig, ServeConfig};
+use stochastic_hmd::stochastic::StochasticHmd;
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
 
 /// Most heap allocations a warmed-up one-query batch may make.
@@ -109,16 +112,21 @@ fn deploy(dataset: &Dataset, target_error_rate: f64) -> MonitoringService {
     service
 }
 
-/// A service under `config` over a detector trained on `dataset`.
-fn deploy_plain(dataset: &Dataset, config: ServeConfig) -> MonitoringService {
+/// The baseline detector trained on `dataset`'s first victim fold.
+fn train(dataset: &Dataset) -> BaselineHmd {
     let split = dataset.three_fold_split(0);
-    let baseline = train_baseline(
+    train_baseline(
         dataset,
         split.victim_training(),
         FeatureSpec::frequency(),
         &HmdTrainConfig::fast(),
     )
-    .expect("trains");
+    .expect("trains")
+}
+
+/// A service under `config` over a detector trained on `dataset`.
+fn deploy_plain(dataset: &Dataset, config: ServeConfig) -> MonitoringService {
+    let baseline = train(dataset);
     let curve = Calibrator::new()
         .with_step(2)
         .calibrate(&DeviceProfile::reference());
@@ -245,6 +253,27 @@ fn warmed_up_full_batches_allocate_only_their_verdicts() {
                 "allocations per 1 024-query batch at {lanes} lanes: \
                  process_batch {from_traces}, process_feature_batch {from_features}"
             );
+        }
+    }
+}
+
+#[test]
+fn warmed_up_detectors_score_traces_without_the_heap() {
+    // A detection extracts its features into a row on the stack and
+    // scores through the detector's own scratch.
+    let dataset = Dataset::generate(&DatasetConfig::small(60), 9);
+    let mut baseline = train(&dataset);
+    let mut stochastic = StochasticHmd::from_baseline(&baseline, 0.3, 5).expect("valid");
+    let detectors: [&mut dyn Detector; 2] = [&mut baseline, &mut stochastic];
+    for detector in detectors {
+        for i in 0..dataset.len() {
+            detector.score(dataset.trace(i));
+        }
+        for i in 0..dataset.len() {
+            let made = allocations(|| {
+                detector.score(dataset.trace(i));
+            });
+            assert_eq!(made, 0, "{} scoring query {i}", detector.name());
         }
     }
 }
