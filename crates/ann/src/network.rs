@@ -284,11 +284,11 @@ impl QuantizedLayer {
             out.extend((0..LANES).map(|l| acc.to_q16(l)));
         }
         // Activations run on LUT/dedicated logic off the multiplier's
-        // critical path, so they evaluate exactly: the float pass's
-        // activation loop, rounding to Q16, holds every sum to
-        // `Activation::apply` bit for bit. It takes the whole plane eight
-        // sums at a time, so the fast `tanh` vectorizes at width 1 too;
-        // the remainder goes one sum at a time.
+        // critical path, so they take no faults: the float pass's
+        // activation loop, rounding to Q16, gives every sum
+        // `Q16::from_f64(Activation::apply(sum))`. It takes the whole plane
+        // eight sums at a time, so `tanh` vectorizes at width 1 too; the
+        // remainder goes one sum at a time.
         let (chunks, rest) = out.as_chunks_mut::<8>();
         for chunk in chunks {
             self.activation.apply_lanes(&chunk.map(Q16::to_f64), chunk);
@@ -510,7 +510,7 @@ mod tests {
     /// The sequential datapath the kernel must reproduce, written the
     /// straightforward way: every product through `corrupt` in
     /// `(neuron, input)` order, a saturating [`Accumulator::mac`] per
-    /// product, and libm's [`Activation::apply`] on every neuron. It lives
+    /// product, and the scalar [`Activation::apply`] on every neuron. It lives
     /// here because it is the oracle the kernel is checked against, not a
     /// second way to serve a query.
     fn reference_infer(

@@ -83,24 +83,33 @@ impl DetectionPolicy {
             }
             DetectionPolicy::MajorityOf(k) => {
                 let k = k.max(1);
-                let needed = k / 2 + 1;
-                let mut positives = 0;
-                for done in 0..k {
-                    if detect_once().is_malware() {
-                        positives += 1;
-                        if positives >= needed {
-                            // Majority reached: later draws cannot undo it.
-                            return Label::Malware;
-                        }
-                    } else if positives + (k - done - 1) < needed {
-                        // Majority out of reach even if every remaining
-                        // draw is positive.
-                        return Label::Benign;
+                let (mut votes, mut positives) = (0, 0);
+                loop {
+                    if let Some(label) = majority_settled(positives, votes, k) {
+                        return label;
                     }
+                    positives += usize::from(detect_once().is_malware());
+                    votes += 1;
                 }
-                Label::Benign
             }
         }
+    }
+}
+
+/// The strict-majority label of a `total`-vote ensemble once `votes` of
+/// them are cast with `positives` saying malware, or `None` while the
+/// uncast votes could still change it: malware once `2·positives >
+/// total`, benign once `2·(positives + uncast) ≤ total`. Ties are benign.
+/// [`DetectionPolicy::MajorityOf`] and the serving layer's re-query vote
+/// both stop drawing as soon as it answers.
+pub(crate) fn majority_settled(positives: usize, votes: usize, total: usize) -> Option<Label> {
+    let uncast = total - votes;
+    if 2 * positives > total {
+        Some(Label::Malware)
+    } else if 2 * (positives + uncast) <= total {
+        Some(Label::Benign)
+    } else {
+        None
     }
 }
 
@@ -261,6 +270,44 @@ mod tests {
         assert_eq!(DetectionPolicy::AnyOf(4).to_string(), "any-of-4");
         assert_eq!(DetectionPolicy::MajorityOf(3).to_string(), "majority-of-3");
         assert_eq!(DetectionPolicy::Single.to_string(), "single");
+    }
+
+    /// `DetectionPolicy::MajorityOf(k).decide` as it was written before it
+    /// shared `majority_settled` with the serving layer: `(label, draws)`.
+    fn majority_by_counting(votes: &[bool]) -> (Label, usize) {
+        let k = votes.len();
+        let needed = k / 2 + 1;
+        let mut positives = 0;
+        for (done, &positive) in votes.iter().enumerate() {
+            if positive {
+                positives += 1;
+                if positives >= needed {
+                    return (Label::Malware, done + 1);
+                }
+            } else if positives + (k - done - 1) < needed {
+                return (Label::Benign, done + 1);
+            }
+        }
+        (Label::Benign, k)
+    }
+
+    #[test]
+    fn majority_decides_like_counting_on_every_label_sequence() {
+        for k in 1..=9 {
+            for bits in 0u32..1 << k {
+                let votes: Vec<bool> = (0..k).map(|i| bits >> i & 1 == 1).collect();
+                let mut draws = 0;
+                let label = DetectionPolicy::MajorityOf(k).decide(|| {
+                    draws += 1;
+                    Label::from_bool(votes[draws - 1])
+                });
+                assert_eq!(
+                    (label, draws),
+                    majority_by_counting(&votes),
+                    "majority-of-{k}, votes {bits:b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ use crate::checkpoint::{
     BackendCheckpoint, BatchCommit, RestoreError, ServiceCheckpoint, ShardCheckpoint, ShardState,
     StateJournal, SupervisorCheckpoint,
 };
-use crate::deploy::DetectionPolicy;
+use crate::deploy::{majority_settled, DetectionPolicy};
 use crate::detector::{Detector, Label};
 use crate::exec::{derive_seed, parallel_for_each, ExecConfig};
 use crate::stochastic::StochasticHmd;
@@ -466,25 +466,6 @@ enum ShardBackend {
     Down,
 }
 
-/// The strict-majority label of a `total`-vote ensemble once `votes` of
-/// them are cast with `positives` saying malware, or `None` while the
-/// uncast votes could still change it: malware once `2·positives >
-/// total`, benign once `2·(positives + uncast) ≤ total`.
-fn vote_settled(positives: u8, votes: u8, total: u8) -> Option<Label> {
-    let (positives, uncast, total) = (
-        u16::from(positives),
-        u16::from(total - votes),
-        u16::from(total),
-    );
-    if 2 * positives > total {
-        Some(Label::Malware)
-    } else if 2 * (positives + uncast) <= total {
-        Some(Label::Benign)
-    } else {
-        None
-    }
-}
-
 /// The immutable slice of one shard a batch's workers score against. All
 /// mutable shard state (counters, histogram, fault totals) stays on the
 /// main thread and is updated from the workers' additive
@@ -515,7 +496,7 @@ impl ShardView<'_> {
     ///
     /// The anomaly vote is taken first, and drawing stops as soon as the
     /// remaining replicas can no longer change the label (see
-    /// [`vote_settled`]). The label is therefore the one all `replicas`
+    /// [`majority_settled`]). The label is therefore the one all `replicas`
     /// draws would give, while `requeries`, the fault tallies and
     /// `Requeried { votes, positives }` count only the votes cast.
     #[allow(clippy::too_many_arguments)]
@@ -547,7 +528,7 @@ impl ShardView<'_> {
         let seed = derive_seed(self.seed, &[REQUERY_TAG, position]);
         let mut stream = BatchFaultStream::new(hmd.fault_model(), [seed]);
         let label = loop {
-            if let Some(label) = vote_settled(positives, votes, total) {
+            if let Some(label) = majority_settled(positives.into(), votes.into(), total.into()) {
                 break label;
             }
             let [replica] = hmd.score_features_batch_with(&[features], &mut stream, scratch);
@@ -2259,20 +2240,20 @@ mod tests {
     #[test]
     fn curtailed_votes_give_the_full_draw_label_on_every_vote_sequence() {
         // Every sequence of primary, anomaly and replica votes: stopping
-        // once `vote_settled` answers gives the label of the whole
+        // once `majority_settled` answers gives the label of the whole
         // ensemble, and stops exactly where that label was first decided.
-        for replicas in [1u8, 2, 13, 14] {
+        for replicas in [1usize, 2, 13, 14] {
             for with_anomaly in [false, true] {
-                let total = 1 + replicas + u8::from(with_anomaly);
-                let cast_first = 1 + u8::from(with_anomaly);
+                let total = 1 + replicas + usize::from(with_anomaly);
+                let cast_first = 1 + usize::from(with_anomaly);
                 for bits in 0u32..1 << total {
-                    let vote = |i: u8| u8::from(bits >> i & 1 == 1);
-                    let full = (0..total).map(vote).sum::<u8>();
+                    let vote = |i: usize| usize::from(bits >> i & 1 == 1);
+                    let full = (0..total).map(vote).sum::<usize>();
                     let full_label = Label::from_bool(2 * full > total);
                     let mut votes = cast_first;
-                    let mut positives = (0..cast_first).map(vote).sum::<u8>();
+                    let mut positives = (0..cast_first).map(vote).sum::<usize>();
                     let label = loop {
-                        if let Some(label) = vote_settled(positives, votes, total) {
+                        if let Some(label) = majority_settled(positives, votes, total) {
                             break label;
                         }
                         positives += vote(votes);
@@ -2282,7 +2263,7 @@ mod tests {
                     // One vote fewer would not have settled it.
                     if votes > cast_first {
                         let before = positives - vote(votes - 1);
-                        assert_eq!(vote_settled(before, votes - 1, total), None);
+                        assert_eq!(majority_settled(before, votes - 1, total), None);
                     }
                 }
             }
