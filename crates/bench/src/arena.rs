@@ -77,10 +77,9 @@ pub struct ArenaPlan {
     pub eval_batch: usize,
     /// Error rate of the re-query scenario (the band-edge noise source).
     pub requery_er: f64,
-    /// Confidence half-band around the decision threshold.
-    pub requery_band: f64,
-    /// Extra stochastic draws per band hit.
-    pub requery_replicas: usize,
+    /// Re-query policy of that scenario: the confidence half-band around
+    /// the decision threshold and the extra stochastic draws per band hit.
+    pub requery: RequeryConfig,
     /// Batches of the drift replay.
     pub drift_batches: u64,
     /// Queries per drift batch.
@@ -104,8 +103,7 @@ impl ArenaPlan {
                 // the only robust posture on the tiny fast-scale eval is
                 // to treat every verdict as uncertain; the larger scales
                 // afford the selective 0.499 band.
-                requery_band: 0.5,
-                requery_replicas: 14,
+                requery: RequeryConfig::new(0.5, 14),
                 drift_batches: 12,
                 drift_batch: 512,
                 drift_segments: 4,
@@ -116,8 +114,7 @@ impl ArenaPlan {
                 eval_reps: 24,
                 eval_batch: 512,
                 requery_er: 0.3,
-                requery_band: 0.499,
-                requery_replicas: 14,
+                requery: RequeryConfig::new(0.499, 14),
                 drift_batches: 24,
                 drift_batch: 1024,
                 drift_segments: 6,
@@ -128,8 +125,7 @@ impl ArenaPlan {
                 eval_reps: 40,
                 eval_batch: 1024,
                 requery_er: 0.3,
-                requery_band: 0.499,
-                requery_replicas: 14,
+                requery: RequeryConfig::new(0.499, 14),
                 drift_batches: 48,
                 drift_batch: 2048,
                 drift_segments: 8,
@@ -619,8 +615,8 @@ fn requery_replay(
     exec: ExecConfig,
     scorer: &AnomalyScorer,
 ) -> (f64, u64, stochastic_hmd::telemetry::TelemetrySnapshot) {
-    let rq = RequeryConfig::new(plan.requery_band, plan.requery_replicas);
-    let mut service = deploy(baseline, curve, plan, plan.requery_er, seed, exec, Some(rq));
+    let requery = Some(plan.requery);
+    let mut service = deploy(baseline, curve, plan, plan.requery_er, seed, exec, requery);
     service
         .install_anomaly_scorer(scorer.clone())
         .expect("the scorer was fitted on this baseline's features");
@@ -695,7 +691,6 @@ pub fn requery_recovery(
     // Mid-arena checkpoint: serve half the stream, checkpoint, continue;
     // a restored service must replay the tail to the same checksum.
     let restore_identical = {
-        let rq = RequeryConfig::new(plan.requery_band, plan.requery_replicas);
         let mut original = deploy(
             baseline,
             curve,
@@ -703,7 +698,7 @@ pub fn requery_recovery(
             plan.requery_er,
             seed ^ 0xd3,
             ExecConfig::serial(),
-            Some(rq),
+            Some(plan.requery),
         );
         original
             .install_anomaly_scorer(scorer.clone())
@@ -738,8 +733,8 @@ pub fn requery_recovery(
     };
     RequeryOutcome {
         error_rate: plan.requery_er,
-        band: plan.requery_band,
-        replicas: plan.requery_replicas,
+        band: plan.requery.band,
+        replicas: plan.requery.replicas,
         acc_clean,
         acc_noisy,
         acc_requery,

@@ -2,7 +2,7 @@
 //! 3 folds) as the error rate sweeps 0 → 1.
 
 use hmd_bench::{setup, table, Args};
-use stochastic_hmd::explore::accuracy_sweep_with;
+use stochastic_hmd::explore::accuracy_sweep;
 
 fn main() {
     let args = Args::parse();
@@ -10,7 +10,7 @@ fn main() {
     let reps = args.reps_or(50); // the paper repeats each experiment 50×
     let grid: Vec<f64> = (0..=10).map(|i| f64::from(i) / 10.0).collect();
 
-    let points = accuracy_sweep_with(
+    let points = accuracy_sweep(
         &dataset,
         &grid,
         reps,

@@ -3,7 +3,7 @@
 
 use hmd_bench::experiments::FIG2B_ERROR_RATES;
 use hmd_bench::{setup, table, Args};
-use stochastic_hmd::explore::confidence_distribution_with;
+use stochastic_hmd::explore::confidence_distribution;
 
 fn histogram(scores: &[f64]) -> [usize; 10] {
     let mut bins = [0usize; 10];
@@ -32,7 +32,7 @@ fn main() {
 
     table::title("Figure 2(b): confidence distributions (bins 0.0-0.1 ... 0.9-1.0)");
     for &er in &FIG2B_ERROR_RATES {
-        let dist = confidence_distribution_with(
+        let dist = confidence_distribution(
             &dataset,
             er,
             reps,

@@ -54,8 +54,10 @@
 
 use crate::codec::{fnv1a, fnv1a_tagged, CodecError, Reader, Writer};
 use crate::deploy::DetectionPolicy;
+use crate::serve::RequeryConfig;
 use crate::supervisor::{ShardHealth, SupervisionRecord};
 use crate::telemetry::{FaultCounters, ScoreHistogram, HISTOGRAM_BINS};
+use shmd_volt::controller::ControllerState;
 use shmd_volt::fault::FaultModelState;
 use shmd_volt::voltage::Millivolts;
 use std::fmt;
@@ -191,7 +193,9 @@ impl From<shmd_volt::calibration::CalibrationError> for RestoreError {
     }
 }
 
-/// A shard backend at checkpoint time.
+/// A shard backend at checkpoint time. Only `Stochastic` stores a model;
+/// the other two are what the shard's health says it serves from, and
+/// restore accepts each only with that health.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BackendCheckpoint {
     /// The protected replica, with its complete detector snapshot.
@@ -206,9 +210,11 @@ pub enum BackendCheckpoint {
 }
 
 /// One shard's durable state: everything about the shard except its
-/// detector backend. The serving layer keeps it as the shard's record,
-/// and a checkpoint clones it, so the fields are declared once. The
-/// shard's id is its position in [`ServiceCheckpoint::shards`].
+/// detector backend. The serving layer keeps it as the shard's record, a
+/// checkpoint clones it and the telemetry snapshot exports it, so the
+/// fields are declared once. The shard's id is its position in
+/// [`ServiceCheckpoint::shards`] and in
+/// [`crate::telemetry::TelemetrySnapshot::shards`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardState {
     /// Seed of the current calibration generation.
@@ -287,20 +293,6 @@ pub struct ShardCheckpoint {
     pub state: ShardState,
 }
 
-/// The supervisor's mutable state: the voltage controller's calibration
-/// point. The thermal environment and chaos plan are *stateless* —
-/// temperature and scripted kills are pure functions of the batch index,
-/// whose cursor is the service's `batches` counter — and their
-/// configuration is supplied again at restore.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SupervisorCheckpoint {
-    /// Temperature (°C) the controller last calibrated at.
-    pub calibrated_at_c: f64,
-    /// Undervolt offset the controller held, in mV — carried so restore
-    /// can verify the recalibrated curve reproduces it exactly.
-    pub offset_mv: i32,
-}
-
 /// A complete, versioned snapshot of a [`crate::serve::MonitoringService`].
 ///
 /// Produced by `MonitoringService::checkpoint`, consumed by
@@ -333,14 +325,14 @@ pub struct ServiceCheckpoint {
     /// Projected busy-power total over serving shards at the last
     /// power-scheduling tick, when a budget policy ran.
     pub service_power_w: Option<f64>,
-    /// Half-width of the uncertainty re-query band around the threshold,
-    /// when re-query was enabled.
-    pub requery_band: Option<f64>,
-    /// Ensemble replicas drawn per band hit (0 when re-query is off).
-    pub requery_replicas: u64,
-    /// Supervisor state, for services deployed via
-    /// `MonitoringService::supervised`.
-    pub supervisor: Option<SupervisorCheckpoint>,
+    /// The uncertainty-aware re-query policy, when re-query was enabled.
+    pub requery: Option<RequeryConfig>,
+    /// The voltage controller's calibration point, for services deployed
+    /// via `MonitoringService::supervised`: the supervisor's only mutable
+    /// state. The thermal environment and chaos plan are pure functions of
+    /// the batch index, whose cursor is `batches`, so their configuration
+    /// is supplied again at restore.
+    pub supervisor: Option<ControllerState>,
     /// Per-shard state, in shard order: a shard's id is its index.
     pub shards: Vec<ShardCheckpoint>,
 }
@@ -363,14 +355,14 @@ impl ServiceCheckpoint {
         w.u64(self.rejected_queries);
         w.u64(self.verdict_checksum);
         w.opt_f64(self.service_power_w);
-        w.opt_f64(self.requery_band);
-        w.u64(self.requery_replicas);
+        w.opt_f64(self.requery.map(|r| r.band));
+        w.u64(self.requery.map_or(0, |r| r.replicas as u64));
         match &self.supervisor {
             None => w.u8(0),
             Some(sup) => {
                 w.u8(1);
                 w.f64(sup.calibrated_at_c);
-                w.i32(sup.offset_mv);
+                w.i32(sup.offset.get());
             }
         }
         w.u32(self.shards.len() as u32);
@@ -425,13 +417,16 @@ impl ServiceCheckpoint {
             rejected_queries: r.u64()?,
             verdict_checksum: r.u64()?,
             service_power_w: r.opt_f64()?,
-            requery_band: r.opt_f64()?,
-            requery_replicas: r.u64()?,
+            requery: {
+                let band = r.opt_f64()?;
+                let replicas = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+                band.map(|band| RequeryConfig::new(band, replicas))
+            },
             supervisor: match r.u8()? {
                 0 => None,
-                1 => Some(SupervisorCheckpoint {
+                1 => Some(ControllerState {
                     calibrated_at_c: r.f64()?,
-                    offset_mv: r.i32()?,
+                    offset: Millivolts::new(r.i32()?),
                 }),
                 tag => {
                     return Err(CheckpointError::Corrupted(format!(
@@ -975,11 +970,10 @@ pub(crate) mod tests {
             rejected_queries: 3,
             verdict_checksum: 0xdead_beef_cafe_f00d,
             service_power_w: Some(12.75),
-            requery_band: Some(0.08),
-            requery_replicas: 4,
-            supervisor: Some(SupervisorCheckpoint {
+            requery: Some(RequeryConfig::new(0.08, 4)),
+            supervisor: Some(ControllerState {
                 calibrated_at_c: 52.25,
-                offset_mv: -231,
+                offset: Millivolts::new(-231),
             }),
             shards: vec![
                 ShardCheckpoint {

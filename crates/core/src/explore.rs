@@ -74,37 +74,20 @@ pub struct SweepPoint {
     pub fnr_std: f64,
 }
 
-/// Runs the Figure 2(a) sweep on an automatically sized thread pool.
-///
-/// Equivalent to [`accuracy_sweep_with`] under [`ExecConfig::auto`]; the
-/// result is bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if training fails or a grid rate is invalid.
-pub fn accuracy_sweep(
-    dataset: &Dataset,
-    er_grid: &[f64],
-    reps: usize,
-    config: &HmdTrainConfig,
-    seed: u64,
-) -> Result<Vec<SweepPoint>, ExploreError> {
-    accuracy_sweep_with(dataset, er_grid, reps, config, seed, &ExecConfig::auto())
-}
-
-/// Runs the Figure 2(a) sweep.
+/// Runs the Figure 2(a) sweep on `exec`'s workers.
 ///
 /// For each of the three cross-validation rotations, a baseline is trained
 /// once and its held-out fold's feature vectors are extracted once; each
 /// `(error rate, fold, repetition)` cell then becomes an independent task
 /// whose fault-injector seed is [derived](derive_seed) from the master
-/// seed and the cell's grid coordinates. Classification uses each
-/// detector's own threshold, so sweep and deployment numbers agree.
+/// seed and the cell's grid coordinates, so the result is bit-identical at
+/// any thread count. Classification uses each detector's own threshold,
+/// so sweep and deployment numbers agree.
 ///
 /// # Errors
 ///
 /// Returns [`ExploreError`] if training fails or a grid rate is invalid.
-pub fn accuracy_sweep_with(
+pub fn accuracy_sweep(
     dataset: &Dataset,
     er_grid: &[f64],
     reps: usize,
@@ -214,23 +197,8 @@ impl ConfidenceDistribution {
 }
 
 /// Collects the Figure 2(b) confidence distribution at one error rate
-/// (rotation 0, `reps` stochastic detections per test sample) on an
-/// automatically sized thread pool.
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if training fails or the rate is invalid.
-pub fn confidence_distribution(
-    dataset: &Dataset,
-    er: f64,
-    reps: usize,
-    config: &HmdTrainConfig,
-    seed: u64,
-) -> Result<ConfidenceDistribution, ExploreError> {
-    confidence_distribution_with(dataset, er, reps, config, seed, &ExecConfig::auto())
-}
-
-/// Collects the Figure 2(b) confidence distribution at one error rate.
+/// (rotation 0, `reps` stochastic detections per test sample) on `exec`'s
+/// workers.
 ///
 /// Each test sample is an independent task scoring `reps` stochastic
 /// detections with a seed [derived](derive_seed) from the master seed and
@@ -240,7 +208,7 @@ pub fn confidence_distribution(
 /// # Errors
 ///
 /// Returns [`ExploreError`] if training fails or the rate is invalid.
-pub fn confidence_distribution_with(
+pub fn confidence_distribution(
     dataset: &Dataset,
     er: f64,
     reps: usize,
@@ -295,7 +263,15 @@ mod tests {
     fn sweep_shapes_match_fig2a() {
         let d = dataset();
         let grid = [0.0, 0.1, 0.9];
-        let points = accuracy_sweep(&d, &grid, 3, &HmdTrainConfig::fast(), 7).expect("sweep");
+        let points = accuracy_sweep(
+            &d,
+            &grid,
+            3,
+            &HmdTrainConfig::fast(),
+            7,
+            &ExecConfig::auto(),
+        )
+        .expect("sweep");
         assert_eq!(points.len(), 3);
         // Accuracy at er = 0 is the (good) baseline.
         assert!(points[0].accuracy_mean > 0.88, "{:?}", points[0]);
@@ -318,8 +294,9 @@ mod tests {
     fn confidence_spread_grows_with_error_rate() {
         let d = dataset();
         let cfg = HmdTrainConfig::fast();
-        let low = confidence_distribution(&d, 0.1, 3, &cfg, 1).expect("low");
-        let high = confidence_distribution(&d, 0.9, 3, &cfg, 1).expect("high");
+        let exec = ExecConfig::auto();
+        let low = confidence_distribution(&d, 0.1, 3, &cfg, 1, &exec).expect("low");
+        let high = confidence_distribution(&d, 0.9, 3, &cfg, 1, &exec).expect("high");
         let (_, low_std) = low.malware_summary();
         let (_, high_std) = high.malware_summary();
         assert!(
@@ -331,7 +308,9 @@ mod tests {
     #[test]
     fn zero_rate_distribution_is_degenerate_per_sample() {
         let d = dataset();
-        let dist = confidence_distribution(&d, 0.0, 2, &HmdTrainConfig::fast(), 1).expect("dist");
+        let dist =
+            confidence_distribution(&d, 0.0, 2, &HmdTrainConfig::fast(), 1, &ExecConfig::auto())
+                .expect("dist");
         // With two deterministic reps per sample, consecutive scores pair up.
         for pair in dist.malware_scores.chunks(2) {
             assert_eq!(pair[0], pair[1]);
@@ -341,7 +320,15 @@ mod tests {
     #[test]
     fn invalid_rate_is_an_error() {
         let d = dataset();
-        let err = accuracy_sweep(&d, &[2.0], 1, &HmdTrainConfig::fast(), 1).expect_err("invalid");
+        let err = accuracy_sweep(
+            &d,
+            &[2.0],
+            1,
+            &HmdTrainConfig::fast(),
+            1,
+            &ExecConfig::auto(),
+        )
+        .expect_err("invalid");
         assert!(matches!(err, ExploreError::Fault(_)));
     }
 }

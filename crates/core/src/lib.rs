@@ -26,8 +26,8 @@
 //! - [`supervisor`] — the robustness layer around [`serve`]: per-shard
 //!   health states, a delivered-error-rate watchdog, seeded chaos plans,
 //!   and deterministic recovery schedules;
-//! - [`telemetry`] — the serving layer's export surface: per-shard
-//!   counters, score histograms, fault statistics, and a snapshot
+//! - [`telemetry`] — the serving layer's export surface: each shard's
+//!   durable record, score histograms, fault statistics, and a snapshot
 //!   exported as JSON;
 //! - [`json`] — the JSON reader and float/string writing rules shared by
 //!   the telemetry snapshot and the bench documents;
@@ -100,8 +100,8 @@ pub use shmd_workload::exec;
 pub use arena::ArenaOracle;
 pub use baseline::BaselineHmd;
 pub use checkpoint::{
-    BatchCommit, CheckpointError, JournalRecovery, RestoreError, ServiceCheckpoint, StateJournal,
-    TempJournal,
+    BatchCommit, CheckpointError, JournalRecovery, RestoreError, ServiceCheckpoint, ShardState,
+    StateJournal, TempJournal,
 };
 pub use daemon::{
     AdmissionConfig, AdmissionStats, Daemon, DaemonPhase, HandoffError, HANDOFF_FRAME_CAP,
@@ -121,7 +121,7 @@ pub use stochastic::StochasticHmd;
 pub use supervisor::{
     ChaosEvent, ChaosPlan, ShardHealth, SupervisionRecord, Supervisor, SupervisorConfig,
 };
-pub use telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
+pub use telemetry::{FaultCounters, ScoreHistogram, TelemetrySnapshot};
 pub use train::{train_baseline, HmdTrainConfig, TrainHmdError};
 pub use wire::{
     decode_frame, encode_frame, Frame, RejectCode, WireError, DEFAULT_MAX_FRAME_BYTES,

@@ -79,20 +79,19 @@
 use crate::baseline::BaselineHmd;
 use crate::checkpoint::{
     BackendCheckpoint, BatchCommit, RestoreError, ServiceCheckpoint, ShardCheckpoint, ShardState,
-    StateJournal, SupervisorCheckpoint,
+    StateJournal,
 };
 use crate::deploy::{majority_settled, DetectionPolicy};
 use crate::detector::{Detector, Label};
 use crate::exec::{derive_seed, parallel_for_each, ExecConfig};
 use crate::stochastic::StochasticHmd;
 use crate::supervisor::{ShardHealth, Supervisor, SupervisorConfig};
-use crate::telemetry::{FaultCounters, ScoreHistogram, ShardReport, TelemetrySnapshot};
+use crate::telemetry::{FaultCounters, ScoreHistogram, TelemetrySnapshot};
 use shmd_ann::network::BatchScratch;
 use shmd_ml::anomaly::AnomalyScorer;
 use shmd_power::cmos::CmosPowerModel;
 use shmd_power::latency::LatencyModel;
 use shmd_volt::calibration::{CalibrationCurve, CalibrationError};
-use shmd_volt::controller::ControllerState;
 use shmd_volt::fault::BatchFaultStream;
 use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::features::{FeatureSpec, FEATURE_DIM};
@@ -454,26 +453,14 @@ impl Verdict {
     }
 }
 
-/// A shard's detector: the protected replica, the baseline fallback when
-/// calibration could not deliver the target error rate, or nothing at all
-/// while the shard is crashed.
-enum ShardBackend {
-    Stochastic(Box<StochasticHmd>),
-    /// Degraded: nominal voltage, no moving target — serving the service's baseline.
-    Baseline,
-    /// Crashed: the core is hung. The shard is out of the serving set and
-    /// receives no queries until the supervisor restarts it.
-    Down,
-}
-
-/// The immutable slice of one shard a batch's workers score against. All
-/// mutable shard state (counters, histogram, fault totals) stays on the
-/// main thread and is updated from the workers' additive
+/// The immutable slice of one stochastic shard a batch's workers score
+/// against. All mutable shard state (counters, histogram, fault totals)
+/// stays on the main thread and is updated from the workers' additive
 /// [`ShardDelta`]s at the batch boundary.
 #[derive(Clone, Copy)]
 struct ShardView<'a> {
     seed: u64,
-    backend: &'a ShardBackend,
+    hmd: &'a StochasticHmd,
     /// Service-wide re-query policy (`None` = re-query disabled).
     requery: Option<RequeryConfig>,
     /// Service-wide anomaly scorer, voting in every re-query when
@@ -499,10 +486,8 @@ impl ShardView<'_> {
     /// [`majority_settled`]). The label is therefore the one all `replicas`
     /// draws would give, while `requeries`, the fault tallies and
     /// `Requeried { votes, positives }` count only the votes cast.
-    #[allow(clippy::too_many_arguments)]
     fn resolve(
         &self,
-        hmd: &StochasticHmd,
         position: u64,
         features: &[f32],
         score: f64,
@@ -526,12 +511,14 @@ impl ShardView<'_> {
         let mut votes = 1 + u8::from(anomaly.is_some());
         let mut positives = u8::from(primary) + u8::from(anomaly == Some(true));
         let seed = derive_seed(self.seed, &[REQUERY_TAG, position]);
-        let mut stream = BatchFaultStream::new(hmd.fault_model(), [seed]);
+        let mut stream = BatchFaultStream::new(self.hmd.fault_model(), [seed]);
         let label = loop {
             if let Some(label) = majority_settled(positives.into(), votes.into(), total.into()) {
                 break label;
             }
-            let [replica] = hmd.score_features_batch_with(&[features], &mut stream, scratch);
+            let [replica] = self
+                .hmd
+                .score_features_batch_with(&[features], &mut stream, scratch);
             votes += 1;
             positives += u8::from(replica >= threshold);
             delta.requeries += 1;
@@ -567,10 +554,7 @@ impl ShardView<'_> {
         lane_draws: &mut Vec<f64>,
         delta: &mut ShardDelta,
     ) -> [(f64, Label, VerdictConfidence); LANES] {
-        let ShardBackend::Stochastic(hmd) = self.backend else {
-            unreachable!("answer_block is only dispatched to stochastic shards")
-        };
-        let hmd: &StochasticHmd = hmd;
+        let hmd = self.hmd;
         let k = policy.detections();
         let seeds: [u64; LANES] =
             std::array::from_fn(|l| derive_seed(self.seed, &[QUERY_TAG, positions[l]]));
@@ -590,7 +574,6 @@ impl ShardView<'_> {
         std::array::from_fn(|l| {
             let score = policy.order_statistic(&mut lane_draws[l * k..(l + 1) * k]);
             let (label, confidence) = self.resolve(
-                hmd,
                 positions[l],
                 features[l],
                 score,
@@ -635,27 +618,32 @@ impl ShardDelta {
 /// One detector replica and its durable record. A shard's id is its
 /// position in [`MonitoringService`]'s shard list. The supervision tick
 /// ([`Supervisor`]) reads and updates the record directly, but swaps or
-/// retunes the backend only through the methods below.
+/// retunes the model only through the methods below.
+///
+/// Health alone says what a shard serves from: a `Healthy`, `Drifting` or
+/// `Recovering` shard holds its stochastic replica; a `Degraded` one holds
+/// no model and answers from the service's baseline; a `Crashed` or
+/// `Quarantined` one holds no model and receives no queries.
 pub(crate) struct Shard {
-    backend: ShardBackend,
+    model: Option<Box<StochasticHmd>>,
     pub(crate) state: ShardState,
 }
 
 impl Shard {
-    /// The immutable view a batch's workers score against. The re-query
-    /// policy and anomaly scorer are service-wide and ride in on every
-    /// view.
+    /// The immutable view a batch's workers score a stochastic shard
+    /// against; `None` for a shard without a model. The re-query policy
+    /// and anomaly scorer are service-wide and ride in on every view.
     fn view<'a>(
         &'a self,
         requery: Option<RequeryConfig>,
         anomaly: Option<&'a AnomalyScorer>,
-    ) -> ShardView<'a> {
-        ShardView {
+    ) -> Option<ShardView<'a>> {
+        Some(ShardView {
             seed: self.state.seed,
-            backend: &self.backend,
+            hmd: self.model.as_deref()?,
             requery,
             anomaly,
-        }
+        })
     }
 
     /// Folds one worker's per-batch telemetry delta into the shard.
@@ -669,21 +657,16 @@ impl Shard {
         state.histogram.merge(&delta.histogram);
     }
 
-    /// The live model of a serving stochastic shard that runs at an
-    /// undervolt offset, with that offset: what the supervision tick
-    /// retunes, watches and retargets. `None` for a shard out of the
-    /// serving set, on the baseline, or without an offset.
+    /// The live model of a stochastic shard that runs at an undervolt
+    /// offset, with that offset: what the supervision tick retunes,
+    /// watches and retargets. `None` for a shard out of the serving set,
+    /// on the baseline, or without an offset.
     pub(crate) fn live_model(&mut self) -> Option<(Millivolts, &mut StochasticHmd)> {
-        if !self.state.supervision.health.is_serving() {
-            return None;
-        }
-        match &mut self.backend {
-            ShardBackend::Stochastic(hmd) => Some((hmd.offset()?, &mut **hmd)),
-            _ => None,
-        }
+        let hmd = self.model.as_deref_mut()?;
+        Some((hmd.offset()?, hmd))
     }
 
-    /// Crashes a serving shard: quarantined, its backend down and its
+    /// Crashes a serving shard: quarantined, its model dropped and its
     /// first retry due at batch `retry_at`, or, with no retry (the
     /// pool's last serving shard), failed over to the baseline so the
     /// service never stops answering.
@@ -701,7 +684,7 @@ impl Shard {
                 record.attempt = 0;
                 record.next_retry_batch = Some(due);
                 self.state.degraded_reason = Some(cause);
-                self.backend = ShardBackend::Down;
+                self.model = None;
             }
         }
     }
@@ -711,7 +694,7 @@ impl Shard {
     /// recalibration succeeds. The retry schedule is the caller's to
     /// settle.
     pub(crate) fn fail_over(&mut self, reason: String) {
-        self.backend = ShardBackend::Baseline;
+        self.model = None;
         let state = &mut self.state;
         state.supervision.transition(ShardHealth::Degraded);
         state.degraded_reason = Some(reason);
@@ -719,7 +702,7 @@ impl Shard {
         state.supervision.reset_watchdog(state.faults);
     }
 
-    /// Swaps the shard onto a freshly calibrated stochastic backend under
+    /// Swaps the shard onto a freshly calibrated stochastic model under
     /// its next generation seed. Returns `false` (leaving the shard
     /// untouched) when the fault model cannot be built at the offset.
     pub(crate) fn restart(
@@ -734,38 +717,13 @@ impl Shard {
         let seed = shard_seed(master_seed, id, generation);
         match StochasticHmd::at_offset(baseline, curve, offset, seed) {
             Ok(hmd) => {
-                self.backend = ShardBackend::Stochastic(Box::new(hmd));
+                self.model = Some(Box::new(hmd));
                 self.state.generation = generation;
                 self.state.seed = seed;
                 self.state.degraded_reason = None;
                 true
             }
             Err(_) => false,
-        }
-    }
-
-    fn report(&self, id: usize) -> ShardReport {
-        let state = &self.state;
-        let sup = &state.supervision;
-        ShardReport {
-            shard: id,
-            seed: state.seed,
-            degraded: matches!(self.backend, ShardBackend::Baseline),
-            degraded_reason: state.degraded_reason.clone(),
-            health: sup.health,
-            transitions: sup.transitions,
-            crashes: sup.crashes,
-            drift_events: sup.drift_events,
-            retries: sup.retries,
-            queries: state.queries,
-            flags: state.flags,
-            band_hits: state.band_hits,
-            requeries: state.requeries,
-            faults: state.faults,
-            histogram: state.histogram.clone(),
-            energy_uj: state.energy_uj,
-            power_w: state.last_power_w,
-            power_target_er: state.power_target_er,
         }
     }
 }
@@ -926,26 +884,25 @@ fn batch_worker(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch, lo: usize, out:
                     confidence: VerdictConfidence::Confident,
                 }
             }
-            Ok(()) => match &ctx.shards[target].backend {
-                ShardBackend::Stochastic(_) => groups[target].push(i),
-                // The baseline is deterministic: all k draws are one
-                // value, so every policy order statistic equals the
-                // single score — and re-querying it would only
-                // re-produce that value, so the baseline never enters
-                // the ensemble.
-                ShardBackend::Baseline => {
-                    let score = ctx.baseline.score_features_with(features, single);
-                    let label = Label::from_bool(score >= Detector::threshold(ctx.baseline));
-                    deltas[target].record(score, label);
-                    let answer = (score, label, VerdictConfidence::Confident);
-                    *slot = Verdict::served(position, target, answer);
-                }
-                ShardBackend::Down => unreachable!("crashed shard received a query"),
-            },
+            Ok(()) if ctx.shards[target].model.is_some() => groups[target].push(i),
+            // A serving shard without a model is degraded. The baseline is
+            // deterministic: all k draws are one value, so every policy
+            // order statistic equals the single score — and re-querying
+            // it would only re-produce that value, so the baseline never
+            // enters the ensemble.
+            Ok(()) => {
+                let score = ctx.baseline.score_features_with(features, single);
+                let label = Label::from_bool(score >= Detector::threshold(ctx.baseline));
+                deltas[target].record(score, label);
+                let answer = (score, label, VerdictConfidence::Confident);
+                *slot = Verdict::served(position, target, answer);
+            }
         }
     }
     for (target, group) in groups.iter().enumerate() {
-        let view = ctx.shards[target].view(ctx.requery, ctx.anomaly);
+        let Some(view) = ctx.shards[target].view(ctx.requery, ctx.anomaly) else {
+            continue; // no model, so no stochastic queries
+        };
         let delta = &mut deltas[target];
         let blocked = if ctx.lanes == MAX_LANES {
             group.len() - group.len() % MAX_LANES
@@ -1129,16 +1086,12 @@ impl MonitoringService {
         let shards = (0..config.shards.max(1))
             .map(|id| {
                 let seed = shard_seed(config.seed, id, 0);
-                let (backend, health, reason) = match protect(seed) {
-                    Ok(hmd) => (
-                        ShardBackend::Stochastic(Box::new(hmd)),
-                        ShardHealth::Healthy,
-                        None,
-                    ),
-                    Err(reason) => (ShardBackend::Baseline, ShardHealth::Degraded, Some(reason)),
+                let (model, health, reason) = match protect(seed) {
+                    Ok(hmd) => (Some(Box::new(hmd)), ShardHealth::Healthy, None),
+                    Err(reason) => (None, ShardHealth::Degraded, Some(reason)),
                 };
                 Shard {
-                    backend,
+                    model,
                     state: ShardState::fresh(seed, health, reason),
                 }
             })
@@ -1343,7 +1296,7 @@ impl MonitoringService {
                     state.degraded_reason = None;
                     state.supervision.transition(ShardHealth::Healthy);
                     state.supervision.reset_watchdog(state.faults);
-                    shard.backend = ShardBackend::Stochastic(Box::new(hmd));
+                    shard.model = Some(Box::new(hmd));
                 }
                 Err(reason) => {
                     shard.fail_over(reason);
@@ -1512,14 +1465,12 @@ impl MonitoringService {
             if delta == 0 && requery_delta == 0 {
                 continue;
             }
-            let (offset, k) = match &shard.backend {
-                ShardBackend::Stochastic(hmd) => {
-                    (hmd.offset().unwrap_or(Millivolts::new(0)), detections)
-                }
+            let (offset, k) = match &shard.model {
+                Some(hmd) => (hmd.offset().unwrap_or(Millivolts::new(0)), detections),
                 // A degraded shard serves the baseline at nominal
                 // voltage, and its k draws collapse to one score — it
                 // pays exactly one inference per query.
-                _ => (Millivolts::new(0), 1),
+                None => (Millivolts::new(0), 1),
             };
             let power_w = self
                 .power_model
@@ -1552,23 +1503,16 @@ impl MonitoringService {
     /// excluded — timing is not replayable; compare resumed services with
     /// [`TelemetrySnapshot::without_timing`].
     pub fn checkpoint(&self) -> ServiceCheckpoint {
-        let supervisor = self.supervisor.as_ref().map(|sup| {
-            let state = sup.controller().export_state();
-            SupervisorCheckpoint {
-                calibrated_at_c: state.calibrated_at_c,
-                offset_mv: state.offset.get(),
-            }
-        });
         let shards = self
             .shards
             .iter()
             .map(|shard| ShardCheckpoint {
-                backend: match &shard.backend {
-                    ShardBackend::Stochastic(hmd) => {
-                        BackendCheckpoint::Stochastic(hmd.export_state())
+                backend: match &shard.model {
+                    Some(hmd) => BackendCheckpoint::Stochastic(hmd.export_state()),
+                    None if shard.state.supervision.health == ShardHealth::Degraded => {
+                        BackendCheckpoint::Baseline
                     }
-                    ShardBackend::Baseline => BackendCheckpoint::Baseline,
-                    ShardBackend::Down => BackendCheckpoint::Down,
+                    None => BackendCheckpoint::Down,
                 },
                 state: shard.state.clone(),
             })
@@ -1584,9 +1528,11 @@ impl MonitoringService {
             rejected_queries: self.rejected_queries,
             verdict_checksum: self.verdict_checksum,
             service_power_w: self.service_power_w,
-            requery_band: self.requery.map(|r| r.band),
-            requery_replicas: self.requery.map_or(0, |r| r.replicas as u64),
-            supervisor,
+            requery: self.requery,
+            supervisor: self
+                .supervisor
+                .as_ref()
+                .map(|sup| sup.controller().export_state()),
             shards,
         }
     }
@@ -1619,7 +1565,8 @@ impl MonitoringService {
     /// - [`RestoreError::InvalidState`] when the checkpoint decodes but
     ///   describes a state no live service can hold (corrupt fault
     ///   model, a supervisor config whose recalibration disagrees with
-    ///   the checkpointed offset, a serving shard with no backend).
+    ///   the checkpointed offset, a backend its shard's health does not
+    ///   serve from).
     pub fn restore(
         baseline: &BaselineHmd,
         supervision: Option<SupervisorConfig>,
@@ -1644,19 +1591,15 @@ impl MonitoringService {
             ));
         }
         let supervisor = match (&checkpoint.supervisor, supervision) {
-            (Some(state), Some(config)) => {
+            (Some(saved), Some(config)) => {
                 let mut sup = Supervisor::new(config, checkpoint.target_error_rate)?;
-                let saved = ControllerState {
-                    calibrated_at_c: state.calibrated_at_c,
-                    offset: Millivolts::new(state.offset_mv),
-                };
-                sup.controller_mut().restore_state(&saved)?;
+                sup.controller_mut().restore_state(saved)?;
                 let offset = sup.controller().offset();
                 if offset != saved.offset {
                     return Err(RestoreError::InvalidState(format!(
-                        "recalibrated offset {offset} disagrees with checkpointed {} mV — \
+                        "recalibrated offset {offset} disagrees with checkpointed {} — \
                          the supervisor config does not match this checkpoint",
-                        state.offset_mv
+                        saved.offset
                     )));
                 }
                 Some(sup)
@@ -1669,18 +1612,30 @@ impl MonitoringService {
         for (id, shard) in checkpoint.shards.iter().enumerate() {
             let state = &shard.state;
             let invalid = |what: String| RestoreError::InvalidState(format!("shard {id}: {what}"));
+            // Health alone says what a shard serves from (see `Shard`), so
+            // a backend its health does not serve from is no live state.
             let health = state.supervision.health;
-            let backend = match &shard.backend {
-                BackendCheckpoint::Stochastic(hmd) => {
+            let model = match (&shard.backend, health) {
+                (
+                    BackendCheckpoint::Stochastic(hmd),
+                    ShardHealth::Healthy | ShardHealth::Drifting | ShardHealth::Recovering,
+                ) => {
                     let hmd = StochasticHmd::from_state(baseline, hmd.clone(), state.seed)
                         .map_err(|e| invalid(e.to_string()))?;
-                    ShardBackend::Stochastic(Box::new(hmd))
+                    Some(Box::new(hmd))
                 }
-                BackendCheckpoint::Baseline => ShardBackend::Baseline,
-                BackendCheckpoint::Down if health.is_serving() => {
-                    return Err(invalid(format!("{health} but has no backend")));
+                (BackendCheckpoint::Baseline, ShardHealth::Degraded)
+                | (BackendCheckpoint::Down, ShardHealth::Crashed | ShardHealth::Quarantined) => {
+                    None
                 }
-                BackendCheckpoint::Down => ShardBackend::Down,
+                (backend, _) => {
+                    let kind = match backend {
+                        BackendCheckpoint::Stochastic(_) => "a stochastic",
+                        BackendCheckpoint::Baseline => "a baseline",
+                        BackendCheckpoint::Down => "no",
+                    };
+                    return Err(invalid(format!("{health} but has {kind} backend")));
+                }
             };
             // Window bases are earlier readings of their counters; one
             // past its counter would underflow the next window.
@@ -1694,7 +1649,7 @@ impl MonitoringService {
                 return Err(invalid("power window starts past the query count".into()));
             }
             shards.push(Shard {
-                backend,
+                model,
                 state: state.clone(),
             });
         }
@@ -1718,12 +1673,9 @@ impl MonitoringService {
             // Wall-clock only, so not part of the checkpoint: any width
             // resumes the stream bit-identically.
             lanes: DEFAULT_LANES,
-            requery: checkpoint.requery_band.map(|band| RequeryConfig {
-                band,
-                replicas: usize::try_from(checkpoint.requery_replicas.max(1))
-                    .unwrap_or(MAX_REQUERY_REPLICAS)
-                    .clamp(1, MAX_REQUERY_REPLICAS),
-            }),
+            requery: checkpoint
+                .requery
+                .map(|r| RequeryConfig::new(r.band, r.effective_replicas())),
         };
         let mut service = Self::assemble(baseline, &config, shards);
         service.supervisor = supervisor;
@@ -1768,12 +1720,7 @@ impl MonitoringService {
 
     /// Snapshots the service-wide telemetry.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let shards: Vec<ShardReport> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(id, shard)| shard.report(id))
-            .collect();
+        let shards: Vec<ShardState> = self.shards.iter().map(|s| s.state.clone()).collect();
         TelemetrySnapshot {
             seed: self.seed,
             policy: self.policy.to_string(),
@@ -2212,19 +2159,15 @@ mod tests {
                 .install_anomaly_scorer(anomaly.clone())
                 .expect("matching width");
             // Degrade one shard in place, as a failed calibration would.
-            service.shards[degraded].backend = ShardBackend::Baseline;
+            service.shards[degraded].fail_over("calibration failed".to_string());
             let mut verdicts = Vec::new();
             for chunk in features.chunks(batch_size) {
                 verdicts.extend(service.process_feature_batch(chunk));
             }
             assert_eq!(verdicts, expected, "verdicts differ at {lanes} lanes");
             let snapshot = service.snapshot();
-            for (report, faults) in snapshot.shards.iter().zip(&expected_faults) {
-                assert_eq!(
-                    report.faults, *faults,
-                    "shard {} faults at {lanes} lanes",
-                    report.shard
-                );
+            for (id, (shard, faults)) in snapshot.shards.iter().zip(&expected_faults).enumerate() {
+                assert_eq!(shard.faults, *faults, "shard {id} faults at {lanes} lanes");
             }
             assert_eq!(
                 snapshot.shards.iter().map(|s| s.band_hits).sum::<u64>(),
@@ -2459,8 +2402,7 @@ mod tests {
         assert_eq!(snapshot.degraded_shards(), 3);
         assert_eq!(snapshot.degradation_events, 3);
         for shard in &snapshot.shards {
-            assert!(shard.degraded);
-            assert_eq!(shard.health, ShardHealth::Degraded);
+            assert_eq!(shard.supervision.health, ShardHealth::Degraded);
             let reason = shard.degraded_reason.as_deref().expect("reason recorded");
             assert!(reason.contains("unreachable"), "got {reason}");
         }
@@ -2671,6 +2613,24 @@ mod tests {
             shard.state.supervision.health = ShardHealth::Quarantined;
         }
         assert_eq!(restore_err(&dark), "no shard is serving");
+        // Health alone says what a shard serves from, so a backend that
+        // disagrees with it is no live state.
+        let stochastic = unsupervised.shards[0].backend.clone();
+        for (backend, health) in [
+            (BackendCheckpoint::Baseline, ShardHealth::Healthy),
+            (stochastic.clone(), ShardHealth::Degraded),
+            (stochastic, ShardHealth::Quarantined),
+            (BackendCheckpoint::Down, ShardHealth::Degraded),
+        ] {
+            let mut mismatched = unsupervised.clone();
+            mismatched.shards[0].backend = backend;
+            mismatched.shards[0].state.supervision.health = health;
+            let reason = restore_err(&mismatched);
+            assert!(
+                reason.starts_with(&format!("shard 0: {health} but has")),
+                "{reason}"
+            );
+        }
         let mut window = unsupervised.clone();
         window.shards[0].state.supervision.window_mark.faulty =
             window.shards[0].state.faults.faulty + 1;
@@ -2725,14 +2685,10 @@ mod tests {
         service.process_stream(&stream(&dataset, 64));
         let snapshot = service.snapshot();
         assert!(snapshot.total_energy_uj() > 0.0, "energy accrues per batch");
-        for shard in &snapshot.shards {
-            assert!(
-                shard.energy_uj > 0.0,
-                "shard {} accrued no energy",
-                shard.shard
-            );
+        for (id, shard) in snapshot.shards.iter().enumerate() {
+            assert!(shard.energy_uj > 0.0, "shard {id} accrued no energy");
             let power = shard
-                .power_w
+                .last_power_w
                 .expect("busy power recorded after first batch");
             assert!(
                 power > 0.0 && power < 11.0,
@@ -2847,14 +2803,13 @@ mod tests {
         let snapshot = service.snapshot();
         // One step per tick from 0.2 ratchets every shard to the 0.30
         // band cap within the run.
-        for shard in &snapshot.shards {
+        for (id, shard) in snapshot.shards.iter().enumerate() {
             assert_eq!(
                 shard.power_target_er,
                 Some(0.30),
-                "shard {} stopped short of the band cap",
-                shard.shard
+                "shard {id} stopped short of the band cap"
             );
-            let power = shard.power_w.expect("busy power recorded");
+            let power = shard.last_power_w.expect("busy power recorded");
             assert!(power < 11.0, "deepened shard still at nominal power");
         }
         assert_eq!(
@@ -3211,12 +3166,10 @@ mod tests {
                 .shards
                 .iter()
                 .map(|shard| {
-                    let model = match &shard.backend {
-                        ShardBackend::Stochastic(hmd) => {
-                            hmd.offset().map(|o| (o, hmd.error_rate().to_bits()))
-                        }
-                        _ => None,
-                    };
+                    let model = shard
+                        .model
+                        .as_ref()
+                        .and_then(|hmd| hmd.offset().map(|o| (o, hmd.error_rate().to_bits())));
                     (shard.state.clone(), model)
                 })
                 .collect();

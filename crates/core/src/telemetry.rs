@@ -9,9 +9,11 @@
 //!
 //! - [`ScoreHistogram`] — the score distribution per shard, the §VI
 //!   confidence-distribution view taken continuously instead of offline;
-//! - [`ShardReport`] — one replica's counters: queries, flags, fault
-//!   counts folded from its per-query fault streams, and its degradation
-//!   state;
+//! - [`ShardState`] — one replica's whole durable record, the very one
+//!   the service keeps and a checkpoint stores: queries, flags, fault
+//!   counts folded from its per-query fault streams, energy, and the
+//!   supervision record — health, what the watchdog saw (its reference
+//!   rate and window mark) and the retry schedule;
 //! - [`TelemetrySnapshot`] — the service-wide report, exported as JSON
 //!   ([`TelemetrySnapshot::to_json`]) for an operator's dashboard; the
 //!   service itself never reads a snapshot back.
@@ -26,6 +28,7 @@
 //! can exceed 2⁵³ (derived seeds, checksums) are emitted as decimal
 //! strings to stay integer-exact in any reader.
 
+use crate::checkpoint::ShardState;
 use crate::json;
 use crate::supervisor::ShardHealth;
 pub use shmd_volt::fault::FaultCounters;
@@ -87,56 +90,6 @@ impl Default for ScoreHistogram {
     }
 }
 
-/// One shard's telemetry: a replica's counters and degradation state.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardReport {
-    /// Shard index within the service.
-    pub shard: usize,
-    /// The shard's derived RNG seed (current generation).
-    pub seed: u64,
-    /// `true` when the shard is currently serving from the baseline
-    /// fallback instead of its stochastic replica.
-    pub degraded: bool,
-    /// Why the shard degraded, when it did.
-    pub degraded_reason: Option<String>,
-    /// The shard's supervision health state.
-    pub health: ShardHealth,
-    /// Health transitions since deployment.
-    pub transitions: u64,
-    /// Crashes (freeze or chaos) since deployment.
-    pub crashes: u64,
-    /// Watchdog drift detections since deployment.
-    pub drift_events: u64,
-    /// Recalibration retries attempted since deployment.
-    pub retries: u64,
-    /// Queries this shard answered.
-    pub queries: u64,
-    /// Queries this shard flagged as malware.
-    pub flags: u64,
-    /// Verdicts whose primary score landed inside the uncertainty-aware
-    /// re-query confidence band (0 while re-query is disabled).
-    pub band_hits: u64,
-    /// Ensemble replica draws this shard spent on re-queries.
-    pub requeries: u64,
-    /// Fault-injection counters folded from the shard's per-query fault
-    /// streams, across every backend generation.
-    pub faults: FaultCounters,
-    /// Distribution of the shard's policy-aggregated scores.
-    pub histogram: ScoreHistogram,
-    /// Cumulative detection energy this shard spent, microjoules —
-    /// `queries × modelled latency × core power at the shard's live
-    /// offset`, accrued on the supervision thread at batch boundaries so
-    /// the figure is a deterministic function of the query stream (see
-    /// DESIGN.md §13).
-    pub energy_uj: f64,
-    /// Core power (watts) at the shard's offset when the supervisor last
-    /// accrued energy; `None` before the first accrual.
-    pub power_w: Option<f64>,
-    /// The per-shard error-rate target the power scheduler last assigned;
-    /// `None` when no budget policy is installed.
-    pub power_target_er: Option<f64>,
-}
-
 /// A serialisable snapshot of the whole monitoring service.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -172,8 +125,8 @@ pub struct TelemetrySnapshot {
     /// last supervision tick; `None` before the first tick or without a
     /// budget policy.
     pub service_power_w: Option<f64>,
-    /// Per-shard reports, in shard order.
-    pub shards: Vec<ShardReport>,
+    /// Per-shard records, in shard order: a shard's id is its index.
+    pub shards: Vec<ShardState>,
     /// Wall-clock per batch, microseconds, for the most recent batches
     /// only (the service keeps a sliding window of
     /// [`crate::serve::BATCH_LATENCY_WINDOW`] entries so a long-lived
@@ -185,32 +138,35 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// Shards currently serving degraded (baseline fallback).
     pub fn degraded_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.degraded).count()
+        self.shards_in(ShardHealth::Degraded)
     }
 
     /// Shards currently in the given health state.
     pub fn shards_in(&self, health: ShardHealth) -> usize {
-        self.shards.iter().filter(|s| s.health == health).count()
+        self.shards
+            .iter()
+            .filter(|s| s.supervision.health == health)
+            .count()
     }
 
     /// Health transitions summed over all shards.
     pub fn total_transitions(&self) -> u64 {
-        self.shards.iter().map(|s| s.transitions).sum()
+        self.shards.iter().map(|s| s.supervision.transitions).sum()
     }
 
     /// Crashes summed over all shards.
     pub fn total_crashes(&self) -> u64 {
-        self.shards.iter().map(|s| s.crashes).sum()
+        self.shards.iter().map(|s| s.supervision.crashes).sum()
     }
 
     /// Watchdog drift detections summed over all shards.
     pub fn total_drift_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.drift_events).sum()
+        self.shards.iter().map(|s| s.supervision.drift_events).sum()
     }
 
     /// Recalibration retries summed over all shards.
     pub fn total_retries(&self) -> u64 {
-        self.shards.iter().map(|s| s.retries).sum()
+        self.shards.iter().map(|s| s.supervision.retries).sum()
     }
 
     /// Fault counters summed over all shards.
@@ -251,7 +207,9 @@ impl TelemetrySnapshot {
     }
 
     /// Renders the snapshot as JSON. Seeds and the checksum are decimal
-    /// strings; absent and non-finite power figures are `null`.
+    /// strings; absent and non-finite power figures are `null`. Each
+    /// shard's `shard` is its index, `degraded` says whether its health is
+    /// `Degraded`, and `power_w` is its last accrual's power.
     pub fn to_json(&self) -> String {
         json::document(|w| {
             w.field("snapshot", "stochastic-hmd-serve");
@@ -273,16 +231,17 @@ impl TelemetrySnapshot {
                 self.mean_batch_latency_micros(),
             );
             w.array("batch_latency_micros", &self.batch_latency_micros);
-            w.objects("shards", &self.shards, |w, s| {
-                w.field("shard", s.shard);
+            w.objects("shards", self.shards.iter().enumerate(), |w, (id, s)| {
+                let sup = &s.supervision;
+                w.field("shard", id);
                 w.u64_string("seed", s.seed);
-                w.field("degraded", s.degraded);
+                w.field("degraded", sup.health == ShardHealth::Degraded);
                 w.field("degraded_reason", s.degraded_reason.as_deref());
-                w.field("health", s.health.as_str());
-                w.field("transitions", s.transitions);
-                w.field("crashes", s.crashes);
-                w.field("drift_events", s.drift_events);
-                w.field("retries", s.retries);
+                w.field("health", sup.health.as_str());
+                w.field("transitions", sup.transitions);
+                w.field("crashes", sup.crashes);
+                w.field("drift_events", sup.drift_events);
+                w.field("retries", sup.retries);
                 w.field("queries", s.queries);
                 w.field("flags", s.flags);
                 w.field("band_hits", s.band_hits);
@@ -291,7 +250,7 @@ impl TelemetrySnapshot {
                 w.field("faulty", s.faults.faulty);
                 w.field("bit_flips", s.faults.bit_flips);
                 w.field("energy_uj", s.energy_uj);
-                w.field("power_w", s.power_w);
+                w.field("power_w", s.last_power_w);
                 w.field("power_target_er", s.power_target_er);
                 w.array("histogram", s.histogram.counts());
             });
@@ -302,6 +261,7 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::SupervisionRecord;
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let mut histogram = ScoreHistogram::new();
@@ -322,16 +282,7 @@ mod tests {
             power_budget_w: Some(40.0),
             service_power_w: Some(16.5),
             shards: vec![
-                ShardReport {
-                    shard: 0,
-                    seed: u64::MAX / 3,
-                    degraded: false,
-                    degraded_reason: None,
-                    health: ShardHealth::Healthy,
-                    transitions: 0,
-                    crashes: 0,
-                    drift_events: 0,
-                    retries: 0,
+                ShardState {
                     queries: 2,
                     flags: 1,
                     band_hits: 1,
@@ -343,28 +294,25 @@ mod tests {
                     },
                     histogram: histogram.clone(),
                     energy_uj: 1234.5,
-                    power_w: Some(8.25),
+                    last_power_w: Some(8.25),
                     power_target_er: Some(0.12),
+                    ..ShardState::fresh(u64::MAX / 3, ShardHealth::Healthy, None)
                 },
-                ShardReport {
-                    shard: 1,
-                    seed: 7,
-                    degraded: true,
-                    degraded_reason: Some("error rate 0.99 unreachable \"before\" freeze".into()),
-                    health: ShardHealth::Degraded,
-                    transitions: 3,
-                    crashes: 1,
-                    drift_events: 2,
-                    retries: 4,
+                ShardState {
+                    supervision: SupervisionRecord {
+                        transitions: 3,
+                        crashes: 1,
+                        drift_events: 2,
+                        retries: 4,
+                        ..SupervisionRecord::starting(ShardHealth::Degraded)
+                    },
                     queries: 1,
                     flags: 1,
-                    band_hits: 0,
-                    requeries: 0,
-                    faults: FaultCounters::default(),
-                    histogram: ScoreHistogram::new(),
-                    energy_uj: 0.0,
-                    power_w: None,
-                    power_target_er: None,
+                    ..ShardState::fresh(
+                        7,
+                        ShardHealth::Degraded,
+                        Some("error rate 0.99 unreachable \"before\" freeze".into()),
+                    )
                 },
             ],
             batch_latency_micros: vec![120, 95],

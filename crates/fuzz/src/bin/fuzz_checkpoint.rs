@@ -10,7 +10,8 @@
 //! with a crash and a power budget), re-encodes them, then decodes,
 //! restores and serves them. Shard ids that lie about their position must
 //! fail decoding typed; every other rewrite must end in a typed
-//! `RestoreError` or a service that answers one batch.
+//! `RestoreError` or a service that answers one batch, and at least one
+//! rewrite of each base must serve.
 //!
 //! Any panic kills the process, which is the failure signal.
 
@@ -91,8 +92,10 @@ fn main() {
             }
         }
     }
+    // Restores that served a batch, per base.
+    let mut served = [0usize; 2];
     for _ in 0..args.iters {
-        for (base, config) in &bases {
+        for ((base, config), served) in bases.iter().zip(&mut served) {
             for rewritten in rewrites(base, &mut rng, 64) {
                 let decoded = ServiceCheckpoint::decode(&rewritten.encode())
                     .expect("a re-encoded checkpoint decodes");
@@ -107,12 +110,21 @@ fn main() {
                         let verdicts = service.process_feature_batch(&corpus.features);
                         assert_eq!(verdicts.len(), corpus.features.len());
                         fields.record(false);
+                        *served += 1;
                     }
                 }
             }
         }
     }
     println!("{}", fields.summary("checkpoint fields"));
+    // Restore rejects a backend its shard's health does not serve from,
+    // so most rewrites fail typed; the pass must still reach serving.
+    if args.iters > 0 {
+        assert!(
+            served.iter().all(|&n| n > 0),
+            "a base checkpoint had no rewrite restore and serve: {served:?}"
+        );
+    }
 }
 
 /// Encodings of `checkpoint` whose shard id words lie about their

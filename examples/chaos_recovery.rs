@@ -92,14 +92,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.total_transitions(),
         snapshot.rejected_queries
     );
-    for shard in &snapshot.shards {
+    for (id, shard) in snapshot.shards.iter().enumerate() {
+        let sup = &shard.supervision;
         println!(
-            "  shard {}: {:<9} {} queries, {} crashes, {} retries{}",
-            shard.shard,
-            shard.health.to_string(),
+            "  shard {id}: {:<9} {} queries, {} crashes, {} retries{}",
+            sup.health.to_string(),
             shard.queries,
-            shard.crashes,
-            shard.retries,
+            sup.crashes,
+            sup.retries,
             shard
                 .degraded_reason
                 .as_deref()

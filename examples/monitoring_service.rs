@@ -77,10 +77,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.total_faults().multiplies,
         snapshot.total_faults().observed_error_rate()
     );
-    for shard in &snapshot.shards {
+    for (id, shard) in snapshot.shards.iter().enumerate() {
         println!(
-            "  shard {}: {} queries, {} flags, degraded = {}",
-            shard.shard, shard.queries, shard.flags, shard.degraded
+            "  shard {id}: {} queries, {} flags, health = {}",
+            shard.queries, shard.flags, shard.supervision.health
         );
     }
 

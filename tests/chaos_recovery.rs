@@ -69,9 +69,9 @@ fn scripted_crash_is_quarantined_rerouted_and_recovered() {
     let snapshot = service.snapshot();
     assert_eq!(snapshot.queries, 120, "every query answered");
     assert_eq!(snapshot.total_crashes(), 1);
-    assert_eq!(snapshot.shards[1].crashes, 1);
+    assert_eq!(snapshot.shards[1].supervision.crashes, 1);
     assert!(
-        snapshot.shards[1].retries >= 1,
+        snapshot.shards[1].supervision.retries >= 1,
         "recovery used the retry path"
     );
     assert_eq!(
@@ -123,7 +123,7 @@ fn freeze_crashes_the_pool_and_the_last_shard_fails_over() {
     let degraded = snapshot
         .shards
         .iter()
-        .find(|s| s.health == ShardHealth::Degraded)
+        .find(|s| s.supervision.health == ShardHealth::Degraded)
         .expect("one shard degraded");
     let reason = degraded.degraded_reason.as_deref().expect("cause recorded");
     assert!(reason.contains("froze"), "got {reason}");
@@ -162,7 +162,10 @@ fn exhausted_retry_budget_degrades_to_baseline() {
     assert_eq!(healths[1], ShardHealth::Healthy);
     assert_eq!(healths[2], ShardHealth::Healthy);
     let snapshot = service.snapshot();
-    assert_eq!(snapshot.shards[0].retries, 3, "exactly the budget, no more");
+    assert_eq!(
+        snapshot.shards[0].supervision.retries, 3,
+        "exactly the budget, no more"
+    );
     let reason = snapshot.shards[0]
         .degraded_reason
         .as_deref()

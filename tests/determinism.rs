@@ -7,7 +7,7 @@ use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
 use stochastic_hmd::detector::Detector;
 use stochastic_hmd::exec::{derive_seed, ExecConfig};
-use stochastic_hmd::explore::accuracy_sweep_with;
+use stochastic_hmd::explore::accuracy_sweep;
 use stochastic_hmd::stochastic::StochasticHmd;
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
 
@@ -103,9 +103,9 @@ fn accuracy_sweep_is_thread_count_invariant() {
     let grid = [0.0, 0.1, 0.5];
     let cfg = HmdTrainConfig::fast();
     let serial =
-        accuracy_sweep_with(&d, &grid, 4, &cfg, 42, &ExecConfig::serial()).expect("serial sweep");
-    let parallel = accuracy_sweep_with(&d, &grid, 4, &cfg, 42, &ExecConfig::threads(8))
-        .expect("parallel sweep");
+        accuracy_sweep(&d, &grid, 4, &cfg, 42, &ExecConfig::serial()).expect("serial sweep");
+    let parallel =
+        accuracy_sweep(&d, &grid, 4, &cfg, 42, &ExecConfig::threads(8)).expect("parallel sweep");
     assert_eq!(serial, parallel);
 }
 

@@ -10,14 +10,22 @@ use shmd_volt::voltage::{Millivolts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use stochastic_hmd::explore::accuracy_sweep;
 use stochastic_hmd::train::HmdTrainConfig;
+use stochastic_hmd::ExecConfig;
 
 #[test]
 fn claim_accuracy_loss_is_small_at_the_operating_point() {
     // "Stochastic-HMDs can detect ... with a negligible (i.e., < 2%)
     // accuracy loss" — allow extra slack at this test's tiny scale.
     let dataset = Dataset::generate(&DatasetConfig::small(100), 1);
-    let points = accuracy_sweep(&dataset, &[0.0, 0.1], 5, &HmdTrainConfig::fast(), 3)
-        .expect("sweep succeeds");
+    let points = accuracy_sweep(
+        &dataset,
+        &[0.0, 0.1],
+        5,
+        &HmdTrainConfig::fast(),
+        3,
+        &ExecConfig::auto(),
+    )
+    .expect("sweep succeeds");
     let loss = points[0].accuracy_mean - points[1].accuracy_mean;
     assert!(loss < 0.06, "accuracy loss at er = 0.1: {loss}");
 }
@@ -27,8 +35,15 @@ fn claim_degradation_diverges_as_error_rate_approaches_one() {
     // Fig. 2(a): "the accuracy degradation diverges ... as the error rate
     // approaches 1; the relationship is not linear."
     let dataset = Dataset::generate(&DatasetConfig::small(100), 2);
-    let points = accuracy_sweep(&dataset, &[0.1, 0.5, 1.0], 4, &HmdTrainConfig::fast(), 3)
-        .expect("sweep succeeds");
+    let points = accuracy_sweep(
+        &dataset,
+        &[0.1, 0.5, 1.0],
+        4,
+        &HmdTrainConfig::fast(),
+        3,
+        &ExecConfig::auto(),
+    )
+    .expect("sweep succeeds");
     let early_drop = points[0].accuracy_mean - points[1].accuracy_mean;
     let late_drop = points[1].accuracy_mean - points[2].accuracy_mean;
     assert!(

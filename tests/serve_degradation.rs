@@ -13,7 +13,7 @@ use stochastic_hmd::detector::Detector;
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
-use stochastic_hmd::BaselineHmd;
+use stochastic_hmd::{BaselineHmd, ShardHealth};
 
 fn setup() -> (Dataset, BaselineHmd, CalibrationCurve) {
     let dataset = Dataset::generate(&DatasetConfig::small(100), 31);
@@ -64,7 +64,7 @@ fn deploy_time_degradation_serves_the_baseline_and_records_why() {
     assert_eq!(snapshot.degradation_events, 2);
     assert_eq!(snapshot.total_faults().multiplies, 0, "no injector ran");
     for shard in &snapshot.shards {
-        assert!(shard.degraded);
+        assert_eq!(shard.supervision.health, ShardHealth::Degraded);
         assert!(
             shard.degraded_reason.is_some(),
             "telemetry records the cause"
