@@ -586,12 +586,6 @@ impl RequeryOutcome {
         self.acc_clean - self.acc_noisy
     }
 
-    /// Whether the recovery gate holds: at least half the lost accuracy
-    /// recovered, or nothing meaningful was lost.
-    pub fn recovers_half(&self) -> bool {
-        self.lost() < TINY_LOSS || self.recovered >= 0.5
-    }
-
     /// Extra ensemble draws per served query — the defender's honest
     /// re-query bill.
     pub fn requery_rate(&self) -> f64 {
@@ -853,43 +847,83 @@ pub struct ArenaMatrix {
     pub elapsed_s: f64,
 }
 
-impl ArenaMatrix {
-    /// Mean transfer success against the live service at one error rate.
-    pub fn service_success_at(&self, er: f64) -> f64 {
-        let cells: Vec<&TransferCell> = self
-            .transfer
-            .iter()
-            .filter(|c| c.victim == "service" && (c.error_rate - er).abs() < 1e-12)
-            .collect();
-        if cells.is_empty() {
-            return 0.0;
-        }
-        cells.iter().map(|c| c.success).sum::<f64>() / cells.len() as f64
-    }
+/// Mean transfer success over the live-service cells whose error rate
+/// `keep` accepts; 0 when there are none.
+fn service_success(transfer: &[TransferCell], keep: impl Fn(f64) -> bool) -> f64 {
+    let (n, sum) = transfer
+        .iter()
+        .filter(|c| c.victim == "service" && keep(c.error_rate))
+        .fold((0u32, 0.0), |(n, sum), c| (n + 1, sum + c.success));
+    sum / f64::from(n.max(1))
+}
 
-    /// Mean transfer success pooled over every live-service cell with
-    /// `error_rate >= min_er` — the undervolted side of the Figure-4
-    /// comparison, pooled across rates and attacker families so the gate
-    /// rides the trend rather than one small-sample cell.
-    pub fn pooled_service_success(&self, min_er: f64) -> f64 {
-        let cells: Vec<&TransferCell> = self
-            .transfer
-            .iter()
-            .filter(|c| c.victim == "service" && c.error_rate >= min_er)
-            .collect();
-        if cells.is_empty() {
-            return 0.0;
-        }
-        cells.iter().map(|c| c.success).sum::<f64>() / cells.len() as f64
-    }
-
-    /// The denoising cost curve's monotonicity gate: required
-    /// queries-per-sample never drops as the delivered error rate grows.
-    pub fn denoise_monotone(&self) -> bool {
-        self.denoise
-            .windows(2)
-            .all(|w| w[0].curve.required_or_saturated() <= w[1].curve.required_or_saturated())
-    }
+/// The `arena_bench --check` gates, one message per failed gate, in this
+/// order:
+///
+/// 1. the denoising attacker's required queries-per-sample never drops as
+///    the delivered error rate grows;
+/// 2. mean transfer success against the undervolted live service, pooled
+///    over every cell at er ≥ 0.1 so the gate rides the Figure-4 trend
+///    rather than one small-sample cell, does not exceed the mean against
+///    the fault-free service (er = 0);
+/// 3. the ensemble re-query recovers at least half the accuracy the
+///    band-edge error rate cost, unless less than [`TINY_LOSS`] was lost;
+/// 4. the re-query replay on `threads` workers is bit-identical to the
+///    serial one;
+/// 5. the mid-arena checkpoint/restore converges to the uninterrupted run;
+/// 6. pure workload drift never fires the delivered-rate watchdog;
+/// 7. the drift replay is thread-invariant.
+pub fn failures(matrix: &ArenaMatrix, threads: usize) -> Vec<String> {
+    let rq = &matrix.requery;
+    let d = &matrix.drift;
+    let required = |c: &DenoiseCell| c.curve.required_or_saturated();
+    let monotone = matrix
+        .denoise
+        .windows(2)
+        .all(|w| required(&w[0]) <= required(&w[1]));
+    let base_success = service_success(&matrix.transfer, |er| er.abs() < 1e-12);
+    let undervolted = service_success(&matrix.transfer, |er| er >= 0.1);
+    let recovers_half = rq.lost() < TINY_LOSS || rq.recovered >= 0.5;
+    let gates = [
+        (!monotone).then(|| {
+            let curve: Vec<_> = matrix
+                .denoise
+                .iter()
+                .map(|c| (c.error_rate, c.curve.required))
+                .collect();
+            format!("denoising cost curve not monotone in error rate: {curve:?}")
+        }),
+        (undervolted > base_success + 1e-9).then(|| {
+            format!(
+                "pooled transfer success {undervolted:.3} against undervolted \
+                 victims (er >= 0.1) exceeds the fault-free baseline {base_success:.3}"
+            )
+        }),
+        (!recovers_half).then(|| {
+            format!(
+                "re-query recovered only {:.0}% of the {:.3} accuracy lost \
+                 (clean {:.3}, noisy {:.3}, requery {:.3})",
+                rq.recovered * 100.0,
+                rq.lost(),
+                rq.acc_clean,
+                rq.acc_noisy,
+                rq.acc_requery
+            )
+        }),
+        (!rq.thread_invariant)
+            .then(|| format!("re-query replay diverged between serial and {threads} threads")),
+        (!rq.restore_identical)
+            .then(|| "mid-arena checkpoint/restore diverged from the original run".to_string()),
+        (d.drift_events != 0).then(|| {
+            format!(
+                "pure workload drift fired the delivered-rate watchdog {} times",
+                d.drift_events
+            )
+        }),
+        (!d.thread_invariant)
+            .then(|| "drift replay diverged between serial and threaded".to_string()),
+    ];
+    gates.into_iter().flatten().collect()
 }
 
 /// Runs the whole arena at one seed.
@@ -1002,6 +1036,7 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
 
@@ -1051,9 +1086,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn json_document_is_pinned() {
-        let matrix = ArenaMatrix {
+    fn pinned_matrix() -> ArenaMatrix {
+        ArenaMatrix {
             denoise_target: 0.85,
             denoise: vec![DenoiseCell {
                 error_rate: 0.1,
@@ -1106,7 +1140,12 @@ mod tests {
                 thread_invariant: true,
             },
             elapsed_s: 1.5,
-        };
+        }
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let matrix = pinned_matrix();
         let doc = render_json(&matrix, 42, "fast", 8);
         let want = r#"{
   "bench": "adaptive_arena",
@@ -1134,28 +1173,63 @@ mod tests {
     }
 
     #[test]
-    fn requery_gate_logic() {
-        let mut rq = RequeryOutcome {
-            error_rate: 0.3,
-            band: 0.15,
-            replicas: 14,
-            acc_clean: 0.95,
-            acc_noisy: 0.85,
-            acc_requery: 0.90,
-            recovered: 0.5,
-            band_hits: 0,
-            requeries: 0,
-            served: 0,
-            serial_checksum: 0,
-            threaded_checksum: 0,
-            thread_invariant: true,
-            restore_identical: true,
-        };
-        assert!(rq.recovers_half());
-        rq.recovered = 0.49;
-        assert!(!rq.recovers_half());
-        // Tiny loss: trivially recovered.
-        rq.acc_noisy = rq.acc_clean - 0.01;
-        assert!(rq.recovers_half());
+    fn every_gate_fails_alone() {
+        // The pinned matrix attacks only the undervolted service; give it
+        // a fault-free cell as successful, so the transfer gate passes.
+        let mut passing = pinned_matrix();
+        let mut fault_free = passing.transfer[0].clone();
+        fault_free.error_rate = 0.0;
+        passing.transfer.push(fault_free);
+        let gates = |m: &ArenaMatrix| failures(m, 8);
+        each_gate_fails_alone(
+            &passing,
+            gates,
+            &[
+                (
+                    |m| {
+                        let mut deeper = m.denoise[0].clone();
+                        deeper.error_rate = 0.3;
+                        deeper.curve.required = Some(2);
+                        m.denoise.push(deeper);
+                    },
+                    "denoising cost curve not monotone in error rate: \
+                     [(0.1, Some(3)), (0.3, Some(2))]",
+                ),
+                (
+                    |m| m.transfer[1].success = 0.2,
+                    "pooled transfer success 0.250 against undervolted victims \
+                     (er >= 0.1) exceeds the fault-free baseline 0.200",
+                ),
+                (
+                    |m| m.requery.recovered = 0.49,
+                    "re-query recovered only 49% of the 0.100 accuracy lost \
+                     (clean 0.950, noisy 0.850, requery 0.920)",
+                ),
+                (
+                    |m| m.requery.thread_invariant = false,
+                    "re-query replay diverged between serial and 8 threads",
+                ),
+                (
+                    |m| m.requery.restore_identical = false,
+                    "mid-arena checkpoint/restore diverged from the original run",
+                ),
+                (
+                    |m| m.drift.drift_events = 2,
+                    "pure workload drift fired the delivered-rate watchdog 2 times",
+                ),
+                (
+                    |m| m.drift.thread_invariant = false,
+                    "drift replay diverged between serial and threaded",
+                ),
+            ],
+        );
+        // The recovery gate's edges: exactly half recovered passes, and so
+        // does any recovery when less than `TINY_LOSS` was lost.
+        let mut rq = passing.clone();
+        rq.requery.recovered = 0.5;
+        assert_eq!(gates(&rq), Vec::<String>::new());
+        rq.requery.recovered = 0.49;
+        rq.requery.acc_noisy = rq.requery.acc_clean - 0.01;
+        assert_eq!(gates(&rq), Vec::<String>::new());
     }
 }

@@ -44,11 +44,12 @@
 //! BENCH_2's floor.
 
 use crate::perf::paired_qps;
+use crate::report::failed;
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
 use std::time::Instant;
-use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::exec::{hardware_threads, ExecConfig};
 use stochastic_hmd::json;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, LANE_WIDTHS};
 use stochastic_hmd::BaselineHmd;
@@ -219,6 +220,31 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The `batch_bench --check` gates, one message per failed gate, in this
+/// order per point: the replay must be bit-identical to the one-lane
+/// deployment's, the threaded replay to the serial one, and no shard may
+/// degrade at a reachable target. The width ratio against one lane is
+/// reported, not gated.
+pub fn failures(points: &[BatchPoint]) -> Vec<String> {
+    points
+        .iter()
+        .flat_map(|p| {
+            let gates = [
+                (!p.matches_one_lane)
+                    .then(|| "replay diverged from the one-lane deployment".to_string()),
+                (!p.thread_invariant).then(|| "threaded replay diverged from serial".to_string()),
+                (p.degraded_shards != 0).then(|| {
+                    format!(
+                        "{} shards degraded at a reachable target",
+                        p.degraded_shards
+                    )
+                }),
+            ];
+            failed(format!("er {} lanes {}: ", p.error_rate, p.lanes), gates)
+        })
+        .collect()
+}
+
 /// The wall-clock paths of `BENCH_6.json` (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[
     ".results[].one_lane_qps",
@@ -235,7 +261,7 @@ pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize
         w.field("seed", seed);
         w.field("scale", scale);
         w.field("threads", threads);
-        w.field("hardware_threads", crate::serve::hardware_threads());
+        w.field("hardware_threads", hardware_threads());
         w.field("shards", BENCH_BATCH_SHARDS);
         w.field(
             "measurement",
@@ -269,6 +295,7 @@ pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
     use shmd_volt::calibration::{Calibrator, DeviceProfile};
@@ -338,9 +365,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn json_document_is_pinned() {
-        let p = BatchPoint {
+    fn pinned_point() -> BatchPoint {
+        BatchPoint {
             network: "16-8-1".to_string(),
             error_rate: 0.1,
             lanes: 8,
@@ -352,7 +378,34 @@ mod tests {
             matches_one_lane: true,
             thread_invariant: true,
             degraded_shards: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        each_gate_fails_alone(
+            &pinned_point(),
+            |p| failures(std::slice::from_ref(p)),
+            &[
+                (
+                    |p| p.matches_one_lane = false,
+                    "er 0.1 lanes 8: replay diverged from the one-lane deployment",
+                ),
+                (
+                    |p| p.thread_invariant = false,
+                    "er 0.1 lanes 8: threaded replay diverged from serial",
+                ),
+                (
+                    |p| p.degraded_shards = 1,
+                    "er 0.1 lanes 8: 1 shards degraded at a reachable target",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let p = pinned_point();
         let doc = render_json(&[p], 42, "fast", 1);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
@@ -370,7 +423,7 @@ mod tests {
   ]
 }
 "#
-        .replace("HW", &crate::serve::hardware_threads().to_string());
+        .replace("HW", &hardware_threads().to_string());
         assert_eq!(doc, want);
         assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }

@@ -3,21 +3,11 @@
 //! uncertainty-aware ensemble re-query measured as the counter.
 //!
 //! Writes `BENCH_9.json` (override with `--out PATH`) and prints the same
-//! numbers as tables. `--check` exits non-zero when any arena gate fails:
-//!
-//! 1. the denoising attacker's required queries-per-sample is not
-//!    monotone nondecreasing in the delivered error rate;
-//! 2. mean transfer success against the undervolted live service
-//!    (error rate ≥ 0.1) exceeds success against the fault-free victim;
-//! 3. the ensemble re-query recovers less than half the accuracy the
-//!    band-edge error rate cost (unless nothing meaningful was lost);
-//! 4. any scenario is not thread-invariant (serial ≠ threaded replay),
-//!    the mid-arena checkpoint/restore diverges, or pure workload drift
-//!    fires the delivered-rate watchdog.
-//!
-//! Under `--check` with several threads the arena is also re-run serially,
-//! and its document must match outside `threads` and `timing`. CI runs
-//! `--fast --threads 8 --check` as the arena smoke test.
+//! numbers as tables. `--check` exits non-zero if any gate of
+//! `arena::failures` fails. Under `--check` with several threads the arena
+//! is also re-run serially, and its document must match outside `threads`
+//! and `timing`. CI runs `--fast --threads 8 --check` as the arena smoke
+//! test.
 
 use hmd_bench::arena::{self, ArenaPlan};
 use hmd_bench::report::BenchRun;
@@ -25,7 +15,7 @@ use hmd_bench::{setup, table};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_9.json");
+    let run = BenchRun::from_env("BENCH_9.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let dataset = setup::dataset(&args);
@@ -142,59 +132,11 @@ fn main() {
         table::verdict(d.thread_invariant, "yes", "NO"),
     ]);
 
-    let doc = render(&matrix, exec.thread_count());
-    run.write(&doc);
-    if !matrix.denoise_monotone() {
-        run.fail(format!(
-            "denoising cost curve not monotone in error rate: {:?}",
-            matrix
-                .denoise
-                .iter()
-                .map(|c| (c.error_rate, c.curve.required))
-                .collect::<Vec<_>>()
-        ));
-    }
-    let base_success = matrix.service_success_at(0.0);
-    let undervolted = matrix.pooled_service_success(0.1);
-    if undervolted > base_success + 1e-9 {
-        run.fail(format!(
-            "pooled transfer success {undervolted:.3} against undervolted \
-             victims (er >= 0.1) exceeds the fault-free baseline {base_success:.3}"
-        ));
-    }
-    if !rq.recovers_half() {
-        run.fail(format!(
-            "re-query recovered only {:.0}% of the {:.3} accuracy lost \
-             (clean {:.3}, noisy {:.3}, requery {:.3})",
-            rq.recovered * 100.0,
-            rq.lost(),
-            rq.acc_clean,
-            rq.acc_noisy,
-            rq.acc_requery
-        ));
-    }
-    if !rq.thread_invariant {
-        run.fail(format!(
-            "re-query replay diverged between serial and {} threads",
-            exec.thread_count()
-        ));
-    }
-    if !rq.restore_identical {
-        run.fail("mid-arena checkpoint/restore diverged from the original run");
-    }
-    if d.drift_events != 0 {
-        run.fail(format!(
-            "pure workload drift fired the delivered-rate watchdog {} times",
-            d.drift_events
-        ));
-    }
-    if !d.thread_invariant {
-        run.fail("drift replay diverged between serial and threaded");
-    }
-    run.compare_serial(&doc, arena::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
     run.finish(
+        &render(&matrix, exec.thread_count()),
+        arena::failures(&matrix, exec.thread_count()),
+        arena::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
         "denoising cost monotone, undervolting does not help the \
          transfer attacker, re-query recovers the band-edge loss, drift watchdog \
          quiet, every replay thread-invariant and restore-identical",

@@ -2,11 +2,10 @@
 //! inference path swept over lane widths (1/4/8/16) and error rates.
 //!
 //! Writes `BENCH_6.json` (override with `--out PATH`) and prints the same
-//! numbers as a table. `--check` exits non-zero if any width's verdict
-//! stream diverges from the `lanes = 1` deployment, if any width is not
-//! thread-invariant, if any shard degraded, or if a serial rerun of the
-//! sweep renders a different document outside its wall-clock fields. The
-//! single-thread width ratio against one lane is reported, not gated.
+//! numbers as a table. `--check` exits non-zero if any gate of
+//! `batch::failures` fails or if a serial rerun of the sweep renders a
+//! different document outside its wall-clock fields. The single-thread
+//! width ratio against one lane is reported, not gated.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{batch, setup, table};
@@ -23,7 +22,7 @@ use stochastic_hmd::ExecConfig;
 const WIDE_HIDDEN: usize = 32;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_6.json");
+    let run = BenchRun::from_env("BENCH_6.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let queries = args.scale.pick(2_000, 20_000, 100_000);
@@ -102,30 +101,11 @@ fn main() {
         );
     }
 
-    let doc = render(&points, exec.thread_count());
-    run.write(&doc);
-    for p in &points {
-        if !p.matches_one_lane {
-            run.fail(format!(
-                "er {} lanes {}: replay diverged from the one-lane deployment",
-                p.error_rate, p.lanes
-            ));
-        }
-        if !p.thread_invariant {
-            run.fail(format!(
-                "er {} lanes {}: threaded replay diverged from serial",
-                p.error_rate, p.lanes
-            ));
-        }
-        if p.degraded_shards != 0 {
-            run.fail(format!(
-                "er {} lanes {}: {} shards degraded at a reachable target",
-                p.error_rate, p.lanes, p.degraded_shards
-            ));
-        }
-    }
-    run.compare_serial(&doc, batch::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
-    run.finish("every width bit-identical to one lane and thread-invariant, no degradation");
+    run.finish(
+        &render(&points, exec.thread_count()),
+        batch::failures(&points),
+        batch::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
+        "every width bit-identical to one lane and thread-invariant, no degradation",
+    );
 }

@@ -2,16 +2,17 @@
 //! legacy per-draw, allocating path, swept over error rates.
 //!
 //! Writes `BENCH_2.json` (override with `--out PATH`) and prints the same
-//! numbers as a table. `--check` exits non-zero if the hot path is slower
-//! than the legacy path anywhere or if the fan-out breaks determinism —
-//! that mode is what CI runs (with `--fast`) as a performance smoke test.
+//! numbers as a table. `--check` exits non-zero if any gate of
+//! `perf::failures` fails or if a serial rerun of the sweep renders a
+//! different document outside its wall-clock fields — that mode is what
+//! CI runs (with `--fast`) as a performance smoke test.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{perf, setup, table};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_2.json");
+    let run = BenchRun::from_env("BENCH_2.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let queries = args.scale.pick(2_000, 20_000, 100_000);
@@ -54,22 +55,11 @@ fn main() {
          after: geometric gap + scratch; both on the width-1 kernel)"
     );
 
-    let doc = render(&points, exec.thread_count());
-    run.write(&doc);
-    for p in &points {
-        if !p.thread_invariant {
-            run.fail(format!(
-                "er={} fan-out changed the output stream",
-                p.error_rate
-            ));
-        }
-        if p.speedup < perf::SPEEDUP_FLOOR {
-            run.fail(format!(
-                "er={} hot path slower than legacy ({:.0} vs {:.0} q/s)",
-                p.error_rate, p.after_qps, p.before_qps
-            ));
-        }
-    }
-    run.compare_serial(&doc, perf::WALL_CLOCK, |serial| render(&measure(serial), 1));
-    run.finish("hot path >= legacy at every error rate, outputs thread-invariant");
+    run.finish(
+        &render(&points, exec.thread_count()),
+        perf::failures(&points),
+        perf::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
+        "hot path >= legacy at every error rate, outputs thread-invariant",
+    );
 }

@@ -3,15 +3,9 @@
 //! pool sizes.
 //!
 //! Writes `BENCH_4.json` (override with `--out PATH`) and prints the same
-//! numbers as a table. `--check` exits non-zero if any pool size's
-//! threaded chaos replay is not bit-identical to the serial one (verdicts,
-//! per-batch health transitions, and timing-stripped telemetry), if the
-//! scripted chaos failed to crash anything, if any query was dropped, if
-//! the pool did not end the run serving, if the largest pool's
-//! threaded-vs-serial scaling falls below the regression floor
-//! (`serve::CHAOS_SCALING_FLOOR`, 1.5, clamped to what the host's core
-//! count can physically deliver), or if a serial rerun of the sweep renders
-//! a different document outside its wall-clock fields — that mode is what
+//! numbers as a table. `--check` exits non-zero if any gate of
+//! `chaos::failures` fails or if a serial rerun of the sweep renders a
+//! different document outside its wall-clock fields — that mode is what
 //! CI runs (with `--fast`) as the chaos smoke test.
 
 use hmd_bench::report::BenchRun;
@@ -20,7 +14,7 @@ use hmd_bench::{chaos, serve, setup, table};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_4.json");
+    let run = BenchRun::from_env("BENCH_4.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let batch_size = args.scale.pick(1024, 2048, 4096);
@@ -65,51 +59,15 @@ fn main() {
     }
     println!("(same seeds, same chaos schedule; only the worker pool differs between replays)");
 
-    let doc = render(&points, exec.thread_count());
-    run.write(&doc);
-    let expected_queries = (total_batches as usize) * batch_size;
-    for p in &points {
-        if !p.thread_invariant {
-            run.fail(format!(
-                "{} shards: threaded chaos replay diverged from serial",
-                p.shards
-            ));
-        }
-        if p.crashes == 0 {
-            run.fail(format!(
-                "{} shards: scripted chaos crashed nothing",
-                p.shards
-            ));
-        }
-        if p.queries != expected_queries {
-            run.fail(format!(
-                "{} shards: {} of {expected_queries} queries processed",
-                p.shards, p.queries
-            ));
-        }
-        if p.rejected != total_batches {
-            run.fail(format!(
-                "{} shards: {} of {total_batches} poison queries rejected",
-                p.shards, p.rejected
-            ));
-        }
-        if p.healthy_at_end + p.degraded_at_end == 0 {
-            run.fail(format!("{} shards: pool ended the run dark", p.shards));
-        }
-    }
-    let largest = points.last().map(|p| (p.shards, p.scaling()));
-    serve::check_scaling(
-        &mut run,
-        CHAOS_SCALING_FLOOR,
-        exec.thread_count(),
-        largest,
-        delivered,
+    let threads = exec.thread_count();
+    run.finish(
+        &render(&points, threads),
+        chaos::failures(&points, batch_size, threads, delivered),
+        chaos::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
+        &format!(
+            "chaos replay thread-invariant at every pool size, poison contained, \
+             pool serving at end, scaling above {floor:.2}x"
+        ),
     );
-    run.compare_serial(&doc, chaos::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
-    run.finish(&format!(
-        "chaos replay thread-invariant at every pool size, poison contained, \
-         pool serving at end, scaling above {floor:.2}x"
-    ));
 }

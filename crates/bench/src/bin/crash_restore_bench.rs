@@ -7,10 +7,9 @@
 //! Writes `BENCH_5.json` (override with `--out PATH`) and prints the same
 //! numbers as a table; the journal checkpoints every
 //! `durability::DEFAULT_CADENCE` batches. `--check` exits non-zero if any
-//! kill point's restore diverges from the reference or from its journaled
-//! commits, or if a serial rerun of the sweep renders a different
-//! document — that mode is what CI runs (with `--fast`) as the durability
-//! smoke test.
+//! gate of `durability::failures` fails or if a serial rerun of the sweep
+//! renders a different document — that mode is what CI runs (with
+//! `--fast`) as the durability smoke test.
 
 use hmd_bench::durability::{self, DEFAULT_CADENCE};
 use hmd_bench::report::BenchRun;
@@ -18,7 +17,7 @@ use hmd_bench::{setup, table};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_5.json");
+    let run = BenchRun::from_env("BENCH_5.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let batch_size = args.scale.pick(8, 32, 128);
@@ -69,35 +68,11 @@ fn main() {
     }
     println!("(same seed, same chaos schedule; the only difference is dying and coming back)");
 
-    let doc = render(&points, exec.thread_count());
-    run.write(&doc);
-    for p in &points {
-        if !p.commits_match {
-            run.fail(format!(
-                "kill at {}: replay disagreed with journaled commits",
-                p.kill_batch
-            ));
-        }
-        if !p.serial_identical {
-            run.fail(format!(
-                "kill at {}: serial restore diverged from the reference",
-                p.kill_batch
-            ));
-        }
-        if !p.threaded_identical {
-            run.fail(format!(
-                "kill at {}: threaded restore diverged from the reference",
-                p.kill_batch
-            ));
-        }
-    }
-    if !points.iter().any(|p| p.torn_tail && p.torn_bytes > 0) {
-        run.fail("no kill point exercised a torn journal tail");
-    }
-    run.compare_serial(&doc, durability::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
     run.finish(
+        &render(&points, exec.thread_count()),
+        durability::failures(&points),
+        durability::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
         "every kill point restored bit-identically, serial and threaded, torn tails discarded",
     );
 }

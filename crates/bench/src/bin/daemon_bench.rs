@@ -6,17 +6,18 @@
 //! exhaustive hostile-bytes corpus over every wire frame kind.
 //!
 //! Writes `BENCH_8.json` (override with `--out PATH`) and prints the same
-//! numbers as a table. `--check` exits non-zero if any invariant fails —
-//! that mode is what CI runs (with `--fast`) as the daemon smoke test. It
-//! also re-runs the measurement serially and compares the documents with
-//! `threads`/`timing` skipped, so everything else must be bit-identical.
+//! numbers as a table. `--check` exits non-zero if any gate of
+//! `daemon::failures` fails — that mode is what CI runs (with `--fast`) as
+//! the daemon smoke test. It also re-runs the measurement serially and
+//! compares the documents with `threads`/`timing` skipped, so everything
+//! else must be bit-identical.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{daemon, setup, table};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_8.json");
+    let run = BenchRun::from_env("BENCH_8.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let batch_size = args.scale.pick(8, 32, 128);
@@ -76,33 +77,11 @@ fn main() {
     ]);
     println!("(the upgrade drains, checkpoints, hands off, and the successor proves checksum identity before serving)");
 
-    let doc = render(&report, exec.thread_count());
-    run.write(&doc);
-    if !report.overload.conserved {
-        run.fail("admission accounting broke conservation");
-    }
-    if !report.overload.predicted {
-        run.fail("admission counters diverged from their predicted values");
-    }
-    if !report.upgrade_serial.identical {
-        run.fail("serial upgrade lost queries or diverged from the reference");
-    }
-    if !report.upgrade_threaded.identical {
-        run.fail("worker-pool upgrade lost queries or diverged from the reference");
-    }
-    if report.upgrade_serial.checksum != report.upgrade_threaded.checksum {
-        run.fail("serial and pooled upgrades disagree");
-    }
-    if report.hostile.survivors != 0 {
-        run.fail(format!(
-            "{} hostile inputs decoded as valid frames",
-            report.hostile.survivors
-        ));
-    }
-    run.compare_serial(&doc, daemon::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
     run.finish(
+        &render(&report, exec.thread_count()),
+        daemon::failures(&report),
+        daemon::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
         "accounting exact, upgrade lossless and bit-identical at every \
          thread count, hostile corpus fully rejected",
     );

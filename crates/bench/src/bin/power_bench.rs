@@ -3,15 +3,10 @@
 //! held under a measured service power budget.
 //!
 //! Writes `BENCH_7.json` (override with `--out PATH`) and prints the
-//! same numbers as two tables. `--check` exits non-zero if the selected
-//! operating point's package-level saving leaves the paper's ~15% band
-//! (0.10–0.22), if deepening the undervolt ever *loses* core power
-//! against RHMD, if the Figure 7 voltage-axis endpoint drops to 75% or
-//! below, if the scheduled pool exceeds its measured budget, freezes a
-//! shard, diverges across thread counts, or loses budget state through
-//! a mid-stream checkpoint/restore, or if a serial rerun of the pool
-//! renders a different document — that mode is what CI runs (with
-//! `--fast`) as the power smoke test.
+//! same numbers as two tables. `--check` exits non-zero if any gate of
+//! `power::failures` fails or if a serial rerun of the pool renders a
+//! different document — that mode is what CI runs (with `--fast`) as the
+//! power smoke test.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{power, setup, table};
@@ -19,7 +14,7 @@ use shmd_volt::calibration::{Calibrator, DeviceProfile};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_7.json");
+    let run = BenchRun::from_env("BENCH_7.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let batch_size = args.scale.pick(64, 256, 1024);
@@ -110,64 +105,11 @@ fn main() {
     ]);
     println!("(budget measured mid-window between the pool's unpressured draw and its band cap)");
 
-    let doc = render(&service, exec.thread_count());
-    run.write(&doc);
-    let selected: Vec<&power::OperatingPoint> = points
-        .iter()
-        .filter(|p| p.target_er == hmd_bench::setup::OPERATING_ERROR_RATE)
-        .collect();
-    for p in &selected {
-        if !(0.10..=0.22).contains(&p.package_saving_vs_baseline) {
-            run.fail(format!(
-                "selected operating point saves {:.1}% package power, \
-                 outside the paper's ~15% band (10–22%)",
-                100.0 * p.package_saving_vs_baseline
-            ));
-            break;
-        }
-    }
-    if selected.is_empty() {
-        run.fail("sweep omitted the selected operating point");
-    }
-    // Deepening the undervolt must never cost core power vs RHMD:
-    // the curve rows are ordered shallow-to-deep per temperature.
-    let rhmd_savings: Vec<f64> = points
-        .iter()
-        .filter(|p| (p.temp_c - DeviceProfile::reference().temp_c).abs() < f64::EPSILON)
-        .map(|p| p.core_saving_vs_rhmd)
-        .collect();
-    let sorted = rhmd_savings.windows(2).all(|w| w[1] >= w[0] - 1e-12);
-    if !sorted {
-        run.fail("core saving vs RHMD is not monotone in undervolt depth");
-    }
-    if limit.core_saving_vs_rhmd <= 0.75 {
-        run.fail(format!(
-            "Fig. 7 endpoint saves {:.1}% over RHMD, claim needs >75%",
-            100.0 * limit.core_saving_vs_rhmd
-        ));
-    }
-    if service.projected_w > service.budget_w + 1e-9 {
-        run.fail(format!(
-            "pool projects {:.3} W over its {:.3} W budget",
-            service.projected_w, service.budget_w
-        ));
-    }
-    if service.crashes != 0 {
-        run.fail(format!(
-            "{} shard crashes — the floor clamp let the scheduler freeze a die",
-            service.crashes
-        ));
-    }
-    if !service.thread_invariant {
-        run.fail("budgeted replay diverged between serial and threaded runs");
-    }
-    if !service.restore_invariant {
-        run.fail("budget state did not survive checkpoint/restore bit-identically");
-    }
-    run.compare_serial(&doc, power::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
     run.finish(
+        &render(&service, exec.thread_count()),
+        power::failures(&points, limit, &service),
+        power::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
         "~15% package saving at the operating point, >75% over RHMD \
          at the Fig. 7 limit, budget held with zero freezes, replay thread-invariant, \
          restore bit-identical",

@@ -3,17 +3,11 @@
 //! sizes.
 //!
 //! Writes `BENCH_3.json` (override with `--out PATH`) and prints the same
-//! numbers as a table. `--check` exits non-zero if any pool size's
-//! threaded replay is not bit-identical to the serial one (verdict
-//! checksum *and* timing-stripped telemetry), if any shard degraded at
-//! the paper's er = 0.1 operating point, if the largest pool's
-//! threaded-vs-serial scaling falls below the regression floor
-//! (`serve::SERVE_SCALING_FLOOR`, 2.0, clamped to what the host's core
-//! count can physically deliver — see `serve::effective_scaling_floor`),
-//! or if a serial rerun of the sweep renders a different document outside
-//! its wall-clock fields — that mode is what CI runs (with `--fast`) as a
-//! serving smoke test, so a relapse of the inverted-scaling bug fails the
-//! build.
+//! numbers as a table. `--check` exits non-zero if any gate of
+//! `serve::failures` fails or if a serial rerun of the sweep renders a
+//! different document outside its wall-clock fields — that mode is what
+//! CI runs (with `--fast`) as a serving smoke test, so a relapse of the
+//! inverted-scaling bug fails the build.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::serve::SERVE_SCALING_FLOOR;
@@ -22,7 +16,7 @@ use shmd_volt::calibration::{Calibrator, DeviceProfile};
 use stochastic_hmd::ExecConfig;
 
 fn main() {
-    let mut run = BenchRun::from_env("BENCH_3.json");
+    let run = BenchRun::from_env("BENCH_3.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let queries = args.scale.pick(2_000, 20_000, 100_000);
@@ -64,34 +58,12 @@ fn main() {
     }
     println!("(same stream, same seeds; only the worker pool differs between the two replays)");
 
-    let doc = render(&points, exec.thread_count());
-    run.write(&doc);
-    for p in &points {
-        if !p.thread_invariant {
-            run.fail(format!(
-                "{} shards: threaded replay diverged from serial",
-                p.shards
-            ));
-        }
-        if p.degraded_shards != 0 {
-            run.fail(format!(
-                "{} shards: {} degraded at the reachable er = 0.1 target",
-                p.shards, p.degraded_shards
-            ));
-        }
-    }
-    let largest = points.last().map(|p| (p.shards, p.scaling()));
-    serve::check_scaling(
-        &mut run,
-        SERVE_SCALING_FLOOR,
-        exec.thread_count(),
-        largest,
-        delivered,
+    let threads = exec.thread_count();
+    run.finish(
+        &render(&points, threads),
+        serve::failures(&points, threads, delivered),
+        serve::WALL_CLOCK,
+        |serial| render(&measure(serial), 1),
+        &format!("thread-invariant at every pool size, no degradation, scaling above {floor:.2}x"),
     );
-    run.compare_serial(&doc, serve::WALL_CLOCK, |serial| {
-        render(&measure(serial), 1)
-    });
-    run.finish(&format!(
-        "thread-invariant at every pool size, no degradation, scaling above {floor:.2}x"
-    ));
 }

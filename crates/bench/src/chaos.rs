@@ -14,11 +14,13 @@
 //! health-transition tallies, and full timing-stripped telemetry
 //! snapshots are bit-identical.
 
+use crate::report::failed;
+use crate::serve::{scaling_failure, CHAOS_SCALING_FLOOR};
 use shmd_volt::calibration::DeviceProfile;
 use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::Dataset;
 use std::time::Instant;
-use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::exec::{hardware_threads, ExecConfig};
 use stochastic_hmd::json;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::supervisor::{ChaosPlan, ShardHealth, SupervisorConfig};
@@ -201,6 +203,44 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The `chaos_bench --check` gates, one message per failed gate, in this
+/// order: per pool size, the threaded chaos replay must be bit-identical to
+/// the serial one (verdicts, per-batch health transitions and
+/// timing-stripped telemetry), the scripted chaos must crash something,
+/// every one of the `batch_size`-query batches must be processed, each
+/// batch's poison query must be rejected, and the pool must end the run
+/// serving; then the largest pool must pass [`scaling_failure`] against
+/// [`CHAOS_SCALING_FLOOR`].
+pub fn failures(
+    points: &[ChaosPoint],
+    batch_size: usize,
+    threads: usize,
+    delivered: f64,
+) -> Vec<String> {
+    let total_batches = CHAOS_HORIZON + CHAOS_TAIL;
+    let expected_queries = (total_batches as usize) * batch_size;
+    let largest = points.last().map(|p| (p.shards, p.scaling()));
+    let scaling = scaling_failure(CHAOS_SCALING_FLOOR, threads, largest, delivered);
+    points
+        .iter()
+        .flat_map(|p| {
+            let gates = [
+                (!p.thread_invariant)
+                    .then(|| "threaded chaos replay diverged from serial".to_string()),
+                (p.crashes == 0).then(|| "scripted chaos crashed nothing".to_string()),
+                (p.queries != expected_queries)
+                    .then(|| format!("{} of {expected_queries} queries processed", p.queries)),
+                (p.rejected != total_batches)
+                    .then(|| format!("{} of {total_batches} poison queries rejected", p.rejected)),
+                (p.healthy_at_end + p.degraded_at_end == 0)
+                    .then(|| "pool ended the run dark".to_string()),
+            ];
+            failed(format!("{} shards: ", p.shards), gates)
+        })
+        .chain(scaling)
+        .collect()
+}
+
 /// The wall-clock paths of `BENCH_4.json` (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[
     ".delivered_parallelism",
@@ -224,7 +264,7 @@ pub fn render_json(
         w.field("seed", seed);
         w.field("scale", scale);
         w.field("threads", threads);
-        w.field("hardware_threads", crate::serve::hardware_threads());
+        w.field("hardware_threads", hardware_threads());
         w.fixed("delivered_parallelism", delivered_parallelism, 3);
         w.fixed("scaling_floor", scaling_floor, 3);
         let schedule = format!(
@@ -254,6 +294,7 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
 
@@ -296,9 +337,8 @@ mod tests {
         assert_ne!(a.checksum, c.checksum, "seed must steer the chaos run");
     }
 
-    #[test]
-    fn json_document_is_pinned() {
-        let p = ChaosPoint {
+    fn pinned_point() -> ChaosPoint {
+        ChaosPoint {
             shards: 4,
             queries: 320,
             serial_qps: 900.0,
@@ -312,7 +352,56 @@ mod tests {
             rejected: 40,
             healthy_at_end: 4,
             degraded_at_end: 0,
+        }
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        let at =
+            |threads| move |p: &ChaosPoint| failures(std::slice::from_ref(p), 8, threads, 1.25);
+        each_gate_fails_alone(
+            &pinned_point(),
+            at(8),
+            &[
+                (
+                    |p| p.thread_invariant = false,
+                    "4 shards: threaded chaos replay diverged from serial",
+                ),
+                (
+                    |p| p.crashes = 0,
+                    "4 shards: scripted chaos crashed nothing",
+                ),
+                (
+                    |p| p.queries = 319,
+                    "4 shards: 319 of 320 queries processed",
+                ),
+                (
+                    |p| p.rejected = 39,
+                    "4 shards: 39 of 40 poison queries rejected",
+                ),
+                (
+                    |p| p.healthy_at_end = 0,
+                    "4 shards: pool ended the run dark",
+                ),
+            ],
+        );
+        let slow = ChaosPoint {
+            threaded_qps: 450.0,
+            ..pinned_point()
         };
+        let floor = crate::serve::effective_scaling_floor(CHAOS_SCALING_FLOOR, 8);
+        let want = format!(
+            "4 shards: scaling 0.50x below floor {floor:.2}x (configured 1.50x, \
+             {} hardware threads, the host delivered 1.25x on a CPU spin)",
+            hardware_threads()
+        );
+        assert_eq!(at(8)(&slow), vec![want]);
+        assert_eq!(at(1)(&slow), Vec::<String>::new());
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let p = pinned_point();
         let doc = render_json(&[p], 42, "fast", 8, 1.5, 1.25);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
@@ -330,7 +419,7 @@ mod tests {
   ]
 }
 "#
-        .replace("HW", &crate::serve::hardware_threads().to_string());
+        .replace("HW", &hardware_threads().to_string());
         assert_eq!(doc, want);
         assert!(stochastic_hmd::json::parse(&doc).is_ok());
     }

@@ -76,6 +76,7 @@ fn reply(bytes: &[u8]) -> Frame {
 }
 
 /// The never-upgraded ground truth over the chaos stream.
+#[derive(Clone, Debug)]
 pub struct ReferenceRun {
     /// Final verdict checksum.
     pub checksum: u64,
@@ -485,6 +486,7 @@ pub fn throughput_run(
 }
 
 /// Everything `daemon_bench` measures.
+#[derive(Clone, Debug)]
 pub struct DaemonBenchReport {
     /// The never-upgraded reference.
     pub reference: ReferenceRun,
@@ -546,6 +548,29 @@ fn upgrade_json(w: &mut json::Writer, key: &str, p: &UpgradePoint) {
     });
 }
 
+/// The `daemon_bench --check` gates, one message per failed gate, in this
+/// order: admission accounting must conserve every offered frame and match
+/// its predicted counters; the serial and the worker-pool rolling upgrades
+/// must each lose no query and end bit-identical to the never-upgraded
+/// reference, and agree with each other; and no hostile input may decode
+/// as a valid frame.
+pub fn failures(r: &DaemonBenchReport) -> Vec<String> {
+    let survivors = r.hostile.survivors;
+    let gates = [
+        (!r.overload.conserved).then(|| "admission accounting broke conservation".to_string()),
+        (!r.overload.predicted)
+            .then(|| "admission counters diverged from their predicted values".to_string()),
+        (!r.upgrade_serial.identical)
+            .then(|| "serial upgrade lost queries or diverged from the reference".to_string()),
+        (!r.upgrade_threaded.identical)
+            .then(|| "worker-pool upgrade lost queries or diverged from the reference".to_string()),
+        (r.upgrade_serial.checksum != r.upgrade_threaded.checksum)
+            .then(|| "serial and pooled upgrades disagree".to_string()),
+        (survivors != 0).then(|| format!("{survivors} hostile inputs decoded as valid frames")),
+    ];
+    gates.into_iter().flatten().collect()
+}
+
 /// `BENCH_8.json` has no wall-clock fields outside `timing` (see
 /// [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[];
@@ -596,6 +621,7 @@ pub fn render_json(r: &DaemonBenchReport, seed: u64, scale: &str, threads: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
 
@@ -647,13 +673,52 @@ mod tests {
         assert!(p.inputs > 1000);
     }
 
-    #[test]
-    fn json_document_is_pinned() {
+    fn pinned_report() -> DaemonBenchReport {
         let (dataset, baseline) = fixture();
         let mut report = measure(&baseline, &dataset, 21, 8, &ExecConfig::threads(2));
         // Pin the wall-clock half of `timing`; its query count is seeded.
         report.throughput.elapsed_ms = 2.5;
         report.throughput.qps = 128_000.0;
+        report
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        each_gate_fails_alone(
+            &pinned_report(),
+            failures,
+            &[
+                (
+                    |r| r.overload.conserved = false,
+                    "admission accounting broke conservation",
+                ),
+                (
+                    |r| r.overload.predicted = false,
+                    "admission counters diverged from their predicted values",
+                ),
+                (
+                    |r| r.upgrade_serial.identical = false,
+                    "serial upgrade lost queries or diverged from the reference",
+                ),
+                (
+                    |r| r.upgrade_threaded.identical = false,
+                    "worker-pool upgrade lost queries or diverged from the reference",
+                ),
+                (
+                    |r| r.upgrade_threaded.checksum ^= 1,
+                    "serial and pooled upgrades disagree",
+                ),
+                (
+                    |r| r.hostile.survivors = 3,
+                    "3 hostile inputs decoded as valid frames",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let report = pinned_report();
         let doc = render_json(&report, 21, "fast", 2);
         let want = r#"{
   "bench": "daemon",

@@ -23,6 +23,7 @@
 //! `BENCH_5.json` at the repository root.
 
 use crate::chaos::{self, CHAOS_HORIZON, CHAOS_TAIL};
+use crate::report::failed;
 use shmd_workload::dataset::Dataset;
 use stochastic_hmd::checkpoint::{StateJournal, TempJournal};
 use stochastic_hmd::exec::ExecConfig;
@@ -309,6 +310,28 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The `crash_restore_bench --check` gates, one message per failed gate,
+/// in this order: per kill point, the replay must agree with the journaled
+/// commits, and the serial and the threaded restore must each reproduce the
+/// uninterrupted reference bit for bit; then some kill point must have
+/// discarded a torn journal tail.
+pub fn failures(points: &[DurabilityPoint]) -> Vec<String> {
+    let torn = (!points.iter().any(|p| p.torn_tail && p.torn_bytes > 0))
+        .then(|| "no kill point exercised a torn journal tail".to_string());
+    points
+        .iter()
+        .flat_map(|p| {
+            let gates = [
+                (!p.commits_match).then_some("replay disagreed with journaled commits"),
+                (!p.serial_identical).then_some("serial restore diverged from the reference"),
+                (!p.threaded_identical).then_some("threaded restore diverged from the reference"),
+            ];
+            failed(format!("kill at {}: ", p.kill_batch), gates)
+        })
+        .chain(torn)
+        .collect()
+}
+
 /// `BENCH_5.json` has no wall-clock fields (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[];
 
@@ -345,6 +368,7 @@ pub fn render_json(points: &[DurabilityPoint], seed: u64, scale: &str, threads: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
 
@@ -417,9 +441,8 @@ mod tests {
         assert!(kills.iter().any(|&(_, torn)| !torn), "some must not");
     }
 
-    #[test]
-    fn json_document_is_pinned() {
-        let p = DurabilityPoint {
+    fn pinned_point() -> DurabilityPoint {
+        DurabilityPoint {
             kill_batch: 8,
             torn_tail: true,
             shards: 4,
@@ -432,7 +455,38 @@ mod tests {
             commits_match: true,
             serial_identical: true,
             threaded_identical: true,
-        };
+        }
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        each_gate_fails_alone(
+            &pinned_point(),
+            |p| failures(std::slice::from_ref(p)),
+            &[
+                (
+                    |p| p.commits_match = false,
+                    "kill at 8: replay disagreed with journaled commits",
+                ),
+                (
+                    |p| p.serial_identical = false,
+                    "kill at 8: serial restore diverged from the reference",
+                ),
+                (
+                    |p| p.threaded_identical = false,
+                    "kill at 8: threaded restore diverged from the reference",
+                ),
+                (
+                    |p| p.torn_bytes = 0,
+                    "no kill point exercised a torn journal tail",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let p = pinned_point();
         let doc = render_json(&[p], 42, "fast", 8);
         let want = r#"{
   "bench": "crash_restore",

@@ -20,6 +20,7 @@
 //! any thread count (per-task seeds are derived, never shared), so the
 //! benchmark doubles as an end-to-end determinism check.
 
+use crate::report::failed;
 use shmd_ann::network::{InferenceScratch, QuantizedNetwork};
 use shmd_volt::fault::{FaultModel, FaultStream, LaneCorruptor, PerDrawInjector};
 use std::ops::Range;
@@ -233,6 +234,28 @@ pub fn measure_sweep(
         .collect()
 }
 
+/// The `bench_throughput --check` gates, one message per failed gate, in
+/// this order per error rate: the threaded checksum must equal the serial
+/// one, and the hot path's median paired speedup over the legacy path must
+/// reach [`SPEEDUP_FLOOR`].
+pub fn failures(points: &[ThroughputPoint]) -> Vec<String> {
+    points
+        .iter()
+        .flat_map(|p| {
+            let gates = [
+                (!p.thread_invariant).then(|| "fan-out changed the output stream".to_string()),
+                (p.speedup < SPEEDUP_FLOOR).then(|| {
+                    format!(
+                        "hot path slower than legacy ({:.0} vs {:.0} q/s)",
+                        p.after_qps, p.before_qps
+                    )
+                }),
+            ];
+            failed(format!("er={} ", p.error_rate), gates)
+        })
+        .collect()
+}
+
 /// The wall-clock paths of `BENCH_2.json` (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[
     ".results[].before_qps",
@@ -280,6 +303,7 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use shmd_workload::dataset::{Dataset, DatasetConfig};
     use shmd_workload::features::FeatureSpec;
     use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
@@ -336,9 +360,8 @@ mod tests {
         assert!(median_speedup(&[]).is_nan());
     }
 
-    #[test]
-    fn json_document_is_pinned() {
-        let p = ThroughputPoint {
+    fn pinned_point() -> ThroughputPoint {
+        ThroughputPoint {
             error_rate: 0.1,
             queries: 100,
             before_qps: 1000.0,
@@ -347,7 +370,30 @@ mod tests {
             checksum: 42,
             threaded_qps: 2400.0,
             thread_invariant: true,
-        };
+        }
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        each_gate_fails_alone(
+            &pinned_point(),
+            |p| failures(std::slice::from_ref(p)),
+            &[
+                (
+                    |p| p.thread_invariant = false,
+                    "er=0.1 fan-out changed the output stream",
+                ),
+                (
+                    |p| p.speedup = 0.8,
+                    "er=0.1 hot path slower than legacy (2500 vs 1000 q/s)",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let p = pinned_point();
         let doc = render_json(&[p], 42, "fast", 1, 66);
         let want = r#"{
   "bench": "detector_throughput",

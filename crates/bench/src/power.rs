@@ -374,6 +374,72 @@ pub fn measure_service(
     }
 }
 
+/// The `power_bench --check` gates, one message per failed gate, in this
+/// order:
+///
+/// 1. the selected operating point (er = 0.1) saves 10–22% package power,
+///    the paper's ~15% band (the first selected row outside it fails);
+/// 2. the sweep includes the selected operating point;
+/// 3. core saving against RHMD never falls as the undervolt deepens (the
+///    reference temperature's rows run shallow to deep);
+/// 4. the Fig. 7 voltage-axis endpoint saves more than 75% over RHMD;
+/// 5. the budgeted pool's projected draw stays within its budget;
+/// 6. no shard of the pool crashes (the floor clamp prevents freezes);
+/// 7. the budgeted replay is thread-invariant;
+/// 8. budget state survives a mid-stream checkpoint/restore bit for bit.
+pub fn failures(points: &[OperatingPoint], limit: Fig7Limit, service: &ServiceRun) -> Vec<String> {
+    let selected = || {
+        points
+            .iter()
+            .filter(|p| p.target_er == OPERATING_ERROR_RATE)
+    };
+    let outside_band = selected().find(|p| !(0.10..=0.22).contains(&p.package_saving_vs_baseline));
+    let reference_temp = DeviceProfile::reference().temp_c;
+    let rhmd_savings: Vec<f64> = points
+        .iter()
+        .filter(|p| (p.temp_c - reference_temp).abs() < f64::EPSILON)
+        .map(|p| p.core_saving_vs_rhmd)
+        .collect();
+    let gates = [
+        outside_band.map(|p| {
+            format!(
+                "selected operating point saves {:.1}% package power, \
+                 outside the paper's ~15% band (10–22%)",
+                100.0 * p.package_saving_vs_baseline
+            )
+        }),
+        selected()
+            .next()
+            .is_none()
+            .then(|| "sweep omitted the selected operating point".to_string()),
+        (!rhmd_savings.windows(2).all(|w| w[1] >= w[0] - 1e-12))
+            .then(|| "core saving vs RHMD is not monotone in undervolt depth".to_string()),
+        (limit.core_saving_vs_rhmd <= 0.75).then(|| {
+            format!(
+                "Fig. 7 endpoint saves {:.1}% over RHMD, claim needs >75%",
+                100.0 * limit.core_saving_vs_rhmd
+            )
+        }),
+        (service.projected_w > service.budget_w + 1e-9).then(|| {
+            format!(
+                "pool projects {:.3} W over its {:.3} W budget",
+                service.projected_w, service.budget_w
+            )
+        }),
+        (service.crashes != 0).then(|| {
+            format!(
+                "{} shard crashes — the floor clamp let the scheduler freeze a die",
+                service.crashes
+            )
+        }),
+        (!service.thread_invariant)
+            .then(|| "budgeted replay diverged between serial and threaded runs".to_string()),
+        (!service.restore_invariant)
+            .then(|| "budget state did not survive checkpoint/restore bit-identically".to_string()),
+    ];
+    gates.into_iter().flatten().collect()
+}
+
 /// `BENCH_7.json` has no wall-clock fields (see [`crate::report`]).
 pub const WALL_CLOCK: &[&str] = &[];
 
@@ -441,6 +507,7 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
 
@@ -480,8 +547,7 @@ mod tests {
         assert!(fig7_limit().core_saving_vs_rhmd > 0.75);
     }
 
-    #[test]
-    fn json_document_is_pinned() {
+    fn pinned() -> (OperatingPoint, ServiceRun) {
         let p = OperatingPoint {
             target_er: 0.1,
             temp_c: 49.0,
@@ -512,6 +578,60 @@ mod tests {
             thread_invariant: true,
             restore_invariant: true,
         };
+        (p, service)
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        let (p, service) = pinned();
+        each_gate_fails_alone(
+            &(vec![p], fig7_limit(), service),
+            |(points, limit, service)| failures(points, *limit, service),
+            &[
+                (
+                    |(points, ..)| points[0].package_saving_vs_baseline = 0.3,
+                    "selected operating point saves 30.0% package power, \
+                     outside the paper's ~15% band (10–22%)",
+                ),
+                (
+                    |(points, ..)| points[0].target_er = 0.2,
+                    "sweep omitted the selected operating point",
+                ),
+                (
+                    |(points, ..)| {
+                        let mut deeper = points[0].clone();
+                        deeper.core_saving_vs_rhmd = 0.3;
+                        points.push(deeper);
+                    },
+                    "core saving vs RHMD is not monotone in undervolt depth",
+                ),
+                (
+                    |(_, limit, _)| limit.core_saving_vs_rhmd = 0.75,
+                    "Fig. 7 endpoint saves 75.0% over RHMD, claim needs >75%",
+                ),
+                (
+                    |(.., service)| service.projected_w = 23.1,
+                    "pool projects 23.100 W over its 23.050 W budget",
+                ),
+                (
+                    |(.., service)| service.crashes = 1,
+                    "1 shard crashes — the floor clamp let the scheduler freeze a die",
+                ),
+                (
+                    |(.., service)| service.thread_invariant = false,
+                    "budgeted replay diverged between serial and threaded runs",
+                ),
+                (
+                    |(.., service)| service.restore_invariant = false,
+                    "budget state did not survive checkpoint/restore bit-identically",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let (p, service) = pinned();
         let doc = render_json(&[p], fig7_limit(), &service, 42, "fast", 8);
         let want = r#"{
   "bench": "power_pareto",

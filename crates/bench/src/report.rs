@@ -1,13 +1,13 @@
 //! The shell every `*_bench` binary shares: the `--check`/`--out` flags on
-//! top of [`Args`], writing the JSON document, collecting gate failures,
+//! top of [`Args`], writing the JSON document, reporting gate failures,
 //! and the serial-vs-threaded identity check.
 //!
 //! A bench binary measures, prints its table, renders its document and
-//! hands it to [`BenchRun::write`]. It then reports each failed gate
-//! through [`BenchRun::fail`], calls [`BenchRun::compare_serial`], and ends
-//! with [`BenchRun::finish`]. Gates count only under `--check`: there a
-//! failure prints `FAIL: …` and the run exits 1 at the end; without it the
-//! three calls do nothing.
+//! ends with [`BenchRun::finish`], handing it the document and the
+//! messages of the gates its result failed. Each bench module owns its
+//! gates as one pure function, `failures`, which lists them in its doc.
+//! Gates count only under `--check`: there each failure prints `FAIL: …`
+//! and the run exits 1; without it `finish` only writes the document.
 //!
 //! The identity check re-runs the measurement on one thread, parses both
 //! documents with [`stochastic_hmd::json`] and compares every value except
@@ -23,14 +23,13 @@ use stochastic_hmd::json::{self, Value};
 /// Paths that differ between thread counts in every document.
 const THREAD_PATHS: [&str; 2] = [".threads", ".timing"];
 
-/// One bench binary's run: its flags and the gates failed so far.
+/// One bench binary's run: its flags.
 #[derive(Debug)]
 pub struct BenchRun {
     /// The experiment flags (`--seed`, `--threads`, the scale).
     pub args: Args,
     check: bool,
     out: String,
-    failed: bool,
 }
 
 impl BenchRun {
@@ -76,63 +75,67 @@ impl BenchRun {
             args: Args::try_from_iter(rest)?,
             check,
             out,
-            failed: false,
         })
     }
 
-    /// Writes the document to the output path; exits 1 if it cannot.
-    pub fn write(&self, doc: &str) {
+    /// Ends the run. Writes `doc` to the output path, exiting 1 if it
+    /// cannot. Under `--check` it then prints each of `failures` as
+    /// `FAIL: …`; on more than one thread it renders the measurement again
+    /// through `rerun` on one thread and fails for every value that
+    /// differs from `doc` outside `wall_clock`, `threads` and `timing`. It
+    /// exits 1 if anything failed, and otherwise prints
+    /// `check passed: {passed}`.
+    pub fn finish(
+        self,
+        doc: &str,
+        failures: Vec<String>,
+        wall_clock: &[&str],
+        rerun: impl FnOnce(&ExecConfig) -> String,
+        passed: &str,
+    ) {
         if let Err(e) = std::fs::write(&self.out, doc) {
             eprintln!("error: cannot write {}: {e}", self.out);
             std::process::exit(1);
         }
         println!("wrote {}", self.out);
-    }
-
-    /// Reports a failed gate under `--check`; the run then exits 1 at
-    /// [`BenchRun::finish`].
-    pub fn fail(&mut self, msg: impl Display) {
-        if self.check {
-            eprintln!("FAIL: {msg}");
-            self.failed = true;
-        }
-    }
-
-    /// Under `--check` on more than one thread, renders the measurement
-    /// again through `rerun` on one thread and fails for every value that
-    /// differs from `doc` outside `wall_clock`, `threads` and `timing`.
-    pub fn compare_serial(
-        &mut self,
-        doc: &str,
-        wall_clock: &[&str],
-        rerun: impl FnOnce(&ExecConfig) -> String,
-    ) {
-        let threads = self.args.exec().thread_count();
-        if !self.check || threads <= 1 {
+        if !self.check {
             return;
         }
-        let serial = rerun(&ExecConfig::serial());
-        let diffs = compare(doc, &serial, wall_clock);
-        if diffs.is_empty() {
-            println!(
-                "serial rerun matches the {threads}-thread document outside wall-clock fields"
-            );
+        for msg in &failures {
+            eprintln!("FAIL: {msg}");
         }
-        for diff in diffs {
-            self.fail(format!("{threads} threads vs serial rerun: {diff}"));
+        let threads = self.args.exec().thread_count();
+        let mut any_failed = !failures.is_empty();
+        if threads > 1 {
+            let diffs = compare(doc, &rerun(&ExecConfig::serial()), wall_clock);
+            if diffs.is_empty() {
+                println!(
+                    "serial rerun matches the {threads}-thread document outside wall-clock fields"
+                );
+            }
+            for diff in &diffs {
+                eprintln!("FAIL: {threads} threads vs serial rerun: {diff}");
+            }
+            any_failed |= !diffs.is_empty();
         }
-    }
-
-    /// Ends a `--check` run: exits 1 if any gate failed, otherwise prints
-    /// `check passed: {passed}`.
-    pub fn finish(self, passed: &str) {
-        if self.failed {
+        if any_failed {
             std::process::exit(1);
         }
-        if self.check {
-            println!("check passed: {passed}");
-        }
+        println!("check passed: {passed}");
     }
+}
+
+/// The messages of the gates that failed, each after `prefix`: a gate is
+/// `None` when it passed and its message when it failed. Each bench
+/// module's `failures` names a point once, as the prefix of its gates.
+pub fn failed<M: Display>(
+    prefix: String,
+    gates: impl IntoIterator<Item = Option<M>>,
+) -> impl Iterator<Item = String> {
+    gates
+        .into_iter()
+        .flatten()
+        .map(move |msg| format!("{prefix}{msg}"))
 }
 
 /// Compares two bench documents value by value, skipping `threads`,
@@ -186,9 +189,36 @@ fn diff(a: &Value, b: &Value, at: &str, pattern: &str, skip: &[&str], diffs: &mu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cli::Scale;
+
+    /// One gate's test case: how to violate a passing result, and the
+    /// message that gate must then give.
+    pub(crate) type Violation<T> = (fn(&mut T), &'static str);
+
+    /// Asserts that `passing` fails no gate of `failures`, and that each
+    /// case's violation of `passing` fails exactly one gate, with exactly
+    /// the case's message.
+    pub(crate) fn each_gate_fails_alone<T: Clone>(
+        passing: &T,
+        failures: impl Fn(&T) -> Vec<String>,
+        cases: &[Violation<T>],
+    ) {
+        assert_eq!(failures(passing), Vec::<String>::new());
+        for (violate, want) in cases {
+            let mut result = passing.clone();
+            violate(&mut result);
+            assert_eq!(failures(&result), vec![want.to_string()]);
+        }
+    }
+
+    #[test]
+    fn failed_keeps_only_failed_gates_each_after_the_prefix() {
+        let gates = [Some("a"), None, Some("b")];
+        let got: Vec<String> = failed("x: ".to_string(), gates).collect();
+        assert_eq!(got, ["x: a", "x: b"]);
+    }
 
     const DOC: &str = r#"{"bench": "x", "threads": 8, "timing": {"qps": 10.5},
         "results": [{"shards": 1, "qps": 100.0, "checksum": "42", "crashes": 3},

@@ -16,12 +16,12 @@
 //! checksums — and the full timing-stripped telemetry snapshots — are
 //! bit-identical.
 
-use crate::report::BenchRun;
+use crate::report::failed;
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
 use std::time::Instant;
-use stochastic_hmd::exec::ExecConfig;
+use stochastic_hmd::exec::{hardware_threads, ExecConfig};
 use stochastic_hmd::json;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::BaselineHmd;
@@ -83,31 +83,55 @@ pub fn effective_scaling_floor(configured: f64, threads: usize) -> f64 {
     configured.min(0.75 * usable).max(0.75)
 }
 
-/// The scaling-regression gate of `serve_bench` and `chaos_bench`: fails
-/// `run` when the largest pool's threaded-vs-serial scaling falls below
+/// The scaling-regression gate of `serve_bench` and `chaos_bench`: the
+/// failure when the largest pool's threaded-vs-serial scaling falls below
 /// `configured` clamped by [`effective_scaling_floor`]. `largest` is that
 /// pool's `(shards, scaling)`; a serial run has nothing to scale, so it
 /// passes. The message carries `delivered`, the host's
 /// [`delivered_parallelism`], so a failure says whether the host or the
 /// service fell short.
-pub fn check_scaling(
-    run: &mut BenchRun,
+pub fn scaling_failure(
     configured: f64,
     threads: usize,
     largest: Option<(usize, f64)>,
     delivered: f64,
-) {
+) -> Option<String> {
     let floor = effective_scaling_floor(configured, threads);
-    if let Some((shards, scaling)) = largest {
-        if threads > 1 && scaling < floor {
-            run.fail(format!(
-                "{shards} shards: scaling {scaling:.2}x below floor {floor:.2}x \
-                 (configured {configured:.2}x, {} hardware threads, the host \
-                 delivered {delivered:.2}x on a CPU spin)",
-                hardware_threads(),
-            ));
-        }
-    }
+    let (shards, scaling) = largest?;
+    (threads > 1 && scaling < floor).then(|| {
+        format!(
+            "{shards} shards: scaling {scaling:.2}x below floor {floor:.2}x \
+             (configured {configured:.2}x, {} hardware threads, the host \
+             delivered {delivered:.2}x on a CPU spin)",
+            hardware_threads(),
+        )
+    })
+}
+
+/// The `serve_bench --check` gates, one message per failed gate, in this
+/// order: per pool size, the threaded replay must be bit-identical to the
+/// serial one (verdict checksum and timing-stripped telemetry) and no shard
+/// may degrade at the paper's er = 0.1 operating point; then the largest
+/// pool must pass [`scaling_failure`] against [`SERVE_SCALING_FLOOR`].
+pub fn failures(points: &[ServePoint], threads: usize, delivered: f64) -> Vec<String> {
+    let largest = points.last().map(|p| (p.shards, p.scaling()));
+    let scaling = scaling_failure(SERVE_SCALING_FLOOR, threads, largest, delivered);
+    points
+        .iter()
+        .flat_map(|p| {
+            let gates = [
+                (!p.thread_invariant).then(|| "threaded replay diverged from serial".to_string()),
+                (p.degraded_shards != 0).then(|| {
+                    format!(
+                        "{} degraded at the reachable er = 0.1 target",
+                        p.degraded_shards
+                    )
+                }),
+            ];
+            failed(format!("{} shards: ", p.shards), gates)
+        })
+        .chain(scaling)
+        .collect()
 }
 
 /// Steps of [`delivered_parallelism`]'s spin: about 70 ms on one core of
@@ -142,12 +166,6 @@ pub fn delivered_parallelism(threads: usize) -> f64 {
         }
     });
     usable as f64 * one / start.elapsed().as_secs_f64()
-}
-
-/// Hardware threads available to this process, reported alongside the
-/// floor in the bench JSON so a reader can interpret the scaling numbers.
-pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Replays `queries` through a fresh deployment and returns the finished
@@ -266,6 +284,7 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
     use crate::Args;
     use shmd_volt::calibration::{Calibrator, DeviceProfile};
@@ -305,9 +324,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn json_document_is_pinned() {
-        let p = ServePoint {
+    fn pinned_point() -> ServePoint {
+        ServePoint {
             shards: 4,
             queries: 100,
             serial_qps: 1000.0,
@@ -316,7 +334,45 @@ mod tests {
             thread_invariant: true,
             degraded_shards: 0,
             flags: 17,
+        }
+    }
+
+    #[test]
+    fn every_gate_fails_alone() {
+        let at = |threads| move |p: &ServePoint| failures(std::slice::from_ref(p), threads, 1.25);
+        each_gate_fails_alone(
+            &pinned_point(),
+            at(8),
+            &[
+                (
+                    |p| p.thread_invariant = false,
+                    "4 shards: threaded replay diverged from serial",
+                ),
+                (
+                    |p| p.degraded_shards = 1,
+                    "4 shards: 1 degraded at the reachable er = 0.1 target",
+                ),
+            ],
+        );
+        // The floor is never below 0.75, so 0.5x fails on any host; a
+        // serial run has nothing to scale.
+        let slow = ServePoint {
+            threaded_qps: 500.0,
+            ..pinned_point()
         };
+        let floor = effective_scaling_floor(SERVE_SCALING_FLOOR, 8);
+        let want = format!(
+            "4 shards: scaling 0.50x below floor {floor:.2}x (configured 2.00x, \
+             {} hardware threads, the host delivered 1.25x on a CPU spin)",
+            hardware_threads()
+        );
+        assert_eq!(at(8)(&slow), vec![want]);
+        assert_eq!(at(1)(&slow), Vec::<String>::new());
+    }
+
+    #[test]
+    fn json_document_is_pinned() {
+        let p = pinned_point();
         let doc = render_json(&[p], 42, "fast", 8, 2.0, 1.25);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{

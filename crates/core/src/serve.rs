@@ -83,7 +83,7 @@ use crate::checkpoint::{
 };
 use crate::deploy::{majority_settled, DetectionPolicy};
 use crate::detector::{Detector, Label};
-use crate::exec::{derive_seed, parallel_for_each, ExecConfig};
+use crate::exec::{derive_seed, hardware_threads, parallel_for_each, ExecConfig};
 use crate::stochastic::StochasticHmd;
 use crate::supervisor::{ShardHealth, Supervisor, SupervisorConfig};
 use crate::telemetry::{FaultCounters, ScoreHistogram, TelemetrySnapshot};
@@ -146,9 +146,10 @@ pub const DEFAULT_LANES: usize = MAX_LANES;
 
 /// Most ensemble replicas one re-query will ever draw.
 /// [`RequeryConfig::replicas`] is clamped into `1..=MAX_REQUERY_REPLICAS`
-/// wherever it is consumed, which keeps the vote tally inside a `u8`
-/// (1 primary + replicas + optional anomaly vote ≤ 252) and bounds the
-/// worst-case inference amplification a mis-set config can cause.
+/// once, when a service is deployed or restored, which keeps the vote
+/// tally inside a `u8` (1 primary + replicas + optional anomaly vote ≤ 252)
+/// and bounds the worst-case inference amplification a mis-set config can
+/// cause.
 pub const MAX_REQUERY_REPLICAS: usize = 250;
 
 /// Uncertainty-aware re-query policy: verdicts whose policy-consistent
@@ -171,7 +172,8 @@ pub struct RequeryConfig {
     /// `band <= 0` disables re-query in all but name.
     pub band: f64,
     /// Most fresh stochastic draws per re-query, clamped into
-    /// `1..=`[`MAX_REQUERY_REPLICAS`] at use.
+    /// `1..=`[`MAX_REQUERY_REPLICAS`] when a service is deployed or
+    /// restored with this policy.
     pub replicas: usize,
 }
 
@@ -505,7 +507,8 @@ impl ShardView<'_> {
             return (Label::from_bool(primary), VerdictConfidence::Confident);
         }
         delta.band_hits += 1;
-        let replicas = cfg.effective_replicas() as u8;
+        // `MonitoringService::assemble` clamped the count to at most 250.
+        let replicas = cfg.replicas as u8;
         let anomaly = self.anomaly.map(|a| a.is_anomalous(features));
         let total = 1 + replicas + u8::from(anomaly.is_some());
         let mut votes = 1 + u8::from(anomaly.is_some());
@@ -1100,7 +1103,9 @@ impl MonitoringService {
     }
 
     /// The one constructor behind deployment and restore: `shards` serving
-    /// `baseline` under `config`, at stream position 0, unsupervised.
+    /// `baseline` under `config`, at stream position 0, unsupervised. The
+    /// re-query replica count is clamped here and nowhere else, so a
+    /// restored service checkpoints the count its original did.
     fn assemble(baseline: &BaselineHmd, config: &ServeConfig, shards: Vec<Shard>) -> Self {
         MonitoringService {
             spec: baseline.spec(),
@@ -1114,7 +1119,9 @@ impl MonitoringService {
                 .rev()
                 .find(|&w| w <= config.lanes)
                 .unwrap_or(1),
-            requery: config.requery,
+            requery: config
+                .requery
+                .map(|r| RequeryConfig::new(r.band, r.effective_replicas())),
             anomaly: None,
             baseline: baseline.clone(),
             input_dim: baseline.quantized().input_dim(),
@@ -1186,7 +1193,8 @@ impl MonitoringService {
         self.lanes
     }
 
-    /// The uncertainty-aware re-query policy in effect, if any.
+    /// The uncertainty-aware re-query policy in effect, if any, with its
+    /// replica count clamped.
     pub fn requery(&self) -> Option<RequeryConfig> {
         self.requery
     }
@@ -1366,8 +1374,14 @@ impl MonitoringService {
         // the worker scores that chunk in place against the shared shards
         // with its own buffers, fault streams, and telemetry deltas.
         // Verdicts are a pure function of stream position, so which worker
-        // claims which range affects wall-clock only, never output.
-        let workers = self.exec.thread_count().min((n / MIN_CLAIM).max(1));
+        // claims which range affects wall-clock only, never output. No more
+        // workers than hardware threads: on fewer cores, the extra spawns
+        // and joins cost more than the work they would share.
+        let workers = self
+            .exec
+            .thread_count()
+            .min(hardware_threads())
+            .min((n / MIN_CLAIM).max(1));
         let chunk = (n / (workers * 4)).clamp(MIN_CLAIM, 8192);
         if buffers.workers.len() < workers {
             buffers.workers.resize_with(workers, WorkerScratch::default);
@@ -1673,9 +1687,7 @@ impl MonitoringService {
             // Wall-clock only, so not part of the checkpoint: any width
             // resumes the stream bit-identically.
             lanes: DEFAULT_LANES,
-            requery: checkpoint
-                .requery
-                .map(|r| RequeryConfig::new(r.band, r.effective_replicas())),
+            requery: checkpoint.requery,
         };
         let mut service = Self::assemble(baseline, &config, shards);
         service.supervisor = supervisor;
@@ -2557,6 +2569,37 @@ mod tests {
             restored.snapshot().without_timing(),
             reference.snapshot().without_timing(),
             "resumed telemetry must be bit-identical"
+        );
+    }
+
+    #[test]
+    fn an_oversized_replica_count_round_trips_byte_identically() {
+        let (_, baseline, curve) = setup();
+        let config = ServeConfig::new(2).with_requery(RequeryConfig::new(0.1, 1000));
+        let service = MonitoringService::deploy(&baseline, &curve, config).expect("deploys");
+        let replicas = service.requery().map(|r| r.replicas);
+        assert_eq!(replicas, Some(MAX_REQUERY_REPLICAS));
+        let bytes = service.checkpoint().encode();
+        let decoded = ServiceCheckpoint::decode(&bytes).expect("codec round trip");
+        let restored = MonitoringService::restore(&baseline, None, &decoded, ExecConfig::serial())
+            .expect("restores");
+        assert_eq!(restored.requery(), service.requery());
+        assert_eq!(restored.checkpoint().encode(), bytes);
+    }
+
+    #[test]
+    fn a_batch_fans_out_to_no_more_workers_than_hardware_threads() {
+        let (dataset, baseline, curve) = setup();
+        let config = ServeConfig::new(2)
+            .with_batch_size(4096)
+            .with_exec(ExecConfig::threads(64));
+        let mut service = MonitoringService::deploy(&baseline, &curve, config).expect("deploys");
+        service.process_stream(&stream(&dataset, 4096));
+        let workers = service.buffers.workers.len();
+        assert!(
+            workers <= hardware_threads(),
+            "{workers} worker scratches on {} hardware threads",
+            hardware_threads()
         );
     }
 

@@ -25,7 +25,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The odd increment of the splitmix64 sequence (2⁶⁴ / φ).
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -95,9 +95,7 @@ impl ExecConfig {
     /// Uses one worker per available hardware thread.
     pub fn auto() -> ExecConfig {
         ExecConfig {
-            threads: std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
+            threads: hardware_threads(),
         }
     }
 
@@ -130,6 +128,15 @@ impl Default for ExecConfig {
     fn default() -> ExecConfig {
         ExecConfig::auto()
     }
+}
+
+/// Hardware threads available to this process, read once.
+/// `available_parallelism` reads cgroup files and allocates, so a caller
+/// on a per-batch path reads this cached count instead.
+pub fn hardware_threads() -> usize {
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    *HARDWARE_THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 thread_local! {
