@@ -23,8 +23,10 @@
 //! - **drift** — seeded Dirichlet family-mix shifts through a supervised
 //!   pool at a fixed fault rate: the delivered-rate watchdog must not
 //!   fire on pure workload drift;
-//! - **determinism** — serial vs threaded replays and a mid-arena
-//!   checkpoint/restore, all required bit-identical.
+//! - **determinism** — serial vs threaded replays of the re-query and
+//!   drift streams ([`crate::replay::twin`]) and a mid-arena
+//!   checkpoint/restore through the byte codec
+//!   ([`crate::replay::restores`]), all required bit-identical.
 
 use shmd_attack::arena::{denoise_cost_search, DenoiseCurve, DEFAULT_QUERY_LADDER};
 use shmd_attack::reverse::{reverse_engineer, ReverseConfig};
@@ -45,6 +47,7 @@ use stochastic_hmd::supervisor::SupervisorConfig;
 use stochastic_hmd::BaselineHmd;
 
 use crate::cli::Scale;
+use crate::replay;
 
 /// Proxy families the transfer attacker trains on the live labels.
 pub const ATTACKER_FAMILIES: [ProxyKind; 3] = [
@@ -219,6 +222,30 @@ pub fn eval_stream(
     (features, truth)
 }
 
+/// The fraction of `flags` (malware verdicts, in stream order) that
+/// match `truth`; 0 when there are none.
+fn accuracy_of(flags: impl IntoIterator<Item = bool>, truth: &[bool]) -> f64 {
+    let (correct, total) = flags
+        .into_iter()
+        .zip(truth)
+        .fold((0usize, 0usize), |(c, n), (f, &t)| {
+            (c + usize::from(f == t), n + 1)
+        });
+    if total == 0 {
+        return 0.0;
+    }
+    correct as f64 / total as f64
+}
+
+/// The malware flags of one served batch.
+fn malware_flags(service: &mut MonitoringService, batch: &[Vec<f32>]) -> Vec<bool> {
+    service
+        .process_feature_batch(batch)
+        .iter()
+        .map(|v| v.label.is_malware())
+        .collect()
+}
+
 /// Streams `features` through `service` in plan-sized batches and
 /// returns the fraction of verdicts matching `truth`.
 fn serve_accuracy(
@@ -227,23 +254,11 @@ fn serve_accuracy(
     features: &[Vec<f32>],
     truth: &[bool],
 ) -> f64 {
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for (batch, labels) in features
-        .chunks(plan.eval_batch)
-        .zip(truth.chunks(plan.eval_batch))
-    {
-        for (verdict, &label) in service.process_feature_batch(batch).iter().zip(labels) {
-            total += 1;
-            if verdict.label.is_malware() == label {
-                correct += 1;
-            }
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    correct as f64 / total as f64
+    let batches = features.chunks(plan.eval_batch);
+    accuracy_of(
+        batches.flat_map(|batch| malware_flags(service, batch)),
+        truth,
+    )
 }
 
 /// One error rate's denoising cost-curve cell.
@@ -495,24 +510,9 @@ pub fn transfer_sweep(
         // Accuracy over the tiled eval stream (each tile re-rolls the
         // switching draw).
         let mut scorer = rhmd.clone();
-        let split = dataset.three_fold_split(0);
-        let test = split.testing();
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for _ in 0..plan.eval_reps.max(1) {
-            for &i in test {
-                total += 1;
-                if scorer.classify(dataset.trace(i)).is_malware() == dataset.program(i).is_malware()
-                {
-                    correct += 1;
-                }
-            }
-        }
-        let accuracy = if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        };
+        let tiles = (0..plan.eval_reps.max(1)).flat_map(|_| split.testing());
+        let flags = tiles.map(|&i| scorer.classify(dataset.trace(i)).is_malware());
+        let accuracy = accuracy_of(flags, &truth);
         accuracies.push(AccuracyCell {
             victim: name,
             error_rate: 0.0,
@@ -596,32 +596,6 @@ impl RequeryOutcome {
     }
 }
 
-/// Replays the eval stream through a re-query deployment, returning the
-/// accuracy, final checksum, and timing-stripped snapshot.
-#[allow(clippy::too_many_arguments)]
-fn requery_replay(
-    baseline: &BaselineHmd,
-    curve: &CalibrationCurve,
-    plan: &ArenaPlan,
-    features: &[Vec<f32>],
-    truth: &[bool],
-    seed: u64,
-    exec: ExecConfig,
-    scorer: &AnomalyScorer,
-) -> (f64, u64, stochastic_hmd::telemetry::TelemetrySnapshot) {
-    let requery = Some(plan.requery);
-    let mut service = deploy(baseline, curve, plan, plan.requery_er, seed, exec, requery);
-    service
-        .install_anomaly_scorer(scorer.clone())
-        .expect("the scorer was fitted on this baseline's features");
-    let accuracy = serve_accuracy(&mut service, plan, features, truth);
-    (
-        accuracy,
-        service.verdict_checksum(),
-        service.snapshot().without_timing(),
-    )
-}
-
 /// Measures the uncertainty-aware re-query counter at the band edge,
 /// plus the arena's determinism gates (serial vs threaded replay and a
 /// mid-stream checkpoint/restore).
@@ -659,65 +633,51 @@ pub fn requery_recovery(
     let acc_noisy = serve_accuracy(&mut noisy, plan, &features, &truth);
 
     // The counter, serial and threaded: same seed, only the worker pool
-    // differs.
-    let (acc_requery, serial_checksum, serial_snap) = requery_replay(
-        baseline,
-        curve,
-        plan,
-        &features,
-        &truth,
-        seed ^ 0xd3,
-        ExecConfig::serial(),
-        &scorer,
-    );
-    let (_, threaded_checksum, threaded_snap) = requery_replay(
-        baseline,
-        curve,
-        plan,
-        &features,
-        &truth,
-        seed ^ 0xd3,
-        *exec,
-        &scorer,
-    );
-    let thread_invariant = serial_checksum == threaded_checksum && serial_snap == threaded_snap;
-
-    // Mid-arena checkpoint: serve half the stream, checkpoint, continue;
-    // a restored service must replay the tail to the same checksum.
-    let restore_identical = {
-        let mut original = deploy(
+    // differs. The anomaly member is not checkpointed, so a restore
+    // re-installs it, exactly as documented.
+    let install = |mut service: MonitoringService| {
+        service
+            .install_anomaly_scorer(scorer.clone())
+            .expect("the scorer was fitted on this baseline's features");
+        service
+    };
+    let requery = Some(plan.requery);
+    let requery_pool = |exec| {
+        install(deploy(
             baseline,
             curve,
             plan,
             plan.requery_er,
             seed ^ 0xd3,
-            ExecConfig::serial(),
-            Some(plan.requery),
-        );
-        original
-            .install_anomaly_scorer(scorer.clone())
-            .expect("dims match");
-        let half = features.len() / 2;
-        let (head_f, tail_f) = features.split_at(half);
-        let (head_t, tail_t) = truth.split_at(half);
-        let _ = serve_accuracy(&mut original, plan, head_f, head_t);
-        let checkpoint = original.checkpoint();
-        let _ = serve_accuracy(&mut original, plan, tail_f, tail_t);
-
-        match MonitoringService::restore(baseline, None, &checkpoint, ExecConfig::serial()) {
-            Ok(mut resumed) => {
-                // The anomaly member is not checkpointed; the caller
-                // re-installs it, exactly as documented.
-                resumed
-                    .install_anomaly_scorer(scorer.clone())
-                    .expect("dims match");
-                let _ = serve_accuracy(&mut resumed, plan, tail_f, tail_t);
-                resumed.verdict_checksum() == original.verdict_checksum()
-                    && resumed.snapshot().without_timing() == original.snapshot().without_timing()
-            }
-            Err(_) => false,
-        }
+            exec,
+            requery,
+        ))
     };
+    let serial = ExecConfig::serial();
+    let batches: Vec<&[Vec<f32>]> = features.chunks(plan.eval_batch).collect();
+    let twin = replay::twin(
+        requery_pool(serial),
+        requery_pool(*exec),
+        &batches,
+        malware_flags,
+    );
+    let acc_requery = accuracy_of(twin.observed.iter().flatten().copied(), &truth);
+    let serial_snap = twin.reference.snapshot();
+
+    // Mid-arena checkpoint: a restored service must replay the tail to
+    // the uninterrupted run's checksum and telemetry.
+    let restore_identical = replay::restores(
+        &twin.reference,
+        requery_pool(serial),
+        &batches,
+        batches.len() / 2,
+        malware_flags,
+        |checkpoint| {
+            MonitoringService::restore(baseline, None, checkpoint, serial)
+                .ok()
+                .map(install)
+        },
+    );
 
     let lost = acc_clean - acc_noisy;
     let recovered = if lost.abs() < f64::EPSILON {
@@ -736,9 +696,9 @@ pub fn requery_recovery(
         band_hits: serial_snap.band_hits,
         requeries: serial_snap.requeries,
         served: serial_snap.queries,
-        serial_checksum,
-        threaded_checksum,
-        thread_invariant,
+        serial_checksum: twin.reference.verdict_checksum(),
+        threaded_checksum: twin.candidate.verdict_checksum(),
+        thread_invariant: twin.identical,
         restore_identical,
     }
 }
@@ -764,49 +724,7 @@ pub struct DriftOutcome {
 }
 
 /// Replays a Dirichlet mix-shift stream through a supervised pool at a
-/// fixed fault rate.
-fn drift_replay(
-    baseline: &BaselineHmd,
-    dataset: &Dataset,
-    plan: &ArenaPlan,
-    seed: u64,
-    exec: ExecConfig,
-) -> (stochastic_hmd::telemetry::TelemetrySnapshot, u64) {
-    let total = plan.drift_batches * plan.drift_batch as u64;
-    let per_segment = (total / plan.drift_segments.max(1) as u64).max(1);
-    let schedule = DriftSchedule::dirichlet(plan.drift_segments, per_segment, 0.5, seed)
-        .expect("segment and span counts are positive");
-    let stream = DriftStream::new(dataset, &schedule, seed ^ 0xe1)
-        .expect("generated datasets cover every family");
-    let spec = baseline.spec();
-
-    let config = ServeConfig::new(plan.shards)
-        .with_seed(seed ^ 0xe2)
-        .with_target_error_rate(crate::setup::OPERATING_ERROR_RATE)
-        .with_batch_size(plan.drift_batch)
-        .with_exec(exec);
-    let mut service = MonitoringService::supervised(
-        baseline,
-        SupervisorConfig::new(DeviceProfile::reference()),
-        config,
-    )
-    .expect("the reference device calibrates at the operating point");
-
-    let mut position = 0u64;
-    for _ in 0..plan.drift_batches {
-        let batch: Vec<Vec<f32>> = (0..plan.drift_batch)
-            .map(|i| spec.extract(dataset.trace(stream.pick(position + i as u64))))
-            .collect();
-        service.process_feature_batch(&batch);
-        position += plan.drift_batch as u64;
-    }
-    (
-        service.snapshot().without_timing(),
-        service.verdict_checksum(),
-    )
-}
-
-/// Runs the drift scenario serial and threaded and folds the verdicts.
+/// fixed fault rate, serial and threaded, and folds the verdicts.
 pub fn drift_scenario(
     baseline: &BaselineHmd,
     dataset: &Dataset,
@@ -814,17 +732,46 @@ pub fn drift_scenario(
     seed: u64,
     exec: &ExecConfig,
 ) -> DriftOutcome {
-    let (serial, serial_checksum) =
-        drift_replay(baseline, dataset, plan, seed, ExecConfig::serial());
-    let (threaded, threaded_checksum) = drift_replay(baseline, dataset, plan, seed, *exec);
+    let total = plan.drift_batches * plan.drift_batch as u64;
+    let per_segment = (total / plan.drift_segments.max(1) as u64).max(1);
+    let schedule = DriftSchedule::dirichlet(plan.drift_segments, per_segment, 0.5, seed)
+        .expect("segment and span counts are positive");
+    let stream = DriftStream::new(dataset, &schedule, seed ^ 0xe1)
+        .expect("generated datasets cover every family");
+    let spec = baseline.spec();
+    let batch = plan.drift_batch as u64;
+    let batches: Vec<Vec<Vec<f32>>> = (0..plan.drift_batches)
+        .map(|b| {
+            (b * batch..(b + 1) * batch)
+                .map(|position| spec.extract(dataset.trace(stream.pick(position))))
+                .collect()
+        })
+        .collect();
+
+    let config = ServeConfig::new(plan.shards)
+        .with_seed(seed ^ 0xe2)
+        .with_target_error_rate(crate::setup::OPERATING_ERROR_RATE)
+        .with_batch_size(plan.drift_batch);
+    let deploy = |exec| {
+        let supervision = SupervisorConfig::new(DeviceProfile::reference());
+        MonitoringService::supervised(baseline, supervision, config.with_exec(exec))
+            .expect("the reference device calibrates at the operating point")
+    };
+    let twin = replay::twin(
+        deploy(ExecConfig::serial()),
+        deploy(*exec),
+        &batches,
+        replay::feed,
+    );
+    let serial = twin.reference.snapshot();
     DriftOutcome {
         segments: plan.drift_segments,
         queries: serial.queries,
         drift_events: serial.total_drift_events(),
         crashes: serial.total_crashes(),
         retries: serial.total_retries(),
-        checksum: serial_checksum,
-        thread_invariant: serial == threaded && serial_checksum == threaded_checksum,
+        checksum: twin.reference.verdict_checksum(),
+        thread_invariant: twin.identical,
     }
 }
 
@@ -1034,7 +981,7 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -1143,10 +1090,14 @@ mod tests {
         }
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&pinned_matrix(), 42, "fast", 8)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let matrix = pinned_matrix();
-        let doc = render_json(&matrix, 42, "fast", 8);
+        let doc = pinned_document();
         let want = r#"{
   "bench": "adaptive_arena",
   "seed": 42,

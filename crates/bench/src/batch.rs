@@ -32,23 +32,24 @@
 //!   including it would only dilute the quantity under test (the
 //!   lane-parallel inference engine); the identity verdicts still cover
 //!   the full verdict pipeline.
-//! - **Paired interleaved timing.** The `lanes = 1` and the wider
-//!   deployment advance through the stream *alternately, one chunk at a
-//!   time*, each accumulating only its own elapsed time. A noisy host
-//!   changes speed in epochs much longer than one chunk, so an epoch
-//!   inflates both sides of the ratio equally instead of whichever
-//!   deployment happened to run during it.
+//! - **Paired interleaved timing.** Every replay is a
+//!   [`crate::replay::twin`]: the `lanes = 1` and the wider serial
+//!   deployment advance through the stream *alternately, one batch at a
+//!   time*, each accumulating only its own elapsed time, and so do the
+//!   wider width's serial and threaded deployments. A noisy host changes
+//!   speed in epochs much longer than one batch, so an epoch inflates both
+//!   sides of the ratio equally instead of whichever deployment happened
+//!   to run during it.
 //!
 //! The width ratio (`vs_one_lane`, single thread) is reported, not gated:
 //! serving throughput is guarded by the repository benchmark and by
 //! BENCH_2's floor.
 
-use crate::perf::paired_qps;
+use crate::replay;
 use crate::report::failed;
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_workload::dataset::Dataset;
 use shmd_workload::trace::Trace;
-use std::time::Instant;
 use stochastic_hmd::exec::{hardware_threads, ExecConfig};
 use stochastic_hmd::json;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, LANE_WIDTHS};
@@ -82,7 +83,8 @@ pub struct BatchPoint {
     /// Queries per second of this width's deployment, serial pool, timed
     /// on pre-extracted features (the other half of the pairing).
     pub batched_qps: f64,
-    /// Queries per second of this width fanned across the worker pool.
+    /// Queries per second of this width fanned across the worker pool,
+    /// timed in paired alternation with a serial replay of this width.
     pub threaded_qps: f64,
     /// Verdict checksum of this width's serial replay.
     pub checksum: u64,
@@ -102,55 +104,9 @@ impl BatchPoint {
     }
 }
 
-/// Deploys a fresh service for `config` and replays the feature stream
-/// through it in `batch_size` chunks, returning the finished service and
-/// its queries-per-second.
-fn replay(
-    baseline: &BaselineHmd,
-    curve: &CalibrationCurve,
-    config: ServeConfig,
-    features: &[Vec<f32>],
-) -> (MonitoringService, f64) {
-    let chunk_len = config.batch_size.max(1);
-    let mut service =
-        MonitoringService::deploy(baseline, curve, config).expect("benchmark config is valid");
-    let start = Instant::now();
-    for chunk in features.chunks(chunk_len) {
-        service.process_feature_batch(chunk);
-    }
-    let qps = features.len() as f64 / start.elapsed().as_secs_f64();
-    (service, qps)
-}
-
-/// Deploys a `lanes = 1` and a `lanes`-wide service and replays
-/// the feature stream through both *in alternation*, one batch at a time
-/// ([`paired_qps`]), so their throughput ratio is robust to machine noise
-/// that would skew back-to-back runs.
-fn paired_replay(
-    baseline: &BaselineHmd,
-    curve: &CalibrationCurve,
-    config: ServeConfig,
-    lanes: usize,
-    features: &[Vec<f32>],
-) -> (MonitoringService, f64, MonitoringService, f64) {
-    let chunk_len = config.batch_size.max(1);
-    let serial = config.with_exec(ExecConfig::serial());
-    let mut one_lane = MonitoringService::deploy(baseline, curve, serial.with_lanes(1))
-        .expect("benchmark config is valid");
-    let mut wide = MonitoringService::deploy(baseline, curve, serial.with_lanes(lanes))
-        .expect("benchmark config is valid");
-    let paired = paired_qps(
-        features.len(),
-        chunk_len,
-        |range| drop(one_lane.process_feature_batch(&features[range])),
-        |range| drop(wide.process_feature_batch(&features[range])),
-    );
-    (one_lane, paired.a_qps, wide, paired.b_qps)
-}
-
-/// Measures one error rate across [`LANE_WIDTHS`]: per width a
-/// paired one-lane/wide serial replay (timed) plus a threaded replay of
-/// the same stream, with the two identity verdicts evaluated on verdict
+/// Measures one error rate across [`LANE_WIDTHS`]: per width two paired
+/// replays of the same stream, one-lane vs wide (both serial) and wide
+/// serial vs wide threaded, each giving one identity verdict on verdict
 /// checksums and timing-stripped telemetry.
 pub fn measure_rate(
     baseline: &BaselineHmd,
@@ -169,32 +125,40 @@ pub fn measure_rate(
     let config = ServeConfig::new(BENCH_BATCH_SHARDS)
         .with_seed(seed)
         .with_target_error_rate(er);
+    let batches: Vec<&[Vec<f32>]> = features.chunks(config.batch_size).collect();
+    let deploy = |lanes, exec| {
+        MonitoringService::deploy(baseline, curve, config.with_lanes(lanes).with_exec(exec))
+            .expect("benchmark config is valid")
+    };
+    let serial = ExecConfig::serial();
     LANE_WIDTHS
         .iter()
         .map(|&lanes| {
-            let (one_lane, one_lane_qps, serial, batched_qps) =
-                paired_replay(baseline, curve, config, lanes, &features);
-            let (threaded, threaded_qps) = replay(
-                baseline,
-                curve,
-                config.with_lanes(lanes).with_exec(*exec),
-                &features,
+            let widths = replay::twin(
+                deploy(1, serial),
+                deploy(lanes, serial),
+                &batches,
+                replay::feed,
             );
-            let one_lane_snapshot = one_lane.snapshot().without_timing();
-            let serial_snapshot = serial.snapshot().without_timing();
-            let threaded_snapshot = threaded.snapshot().without_timing();
+            let threads = replay::twin(
+                deploy(lanes, serial),
+                deploy(lanes, *exec),
+                &batches,
+                replay::feed,
+            );
+            let snapshot = widths.candidate.snapshot();
             BatchPoint {
                 network: network.to_string(),
                 error_rate: er,
                 lanes,
                 queries: queries.len(),
-                one_lane_qps,
-                batched_qps,
-                threaded_qps,
-                checksum: serial_snapshot.verdict_checksum,
-                matches_one_lane: serial_snapshot == one_lane_snapshot,
-                thread_invariant: threaded_snapshot == serial_snapshot,
-                degraded_shards: serial_snapshot.degraded_shards(),
+                one_lane_qps: widths.reference_qps,
+                batched_qps: widths.candidate_qps,
+                threaded_qps: threads.candidate_qps,
+                checksum: snapshot.verdict_checksum,
+                matches_one_lane: widths.identical,
+                thread_invariant: threads.identical,
+                degraded_shards: snapshot.degraded_shards(),
             }
         })
         .collect()
@@ -293,7 +257,7 @@ pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -357,7 +321,10 @@ mod tests {
         let config = ServeConfig::new(2).with_seed(3).with_target_error_rate(0.1);
         let mut via_traces = MonitoringService::deploy(&baseline, &curve, config).expect("valid");
         via_traces.process_stream(&stream);
-        let (via_features, _) = replay(&baseline, &curve, config, &features);
+        let mut via_features = MonitoringService::deploy(&baseline, &curve, config).expect("valid");
+        for batch in features.chunks(config.batch_size) {
+            replay::feed(&mut via_features, batch);
+        }
         assert_eq!(
             via_traces.snapshot().without_timing(),
             via_features.snapshot().without_timing(),
@@ -403,10 +370,14 @@ mod tests {
         );
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&[pinned_point()], 42, "fast", 1)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let p = pinned_point();
-        let doc = render_json(&[p], 42, "fast", 1);
+        let doc = pinned_document();
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "batched_serving",

@@ -1,6 +1,7 @@
 //! Chaos-resilience benchmark: a supervised monitoring pool driven through
 //! a seeded crash/drift/poison schedule, serial vs threaded, swept over
-//! pool sizes.
+//! pool sizes. The two deployments are timed in paired alternation, one
+//! batch at a time (`hmd_bench::replay::twin`).
 //!
 //! Writes `BENCH_4.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any gate of

@@ -1,6 +1,7 @@
 //! Serving-layer benchmark: the sharded continuous-monitoring engine
 //! replaying a generated trace stream, serial vs threaded, swept over pool
-//! sizes.
+//! sizes. The two deployments are timed in paired alternation, one batch
+//! at a time (`hmd_bench::replay::twin`).
 //!
 //! Writes `BENCH_3.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any gate of

@@ -6,25 +6,25 @@
 //! shards and spikes the die temperature mid-stream, a poison query is
 //! mixed into every batch, and the pool has to quarantine, re-route,
 //! retry, and recover — all while staying bit-identical between a serial
-//! and a threaded replay. The `chaos_bench` binary writes the sweep to
+//! and a threaded replay, timed in paired alternation one batch at a time
+//! ([`crate::replay::twin`]). The `chaos_bench` binary writes the sweep to
 //! `BENCH_4.json` at the repository root.
 //!
 //! Timings vary run to run; nothing else may. A point counts as
 //! thread-invariant only when the serial and threaded verdict checksums,
-//! health-transition tallies, and full timing-stripped telemetry
-//! snapshots are bit-identical.
+//! per-batch shard healths, and full timing-stripped telemetry snapshots
+//! are bit-identical.
 
+use crate::replay;
 use crate::report::failed;
 use crate::serve::{scaling_failure, CHAOS_SCALING_FLOOR};
 use shmd_volt::calibration::DeviceProfile;
 use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::Dataset;
-use std::time::Instant;
 use stochastic_hmd::exec::{hardware_threads, ExecConfig};
 use stochastic_hmd::json;
-use stochastic_hmd::serve::{MonitoringService, ServeConfig};
+use stochastic_hmd::serve::MonitoringService;
 use stochastic_hmd::supervisor::{ChaosPlan, ShardHealth, SupervisorConfig};
-use stochastic_hmd::telemetry::TelemetrySnapshot;
 use stochastic_hmd::BaselineHmd;
 
 /// Pool sizes the chaos benchmark sweeps. A 1-shard pool is excluded: its
@@ -100,30 +100,19 @@ pub fn supervision(seed: u64, shards: usize) -> SupervisorConfig {
         .with_supervision_cadence(SUPERVISION_CADENCE)
 }
 
-/// Replays the chaos schedule through a fresh supervised deployment and
-/// returns the finished service, its snapshot, and queries-per-second.
-fn replay(
+/// Deploys the chaos world: [`supervision`] over the
+/// [`replay::supervised_pool`] of `shards` replicas, on `exec`. The one
+/// deployment of [`crate::durability`] and [`crate::daemon`] too.
+pub fn deploy(
     baseline: &BaselineHmd,
-    features: &[Vec<Vec<f32>>],
     shards: usize,
     seed: u64,
+    batch_size: usize,
     exec: ExecConfig,
-) -> (Vec<Vec<ShardHealth>>, TelemetrySnapshot, f64) {
-    let config = ServeConfig::new(shards)
-        .with_seed(seed)
-        .with_target_error_rate(0.2)
-        .with_exec(exec);
-    let mut service = MonitoringService::supervised(baseline, supervision(seed, shards), config)
-        .expect("the reference device calibrates at er = 0.2");
-    let total: usize = features.iter().map(Vec::len).sum();
-    let start = Instant::now();
-    let mut healths = Vec::with_capacity(features.len());
-    for batch in features {
-        service.process_feature_batch(batch);
-        healths.push(service.shard_healths());
-    }
-    let qps = total as f64 / start.elapsed().as_secs_f64();
-    (healths, service.snapshot(), qps)
+) -> MonitoringService {
+    let config = replay::supervised_pool(shards, seed, batch_size).with_exec(exec);
+    MonitoringService::supervised(baseline, supervision(seed, shards), config)
+        .expect("the reference device calibrates at er = 0.2")
 }
 
 /// Builds the batched feature stream: `batch_size` queries per batch over
@@ -134,23 +123,20 @@ pub fn feature_stream(
     dataset: &Dataset,
     batch_size: usize,
 ) -> Vec<Vec<Vec<f32>>> {
-    let spec = baseline.spec();
-    let dim = spec.extract(dataset.trace(0)).len();
+    let dim = baseline.spec().extract(dataset.trace(0)).len();
     let batches = (CHAOS_HORIZON + CHAOS_TAIL) as usize;
-    (0..batches)
-        .map(|b| {
-            let mut batch: Vec<Vec<f32>> = (0..batch_size)
-                .map(|i| spec.extract(dataset.trace((b * batch_size + i) % dataset.len())))
-                .collect();
-            let last = batch.len() - 1;
-            batch[last] = vec![0.5; dim + 1];
-            batch
-        })
-        .collect()
+    let mut features = replay::feature_batches(baseline, dataset, batches, batch_size);
+    for batch in &mut features {
+        if let Some(last) = batch.last_mut() {
+            *last = vec![0.5; dim + 1];
+        }
+    }
+    features
 }
 
-/// Measures one pool size: the same chaos schedule through a serial and a
-/// threaded deployment, including the thread-invariance verdict.
+/// Measures one pool size: the same chaos schedule, one batch at a time and
+/// in alternation, through a serial and a threaded deployment, including
+/// the thread-invariance verdict.
 pub fn measure_point(
     baseline: &BaselineHmd,
     features: &[Vec<Vec<f32>>],
@@ -158,33 +144,34 @@ pub fn measure_point(
     seed: u64,
     exec: &ExecConfig,
 ) -> ChaosPoint {
-    let (serial_healths, serial_raw, serial_qps) =
-        replay(baseline, features, shards, seed, ExecConfig::serial());
-    let (threaded_healths, threaded_raw, threaded_qps) =
-        replay(baseline, features, shards, seed, *exec);
-    let serial = serial_raw.without_timing();
-    let threaded = threaded_raw.without_timing();
-    let final_healths = serial_healths.last().cloned().unwrap_or_default();
+    let batch_size = features.first().map_or(1, Vec::len);
+    let world = |exec| deploy(baseline, shards, seed, batch_size, exec);
+    let twin = replay::twin(
+        world(ExecConfig::serial()),
+        world(*exec),
+        features,
+        |service, batch| {
+            service.process_feature_batch(batch);
+            service.shard_healths()
+        },
+    );
+    let serial = twin.reference.snapshot();
+    let final_healths = twin.observed.last().cloned().unwrap_or_default();
+    let count = |health| final_healths.iter().filter(|&&h| h == health).count();
     ChaosPoint {
         shards,
         queries: features.iter().map(Vec::len).sum(),
-        serial_qps,
-        threaded_qps,
+        serial_qps: twin.reference_qps,
+        threaded_qps: twin.candidate_qps,
         checksum: serial.verdict_checksum,
-        thread_invariant: serial == threaded && serial_healths == threaded_healths,
+        thread_invariant: twin.identical,
         crashes: serial.total_crashes(),
         retries: serial.total_retries(),
         drift_events: serial.total_drift_events(),
         transitions: serial.total_transitions(),
         rejected: serial.rejected_queries,
-        healthy_at_end: final_healths
-            .iter()
-            .filter(|&&h| h == ShardHealth::Healthy)
-            .count(),
-        degraded_at_end: final_healths
-            .iter()
-            .filter(|&&h| h == ShardHealth::Degraded)
-            .count(),
+        healthy_at_end: count(ShardHealth::Healthy),
+        degraded_at_end: count(ShardHealth::Degraded),
     }
 }
 
@@ -292,7 +279,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -399,10 +386,14 @@ mod tests {
         assert_eq!(at(1)(&slow), Vec::<String>::new());
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&[pinned_point()], 42, "fast", 8, 1.5, 1.25)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let p = pinned_point();
-        let doc = render_json(&[p], 42, "fast", 8, 1.5, 1.25);
+        let doc = pinned_document();
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "chaos_recovery",

@@ -29,8 +29,7 @@ use std::time::Instant;
 use stochastic_hmd::json;
 use stochastic_hmd::{
     decode_frame, encode_frame, AdmissionConfig, AdmissionStats, BaselineHmd, Daemon, ExecConfig,
-    Frame, MonitoringService, RejectCode, ServeConfig, StateJournal, TempJournal,
-    HANDOFF_FRAME_CAP,
+    Frame, RejectCode, StateJournal, TempJournal, HANDOFF_FRAME_CAP,
 };
 
 /// Shards behind the daemon at every measurement point.
@@ -40,14 +39,6 @@ pub const DAEMON_SHARDS: usize = 4;
 /// in-flight work a zero-downtime upgrade must finish, not drop.
 pub const DRAIN_QUEUE_AHEAD: usize = 3;
 
-fn serve_config(seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
-    ServeConfig::new(DAEMON_SHARDS)
-        .with_seed(seed)
-        .with_target_error_rate(0.2)
-        .with_batch_size(batch_size)
-        .with_exec(exec)
-}
-
 fn deploy_daemon(
     baseline: &BaselineHmd,
     seed: u64,
@@ -55,12 +46,7 @@ fn deploy_daemon(
     exec: ExecConfig,
     config: AdmissionConfig,
 ) -> (Daemon, TempJournal) {
-    let service = MonitoringService::supervised(
-        baseline,
-        chaos::supervision(seed, DAEMON_SHARDS),
-        serve_config(seed, batch_size, exec),
-    )
-    .expect("the reference device calibrates at er = 0.2");
+    let service = chaos::deploy(baseline, DAEMON_SHARDS, seed, batch_size, exec);
     let path = TempJournal::new("daemon-bench");
     let journal = StateJournal::create(&path).expect("journal creates");
     let daemon = Daemon::new(service, journal, config).expect("initial checkpoint appends");
@@ -619,7 +605,7 @@ pub fn render_json(r: &DaemonBenchReport, seed: u64, scale: &str, threads: usize
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -716,10 +702,14 @@ mod tests {
         );
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&pinned_report(), 21, "fast", 2)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let report = pinned_report();
-        let doc = render_json(&report, 21, "fast", 2);
+        let doc = pinned_document();
         let want = r#"{
   "bench": "daemon",
   "unit": "wire_roundtrip",

@@ -4,10 +4,11 @@
 //!
 //! Each measurement drives the exact chaos workload of [`crate::chaos`]
 //! (seeded kills, thermal drift, one poison query per batch) through a
-//! journaled deployment: a [`stochastic_hmd::checkpoint::StateJournal`]
-//! receives a full [`stochastic_hmd::checkpoint::ServiceCheckpoint`] every
-//! `cadence` batches and a `BatchCommit` before every batch's verdicts are
-//! exposed. The process is then "killed" at a chosen batch — optionally
+//! journaled deployment of the same world ([`chaos::deploy`]): a
+//! [`stochastic_hmd::checkpoint::StateJournal`] receives a full
+//! [`stochastic_hmd::checkpoint::ServiceCheckpoint`] every `cadence`
+//! batches and a `BatchCommit` before every batch's verdicts are exposed.
+//! The process is then "killed" at a chosen batch — optionally
 //! *mid-journal-append*, simulated by truncating the file inside the last
 //! record — and recovery restores the newest checkpoint, replays the input
 //! stream from its position, and compares everything against an
@@ -28,7 +29,7 @@ use shmd_workload::dataset::Dataset;
 use stochastic_hmd::checkpoint::{StateJournal, TempJournal};
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::json;
-use stochastic_hmd::serve::{MonitoringService, ServeConfig, Verdict};
+use stochastic_hmd::serve::{MonitoringService, Verdict};
 use stochastic_hmd::telemetry::TelemetrySnapshot;
 use stochastic_hmd::BaselineHmd;
 
@@ -88,29 +89,6 @@ pub struct DurabilityPoint {
     pub threaded_identical: bool,
 }
 
-fn serve_config(shards: usize, seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
-    ServeConfig::new(shards)
-        .with_seed(seed)
-        .with_target_error_rate(0.2)
-        .with_batch_size(batch_size)
-        .with_exec(exec)
-}
-
-fn deploy(
-    baseline: &BaselineHmd,
-    shards: usize,
-    seed: u64,
-    batch_size: usize,
-    exec: ExecConfig,
-) -> MonitoringService {
-    MonitoringService::supervised(
-        baseline,
-        chaos::supervision(seed, shards),
-        serve_config(shards, seed, batch_size, exec),
-    )
-    .expect("the reference device calibrates at er = 0.2")
-}
-
 /// Runs the chaos workload uninterrupted, serially.
 pub fn reference_run(
     baseline: &BaselineHmd,
@@ -119,7 +97,7 @@ pub fn reference_run(
     seed: u64,
 ) -> ReferenceRun {
     let batch_size = features.first().map_or(1, Vec::len);
-    let mut service = deploy(baseline, shards, seed, batch_size, ExecConfig::serial());
+    let mut service = chaos::deploy(baseline, shards, seed, batch_size, ExecConfig::serial());
     let verdicts: Vec<Vec<Verdict>> = features
         .iter()
         .map(|batch| service.process_feature_batch(batch))
@@ -144,7 +122,7 @@ fn victim_run(
     torn_tail: bool,
 ) -> TempJournal {
     let batch_size = features.first().map_or(1, Vec::len);
-    let mut service = deploy(baseline, shards, seed, batch_size, ExecConfig::serial());
+    let mut service = chaos::deploy(baseline, shards, seed, batch_size, ExecConfig::serial());
     let path = TempJournal::new("crash-restore-bench");
     let mut journal = StateJournal::create(&path).expect("journal creates");
     for (b, batch) in features.iter().enumerate().take(kill_batch as usize + 1) {
@@ -366,7 +344,7 @@ pub fn render_json(points: &[DurabilityPoint], seed: u64, scale: &str, threads: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -484,10 +462,14 @@ mod tests {
         );
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&[pinned_point()], 42, "fast", 8)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let p = pinned_point();
-        let doc = render_json(&[p], 42, "fast", 8);
+        let doc = pinned_document();
         let want = r#"{
   "bench": "crash_restore",
   "unit": "bit_identical_resume",

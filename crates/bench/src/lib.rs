@@ -31,6 +31,7 @@ pub mod durability;
 pub mod experiments;
 pub mod perf;
 pub mod power;
+pub mod replay;
 pub mod report;
 pub mod serve;
 pub mod setup;

@@ -301,7 +301,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use shmd_workload::dataset::{Dataset, DatasetConfig};
@@ -391,10 +391,14 @@ mod tests {
         );
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&[pinned_point()], 42, "fast", 1, 66)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let p = pinned_point();
-        let doc = render_json(&[p], 42, "fast", 1, 66);
+        let doc = pinned_document();
         let want = r#"{
   "bench": "detector_throughput",
   "unit": "queries_per_second",

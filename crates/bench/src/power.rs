@@ -19,9 +19,10 @@
 //!   midway between the pool's unpressured draw and its band-cap floor —
 //!   so the gate always exercises real budget pressure, at every scale.
 //!   The run must hold the budget, never freeze a shard, replay
-//!   bit-identically serial vs threaded, and survive a mid-stream
-//!   checkpoint/restore with its accrued energy and scheduler targets
-//!   intact.
+//!   bit-identically serial vs threaded ([`crate::replay::twin`]), and
+//!   survive a mid-stream checkpoint/restore through the byte codec
+//!   ([`crate::replay::restores`]) with its accrued energy and scheduler
+//!   targets intact.
 //!
 //! Honest-noise note: the calibrated sweep stops at the device's freeze
 //! offset, far shallower than Figure 7's 0.68 V endpoint — the >75%
@@ -30,6 +31,7 @@
 //! EXPERIMENTS.md.
 
 use crate::cli::Args;
+use crate::replay;
 use crate::setup::OPERATING_ERROR_RATE;
 use shmd_attack::campaign::AttackCampaign;
 use shmd_attack::reverse::ReverseConfig;
@@ -39,10 +41,9 @@ use shmd_volt::calibration::{CalibrationCurve, DeviceProfile};
 use shmd_volt::environment::{delivered_error_rate_at, freezes_at, EnvironmentConfig};
 use shmd_volt::voltage::{Volts, NOMINAL_CORE_VOLTAGE};
 use shmd_workload::dataset::Dataset;
-use stochastic_hmd::checkpoint::ServiceCheckpoint;
 use stochastic_hmd::exec::{derive_seed, ExecConfig};
 use stochastic_hmd::json;
-use stochastic_hmd::serve::{MonitoringService, ServeConfig};
+use stochastic_hmd::serve::MonitoringService;
 use stochastic_hmd::stochastic::StochasticHmd;
 use stochastic_hmd::supervisor::{PowerBudgetPolicy, SupervisorConfig};
 use stochastic_hmd::train::evaluate;
@@ -219,52 +220,6 @@ fn service_supervision(seed: u64, policy: PowerBudgetPolicy) -> SupervisorConfig
         .with_power_budget(policy)
 }
 
-fn service_config(seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
-    ServeConfig::new(SERVICE_SHARDS)
-        .with_seed(seed)
-        .with_target_error_rate(0.2)
-        .with_batch_size(batch_size)
-        .with_exec(exec)
-}
-
-/// Replays the feature stream through a fresh budgeted deployment.
-fn replay(
-    baseline: &BaselineHmd,
-    features: &[Vec<Vec<f32>>],
-    seed: u64,
-    batch_size: usize,
-    budget_w: f64,
-    exec: ExecConfig,
-) -> stochastic_hmd::telemetry::TelemetrySnapshot {
-    let policy = PowerBudgetPolicy::new(budget_w);
-    let mut service = MonitoringService::supervised(
-        baseline,
-        service_supervision(seed, policy),
-        service_config(seed, batch_size, exec),
-    )
-    .expect("the reference device calibrates at er = 0.2");
-    for batch in features {
-        service.process_feature_batch(batch);
-    }
-    service.snapshot()
-}
-
-/// Builds the service's feature stream from the dataset.
-pub fn service_stream(
-    baseline: &BaselineHmd,
-    dataset: &Dataset,
-    batch_size: usize,
-) -> Vec<Vec<Vec<f32>>> {
-    let spec = baseline.spec();
-    (0..SERVICE_BATCHES)
-        .map(|b| {
-            (0..batch_size)
-                .map(|i| spec.extract(dataset.trace((b * batch_size + i) % dataset.len())))
-                .collect()
-        })
-        .collect()
-}
-
 /// Measures the scheduled service: probes the attainable power window,
 /// budgets the pool to its midpoint, and verdicts thread invariance and
 /// checkpoint/restore.
@@ -275,101 +230,78 @@ pub fn measure_service(
     batch_size: usize,
     exec: &ExecConfig,
 ) -> ServiceRun {
-    let features = service_stream(baseline, dataset, batch_size);
+    let features = replay::feature_batches(baseline, dataset, SERVICE_BATCHES, batch_size);
+    let supervision = |budget_w| service_supervision(seed, PowerBudgetPolicy::new(budget_w));
+    let deploy = |budget_w, exec| {
+        let config = replay::supervised_pool(SERVICE_SHARDS, seed, batch_size).with_exec(exec);
+        MonitoringService::supervised(baseline, supervision(budget_w), config)
+            .expect("the reference device calibrates at er = 0.2")
+    };
+    let serial = ExecConfig::serial();
 
     // Probe the attainable window: an unconstrained budget leaves the
     // scheduler's opportunistic phase alone; a zero budget drives every
     // shard to the policy band cap (held best-effort — the scheduler
     // never freezes a shard to make a number).
-    let unpressured_w = replay(
-        baseline,
-        &features,
-        seed,
-        batch_size,
-        f64::MAX,
-        ExecConfig::serial(),
-    )
-    .service_power_w
-    .expect("a budget policy always publishes its projection");
-    let floor_w = replay(
-        baseline,
-        &features,
-        seed,
-        batch_size,
-        0.0,
-        ExecConfig::serial(),
-    )
-    .service_power_w
-    .expect("a budget policy always publishes its projection");
+    let projected_at = |budget_w| {
+        let mut service = deploy(budget_w, serial);
+        for batch in &features {
+            replay::feed(&mut service, batch);
+        }
+        service
+            .snapshot()
+            .service_power_w
+            .expect("a budget policy always publishes its projection")
+    };
+    let unpressured_w = projected_at(f64::MAX);
+    let floor_w = projected_at(0.0);
     // Midway between the two: attainable, but only under real pressure.
     // On a run whose thermal trace leaves no headroom the midpoint
     // degenerates to the unpressured draw, which is still a valid hold.
     let budget_w = f64::midpoint(floor_w, unpressured_w);
 
-    let serial = replay(
-        baseline,
+    let twin = replay::twin(
+        deploy(budget_w, serial),
+        deploy(budget_w, *exec),
         &features,
-        seed,
-        batch_size,
-        budget_w,
-        ExecConfig::serial(),
+        replay::feed,
     );
-    let threaded = replay(baseline, &features, seed, batch_size, budget_w, *exec);
-    let thread_invariant = serial.without_timing() == threaded.without_timing();
-
-    // Checkpoint mid-stream through the binary codec, restore at a
-    // different thread count, and replay the tail: energy, scheduler
-    // targets, and the open load window must all survive.
-    let policy = PowerBudgetPolicy::new(budget_w);
-    let mut interrupted = MonitoringService::supervised(
-        baseline,
-        service_supervision(seed, policy),
-        service_config(seed, batch_size, ExecConfig::serial()),
-    )
-    .expect("deploys");
-    let cut = SERVICE_BATCHES / 2;
-    for batch in &features[..cut] {
-        interrupted.process_feature_batch(batch);
-    }
-    let bytes = interrupted.checkpoint().encode();
-    drop(interrupted);
-    let restore_invariant = match ServiceCheckpoint::decode(&bytes) {
-        Ok(decoded) => match MonitoringService::restore(
-            baseline,
-            Some(service_supervision(seed, policy)),
-            &decoded,
-            ExecConfig::threads(4),
-        ) {
-            Ok(mut restored) => {
-                for batch in &features[cut..] {
-                    restored.process_feature_batch(batch);
-                }
-                restored.snapshot().without_timing() == serial.without_timing()
-            }
-            Err(_) => false,
+    // Checkpoint mid-stream, restore at a different thread count, and
+    // replay the tail: energy, scheduler targets, and the open load window
+    // must all survive.
+    let restore_invariant = replay::restores(
+        &twin.reference,
+        deploy(budget_w, serial),
+        &features,
+        SERVICE_BATCHES / 2,
+        replay::feed,
+        |checkpoint| {
+            let supervision = Some(supervision(budget_w));
+            MonitoringService::restore(baseline, supervision, checkpoint, ExecConfig::threads(4))
+                .ok()
         },
-        Err(_) => false,
-    };
+    );
+    let snapshot = twin.reference.snapshot();
 
     ServiceRun {
         shards: SERVICE_SHARDS,
         batches: SERVICE_BATCHES,
-        queries: serial.queries,
+        queries: snapshot.queries,
         unpressured_w,
         floor_w,
         budget_w,
-        projected_w: serial
+        projected_w: snapshot
             .service_power_w
             .expect("the budgeted run publishes its projection"),
-        total_energy_uj: serial.total_energy_uj(),
-        max_target_er: serial
+        total_energy_uj: snapshot.total_energy_uj(),
+        max_target_er: snapshot
             .shards
             .iter()
             .filter_map(|s| s.power_target_er)
             .fold(0.0, f64::max),
-        crashes: serial.total_crashes(),
-        checksum: serial.verdict_checksum,
-        thread_invariant,
+        crashes: snapshot.total_crashes(),
+        checksum: snapshot.verdict_checksum,
+        thread_invariant: twin.identical,
         restore_invariant,
     }
 }
@@ -505,7 +437,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -629,10 +561,15 @@ mod tests {
         );
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        let (p, service) = pinned();
+        render_json(&[p], fig7_limit(), &service, 42, "fast", 8)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let (p, service) = pinned();
-        let doc = render_json(&[p], fig7_limit(), &service, 42, "fast", 8);
+        let doc = pinned_document();
         let want = r#"{
   "bench": "power_pareto",
   "unit": "watts",

@@ -277,6 +277,64 @@ pub(crate) mod tests {
         assert!(diffs[0].starts_with("serial document is not JSON"));
     }
 
+    /// Appends the index-free path of `v` and of every value inside it, as
+    /// the wall-clock lists write them.
+    fn paths(v: &Value, pattern: &str, out: &mut Vec<String>) {
+        out.push(pattern.to_string());
+        match v {
+            Value::Obj(fields) => {
+                for (k, x) in fields {
+                    paths(x, &format!("{pattern}.{k}"), out);
+                }
+            }
+            Value::Arr(xs) => {
+                for x in xs {
+                    paths(x, &format!("{pattern}[]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn every_wall_clock_path_names_a_value_of_its_pinned_document() {
+        use crate::{arena, batch, chaos, daemon, durability, perf, power, serve};
+        let benches: [(&str, &[&str], String); 8] = [
+            ("perf", perf::WALL_CLOCK, perf::tests::pinned_document()),
+            ("serve", serve::WALL_CLOCK, serve::tests::pinned_document()),
+            ("batch", batch::WALL_CLOCK, batch::tests::pinned_document()),
+            ("chaos", chaos::WALL_CLOCK, chaos::tests::pinned_document()),
+            (
+                "durability",
+                durability::WALL_CLOCK,
+                durability::tests::pinned_document(),
+            ),
+            ("power", power::WALL_CLOCK, power::tests::pinned_document()),
+            (
+                "daemon",
+                daemon::WALL_CLOCK,
+                daemon::tests::pinned_document(),
+            ),
+            ("arena", arena::WALL_CLOCK, arena::tests::pinned_document()),
+        ];
+        for (bench, wall_clock, doc) in benches {
+            let mut found = Vec::new();
+            paths(
+                &json::parse(&doc).expect("pinned documents parse"),
+                "",
+                &mut found,
+            );
+            for path in wall_clock {
+                assert!(
+                    found.iter().any(|p| p == path),
+                    "{bench}: wall-clock path {path} names no value of its document"
+                );
+            }
+            // A misspelt path is caught.
+            assert!(!found.iter().any(|p| p == ".results[].serial_qpz"));
+        }
+    }
+
     #[test]
     fn bench_flags_sit_on_top_of_the_experiment_flags() {
         let r = run(&["--fast", "--check", "--threads", "8", "--out", "o.json"]).unwrap();

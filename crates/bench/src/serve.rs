@@ -1,14 +1,14 @@
 //! Serving-layer measurement: the sharded continuous-monitoring engine
-//! replaying a query stream, timed serial vs fanned across the worker
-//! pool.
+//! replaying a query stream, serial vs fanned across the worker pool.
 //!
-//! PR 3 added [`stochastic_hmd::serve::MonitoringService`] — a pool of
+//! [`stochastic_hmd::serve::MonitoringService`] is a pool of
 //! Stochastic-HMD replicas answering a trace stream with per-shard derived
 //! seeds and deterministic fan-out. This module replays the same generated
 //! stream through a serial and a threaded deployment of the same
-//! configuration and records throughput next to the determinism verdict
-//! (`BENCH_3.json` at the repository root, written by the `serve_bench`
-//! binary).
+//! configuration, timed in paired alternation one batch at a time
+//! ([`crate::replay::twin`]), and records throughput next to the
+//! determinism verdict (`BENCH_3.json` at the repository root, written by
+//! the `serve_bench` binary).
 //!
 //! As with the throughput benchmark, the timings vary run to run but the
 //! *outputs* must not: the service folds every verdict into a checksum, and
@@ -16,6 +16,7 @@
 //! checksums — and the full timing-stripped telemetry snapshots — are
 //! bit-identical.
 
+use crate::replay;
 use crate::report::failed;
 use shmd_volt::calibration::CalibrationCurve;
 use shmd_workload::dataset::Dataset;
@@ -168,25 +169,10 @@ pub fn delivered_parallelism(threads: usize) -> f64 {
     usable as f64 * one / start.elapsed().as_secs_f64()
 }
 
-/// Replays `queries` through a fresh deployment and returns the finished
-/// service plus its queries-per-second.
-fn replay(
-    baseline: &BaselineHmd,
-    curve: &CalibrationCurve,
-    config: ServeConfig,
-    queries: &[&Trace],
-) -> (MonitoringService, f64) {
-    let mut service =
-        MonitoringService::deploy(baseline, curve, config).expect("benchmark config is valid");
-    let start = Instant::now();
-    service.process_stream(queries);
-    let qps = queries.len() as f64 / start.elapsed().as_secs_f64();
-    (service, qps)
-}
-
-/// Measures one pool size: the same stream through a serial and a threaded
-/// deployment of the same configuration, including the thread-invariance
-/// verdict on verdict checksums and telemetry.
+/// Measures one pool size: the same stream, one batch at a time and in
+/// alternation, through a serial and a threaded deployment of the same
+/// configuration, including the thread-invariance verdict on verdict
+/// checksums and telemetry.
 pub fn measure_point(
     baseline: &BaselineHmd,
     curve: &CalibrationCurve,
@@ -196,24 +182,27 @@ pub fn measure_point(
     exec: &ExecConfig,
 ) -> ServePoint {
     let config = ServeConfig::new(shards).with_seed(seed);
-    let (serial, serial_qps) = replay(
-        baseline,
-        curve,
-        config.with_exec(ExecConfig::serial()),
-        queries,
+    let deploy = |exec| {
+        MonitoringService::deploy(baseline, curve, config.with_exec(exec))
+            .expect("benchmark config is valid")
+    };
+    let batches: Vec<&[&Trace]> = queries.chunks(config.batch_size).collect();
+    let twin = replay::twin(
+        deploy(ExecConfig::serial()),
+        deploy(*exec),
+        &batches,
+        |service, batch| drop(service.process_batch(batch)),
     );
-    let (threaded, threaded_qps) = replay(baseline, curve, config.with_exec(*exec), queries);
-    let serial_snapshot = serial.snapshot().without_timing();
-    let threaded_snapshot = threaded.snapshot().without_timing();
+    let snapshot = twin.reference.snapshot();
     ServePoint {
         shards,
         queries: queries.len(),
-        serial_qps,
-        threaded_qps,
-        checksum: serial_snapshot.verdict_checksum,
-        thread_invariant: serial_snapshot == threaded_snapshot,
-        degraded_shards: serial_snapshot.degraded_shards(),
-        flags: serial_snapshot.flags,
+        serial_qps: twin.reference_qps,
+        threaded_qps: twin.candidate_qps,
+        checksum: snapshot.verdict_checksum,
+        thread_invariant: twin.identical,
+        degraded_shards: snapshot.degraded_shards(),
+        flags: snapshot.flags,
     }
 }
 
@@ -282,7 +271,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -370,10 +359,14 @@ mod tests {
         assert_eq!(at(1)(&slow), Vec::<String>::new());
     }
 
+    /// The document [`render_json`] writes for the pinned fixture.
+    pub(crate) fn pinned_document() -> String {
+        render_json(&[pinned_point()], 42, "fast", 8, 2.0, 1.25)
+    }
+
     #[test]
     fn json_document_is_pinned() {
-        let p = pinned_point();
-        let doc = render_json(&[p], 42, "fast", 8, 2.0, 1.25);
+        let doc = pinned_document();
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "monitoring_service",
