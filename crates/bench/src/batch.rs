@@ -19,7 +19,9 @@
 //!   deployment's. Batching is a wall-clock arrangement, never a semantic
 //!   one: every lane's fault stream is seeded per query from its stream
 //!   position alone. The independent scalar oracle for the verdicts
-//!   themselves is a `core::serve` unit test, not this benchmark.
+//!   themselves is a `core::serve` unit test, not this benchmark. The
+//!   `lanes = 1` row *is* the one-lane deployment, so it holds there by
+//!   construction and is not replayed twice.
 //! - **`thread_invariant`** — the same width fanned across a worker pool
 //!   matches its own serial replay, so lanes and threads compose.
 //!
@@ -35,8 +37,8 @@
 //! - **Paired interleaved timing.** Every replay is a
 //!   [`crate::replay::twin`]: the `lanes = 1` and the wider serial
 //!   deployment advance through the stream *alternately, one batch at a
-//!   time*, each accumulating only its own elapsed time, and so do the
-//!   wider width's serial and threaded deployments. A noisy host changes
+//!   time*, each accumulating only its own elapsed time, and so do each
+//!   width's serial and threaded deployments. A noisy host changes
 //!   speed in epochs much longer than one batch, so an epoch inflates both
 //!   sides of the ratio equally instead of whichever deployment happened
 //!   to run during it.
@@ -78,7 +80,7 @@ pub struct BatchPoint {
     pub queries: usize,
     /// Queries per second of the `lanes = 1` deployment, serial pool,
     /// timed on pre-extracted features in paired alternation with this
-    /// width.
+    /// width (at width 1, with the threaded replay).
     pub one_lane_qps: f64,
     /// Queries per second of this width's deployment, serial pool, timed
     /// on pre-extracted features (the other half of the pairing).
@@ -89,7 +91,8 @@ pub struct BatchPoint {
     /// Verdict checksum of this width's serial replay.
     pub checksum: u64,
     /// Whether this width's verdict checksum *and* timing-stripped
-    /// telemetry matched the `lanes = 1` deployment bit-for-bit.
+    /// telemetry matched the `lanes = 1` deployment bit-for-bit; true by
+    /// construction at width 1.
     pub matches_one_lane: bool,
     /// Whether this width's threaded replay matched its serial one.
     pub thread_invariant: bool,
@@ -104,10 +107,12 @@ impl BatchPoint {
     }
 }
 
-/// Measures one error rate across [`LANE_WIDTHS`]: per width two paired
-/// replays of the same stream, one-lane vs wide (both serial) and wide
-/// serial vs wide threaded, each giving one identity verdict on verdict
-/// checksums and timing-stripped telemetry.
+/// Measures one error rate across [`LANE_WIDTHS`]: per width a paired
+/// replay of the same stream, serial vs threaded, and per wider width a
+/// second one, one-lane vs wide (both serial), each giving one identity
+/// verdict on verdict checksums and timing-stripped telemetry. The
+/// `lanes = 1` row takes its one-lane rate, its checksum and its telemetry
+/// from the serial side of its thread twin.
 pub fn measure_rate(
     baseline: &BaselineHmd,
     network: &str,
@@ -134,29 +139,35 @@ pub fn measure_rate(
     LANE_WIDTHS
         .iter()
         .map(|&lanes| {
-            let widths = replay::twin(
-                deploy(1, serial),
-                deploy(lanes, serial),
-                &batches,
-                replay::feed,
-            );
             let threads = replay::twin(
                 deploy(lanes, serial),
                 deploy(lanes, *exec),
                 &batches,
                 replay::feed,
             );
-            let snapshot = widths.candidate.snapshot();
+            let (one_lane_qps, batched_qps, matches_one_lane, snapshot) = if lanes == 1 {
+                let qps = threads.reference_qps;
+                (qps, qps, true, threads.reference.snapshot())
+            } else {
+                let w = replay::twin(
+                    deploy(1, serial),
+                    deploy(lanes, serial),
+                    &batches,
+                    replay::feed,
+                );
+                let snapshot = w.candidate.snapshot();
+                (w.reference_qps, w.candidate_qps, w.identical, snapshot)
+            };
             BatchPoint {
                 network: network.to_string(),
                 error_rate: er,
                 lanes,
                 queries: queries.len(),
-                one_lane_qps: widths.reference_qps,
-                batched_qps: widths.candidate_qps,
+                one_lane_qps,
+                batched_qps,
                 threaded_qps: threads.candidate_qps,
                 checksum: snapshot.verdict_checksum,
-                matches_one_lane: widths.identical,
+                matches_one_lane,
                 thread_invariant: threads.identical,
                 degraded_shards: snapshot.degraded_shards(),
             }
@@ -185,16 +196,17 @@ pub fn measure_sweep(
 }
 
 /// The `batch_bench --check` gates, one message per failed gate, in this
-/// order per point: the replay must be bit-identical to the one-lane
-/// deployment's, the threaded replay to the serial one, and no shard may
-/// degrade at a reachable target. The width ratio against one lane is
-/// reported, not gated.
+/// order per point: a wider width's replay must be bit-identical to the
+/// one-lane deployment's (the `lanes = 1` row is that deployment), the
+/// threaded replay to the serial one, and no shard may degrade at a
+/// reachable target. The width ratio against one lane is reported, not
+/// gated.
 pub fn failures(points: &[BatchPoint]) -> Vec<String> {
     points
         .iter()
         .flat_map(|p| {
             let gates = [
-                (!p.matches_one_lane)
+                (p.lanes > 1 && !p.matches_one_lane)
                     .then(|| "replay diverged from the one-lane deployment".to_string()),
                 (!p.thread_invariant).then(|| "threaded replay diverged from serial".to_string()),
                 (p.degraded_shards != 0).then(|| {
@@ -288,6 +300,9 @@ pub(crate) mod tests {
             &ExecConfig::threads(4),
         );
         assert_eq!(points.len(), LANE_WIDTHS.len());
+        // The width-1 row is the one-lane deployment, not a twin of it.
+        assert_eq!(points[0].lanes, 1);
+        assert_eq!(points[0].vs_one_lane(), 1.0);
         for p in &points {
             assert!(p.one_lane_qps.is_finite() && p.one_lane_qps > 0.0);
             assert!(p.batched_qps.is_finite() && p.batched_qps > 0.0);
@@ -368,6 +383,13 @@ pub(crate) mod tests {
                 ),
             ],
         );
+        // The one-lane row is the one-lane deployment: nothing to compare.
+        let one_lane = BatchPoint {
+            lanes: 1,
+            matches_one_lane: false,
+            ..pinned_point()
+        };
+        assert!(failures(&[one_lane]).is_empty());
     }
 
     /// The document [`render_json`] writes for the pinned fixture.

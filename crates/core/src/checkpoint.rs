@@ -87,10 +87,6 @@ const RECORD_CHECKPOINT: u8 = 1;
 /// Journal record kind: a batch commit marker.
 const RECORD_BATCH_COMMIT: u8 = 2;
 
-/// Bytes of journal framing around a payload: `u32` length + `u8` kind
-/// before it, `u64` checksum after it.
-const RECORD_OVERHEAD: usize = 4 + 1 + 8;
-
 /// Encoded size of a [`BatchCommit`] payload.
 const BATCH_COMMIT_LEN: usize = 24;
 
@@ -836,20 +832,20 @@ impl StateJournal {
     ///
     /// Any [`io::Error`] from the write or sync.
     pub fn append_commit(&mut self, commit: BatchCommit) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(BATCH_COMMIT_LEN);
-        payload.extend_from_slice(&commit.batch.to_le_bytes());
-        payload.extend_from_slice(&commit.stream_pos.to_le_bytes());
-        payload.extend_from_slice(&commit.checksum.to_le_bytes());
-        self.append_record(RECORD_BATCH_COMMIT, &payload)
+        let mut w = Writer::new();
+        w.u64(commit.batch);
+        w.u64(commit.stream_pos);
+        w.u64(commit.checksum);
+        self.append_record(RECORD_BATCH_COMMIT, &w.bytes)
     }
 
     fn append_record(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.push(kind);
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&fnv1a_tagged(kind, payload).to_le_bytes());
-        self.file.write_all(&frame)?;
+        let mut w = Writer::new();
+        w.u32(payload.len() as u32);
+        w.u8(kind);
+        w.bytes.extend_from_slice(payload);
+        w.u64(fnv1a_tagged(kind, payload));
+        self.file.write_all(&w.bytes)?;
         self.file.sync_data()
     }
 
@@ -876,36 +872,20 @@ impl StateJournal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let mut pos = 0usize;
+        let mut r = Reader::new(&bytes);
+        // Bytes after the last intact record.
+        let mut torn = bytes.len();
         let mut checkpoint: Option<ServiceCheckpoint> = None;
         let mut commits: Vec<BatchCommit> = Vec::new();
-        while pos < bytes.len() {
-            let Some(rest) = bytes.get(pos..) else {
-                break;
+        while r.remaining() > 0 {
+            let (Ok(len), Ok(kind)) = (r.u32(), r.u8()) else {
+                break; // torn frame header
             };
-            if rest.len() < RECORD_OVERHEAD {
-                break; // torn frame header/trailer
-            }
-            let Some(len_bytes) = rest.first_chunk::<4>() else {
-                break;
+            // A frame claiming more payload than the file holds fails here.
+            let (Ok(payload), Ok(stored)) = (r.take(len as usize), r.u64()) else {
+                break; // torn payload or trailer
             };
-            let len = u32::from_le_bytes(*len_bytes) as usize;
-            if len > rest.len() - RECORD_OVERHEAD {
-                break; // frame claims more payload than the file holds
-            }
-            let Some(&kind) = rest.get(4) else {
-                break;
-            };
-            let Some(payload) = rest.get(5..5 + len) else {
-                break;
-            };
-            let Some(stored_bytes) = rest
-                .get(5 + len..RECORD_OVERHEAD + len)
-                .and_then(|tail| tail.first_chunk::<8>())
-            else {
-                break;
-            };
-            if fnv1a_tagged(kind, payload) != u64::from_le_bytes(*stored_bytes) {
+            if fnv1a_tagged(kind, payload) != stored {
                 break; // torn or bit-rotted record
             }
             match kind {
@@ -926,11 +906,11 @@ impl StateJournal {
                     Err(_) => break,
                 },
                 RECORD_BATCH_COMMIT => {
-                    if len != BATCH_COMMIT_LEN {
+                    if payload.len() != BATCH_COMMIT_LEN {
                         break;
                     }
-                    let mut r = Reader::new(payload);
-                    let (Ok(batch), Ok(stream_pos), Ok(checksum)) = (r.u64(), r.u64(), r.u64())
+                    let mut p = Reader::new(payload);
+                    let (Ok(batch), Ok(stream_pos), Ok(checksum)) = (p.u64(), p.u64(), p.u64())
                     else {
                         break; // impossible at BATCH_COMMIT_LEN, but typed
                     };
@@ -942,12 +922,12 @@ impl StateJournal {
                 }
                 _ => break, // unknown kind: treat as corruption
             }
-            pos += RECORD_OVERHEAD + len;
+            torn = r.remaining();
         }
         Ok(JournalRecovery {
             checkpoint,
             commits,
-            torn_bytes: (bytes.len() - pos) as u64,
+            torn_bytes: torn as u64,
         })
     }
 }
@@ -1182,7 +1162,9 @@ pub(crate) mod tests {
         // Tear the final record mid-append: every truncation point of the
         // last frame must recover to the first two commits.
         let full = std::fs::read(&path).expect("read");
-        let last_frame = RECORD_OVERHEAD + BATCH_COMMIT_LEN;
+        // Framing: `u32` length + `u8` kind before the payload, `u64`
+        // checksum after it.
+        let last_frame = 4 + 1 + BATCH_COMMIT_LEN + 8;
         for torn in 1..=last_frame {
             std::fs::write(&path, &full[..full.len() - torn]).expect("truncate");
             let salvaged = StateJournal::recover(&path).expect("recover torn");

@@ -455,141 +455,6 @@ impl Verdict {
     }
 }
 
-/// The immutable slice of one stochastic shard a batch's workers score
-/// against. All mutable shard state (counters, histogram, fault totals)
-/// stays on the main thread and is updated from the workers' additive
-/// [`ShardDelta`]s at the batch boundary.
-#[derive(Clone, Copy)]
-struct ShardView<'a> {
-    seed: u64,
-    hmd: &'a StochasticHmd,
-    /// Service-wide re-query policy (`None` = re-query disabled).
-    requery: Option<RequeryConfig>,
-    /// Service-wide anomaly scorer, voting in every re-query when
-    /// installed.
-    anomaly: Option<&'a AnomalyScorer>,
-}
-
-impl ShardView<'_> {
-    /// Resolves a stochastic shard's primary `(score, threshold)` into a
-    /// final label: a confident thresholding outside the band, or a
-    /// strict-majority vote over the re-query ensemble inside it.
-    ///
-    /// The ensemble is the primary vote, the anomaly scorer's vote when one
-    /// is installed, and up to `replicas` fresh scores drawn in turn from a
-    /// one-lane fault stream seeded by `(shard seed, REQUERY_TAG,
-    /// position)` — disjoint from the primary QUERY_TAG stream, but equally
-    /// a pure function of the stream position. Ties resolve benign (strict
-    /// majority), matching the service's bias toward false negatives over
-    /// alert floods at the boundary.
-    ///
-    /// The anomaly vote is taken first, and drawing stops as soon as the
-    /// remaining replicas can no longer change the label (see
-    /// [`majority_settled`]). The label is therefore the one all `replicas`
-    /// draws would give, while `requeries`, the fault tallies and
-    /// `Requeried { votes, positives }` count only the votes cast.
-    fn resolve(
-        &self,
-        position: u64,
-        features: &[f32],
-        score: f64,
-        threshold: f64,
-        scratch: &mut BatchScratch<1>,
-        delta: &mut ShardDelta,
-    ) -> (Label, VerdictConfidence) {
-        let primary = score >= threshold;
-        let Some(cfg) = self.requery else {
-            return (Label::from_bool(primary), VerdictConfidence::Confident);
-        };
-        // `<=` so a NaN score (never in-band) stays on the confident path.
-        let in_band = (score - threshold).abs() <= cfg.band;
-        if !in_band {
-            return (Label::from_bool(primary), VerdictConfidence::Confident);
-        }
-        delta.band_hits += 1;
-        // `MonitoringService::assemble` clamped the count to at most 250.
-        let replicas = cfg.replicas as u8;
-        let anomaly = self.anomaly.map(|a| a.is_anomalous(features));
-        let total = 1 + replicas + u8::from(anomaly.is_some());
-        let mut votes = 1 + u8::from(anomaly.is_some());
-        let mut positives = u8::from(primary) + u8::from(anomaly == Some(true));
-        let seed = derive_seed(self.seed, &[REQUERY_TAG, position]);
-        let mut stream = BatchFaultStream::new(self.hmd.fault_model(), [seed]);
-        let label = loop {
-            if let Some(label) = majority_settled(positives.into(), votes.into(), total.into()) {
-                break label;
-            }
-            let [replica] = self
-                .hmd
-                .score_features_batch_with(&[features], &mut stream, scratch);
-            votes += 1;
-            positives += u8::from(replica >= threshold);
-            delta.requeries += 1;
-        };
-        delta.faults.merge(&stream.tally(0));
-        (label, VerdictConfidence::Requeried { votes, positives })
-    }
-
-    /// Scores `LANES` same-shard stochastic queries simultaneously: one
-    /// structure-of-arrays forward pass per policy draw, telemetry
-    /// accumulated into `delta`.
-    ///
-    /// Lane `l`'s fault stream is seeded from the shard seed and the
-    /// query's lifetime stream position (`derive_seed(shard_seed,
-    /// [QUERY_TAG, position])`) and shared across all `k` policy draws,
-    /// and the batched datapath advances each lane in the same
-    /// per-multiplication order whatever its neighbours do — so a verdict
-    /// depends only on (shard state, position), never on which worker
-    /// claimed the range, which queries share its block, or the lane
-    /// width. All `k` detections are always performed so the score is the
-    /// full order statistic; the verdict is its thresholding, which by
-    /// policy-consistency equals the sequential `decide` outcome, unless
-    /// the score lands in the confidence band and [`ShardView::resolve`]
-    /// re-queries it on a stream seeded by its own position.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_block<const LANES: usize>(
-        &self,
-        policy: DetectionPolicy,
-        positions: &[u64; LANES],
-        features: &[&[f32]; LANES],
-        scratch: &mut BatchScratch<LANES>,
-        requery_scratch: &mut BatchScratch<1>,
-        lane_draws: &mut Vec<f64>,
-        delta: &mut ShardDelta,
-    ) -> [(f64, Label, VerdictConfidence); LANES] {
-        let hmd = self.hmd;
-        let k = policy.detections();
-        let seeds: [u64; LANES] =
-            std::array::from_fn(|l| derive_seed(self.seed, &[QUERY_TAG, positions[l]]));
-        let mut stream = BatchFaultStream::new(hmd.fault_model(), seeds);
-        lane_draws.clear();
-        lane_draws.resize(k * LANES, 0.0);
-        for d in 0..k {
-            let plane = hmd.score_features_batch_with(features, &mut stream, scratch);
-            for (l, score) in plane.into_iter().enumerate() {
-                lane_draws[l * k + d] = score;
-            }
-        }
-        for l in 0..LANES {
-            delta.faults.merge(&stream.tally(l));
-        }
-        let threshold = Detector::threshold(hmd);
-        std::array::from_fn(|l| {
-            let score = policy.order_statistic(&mut lane_draws[l * k..(l + 1) * k]);
-            let (label, confidence) = self.resolve(
-                positions[l],
-                features[l],
-                score,
-                threshold,
-                requery_scratch,
-                delta,
-            );
-            delta.record(score, label);
-            (score, label, confidence)
-        })
-    }
-}
-
 /// One worker's accumulated telemetry for one shard over the ranges it
 /// claimed this batch. Every field is additive and order-independent, so
 /// deltas from any number of workers fold to the same shard totals.
@@ -633,22 +498,6 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// The immutable view a batch's workers score a stochastic shard
-    /// against; `None` for a shard without a model. The re-query policy
-    /// and anomaly scorer are service-wide and ride in on every view.
-    fn view<'a>(
-        &'a self,
-        requery: Option<RequeryConfig>,
-        anomaly: Option<&'a AnomalyScorer>,
-    ) -> Option<ShardView<'a>> {
-        Some(ShardView {
-            seed: self.state.seed,
-            hmd: self.model.as_deref()?,
-            requery,
-            anomaly,
-        })
-    }
-
     /// Folds one worker's per-batch telemetry delta into the shard.
     fn fold_delta(&mut self, delta: &ShardDelta) {
         let state = &mut self.state;
@@ -658,6 +507,40 @@ impl Shard {
         state.requeries += delta.requeries;
         state.faults.merge(&delta.faults);
         state.histogram.merge(&delta.histogram);
+    }
+
+    /// Accrues modelled detection energy for the `queries` this shard
+    /// answered in one batch and the `requeries` replica draws they
+    /// spent: queries × detections per query × per-detection latency ×
+    /// busy core power at the shard's live offset. A batch that touched
+    /// the shard not at all leaves it alone.
+    fn accrue_energy(
+        &mut self,
+        queries: u64,
+        requeries: u64,
+        per_detection_us: f64,
+        detections: usize,
+        power_model: &CmosPowerModel,
+    ) {
+        // Every ensemble replica draw is a full inference at the shard's
+        // live offset — the honest energy price of the re-query
+        // counter-measure. (The anomaly scorer's vote is a handful of
+        // flops against the model's MACs; below the model's resolution.)
+        if queries == 0 && requeries == 0 {
+            return;
+        }
+        let (offset, k) = match &self.model {
+            Some(hmd) => (hmd.offset().unwrap_or(Millivolts::new(0)), detections),
+            // A degraded shard serves the baseline at nominal voltage, and
+            // its k draws collapse to one score — it pays exactly one
+            // inference per query.
+            None => (Millivolts::new(0), 1),
+        };
+        let power_w = power_model.core_power_w(NOMINAL_CORE_VOLTAGE.with_offset(offset));
+        // W × µs = µJ.
+        self.state.energy_uj +=
+            (queries as f64 * k as f64 + requeries as f64) * per_detection_us * power_w;
+        self.state.last_power_w = Some(power_w);
     }
 
     /// The live model of a stochastic shard that runs at an undervolt
@@ -768,21 +651,148 @@ impl BatchInput<'_> {
 }
 
 /// Everything a batch worker needs from the main thread, by shared
-/// reference: the queries, the shards and service-wide policies its views
-/// are made of, and the routing tables. Bundled so the per-range worker
-/// ([`batch_worker`]) has one parameter instead of ten.
+/// reference: the queries, the shards and the service-wide policies they
+/// are scored under, and the serving set. Bundled so the per-range worker
+/// ([`batch_worker`]) has one parameter instead of ten. Workers only read
+/// the shards: all mutable shard state (counters, histogram, fault
+/// totals) is updated on the main thread from the workers' additive
+/// [`ShardDelta`]s at the batch boundary.
 struct BatchCtx<'a> {
     input: BatchInput<'a>,
     shards: &'a [Shard],
     baseline: &'a BaselineHmd,
+    /// Service-wide re-query policy (`None` = re-query disabled).
     requery: Option<RequeryConfig>,
+    /// Service-wide anomaly scorer, voting in every re-query when
+    /// installed.
     anomaly: Option<&'a AnomalyScorer>,
-    mask: &'a [bool],
+    /// The serving set's shard ids, ascending.
     serving: &'a [usize],
     base: u64,
     policy: DetectionPolicy,
     lanes: usize,
     input_dim: usize,
+}
+
+impl BatchCtx<'_> {
+    /// Resolves a stochastic shard's primary score into a final label: a
+    /// confident thresholding outside the band, or a strict-majority vote
+    /// over the re-query ensemble inside it. `shard` is the target shard's
+    /// seed and model.
+    ///
+    /// The ensemble is the primary vote, the anomaly scorer's vote when one
+    /// is installed, and up to `replicas` fresh scores drawn in turn from a
+    /// one-lane fault stream seeded by `(shard seed, REQUERY_TAG,
+    /// position)` — disjoint from the primary QUERY_TAG stream, but equally
+    /// a pure function of the stream position. Ties resolve benign (strict
+    /// majority), matching the service's bias toward false negatives over
+    /// alert floods at the boundary.
+    ///
+    /// The anomaly vote is taken first, and drawing stops as soon as the
+    /// remaining replicas can no longer change the label (see
+    /// [`majority_settled`]). The label is therefore the one all `replicas`
+    /// draws would give, while `requeries`, the fault tallies and
+    /// `Requeried { votes, positives }` count only the votes cast.
+    fn resolve(
+        &self,
+        (shard_seed, hmd): (u64, &StochasticHmd),
+        position: u64,
+        features: &[f32],
+        score: f64,
+        scratch: &mut BatchScratch<1>,
+        delta: &mut ShardDelta,
+    ) -> (Label, VerdictConfidence) {
+        let threshold = Detector::threshold(hmd);
+        let primary = score >= threshold;
+        let Some(cfg) = self.requery else {
+            return (Label::from_bool(primary), VerdictConfidence::Confident);
+        };
+        // `<=` so a NaN score (never in-band) stays on the confident path.
+        let in_band = (score - threshold).abs() <= cfg.band;
+        if !in_band {
+            return (Label::from_bool(primary), VerdictConfidence::Confident);
+        }
+        delta.band_hits += 1;
+        // `MonitoringService::assemble` clamped the count to at most 250.
+        let replicas = cfg.replicas as u8;
+        let anomaly = self.anomaly.map(|a| a.is_anomalous(features));
+        let total = 1 + replicas + u8::from(anomaly.is_some());
+        let mut votes = 1 + u8::from(anomaly.is_some());
+        let mut positives = u8::from(primary) + u8::from(anomaly == Some(true));
+        let seed = derive_seed(shard_seed, &[REQUERY_TAG, position]);
+        let mut stream = BatchFaultStream::new(hmd.fault_model(), [seed]);
+        let label = loop {
+            if let Some(label) = majority_settled(positives.into(), votes.into(), total.into()) {
+                break label;
+            }
+            let [replica] = hmd.score_features_batch_with(&[features], &mut stream, scratch);
+            votes += 1;
+            positives += u8::from(replica >= threshold);
+            delta.requeries += 1;
+        };
+        delta.faults.merge(&stream.tally(0));
+        (label, VerdictConfidence::Requeried { votes, positives })
+    }
+
+    /// Scores `LANES` stochastic queries of one shard (its seed and model)
+    /// simultaneously: one structure-of-arrays forward pass per policy
+    /// draw, telemetry accumulated into `delta`.
+    ///
+    /// Lane `l`'s fault stream is seeded from the shard seed and the
+    /// query's lifetime stream position (`derive_seed(shard_seed,
+    /// [QUERY_TAG, position])`) and shared across all `k` policy draws,
+    /// and the batched datapath advances each lane in the same
+    /// per-multiplication order whatever its neighbours do — so a verdict
+    /// depends only on (shard state, position), never on which worker
+    /// claimed the range, which queries share its block, or the lane
+    /// width. All `k` detections are always performed so the score is the
+    /// full order statistic; the verdict is its thresholding, which by
+    /// policy-consistency equals the sequential `decide` outcome, unless
+    /// the score lands in the confidence band and [`BatchCtx::resolve`]
+    /// re-queries it on a stream seeded by its own position.
+    #[allow(clippy::too_many_arguments)]
+    fn answer_block<const LANES: usize>(
+        &self,
+        shard: (u64, &StochasticHmd),
+        positions: &[u64; LANES],
+        features: &[&[f32]; LANES],
+        scratch: &mut BatchScratch<LANES>,
+        requery_scratch: &mut BatchScratch<1>,
+        lane_draws: &mut Vec<f64>,
+        delta: &mut ShardDelta,
+    ) -> [(f64, Label, VerdictConfidence); LANES] {
+        let (seed, hmd) = shard;
+        let k = self.policy.detections();
+        let seeds: [u64; LANES] =
+            std::array::from_fn(|l| derive_seed(seed, &[QUERY_TAG, positions[l]]));
+        let mut stream = BatchFaultStream::new(hmd.fault_model(), seeds);
+        lane_draws.clear();
+        lane_draws.resize(k * LANES, 0.0);
+        for d in 0..k {
+            let plane = hmd.score_features_batch_with(features, &mut stream, scratch);
+            for (l, score) in plane.into_iter().enumerate() {
+                lane_draws[l * k + d] = score;
+            }
+        }
+        for l in 0..LANES {
+            delta.faults.merge(&stream.tally(l));
+        }
+        std::array::from_fn(|l| {
+            let score = self
+                .policy
+                .order_statistic(&mut lane_draws[l * k..(l + 1) * k]);
+            let (label, confidence) = self.resolve(
+                shard,
+                positions[l],
+                features[l],
+                score,
+                requery_scratch,
+                delta,
+            );
+            delta.record(score, label);
+            (score, label, confidence)
+        })
+    }
 }
 
 /// One worker's buffers. The service keeps one per worker of the batch
@@ -813,12 +823,8 @@ struct WorkerScratch {
 struct BatchBuffers {
     /// One per worker of the batch fan-out.
     workers: Vec<WorkerScratch>,
-    /// Per shard: whether it is in the serving set.
-    mask: Vec<bool>,
     /// The serving set's shard ids, ascending.
     serving: Vec<usize>,
-    /// Per shard: queries answered and re-query draws spent this batch.
-    drawn: Vec<(u64, u64)>,
 }
 
 /// Answers one claimed range, the batch's queries `lo..lo + out.len()`,
@@ -829,7 +835,7 @@ struct BatchBuffers {
 /// baseline/degraded queries are answered in place and stochastic queries
 /// are grouped by target shard. Then, at lane width [`MAX_LANES`], each
 /// shard's group is scored in blocks of that width via
-/// [`ShardView::answer_block`], and its remainder (the whole group at
+/// [`BatchCtx::answer_block`], and its remainder (the whole group at
 /// width 1) one query at a time through `answer_block::<1>`. Remainders
 /// run at width 1 rather than padded into masked lanes, because an 8-lane
 /// block with one live lane costs several times a 1-lane block. Every
@@ -868,7 +874,7 @@ fn batch_worker(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch, lo: usize, out:
     for (i, slot) in out.iter_mut().enumerate() {
         let position = ctx.base + (lo + i) as u64;
         let home = (position % n_shards as u64) as usize;
-        let target = if ctx.mask[home] {
+        let target = if ctx.shards[home].state.supervision.health.is_serving() {
             home
         } else {
             // Deterministic re-route around quarantined shards: still
@@ -902,10 +908,11 @@ fn batch_worker(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch, lo: usize, out:
             }
         }
     }
-    for (target, group) in groups.iter().enumerate() {
-        let Some(view) = ctx.shards[target].view(ctx.requery, ctx.anomaly) else {
+    for ((target, group), shard) in groups.iter().enumerate().zip(ctx.shards) {
+        let Some(hmd) = shard.model.as_deref() else {
             continue; // no model, so no stochastic queries
         };
+        let shard = (shard.state.seed, hmd);
         let delta = &mut deltas[target];
         let blocked = if ctx.lanes == MAX_LANES {
             group.len() - group.len() % MAX_LANES
@@ -917,8 +924,8 @@ fn batch_worker(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch, lo: usize, out:
             let positions: [u64; MAX_LANES] =
                 std::array::from_fn(|l| ctx.base + (lo + block[l]) as u64);
             let lane_features: [&[f32]; MAX_LANES] = std::array::from_fn(|l| query(block[l]));
-            let answers = view.answer_block(
-                ctx.policy,
+            let answers = ctx.answer_block(
+                shard,
                 &positions,
                 &lane_features,
                 wide,
@@ -932,8 +939,8 @@ fn batch_worker(ctx: &BatchCtx<'_>, scratch: &mut WorkerScratch, lo: usize, out:
         }
         for &i in remainder {
             let position = ctx.base + (lo + i) as u64;
-            let [answer] = view.answer_block(
-                ctx.policy,
+            let [answer] = ctx.answer_block(
+                shard,
                 &[position],
                 &[query(i)],
                 single,
@@ -981,9 +988,9 @@ pub struct MonitoringService {
     /// Input-layer width, for ingestion validation.
     input_dim: usize,
     supervisor: Option<Supervisor>,
-    /// Plain shard state: workers only ever see immutable
-    /// [`ShardView`]s of it, so no lock is needed — all mutation happens
-    /// on the main thread between batches.
+    /// Plain shard state: batch workers only read it through a
+    /// [`BatchCtx`], so no lock is needed — all mutation happens on the
+    /// main thread between batches.
     shards: Vec<Shard>,
     served: u64,
     batches: u64,
@@ -1355,16 +1362,10 @@ impl MonitoringService {
         let buffers = &mut self.buffers;
         // The serving set after supervision: a pure function of the batch
         // index and prior state, identical at any thread count.
-        buffers.mask.clear();
-        buffers.mask.extend(
-            self.shards
-                .iter()
-                .map(|shard| shard.state.supervision.health.is_serving()),
-        );
         buffers.serving.clear();
-        buffers
-            .serving
-            .extend((0..n_shards).filter(|&id| buffers.mask[id]));
+        buffers.serving.extend(
+            (0..n_shards).filter(|&id| self.shards[id].state.supervision.health.is_serving()),
+        );
         debug_assert!(
             !buffers.serving.is_empty(),
             "the supervisor never empties the serving set"
@@ -1400,7 +1401,6 @@ impl MonitoringService {
             baseline: &self.baseline,
             requery: self.requery,
             anomaly: self.anomaly.as_ref(),
-            mask: &buffers.mask,
             serving: &buffers.serving,
             base: self.served,
             policy: self.policy,
@@ -1414,22 +1414,28 @@ impl MonitoringService {
             |scratch, (k, out)| batch_worker(&ctx, scratch, k * chunk, out),
         );
 
-        // Fold: telemetry deltas are additive and order-independent.
-        buffers.drawn.clear();
-        buffers.drawn.resize(n_shards, (0, 0));
-        for scratch in &buffers.workers[..workers] {
-            for ((shard, delta), drawn) in self
-                .shards
-                .iter_mut()
-                .zip(&scratch.deltas)
-                .zip(&mut buffers.drawn)
-            {
+        // One shard-major pass on the main thread, in shard order: fold the
+        // shard's worker deltas (additive and order-independent), then
+        // price its batch once, so the energy accrual is a deterministic
+        // function of the query stream at any thread count.
+        let per_detection_us = self.latency_model.hmd_us(self.macs);
+        let detections = self.policy.detections();
+        for (id, shard) in self.shards.iter_mut().enumerate() {
+            let (mut queries, mut requeries) = (0, 0);
+            for delta in buffers.workers[..workers].iter().map(|w| &w.deltas[id]) {
                 if !delta.is_empty() {
                     shard.fold_delta(delta);
-                    drawn.0 += delta.queries;
-                    drawn.1 += delta.requeries;
+                    queries += delta.queries;
+                    requeries += delta.requeries;
                 }
             }
+            shard.accrue_energy(
+                queries,
+                requeries,
+                per_detection_us,
+                detections,
+                &self.power_model,
+            );
         }
         for v in &verdicts {
             match v.disposition {
@@ -1447,9 +1453,6 @@ impl MonitoringService {
         }
         self.served += n as u64;
         self.batches += 1;
-        let drawn = std::mem::take(&mut self.buffers.drawn);
-        self.accrue_energy(&drawn);
-        self.buffers.drawn = drawn;
         // Timing folds exactly once per batch, on the main thread, after
         // the parallel region — workers never touch the clock.
         if self.batch_latency_micros.len() == BATCH_LATENCY_WINDOW {
@@ -1458,42 +1461,6 @@ impl MonitoringService {
         self.batch_latency_micros
             .push_back(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         verdicts
-    }
-
-    /// Accrues modelled detection energy for every query answered this
-    /// batch: queries × per-detection latency × detections per query ×
-    /// busy core power at the shard's live offset. `drawn` holds each
-    /// shard's queries answered and re-query draws spent this batch.
-    /// Runs on the main thread after the telemetry deltas fold, in shard
-    /// order, so the accrual is a deterministic function of the query
-    /// stream at any thread count.
-    fn accrue_energy(&mut self, drawn: &[(u64, u64)]) {
-        let per_detection_us = self.latency_model.hmd_us(self.macs);
-        let detections = self.policy.detections();
-        for (shard, &(delta, requery_delta)) in self.shards.iter_mut().zip(drawn) {
-            // Every ensemble replica draw is a full inference at the
-            // shard's live offset — the honest energy price of the
-            // re-query counter-measure. (The anomaly scorer's vote is a
-            // handful of flops against the model's MACs; below the
-            // model's resolution.)
-            if delta == 0 && requery_delta == 0 {
-                continue;
-            }
-            let (offset, k) = match &shard.model {
-                Some(hmd) => (hmd.offset().unwrap_or(Millivolts::new(0)), detections),
-                // A degraded shard serves the baseline at nominal
-                // voltage, and its k draws collapse to one score — it
-                // pays exactly one inference per query.
-                None => (Millivolts::new(0), 1),
-            };
-            let power_w = self
-                .power_model
-                .core_power_w(NOMINAL_CORE_VOLTAGE.with_offset(offset));
-            // W × µs = µJ.
-            shard.state.energy_uj +=
-                (delta as f64 * k as f64 + requery_delta as f64) * per_detection_us * power_w;
-            shard.state.last_power_w = Some(power_w);
-        }
     }
 
     /// Replays a query stream in batches of the configured size.
