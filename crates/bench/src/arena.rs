@@ -262,7 +262,7 @@ fn serve_accuracy(
 }
 
 /// One error rate's denoising cost-curve cell.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DenoiseCell {
     /// Delivered multiplication error rate of the live victim.
     pub error_rate: f64,
@@ -347,7 +347,7 @@ pub fn denoise_sweep(
 }
 
 /// One transfer-matrix cell: an attacker family against a victim.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransferCell {
     /// Victim kind: `"service"`, `"rhmd"`, or `"rhmd+anomaly"`.
     pub victim: &'static str,
@@ -368,7 +368,7 @@ pub struct TransferCell {
 }
 
 /// Accuracy of one victim at one error rate, relative to the baseline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AccuracyCell {
     /// Victim kind, as in [`TransferCell::victim`].
     pub victim: &'static str,
@@ -545,7 +545,7 @@ pub fn transfer_sweep(
 }
 
 /// The re-query scenario's outcome, determinism verdicts included.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequeryOutcome {
     /// Error rate of the noisy deployments.
     pub error_rate: f64,
@@ -907,12 +907,8 @@ fn proxy_name(kind: ProxyKind) -> &'static str {
     }
 }
 
-/// `BENCH_9.json` has no wall-clock fields outside `timing` (see
-/// [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[];
-
 /// Renders the matrix as the `BENCH_9.json` document. Timing lives only
-/// under `"timing"`, which the serial-rerun comparison skips.
+/// under `"timing"`.
 pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize) -> String {
     let rq = &matrix.requery;
     json::document(|w| {
@@ -981,7 +977,7 @@ pub fn render_json(matrix: &ArenaMatrix, seed: u64, scale: &str, threads: usize)
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -1031,6 +1027,27 @@ pub(crate) mod tests {
             outcome.queries,
             plan.drift_batches * plan.drift_batch as u64
         );
+    }
+
+    /// The denoise, transfer and accuracy cells and the re-query
+    /// scenario's clean and noisy accuracies run on serial services only,
+    /// so no twin covers them: two runs in one process must agree field
+    /// for field, or some state outside the seeds leaks into them.
+    #[test]
+    fn serial_only_cells_reproduce_within_a_process() {
+        let (dataset, baseline, mut plan) = fixture();
+        plan.error_rates = vec![0.0, 0.3];
+        plan.eval_reps = 1;
+        let curve = calibration();
+        let serial = ExecConfig::serial();
+        let run = || {
+            (
+                denoise_sweep(&baseline, &curve, &dataset, &plan, 11),
+                transfer_sweep(&baseline, &curve, &dataset, &plan, 11),
+                requery_recovery(&baseline, &curve, &dataset, &plan, 11, &serial),
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     fn pinned_matrix() -> ArenaMatrix {
@@ -1090,14 +1107,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        render_json(&pinned_matrix(), 42, "fast", 8)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let doc = render_json(&pinned_matrix(), 42, "fast", 8);
         let want = r#"{
   "bench": "adaptive_arena",
   "seed": 42,

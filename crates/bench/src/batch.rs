@@ -221,14 +221,6 @@ pub fn failures(points: &[BatchPoint]) -> Vec<String> {
         .collect()
 }
 
-/// The wall-clock paths of `BENCH_6.json` (see [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[
-    ".results[].one_lane_qps",
-    ".results[].batched_qps",
-    ".results[].vs_one_lane",
-    ".results[].threaded_qps",
-];
-
 /// Renders the sweep as the `BENCH_6.json` document.
 pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize) -> String {
     json::document(|w| {
@@ -269,7 +261,7 @@ pub fn render_json(points: &[BatchPoint], seed: u64, scale: &str, threads: usize
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -392,14 +384,9 @@ pub(crate) mod tests {
         assert!(failures(&[one_lane]).is_empty());
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        render_json(&[pinned_point()], 42, "fast", 1)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let doc = render_json(&[pinned_point()], 42, "fast", 1);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "batched_serving",

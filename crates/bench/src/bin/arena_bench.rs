@@ -4,30 +4,26 @@
 //!
 //! Writes `BENCH_9.json` (override with `--out PATH`) and prints the same
 //! numbers as tables. `--check` exits non-zero if any gate of
-//! `arena::failures` fails. Under `--check` with several threads the arena
-//! is also re-run serially, and its document must match outside `threads`
-//! and `timing`. CI runs `--fast --threads 8 --check` as the arena smoke
-//! test.
+//! `arena::failures` fails, among them the re-query and drift replays'
+//! identity with their serial twins and the mid-arena restore. CI runs
+//! `--fast --threads 8 --check` as the arena smoke test.
 
 use hmd_bench::arena::{self, ArenaPlan};
 use hmd_bench::report::BenchRun;
 use hmd_bench::{setup, table};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_9.json");
     let args = run.args;
     let scale_name = args.scale.name();
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
+    let threads = exec.thread_count();
     let plan = ArenaPlan::for_scale(args.scale);
 
-    let measure = |exec: &ExecConfig| arena::run_arena(&baseline, &dataset, &plan, args.seed, exec);
-    let render = |matrix: &arena::ArenaMatrix, threads: usize| {
-        arena::render_json(matrix, args.seed, scale_name, threads)
-    };
-    let matrix = measure(&exec);
+    let matrix = arena::run_arena(&baseline, &dataset, &plan, args.seed, &exec);
 
     table::title(&format!(
         "Denoising cost curve, target agreement {:.2} ({scale_name})",
@@ -106,7 +102,7 @@ fn main() {
         rq.band_hits,
         rq.requeries,
         rq.served,
-        exec.thread_count(),
+        threads,
         if rq.thread_invariant { "yes" } else { "NO" },
         if rq.restore_identical { "yes" } else { "NO" },
     );
@@ -133,12 +129,10 @@ fn main() {
     ]);
 
     run.finish(
-        &render(&matrix, exec.thread_count()),
-        arena::failures(&matrix, exec.thread_count()),
-        arena::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
+        &arena::render_json(&matrix, args.seed, scale_name, threads),
+        arena::failures(&matrix, threads),
         "denoising cost monotone, undervolting does not help the \
          transfer attacker, re-query recovers the band-edge loss, drift watchdog \
          quiet, every replay thread-invariant and restore-identical",
-    );
+    )
 }

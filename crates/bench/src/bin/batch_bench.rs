@@ -3,14 +3,14 @@
 //!
 //! Writes `BENCH_6.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any gate of
-//! `batch::failures` fails or if a serial rerun of the sweep renders a
-//! different document outside its wall-clock fields. The single-thread
-//! width ratio against one lane is reported, not gated.
+//! `batch::failures` fails, among them each width's identity with one
+//! lane and with its own serial replay. The single-thread width ratio
+//! against one lane is reported, not gated.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{batch, setup, table};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
 /// Hidden width of the second, wider deployment the sweep measures. The
 /// scale fixture (hidden 8/12) is event-bound at er = 0.1 — roughly one
@@ -21,7 +21,7 @@ use stochastic_hmd::ExecConfig;
 /// two-hidden-layer deployments.
 const WIDE_HIDDEN: usize = 32;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_6.json");
     let args = run.args;
     let scale_name = args.scale.name();
@@ -35,31 +35,24 @@ fn main() {
     let curve = Calibrator::new().calibrate(&DeviceProfile::reference());
     let exec = args.exec();
 
-    let measure = |exec: &ExecConfig| {
-        let mut points = batch::measure_sweep(
-            &baseline,
-            &fixture_label,
-            &curve,
-            &dataset,
-            args.seed,
-            queries,
-            exec,
-        );
-        points.extend(batch::measure_sweep(
-            &wide,
-            &wide_label,
-            &curve,
-            &dataset,
-            args.seed,
-            queries,
-            exec,
-        ));
-        points
-    };
-    let render = |points: &[batch::BatchPoint], threads: usize| {
-        batch::render_json(points, args.seed, scale_name, threads)
-    };
-    let points = measure(&exec);
+    let mut points = batch::measure_sweep(
+        &baseline,
+        &fixture_label,
+        &curve,
+        &dataset,
+        args.seed,
+        queries,
+        &exec,
+    );
+    points.extend(batch::measure_sweep(
+        &wide,
+        &wide_label,
+        &curve,
+        &dataset,
+        args.seed,
+        queries,
+        &exec,
+    ));
 
     table::title(&format!(
         "Batched serving throughput, {queries} queries/deployment ({scale_name})"
@@ -102,10 +95,8 @@ fn main() {
     }
 
     run.finish(
-        &render(&points, exec.thread_count()),
+        &batch::render_json(&points, args.seed, scale_name, exec.thread_count()),
         batch::failures(&points),
-        batch::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
         "every width bit-identical to one lane and thread-invariant, no degradation",
-    );
+    )
 }

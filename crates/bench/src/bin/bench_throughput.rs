@@ -3,15 +3,15 @@
 //!
 //! Writes `BENCH_2.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any gate of
-//! `perf::failures` fails or if a serial rerun of the sweep renders a
-//! different document outside its wall-clock fields — that mode is what
-//! CI runs (with `--fast`) as a performance smoke test.
+//! `perf::failures` fails, the fan-out's identity with its serial
+//! schedule among them — that mode is what CI runs (with `--fast`) as a
+//! performance smoke test.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{perf, setup, table};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_2.json");
     let args = run.args;
     let scale_name = args.scale.name();
@@ -22,11 +22,7 @@ fn main() {
     let features = victim.spec().extract(dataset.trace(0));
     let exec = args.exec();
 
-    let measure = |exec: &ExecConfig| perf::measure_sweep(q, &features, args.seed, queries, exec);
-    let render = |points: &[perf::ThroughputPoint], threads: usize| {
-        perf::render_json(points, args.seed, scale_name, threads, q.mac_count())
-    };
-    let points = measure(&exec);
+    let points = perf::measure_sweep(q, &features, args.seed, queries, &exec);
 
     table::title(&format!(
         "Detector throughput, {} MACs/inference, {queries} queries/path ({scale_name})",
@@ -55,11 +51,10 @@ fn main() {
          after: geometric gap + scratch; both on the width-1 kernel)"
     );
 
+    let threads = exec.thread_count();
     run.finish(
-        &render(&points, exec.thread_count()),
+        &perf::render_json(&points, args.seed, scale_name, threads, q.mac_count()),
         perf::failures(&points),
-        perf::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
         "hot path >= legacy at every error rate, outputs thread-invariant",
-    );
+    )
 }

@@ -5,16 +5,16 @@
 //!
 //! Writes `BENCH_4.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any gate of
-//! `chaos::failures` fails or if a serial rerun of the sweep renders a
-//! different document outside its wall-clock fields — that mode is what
-//! CI runs (with `--fast`) as the chaos smoke test.
+//! `chaos::failures` fails, the serial-vs-threaded identity of every pool
+//! size among them — that mode is what CI runs (with `--fast`) as the
+//! chaos smoke test.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::serve::CHAOS_SCALING_FLOOR;
 use hmd_bench::{chaos, serve, setup, table};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_4.json");
     let args = run.args;
     let scale_name = args.scale.name();
@@ -22,15 +22,12 @@ fn main() {
     let dataset = setup::dataset(&args);
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
+    let threads = exec.thread_count();
 
-    let floor = serve::effective_scaling_floor(CHAOS_SCALING_FLOOR, exec.thread_count());
-    let delivered = serve::delivered_parallelism(exec.thread_count());
-    let measure =
-        |exec: &ExecConfig| chaos::measure_sweep(&baseline, &dataset, args.seed, batch_size, exec);
-    let render = |points: &[chaos::ChaosPoint], threads: usize| {
-        chaos::render_json(points, args.seed, scale_name, threads, floor, delivered)
-    };
-    let points = measure(&exec);
+    let floor = serve::effective_scaling_floor(CHAOS_SCALING_FLOOR, threads);
+    let points = chaos::measure_sweep(&baseline, &dataset, args.seed, batch_size, &exec);
+    // Probed next to the 8-shard replay, the one the scaling gate reads.
+    let delivered = serve::delivered_parallelism(threads);
     let total_batches = chaos::CHAOS_HORIZON + chaos::CHAOS_TAIL;
 
     table::title(&format!(
@@ -60,15 +57,12 @@ fn main() {
     }
     println!("(same seeds, same chaos schedule; only the worker pool differs between replays)");
 
-    let threads = exec.thread_count();
     run.finish(
-        &render(&points, threads),
+        &chaos::render_json(&points, args.seed, scale_name, threads, floor, delivered),
         chaos::failures(&points, batch_size, threads, delivered),
-        chaos::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
         &format!(
             "chaos replay thread-invariant at every pool size, poison contained, \
              pool serving at end, scaling above {floor:.2}x"
         ),
-    );
+    )
 }

@@ -7,16 +7,15 @@
 //! Writes `BENCH_5.json` (override with `--out PATH`) and prints the same
 //! numbers as a table; the journal checkpoints every
 //! `durability::DEFAULT_CADENCE` batches. `--check` exits non-zero if any
-//! gate of `durability::failures` fails or if a serial rerun of the sweep
-//! renders a different document — that mode is what CI runs (with
+//! gate of `durability::failures` fails — that mode is what CI runs (with
 //! `--fast`) as the durability smoke test.
 
 use hmd_bench::durability::{self, DEFAULT_CADENCE};
 use hmd_bench::report::BenchRun;
 use hmd_bench::{setup, table};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_5.json");
     let args = run.args;
     let scale_name = args.scale.name();
@@ -25,20 +24,14 @@ fn main() {
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
 
-    let measure = |exec: &ExecConfig| {
-        durability::measure_sweep(
-            &baseline,
-            &dataset,
-            args.seed,
-            batch_size,
-            DEFAULT_CADENCE,
-            exec,
-        )
-    };
-    let render = |points: &[durability::DurabilityPoint], threads: usize| {
-        durability::render_json(points, args.seed, scale_name, threads)
-    };
-    let points = measure(&exec);
+    let points = durability::measure_sweep(
+        &baseline,
+        &dataset,
+        args.seed,
+        batch_size,
+        DEFAULT_CADENCE,
+        &exec,
+    );
 
     table::title(&format!(
         "Crash/restore durability, {} shards, checkpoint every {DEFAULT_CADENCE} batches ({scale_name})",
@@ -69,10 +62,8 @@ fn main() {
     println!("(same seed, same chaos schedule; the only difference is dying and coming back)");
 
     run.finish(
-        &render(&points, exec.thread_count()),
+        &durability::render_json(&points, args.seed, scale_name, exec.thread_count()),
         durability::failures(&points),
-        durability::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
         "every kill point restored bit-identically, serial and threaded, torn tails discarded",
-    );
+    )
 }

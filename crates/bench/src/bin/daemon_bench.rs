@@ -7,16 +7,15 @@
 //!
 //! Writes `BENCH_8.json` (override with `--out PATH`) and prints the same
 //! numbers as a table. `--check` exits non-zero if any gate of
-//! `daemon::failures` fails — that mode is what CI runs (with `--fast`) as
-//! the daemon smoke test. It also re-runs the measurement serially and
-//! compares the documents with `threads`/`timing` skipped, so everything
-//! else must be bit-identical.
+//! `daemon::failures` fails, among them the pooled upgrade's identity
+//! with the serial reference — that mode is what CI runs (with `--fast`)
+//! as the daemon smoke test.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{daemon, setup, table};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_8.json");
     let args = run.args;
     let scale_name = args.scale.name();
@@ -25,12 +24,7 @@ fn main() {
     let baseline = setup::victim(&dataset, 0, &args);
     let exec = args.exec();
 
-    let measure =
-        |exec: &ExecConfig| daemon::measure(&baseline, &dataset, args.seed, batch_size, exec);
-    let render = |report: &daemon::DaemonBenchReport, threads: usize| {
-        daemon::render_json(report, args.seed, scale_name, threads)
-    };
-    let report = measure(&exec);
+    let report = daemon::measure(&baseline, &dataset, args.seed, batch_size, &exec);
 
     table::title(&format!(
         "Monitoring daemon, {} shards, rolling upgrade mid-stream ({scale_name})",
@@ -78,11 +72,9 @@ fn main() {
     println!("(the upgrade drains, checkpoints, hands off, and the successor proves checksum identity before serving)");
 
     run.finish(
-        &render(&report, exec.thread_count()),
+        &daemon::render_json(&report, args.seed, scale_name, exec.thread_count()),
         daemon::failures(&report),
-        daemon::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
         "accounting exact, upgrade lossless and bit-identical at every \
          thread count, hostile corpus fully rejected",
-    );
+    )
 }

@@ -4,16 +4,16 @@
 //!
 //! Writes `BENCH_7.json` (override with `--out PATH`) and prints the
 //! same numbers as two tables. `--check` exits non-zero if any gate of
-//! `power::failures` fails or if a serial rerun of the pool renders a
-//! different document — that mode is what CI runs (with `--fast`) as the
-//! power smoke test.
+//! `power::failures` fails, among them the budgeted pool's identity with
+//! its serial replay and its restore — that mode is what CI runs (with
+//! `--fast`) as the power smoke test.
 
 use hmd_bench::report::BenchRun;
 use hmd_bench::{power, setup, table};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
-use stochastic_hmd::ExecConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let run = BenchRun::from_env("BENCH_7.json");
     let args = run.args;
     let scale_name = args.scale.name();
@@ -68,15 +68,7 @@ fn main() {
         limit.vdd
     );
 
-    // The Pareto sweep takes no worker pool; only the budgeted pool is
-    // measured again serially.
-    let measure = |exec: &ExecConfig| {
-        power::measure_service(&baseline, &dataset, args.seed, batch_size, exec)
-    };
-    let render = |service: &power::ServiceRun, threads: usize| {
-        power::render_json(&points, limit, service, args.seed, scale_name, threads)
-    };
-    let service = measure(&exec);
+    let service = power::measure_service(&baseline, &dataset, args.seed, batch_size, &exec);
     table::title(&format!(
         "Budgeted pool, {} shards x {} batches x {batch_size} queries",
         service.shards, service.batches
@@ -105,13 +97,12 @@ fn main() {
     ]);
     println!("(budget measured mid-window between the pool's unpressured draw and its band cap)");
 
+    let threads = exec.thread_count();
     run.finish(
-        &render(&service, exec.thread_count()),
+        &power::render_json(&points, limit, &service, args.seed, scale_name, threads),
         power::failures(&points, limit, &service),
-        power::WALL_CLOCK,
-        |serial| render(&measure(serial), 1),
         "~15% package saving at the operating point, >75% over RHMD \
          at the Fig. 7 limit, budget held with zero freezes, replay thread-invariant, \
          restore bit-identical",
-    );
+    )
 }

@@ -228,14 +228,6 @@ pub fn failures(
         .collect()
 }
 
-/// The wall-clock paths of `BENCH_4.json` (see [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[
-    ".delivered_parallelism",
-    ".results[].serial_qps",
-    ".results[].threaded_qps",
-    ".results[].scaling",
-];
-
 /// Renders the sweep as the `BENCH_4.json` document.
 pub fn render_json(
     points: &[ChaosPoint],
@@ -279,7 +271,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -386,14 +378,9 @@ pub(crate) mod tests {
         assert_eq!(at(1)(&slow), Vec::<String>::new());
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        render_json(&[pinned_point()], 42, "fast", 8, 1.5, 1.25)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let doc = render_json(&[pinned_point()], 42, "fast", 8, 1.5, 1.25);
         // The host's core count is the one field no fixture can pin.
         let want = r#"{
   "bench": "chaos_recovery",

@@ -6,8 +6,7 @@
 //!
 //! - **ingest throughput** — encode → [`Daemon::handle_frame`] →
 //!   [`Daemon::pump`] → decode for the whole chaos stream; the only
-//!   timing-dependent numbers, quarantined under the JSON `timing` key so
-//!   CI can strip them for invariance diffs;
+//!   timing-dependent numbers, quarantined under the JSON `timing` key;
 //! - **reject accounting under overload** — a small queue and tenant
 //!   quota offered more than they can hold, with *predicted* counter
 //!   values checked against [`stochastic_hmd::AdmissionStats`] and its
@@ -20,8 +19,7 @@
 //!   one frame of every wire kind must decode to a typed error.
 //!
 //! The `daemon_bench` binary writes `BENCH_8.json` at the repository
-//! root; CI diffs serial vs 8-thread output with `threads`/`timing`
-//! stripped.
+//! root.
 
 use crate::chaos;
 use shmd_workload::dataset::Dataset;
@@ -557,13 +555,10 @@ pub fn failures(r: &DaemonBenchReport) -> Vec<String> {
     gates.into_iter().flatten().collect()
 }
 
-/// `BENCH_8.json` has no wall-clock fields outside `timing` (see
-/// [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[];
-
 /// Renders the report as the `BENCH_8.json` document. Everything outside
-/// `threads` and `timing` is deterministic at any thread count, which
-/// `daemon_bench --check` verifies against a serial rerun.
+/// `threads` and `timing` comes from a serial run, except the pooled
+/// upgrade's checksum and count, which [`failures`] holds to the serial
+/// reference.
 pub fn render_json(r: &DaemonBenchReport, seed: u64, scale: &str, threads: usize) -> String {
     let s = &r.overload.stats;
     json::document(|w| {
@@ -605,7 +600,7 @@ pub fn render_json(r: &DaemonBenchReport, seed: u64, scale: &str, threads: usize
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -702,14 +697,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        render_json(&pinned_report(), 21, "fast", 2)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let doc = render_json(&pinned_report(), 21, "fast", 2);
         let want = r#"{
   "bench": "daemon",
   "unit": "wire_roundtrip",

@@ -310,9 +310,6 @@ pub fn failures(points: &[DurabilityPoint]) -> Vec<String> {
         .collect()
 }
 
-/// `BENCH_5.json` has no wall-clock fields (see [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[];
-
 /// Renders the sweep as the `BENCH_5.json` document.
 pub fn render_json(points: &[DurabilityPoint], seed: u64, scale: &str, threads: usize) -> String {
     json::document(|w| {
@@ -344,7 +341,7 @@ pub fn render_json(points: &[DurabilityPoint], seed: u64, scale: &str, threads: 
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -462,14 +459,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        render_json(&[pinned_point()], 42, "fast", 8)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let doc = render_json(&[pinned_point()], 42, "fast", 8);
         let want = r#"{
   "bench": "crash_restore",
   "unit": "bit_identical_resume",

@@ -256,14 +256,6 @@ pub fn failures(points: &[ThroughputPoint]) -> Vec<String> {
         .collect()
 }
 
-/// The wall-clock paths of `BENCH_2.json` (see [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[
-    ".results[].before_qps",
-    ".results[].after_qps",
-    ".results[].speedup",
-    ".results[].threaded_qps",
-];
-
 /// Renders the sweep as the `BENCH_2.json` document.
 pub fn render_json(
     points: &[ThroughputPoint],
@@ -301,7 +293,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use shmd_workload::dataset::{Dataset, DatasetConfig};
@@ -391,14 +383,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        render_json(&[pinned_point()], 42, "fast", 1, 66)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let doc = render_json(&[pinned_point()], 42, "fast", 1, 66);
         let want = r#"{
   "bench": "detector_throughput",
   "unit": "queries_per_second",

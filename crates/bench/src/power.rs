@@ -372,9 +372,6 @@ pub fn failures(points: &[OperatingPoint], limit: Fig7Limit, service: &ServiceRu
     gates.into_iter().flatten().collect()
 }
 
-/// `BENCH_7.json` has no wall-clock fields (see [`crate::report`]).
-pub const WALL_CLOCK: &[&str] = &[];
-
 /// Renders both halves as the `BENCH_7.json` document.
 pub fn render_json(
     points: &[OperatingPoint],
@@ -437,7 +434,7 @@ pub fn render_json(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::report::tests::each_gate_fails_alone;
     use crate::setup;
@@ -561,15 +558,10 @@ pub(crate) mod tests {
         );
     }
 
-    /// The document [`render_json`] writes for the pinned fixture.
-    pub(crate) fn pinned_document() -> String {
-        let (p, service) = pinned();
-        render_json(&[p], fig7_limit(), &service, 42, "fast", 8)
-    }
-
     #[test]
     fn json_document_is_pinned() {
-        let doc = pinned_document();
+        let (p, service) = pinned();
+        let doc = render_json(&[p], fig7_limit(), &service, 42, "fast", 8);
         let want = r#"{
   "bench": "power_pareto",
   "unit": "watts",

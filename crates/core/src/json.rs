@@ -1,8 +1,8 @@
 //! The JSON reader and writer shared by the telemetry snapshot and the
 //! bench documents. [`document`] owns the layout every one of them uses;
 //! callers name a key, a typed value and, for a float, its precision.
-//! [`parse`] reads a document back as a [`Value`] tree; the bench
-//! binaries' `--check` gate compares two such trees.
+//! [`parse`] reads a document back as a [`Value`] tree; tests use it to
+//! check that the documents are valid JSON.
 
 use std::fmt::{self, Write};
 

@@ -1,5 +1,7 @@
-//! Fuzzes `json::parse`, the reader behind the bench `--check` gate, with
-//! mutations of a real telemetry snapshot document plus pure garbage.
+//! Fuzzes `json::parse` with mutations of a real telemetry snapshot
+//! document plus pure garbage. No gate reads a document back; the parser
+//! is kept so tests can hold every BENCH document and snapshot to valid
+//! JSON, and it must stay typed on hostile input like every decoder.
 //! JSON has no whole-document checksum, so a mutation may legitimately
 //! still parse — the invariant here is "a `Value` or a typed
 //! `ParseError`, never a panic".

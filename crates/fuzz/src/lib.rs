@@ -8,7 +8,8 @@
 //!
 //! - `fuzz_checkpoint` — [`stochastic_hmd::ServiceCheckpoint::decode`]
 //! - `fuzz_telemetry` — [`stochastic_hmd::json::parse`] over mutated
-//!   telemetry snapshots
+//!   telemetry snapshots (the parser tests use to check that BENCH
+//!   documents and snapshots are valid JSON)
 //! - `fuzz_wire` — [`stochastic_hmd::decode_frame`]
 //! - `fuzz_daemon` — the admission path ([`stochastic_hmd::Daemon::handle_frame`])
 //!
